@@ -114,9 +114,12 @@ fuzz-smoke:
 # snapshot N+M differential (including the sketch state provider), the
 # batched-vs-serial slice-barrier drain and broadcast-vs-directory
 # differentials at several GOMAXPROCS levels, the incremental-vs-batch
-# clustering differential, and the job server + client under load.
+# clustering differential, the experiment harnesses' golden-output and
+# Options-plumbing tests (their policy/workload fan-out runs on sweep.Map
+# goroutines), and the job server + client under load.
 test-race:
 	$(GO) test -race ./internal/metrics ./internal/sweep
+	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
 	$(GO) test -race -run 'TestEngine|TestRunSlice|TestSnapshot|TestGolden' ./internal/sim
 	$(GO) test -race -short -run 'TestSliceBarrierBatchedVsSerial|TestBroadcastDirectoryEquivalence' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -run 'TestIncremental|TestSketch' -cpu 1,2,4 ./internal/clustering
@@ -141,9 +144,11 @@ snapshot-smoke:
 fleet-smoke:
 	sh ./scripts/fleet_smoke.sh
 
-# Regenerate every table/figure/study of the paper.
+# Regenerate every table/figure/study of the paper into the committed
+# experiments_output.txt (EXPERIMENTS.md and the README quote from it).
 experiments:
-	$(GO) run ./cmd/tcsim -exp all
+	$(GO) run ./cmd/tcsim -exp all > experiments_output.txt.tmp
+	mv experiments_output.txt.tmp experiments_output.txt
 
 # Tiny 2x2 sweep grid as a smoke test of the concurrent runner.
 sweep-smoke:

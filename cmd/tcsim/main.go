@@ -9,14 +9,13 @@
 //	tcsim -exp fig3 -workload rubis
 //	tcsim -exp fig5 -seed 7
 //
-// Paper experiments: table1, fig1, fig3, fig5, fig6, fig7, fig8,
-// spatial, scale32, sdar. Extension studies: ablation, threshold,
-// pagevspmu, numa, phase, contention, migration, multiprog, smt, mux,
-// probe, staged, churn, streaming. Use -exp all for everything and
-// -markdown for GitHub-flavored tables. The -cluster flag swaps the
-// engine's per-detection batch pass for the incremental clusterer
-// (dense vectors or fixed-size sketches); results are differentially
-// tested to match batch.
+// The experiment catalogue — the paper's tables and figures, then the
+// extension studies — lives in internal/experiments; `tcsim -h` lists
+// it. Use -exp all for everything and -markdown for GitHub-flavored
+// tables. The -coherence and -engine flags reach every experiment's
+// machine. The -cluster flag swaps the engine's per-detection batch
+// pass for the incremental clusterer (dense vectors or fixed-size
+// sketches); results are differentially tested to match batch.
 //
 // The sweep subcommand fans a configuration grid (policy x topology x
 // workload) across a worker pool and emits a metrics table:
@@ -57,37 +56,27 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/experiments"
 	"threadcluster/internal/sim"
-	"threadcluster/internal/stats"
 )
+
+// subcommands are the non-experiment entry points, by first argument.
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error{
+	"sweep":       runSweep,
+	"submit":      runSubmit,
+	"snapshot":    runSnapshot,
+	"bench-sweep": runBenchSweep,
+}
 
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "sweep":
-			if err := runSweep(os.Args[2:], os.Stdout, os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, "tcsim:", err)
-				os.Exit(1)
-			}
-			return
-		case "submit":
-			if err := runSubmit(os.Args[2:], os.Stdout, os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, "tcsim:", err)
-				os.Exit(1)
-			}
-			return
-		case "snapshot":
-			if err := runSnapshot(os.Args[2:], os.Stdout, os.Stderr); err != nil {
-				fmt.Fprintln(os.Stderr, "tcsim:", err)
-				os.Exit(1)
-			}
-			return
-		case "bench-sweep":
-			if err := runBenchSweep(os.Args[2:], os.Stdout, os.Stderr); err != nil {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			if err := sub(os.Args[2:], os.Stdout, os.Stderr); err != nil {
 				fmt.Fprintln(os.Stderr, "tcsim:", err)
 				os.Exit(1)
 			}
@@ -95,13 +84,13 @@ func main() {
 		}
 	}
 	var (
-		exp       = flag.String("exp", "all", "experiment to run: table1|fig1|fig3|fig5|fig6|fig7|fig8|spatial|scale32|sdar|ablation|pagevspmu|threshold|numa|phase|contention|migration|multiprog|smt|mux|probe|staged|churn|streaming|all")
+		exp       = flag.String("exp", "all", "experiment to run: "+strings.Join(experiments.ExperimentNames(), "|")+"|all")
 		workload  = flag.String("workload", experiments.Volano, "workload for fig3: microbenchmark|volano|specjbb|rubis")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		warm      = flag.Int("warm", 0, "override warm-up rounds (0 = default)")
 		measure   = flag.Int("measure", 0, "override measured rounds (0 = default)")
 		markdown  = flag.Bool("markdown", false, "emit tables as GitHub-flavored Markdown")
-		coherence = flag.String("coherence", "directory", "cache-coherence implementation: directory|broadcast (results are identical; directory is faster)")
+		coherence = flag.String("coherence", "directory", "cache-coherence implementation of every experiment's machine: directory|broadcast")
 		engine    = flag.String("engine", "parallel", "execution engine for eligible multi-chip rounds: seq|parallel (results are byte-identical)")
 		cluster   = flag.String("cluster", "batch", "clustering path: batch (from-scratch per detection)|dense|sketch (incremental)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -142,7 +131,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	runErr := run(context.Background(), *exp, *workload, opt, *markdown)
+	runErr := experiments.RunExperiment(context.Background(), os.Stdout, *exp, *workload, opt, *markdown)
 	stopCPU()
 	if err := writeMemProfile(*memprof); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -152,202 +141,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tcsim:", runErr)
 		os.Exit(1)
 	}
-}
-
-func run(ctx context.Context, exp, workload string, opt experiments.Options, markdown bool) error {
-	emit := func(t *stats.Table) {
-		if markdown {
-			fmt.Println(t.Markdown())
-		} else {
-			fmt.Println(t)
-		}
-	}
-	all := exp == "all"
-	ran := false
-	show := func(name string) bool {
-		if all || exp == name {
-			ran = true
-			return true
-		}
-		return false
-	}
-
-	if show("table1") {
-		emit(experiments.Table1())
-	}
-	if show("fig1") {
-		t, err := experiments.Figure1(opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("fig3") {
-		names := []string{workload}
-		if all {
-			names = experiments.AllWorkloads()
-		}
-		for _, n := range names {
-			t, _, err := experiments.Figure3(ctx, n, opt)
-			if err != nil {
-				return err
-			}
-			emit(t)
-		}
-	}
-	if show("fig5") {
-		results, err := experiments.Figure5(ctx, opt)
-		if err != nil {
-			return err
-		}
-		for _, r := range results {
-			fmt.Println(r)
-		}
-	}
-	if show("fig6") {
-		t, _, err := experiments.Figure6(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("fig7") {
-		t, _, err := experiments.Figure7(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("fig8") {
-		_, t, err := experiments.Figure8(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("spatial") {
-		_, t, err := experiments.SpatialSensitivity(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("scale32") {
-		res, err := experiments.Scale32(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(res.Table())
-	}
-	if show("sdar") {
-		res, err := experiments.SDARPurity(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(res.Table())
-	}
-	if show("ablation") {
-		_, t, err := experiments.Ablation(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("threshold") {
-		_, t, err := experiments.ThresholdSensitivity(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("pagevspmu") {
-		_, t, err := experiments.PageVsPMU(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("numa") {
-		_, t, err := experiments.NUMA(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("phase") {
-		res, err := experiments.PhaseChange(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(res.Table())
-		fmt.Println(res.Timeline.String())
-		fmt.Println()
-	}
-	if show("contention") {
-		_, t, err := experiments.Contention(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("migration") {
-		res, err := experiments.MigrationCost(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(res.Table())
-	}
-	if show("multiprog") {
-		_, t, err := experiments.Multiprogrammed(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("smt") {
-		_, t, err := experiments.SMTPlacement(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("mux") {
-		_, t, err := experiments.MuxValidation(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("probe") {
-		_, t, err := experiments.CacheProbe(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("staged") {
-		_, t, err := experiments.Staged(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("churn") {
-		_, t, err := experiments.Churn(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if show("streaming") {
-		_, t, err := experiments.Streaming(ctx, opt)
-		if err != nil {
-			return err
-		}
-		emit(t)
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	return nil
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"io"
+	"strings"
 	"testing"
 
 	"threadcluster/internal/experiments"
@@ -23,9 +25,21 @@ func fastOptions() experiments.Options {
 	return opt
 }
 
+// run drives the -exp dispatch the way main does, discarding the output.
+func run(ctx context.Context, exp, workload string, opt experiments.Options, markdown bool) error {
+	return experiments.RunExperiment(ctx, io.Discard, exp, workload, opt, markdown)
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run(context.Background(), "nonsense", experiments.Volano, fastOptions(), false); err == nil {
-		t.Error("unknown experiment should error")
+	err := run(context.Background(), "nonsense", experiments.Volano, fastOptions(), false)
+	if err == nil {
+		t.Fatal("unknown experiment should error")
+	}
+	// The error lists the catalogue, so it cannot go stale.
+	for _, name := range experiments.ExperimentNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-experiment error does not offer %q: %v", name, err)
+		}
 	}
 }
 

@@ -112,36 +112,24 @@ func CacheProbe(ctx context.Context, opt Options) ([]ProbePoint, *stats.Table, e
 }
 
 func probeOne(ctx context.Context, opt Options, bytes uint64) (ProbePoint, error) {
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin // one thread, pinned to CPU 0
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return ProbePoint{}, err
-	}
-	arena := memory.NewDefaultArena()
-	gen := newChaseGen(arena.MustAlloc(bytes, 0))
-	if err := m.AddThread(&sim.Thread{ID: 1, Gen: gen}); err != nil {
-		return ProbePoint{}, err
+	st := study{
+		policy: sched.PolicyRoundRobin, // one thread, pinned to CPU 0
+		install: func(m *sim.Machine) error {
+			gen := newChaseGen(memory.NewDefaultArena().MustAlloc(bytes, 0))
+			return m.AddThread(&sim.Thread{ID: 1, Gen: gen})
+		},
 	}
 	// Warm-up must cover at least two full walks of the working set at
 	// worst-case (memory) latency, or big sets would be measured during
-	// their cold pass.
+	// their cold pass; then measure at least one further full walk.
 	lines := bytes / memory.LineSize
-	warmRounds := int(2*lines*300/mcfg.QuantumCycles) + opt.WarmRounds
-	if err := m.RunRoundsCtx(ctx, warmRounds); err != nil {
+	warmRounds := int(2*lines*300/opt.QuantumCycles) + opt.WarmRounds
+	measureRounds := int(lines*300/opt.QuantumCycles) + opt.MeasureRounds
+	_, r, err := st.run(ctx, opt, warmRounds, measureRounds)
+	if err != nil {
 		return ProbePoint{}, err
 	}
-	m.ResetMetrics()
-	// Measure at least one further full walk.
-	measureRounds := int(lines*300/mcfg.QuantumCycles) + opt.MeasureRounds
-	if err := m.RunRoundsCtx(ctx, measureRounds); err != nil {
-		return ProbePoint{}, err
-	}
-	th := m.Thread(1)
+	th := r.m.Thread(1)
 	if th.Insts == 0 {
 		return ProbePoint{}, fmt.Errorf("probe thread never ran")
 	}

@@ -57,90 +57,71 @@ func Churn(ctx context.Context, opt Options) ([]ChurnPoint, *stats.Table, error)
 }
 
 func churnRun(ctx context.Context, opt Options, replaceEvery int) (ChurnPoint, *core.Engine, error) {
-	arena := memory.NewDefaultArena()
 	vcfg := workloads.DefaultVolanoConfig()
 	vcfg.Seed = opt.Seed
-	server, err := workloads.NewVolanoServer(arena, vcfg)
+	server, err := workloads.NewVolanoServer(memory.NewDefaultArena(), vcfg)
 	if err != nil {
 		return ChurnPoint{}, nil, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return ChurnPoint{}, nil, err
+	var churnErr error
+	st := study{
+		policy:  sched.PolicyClustered,
+		install: server.Spec().Install,
+		engine:  EngineConfigFor,
 	}
-	if err := server.Spec().Install(m); err != nil {
-		return ChurnPoint{}, nil, err
-	}
-	eng, err := newScaledEngine(m, opt)
-	if err != nil {
-		return ChurnPoint{}, nil, err
-	}
-	if err := eng.Install(); err != nil {
-		return ChurnPoint{}, nil, err
-	}
-
 	// The churn driver: every replaceEvery rounds, tear down the oldest
 	// live connection and open a fresh one in the same room. Runs as a
 	// tick observer, i.e. between scheduling rounds.
 	if replaceEvery > 0 {
 		rounds := 0
 		next := 0 // index into the spec's thread list, pairwise
-		var churnErr error
-		m.OnTick(func(m *sim.Machine) {
-			rounds++
-			if rounds%replaceEvery != 0 || churnErr != nil {
-				return
-			}
-			threads := server.Spec().Threads
-			if next+1 >= len(threads) {
-				return // every original connection already replaced once
-			}
-			old0, old1 := threads[next], threads[next+1]
-			room := old0.Partition
-			next += 2
-			if err := m.RemoveThread(old0.ID); err != nil {
-				churnErr = err
-				return
-			}
-			if err := m.RemoveThread(old1.ID); err != nil {
-				churnErr = err
-				return
-			}
-			pair, err := server.NewConnection(room)
-			if err != nil {
-				churnErr = err
-				return
-			}
-			for _, th := range pair {
-				if err := m.AddThread(th); err != nil {
+		st.setup = func(r *rig) error {
+			r.m.OnTick(func(m *sim.Machine) {
+				rounds++
+				if rounds%replaceEvery != 0 || churnErr != nil {
+					return
+				}
+				threads := server.Spec().Threads
+				if next+1 >= len(threads) {
+					return // every original connection already replaced once
+				}
+				old0, old1 := threads[next], threads[next+1]
+				room := old0.Partition
+				next += 2
+				if err := m.RemoveThread(old0.ID); err != nil {
 					churnErr = err
 					return
 				}
-			}
-		})
-		defer func() {
-			if churnErr != nil {
-				panic(churnErr) // driver errors are programming errors
-			}
-		}()
+				if err := m.RemoveThread(old1.ID); err != nil {
+					churnErr = err
+					return
+				}
+				pair, err := server.NewConnection(room)
+				if err != nil {
+					churnErr = err
+					return
+				}
+				for _, th := range pair {
+					if err := m.AddThread(th); err != nil {
+						churnErr = err
+						return
+					}
+				}
+			})
+			return nil
+		}
 	}
 
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-		return ChurnPoint{}, nil, err
+	res, r, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
+	if churnErr != nil {
+		panic(churnErr) // driver errors are programming errors
 	}
-	m.ResetMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
+	if err != nil {
 		return ChurnPoint{}, nil, err
 	}
 	return ChurnPoint{
 		ReplaceEveryRounds: replaceEvery,
-		RemoteFraction:     m.Breakdown().RemoteFraction(),
-		Activations:        eng.Activations(),
-	}, eng, nil
+		RemoteFraction:     res.RemoteFraction,
+		Activations:        r.eng.Activations(),
+	}, r.eng, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/sweep"
 	"threadcluster/internal/topology"
@@ -28,7 +27,8 @@ type ComparisonRow struct {
 	RelativePerf map[sched.Policy]float64
 }
 
-// comparisonPolicies is the display order of Figures 6 and 7.
+// comparisonPolicies lists the four placement strategies of Section 5.4,
+// in the display order of Figures 6 and 7.
 func comparisonPolicies() []sched.Policy {
 	return []sched.Policy{
 		sched.PolicyDefault, sched.PolicyRoundRobin,
@@ -129,66 +129,32 @@ func Scale32(ctx context.Context, opt Options) (Scale32Result, error) {
 	big := opt
 	big.Topo = topology.Power5_32Way()
 
-	buildBig := func(policy sched.Policy) (*sim.Machine, *workloads.Spec, error) {
-		arena := memory.NewDefaultArena()
+	measure := func(policy sched.Policy) (float64, error) {
 		cfg := workloads.DefaultJBBConfig()
 		cfg.Warehouses = 8
 		cfg.ThreadsPerWarehouse = 8
 		cfg.Seed = big.Seed
-		spec, err := workloads.NewJBB(arena, cfg)
+		spec, err := workloads.NewJBB(memory.NewDefaultArena(), cfg)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		mcfg := sim.DefaultConfig()
-		mcfg.Engine = opt.Engine
-		mcfg.Topo = big.Topo
-		mcfg.Policy = policy
-		mcfg.QuantumCycles = big.QuantumCycles
-		mcfg.Seed = big.Seed
-		m, err := sim.NewMachine(mcfg)
-		if err != nil {
-			return nil, nil, err
+		st := study{policy: policy, install: spec.Install}
+		if policy == sched.PolicyClustered {
+			st.engine = EngineConfigFor
 		}
-		if err := spec.Install(m); err != nil {
-			return nil, nil, err
-		}
-		return m, spec, nil
+		res, _, err := st.run(ctx, big, big.WarmRounds+big.EngineRounds, big.MeasureRounds)
+		return res.OpsPerMCycle, err
 	}
 
-	measure := func(ctx context.Context, policy sched.Policy, withEngine bool) (float64, error) {
-		m, _, err := buildBig(policy)
-		if err != nil {
-			return 0, err
-		}
-		if withEngine {
-			eng, err := newScaledEngine(m, big)
-			if err != nil {
-				return 0, err
-			}
-			if err := eng.Install(); err != nil {
-				return 0, err
-			}
-		}
-		if err := m.RunRoundsCtx(ctx, big.WarmRounds+big.EngineRounds); err != nil {
-			return 0, err
-		}
-		m.ResetMetrics()
-		if err := m.RunRoundsCtx(ctx, big.MeasureRounds); err != nil {
-			return 0, err
-		}
-		b := m.Breakdown()
-		return stats.Ratio(float64(m.TotalOps()), float64(b.Cycles)/1e6), nil
-	}
-
-	defPerf, err := measure(ctx, sched.PolicyDefault, false)
+	defPerf, err := measure(sched.PolicyDefault)
 	if err != nil {
 		return Scale32Result{}, err
 	}
-	hoPerf, err := measure(ctx, sched.PolicyHandOptimized, false)
+	hoPerf, err := measure(sched.PolicyHandOptimized)
 	if err != nil {
 		return Scale32Result{}, err
 	}
-	clPerf, err := measure(ctx, sched.PolicyClustered, true)
+	clPerf, err := measure(sched.PolicyClustered)
 	if err != nil {
 		return Scale32Result{}, err
 	}

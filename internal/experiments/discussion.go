@@ -84,61 +84,40 @@ func contentionRun(ctx context.Context, opt Options, placement string, caches ca
 	if err != nil {
 		return ContentionRow{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Caches = caches
-	mcfg.Caches.Coherence = opt.Coherence
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return ContentionRow{}, err
+	st := study{
+		policy:   sched.PolicyClustered,
+		hardware: func(cfg *sim.Config) { cfg.Caches = caches },
+		install:  spec.Install,
 	}
-	if err := spec.Install(m); err != nil {
-		return ContentionRow{}, err
-	}
-
 	switch placement {
 	case "packed on one chip":
 		// The naive reading of "co-locate all sharers": everything on
 		// chip 0's four contexts.
-		cpus := m.Topology().CPUsOfChip(0)
-		for i, th := range spec.Threads {
-			if err := m.Scheduler().Migrate(th.ID, cpus[i%len(cpus)]); err != nil {
-				return ContentionRow{}, err
+		st.setup = func(r *rig) error {
+			cpus := r.m.Topology().CPUsOfChip(0)
+			for i, th := range spec.Threads {
+				if err := r.m.Scheduler().Migrate(th.ID, cpus[i%len(cpus)]); err != nil {
+					return err
+				}
+				r.m.Scheduler().Pin(th.ID)
 			}
-			m.Scheduler().Pin(th.ID)
+			return nil
 		}
 	case "engine (balanced)":
-		eng, err := newScaledEngine(m, opt)
-		if err != nil {
-			return ContentionRow{}, err
-		}
-		if err := eng.Install(); err != nil {
-			return ContentionRow{}, err
-		}
+		st.engine = EngineConfigFor
 	}
 
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
+	res, _, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
+	if err != nil {
 		return ContentionRow{}, err
 	}
-	m.ResetMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
-		return ContentionRow{}, err
-	}
-	b := m.Breakdown()
-	local := b.Fraction(pmu.EvStallL2) + b.Fraction(pmu.EvStallL3) + b.Fraction(pmu.EvStallMemory)
-	row := ContentionRow{
+	b := res.Breakdown
+	return ContentionRow{
 		Placement:         placement,
-		LocalMissFraction: local,
-		RemoteFraction:    b.RemoteFraction(),
-	}
-	if b.Cycles > 0 {
-		row.OpsPerMCycle = float64(m.TotalOps()) / (float64(b.Cycles) / 1e6)
-	}
-	return row, nil
+		LocalMissFraction: b.Fraction(pmu.EvStallL2) + b.Fraction(pmu.EvStallL3) + b.Fraction(pmu.EvStallMemory),
+		RemoteFraction:    res.RemoteFraction,
+		OpsPerMCycle:      res.OpsPerMCycle,
+	}, nil
 }
 
 // MigrationCostResult is the Section 7.2 transient study's outcome.
@@ -166,26 +145,16 @@ type MigrationCostResult struct {
 // into clusters at a known instant and watches the windowed remote-stall
 // fraction spike and decay.
 func MigrationCost(ctx context.Context, opt Options) (MigrationCostResult, error) {
-	arena := memory.NewDefaultArena()
-	wcfg := workloads.DefaultSyntheticConfig()
-	wcfg.Seed = opt.Seed
-	spec, err := workloads.NewSynthetic(arena, wcfg)
+	spec, err := BuildWorkload(Microbenchmark, opt.Seed)
 	if err != nil {
 		return MigrationCostResult{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin // scatter, no balancing interference
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	// Scatter, with no balancing interference.
+	r, err := study{policy: sched.PolicyRoundRobin, install: spec.Install}.build(opt)
 	if err != nil {
 		return MigrationCostResult{}, err
 	}
-	if err := spec.Install(m); err != nil {
-		return MigrationCostResult{}, err
-	}
+	m := r.m
 
 	const window = 20
 	res := MigrationCostResult{Timeline: stats.Series{Label: "remote-stall fraction"}}

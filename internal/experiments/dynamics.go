@@ -7,7 +7,6 @@ import (
 	"threadcluster/internal/clustering"
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/workloads"
 )
@@ -44,17 +43,6 @@ func PhaseChange(ctx context.Context, opt Options) (PhaseChangeResult, error) {
 	wcfg := workloads.DefaultSyntheticConfig()
 	wcfg.Seed = opt.Seed
 
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return PhaseChangeResult{}, err
-	}
-
 	// Shift roughly in the middle of the run. Each thread executes about
 	// quantum/avgCost references per round and holds a CPU half the time
 	// (16 threads, 8 CPUs).
@@ -64,16 +52,11 @@ func PhaseChange(ctx context.Context, opt Options) (PhaseChangeResult, error) {
 	if err != nil {
 		return PhaseChangeResult{}, err
 	}
-	if err := spec.Install(m); err != nil {
-		return PhaseChangeResult{}, err
-	}
-	eng, err := newScaledEngine(m, opt)
+	r, err := study{policy: sched.PolicyClustered, install: spec.Install, engine: EngineConfigFor}.build(opt)
 	if err != nil {
 		return PhaseChangeResult{}, err
 	}
-	if err := eng.Install(); err != nil {
-		return PhaseChangeResult{}, err
-	}
+	m, eng := r.m, r.eng
 
 	res := PhaseChangeResult{Timeline: stats.Series{Label: "remote-stall fraction"}}
 	const window = 50 // rounds per observation window

@@ -1,8 +1,10 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation (Section 6, plus the Section 7.4 scaling result and
-// a Section 5.2.1 validation). Each harness builds the simulated machine,
-// runs the workload under the placement policies being compared, and
-// returns the same rows/series the paper reports.
+// a Section 5.2.1 validation). Each harness describes what its study
+// varies — workload, placement policy, engine configuration, hardware
+// adjustments — and the rig (rig.go) builds the simulated machine, runs
+// it and measures it; the harness returns the same rows/series the paper
+// reports. The catalogue (catalogue.go) names every experiment once.
 //
 // The simulations are scaled relative to the paper's hardware runs — the
 // monitoring window, sample target and run lengths are divided down so a
@@ -36,9 +38,6 @@ const (
 	JBB            = "specjbb"
 	Rubis          = "rubis"
 )
-
-// AllWorkloads lists every buildable workload.
-func AllWorkloads() []string { return []string{Microbenchmark, Volano, JBB, Rubis} }
 
 // ServerWorkloads lists the three commercial workloads of Figures 6 and 7.
 func ServerWorkloads() []string { return []string{Volano, JBB, Rubis} }
@@ -133,16 +132,6 @@ func EngineConfigFor(opt Options) (core.Config, error) {
 	return cfg, nil
 }
 
-// newScaledEngine attaches a clustering engine with the scaled paper
-// parameters — and the Options' cluster mode — to a machine.
-func newScaledEngine(m *sim.Machine, opt Options) (*core.Engine, error) {
-	cfg, err := EngineConfigFor(opt)
-	if err != nil {
-		return nil, err
-	}
-	return core.New(m, cfg)
-}
-
 // ControlledEngineConfig is ScaledEngineConfig with the activation
 // threshold effectively disabled, for harnesses that drive the detection
 // phase explicitly via ForceDetection (Figures 5 and 8, the spatial and
@@ -155,68 +144,62 @@ func ControlledEngineConfig(seed int64) core.Config {
 	return cfg
 }
 
-// detectionSnapshot is the state of one completed detection phase,
-// captured at clustering time (before the engine resets anything for a
-// later re-activation).
-type detectionSnapshot struct {
-	clusters []clustering.Cluster
-	shmaps   map[clustering.ThreadKey]*clustering.ShMap
+// workloadBuilders is the one name → constructor table; AllWorkloads,
+// CheckWorkload and BuildWorkload all derive from it.
+var workloadBuilders = []struct {
+	name  string
+	build func(arena *memory.Arena, seed int64) (*workloads.Spec, error)
+}{
+	{Microbenchmark, func(arena *memory.Arena, seed int64) (*workloads.Spec, error) {
+		cfg := workloads.DefaultSyntheticConfig()
+		cfg.Seed = seed
+		return workloads.NewSynthetic(arena, cfg)
+	}},
+	{Volano, func(arena *memory.Arena, seed int64) (*workloads.Spec, error) {
+		cfg := workloads.DefaultVolanoConfig()
+		cfg.Seed = seed
+		return workloads.NewVolano(arena, cfg)
+	}},
+	{JBB, func(arena *memory.Arena, seed int64) (*workloads.Spec, error) {
+		cfg := workloads.DefaultJBBConfig()
+		cfg.Seed = seed
+		return workloads.NewJBB(arena, cfg)
+	}},
+	{Rubis, func(arena *memory.Arena, seed int64) (*workloads.Spec, error) {
+		cfg := workloads.DefaultRubisConfig()
+		cfg.Seed = seed
+		return workloads.NewRubis(arena, cfg)
+	}},
 }
 
-// forceDetectionAndWait forces the engine into a fresh detection phase and
-// runs the machine until that detection completes, returning a snapshot of
-// the resulting clusters and shMaps. Using the OnClusters hook (fired at
-// clustering time) avoids racing with a subsequent re-activation that
-// would reset the shMaps.
-func forceDetectionAndWait(ctx context.Context, m *sim.Machine, eng *core.Engine, maxRounds int) (*detectionSnapshot, error) {
-	var snap *detectionSnapshot
-	eng.OnClusters(func(clusters []clustering.Cluster) {
-		if snap != nil {
-			return // keep the first (forced) detection's result
-		}
-		s := &detectionSnapshot{
-			clusters: append([]clustering.Cluster{}, clusters...),
-			shmaps:   make(map[clustering.ThreadKey]*clustering.ShMap, len(eng.ShMaps())),
-		}
-		for k, v := range eng.ShMaps() {
-			s.shmaps[k] = v.Clone()
-		}
-		snap = s
-	})
-	eng.ForceDetection()
-	for r := 0; r < maxRounds && snap == nil; r += 20 {
-		if err := m.RunRoundsCtx(ctx, 20); err != nil {
-			return nil, err
+// AllWorkloads lists every buildable workload.
+func AllWorkloads() []string {
+	names := make([]string, len(workloadBuilders))
+	for i, w := range workloadBuilders {
+		names[i] = w.name
+	}
+	return names
+}
+
+// CheckWorkload reports whether name is a buildable workload, without
+// building it.
+func CheckWorkload(name string) error {
+	for _, w := range workloadBuilders {
+		if w.name == name {
+			return nil
 		}
 	}
-	if snap == nil {
-		return nil, fmt.Errorf("experiments: detection did not complete within %d rounds", maxRounds)
-	}
-	return snap, nil
+	return fmt.Errorf("experiments: unknown workload %q", name)
 }
 
 // BuildWorkload constructs a workload spec by name on a fresh arena.
 func BuildWorkload(name string, seed int64) (*workloads.Spec, error) {
-	arena := memory.NewDefaultArena()
-	switch name {
-	case Microbenchmark:
-		cfg := workloads.DefaultSyntheticConfig()
-		cfg.Seed = seed
-		return workloads.NewSynthetic(arena, cfg)
-	case Volano:
-		cfg := workloads.DefaultVolanoConfig()
-		cfg.Seed = seed
-		return workloads.NewVolano(arena, cfg)
-	case JBB:
-		cfg := workloads.DefaultJBBConfig()
-		cfg.Seed = seed
-		return workloads.NewJBB(arena, cfg)
-	case Rubis:
-		cfg := workloads.DefaultRubisConfig()
-		cfg.Seed = seed
-		return workloads.NewRubis(arena, cfg)
+	for _, w := range workloadBuilders {
+		if w.name == name {
+			return w.build(memory.NewDefaultArena(), seed)
+		}
 	}
-	return nil, fmt.Errorf("experiments: unknown workload %q", name)
+	return nil, CheckWorkload(name)
 }
 
 // RunMetrics is what one measured run yields.
@@ -259,68 +242,20 @@ func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngi
 	if err != nil {
 		return RunMetrics{}, nil, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = policy
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	mcfg.Caches.Coherence = opt.Coherence
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return RunMetrics{}, nil, err
-	}
-	if err := spec.Install(m); err != nil {
-		return RunMetrics{}, nil, err
-	}
-	var eng *core.Engine
+	s := study{policy: policy, install: spec.Install}
 	if withEngine {
-		eng, err = newScaledEngine(m, opt)
-		if err != nil {
-			return RunMetrics{}, nil, err
-		}
-		if err := eng.Install(); err != nil {
-			return RunMetrics{}, nil, err
-		}
+		s.engine = EngineConfigFor
 	}
 	// Every policy warms for the same total rounds so that measurement
 	// windows are time-aligned: the workloads' data structures grow as
 	// they run (B-trees gain nodes), and comparing a young run against an
 	// old one would confound placement effects with workload age.
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
+	res, r, err := s.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
+	if err != nil {
 		return RunMetrics{}, nil, err
 	}
-	m.ResetMetrics()
-	base := m.SnapshotMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
-		return RunMetrics{}, nil, err
-	}
-
-	b := m.Breakdown()
-	res := RunMetrics{
-		Workload:       name,
-		Policy:         policy,
-		Breakdown:      b,
-		RemoteStalls:   b.RemoteStalls(),
-		RemoteFraction: b.RemoteFraction(),
-		Ops:            m.TotalOps(),
-	}
-	if b.Cycles > 0 {
-		res.OpsPerMCycle = float64(res.Ops) / (float64(b.Cycles) / 1e6)
-	}
-	res.Metrics = m.SnapshotMetrics().Delta(base)
-	if eng != nil {
-		res.Engine = &EngineStats{
-			Activations:     eng.Activations(),
-			Migrations:      eng.MigrationsDone(),
-			Clusters:        len(eng.Clusters()),
-			SamplesRead:     eng.SamplesRead(),
-			SamplesAdmitted: eng.SamplesAdmitted(),
-			DetectionCycles: eng.LastDetectionCycles(),
-			OverheadCycles:  m.OverheadCycles(),
-		}
-	}
-	return res, m, nil
+	res.Workload = name
+	return res, r.m, nil
 }
 
 // PolicyRuns measures one workload under all four placement strategies of
@@ -329,10 +264,7 @@ func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngi
 // pool; each machine's simulation remains single-goroutine and
 // deterministic.
 func PolicyRuns(ctx context.Context, name string, opt Options) (map[sched.Policy]RunMetrics, error) {
-	policies := []sched.Policy{
-		sched.PolicyDefault, sched.PolicyRoundRobin,
-		sched.PolicyHandOptimized, sched.PolicyClustered,
-	}
+	policies := comparisonPolicies()
 	results, err := sweep.Map(ctx, len(policies), 0,
 		func(ctx context.Context, i int) (RunMetrics, error) {
 			pol := policies[i]

@@ -8,11 +8,9 @@ import (
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/clustering"
-	"threadcluster/internal/core"
 	"threadcluster/internal/memory"
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/sweep"
 	"threadcluster/internal/workloads"
@@ -38,10 +36,9 @@ func Table1() *stats.Table {
 // as measured by probing the simulated hierarchy with controlled access
 // sequences (a hit in each level, a cross-chip transfer, a memory fill).
 func Figure1(opt Options) (*stats.Table, error) {
-	lat := sim.DefaultConfig().Lat
-	ccfg := cache.Power5Config()
-	ccfg.Coherence = opt.Coherence
-	h, err := cache.NewHierarchy(opt.Topo, lat, ccfg)
+	mcfg := MachineConfig(opt, sched.PolicyDefault)
+	lat := mcfg.Lat
+	h, err := cache.NewHierarchy(mcfg.Topo, lat, mcfg.Caches)
 	if err != nil {
 		return nil, err
 	}
@@ -131,30 +128,7 @@ func Figure5(ctx context.Context, opt Options) ([]Figure5Result, error) {
 			if err != nil {
 				return Figure5Result{}, err
 			}
-			mcfg := sim.DefaultConfig()
-			mcfg.Engine = opt.Engine
-			mcfg.Topo = opt.Topo
-			mcfg.Policy = sched.PolicyClustered
-			mcfg.QuantumCycles = opt.QuantumCycles
-			mcfg.Seed = opt.Seed
-			m, err := sim.NewMachine(mcfg)
-			if err != nil {
-				return Figure5Result{}, err
-			}
-			if err := spec.Install(m); err != nil {
-				return Figure5Result{}, err
-			}
-			eng, err := core.New(m, ControlledEngineConfig(opt.Seed))
-			if err != nil {
-				return Figure5Result{}, err
-			}
-			if err := eng.Install(); err != nil {
-				return Figure5Result{}, err
-			}
-			if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
-				return Figure5Result{}, err
-			}
-			snap, err := forceDetectionAndWait(ctx, m, eng, 40*opt.EngineRounds)
+			snap, err := detectOnce(ctx, opt, spec, nil)
 			if err != nil {
 				return Figure5Result{}, fmt.Errorf("experiments: %s: %w", name, err)
 			}
@@ -226,10 +200,7 @@ func renderFigure5(name string, snap *detectionSnapshot, spec *workloads.Spec) F
 		}
 	}
 
-	truth := make(map[clustering.ThreadKey]int)
-	for _, th := range spec.Threads {
-		truth[clustering.ThreadKey(th.ID)] = th.Partition
-	}
+	truth := truthOf(spec)
 	return Figure5Result{
 		Workload:  name,
 		Heatmap:   stats.Heatmap(rows, labels),

@@ -40,60 +40,55 @@ type MultiprogResult struct {
 func Multiprogrammed(ctx context.Context, opt Options) (MultiprogResult, *stats.Table, error) {
 	var res MultiprogResult
 
-	run := func(withEngine bool) (float64, [2]uint64, *core.Engine, error) {
-		m, specs, err := buildMultiprog(opt, withEngine)
+	run := func(policy sched.Policy) (float64, [2]uint64, *core.Engine, error) {
+		specs, err := buildMultiprog(opt)
 		if err != nil {
 			return 0, [2]uint64{}, nil, err
 		}
-		var eng *core.Engine
-		if withEngine {
-			ecfg := ScaledEngineConfig(opt.Seed)
-			ecfg.ProcessOf = func(id sched.ThreadID) int {
-				if int(id) >= multiprogOffset {
-					return 1
+		st := study{
+			policy: policy,
+			install: func(m *sim.Machine) error {
+				for _, spec := range specs {
+					if err := spec.Install(m); err != nil {
+						return err
+					}
 				}
-				return 0
-			}
-			if eng, err = core.New(m, ecfg); err != nil {
-				return 0, [2]uint64{}, nil, err
-			}
-			if err := eng.Install(); err != nil {
-				return 0, [2]uint64{}, nil, err
+				return nil
+			},
+		}
+		if policy == sched.PolicyClustered {
+			st.engine = func(opt Options) (core.Config, error) {
+				ecfg := ScaledEngineConfig(opt.Seed)
+				ecfg.ProcessOf = processOf
+				return ecfg, nil
 			}
 		}
-		if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-			return 0, [2]uint64{}, nil, err
-		}
-		m.ResetMetrics()
-		if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
+		measured, r, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
+		if err != nil {
 			return 0, [2]uint64{}, nil, err
 		}
 		var ops [2]uint64
 		for _, spec := range specs {
 			for _, th := range spec.Threads {
-				proc := 0
-				if int(th.ID) >= multiprogOffset {
-					proc = 1
-				}
-				ops[proc] += th.Ops
+				ops[processOf(th.ID)] += th.Ops
 			}
 		}
-		return m.Breakdown().RemoteFraction(), ops, eng, nil
+		return measured.RemoteFraction, ops, r.eng, nil
 	}
 
 	var err error
-	if res.DefaultRemoteFraction, res.DefaultOps, _, err = run(false); err != nil {
+	if res.DefaultRemoteFraction, res.DefaultOps, _, err = run(sched.PolicyDefault); err != nil {
 		return res, nil, err
 	}
 	var eng *core.Engine
-	if res.ClusteredRemoteFraction, res.ClusteredOps, eng, err = run(true); err != nil {
+	if res.ClusteredRemoteFraction, res.ClusteredOps, eng, err = run(sched.PolicyClustered); err != nil {
 		return res, nil, err
 	}
 	res.Clusters = len(eng.Clusters())
 	for _, c := range eng.Clusters() {
-		procs := map[bool]bool{}
+		procs := map[int]bool{}
 		for _, tk := range c.Members {
-			procs[int(tk) >= multiprogOffset] = true
+			procs[processOf(sched.ThreadID(tk))] = true
 		}
 		if len(procs) > 1 {
 			res.CrossProcessClusters++
@@ -110,7 +105,17 @@ func Multiprogrammed(ctx context.Context, opt Options) (MultiprogResult, *stats.
 	return res, t, nil
 }
 
-func buildMultiprog(opt Options, withEngine bool) (*sim.Machine, []*workloads.Spec, error) {
+// processOf maps a thread to its process: the second process's ids
+// start at multiprogOffset.
+func processOf(id sched.ThreadID) int {
+	if int(id) >= multiprogOffset {
+		return 1
+	}
+	return 0
+}
+
+// buildMultiprog builds the two processes' workloads.
+func buildMultiprog(opt Options) ([]*workloads.Spec, error) {
 	// One arena for both processes: the arena is the machine's physical
 	// address space, and the caches are physically indexed. Two specs on
 	// one machine must therefore carve disjoint ranges out of the same
@@ -121,35 +126,14 @@ func buildMultiprog(opt Options, withEngine bool) (*sim.Machine, []*workloads.Sp
 	vcfg.Seed = opt.Seed
 	volano, err := workloads.NewVolano(arena, vcfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	jcfg := workloads.DefaultJBBConfig()
 	jcfg.Seed = opt.Seed + 1
 	jbb, err := workloads.NewJBB(arena, jcfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	jbb.Renumber(multiprogOffset)
-
-	policy := sched.PolicyDefault
-	if withEngine {
-		policy = sched.PolicyClustered
-	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = policy
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := volano.Install(m); err != nil {
-		return nil, nil, err
-	}
-	if err := jbb.Install(m); err != nil {
-		return nil, nil, err
-	}
-	return m, []*workloads.Spec{volano, jbb}, nil
+	return []*workloads.Spec{volano, jbb}, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/topology"
 )
@@ -42,20 +41,6 @@ func MuxValidation(ctx context.Context, opt Options) (MuxValidationResult, *stat
 	if err != nil {
 		return MuxValidationResult{}, nil, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyDefault
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return MuxValidationResult{}, nil, err
-	}
-	if err := spec.Install(m); err != nil {
-		return MuxValidationResult{}, nil, err
-	}
-
 	// Three multiplexer groups covering the full breakdown; each fits the
 	// six physical counters.
 	groups := [][]pmu.Event{
@@ -63,29 +48,34 @@ func MuxValidation(ctx context.Context, opt Options) (MuxValidationResult, *stat
 		{pmu.EvStallL2, pmu.EvStallL3, pmu.EvStallRemoteL2, pmu.EvStallRemoteL3},
 		{pmu.EvStallMemory, pmu.EvStallRemoteMemory, pmu.EvStallSMT, pmu.EvStallBranch, pmu.EvStallOther},
 	}
-	muxes := make([]*pmu.Multiplexer, m.Topology().NumCPUs())
-	for c := range muxes {
-		mux, err := pmu.NewMultiplexer(groups, 5_000)
-		if err != nil {
-			return MuxValidationResult{}, nil, err
+	muxes := make([]*pmu.Multiplexer, opt.Topo.NumCPUs())
+	st := study{
+		policy:  sched.PolicyDefault,
+		install: spec.Install,
+		setup: func(r *rig) error {
+			for c := range muxes {
+				mux, err := pmu.NewMultiplexer(groups, 5_000)
+				if err != nil {
+					return err
+				}
+				muxes[c] = mux
+				r.m.AttachMux(topology.CPUID(c), mux)
+			}
+			return nil
+		},
+	}
+	measured, _, err := st.runInterval(ctx, opt, opt.WarmRounds, func(r *rig) error {
+		for c := range muxes {
+			muxes[c].Reset()
 		}
-		muxes[c] = mux
-		m.AttachMux(topology.CPUID(c), mux)
-	}
-
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
-		return MuxValidationResult{}, nil, err
-	}
-	m.ResetMetrics()
-	for c := range muxes {
-		muxes[c].Reset()
-	}
-	// Longer window: estimates need samples.
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds*3); err != nil {
+		// Longer window: estimates need samples.
+		return r.m.RunRoundsCtx(ctx, opt.MeasureRounds*3)
+	})
+	if err != nil {
 		return MuxValidationResult{}, nil, err
 	}
 
-	exact := m.Breakdown()
+	exact := measured.Breakdown
 	var est pmu.Breakdown
 	for c := range muxes {
 		est.Add(pmu.BreakdownFromMux(muxes[c]))

@@ -102,70 +102,48 @@ func numaRun(ctx context.Context, opt Options, policy sched.Policy, withEngine, 
 		return NUMARow{}, err
 	}
 
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = topo
-	mcfg.Lat = topology.NUMALatencies()
-	// Shrink the caches so steady-state capacity misses reach memory and
-	// the memory's home node matters.
-	mcfg.Caches = cache.HierarchyConfig{
-		L1:        cache.Config{SizeBytes: 32 << 10, Ways: 4},
-		L2:        cache.Config{SizeBytes: 256 << 10, Ways: 8},
-		L3:        cache.Config{SizeBytes: 512 << 10, Ways: 8},
-		Coherence: opt.Coherence,
+	numaOpt := opt
+	numaOpt.Topo = topo
+	st := study{
+		policy: policy,
+		hardware: func(cfg *sim.Config) {
+			cfg.Lat = topology.NUMALatencies()
+			// Shrink the caches so steady-state capacity misses reach
+			// memory and the memory's home node matters.
+			cfg.Caches = cache.HierarchyConfig{
+				L1: cache.Config{SizeBytes: 32 << 10, Ways: 4},
+				L2: cache.Config{SizeBytes: 256 << 10, Ways: 8},
+				L3: cache.Config{SizeBytes: 512 << 10, Ways: 8},
+			}
+		},
+		install: func(m *sim.Machine) error {
+			m.Hierarchy().SetNUMA(nodes)
+			return spec.Install(m)
+		},
 	}
-	mcfg.Policy = policy
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return rowErr(err)
-	}
-	m.Hierarchy().SetNUMA(nodes)
-	if err := spec.Install(m); err != nil {
-		return rowErr(err)
-	}
-
 	name := "default"
 	if withEngine {
-		ecfg, err := EngineConfigFor(opt)
-		if err != nil {
-			return rowErr(err)
-		}
+		name = "clustered (NUMA-blind)"
+		st.engine = EngineConfigFor
 		if numaEngine {
-			ecfg.NUMA = true
-			ecfg.NodeOf = func(a memory.Addr) int { return nodes.NodeOf(a) }
 			name = "clustered+numa (Section 8)"
-		} else {
-			name = "clustered (NUMA-blind)"
-		}
-		eng, err := core.New(m, ecfg)
-		if err != nil {
-			return rowErr(err)
-		}
-		if err := eng.Install(); err != nil {
-			return rowErr(err)
+			st.engine = func(opt Options) (core.Config, error) {
+				ecfg, err := EngineConfigFor(opt)
+				ecfg.NUMA = true
+				ecfg.NodeOf = func(a memory.Addr) int { return nodes.NodeOf(a) }
+				return ecfg, err
+			}
 		}
 	}
 
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-		return rowErr(err)
+	res, _, err := st.run(ctx, numaOpt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
+	if err != nil {
+		return NUMARow{}, err
 	}
-	m.ResetMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
-		return rowErr(err)
-	}
-	b := m.Breakdown()
-	row := NUMARow{
+	return NUMARow{
 		Config:               name,
-		RemoteCacheFraction:  b.RemoteFraction(),
-		RemoteMemoryFraction: b.RemoteMemoryFraction(),
-	}
-	if b.Cycles > 0 {
-		row.OpsPerMCycle = float64(m.TotalOps()) / (float64(b.Cycles) / 1e6)
-	}
-	return row, nil
+		RemoteCacheFraction:  res.RemoteFraction,
+		RemoteMemoryFraction: res.Breakdown.RemoteMemoryFraction(),
+		OpsPerMCycle:         res.OpsPerMCycle,
+	}, nil
 }
-
-// rowErr adapts an error to the numaRun signature.
-func rowErr(err error) (NUMARow, error) { return NUMARow{}, err }

@@ -5,11 +5,10 @@ import (
 	"fmt"
 
 	"threadcluster/internal/clustering"
-	"threadcluster/internal/core"
 	"threadcluster/internal/pagedetect"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
+	"threadcluster/internal/workloads"
 )
 
 // DetectorComparison is one row of the PMU-vs-page-protection study: the
@@ -61,42 +60,24 @@ func PageVsPMU(ctx context.Context, opt Options) ([]DetectorComparison, *stats.T
 	return rows, t, nil
 }
 
+// pmuDetectorRow and pageDetectorRow observe a machine whose placement
+// scatters sharing groups (round-robin), so both detectors see plenty of
+// cross-chip sharing to work with.
 func pmuDetectorRow(ctx context.Context, workload string, opt Options) (DetectorComparison, error) {
 	spec, err := BuildWorkload(workload, opt.Seed)
 	if err != nil {
 		return DetectorComparison{}, err
 	}
-	m, err := newScatterMachine(opt)
-	if err != nil {
-		return DetectorComparison{}, err
-	}
-	if err := spec.Install(m); err != nil {
-		return DetectorComparison{}, err
-	}
-	eng, err := core.New(m, ControlledEngineConfig(opt.Seed))
-	if err != nil {
-		return DetectorComparison{}, err
-	}
-	if err := eng.Install(); err != nil {
-		return DetectorComparison{}, err
-	}
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
-		return DetectorComparison{}, err
-	}
-	m.ResetMetrics()
-	snap, err := forceDetectionAndWait(ctx, m, eng, 40*opt.EngineRounds)
+	st := study{policy: sched.PolicyRoundRobin, install: spec.Install, engine: controlledEngine(nil)}
+	var snap *detectionSnapshot
+	res, r, err := st.runInterval(ctx, opt, opt.WarmRounds, func(r *rig) (err error) {
+		snap, err = r.detect(ctx, 40*opt.EngineRounds)
+		return err
+	})
 	if err != nil {
 		return DetectorComparison{}, fmt.Errorf("pmu path on %s: %w", workload, err)
 	}
-	b := m.Breakdown()
-	return DetectorComparison{
-		Workload:        workload,
-		Approach:        "pmu",
-		Purity:          clustering.Purity(snap.clusters, truthOf(spec)),
-		RandIndex:       clustering.RandIndex(snap.clusters, truthOf(spec)),
-		Clusters:        bigClusters(snap.clusters),
-		OverheadPercent: 100 * stats.Ratio(float64(m.OverheadCycles()), float64(b.Cycles)),
-	}, nil
+	return detectorRow(workload, "pmu", snap.clusters, spec, res, r), nil
 }
 
 func pageDetectorRow(ctx context.Context, workload string, opt Options) (DetectorComparison, error) {
@@ -104,52 +85,36 @@ func pageDetectorRow(ctx context.Context, workload string, opt Options) (Detecto
 	if err != nil {
 		return DetectorComparison{}, err
 	}
-	m, err := newScatterMachine(opt)
-	if err != nil {
-		return DetectorComparison{}, err
-	}
-	if err := spec.Install(m); err != nil {
-		return DetectorComparison{}, err
-	}
 	det, err := pagedetect.New(pagedetect.DefaultConfig())
 	if err != nil {
 		return DetectorComparison{}, err
 	}
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
+	st := study{policy: sched.PolicyRoundRobin, install: spec.Install}
+	res, r, err := st.runInterval(ctx, opt, opt.WarmRounds, func(r *rig) error {
+		det.Install(r.m)
+		defer det.Stop(r.m)
+		// Give the page path the same wall-clock budget the PMU path's
+		// detection typically needs in these configurations.
+		return r.m.RunRoundsCtx(ctx, opt.EngineRounds)
+	})
+	if err != nil {
 		return DetectorComparison{}, err
 	}
-	m.ResetMetrics()
-	det.Install(m)
-	// Give the page path the same wall-clock budget the PMU path's
-	// detection typically needs in these configurations.
-	if err := m.RunRoundsCtx(ctx, opt.EngineRounds); err != nil {
-		return DetectorComparison{}, err
-	}
-	det.Stop(m)
-
 	clusters := det.Cluster(pagedetect.DefaultClusterConfig())
-	b := m.Breakdown()
-	return DetectorComparison{
-		Workload:        workload,
-		Approach:        "page",
-		Purity:          clustering.Purity(clusters, truthOf(spec)),
-		RandIndex:       clustering.RandIndex(clusters, truthOf(spec)),
-		Clusters:        bigClusters(clusters),
-		OverheadPercent: 100 * stats.Ratio(float64(m.OverheadCycles()), float64(b.Cycles)),
-	}, nil
+	return detectorRow(workload, "page", clusters, spec, res, r), nil
 }
 
-// newScatterMachine builds a machine whose placement scatters sharing
-// groups (round-robin), so both detectors see plenty of cross-chip
-// sharing to work with.
-func newScatterMachine(opt Options) (*sim.Machine, error) {
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	return sim.NewMachine(mcfg)
+// detectorRow scores one detector's clusters and overhead.
+func detectorRow(workload, approach string, clusters []clustering.Cluster, spec *workloads.Spec, res RunMetrics, r *rig) DetectorComparison {
+	truth := truthOf(spec)
+	return DetectorComparison{
+		Workload:        workload,
+		Approach:        approach,
+		Purity:          clustering.Purity(clusters, truth),
+		RandIndex:       clustering.RandIndex(clusters, truth),
+		Clusters:        bigClusters(clusters),
+		OverheadPercent: 100 * stats.Ratio(float64(r.m.OverheadCycles()), float64(res.Breakdown.Cycles)),
+	}
 }
 
 func truthOf(spec interface {

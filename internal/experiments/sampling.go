@@ -8,7 +8,6 @@ import (
 	"threadcluster/internal/core"
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/topology"
 	"threadcluster/internal/workloads"
@@ -57,47 +56,25 @@ func figure8Point(ctx context.Context, interval uint64, opt Options) (Figure8Poi
 	if err != nil {
 		return Figure8Point{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	st := study{
+		policy:  sched.PolicyClustered,
+		install: spec.Install,
+		engine: controlledEngine(func(cfg *core.Config) {
+			cfg.SamplingInterval = interval
+			cfg.SamplingJitter = 0 // hold the rate exactly for the sweep
+		}),
+	}
+	res, r, err := st.runInterval(ctx, opt, opt.WarmRounds, func(r *rig) error {
+		_, err := r.detect(ctx, 200*opt.EngineRounds)
+		return err
+	})
 	if err != nil {
-		return Figure8Point{}, err
+		return Figure8Point{}, fmt.Errorf("experiments: sampling interval %d: %w", interval, err)
 	}
-	if err := spec.Install(m); err != nil {
-		return Figure8Point{}, err
-	}
-	cfg := ControlledEngineConfig(opt.Seed)
-	cfg.SamplingInterval = interval
-	cfg.SamplingJitter = 0 // hold the rate exactly for the sweep
-	eng, err := core.New(m, cfg)
-	if err != nil {
-		return Figure8Point{}, err
-	}
-	if err := eng.Install(); err != nil {
-		return Figure8Point{}, err
-	}
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
-		return Figure8Point{}, err
-	}
-	m.ResetMetrics()
-	eng.ForceDetection()
-	for r := 0; r < 200*opt.EngineRounds && eng.Phase() == core.PhaseDetecting; r += 20 {
-		if err := m.RunRoundsCtx(ctx, 20); err != nil {
-			return Figure8Point{}, err
-		}
-	}
-	if eng.Phase() == core.PhaseDetecting {
-		return Figure8Point{}, fmt.Errorf("experiments: detection at interval %d never finished", interval)
-	}
-	b := m.Breakdown()
 	return Figure8Point{
 		RatePercent:     100.0 / float64(interval),
-		OverheadPercent: 100 * stats.Ratio(float64(m.OverheadCycles()), float64(b.Cycles)),
-		TrackingCycles:  eng.LastDetectionCycles(),
+		OverheadPercent: 100 * stats.Ratio(float64(r.m.OverheadCycles()), float64(res.Breakdown.Cycles)),
+		TrackingCycles:  r.eng.LastDetectionCycles(),
 	}, nil
 }
 
@@ -134,53 +111,20 @@ func spatialPoint(ctx context.Context, entries int, opt Options) (SpatialPoint, 
 	if err != nil {
 		return SpatialPoint{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return SpatialPoint{}, err
-	}
-	if err := spec.Install(m); err != nil {
-		return SpatialPoint{}, err
-	}
-	cfg := ControlledEngineConfig(opt.Seed)
-	cfg.ShMapEntries = entries
-	cfg.FilterQuota = entries / 4
-	eng, err := core.New(m, cfg)
-	if err != nil {
-		return SpatialPoint{}, err
-	}
-	if err := eng.Install(); err != nil {
-		return SpatialPoint{}, err
-	}
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
-		return SpatialPoint{}, err
-	}
-	snap, err := forceDetectionAndWait(ctx, m, eng, 40*opt.EngineRounds)
+	snap, err := detectOnce(ctx, opt, spec, func(cfg *core.Config) {
+		cfg.ShMapEntries = entries
+		cfg.FilterQuota = entries / 4
+	})
 	if err != nil {
 		return SpatialPoint{}, fmt.Errorf("experiments: %d entries: %w", entries, err)
 	}
-	clusters := snap.clusters
-	truth := make(map[clustering.ThreadKey]int)
-	for _, th := range spec.Threads {
-		truth[clustering.ThreadKey(th.ID)] = th.Partition
-	}
-	big := 0
-	for _, c := range clusters {
-		if c.Size() >= 2 {
-			big++
-		}
-	}
+	truth := truthOf(spec)
 	return SpatialPoint{
 		Entries:     entries,
-		Clusters:    len(clusters),
-		BigClusters: big,
-		Purity:      clustering.Purity(clusters, truth),
-		RandIndex:   clustering.RandIndex(clusters, truth),
+		Clusters:    len(snap.clusters),
+		BigClusters: bigClusters(snap.clusters),
+		Purity:      clustering.Purity(snap.clusters, truth),
+		RandIndex:   clustering.RandIndex(snap.clusters, truth),
 	}, nil
 }
 
@@ -207,39 +151,37 @@ func SDARPurity(ctx context.Context, opt Options) (SDARPurityResult, error) {
 	if err != nil {
 		return SDARPurityResult{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin // scatter sharers: plenty of remote traffic
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
+	var res SDARPurityResult
+	st := study{
+		policy:  sched.PolicyRoundRobin, // scatter sharers: plenty of remote traffic
+		install: spec.Install,
+		setup: func(r *rig) error {
+			for c := 0; c < opt.Topo.NumCPUs(); c++ {
+				err := r.m.PMU(topology.CPUID(c)).Program(0, pmu.EvRemoteAccess, 10, func(p *pmu.PMU) uint64 {
+					s := p.ReadSDAR()
+					if !s.Valid {
+						return 0
+					}
+					res.SamplesRead++
+					if s.SDARSourceForValidation().Remote() {
+						res.TrulyRemote++
+					}
+					return 0
+				})
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	r, err := st.build(opt)
 	if err != nil {
 		return SDARPurityResult{}, err
 	}
-	if err := spec.Install(m); err != nil {
-		return SDARPurityResult{}, err
-	}
-	var res SDARPurityResult
-	for c := 0; c < opt.Topo.NumCPUs(); c++ {
-		cpu := topology.CPUID(c)
-		p := m.PMU(cpu)
-		err := p.Program(0, pmu.EvRemoteAccess, 10, func(p *pmu.PMU) uint64 {
-			s := p.ReadSDAR()
-			if !s.Valid {
-				return 0
-			}
-			res.SamplesRead++
-			if s.SDARSourceForValidation().Remote() {
-				res.TrulyRemote++
-			}
-			return 0
-		})
-		if err != nil {
-			return SDARPurityResult{}, err
-		}
-	}
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.MeasureRounds); err != nil {
+	// The handlers count from the first round: the whole run is the
+	// sample, with no warm-up to discard.
+	if err := r.m.RunRoundsCtx(ctx, opt.WarmRounds+opt.MeasureRounds); err != nil {
 		return SDARPurityResult{}, err
 	}
 	res.Purity = stats.Ratio(float64(res.TrulyRemote), float64(res.SamplesRead))
@@ -254,6 +196,21 @@ func (r SDARPurityResult) Table() *stats.Table {
 	return t
 }
 
+// detectOnce runs one controlled detection phase of a workload under
+// clustered placement — warm up, force detection, wait for it — with the
+// engine configuration optionally adjusted. It is the shared procedure of
+// Figure 5 and the spatial, ablation and threshold studies.
+func detectOnce(ctx context.Context, opt Options, spec *workloads.Spec, adjust func(*core.Config)) (*detectionSnapshot, error) {
+	r, err := study{policy: sched.PolicyClustered, install: spec.Install, engine: controlledEngine(adjust)}.build(opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
+		return nil, err
+	}
+	return r.detect(ctx, 40*opt.EngineRounds)
+}
+
 // detectedShMaps runs one engine detection on a workload and returns the
 // shMaps, ground truth and spec — shared setup for the ablation study.
 func detectedShMaps(ctx context.Context, name string, opt Options) (map[clustering.ThreadKey]*clustering.ShMap, map[clustering.ThreadKey]int, *workloads.Spec, error) {
@@ -261,36 +218,9 @@ func detectedShMaps(ctx context.Context, name string, opt Options) (map[clusteri
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyClustered
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = opt.Seed
-	m, err := sim.NewMachine(mcfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := spec.Install(m); err != nil {
-		return nil, nil, nil, err
-	}
-	eng, err := core.New(m, ControlledEngineConfig(opt.Seed))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := eng.Install(); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
-		return nil, nil, nil, err
-	}
-	snap, err := forceDetectionAndWait(ctx, m, eng, 40*opt.EngineRounds)
+	snap, err := detectOnce(ctx, opt, spec, nil)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiments: %s: %w", name, err)
 	}
-	truth := make(map[clustering.ThreadKey]int)
-	for _, th := range spec.Threads {
-		truth[clustering.ThreadKey(th.ID)] = th.Partition
-	}
-	return snap.shmaps, truth, spec, nil
+	return snap.shmaps, truthOf(spec), spec, nil
 }

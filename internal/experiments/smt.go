@@ -75,56 +75,44 @@ func smtRun(ctx context.Context, opt Options, seed int64, spread bool) (SMTRow, 
 	if err != nil {
 		return SMTRow{}, err
 	}
-	mcfg := sim.DefaultConfig()
-	mcfg.Engine = opt.Engine
-	mcfg.Topo = opt.Topo
-	mcfg.Policy = sched.PolicyRoundRobin // static: the experiment places manually
-	mcfg.QuantumCycles = opt.QuantumCycles
-	mcfg.Seed = seed
-	mcfg.SMTContentionPct = 30
-	m, err := sim.NewMachine(mcfg)
+	seeded := opt
+	seeded.Seed = seed
+	st := study{
+		policy:   sched.PolicyRoundRobin, // static: the experiment places manually
+		hardware: func(cfg *sim.Config) { cfg.SMTContentionPct = 30 },
+		install:  spec.Install,
+		// Cluster-to-chip assignment as the engine would do it (pair p
+		// goes to chip p); the within-chip rule is the ablated choice:
+		// uniformly random contexts (the paper) versus one thread per
+		// core.
+		setup: func(r *rig) error {
+			s := r.m.Scheduler()
+			topo := r.m.Topology()
+			nextCore := make([]int, topo.Chips)
+			for _, th := range spec.Threads {
+				chip := th.Partition % topo.Chips
+				var cpu topology.CPUID
+				if spread {
+					core := chip*topo.CoresPerChip + nextCore[chip]%topo.CoresPerChip
+					cpu = topo.CPUsOfCore(core)[nextCore[chip]/topo.CoresPerChip%topo.ContextsPerCore]
+					nextCore[chip]++
+				} else {
+					cpu = s.RandomCPUOnChip(chip)
+				}
+				if err := s.Migrate(th.ID, cpu); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	res, _, err := st.run(ctx, seeded, opt.WarmRounds, opt.MeasureRounds)
 	if err != nil {
 		return SMTRow{}, err
 	}
-	if err := spec.Install(m); err != nil {
-		return SMTRow{}, err
-	}
-
-	// Cluster-to-chip assignment as the engine would do it (pair p goes
-	// to chip p); the within-chip rule is the ablated choice: uniformly
-	// random contexts (the paper) versus one thread per core.
-	s := m.Scheduler()
-	topo := m.Topology()
-	nextCore := make([]int, topo.Chips)
-	for _, th := range spec.Threads {
-		chip := th.Partition % topo.Chips
-		var cpu topology.CPUID
-		if spread {
-			core := chip*topo.CoresPerChip + nextCore[chip]%topo.CoresPerChip
-			cpu = topo.CPUsOfCore(core)[nextCore[chip]/topo.CoresPerChip%topo.ContextsPerCore]
-			nextCore[chip]++
-		} else {
-			cpu = s.RandomCPUOnChip(chip)
-		}
-		if err := s.Migrate(th.ID, cpu); err != nil {
-			return SMTRow{}, err
-		}
-	}
-
-	if err := m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
-		return SMTRow{}, err
-	}
-	m.ResetMetrics()
-	if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
-		return SMTRow{}, err
-	}
-	b := m.Breakdown()
-	row := SMTRow{
-		SMTStallFraction: b.Fraction(pmu.EvStallSMT),
-		RemoteFraction:   b.RemoteFraction(),
-	}
-	if b.Cycles > 0 {
-		row.OpsPerMCycle = float64(m.TotalOps()) / (float64(b.Cycles) / 1e6)
-	}
-	return row, nil
+	return SMTRow{
+		SMTStallFraction: res.Breakdown.Fraction(pmu.EvStallSMT),
+		RemoteFraction:   res.RemoteFraction,
+		OpsPerMCycle:     res.OpsPerMCycle,
+	}, nil
 }

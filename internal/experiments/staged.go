@@ -7,7 +7,6 @@ import (
 
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/stats"
 	"threadcluster/internal/workloads"
 )
@@ -37,59 +36,33 @@ type StagedResult struct {
 // the clustering engine, built around disjoint sharing groups, still
 // reduces cross-chip traffic on chain-structured sharing.
 func Staged(ctx context.Context, opt Options) (StagedResult, *stats.Table, error) {
-	run := func(withEngine bool) (float64, uint64, *sim.Machine, *workloads.Spec, error) {
-		arena := memory.NewDefaultArena()
+	run := func(policy sched.Policy) (RunMetrics, *rig, *workloads.Spec, error) {
 		wcfg := workloads.DefaultStagedConfig()
 		wcfg.Seed = opt.Seed
-		spec, err := workloads.NewStaged(arena, wcfg)
+		spec, err := workloads.NewStaged(memory.NewDefaultArena(), wcfg)
 		if err != nil {
-			return 0, 0, nil, nil, err
+			return RunMetrics{}, nil, nil, err
 		}
-		mcfg := sim.DefaultConfig()
-		mcfg.Engine = opt.Engine
-		mcfg.Topo = opt.Topo
-		mcfg.Policy = sched.PolicyDefault
-		if withEngine {
-			mcfg.Policy = sched.PolicyClustered
+		st := study{policy: policy, install: spec.Install}
+		if policy == sched.PolicyClustered {
+			st.engine = EngineConfigFor
 		}
-		mcfg.QuantumCycles = opt.QuantumCycles
-		mcfg.Seed = opt.Seed
-		m, err := sim.NewMachine(mcfg)
-		if err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if err := spec.Install(m); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		if withEngine {
-			eng, err := newScaledEngine(m, opt)
-			if err != nil {
-				return 0, 0, nil, nil, err
-			}
-			if err := eng.Install(); err != nil {
-				return 0, 0, nil, nil, err
-			}
-		}
-		if err := m.RunRoundsCtx(ctx, opt.WarmRounds+opt.EngineRounds); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		m.ResetMetrics()
-		if err := m.RunRoundsCtx(ctx, opt.MeasureRounds); err != nil {
-			return 0, 0, nil, nil, err
-		}
-		return m.Breakdown().RemoteFraction(), m.TotalOps(), m, spec, nil
+		res, r, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
+		return res, r, spec, err
 	}
 
 	var res StagedResult
-	var err error
-	if res.DefaultRemote, res.DefaultOps, _, _, err = run(false); err != nil {
+	def, _, _, err := run(sched.PolicyDefault)
+	if err != nil {
 		return res, nil, err
 	}
-	var m *sim.Machine
-	var spec *workloads.Spec
-	if res.ClusteredRemote, res.ClusteredOps, m, spec, err = run(true); err != nil {
+	clu, r, spec, err := run(sched.PolicyClustered)
+	if err != nil {
 		return res, nil, err
 	}
+	res.DefaultRemote, res.DefaultOps = def.RemoteFraction, def.Ops
+	res.ClusteredRemote, res.ClusteredOps = clu.RemoteFraction, clu.Ops
+	m := r.m
 
 	// Majority chip per stage, in stage order.
 	wcfg := workloads.DefaultStagedConfig()

@@ -34,10 +34,7 @@ func ParseTopo(name string) (topology.Topology, error) {
 
 // ParsePolicy resolves a placement-policy name (the Policy.String forms).
 func ParsePolicy(name string) (sched.Policy, error) {
-	for _, p := range []sched.Policy{
-		sched.PolicyDefault, sched.PolicyRoundRobin,
-		sched.PolicyHandOptimized, sched.PolicyClustered,
-	} {
+	for _, p := range comparisonPolicies() {
 		if p.String() == name {
 			return p, nil
 		}
@@ -151,7 +148,7 @@ func (g GridSpec) taskFor(cell GridCell) (sweep.Task, error) {
 	if err != nil {
 		return sweep.Task{}, err
 	}
-	if _, err := BuildWorkload(cell.Workload, cell.Seed); err != nil {
+	if err := CheckWorkload(cell.Workload); err != nil {
 		return sweep.Task{}, err
 	}
 	return sweep.Task{

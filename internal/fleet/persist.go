@@ -6,46 +6,28 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/experiments"
-	"threadcluster/internal/metrics"
 	"threadcluster/internal/server"
 )
 
-// Fleet checkpoint format: one JSON checkpointFile per in-flight fleet
-// job, "<job id>.fleetckpt" in Options.SpoolDir. It records the
-// normalized spec plus every cell whose shard has completed, exactly
-// like tcsimd's per-job checkpoints — cells are independent machines
-// with spec-derived seeds, so a restarted coordinator restores the
-// recorded cells, re-partitions the identical ring, and re-runs only
-// shards with missing cells, converging on the byte-identical payload
-// an uninterrupted run produces. The file is flushed after every shard
+// Fleet checkpoint format: one JSON server.Checkpoint per in-flight
+// fleet job, "<job id>.fleetckpt" in Options.SpoolDir. It records the
+// normalized spec plus every cell whose shard has completed — it is
+// tcsimd's per-job checkpoint, validated, written and quarantined by
+// the same code. Cells are independent machines with spec-derived
+// seeds, so a restarted coordinator restores the recorded cells,
+// re-partitions the identical ring, and re-runs only shards with
+// missing cells, converging on the byte-identical payload an
+// uninterrupted run produces. The file is flushed after every shard
 // completion and deleted when the job settles. Files that fail to
 // parse or disagree with the spec's grid are quarantined
 // ("<name>.quarantine", errs.ErrSpoolCorrupt warning) and the job
 // starts from scratch; a corrupt checkpoint costs resumability, never
 // correctness.
 
-const (
-	fleetCheckpointSuffix = ".fleetckpt"
-	quarantineSuffix      = ".quarantine"
-)
-
-// checkpointFile is the on-disk form of a fleet job's progress.
-type checkpointFile struct {
-	Spec  server.JobSpec   `json:"spec"`
-	Cells []checkpointCell `json:"cells"`
-}
-
-// checkpointCell is one completed grid cell.
-type checkpointCell struct {
-	Index   int              `json:"index"`
-	Name    string           `json:"name"`
-	Seed    int64            `json:"seed"`
-	Metrics metrics.Snapshot `json:"metrics"`
-}
+const fleetCheckpointSuffix = ".fleetckpt"
 
 // checkpointPath names the job's checkpoint file; "" when spooling is
 // disabled.
@@ -61,7 +43,7 @@ func (c *Coordinator) checkpointPath(id string) string {
 // parses but belongs to a different spec (same ID reused) or whose
 // cells contradict the grid is quarantined — resuming from it would
 // poison the digest.
-func (c *Coordinator) loadCheckpoint(norm server.JobSpec, cells []experiments.GridCell) map[int]checkpointCell {
+func (c *Coordinator) loadCheckpoint(norm server.JobSpec, cells []experiments.GridCell) map[int]server.CheckpointCell {
 	path := c.checkpointPath(norm.ID)
 	if path == "" {
 		return nil
@@ -76,16 +58,17 @@ func (c *Coordinator) loadCheckpoint(norm server.JobSpec, cells []experiments.Gr
 	}
 	completed, err := parseCheckpoint(data, norm, cells)
 	if err != nil {
-		c.quarantine(path, err)
+		c.warn(fmt.Errorf("fleet: %w", server.Quarantine(path, err)))
 		return nil
 	}
 	return completed
 }
 
 // parseCheckpoint validates checkpoint bytes against the normalized
-// spec and its grid.
-func parseCheckpoint(data []byte, norm server.JobSpec, cells []experiments.GridCell) (map[int]checkpointCell, error) {
-	var cf checkpointFile
+// spec — which, stricter than tcsimd's re-admission, must equal the
+// submitted one — and its grid.
+func parseCheckpoint(data []byte, norm server.JobSpec, cells []experiments.GridCell) (map[int]server.CheckpointCell, error) {
+	var cf server.Checkpoint
 	if err := json.Unmarshal(data, &cf); err != nil {
 		return nil, fmt.Errorf("parsing checkpoint: %w", err)
 	}
@@ -104,53 +87,18 @@ func parseCheckpoint(data []byte, norm server.JobSpec, cells []experiments.GridC
 	if !bytes.Equal(want, got) {
 		return nil, fmt.Errorf("checkpoint spec differs from submitted spec (job ID %q reused?)", norm.ID)
 	}
-	completed := make(map[int]checkpointCell, len(cf.Cells))
-	for _, cc := range cf.Cells {
-		if cc.Index < 0 || cc.Index >= len(cells) {
-			return nil, fmt.Errorf("cell index %d outside grid of %d cells", cc.Index, len(cells))
-		}
-		if _, dup := completed[cc.Index]; dup {
-			return nil, fmt.Errorf("duplicate cell index %d", cc.Index)
-		}
-		want := cells[cc.Index]
-		if cc.Name != want.Name() || cc.Seed != want.Seed {
-			return nil, fmt.Errorf("cell %d is %q seed %d, grid says %q seed %d",
-				cc.Index, cc.Name, cc.Seed, want.Name(), want.Seed)
-		}
-		completed[cc.Index] = cc
-	}
-	return completed, nil
+	return cf.Validate(cells)
 }
 
-// writeCheckpoint atomically persists the completed-cell set (temp
-// file + rename, so a crash mid-write never corrupts a valid
-// checkpoint). Failures are warnings, not job failures.
-func (c *Coordinator) writeCheckpoint(norm server.JobSpec, completed map[int]checkpointCell) {
+// writeCheckpoint atomically persists the completed-cell set.
+// Failures are warnings, not job failures.
+func (c *Coordinator) writeCheckpoint(norm server.JobSpec, completed map[int]server.CheckpointCell) {
 	path := c.checkpointPath(norm.ID)
 	if path == "" {
 		return
 	}
-	if err := os.MkdirAll(c.opt.SpoolDir, 0o777); err != nil {
-		c.warn(fmt.Errorf("fleet: creating spool dir for checkpoint %q: %w", norm.ID, err))
-		return
-	}
-	cells := make([]checkpointCell, 0, len(completed))
-	for _, cc := range completed {
-		cells = append(cells, cc)
-	}
-	sort.Slice(cells, func(i, k int) bool { return cells[i].Index < cells[k].Index })
-	data, err := json.MarshalIndent(checkpointFile{Spec: norm, Cells: cells}, "", "  ")
-	if err != nil {
-		c.warn(fmt.Errorf("fleet: marshaling checkpoint %q: %w", norm.ID, err))
-		return
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o666); err != nil {
-		c.warn(fmt.Errorf("fleet: writing checkpoint %q: %w", norm.ID, err))
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		c.warn(fmt.Errorf("fleet: installing checkpoint %q: %w", norm.ID, err))
+	if err := server.NewCheckpoint(norm, completed).Save(path); err != nil {
+		c.warn(fmt.Errorf("fleet: checkpoint %q: %w", norm.ID, err))
 	}
 }
 
@@ -163,13 +111,4 @@ func (c *Coordinator) removeCheckpoint(id string) {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		c.warn(fmt.Errorf("fleet: removing checkpoint %q: %w", id, err))
 	}
-}
-
-// quarantine renames a bad checkpoint aside and records the warning.
-func (c *Coordinator) quarantine(path string, cause error) {
-	werr := fmt.Errorf("fleet: %w: %s: %v", errs.ErrSpoolCorrupt, filepath.Base(path), cause)
-	if err := os.Rename(path, path+quarantineSuffix); err != nil {
-		werr = fmt.Errorf("%w (quarantine rename failed: %v)", werr, err)
-	}
-	c.warn(werr)
 }

@@ -100,7 +100,7 @@ func (js JobSpec) Normalize() (JobSpec, error) {
 		return JobSpec{}, fmt.Errorf("server: %w: %v", errs.ErrBadConfig, err)
 	}
 	for _, name := range out.Workloads {
-		if _, err := experiments.BuildWorkload(name, 1); err != nil {
+		if err := experiments.CheckWorkload(name); err != nil {
 			return JobSpec{}, fmt.Errorf("server: %w: %v", errs.ErrBadConfig, err)
 		}
 	}
@@ -247,7 +247,7 @@ type job struct {
 	// completed records finished grid cells for checkpointing (and seeds
 	// a resumed job at re-admission); ckptNew counts completions since
 	// the last checkpoint flush.
-	completed map[int]checkpointCell
+	completed map[int]CheckpointCell
 	ckptNew   int
 
 	events  *eventLog

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"threadcluster/internal/errs"
+	"threadcluster/internal/experiments"
 	"threadcluster/internal/metrics"
 )
 
@@ -21,7 +22,7 @@ import (
 // after restart produces the byte-identical payload the original
 // admission would have.
 //
-// Checkpoint format: one JSON checkpointFile per running job, named
+// Checkpoint format: one JSON Checkpoint per running job, named
 // "<job id>.ckpt" beside the spool specs. A checkpoint carries the
 // normalized spec plus every completed grid cell's metrics snapshot;
 // grid cells are independent machines with spec-derived seeds
@@ -35,29 +36,105 @@ import (
 // renamed to "<name>.quarantine", recorded as an errs.ErrSpoolCorrupt
 // warning (SpoolWarnings), counted in server_spool_quarantined_total —
 // and the daemon keeps starting.
+//
+// Every file in the spool — spec or checkpoint — is written to a temp
+// name and renamed into place, so a crash mid-write never leaves a
+// truncated file where a valid one stood (or would have).
+//
+// The fleet coordinator's "<job id>.fleetckpt" files are the same
+// Checkpoint, validated, saved and quarantined by the same code.
 
 const (
 	checkpointSuffix = ".ckpt"
 	spoolSuffix      = ".json"
-	quarantineSuffix = ".quarantine"
+	// QuarantineSuffix is appended to the name of a spool or checkpoint
+	// file that failed to parse or validate.
+	QuarantineSuffix = ".quarantine"
 )
 
-// checkpointFile is the on-disk form of a running job's progress.
-type checkpointFile struct {
+// Checkpoint is the on-disk form of a running job's progress.
+type Checkpoint struct {
 	// Spec is the job's normalized spec; the grid (and every cell seed)
 	// derives from it.
 	Spec JobSpec `json:"spec"`
 	// Cells lists the completed grid cells in grid-index order.
-	Cells []checkpointCell `json:"cells"`
+	Cells []CheckpointCell `json:"cells"`
 }
 
-// checkpointCell is one completed grid cell: its position, identity and
+// CheckpointCell is one completed grid cell: its position, identity and
 // the metrics snapshot the re-assembled payload will carry for it.
-type checkpointCell struct {
+type CheckpointCell struct {
 	Index   int              `json:"index"`
 	Name    string           `json:"name"`
 	Seed    int64            `json:"seed"`
 	Metrics metrics.Snapshot `json:"metrics"`
+}
+
+// NewCheckpoint snapshots a job's completed cells, in grid-index order.
+func NewCheckpoint(spec JobSpec, completed map[int]CheckpointCell) *Checkpoint {
+	cells := make([]CheckpointCell, 0, len(completed))
+	for _, cc := range completed {
+		cells = append(cells, cc)
+	}
+	sort.Slice(cells, func(i, k int) bool { return cells[i].Index < cells[k].Index })
+	return &Checkpoint{Spec: spec, Cells: cells}
+}
+
+// Validate checks the checkpoint's cells against the grid cells its job
+// runs, returning the completed-cell map a resumed job starts from.
+func (cf Checkpoint) Validate(cells []experiments.GridCell) (map[int]CheckpointCell, error) {
+	completed := make(map[int]CheckpointCell, len(cf.Cells))
+	for _, cc := range cf.Cells {
+		if cc.Index < 0 || cc.Index >= len(cells) {
+			return nil, fmt.Errorf("cell index %d outside grid of %d cells", cc.Index, len(cells))
+		}
+		if _, dup := completed[cc.Index]; dup {
+			return nil, fmt.Errorf("duplicate cell index %d", cc.Index)
+		}
+		want := cells[cc.Index]
+		if cc.Name != want.Name() || cc.Seed != want.Seed {
+			return nil, fmt.Errorf("cell %d is %q seed %d, grid says %q seed %d",
+				cc.Index, cc.Name, cc.Seed, want.Name(), want.Seed)
+		}
+		completed[cc.Index] = cc
+	}
+	return completed, nil
+}
+
+// Save atomically persists the checkpoint at path, creating the
+// directory if needed.
+func (cf Checkpoint) Save(path string) error {
+	return writeJSONAtomic(path, cf)
+}
+
+// writeJSONAtomic writes v as indented JSON to a temp name beside path
+// and renames it into place.
+func writeJSONAtomic(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("marshaling: %w", err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+		return fmt.Errorf("creating spool dir: %w", err)
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, append(data, '\n'), 0o666); err != nil {
+		return fmt.Errorf("writing: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("installing: %w", err)
+	}
+	return nil
+}
+
+// Quarantine renames a bad spool or checkpoint file aside and returns
+// the errs.ErrSpoolCorrupt warning to record for it.
+func Quarantine(path string, cause error) error {
+	werr := fmt.Errorf("%w: %s: %v", errs.ErrSpoolCorrupt, filepath.Base(path), cause)
+	if err := os.Rename(path, path+QuarantineSuffix); err != nil {
+		werr = fmt.Errorf("%w (quarantine rename failed: %v)", werr, err)
+	}
+	return werr
 }
 
 // spool persists queued-but-unstarted jobs (in admission order) to
@@ -67,16 +144,9 @@ func (s *Server) spool(queued []*job) error {
 	if s.opt.SpoolDir == "" || len(queued) == 0 {
 		return nil
 	}
-	if err := os.MkdirAll(s.opt.SpoolDir, 0o777); err != nil {
-		return fmt.Errorf("server: creating spool dir: %w", err)
-	}
 	for i, j := range queued {
-		data, err := json.MarshalIndent(j.spec, "", "  ")
-		if err != nil {
-			return fmt.Errorf("server: spooling job %q: %w", j.spec.ID, err)
-		}
 		name := fmt.Sprintf("%08d-%s%s", i, j.spec.ID, spoolSuffix)
-		if err := os.WriteFile(filepath.Join(s.opt.SpoolDir, name), append(data, '\n'), 0o666); err != nil {
+		if err := writeJSONAtomic(filepath.Join(s.opt.SpoolDir, name), j.spec); err != nil {
 			return fmt.Errorf("server: spooling job %q: %w", j.spec.ID, err)
 		}
 		s.mJobsSpooled.Inc()
@@ -163,54 +233,33 @@ func (s *Server) readmitCheckpoint(name string) (full bool, err error) {
 	if readErr != nil {
 		return false, fmt.Errorf("reading checkpoint: %w", readErr)
 	}
-	var cf checkpointFile
+	var cf Checkpoint
 	if err := json.Unmarshal(data, &cf); err != nil {
 		return false, fmt.Errorf("parsing checkpoint: %w", err)
 	}
-	completed, err := cf.validate()
+	norm, err := cf.Spec.Normalize()
+	if err != nil {
+		return false, fmt.Errorf("validating checkpointed spec: %w", err)
+	}
+	if norm.ID == "" {
+		return false, fmt.Errorf("checkpointed spec has no job ID")
+	}
+	cells, _, err := norm.compile()
+	if err != nil {
+		return false, fmt.Errorf("compiling checkpointed grid: %w", err)
+	}
+	completed, err := cf.Validate(cells)
 	if err != nil {
 		return false, err
 	}
 	return s.readmit(cf.Spec, completed)
 }
 
-// validate checks a checkpoint's cells against the grid its spec
-// derives, returning the completed-cell map a resumed job starts from.
-func (cf checkpointFile) validate() (map[int]checkpointCell, error) {
-	norm, err := cf.Spec.Normalize()
-	if err != nil {
-		return nil, fmt.Errorf("validating checkpointed spec: %w", err)
-	}
-	if norm.ID == "" {
-		return nil, fmt.Errorf("checkpointed spec has no job ID")
-	}
-	cells, _, err := norm.compile()
-	if err != nil {
-		return nil, fmt.Errorf("compiling checkpointed grid: %w", err)
-	}
-	completed := make(map[int]checkpointCell, len(cf.Cells))
-	for _, cc := range cf.Cells {
-		if cc.Index < 0 || cc.Index >= len(cells) {
-			return nil, fmt.Errorf("cell index %d outside grid of %d cells", cc.Index, len(cells))
-		}
-		if _, dup := completed[cc.Index]; dup {
-			return nil, fmt.Errorf("duplicate cell index %d", cc.Index)
-		}
-		want := cells[cc.Index]
-		if cc.Name != want.Name() || cc.Seed != want.Seed {
-			return nil, fmt.Errorf("cell %d is %q seed %d, grid says %q seed %d",
-				cc.Index, cc.Name, cc.Seed, want.Name(), want.Seed)
-		}
-		completed[cc.Index] = cc
-	}
-	return completed, nil
-}
-
 // readmit normalizes and admits one persisted spec, seeding the job with
 // any checkpointed cells. full=true means the queue rejected it with
 // backpressure (leave the file; stop re-admitting); an error means the
 // spec itself is unusable (quarantine it).
-func (s *Server) readmit(spec JobSpec, completed map[int]checkpointCell) (full bool, err error) {
+func (s *Server) readmit(spec JobSpec, completed map[int]CheckpointCell) (full bool, err error) {
 	norm, err := spec.Normalize()
 	if err != nil {
 		return false, fmt.Errorf("validating spec: %w", err)
@@ -245,14 +294,10 @@ func (s *Server) readmit(spec JobSpec, completed map[int]checkpointCell) (full b
 // structured warning. The daemon keeps starting: a corrupt file costs
 // one job, not the whole service.
 func (s *Server) quarantine(name string, cause error) {
-	werr := fmt.Errorf("server: %w: %s: %v", errs.ErrSpoolCorrupt, name, cause)
-	path := filepath.Join(s.opt.SpoolDir, name)
-	if err := os.Rename(path, path+quarantineSuffix); err != nil {
-		werr = fmt.Errorf("%w (quarantine rename failed: %v)", werr, err)
-	}
+	werr := Quarantine(filepath.Join(s.opt.SpoolDir, name), cause)
 	s.mSpoolQuarantined.Inc()
 	s.mu.Lock()
-	s.spoolWarnings = append(s.spoolWarnings, werr)
+	s.spoolWarnings = append(s.spoolWarnings, fmt.Errorf("server: %w", werr))
 	s.mu.Unlock()
 }
 
@@ -266,45 +311,14 @@ func (s *Server) SpoolWarnings() []error {
 	return append([]error(nil), s.spoolWarnings...)
 }
 
-// checkpointCells snapshots a job's completed cells in grid order.
-// Caller holds the server mutex.
-func checkpointCells(j *job) []checkpointCell {
-	cells := make([]checkpointCell, 0, len(j.completed))
-	for _, cc := range j.completed {
-		cells = append(cells, cc)
-	}
-	sort.Slice(cells, func(i, k int) bool { return cells[i].Index < cells[k].Index })
-	return cells
-}
-
-// writeCheckpoint atomically persists a job's checkpoint file (write to
-// a temp name, rename into place), so a crash mid-write never leaves a
-// truncated checkpoint where a valid one stood. Failures are recorded
-// as warnings, not job failures: losing a checkpoint costs resumability,
-// not correctness.
-func (s *Server) writeCheckpoint(spec JobSpec, cells []checkpointCell) {
-	record := func(err error) {
+// writeCheckpoint persists a job's checkpoint file. Failures are
+// recorded as warnings, not job failures: losing a checkpoint costs
+// resumability, not correctness.
+func (s *Server) writeCheckpoint(cp *Checkpoint) {
+	if err := cp.Save(filepath.Join(s.opt.SpoolDir, cp.Spec.ID+checkpointSuffix)); err != nil {
 		s.mu.Lock()
-		s.spoolWarnings = append(s.spoolWarnings, err)
+		s.spoolWarnings = append(s.spoolWarnings, fmt.Errorf("server: checkpoint %q: %w", cp.Spec.ID, err))
 		s.mu.Unlock()
-	}
-	if err := os.MkdirAll(s.opt.SpoolDir, 0o777); err != nil {
-		record(fmt.Errorf("server: creating spool dir for checkpoint %q: %w", spec.ID, err))
-		return
-	}
-	data, err := json.MarshalIndent(checkpointFile{Spec: spec, Cells: cells}, "", "  ")
-	if err != nil {
-		record(fmt.Errorf("server: marshaling checkpoint %q: %w", spec.ID, err))
-		return
-	}
-	path := filepath.Join(s.opt.SpoolDir, spec.ID+checkpointSuffix)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o666); err != nil {
-		record(fmt.Errorf("server: writing checkpoint %q: %w", spec.ID, err))
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		record(fmt.Errorf("server: installing checkpoint %q: %w", spec.ID, err))
 		return
 	}
 	s.mCheckpoints.Inc()

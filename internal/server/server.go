@@ -253,7 +253,7 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 // admit queues one validated job, optionally seeded with checkpointed
 // cells (the spool-restart path); the completed map must be attached
 // before the push so a worker can never observe the job without it.
-func (s *Server) admit(norm JobSpec, cost int64, completed map[int]checkpointCell) (JobStatus, error) {
+func (s *Server) admit(norm JobSpec, cost int64, completed map[int]CheckpointCell) (JobStatus, error) {
 	s.mu.Lock()
 	if s.draining || !s.started {
 		s.mu.Unlock()
@@ -473,7 +473,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	// the spec, so the re-assembled payload is byte-identical to an
 	// uninterrupted run's.
 	s.mu.Lock()
-	resume := make(map[int]checkpointCell, len(j.completed))
+	resume := make(map[int]CheckpointCell, len(j.completed))
 	for i, cc := range j.completed {
 		resume[i] = cc
 	}
@@ -552,23 +552,23 @@ func (s *Server) taskDone(j *job, idx int, name string, seed int64, snap metrics
 	s.mu.Lock()
 	j.tasksDone++
 	done, total := j.tasksDone, j.tasksTotal
-	var flush []checkpointCell
+	var flush *Checkpoint
 	if s.opt.SpoolDir != "" {
 		if j.completed == nil {
-			j.completed = make(map[int]checkpointCell)
+			j.completed = make(map[int]CheckpointCell)
 		}
 		if _, ok := j.completed[idx]; !ok {
-			j.completed[idx] = checkpointCell{Index: idx, Name: name, Seed: seed, Metrics: snap}
+			j.completed[idx] = CheckpointCell{Index: idx, Name: name, Seed: seed, Metrics: snap}
 			j.ckptNew++
 		}
 		if s.opt.CheckpointEvery > 0 && j.ckptNew >= s.opt.CheckpointEvery {
 			j.ckptNew = 0
-			flush = checkpointCells(j)
+			flush = NewCheckpoint(j.spec, j.completed)
 		}
 	}
 	s.mu.Unlock()
 	if flush != nil {
-		s.writeCheckpoint(j.spec, flush)
+		s.writeCheckpoint(flush)
 	}
 	if s.afterTask != nil {
 		s.afterTask(j, idx)
@@ -601,11 +601,11 @@ func (s *Server) settle(j *job, state JobState, cause error) {
 	// A running job cut down by a graceful drain leaves its checkpoint
 	// behind (final flush, even with periodic checkpointing off) so the
 	// next start resumes it; any other settlement retires the file.
-	var flush []checkpointCell
+	var flush *Checkpoint
 	removeCkpt := false
 	if s.opt.SpoolDir != "" {
 		if state == StateCanceled && j.cut {
-			flush = checkpointCells(j)
+			flush = NewCheckpoint(j.spec, j.completed)
 		} else {
 			removeCkpt = true
 		}
@@ -613,7 +613,7 @@ func (s *Server) settle(j *job, state JobState, cause error) {
 	s.mu.Unlock()
 
 	if flush != nil {
-		s.writeCheckpoint(j.spec, flush)
+		s.writeCheckpoint(flush)
 	}
 	if removeCkpt {
 		s.removeCheckpoint(j.spec.ID)
