@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet tclint lint test test-short test-race bench bench-compare bench-baseline bench-smoke bench-sweep bench-sweep-smoke fuzz-smoke experiments sweep-smoke server-smoke snapshot-smoke fleet-smoke examples clean
+.PHONY: all build vet tclint lint test test-short test-race bench bench-compare bench-baseline bench-smoke ledger-smoke bench-sweep bench-sweep-smoke fuzz-smoke experiments sweep-smoke server-smoke snapshot-smoke fleet-smoke examples clean
 
 all: build lint test
 
@@ -43,50 +43,43 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Benchmark regression guards: compare the broadcast-vs-directory
-# coherence benchmarks against BENCH_coherence.json, the seq-vs-
-# parallel engine benchmarks plus the SoA-vs-AoS cache hot-path pair
-# against BENCH_sim.json, and the incremental clustering per-event
-# benchmarks against BENCH_clustering.json. Fails when a benchmark
-# regresses past tolerance, a speedup pair drops below its required
-# minimum, or a scaling pair exceeds its max_ratio ceiling (per-event
-# cost at 100k threads must stay within 8x of 1k); the parallel-engine
-# speedup gate only applies on hosts with at least min_cores cores
-# (benchcmp skips it below that). The BENCH_sim pipelines concatenate
-# two `go test -bench` runs — the machine-level engine pair from
-# ./internal/sim and the single-thread cache floor pair from
-# ./internal/cache — into one benchcmp input.
-bench-compare:
+# The guarded benchmarks, one recipe for three targets that differ only
+# in the flag benchcmp gets: the broadcast-vs-directory coherence
+# benchmarks against BENCH_coherence.json, the seq-vs-parallel engine
+# benchmarks plus the SoA-vs-AoS cache hot-path pair against
+# BENCH_sim.json (two `go test -bench` runs concatenated into one
+# benchcmp input), and the incremental clustering per-event benchmarks
+# against BENCH_clustering.json.
+#
+#   bench-compare   (no flag) fails when a benchmark regresses past
+#                   tolerance, a speedup pair drops below its required
+#                   minimum, or a scaling pair exceeds its max_ratio
+#                   ceiling (per-event cost at 100k threads must stay
+#                   within 8x of 1k); the parallel-engine speedup gate
+#                   only applies on hosts with at least min_cores cores.
+#   bench-baseline  (-update) refreshes the committed baselines from
+#                   this machine.
+#   bench-smoke     (-report) prints every comparison but never fails:
+#                   for CI runners whose shared-tenancy timing noise
+#                   makes the gates unreliable.
+bench-compare: BENCHCMP_FLAG =
+bench-baseline: BENCHCMP_FLAG = -update
+bench-smoke: BENCHCMP_FLAG = -report
+bench-compare bench-baseline bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkCoherence -benchtime 1s ./internal/cache \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_coherence.json
+		| $(GO) run ./cmd/benchcmp -baseline BENCH_coherence.json $(BENCHCMP_FLAG)
 	{ $(GO) test -run '^$$' -bench 'BenchmarkMachineRound32Way(Seq|Parallel)' -benchtime 2s ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSetAssocHot(SoA|AoSRef)' -benchtime 1s ./internal/cache ; } \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json
+		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json $(BENCHCMP_FLAG)
 	$(GO) test -run '^$$' -bench BenchmarkIncrementalEvent -benchtime 1s ./internal/clustering \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_clustering.json
+		| $(GO) run ./cmd/benchcmp -baseline BENCH_clustering.json $(BENCHCMP_FLAG)
 
-# Refresh the committed baselines from this machine.
-bench-baseline:
-	$(GO) test -run '^$$' -bench BenchmarkCoherence -benchtime 1s ./internal/cache \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_coherence.json -update
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMachineRound32Way(Seq|Parallel)' -benchtime 2s ./internal/sim ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSetAssocHot(SoA|AoSRef)' -benchtime 1s ./internal/cache ; } \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json -update
-	$(GO) test -run '^$$' -bench BenchmarkIncrementalEvent -benchtime 1s ./internal/clustering \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_clustering.json -update
-
-# Report-only benchmark smoke: runs the guarded benchmarks through
-# benchcmp -report, which prints every comparison against the committed
-# baselines but never fails. Suitable for CI runners whose shared-tenancy
-# timing noise makes the bench-compare gates unreliable.
-bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkCoherence -benchtime 1s ./internal/cache \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_coherence.json -report
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMachineRound32Way(Seq|Parallel)' -benchtime 2s ./internal/sim ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSetAssocHot(SoA|AoSRef)' -benchtime 1s ./internal/cache ; } \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json -report
-	$(GO) test -run '^$$' -bench BenchmarkIncrementalEvent -benchtime 1s ./internal/clustering \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_clustering.json -report
+# The performance ledger's identity checks at one second of fixed work
+# per workload (~12 s): exits non-zero unless the seq and parallel
+# engines snapshot to one digest and the offline, tcsimd and fleet runs
+# of a grid produce one payload digest. Timings it prints are not gated.
+ledger-smoke:
+	$(GO) run ./cmd/tcbench all -seconds 1
 
 # Saturation sweep (tcsim bench-sweep): time the scoreboard workload
 # over a chips x cores-per-chip x intensity grid under both engines and

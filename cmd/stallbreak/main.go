@@ -16,24 +16,8 @@ import (
 	"os"
 
 	"threadcluster/internal/experiments"
-	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/stats"
 )
-
-func parsePolicy(s string) (sched.Policy, error) {
-	switch s {
-	case "default":
-		return sched.PolicyDefault, nil
-	case "round-robin", "rr":
-		return sched.PolicyRoundRobin, nil
-	case "hand-optimized", "hand":
-		return sched.PolicyHandOptimized, nil
-	case "clustered":
-		return sched.PolicyClustered, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
-}
 
 func main() {
 	var (
@@ -44,16 +28,13 @@ func main() {
 	)
 	flag.Parse()
 
-	pol, err := parsePolicy(*policy)
+	pol, err := experiments.ParsePolicy(*policy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stallbreak:", err)
 		os.Exit(1)
 	}
-	opt := experiments.DefaultOptions()
+	opt := experiments.DefaultOptions().WithRounds(0, 0, *rounds)
 	opt.Seed = *seed
-	if *rounds > 0 {
-		opt.MeasureRounds = *rounds
-	}
 	withEngine := pol == sched.PolicyClustered
 	res, _, err := experiments.RunWorkload(context.Background(), *workload, pol, withEngine, opt)
 	if err != nil {
@@ -61,14 +42,8 @@ func main() {
 		os.Exit(1)
 	}
 	b := res.Breakdown
-	t := stats.NewTable(
-		fmt.Sprintf("Stall breakdown: %s under %s scheduling (CPI %.3f)", *workload, pol, b.CPI()),
-		"Component", "Share of cycles")
-	t.AddRow("completion", stats.Pct(stats.Ratio(float64(b.Completion), float64(b.Cycles))))
-	for _, ev := range pmu.StallEvents() {
-		t.AddRow(ev.String(), stats.Pct(b.Fraction(ev)))
-	}
-	t.AddRow("remote-total", stats.Pct(b.RemoteFraction()))
+	t := experiments.StallTable(
+		fmt.Sprintf("Stall breakdown: %s under %s scheduling (CPI %.3f)", *workload, pol, b.CPI()), b)
 	fmt.Println(t)
 	fmt.Printf("throughput: %.1f ops per million cycles (%d ops)\n", res.OpsPerMCycle, res.Ops)
 	if res.Engine != nil {

@@ -24,7 +24,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -60,19 +59,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		workersFlag = fs.String("workers", "http://127.0.0.1:8321",
 			"comma-separated tcsimd base URLs; worker names are w0, w1, ... in flag order")
-		specFile      = fs.String("spec", "", "JSON JobSpec file to run (overrides the grid flags; '-' = stdin)")
+		grid          = server.BindGridFlags(fs)
 		id            = fs.String("id", "", "job ID (empty = deterministic spec-derived ID, so reruns resume their own checkpoint)")
-		workloadsFlag = fs.String("workloads", "microbenchmark,volano,specjbb,rubis", "comma-separated workloads")
-		policiesFlag  = fs.String("policies", "default,clustered",
-			"comma-separated policies: default|round-robin|hand-optimized|clustered")
-		toposFlag = fs.String("topos", experiments.TopoOpenPower720,
-			"comma-separated topologies: open720|power5-32")
-		seed          = fs.Int64("seed", 1, "base seed; per-config seeds derive from it deterministically")
-		warm          = fs.Int("warm", 0, "override warm-up rounds (0 = default)")
-		engineRounds  = fs.Int("engine", 0, "override engine rounds (0 = default)")
-		measure       = fs.Int("measure", 0, "override measured rounds (0 = default)")
-		coherence     = fs.String("coherence", "", "cache-coherence implementation: directory|broadcast (empty = worker default)")
-		simengine     = fs.String("simengine", "", "execution engine: seq|parallel (empty = worker default)")
 		taskWorkers   = fs.Int("task-workers", 0, "per-shard sweep pool size on each worker (0 = worker default)")
 		virtualShards = fs.Int("virtual-shards", 0, "virtual-shard ring size (0 = default 64)")
 		maxAttempts   = fs.Int("max-attempts", 0, "failed attempts per shard before the job fails (0 = default 4)")
@@ -91,25 +79,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	spec, err := loadSpec(*specFile, func() server.JobSpec {
-		return server.JobSpec{
-			Workloads:     experiments.SplitList(*workloadsFlag),
-			Policies:      experiments.SplitList(*policiesFlag),
-			Topos:         experiments.SplitList(*toposFlag),
-			Seed:          *seed,
-			WarmRounds:    *warm,
-			EngineRounds:  *engineRounds,
-			MeasureRounds: *measure,
-			Coherence:     *coherence,
-			Engine:        *simengine,
-			Workers:       *taskWorkers,
-		}
-	})
+	spec, err := grid.Spec()
 	if err != nil {
 		return err
 	}
 	if *id != "" {
 		spec.ID = *id
+	}
+	if *taskWorkers != 0 {
+		spec.Workers = *taskWorkers
 	}
 
 	urls := experiments.SplitList(*workersFlag)
@@ -178,29 +156,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	_, err = stdout.Write(data)
 	return err
-}
-
-// loadSpec reads a spec file ('-' = stdin) or falls back to the grid
-// flags.
-func loadSpec(path string, fromFlags func() server.JobSpec) (server.JobSpec, error) {
-	if path == "" {
-		return fromFlags(), nil
-	}
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return server.JobSpec{}, fmt.Errorf("tcfleet: reading spec: %w", err)
-	}
-	var spec server.JobSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return server.JobSpec{}, fmt.Errorf("tcfleet: parsing spec: %w", err)
-	}
-	return spec, nil
 }
 
 // writeMetrics dumps the coordinator's Prometheus exposition.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"threadcluster/internal/errs"
 	"threadcluster/internal/experiments"
 	"threadcluster/internal/server"
 )
@@ -104,6 +106,18 @@ func TestFleetCLIDigestMatchesOffline(t *testing.T) {
 	for _, typ := range []string{`"shard_leased"`, `"shard_done"`, `"done"`} {
 		if !bytes.Contains(events, []byte(typ)) {
 			t.Errorf("event stream missing %s:\n%s", typ, events)
+		}
+	}
+}
+
+// TestFleetCLIRejectsNegativeRounds: the coordinator normalizes the
+// flag-built spec like the offline sweep and the daemon do, so a
+// negative round count fails before any worker is contacted.
+func TestFleetCLIRejectsNegativeRounds(t *testing.T) {
+	for _, flag := range []string{"-warm", "-engine", "-measure"} {
+		err := run([]string{"-workers", "http://127.0.0.1:1", flag, "-1"}, io.Discard, io.Discard)
+		if !errors.Is(err, errs.ErrBadConfig) {
+			t.Errorf("tcfleet %s -1 = %v, want ErrBadConfig", flag, err)
 		}
 	}
 }

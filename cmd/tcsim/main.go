@@ -98,14 +98,8 @@ func main() {
 	)
 	flag.Parse()
 
-	opt := experiments.DefaultOptions()
+	opt := experiments.DefaultOptions().WithRounds(*warm, 0, *measure)
 	opt.Seed = *seed
-	if *warm > 0 {
-		opt.WarmRounds = *warm
-	}
-	if *measure > 0 {
-		opt.MeasureRounds = *measure
-	}
 	mode, err := cache.ParseCoherenceMode(*coherence)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tcsim:", err)

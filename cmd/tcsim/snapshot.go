@@ -11,6 +11,7 @@ import (
 	"threadcluster/internal/core"
 	"threadcluster/internal/experiments"
 	"threadcluster/internal/sched"
+	"threadcluster/internal/server"
 	"threadcluster/internal/sim"
 )
 
@@ -134,7 +135,7 @@ func runSnapshot(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *out != "" {
-		if err := os.WriteFile(*out, snap.Encode(), 0o666); err != nil {
+		if err := server.WriteFileAtomic(*out, snap.Encode()); err != nil {
 			return fmt.Errorf("snapshot: writing %s: %w", *out, err)
 		}
 	}

@@ -6,10 +6,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"threadcluster/internal/client"
-	"threadcluster/internal/experiments"
 	"threadcluster/internal/server"
 )
 
@@ -21,65 +19,33 @@ func runSubmit(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr          = fs.String("addr", "http://127.0.0.1:8321", "tcsimd base URL")
-		specFile      = fs.String("spec", "", "JSON JobSpec file to submit (overrides the grid flags; '-' = stdin)")
-		id            = fs.String("id", "", "job ID (server assigns one when empty)")
-		workloadsFlag = fs.String("workloads", "microbenchmark,volano,specjbb,rubis",
-			"comma-separated workloads")
-		policiesFlag = fs.String("policies", "default,clustered",
-			"comma-separated policies: default|round-robin|hand-optimized|clustered")
-		toposFlag = fs.String("topos", experiments.TopoOpenPower720,
-			"comma-separated topologies: open720|power5-32")
-		seed      = fs.Int64("seed", 1, "base seed; per-config seeds derive from it deterministically")
-		warm      = fs.Int("warm", 0, "override warm-up rounds (0 = default)")
-		engine    = fs.Int("engine", 0, "override engine rounds (0 = default)")
-		measure   = fs.Int("measure", 0, "override measured rounds (0 = default)")
-		coherence = fs.String("coherence", "", "cache-coherence implementation: directory|broadcast (empty = server default)")
-		simengine = fs.String("simengine", "", "execution engine: seq|parallel (empty = server default)")
-		workers   = fs.Int("workers", 0, "per-job sweep pool size (0 = server default)")
-		priority  = fs.Int("priority", 0, "admission priority (higher runs earlier)")
-		wait      = fs.Bool("wait", true, "follow the job and print its result payload (false: print the admission status and return)")
-		events    = fs.Bool("events", false, "echo progress events to stderr while waiting")
-		digest    = fs.Bool("digest", false, "print only the result digest instead of the payload")
-		retries   = fs.Int("retries", 5, "re-submissions after a 429 rejection, honoring Retry-After with deterministic seed-derived jitter (0 = fail fast)")
-		timeout   = fs.Duration("timeout", 0, "give up after this duration (0 = none)")
+		grid     = server.BindGridFlags(fs)
+		addr     = fs.String("addr", "http://127.0.0.1:8321", "tcsimd base URL")
+		id       = fs.String("id", "", "job ID (server assigns one when empty)")
+		workers  = fs.Int("workers", 0, "per-job sweep pool size (0 = server default)")
+		priority = fs.Int("priority", 0, "admission priority (higher runs earlier)")
+		wait     = fs.Bool("wait", true, "follow the job and print its result payload (false: print the admission status and return)")
+		events   = fs.Bool("events", false, "echo progress events to stderr while waiting")
+		digest   = fs.Bool("digest", false, "print only the result digest instead of the payload")
+		retries  = fs.Int("retries", 5, "re-submissions after a 429 rejection, honoring Retry-After with deterministic seed-derived jitter (0 = fail fast)")
+		timeout  = fs.Duration("timeout", 0, "give up after this duration (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var spec server.JobSpec
-	if *specFile != "" {
-		var data []byte
-		var err error
-		if *specFile == "-" {
-			data, err = io.ReadAll(os.Stdin)
-		} else {
-			data, err = os.ReadFile(*specFile)
-		}
-		if err != nil {
-			return fmt.Errorf("submit: reading spec: %w", err)
-		}
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return fmt.Errorf("submit: parsing spec: %w", err)
-		}
-	} else {
-		spec = server.JobSpec{
-			Workloads:     experiments.SplitList(*workloadsFlag),
-			Policies:      experiments.SplitList(*policiesFlag),
-			Topos:         experiments.SplitList(*toposFlag),
-			Seed:          *seed,
-			WarmRounds:    *warm,
-			EngineRounds:  *engine,
-			MeasureRounds: *measure,
-			Coherence:     *coherence,
-			Engine:        *simengine,
-			Workers:       *workers,
-			Priority:      *priority,
-		}
+	spec, err := grid.Spec()
+	if err != nil {
+		return fmt.Errorf("submit: %w", err)
 	}
 	if *id != "" {
 		spec.ID = *id
+	}
+	if *workers != 0 {
+		spec.Workers = *workers
+	}
+	if *priority != 0 {
+		spec.Priority = *priority
 	}
 
 	ctx := context.Background()

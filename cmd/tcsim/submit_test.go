@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"threadcluster/internal/errs"
 	"threadcluster/internal/server"
 )
 
@@ -37,36 +40,103 @@ func startJobServer(t *testing.T) string {
 	return ts.URL
 }
 
+// digestOut runs one subcommand with -digest and returns the digest it
+// printed.
+func digestOut(t *testing.T, run func([]string, io.Writer, io.Writer) error, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(append([]string{"-digest"}, args...), &out, io.Discard); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	d := strings.TrimSpace(out.String())
+	if !strings.HasPrefix(d, "sha256:") {
+		t.Fatalf("%v printed %q, not a sha256 digest", args, d)
+	}
+	return d
+}
+
+// spoolViaDrain submits grid (by flags) to a tcsimd whose only worker is
+// held by a long job, drains the daemon, and returns the spec file the
+// drain spooled for it — a real spool entry, not a hand-written one.
+func spoolViaDrain(t *testing.T, grid []string) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := server.New(server.Options{
+		Clock:      server.NewFakeClock(time.Unix(1_700_000_000, 0).UTC()),
+		JobWorkers: 1, SpoolDir: dir, MaxJobCost: 1 << 40, MaxQueuedCost: 1 << 41,
+	})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	if err := s.Start(context.Background()); err != nil {
+		t.Fatalf("server.Start: %v", err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	holder := []string{"-addr", ts.URL, "-id", "holder", "-wait=false",
+		"-workloads", "microbenchmark", "-policies", "default", "-engine", "50000000"}
+	if err := runSubmit(holder, io.Discard, io.Discard); err != nil {
+		t.Fatalf("submitting holder: %v", err)
+	}
+	queued := append([]string{"-addr", ts.URL, "-id", "parked", "-wait=false"}, grid...)
+	if err := runSubmit(queued, io.Discard, io.Discard); err != nil {
+		t.Fatalf("submitting parked job: %v", err)
+	}
+	// An expired drain deadline spools what is queued and cuts the
+	// holder down at its next round.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Shutdown(ctx)
+	matches, err := filepath.Glob(filepath.Join(dir, "*-parked.json"))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("spool holds %v (err %v), want one spec for the parked job", matches, err)
+	}
+	return matches[0]
+}
+
 // TestSubmitMatchesOfflineSweepDigest is the CLI-level differential
-// check the CI server-smoke job scripts: `tcsim submit -digest` against
-// a live server equals `tcsim sweep -digest` computed offline.
+// check the CI server-smoke job scripts: whatever the grid flags say,
+// `tcsim submit -digest` against a live server equals `tcsim sweep
+// -digest` computed offline, because both read them through one binder
+// and one Normalize. Seed 0 (normalized to 1) and negative rounds
+// (rejected) are the inputs the two used to disagree on.
 func TestSubmitMatchesOfflineSweepDigest(t *testing.T) {
 	addr := startJobServer(t)
 	grid := []string{
 		"-workloads", "microbenchmark,volano",
 		"-policies", "default,clustered",
 		"-warm", "10", "-engine", "20", "-measure", "10",
-		"-seed", "5",
 	}
+	withSeed := func(seed string) []string { return append([]string{"-seed", seed}, grid...) }
 
-	var offline bytes.Buffer
-	if err := runSweep(append([]string{"-digest"}, grid...), &offline, io.Discard); err != nil {
-		t.Fatalf("runSweep -digest: %v", err)
+	for _, seed := range []string{"0", "5"} {
+		t.Run("seed "+seed, func(t *testing.T) {
+			off := digestOut(t, runSweep, withSeed(seed)...)
+			rem := digestOut(t, runSubmit, append([]string{"-addr", addr, "-id", "cli-" + seed}, withSeed(seed)...)...)
+			if rem != off {
+				t.Fatalf("server digest %q != offline digest %q", rem, off)
+			}
+		})
 	}
-
-	var remote bytes.Buffer
-	args := append([]string{"-addr", addr, "-id", "cli", "-digest"}, grid...)
-	if err := runSubmit(args, &remote, io.Discard); err != nil {
-		t.Fatalf("runSubmit: %v", err)
-	}
-
-	off, rem := strings.TrimSpace(offline.String()), strings.TrimSpace(remote.String())
-	if off == "" || !strings.HasPrefix(off, "sha256:") {
-		t.Fatalf("offline digest %q is not a sha256 digest", off)
-	}
-	if rem != off {
-		t.Fatalf("server digest %q != offline digest %q", rem, off)
-	}
+	t.Run("spooled spec replays offline", func(t *testing.T) {
+		specFile := spoolViaDrain(t, withSeed("5"))
+		off := digestOut(t, runSweep, withSeed("5")...)
+		if replay := digestOut(t, runSweep, "-spec", specFile); replay != off {
+			t.Fatalf("sweep -spec %s digest %q != flag-built digest %q", specFile, replay, off)
+		}
+	})
+	t.Run("negative rounds are ErrBadConfig", func(t *testing.T) {
+		for _, flag := range []string{"-warm", "-engine", "-measure"} {
+			args := append(withSeed("5"), flag, "-1") // the later flag wins
+			if err := runSweep(args, io.Discard, io.Discard); !errors.Is(err, errs.ErrBadConfig) {
+				t.Errorf("sweep %s -1 = %v, want ErrBadConfig", flag, err)
+			}
+			args = append([]string{"-addr", addr}, args...)
+			if err := runSubmit(args, io.Discard, io.Discard); !errors.Is(err, errs.ErrBadConfig) {
+				t.Errorf("submit %s -1 = %v, want ErrBadConfig", flag, err)
+			}
+		}
+	})
 }
 
 // TestSubmitPrintsPayload checks the default mode: the canonical payload

@@ -7,11 +7,9 @@ import (
 	"io"
 	"time"
 
-	"threadcluster/internal/cache"
+	"threadcluster/internal/errs"
 	"threadcluster/internal/experiments"
-	"threadcluster/internal/sched"
 	"threadcluster/internal/server"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/sweep"
 )
 
@@ -25,28 +23,14 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		workloadsFlag = fs.String("workloads", "microbenchmark,volano,specjbb,rubis",
-			"comma-separated workloads")
-		policiesFlag = fs.String("policies", "default,clustered",
-			"comma-separated policies: default|round-robin|hand-optimized|clustered")
-		toposFlag = fs.String("topos", experiments.TopoOpenPower720,
-			"comma-separated topologies: open720|power5-32")
-		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		seed      = fs.Int64("seed", 1, "base seed; per-config seeds derive from it deterministically")
-		warm      = fs.Int("warm", 0, "override warm-up rounds (0 = default)")
-		engine    = fs.Int("engine", 0, "override engine rounds (0 = default)")
-		measure   = fs.Int("measure", 0, "override measured rounds (0 = default)")
-		format    = fs.String("format", "table", "output: table|markdown|csv|json")
-		merged    = fs.Bool("merged", false, "also emit the merged machine-wide snapshot (csv/json formats)")
-		digest    = fs.Bool("digest", false, "print only the canonical result-payload digest (matches a tcsimd job's digest for the same grid)")
-		timeout   = fs.Duration("timeout", 0, "cancel the sweep after this duration (0 = none)")
-		coherence = fs.String("coherence", "directory", "cache-coherence implementation: directory|broadcast")
-		// -engine was taken by clustering-engine rounds long before the
-		// execution engine existed, hence -simengine here (plain tcsim
-		// spells it -engine).
-		simengine = fs.String("simengine", "parallel", "execution engine for eligible multi-chip rounds: seq|parallel (results are byte-identical)")
-		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = fs.String("memprofile", "", "write an allocation profile to this file on exit")
+		grid    = server.BindGridFlags(fs)
+		workers = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		format  = fs.String("format", "table", "output: table|markdown|csv|json")
+		merged  = fs.Bool("merged", false, "also emit the merged machine-wide snapshot (csv/json formats)")
+		digest  = fs.Bool("digest", false, "print only the canonical result-payload digest (matches a tcsimd job's digest for the same grid)")
+		timeout = fs.Duration("timeout", 0, "cancel the sweep after this duration (0 = none)")
+		cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,44 +42,23 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	}
 	defer stopCPU()
 
-	opt := experiments.DefaultOptions()
-	if *warm > 0 {
-		opt.WarmRounds = *warm
-	}
-	if *engine > 0 {
-		opt.EngineRounds = *engine
-	}
-	if *measure > 0 {
-		opt.MeasureRounds = *measure
-	}
-	mode, err := cache.ParseCoherenceMode(*coherence)
+	// The offline path is the served one: flags -> JobSpec -> Normalize
+	// -> Grid, so the digest below is the one tcsimd and tcfleet report.
+	spec, err := grid.Spec()
 	if err != nil {
 		return err
 	}
-	opt.Coherence = mode
-	eng, err := sim.ParseEngine(*simengine)
-	if err != nil {
+	if spec, err = spec.Normalize(); err != nil {
 		return err
 	}
-	opt.Engine = eng
-
-	var policies []sched.Policy
-	for _, name := range experiments.SplitList(*policiesFlag) {
-		p, err := experiments.ParsePolicy(name)
-		if err != nil {
-			return err
-		}
-		policies = append(policies, p)
+	if len(spec.Cells) > 0 {
+		// RunGrid runs whole grids; replaying a fleet shard's spooled
+		// spec as one would print a digest no worker ever served.
+		return fmt.Errorf("sweep: %w: spec is shard-scoped (cells %v); drop \"cells\" to run the whole grid", errs.ErrBadConfig, spec.Cells)
 	}
-	grid := experiments.GridSpec{
-		Workloads: experiments.SplitList(*workloadsFlag),
-		Policies:  policies,
-		Topos:     experiments.SplitList(*toposFlag),
-		BaseSeed:  *seed,
-		Opt:       opt,
-	}
-	if len(grid.Workloads) == 0 || len(grid.Policies) == 0 || len(grid.Topos) == 0 {
-		return fmt.Errorf("sweep: empty grid (need at least one workload, policy and topology)")
+	gridSpec, err := spec.Grid()
+	if err != nil {
+		return err
 	}
 
 	ctx := context.Background()
@@ -106,7 +69,7 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	cells, results, mergedSnap, err := experiments.RunGrid(ctx, grid, *workers)
+	cells, results, mergedSnap, err := experiments.RunGrid(ctx, gridSpec, *workers)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,15 @@ type laneStep struct {
 	write bool
 }
 
+// sliceBarrierSerial is the pre-batching reference drain: every lane's
+// mailbox in canonical chip order, op by op. The batched SliceBarrier is
+// differentially pinned against it below.
+func (h *Hierarchy) sliceBarrierSerial() {
+	for chip := range h.lanes {
+		h.applyLane(&h.lanes[chip])
+	}
+}
+
 // TestSliceBarrierBatchedVsSerial is the batched drain's differential
 // oracle: identical multi-chip slice streams driven through two
 // hierarchies, one draining each barrier through the batched sorted-run

@@ -44,8 +44,8 @@ import (
 // peak-occupancy high-water mark, is reconstructed exactly by replaying
 // the per-op occupancy deltas in seq order (deltas are order-independent
 // because within-line order is preserved). The op-by-op reference drain
-// survives as sliceBarrierSerial, and the batched drain is
-// differentially pinned against it.
+// is a test fixture (sliceBarrierSerial in drain_test.go), and the
+// batched drain is differentially pinned against it.
 //
 // The classic serial protocol is the degenerate case: Hierarchy.Access
 // runs one lane access followed immediately by a one-lane barrier, which
@@ -442,15 +442,6 @@ func (h *Hierarchy) SliceBarrier() {
 	h.pres.peak = peak
 	h.drain = h.drain[:0]
 	h.peakEvents = h.peakEvents[:0]
-}
-
-// sliceBarrierSerial is the pre-batching reference drain: every lane's
-// mailbox in canonical chip order, op by op. The batched SliceBarrier is
-// differentially pinned against it (TestSliceBarrierBatchedVsSerial).
-func (h *Hierarchy) sliceBarrierSerial() {
-	for chip := range h.lanes {
-		h.applyLane(&h.lanes[chip])
-	}
 }
 
 // applyLane drains one lane's mailbox in queue order. The immediate-mode

@@ -128,19 +128,8 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("client: server returned %d %s: %s", e.Status, e.Code, e.Message)
 }
 
-// codeSentinels inverts the server's error classification.
-var codeSentinels = map[string]error{
-	"bad_config":    errs.ErrBadConfig,
-	"job_not_found": errs.ErrJobNotFound,
-	"job_exists":    errs.ErrJobExists,
-	"job_final":     errs.ErrJobFinal,
-	"job_not_done":  errs.ErrJobNotDone,
-	"overloaded":    errs.ErrOverloaded,
-	"unavailable":   errs.ErrUnavailable,
-}
-
 // Unwrap maps the wire code back onto its errs sentinel.
-func (e *APIError) Unwrap() error { return codeSentinels[e.Code] }
+func (e *APIError) Unwrap() error { return server.SentinelForCode(e.Code) }
 
 // do issues one request and decodes an error body on non-2xx.
 func (c *Client) do(ctx context.Context, method, path string, body any) (*http.Response, error) {

@@ -89,6 +89,22 @@ func DefaultOptions() Options {
 	}
 }
 
+// WithRounds returns o with every positive count replacing the matching
+// run length; zero keeps the default. Every front end that takes
+// -warm/-engine/-measure style overrides applies them through here.
+func (o Options) WithRounds(warm, engine, measure int) Options {
+	if warm > 0 {
+		o.WarmRounds = warm
+	}
+	if engine > 0 {
+		o.EngineRounds = engine
+	}
+	if measure > 0 {
+		o.MeasureRounds = measure
+	}
+	return o
+}
+
 // ScaledEngineConfig returns the paper's engine parameters scaled to the
 // simulation:
 //

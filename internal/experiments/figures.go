@@ -85,15 +85,21 @@ func Figure3(ctx context.Context, workload string, opt Options) (*stats.Table, p
 		return nil, pmu.Breakdown{}, err
 	}
 	b := res.Breakdown
-	t := stats.NewTable(
-		fmt.Sprintf("Figure 3: stall breakdown for %s (CPI %.3f)", workload, b.CPI()),
-		"Component", "Share of cycles")
+	title := fmt.Sprintf("Figure 3: stall breakdown for %s (CPI %.3f)", workload, b.CPI())
+	return StallTable(title, b), b, nil
+}
+
+// StallTable renders a CPI stack as the Figure 3 table: completion
+// cycles, every stall source, and the remote total, each as a share of
+// all cycles.
+func StallTable(title string, b pmu.Breakdown) *stats.Table {
+	t := stats.NewTable(title, "Component", "Share of cycles")
 	t.AddRow("completion", stats.Pct(stats.Ratio(float64(b.Completion), float64(b.Cycles))))
 	for _, ev := range pmu.StallEvents() {
 		t.AddRow(ev.String(), stats.Pct(b.Fraction(ev)))
 	}
 	t.AddRow("remote-total", stats.Pct(b.RemoteFraction()))
-	return t, b, nil
+	return t
 }
 
 // Figure5Result is the shMap visualization for one workload.

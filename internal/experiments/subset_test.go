@@ -115,3 +115,24 @@ func TestSubsetRunMatchesFullGridCells(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePolicy: a policy has exactly one spelling, its String() — a
+// second one would be a second cell name and hence a second digest —
+// so the short aliases cmd/stallbreak used to accept are unknown.
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]sched.Policy{
+		"default":        sched.PolicyDefault,
+		"round-robin":    sched.PolicyRoundRobin,
+		"hand-optimized": sched.PolicyHandOptimized,
+		"clustered":      sched.PolicyClustered,
+	} {
+		if got, err := ParsePolicy(name); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"rr", "hand", "bogus", ""} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) should be unknown", name)
+		}
+	}
+}

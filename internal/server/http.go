@@ -54,6 +54,19 @@ func classify(err error) (int, string) {
 	return http.StatusInternalServerError, "internal"
 }
 
+// SentinelForCode inverts classify: the errs sentinel a wire code
+// stands for, nil for "internal" and codes this build does not know.
+// The client rehydrates errors through it, so the catalogue above is
+// the only copy.
+func SentinelForCode(code string) error {
+	for _, c := range errorClasses {
+		if c.code == code {
+			return c.sentinel
+		}
+	}
+	return nil
+}
+
 // Handler returns the server's HTTP API:
 //
 //	POST   /v1/jobs             submit a JobSpec, 202 + JobStatus

@@ -5,15 +5,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"threadcluster/internal/client"
+	"threadcluster/internal/errs"
 	"threadcluster/internal/metrics"
 	"threadcluster/internal/server"
 )
@@ -225,6 +229,48 @@ func TestHTTPErrors(t *testing.T) {
 				t.Errorf("%s: body retry_after_seconds %d != header %d", tc.name, detail.RetryAfterSeconds, secs)
 			}
 		}
+	}
+}
+
+// TestErrorCatalogueRoundTrip sends every errs sentinel through
+// writeError and a real client: a sentinel the catalogue classifies must
+// come back as itself under errors.Is, and one it does not (a 500
+// "internal") must come back as no sentinel at all. There is one
+// catalogue, so the two directions cannot disagree; this pins that the
+// client really reads it.
+func TestErrorCatalogueRoundTrip(t *testing.T) {
+	f := newHTTPFixture(t, server.Options{})
+	byName := map[string]error{}
+	for _, sentinel := range errs.Sentinels() {
+		byName[sentinel.Name] = sentinel.Err
+	}
+	// The job ID in the request path names the sentinel to fail with.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.srv.WriteError(w, fmt.Errorf("handler: %w: detail", byName[path.Base(r.URL.Path)]))
+	}))
+	defer ts.Close()
+	cl := client.New(ts.URL, ts.Client())
+
+	classified := 0
+	for _, sentinel := range errs.Sentinels() {
+		_, err := cl.Status(context.Background(), sentinel.Name)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) {
+			t.Fatalf("%s: client returned %v, want an APIError", sentinel.Name, err)
+		}
+		if apiErr.Status == http.StatusInternalServerError {
+			if apiErr.Code != "internal" || apiErr.Unwrap() != nil {
+				t.Errorf("%s: unclassified error came back as code %q wrapping %v", sentinel.Name, apiErr.Code, apiErr.Unwrap())
+			}
+			continue
+		}
+		classified++
+		if !errors.Is(err, sentinel.Err) {
+			t.Errorf("%s: came back as %d %s wrapping %v, not as itself", sentinel.Name, apiErr.Status, apiErr.Code, apiErr.Unwrap())
+		}
+	}
+	if classified == 0 {
+		t.Error("no sentinel has a wire class; the round trip checked nothing")
 	}
 }
 

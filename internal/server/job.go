@@ -14,8 +14,9 @@ import (
 )
 
 // JobSpec is the wire form of one simulation job: a policy x topology x
-// workload grid plus run lengths and a base seed — the same shape `tcsim
-// sweep` takes on the command line. A job's result payload is a pure
+// workload grid plus run lengths and a base seed — the shape `tcsim
+// sweep`, `tcsim submit` and `tcfleet` take on the command line through
+// GridFlags. A job's result payload is a pure
 // function of its normalized spec: seeds derive from Seed and grid
 // position (sweep.DeriveSeed), never from arrival order, queue depth or
 // server concurrency, which is what makes the byte-identical
@@ -124,23 +125,13 @@ func (js JobSpec) Normalize() (JobSpec, error) {
 }
 
 // options resolves the spec's run-length and mode overrides onto the
-// scaled experiment defaults, exactly as `tcsim sweep` does, so the
-// server and the offline runner compute identical grids.
+// scaled experiment defaults. Every front end reaches the simulator
+// through this mapping, which is why the offline, served and sharded
+// runs of one spec compute identical grids.
 func (js JobSpec) options() experiments.Options {
-	opt := experiments.DefaultOptions()
-	if js.WarmRounds > 0 {
-		opt.WarmRounds = js.WarmRounds
-	}
-	if js.EngineRounds > 0 {
-		opt.EngineRounds = js.EngineRounds
-	}
-	if js.MeasureRounds > 0 {
-		opt.MeasureRounds = js.MeasureRounds
-	}
-	mode, _ := cache.ParseCoherenceMode(js.Coherence)
-	opt.Coherence = mode
-	eng, _ := sim.ParseEngine(js.Engine)
-	opt.Engine = eng
+	opt := experiments.DefaultOptions().WithRounds(js.WarmRounds, js.EngineRounds, js.MeasureRounds)
+	opt.Coherence, _ = cache.ParseCoherenceMode(js.Coherence)
+	opt.Engine, _ = sim.ParseEngine(js.Engine)
 	return opt
 }
 

@@ -107,18 +107,26 @@ func (cf Checkpoint) Save(path string) error {
 	return writeJSONAtomic(path, cf)
 }
 
-// writeJSONAtomic writes v as indented JSON to a temp name beside path
-// and renames it into place.
+// writeJSONAtomic writes v as indented JSON through WriteFileAtomic.
 func writeJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("marshaling: %w", err)
 	}
+	return WriteFileAtomic(path, append(data, '\n'))
+}
+
+// WriteFileAtomic writes data to a temp name beside path and renames it
+// into place, creating the directory if needed, so a crash mid-write
+// never leaves a truncated file under the real name. Every file the
+// tree persists (spooled specs, checkpoints, machine snapshots) goes
+// through it.
+func WriteFileAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-		return fmt.Errorf("creating spool dir: %w", err)
+		return fmt.Errorf("creating directory: %w", err)
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o666); err != nil {
+	if err := os.WriteFile(tmp, data, 0o666); err != nil {
 		return fmt.Errorf("writing: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {

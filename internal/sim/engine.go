@@ -110,37 +110,37 @@ func (m *Machine) deferredRound() bool {
 	return true
 }
 
-// runSlicesDeferred is the sequential driver of the deferred model: each
-// slice visits the chips in canonical order on the calling goroutine,
-// then drains the coherence mailboxes.
-func (m *Machine) runSlicesDeferred(sliceBudget uint64) {
-	for s := 0; s < m.cfg.InterleaveSlices; s++ {
-		for chip := 0; chip < m.topo.Chips; chip++ {
-			m.runChipSlice(chip, sliceBudget)
-		}
-		m.hier.SliceBarrier()
-	}
-}
-
-// runSlicesParallel is the chip-parallel driver: every slice runs all
-// chips concurrently, one goroutine per chip, with the slice barrier
-// applied serially once they all finish. A chip's worker touches only
-// chip-local state (its cores' threads, generators and PMUs, plus the
-// chip's cache.Lane), so workers never contend; determinism follows from
-// the lanes' frozen-snapshot reads plus the canonical barrier order (see
+// runSlices drives one round of the deferred model: every slice runs
+// each chip's CPUs through the chip's lane, then drains the coherence
+// mailboxes. With spawn false (EngineSeq) the chips run in canonical
+// order on the calling goroutine; with spawn true (EngineParallel) they
+// run concurrently, one goroutine per chip, and the barrier is applied
+// serially once they all finish. A chip's worker touches only chip-local
+// state (its cores' threads, generators and PMUs, plus the chip's
+// cache.Lane), so workers never contend; determinism follows from the
+// lanes' frozen-snapshot reads plus the canonical barrier order (see
 // DESIGN.md §7). Goroutines are spawned per slice rather than kept in a
 // pool: a Machine has no Close hook, and sweeps build thousands of
 // machines — parked pools would pile up, while a goroutine spawn is
 // trivial next to a slice's work.
-func (m *Machine) runSlicesParallel(sliceBudget uint64) {
-	m.parallelRounds++
-	var wg sync.WaitGroup
+func (m *Machine) runSlices(sliceBudget uint64, spawn bool) {
+	var wg *sync.WaitGroup // nil unless spawning: the sequential driver allocates nothing
+	if spawn {
+		m.parallelRounds++
+		wg = new(sync.WaitGroup)
+	}
 	for s := 0; s < m.cfg.InterleaveSlices; s++ {
-		wg.Add(m.topo.Chips)
-		for chip := 0; chip < m.topo.Chips; chip++ {
-			go m.runChipSliceWG(&wg, chip, sliceBudget)
+		if spawn {
+			wg.Add(m.topo.Chips)
+			for chip := 0; chip < m.topo.Chips; chip++ {
+				go m.runChipSliceWG(wg, chip, sliceBudget)
+			}
+			wg.Wait()
+		} else {
+			for chip := 0; chip < m.topo.Chips; chip++ {
+				m.runChipSlice(chip, sliceBudget)
+			}
 		}
-		wg.Wait()
 		m.hier.SliceBarrier()
 	}
 }

@@ -381,10 +381,8 @@ func (m *Machine) runRound() {
 				m.runSlice(topology.CPUID(c), m.byID[m.running[c]], sliceBudget, m.smtBusy(topology.CPUID(c)), nil)
 			}
 		}
-	case m.cfg.Engine == EngineParallel:
-		m.runSlicesParallel(sliceBudget)
 	default:
-		m.runSlicesDeferred(sliceBudget)
+		m.runSlices(sliceBudget, m.cfg.Engine == EngineParallel)
 	}
 	// Quantum end: requeue and balance.
 	for c := 0; c < ncpu; c++ {
