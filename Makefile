@@ -115,6 +115,7 @@ test-race:
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
 	$(GO) test -race -run 'TestEngine|TestRunSlice|TestSnapshot|TestGolden' ./internal/sim
 	$(GO) test -race -short -run 'TestSliceBarrierBatchedVsSerial|TestBroadcastDirectoryEquivalence' -cpu 1,2,4 ./internal/cache
+	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race -run 'TestIncremental|TestSketch' -cpu 1,2,4 ./internal/clustering
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
 

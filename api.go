@@ -227,6 +227,13 @@ type (
 	// StagedConfig parameterizes the SEDA-style pipeline workload.
 	StagedConfig = workloads.StagedConfig
 	// BTree is the warehouse/index structure laid out in simulated memory.
+	// Lookup and Insert report the simulated addresses they touch by
+	// appending to a caller-supplied trace, in the strconv.Append* idiom:
+	//
+	//	trace, found = tree.Lookup(trace[:0], key) // reuse one buffer
+	//	trace, err = tree.Insert(nil, key)         // or take a fresh trace
+	//
+	// so a generator that replays traces allocates nothing per operation.
 	BTree = workloads.BTree
 )
 

@@ -27,15 +27,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var trace []memory.Addr // Insert and Lookup append to the buffer they are given
 	for k := uint64(1); k <= 3000; k++ {
-		if _, err := tree.Insert(k * 7919 % 100003); err != nil {
+		if trace, err = tree.Insert(trace[:0], k*7919%100003); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if err := tree.CheckInvariants(); err != nil {
 		log.Fatal(err)
 	}
-	_, trace := tree.Lookup(4242)
+	trace, _ = tree.Lookup(trace[:0], 4242)
 	fmt.Printf("warehouse B-tree: %d keys, %d nodes, height %d; one lookup touches %d lines\n\n",
 		tree.Size(), tree.Nodes(), tree.Height(), len(trace))
 

@@ -57,6 +57,10 @@ type PMU struct {
 	sdar   SampledAddr
 	mux    *Multiplexer //tclint:allow snapfields -- optional attachment wiring; the multiplexer snapshots as its own subsection beside the PMU
 
+	// watched[ev] reports whether any programmed slot counts ev, so
+	// Observe can skip the slot scan for the (many) events nothing counts.
+	watched [NumEvents]bool //tclint:allow snapfields -- derived from slots by Program/Unprogram; RestoreState requires matching programming and leaves it untouched
+
 	// interruptCycles accumulates cycles spent in overflow handlers; the
 	// simulator drains it into the running thread's cost.
 	interruptCycles uint64
@@ -75,6 +79,7 @@ func (p *PMU) Program(slot int, ev Event, overflowAt uint64, h OverflowHandler) 
 		return fmt.Errorf("pmu: unknown event %d", int(ev))
 	}
 	p.slots[slot] = counterSlot{event: ev, overflowAt: overflowAt, handler: h, programmed: true}
+	p.reindex()
 	return nil
 }
 
@@ -82,6 +87,17 @@ func (p *PMU) Program(slot int, ev Event, overflowAt uint64, h OverflowHandler) 
 func (p *PMU) Unprogram(slot int) {
 	if slot >= 0 && slot < NumPhysicalCounters {
 		p.slots[slot] = counterSlot{}
+		p.reindex()
+	}
+}
+
+// reindex rebuilds watched from the slots' programming.
+func (p *PMU) reindex() {
+	p.watched = [NumEvents]bool{}
+	for i := range p.slots {
+		if s := &p.slots[i]; s.programmed {
+			p.watched[s.event] = true
+		}
 	}
 }
 
@@ -115,6 +131,10 @@ func (p *PMU) Observe(ev Event, n uint64) {
 	if p.mux != nil {
 		p.mux.observe(ev, n)
 	}
+	if !p.watched[ev] {
+		return
+	}
+	// A handler may reprogram slots mid-scan; the scan reads them live.
 	for i := range p.slots {
 		s := &p.slots[i]
 		if !s.programmed || s.event != ev {

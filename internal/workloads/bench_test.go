@@ -13,9 +13,11 @@ func BenchmarkBTreeInsert(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
+	var trace []memory.Addr
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Insert(uint64(rng.Int63n(1<<40)) + 1); err != nil {
+		if trace, err = tr.Insert(trace[:0], uint64(rng.Int63n(1<<40))+1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -25,11 +27,13 @@ func BenchmarkBTreeLookup(b *testing.B) {
 	tr, _ := NewBTree(memory.NewDefaultArena())
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100_000; i++ {
-		_, _ = tr.Insert(uint64(rng.Int63n(1<<30)) + 1)
+		_, _ = tr.Insert(nil, uint64(rng.Int63n(1<<30))+1)
 	}
+	var trace []memory.Addr
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Lookup(uint64(i%(1<<30)) + 1)
+		trace, _ = tr.Lookup(trace[:0], uint64(i%(1<<30))+1)
 	}
 }
 
@@ -39,6 +43,7 @@ func BenchmarkSyntheticGeneratorNext(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := spec.Threads[0].Gen
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()
@@ -51,6 +56,7 @@ func BenchmarkJBBGeneratorNext(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := spec.Threads[0].Gen
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()
@@ -63,6 +69,7 @@ func BenchmarkRubisGeneratorNext(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := spec.Threads[0].Gen
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Next()

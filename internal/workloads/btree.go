@@ -47,10 +47,15 @@ type BTree struct {
 	nodes int
 }
 
+// btreeNode holds its keys and children inline, so a node is one host
+// allocation and a search reads the node itself instead of chasing two
+// slice headers per level. Only keys[:nkeys] and children[:nkeys+1] (for
+// an interior node) are meaningful.
 type btreeNode struct {
 	region   memory.Region
-	keys     []uint64
-	children []*btreeNode
+	keys     [BTreeOrder - 1]uint64
+	children [BTreeOrder]*btreeNode
+	nkeys    int
 	leaf     bool
 }
 
@@ -87,125 +92,128 @@ func (t *BTree) Nodes() int { return t.nodes }
 // the whole structure.
 func (t *BTree) RootLine() memory.Addr { return t.root.region.Base }
 
-// touchKeys returns the addresses a key scan of the node touches: the
+// search returns the first slot whose key is not below key.
+func (n *btreeNode) search(key uint64) int {
+	for i, k := range n.keys[:n.nkeys] {
+		if key <= k {
+			return i
+		}
+	}
+	return n.nkeys
+}
+
+// touchKeys appends the addresses a key scan of the node touches: the
 // node header line plus the line holding the scanned key slot.
-func (n *btreeNode) touchKeys(slot int) []memory.Addr {
+func (n *btreeNode) touchKeys(trace []memory.Addr, slot int) []memory.Addr {
 	header := n.region.Base
 	// Keys are 8 bytes each, stored after a 16-byte header.
 	off := uint64(16 + 8*slot)
 	if off >= n.region.Size {
 		off = n.region.Size - 8
 	}
-	keyLine := memory.LineOf(n.region.At(off))
-	if keyLine == memory.LineOf(header) {
-		return []memory.Addr{header}
+	trace = append(trace, header)
+	if keyLine := memory.LineOf(n.region.At(off)); keyLine != memory.LineOf(header) {
+		trace = append(trace, keyLine)
 	}
-	return []memory.Addr{header, keyLine}
+	return trace
 }
 
-// Lookup finds a key and returns whether it exists along with the address
-// trace of the search path.
-func (t *BTree) Lookup(key uint64) (bool, []memory.Addr) {
-	var trace []memory.Addr
+// Lookup finds a key, appends the address trace of the search path to
+// trace and returns the extended slice (the strconv.Append* idiom: pass
+// buf[:0] to reuse a buffer, nil for a fresh trace) and whether the key
+// exists.
+func (t *BTree) Lookup(trace []memory.Addr, key uint64) ([]memory.Addr, bool) {
 	n := t.root
 	for {
-		i := 0
-		for i < len(n.keys) && key > n.keys[i] {
-			i++
-		}
-		trace = append(trace, n.touchKeys(i)...)
-		if i < len(n.keys) && n.keys[i] == key {
-			return true, trace
+		i := n.search(key)
+		trace = n.touchKeys(trace, i)
+		if i < n.nkeys && n.keys[i] == key {
+			return trace, true
 		}
 		if n.leaf {
-			return false, trace
+			return trace, false
 		}
 		n = n.children[i]
 	}
 }
 
-// Insert adds a key (duplicates are ignored) and returns the address trace
-// of the insertion, with the final leaf write included. The error is
-// non-nil only when the arena is exhausted.
-func (t *BTree) Insert(key uint64) ([]memory.Addr, error) {
-	var trace []memory.Addr
-	if len(t.root.keys) == maxKeys() {
+// Insert adds a key (duplicates are ignored), appends the address trace of
+// the insertion — the final leaf write included — to trace and returns the
+// extended slice, as Lookup does. The error is non-nil only when the arena
+// is exhausted.
+func (t *BTree) Insert(trace []memory.Addr, key uint64) ([]memory.Addr, error) {
+	if t.root.nkeys == maxKeys {
 		// Split the root: tree grows one level.
 		newRoot, err := t.newNode(false)
 		if err != nil {
 			return trace, err
 		}
-		newRoot.children = append(newRoot.children, t.root)
-		if err := t.splitChild(newRoot, 0, &trace); err != nil {
+		newRoot.children[0] = t.root
+		if trace, err = t.splitChild(trace, newRoot, 0); err != nil {
 			return trace, err
 		}
 		t.root = newRoot
 	}
-	err := t.insertNonFull(t.root, key, &trace)
-	return trace, err
+	return t.insertNonFull(trace, t.root, key)
 }
 
-func maxKeys() int { return BTreeOrder - 1 }
+const maxKeys = BTreeOrder - 1
 
-func (t *BTree) insertNonFull(n *btreeNode, key uint64, trace *[]memory.Addr) error {
-	i := 0
-	for i < len(n.keys) && key > n.keys[i] {
-		i++
-	}
-	*trace = append(*trace, n.touchKeys(i)...)
-	if i < len(n.keys) && n.keys[i] == key {
-		return nil // duplicate
-	}
-	if n.leaf {
-		n.keys = append(n.keys, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		t.size++
-		// The leaf write itself.
-		*trace = append(*trace, n.touchKeys(i)...)
-		return nil
-	}
-	if len(n.children[i].keys) == maxKeys() {
-		if err := t.splitChild(n, i, trace); err != nil {
-			return err
+func (t *BTree) insertNonFull(trace []memory.Addr, n *btreeNode, key uint64) ([]memory.Addr, error) {
+	for {
+		i := n.search(key)
+		trace = n.touchKeys(trace, i)
+		if i < n.nkeys && n.keys[i] == key {
+			return trace, nil // duplicate
 		}
-		if key > n.keys[i] {
-			i++
-		} else if key == n.keys[i] {
-			return nil
+		if n.leaf {
+			copy(n.keys[i+1:n.nkeys+1], n.keys[i:n.nkeys])
+			n.keys[i] = key
+			n.nkeys++
+			t.size++
+			// The leaf write itself.
+			return n.touchKeys(trace, i), nil
 		}
+		if n.children[i].nkeys == maxKeys {
+			var err error
+			if trace, err = t.splitChild(trace, n, i); err != nil {
+				return trace, err
+			}
+			if key > n.keys[i] {
+				i++
+			} else if key == n.keys[i] {
+				return trace, nil
+			}
+		}
+		n = n.children[i]
 	}
-	return t.insertNonFull(n.children[i], key, trace)
 }
 
 // splitChild splits the full child n.children[i], promoting its median key
 // into n.
-func (t *BTree) splitChild(n *btreeNode, i int, trace *[]memory.Addr) error {
+func (t *BTree) splitChild(trace []memory.Addr, n *btreeNode, i int) ([]memory.Addr, error) {
 	child := n.children[i]
-	mid := len(child.keys) / 2
+	mid := child.nkeys / 2
 	midKey := child.keys[mid]
 
 	right, err := t.newNode(child.leaf)
 	if err != nil {
-		return err
+		return trace, err
 	}
-	right.keys = append(right.keys, child.keys[mid+1:]...)
-	child.keys = child.keys[:mid]
+	right.nkeys = copy(right.keys[:], child.keys[mid+1:child.nkeys])
 	if !child.leaf {
-		right.children = append(right.children, child.children[mid+1:]...)
-		child.children = child.children[:mid+1]
+		copy(right.children[:], child.children[mid+1:child.nkeys+1])
 	}
+	child.nkeys = mid
 
-	n.keys = append(n.keys, 0)
-	copy(n.keys[i+1:], n.keys[i:])
+	copy(n.keys[i+1:n.nkeys+1], n.keys[i:n.nkeys])
 	n.keys[i] = midKey
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
+	copy(n.children[i+2:n.nkeys+2], n.children[i+1:n.nkeys+1])
 	n.children[i+1] = right
+	n.nkeys++
 
 	// Splits touch all three nodes.
-	*trace = append(*trace, child.region.Base, right.region.Base, n.region.Base)
-	return nil
+	return append(trace, child.region.Base, right.region.Base, n.region.Base), nil
 }
 
 // Height returns the tree height (1 for a lone leaf root).
@@ -225,10 +233,10 @@ func (t *BTree) CheckInvariants() error {
 	leafDepth := -1
 	var walk func(n *btreeNode, depth int, lo, hi *uint64) error
 	walk = func(n *btreeNode, depth int, lo, hi *uint64) error {
-		if len(n.keys) > maxKeys() {
-			return fmt.Errorf("btree: node has %d keys, max %d", len(n.keys), maxKeys())
+		if n.nkeys > maxKeys {
+			return fmt.Errorf("btree: node has %d keys, max %d", n.nkeys, maxKeys)
 		}
-		for i := 0; i < len(n.keys); i++ {
+		for i := 0; i < n.nkeys; i++ {
 			if lo != nil && n.keys[i] <= *lo {
 				return fmt.Errorf("btree: key %d not above separator %d", n.keys[i], *lo)
 			}
@@ -247,15 +255,15 @@ func (t *BTree) CheckInvariants() error {
 			}
 			return nil
 		}
-		if len(n.children) != len(n.keys)+1 {
-			return fmt.Errorf("btree: %d children for %d keys", len(n.children), len(n.keys))
-		}
-		for i, c := range n.children {
+		for i, c := range n.children[:n.nkeys+1] {
+			if c == nil {
+				return fmt.Errorf("btree: interior node with %d keys lacks child %d", n.nkeys, i)
+			}
 			clo, chi := lo, hi
 			if i > 0 {
 				clo = &n.keys[i-1]
 			}
-			if i < len(n.keys) {
+			if i < n.nkeys {
 				chi = &n.keys[i]
 			}
 			if err := walk(c, depth+1, clo, chi); err != nil {

@@ -60,6 +60,10 @@ func DefaultRubisConfig() RubisConfig {
 	}
 }
 
+// rubisHotRowLines is how many leading lines of an instance's row storage
+// form its hot set (the auctions about to close).
+const rubisHotRowLines = 32
+
 // dbInstance is one database's shared structures.
 type dbInstance struct {
 	index *BTree        // item index
@@ -74,10 +78,17 @@ type rubisWorker struct {
 	cfg     RubisConfig
 	global  memory.Region
 	session memory.Region
+
+	// Reused by every transaction: the traceGenerator drains refs before
+	// it asks for the next one.
+	refs  []sim.MemRef
+	trace []memory.Addr
 }
 
+// transaction produces the reference trace of one OLTP operation. The
+// returned slice is valid until the next call.
 func (w *rubisWorker) transaction() []sim.MemRef {
-	var refs []sim.MemRef
+	refs := w.refs[:0]
 	bid := w.rng.Float64() < w.cfg.BidRatio
 	key := uint64(w.rng.Int63n(int64(w.cfg.KeySpace))) + 1
 
@@ -85,13 +96,12 @@ func (w *rubisWorker) transaction() []sim.MemRef {
 	refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.inst.locks), Write: true, Insts: 6})
 
 	// 2. Index traversal.
-	var trace []memory.Addr
 	if bid {
-		trace, _ = w.inst.index.Insert(key)
+		w.trace, _ = w.inst.index.Insert(w.trace[:0], key)
 	} else {
-		_, trace = w.inst.index.Lookup(key)
+		w.trace, _ = w.inst.index.Lookup(w.trace[:0], key)
 	}
-	for _, a := range trace {
+	for _, a := range w.trace {
 		branch, other := stallNoise(w.rng, 2, 5)
 		refs = append(refs, sim.MemRef{Addr: a, Insts: 9, BranchStall: branch, OtherStall: other})
 	}
@@ -103,7 +113,7 @@ func (w *rubisWorker) transaction() []sim.MemRef {
 	}
 	for i := 0; i < nRows; i++ {
 		refs = append(refs, sim.MemRef{
-			Addr:  pickHot(w.rng, w.inst.rows, 32, 0.4),
+			Addr:  pickHot(w.rng, w.inst.rows, rubisHotRowLines, 0.4),
 			Write: bid,
 			Insts: 10,
 		})
@@ -122,6 +132,7 @@ func (w *rubisWorker) transaction() []sim.MemRef {
 		})
 	}
 	refs[len(refs)-1].Ops = 1 // one OLTP transaction
+	w.refs = refs
 	return refs
 }
 
@@ -135,19 +146,28 @@ func NewRubis(arena *memory.Arena, cfg RubisConfig) (*Spec, error) {
 	if cfg.KeySpace == 0 {
 		return nil, fmt.Errorf("workloads: rubis needs a key space: %w", errs.ErrBadConfig)
 	}
+	if err := checkRegions("rubis",
+		regionSize{"RowBytes", cfg.RowBytes, rubisHotRowLines},
+		regionSize{"LockBytes", cfg.LockBytes, 1},
+		regionSize{"GlobalBytes", cfg.GlobalBytes, 1},
+		regionSize{"SessionBytes", cfg.SessionBytes, 1},
+	); err != nil {
+		return nil, err
+	}
 	global, err := arena.Alloc(cfg.GlobalBytes, memory.LineSize)
 	if err != nil {
 		return nil, err
 	}
 	popRng := rand.New(rand.NewSource(cfg.Seed * 60013))
 	insts := make([]*dbInstance, cfg.Instances)
+	var scratch []memory.Addr // population traces are discarded
 	for i := range insts {
 		index, err := NewBTree(arena)
 		if err != nil {
 			return nil, err
 		}
 		for k := 0; k < cfg.TableKeys; k++ {
-			if _, err := index.Insert(uint64(popRng.Int63n(int64(cfg.KeySpace))) + 1); err != nil {
+			if scratch, err = index.Insert(scratch[:0], uint64(popRng.Int63n(int64(cfg.KeySpace)))+1); err != nil {
 				return nil, err
 			}
 		}

@@ -71,28 +71,33 @@ type jbbWorker struct {
 	cfg    JBBConfig
 	global memory.Region
 	heap   memory.Region
+
+	// Reused by every transaction: the traceGenerator drains refs before
+	// it asks for the next one.
+	refs  []sim.MemRef
+	trace []memory.Addr
 }
 
-// transaction produces the reference trace of one warehouse operation.
+// transaction produces the reference trace of one warehouse operation. The
+// returned slice is valid until the next call.
 func (w *jbbWorker) transaction() []sim.MemRef {
-	var refs []sim.MemRef
+	refs := w.refs[:0]
 	key := uint64(w.rng.Int63n(int64(w.cfg.KeySpace))) + 1
 	isUpdate := w.rng.Float64() < w.cfg.UpdateRatio
 
 	// Transaction prologue: read the warehouse/district record.
 	refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.meta), Insts: 8})
 
-	var trace []memory.Addr
 	if isUpdate {
-		trace, _ = w.tree.Insert(key)
+		w.trace, _ = w.tree.Insert(w.trace[:0], key)
 	} else {
-		_, trace = w.tree.Lookup(key)
+		w.trace, _ = w.tree.Lookup(w.trace[:0], key)
 	}
-	for i, a := range trace {
+	for i, a := range w.trace {
 		branch, other := stallNoise(w.rng, 2, 4)
 		refs = append(refs, sim.MemRef{
 			Addr:        a,
-			Write:       isUpdate && i == len(trace)-1, // the leaf write
+			Write:       isUpdate && i == len(w.trace)-1, // the leaf write
 			Insts:       8,
 			BranchStall: branch,
 			OtherStall:  other,
@@ -120,6 +125,7 @@ func (w *jbbWorker) transaction() []sim.MemRef {
 		refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.meta), Write: true, Insts: 8})
 	}
 	refs[len(refs)-1].Ops = 1 // one transaction completed
+	w.refs = refs
 	return refs
 }
 
@@ -150,6 +156,13 @@ func newJBB(arenaFor func(warehouse int) *memory.Arena, globalArena *memory.Aren
 	if cfg.KeySpace == 0 {
 		return nil, fmt.Errorf("workloads: jbb needs a key space: %w", errs.ErrBadConfig)
 	}
+	if err := checkRegions("jbb",
+		regionSize{"MetaBytes", cfg.MetaBytes, 1},
+		regionSize{"GlobalBytes", cfg.GlobalBytes, 1},
+		regionSize{"HeapBytes", cfg.HeapBytes, 1},
+	); err != nil {
+		return nil, err
+	}
 	global, err := globalArena.Alloc(cfg.GlobalBytes, memory.LineSize)
 	if err != nil {
 		return nil, err
@@ -157,6 +170,7 @@ func newJBB(arenaFor func(warehouse int) *memory.Arena, globalArena *memory.Aren
 	popRng := rand.New(rand.NewSource(cfg.Seed * 31337))
 	trees := make([]*BTree, cfg.Warehouses)
 	metas := make([]memory.Region, cfg.Warehouses)
+	var scratch []memory.Addr // population traces are discarded
 	for i := range trees {
 		arena := arenaFor(i)
 		t, err := NewBTree(arena)
@@ -164,7 +178,7 @@ func newJBB(arenaFor func(warehouse int) *memory.Arena, globalArena *memory.Aren
 			return nil, err
 		}
 		for k := 0; k < cfg.InitialKeys; k++ {
-			if _, err := t.Insert(uint64(popRng.Int63n(int64(cfg.KeySpace))) + 1); err != nil {
+			if scratch, err = t.Insert(scratch[:0], uint64(popRng.Int63n(int64(cfg.KeySpace)))+1); err != nil {
 				return nil, err
 			}
 		}

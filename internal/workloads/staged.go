@@ -51,6 +51,10 @@ func DefaultStagedConfig() StagedConfig {
 	}
 }
 
+// stagedHotQueueLines is how many leading lines of an inter-stage queue
+// (its head and tail indices) take most of its traffic.
+const stagedHotQueueLines = 2
+
 // stagedWorker processes events: dequeue from the inbound queue, consult
 // stage state, work on private scratch, enqueue to the outbound queue.
 type stagedWorker struct {
@@ -97,10 +101,10 @@ func (w *stagedWorker) Next() sim.MemRef {
 	base := sim.MemRef{Insts: 10, BranchStall: branch, OtherStall: other}
 	switch w.step % 6 {
 	case 0: // dequeue: read + head-pointer update on the inbound queue
-		base.Addr = pickHot(w.rng.Rand, w.inbound, 2, 0.6)
+		base.Addr = pickHot(w.rng.Rand, w.inbound, stagedHotQueueLines, 0.6)
 		base.Write = w.rng.Intn(2) == 0
 	case 1: // enqueue: write into the outbound queue
-		base.Addr = pickHot(w.rng.Rand, w.outbound, 2, 0.6)
+		base.Addr = pickHot(w.rng.Rand, w.outbound, stagedHotQueueLines, 0.6)
 		base.Write = true
 		base.Ops = 1 // one event processed
 	case 2: // stage-internal shared state, read-mostly
@@ -119,6 +123,13 @@ func (w *stagedWorker) Next() sim.MemRef {
 func NewStaged(arena *memory.Arena, cfg StagedConfig) (*Spec, error) {
 	if cfg.Stages <= 0 || cfg.ThreadsPerStage <= 0 {
 		return nil, fmt.Errorf("workloads: staged needs positive stages and threads, got %+v: %w", cfg, errs.ErrBadConfig)
+	}
+	if err := checkRegions("staged",
+		regionSize{"QueueBytes", cfg.QueueBytes, stagedHotQueueLines},
+		regionSize{"StageStateBytes", cfg.StageStateBytes, 1},
+		regionSize{"ScratchBytes", cfg.ScratchBytes, 1},
+	); err != nil {
+		return nil, err
 	}
 	// Queues 0..Stages: queue[i] feeds stage i; queue[Stages] is the
 	// output sink.

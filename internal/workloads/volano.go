@@ -49,6 +49,10 @@ func DefaultVolanoConfig() VolanoConfig {
 	}
 }
 
+// volanoHotRoomLines is how many leading lines of a room's message board
+// take half its traffic (the head of the board).
+const volanoHotRoomLines = 4
+
 // volanoThread models one of the two connection threads. A "reader"
 // drains the room board into its connection buffer (read room, write conn
 // buffer); a "writer" posts the client's messages (read conn buffer,
@@ -98,7 +102,7 @@ func (v *volanoThread) Next() sim.MemRef {
 	base := sim.MemRef{Insts: 12, BranchStall: branch, OtherStall: other}
 	switch v.step % 8 {
 	case 0: // message transfer through the room board
-		base.Addr = pickHot(v.rng.Rand, v.room, 4, 0.5)
+		base.Addr = pickHot(v.rng.Rand, v.room, volanoHotRoomLines, 0.5)
 		base.Write = v.writer
 		base.Ops = 1 // one message handled
 	case 1: // connection buffer (pair-shared)
@@ -133,6 +137,14 @@ type VolanoServer struct {
 func NewVolanoServer(arena *memory.Arena, cfg VolanoConfig) (*VolanoServer, error) {
 	if cfg.Rooms <= 0 || cfg.ClientsPerRoom <= 0 {
 		return nil, fmt.Errorf("workloads: volano needs positive rooms and clients, got %+v: %w", cfg, errs.ErrBadConfig)
+	}
+	if err := checkRegions("volano",
+		regionSize{"RoomBufferBytes", cfg.RoomBufferBytes, volanoHotRoomLines},
+		regionSize{"ConnBufferBytes", cfg.ConnBufferBytes, 1},
+		regionSize{"GlobalBytes", cfg.GlobalBytes, 1},
+		regionSize{"HeapBytes", cfg.HeapBytes, 1},
+	); err != nil {
+		return nil, err
 	}
 	global, err := arena.Alloc(cfg.GlobalBytes, memory.LineSize)
 	if err != nil {

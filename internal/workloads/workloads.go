@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
@@ -64,6 +65,28 @@ func (s *Spec) Install(m *sim.Machine) error {
 	return nil
 }
 
+// regionSize is one configured region size and the number of whole cache
+// lines its generator indexes into it: 1 for pick, the hot-line count for
+// pickHot.
+type regionSize struct {
+	field string
+	bytes uint64
+	lines uint64
+}
+
+// checkRegions rejects, at construction, region sizes that pick or pickHot
+// would otherwise panic on inside Next() — on whatever sweep or daemon
+// worker goroutine happened to run the machine.
+func checkRegions(workload string, regions ...regionSize) error {
+	for _, r := range regions {
+		if r.bytes/memory.LineSize < r.lines {
+			return fmt.Errorf("workloads: %s %s = %d bytes, needs at least %d whole %d-byte lines: %w",
+				workload, r.field, r.bytes, r.lines, memory.LineSize, errs.ErrBadConfig)
+		}
+	}
+	return nil
+}
+
 // pick returns a uniformly random line-aligned address inside the region.
 func pick(rng *rand.Rand, r memory.Region) memory.Addr {
 	lines := int(r.Size / memory.LineSize)
@@ -83,18 +106,20 @@ func pickHot(rng *rand.Rand, r memory.Region, hotLines int, hotProb float64) mem
 // traceGenerator replays queued address traces (e.g. a B-tree operation's
 // touched nodes) as MemRefs, asking a refill function for the next
 // operation when the queue drains. The refill's last reference carries the
-// op-completion marker.
+// op-completion marker. refill is only ever called with the previous queue
+// fully consumed, so it may hand back the same backing array every time.
 type traceGenerator struct {
 	queue  []sim.MemRef
+	next   int // cursor into queue
 	refill func() []sim.MemRef
 }
 
 func (g *traceGenerator) Next() sim.MemRef {
-	for len(g.queue) == 0 {
-		g.queue = g.refill()
+	for g.next == len(g.queue) {
+		g.queue, g.next = g.refill(), 0
 	}
-	ref := g.queue[0]
-	g.queue = g.queue[1:]
+	ref := g.queue[g.next]
+	g.next++
 	return ref
 }
 
