@@ -103,10 +103,12 @@ fuzz-smoke:
 
 # Race-detector coverage for the concurrent packages, including the
 # chip-parallel engine differential (seq vs parallel byte-identity under
-# every GOMAXPROCS level), the golden-snapshot compatibility test, the
-# snapshot N+M differential (including the sketch state provider), the
-# batched-vs-serial slice-barrier drain and broadcast-vs-directory
-# differentials at several GOMAXPROCS levels, the incremental-vs-batch
+# every GOMAXPROCS level), the golden snapshot, old-version-refusal and
+# trajectory tests (TestGolden*), the snapshot N+M differential
+# (including the sketch state provider), the batched-vs-serial
+# slice-barrier drain, the three-way reference/broadcast/directory walk
+# differential and the per-op directory scan at several GOMAXPROCS
+# levels, the incremental-vs-batch
 # clustering differential, the experiment harnesses' golden-output and
 # Options-plumbing tests (their policy/workload fan-out runs on sweep.Map
 # goroutines), and the job server + client under load.
@@ -114,7 +116,7 @@ test-race:
 	$(GO) test -race ./internal/metrics ./internal/sweep
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
 	$(GO) test -race -run 'TestEngine|TestRunSlice|TestSnapshot|TestGolden' ./internal/sim
-	$(GO) test -race -short -run 'TestSliceBarrierBatchedVsSerial|TestBroadcastDirectoryEquivalence' -cpu 1,2,4 ./internal/cache
+	$(GO) test -race -short -run 'TestSliceBarrierBatchedVsSerial|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race -run 'TestIncremental|TestSketch' -cpu 1,2,4 ./internal/clustering
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet

@@ -134,12 +134,13 @@ func benchCoherence(b *testing.B, topo topology.Topology, mode CoherenceMode) {
 }
 
 // The broadcast-vs-directory pairs below are the regression guard: `make
-// bench-compare` compares them against BENCH_coherence.json. The SoA
-// cache rewrite cut broadcast's snoop scans ~2x, so the two modes now
-// measure within noise of each other at these cache sizes; the committed
-// floors guard against the directory badly regressing, and the
-// directory's O(sharers) win shows up in SnoopProbesAvoided rather than
-// wall clock (DESIGN.md §7, "What it costs").
+// bench-compare` compares them against BENCH_coherence.json. Both modes
+// run the same walk (Lane.access) and differ only in how they answer a
+// cross-chip snoop and when they apply an invalidation, so the pairs
+// measure the presence table against the L2/L3 scans it replaces: the
+// table wins on 8 chips and loses on 2, where there is one other chip to
+// scan (DESIGN.md §5). The committed floors guard against the directory
+// badly regressing.
 func BenchmarkCoherenceBroadcast32Way(b *testing.B) {
 	benchCoherence(b, topology.Power5_32Way(), CoherenceBroadcast)
 }

@@ -67,9 +67,9 @@ func (r *refModel) access(cpu topology.CPUID, line memory.Addr, write bool) map[
 	return legal
 }
 
-// twin builds one broadcast and one directory hierarchy with otherwise
-// identical configuration.
-func twin(t testing.TB, topo topology.Topology, lat topology.Latencies, cfg HierarchyConfig) (bc, dir *Hierarchy) {
+// triplet builds the pre-merge reference walk plus a broadcast and a
+// directory hierarchy over otherwise identical configuration.
+func triplet(t testing.TB, topo topology.Topology, lat topology.Latencies, cfg HierarchyConfig) (ref *broadcastRef, bc, dir *Hierarchy) {
 	t.Helper()
 	cfg.Coherence = CoherenceBroadcast
 	bc, err := NewHierarchy(topo, lat, cfg)
@@ -84,29 +84,34 @@ func twin(t testing.TB, topo topology.Topology, lat topology.Latencies, cfg Hier
 	if dir.Coherence() != CoherenceDirectory {
 		t.Fatalf("directory mode not effective on %v", topo)
 	}
-	return bc, dir
+	return newBroadcastRef(t, topo, lat, cfg), bc, dir
 }
 
 // compareCounters fails the test when any observable coherence or
-// attribution counter diverges between the two implementations.
-func compareCounters(t *testing.T, op int, bc, dir *Hierarchy) {
+// attribution counter of got diverges from the reference walk's.
+func compareCounters(t *testing.T, op int, ref, got coherent) {
 	t.Helper()
-	if bc.SourceCounts() != dir.SourceCounts() {
-		t.Fatalf("op %d: SourceCounts diverged:\nbroadcast %v\ndirectory %v", op, bc.SourceCounts(), dir.SourceCounts())
+	if ref.SourceCounts() != got.SourceCounts() {
+		t.Fatalf("op %d: SourceCounts diverged:\n%s %v\n%s %v", op, ref.name(), ref.SourceCounts(), got.name(), got.SourceCounts())
 	}
-	if bc.SourceCycles() != dir.SourceCycles() {
-		t.Fatalf("op %d: SourceCycles diverged:\nbroadcast %v\ndirectory %v", op, bc.SourceCycles(), dir.SourceCycles())
+	if ref.SourceCycles() != got.SourceCycles() {
+		t.Fatalf("op %d: SourceCycles diverged:\n%s %v\n%s %v", op, ref.name(), ref.SourceCycles(), got.name(), got.SourceCycles())
 	}
-	if b, d := bc.InvalidationsSent(), dir.InvalidationsSent(); b != d {
-		t.Fatalf("op %d: InvalidationsSent: broadcast %d, directory %d", op, b, d)
+	if r, g := ref.InvalidationsSent(), got.InvalidationsSent(); r != g {
+		t.Fatalf("op %d: InvalidationsSent: %s %d, %s %d", op, ref.name(), r, got.name(), g)
 	}
-	if b, d := bc.Upgrades(), dir.Upgrades(); b != d {
-		t.Fatalf("op %d: Upgrades: broadcast %d, directory %d", op, b, d)
+	if r, g := ref.Upgrades(), got.Upgrades(); r != g {
+		t.Fatalf("op %d: Upgrades: %s %d, %s %d", op, ref.name(), r, got.name(), g)
 	}
-	if b, d := bc.Writebacks(), dir.Writebacks(); b != d {
-		t.Fatalf("op %d: Writebacks: broadcast %d, directory %d", op, b, d)
+	if r, g := ref.Writebacks(), got.Writebacks(); r != g {
+		t.Fatalf("op %d: Writebacks: %s %d, %s %d", op, ref.name(), r, got.name(), g)
 	}
 }
+
+// wide72 is a 9x8 machine: 72 cores, past the 64-core width the L1 sharer
+// masks used to cap the directory at, with wide chips so the direct L1
+// probes cover more than the POWER5's two cores.
+var wide72 = topology.Topology{Chips: 9, CoresPerChip: 8, ContextsPerCore: 1}
 
 // diffWorkload models software threads with private and shared working
 // sets that occasionally migrate between CPUs — the multi-chip
@@ -152,12 +157,13 @@ func (w *diffWorkload) step() (cpu topology.CPUID, addr memory.Addr, write bool)
 	}
 }
 
-// TestBroadcastDirectoryEquivalence is the differential harness of the
-// coherence fast path: identical randomized multi-chip
-// read/write/migration sequences replayed through both implementations
-// must yield byte-identical per-access results (source, latency, L1-miss
-// flag) and byte-identical attribution and coherence counters. The
-// directory is only allowed to be faster, never observably different.
+// TestBroadcastDirectoryEquivalence is the three-way differential
+// harness of the access walk: identical randomized multi-chip
+// read/write/migration sequences replayed through the pre-merge broadcast
+// reference (broadcastref_test.go) and through the unified walk in
+// broadcast and in directory mode must yield byte-identical per-access
+// results (source, latency, L1-miss flag), byte-identical attribution and
+// coherence counters, and bit-identical cache contents at the end.
 func TestBroadcastDirectoryEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -173,16 +179,18 @@ func TestBroadcastDirectoryEquivalence(t *testing.T) {
 		{name: "32way/power5", topo: topology.Power5_32Way(), lat: topology.DefaultLatencies(), cfg: Power5Config(), ops: 60_000},
 		{name: "niagara/small", topo: topology.NiagaraLike(), lat: topology.DefaultLatencies(), cfg: SmallConfig(), ops: 60_000},
 		{name: "open720/numa", topo: topology.OpenPower720(), lat: topology.NUMALatencies(), cfg: SmallConfig(), numa: true, ops: 100_000},
+		{name: "9x8/small", topo: wide72, lat: topology.DefaultLatencies(), cfg: SmallConfig(), ops: 60_000},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []int64{1, 42, 1234} {
-				bc, dir := twin(t, tc.topo, tc.lat, tc.cfg)
+				ref, bc, dir := triplet(t, tc.topo, tc.lat, tc.cfg)
 				if tc.numa {
 					nodes := memory.InterleavedNodes{N: tc.topo.Chips, Granularity: 4096}
-					bc.SetNUMA(nodes)
-					dir.SetNUMA(nodes)
+					for _, h := range []coherent{ref, bc, dir} {
+						h.SetNUMA(nodes)
+					}
 				}
 				w := newDiffWorkload(tc.topo, 2*tc.topo.NumCPUs(), 96, seed)
 				ops := tc.ops
@@ -191,17 +199,22 @@ func TestBroadcastDirectoryEquivalence(t *testing.T) {
 				}
 				for i := 0; i < ops; i++ {
 					cpu, addr, write := w.step()
+					rr := ref.Access(cpu, addr, write)
 					rb := bc.Access(cpu, addr, write)
 					rd := dir.Access(cpu, addr, write)
-					if rb != rd {
-						t.Fatalf("seed %d op %d: cpu %d line %#x write=%v:\nbroadcast %+v\ndirectory %+v",
-							seed, i, cpu, uint64(addr), write, rb, rd)
+					if rr != rb || rr != rd {
+						t.Fatalf("seed %d op %d: cpu %d line %#x write=%v:\nreference %+v\nbroadcast %+v\ndirectory %+v",
+							seed, i, cpu, uint64(addr), write, rr, rb, rd)
 					}
 					if i%10_000 == 0 {
-						compareCounters(t, i, bc, dir)
+						compareCounters(t, i, ref, bc)
+						compareCounters(t, i, ref, dir)
 					}
 				}
-				compareCounters(t, ops, bc, dir)
+				for _, h := range []coherent{bc, dir} {
+					compareCounters(t, ops, ref, h)
+					sameCaches(t, ref, h)
+				}
 				if err := dir.CheckDirectory(); err != nil {
 					t.Fatalf("seed %d: directory out of sync after run: %v", seed, err)
 				}
@@ -218,37 +231,40 @@ func TestBroadcastDirectoryEquivalence(t *testing.T) {
 // after every single access, including evictions, spills to the victim L3
 // and inclusion purges.
 func TestDirectoryMatchesScanAfterEveryOp(t *testing.T) {
-	topo := topology.Power5_32Way()
-	cfg := SmallConfig()
-	h, err := NewHierarchy(topo, topology.DefaultLatencies(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newDiffWorkload(topo, 16, 64, 7)
-	ops := 4000
-	if testing.Short() {
-		ops = 800
-	}
-	for i := 0; i < ops; i++ {
-		cpu, addr, write := w.step()
-		h.Access(cpu, addr, write)
-		if err := h.CheckDirectory(); err != nil {
-			t.Fatalf("op %d (cpu %d line %#x write=%v): %v", i, cpu, uint64(addr), write, err)
+	for _, topo := range []topology.Topology{topology.Power5_32Way(), wide72} {
+		h, err := NewHierarchy(topo, topology.DefaultLatencies(), SmallConfig())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if h.DirectoryLines() == 0 || h.DirectoryPeakLines() < h.DirectoryLines() {
-		t.Errorf("implausible occupancy: lines=%d peak=%d", h.DirectoryLines(), h.DirectoryPeakLines())
-	}
-	h.FlushAll()
-	if h.DirectoryLines() != 0 {
-		t.Errorf("FlushAll left %d directory lines", h.DirectoryLines())
-	}
-	if err := h.CheckDirectory(); err != nil {
-		t.Errorf("after FlushAll: %v", err)
+		if h.Coherence() != CoherenceDirectory {
+			t.Fatalf("directory mode not effective on %v", topo)
+		}
+		w := newDiffWorkload(topo, 16, 64, 7)
+		ops := 4000
+		if testing.Short() {
+			ops = 800
+		}
+		for i := 0; i < ops; i++ {
+			cpu, addr, write := w.step()
+			h.Access(cpu, addr, write)
+			if err := h.CheckDirectory(); err != nil {
+				t.Fatalf("%v op %d (cpu %d line %#x write=%v): %v", topo, i, cpu, uint64(addr), write, err)
+			}
+		}
+		if h.DirectoryLines() == 0 || h.DirectoryPeakLines() < h.DirectoryLines() {
+			t.Errorf("%v: implausible occupancy: lines=%d peak=%d", topo, h.DirectoryLines(), h.DirectoryPeakLines())
+		}
+		h.FlushAll()
+		if h.DirectoryLines() != 0 {
+			t.Errorf("%v: FlushAll left %d directory lines", topo, h.DirectoryLines())
+		}
+		if err := h.CheckDirectory(); err != nil {
+			t.Errorf("%v: after FlushAll: %v", topo, err)
+		}
 	}
 }
 
-// TestBroadcastFallbackOnWideMachines: machines beyond the 64-core bitmask
+// TestBroadcastFallbackOnWideMachines: machines beyond the 64-chip bitmask
 // width silently run the broadcast protocol.
 func TestBroadcastFallbackOnWideMachines(t *testing.T) {
 	wide := topology.Topology{Chips: 65, CoresPerChip: 1, ContextsPerCore: 1}

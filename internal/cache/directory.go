@@ -12,13 +12,13 @@ import (
 type CoherenceMode int
 
 const (
-	// CoherenceDirectory (the default) keeps per-line sharer state — which
-	// cores hold the line in L1, which chips hold it in L2/L3 — so every
-	// coherence action touches only the actual holders. Cost is O(sharers)
-	// per action instead of O(cores + chips). The state is sharded by chip
-	// (each chip owns the L1/owner records of its own cores) plus one
-	// machine-wide chip-presence table, which is what makes the deferred
-	// Lane execution model race-free.
+	// CoherenceDirectory (the default) keeps one machine-wide presence
+	// table — per line, which chips hold it in L2 and which in L3 — so
+	// every coherence action touches only the holder chips: O(holder
+	// chips) per action instead of O(cores + chips). Which of a holder
+	// chip's few cores have the line in L1 is asked of those L1s directly.
+	// The table is written only at slice barriers, which is what makes the
+	// deferred Lane execution model race-free.
 	CoherenceDirectory CoherenceMode = iota
 	// CoherenceBroadcast resolves every coherence action by linearly
 	// probing all cores' L1s and all chips' L2/L3s, like a bus-snooping
@@ -48,13 +48,10 @@ func ParseCoherenceMode(s string) (CoherenceMode, error) {
 	return 0, fmt.Errorf("cache: unknown coherence mode %q (want directory or broadcast)", s)
 }
 
-// NoOwner marks a shard entry with no current write owner.
-const NoOwner = -1
-
 // presEntry is the machine-wide presence record of one cache line: which
 // chips hold it in their L2 and which in their victim L3. Bitmask width
-// caps the directory at 64 chips (and shardEntry at 64 cores);
-// NewHierarchy falls back to broadcast beyond that.
+// caps the directory at 64 chips; NewHierarchy falls back to broadcast
+// beyond that.
 //
 // During a deferred slice the presence table is frozen — chip lanes only
 // read it — and every mutation queues as a mailbox op applied at the
@@ -66,40 +63,25 @@ type presEntry struct {
 
 func (e *presEntry) empty() bool { return e.l2 == 0 && e.l3 == 0 }
 
-// shardEntry is one chip's private view of a line: which of the chip's
-// cores hold it in their L1, and which core (if any) most recently took
-// write ownership. Core bits are global core ids, but only this chip's
-// bits can be set. A chip mutates its own shard immediately during a
-// slice; other chips' shards are touched only at the slice barrier.
-type shardEntry struct {
-	l1 uint64 // this chip's cores holding the line in their L1
-	// owner is the core that most recently obtained write ownership of
-	// the line (its L1 copy went Modified), or NoOwner. Diagnostic
-	// metadata: coherence decisions use the presence masks.
-	owner int8
-}
-
-func (e *shardEntry) empty() bool { return e.l1 == 0 }
-
-// lineTable is an open-addressed hash table from line address to a
-// per-line entry, with linear probing and backward-shift deletion. A
+// lineTable is an open-addressed hash table from line address to the
+// line's presence entry, with linear probing and backward-shift deletion. A
 // custom table rather than a Go map because it sits on the miss path of
 // every access: probes must not hash through runtime map machinery or
 // allocate per line. Entries exist only for lines cached somewhere, so
 // occupancy tracks live cache contents, not the address space.
-type lineTable[E any] struct {
-	keys []uint64 // line address + 1; 0 marks an empty slot
-	ents []E      // parallel to keys
-	mask uint64   // len(keys) - 1
-	n    int      // occupied slots
+type lineTable struct {
+	keys []uint64    // line address + 1; 0 marks an empty slot
+	ents []presEntry // parallel to keys
+	mask uint64      // len(keys) - 1
+	n    int         // occupied slots
 	peak int
 }
 
 const lineTableMinSize = 256
 
-func (t *lineTable[E]) init() {
+func (t *lineTable) init() {
 	t.keys = make([]uint64, lineTableMinSize)
-	t.ents = make([]E, lineTableMinSize)
+	t.ents = make([]presEntry, lineTableMinSize)
 	t.mask = lineTableMinSize - 1
 	t.n = 0
 }
@@ -109,13 +91,13 @@ func (t *lineTable[E]) init() {
 func lineKey(line memory.Addr) uint64 { return uint64(line) + 1 }
 
 // slot hashes a key to its home slot (Fibonacci hashing).
-func (t *lineTable[E]) slot(k uint64) uint64 {
+func (t *lineTable) slot(k uint64) uint64 {
 	return (k * 0x9E3779B97F4A7C15) >> 32 & t.mask
 }
 
 // find returns the entry for the line, or nil. The pointer is valid only
 // until the next insert or delete.
-func (t *lineTable[E]) find(line memory.Addr) *E {
+func (t *lineTable) find(line memory.Addr) *presEntry {
 	k := lineKey(line)
 	for i := t.slot(k); ; i = (i + 1) & t.mask {
 		switch t.keys[i] {
@@ -129,7 +111,7 @@ func (t *lineTable[E]) find(line memory.Addr) *E {
 
 // ensure returns the entry for the line, creating a zero entry if absent.
 // The pointer is valid only until the next insert or delete.
-func (t *lineTable[E]) ensure(line memory.Addr) *E {
+func (t *lineTable) ensure(line memory.Addr) *presEntry {
 	k := lineKey(line)
 	for i := t.slot(k); ; i = (i + 1) & t.mask {
 		switch t.keys[i] {
@@ -143,8 +125,7 @@ func (t *lineTable[E]) ensure(line memory.Addr) *E {
 				return t.ensure(line)
 			}
 			t.keys[i] = k
-			var zero E
-			t.ents[i] = zero
+			t.ents[i] = presEntry{}
 			t.n++
 			if t.n > t.peak {
 				t.peak = t.n
@@ -154,11 +135,11 @@ func (t *lineTable[E]) ensure(line memory.Addr) *E {
 	}
 }
 
-func (t *lineTable[E]) grow() {
+func (t *lineTable) grow() {
 	oldKeys, oldEnts := t.keys, t.ents
 	size := uint64(len(oldKeys)) * 2
 	t.keys = make([]uint64, size)
-	t.ents = make([]E, size)
+	t.ents = make([]presEntry, size)
 	t.mask = size - 1
 	for i, k := range oldKeys {
 		if k == 0 {
@@ -176,7 +157,7 @@ func (t *lineTable[E]) grow() {
 // drop removes the line's entry, backward-shifting the probe cluster so
 // lookups stay tombstone-free. Callers drop an entry once it records no
 // holder. Dropping an absent line is a no-op.
-func (t *lineTable[E]) drop(line memory.Addr) {
+func (t *lineTable) drop(line memory.Addr) {
 	k := lineKey(line)
 	i := t.slot(k)
 	for t.keys[i] != k {
@@ -206,7 +187,7 @@ func (t *lineTable[E]) drop(line memory.Addr) {
 }
 
 // forEach visits every tracked line.
-func (t *lineTable[E]) forEach(f func(line memory.Addr, e *E)) {
+func (t *lineTable) forEach(f func(line memory.Addr, e *presEntry)) {
 	for i, k := range t.keys {
 		if k != 0 {
 			f(memory.Addr(k-1), &t.ents[i])
@@ -245,29 +226,23 @@ func (h *Hierarchy) SnoopProbesAvoided() uint64 {
 }
 
 // Coherence returns the mode the hierarchy is actually running (a
-// directory request on a machine wider than 64 cores or chips falls back
-// to broadcast).
+// directory request on a machine wider than 64 chips falls back to
+// broadcast).
 func (h *Hierarchy) Coherence() CoherenceMode { return h.mode }
 
-// chipCoreMask returns the bitmask of global core ids on the given chip.
-func (h *Hierarchy) chipCoreMask(chip int) uint64 {
-	per := h.topo.CoresPerChip
-	return ((uint64(1) << uint(per)) - 1) << uint(chip*per)
-}
-
-// CheckDirectory verifies the sharded directory against a ground-truth
-// scan of every cache's contents: each chip shard's L1 masks and the
-// machine-wide presence table must correspond exactly to valid lines and
-// vice versa, and each shard's owner (when set) must be a recorded L1
-// sharer on that chip. Broadcast-mode hierarchies trivially pass. Tests
-// and the fuzz target call it between accesses (i.e. at barrier
-// boundaries); it is O(total cache capacity).
+// CheckDirectory verifies the directory against a ground-truth scan of
+// every cache's contents: the presence table must correspond exactly to
+// the valid L2/L3 lines and vice versa, and every L1 copy must sit under
+// its own chip's L2 (inclusion — the reason invalidating a line on its
+// holder chips reaches every L1 copy). Broadcast-mode hierarchies
+// trivially pass. Tests and the fuzz target call it between accesses
+// (i.e. at barrier boundaries); it is O(total cache capacity).
 func (h *Hierarchy) CheckDirectory() error {
 	if h.mode != CoherenceDirectory {
 		return nil
 	}
 	type truthEntry struct {
-		l1, l2, l3 uint64
+		l1, l2, l3 uint64 // chips holding the line at each level
 	}
 	truth := make(map[memory.Addr]*truthEntry)
 	ensure := func(line memory.Addr) *truthEntry {
@@ -279,9 +254,9 @@ func (h *Hierarchy) CheckDirectory() error {
 		return e
 	}
 	for core, c := range h.l1 {
-		core := core
+		chip := core / h.topo.CoresPerChip
 		c.ForEachLine(func(line memory.Addr, _ State) {
-			ensure(line).l1 |= 1 << uint(core)
+			ensure(line).l1 |= 1 << uint(chip)
 		})
 	}
 	for chip, c := range h.l2 {
@@ -320,45 +295,13 @@ func (h *Hierarchy) CheckDirectory() error {
 			return fmt.Errorf("cache: caches hold line %#x {l1:%#x l2:%#x l3:%#x} the presence table does not track",
 				uint64(line), want.l1, want.l2, want.l3)
 		}
+		if want.l1&^want.l2 != 0 {
+			return fmt.Errorf("cache: line %#x is in L1 on chips %#x but in L2 only on %#x (inclusion)",
+				uint64(line), want.l1, want.l2)
+		}
 	}
 	if len(truth) != h.pres.n {
 		return fmt.Errorf("cache: presence table tracks %d lines, caches hold %d", h.pres.n, len(truth))
-	}
-	for chip := range h.lanes {
-		sh := &h.lanes[chip].shard
-		mask := h.chipCoreMask(chip)
-		shardLines := 0
-		sh.forEach(func(line memory.Addr, got *shardEntry) {
-			if err != nil {
-				return
-			}
-			shardLines++
-			var want uint64
-			if t := truth[line]; t != nil {
-				want = t.l1 & mask
-			}
-			if got.l1 != want {
-				err = fmt.Errorf("cache: line %#x chip %d shard l1 %#x != scan %#x",
-					uint64(line), chip, got.l1, want)
-				return
-			}
-			if got.owner != NoOwner && got.l1&(1<<uint(got.owner)) == 0 {
-				err = fmt.Errorf("cache: line %#x owner core %d not an L1 sharer on chip %d (mask %#x)",
-					uint64(line), got.owner, chip, got.l1)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		wantLines := 0
-		for _, t := range truth {
-			if t.l1&mask != 0 {
-				wantLines++
-			}
-		}
-		if shardLines != wantLines {
-			return fmt.Errorf("cache: chip %d shard tracks %d lines, its L1s hold %d", chip, shardLines, wantLines)
-		}
 	}
 	// mailboxes must be empty between barriers.
 	for chip := range h.lanes {

@@ -34,7 +34,7 @@ func (h *Hierarchy) sliceBarrierSerial() {
 // sliceBarrierSerial, must stay byte-identical — every counter, the
 // directory occupancy AND its peak high-water mark after every single
 // barrier, and the full canonical SaveState encoding (cache contents,
-// LRU stamps, presence table, shards) at the end.
+// LRU stamps, presence table) at the end.
 func TestSliceBarrierBatchedVsSerial(t *testing.T) {
 	topos := []struct {
 		name string

@@ -9,10 +9,11 @@ import (
 
 // FuzzHierarchyAccess decodes arbitrary bytes into a cache operation
 // sequence — 3 bytes per access: CPU selector, line selector, flag byte
-// (bit 0: write) — and replays it through a broadcast and a directory
-// hierarchy in lockstep. Whatever the sequence, neither implementation
-// may panic, every per-access result must match, the coherence and
-// attribution counters must stay byte-identical, and the directory must
+// (bit 0: write) — and replays it through the pre-merge broadcast
+// reference walk and the unified walk in broadcast and directory mode, in
+// lockstep. Whatever the sequence, none of them may panic, every
+// per-access result must match, the coherence and attribution counters
+// and the cache contents must stay identical, and the directory must
 // agree with a ground-truth scan of cache contents.
 func FuzzHierarchyAccess(f *testing.F) {
 	f.Add([]byte{0, 0, 1})
@@ -28,28 +29,23 @@ func FuzzHierarchyAccess(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		topo := topology.OpenPower720()
-		bc, dir := twin(t, topo, topology.DefaultLatencies(), SmallConfig())
+		ref, bc, dir := triplet(t, topo, topology.DefaultLatencies(), SmallConfig())
 		ncpu := topo.NumCPUs()
 		for i := 0; i+3 <= len(data); i += 3 {
 			cpu := topology.CPUID(int(data[i]) % ncpu)
 			addr := memory.Addr(uint64(data[i+1]) * memory.LineSize)
 			write := data[i+2]&1 != 0
+			rr := ref.Access(cpu, addr, write)
 			rb := bc.Access(cpu, addr, write)
 			rd := dir.Access(cpu, addr, write)
-			if rb != rd {
-				t.Fatalf("op %d: cpu %d line %#x write=%v:\nbroadcast %+v\ndirectory %+v",
-					i/3, cpu, uint64(addr), write, rb, rd)
+			if rr != rb || rr != rd {
+				t.Fatalf("op %d: cpu %d line %#x write=%v:\nreference %+v\nbroadcast %+v\ndirectory %+v",
+					i/3, cpu, uint64(addr), write, rr, rb, rd)
 			}
 		}
-		if bc.SourceCounts() != dir.SourceCounts() || bc.SourceCycles() != dir.SourceCycles() {
-			t.Fatalf("attribution diverged:\nbroadcast %v / %v\ndirectory %v / %v",
-				bc.SourceCounts(), bc.SourceCycles(), dir.SourceCounts(), dir.SourceCycles())
-		}
-		if bc.InvalidationsSent() != dir.InvalidationsSent() ||
-			bc.Upgrades() != dir.Upgrades() || bc.Writebacks() != dir.Writebacks() {
-			t.Fatalf("coherence counters diverged: broadcast {inv:%d up:%d wb:%d} directory {inv:%d up:%d wb:%d}",
-				bc.InvalidationsSent(), bc.Upgrades(), bc.Writebacks(),
-				dir.InvalidationsSent(), dir.Upgrades(), dir.Writebacks())
+		for _, h := range []coherent{bc, dir} {
+			compareCounters(t, len(data)/3, ref, h)
+			sameCaches(t, ref, h)
 		}
 		if err := dir.CheckDirectory(); err != nil {
 			t.Fatal(err)

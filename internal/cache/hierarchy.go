@@ -86,10 +86,10 @@ type HierarchyConfig struct {
 	L2 Config // per chip
 	L3 Config // per chip (victim)
 	// Coherence picks the protocol implementation: CoherenceDirectory
-	// (default, O(sharers) coherence actions, supports deferred
+	// (default, O(holder chips) coherence actions, supports deferred
 	// slice-barrier execution via Lane) or CoherenceBroadcast (reference
 	// linear scans). Access-for-access the two are observably identical;
-	// machines wider than 64 cores or 64 chips silently run broadcast.
+	// machines wider than 64 chips silently run broadcast.
 	Coherence CoherenceMode
 }
 
@@ -116,13 +116,15 @@ func SmallConfig() HierarchyConfig {
 // Hierarchy is the machine-wide cache system: one L1 per core, one L2 and
 // one victim L3 per chip, kept coherent with an invalidation protocol.
 //
-// Access and every query method are single-threaded, the way a
-// cycle-interleaved machine serializes its buses. In directory mode the
-// hierarchy additionally supports the deferred slice-barrier model (see
-// lane.go): distinct chips' Lanes may be driven from distinct goroutines
-// between SliceBarrier calls, which is what the chip-parallel simulator
-// engine uses. Query methods (counters, occupancy, CheckDirectory) are
-// only meaningful at barrier boundaries.
+// Every access goes through the issuing chip's Lane (lane.go), which
+// holds the one walk down the ladder for both coherence modes. Access and
+// every query method are single-threaded, the way a cycle-interleaved
+// machine serializes its buses. In directory mode the hierarchy
+// additionally supports the deferred slice-barrier model: distinct chips'
+// Lanes may be driven from distinct goroutines between SliceBarrier
+// calls, which is what the chip-parallel simulator engine uses. Query
+// methods (counters, occupancy, CheckDirectory) are only meaningful at
+// barrier boundaries.
 type Hierarchy struct {
 	topo topology.Topology  //tclint:allow snapfields -- construction config; RestoreMachine rebuilds it and the restore validates against it
 	lat  topology.Latencies //tclint:allow snapfields -- construction config, immutable after NewHierarchy
@@ -130,16 +132,18 @@ type Hierarchy struct {
 	l2   []*SetAssoc        // indexed by chip
 	l3   []*SetAssoc        // indexed by chip
 
-	// mode is the effective coherence implementation. In directory mode
-	// pres is the machine-wide chip-presence table (written only at
-	// barriers) and lanes holds one access port + directory shard per
-	// chip; both are unused in broadcast mode. probesAvoided counts cache
-	// probes the directory answered from presence bits instead of
-	// scanning (barrier-side shard; lanes carry the rest).
-	mode          CoherenceMode
-	pres          lineTable[presEntry]
-	lanes         []Lane
-	probesAvoided uint64
+	// mode is the effective coherence implementation and lanes holds one
+	// access port per chip. In directory mode pres is the machine-wide
+	// chip-presence table (written only at barriers); broadcast mode
+	// leaves it unused. probesAvoided counts cache probes the directory
+	// answered from presence bits instead of scanning, and
+	// invalidationsSent the invalidations it issued, at barriers; the
+	// lanes carry the access-side share of both and every other counter.
+	mode              CoherenceMode
+	pres              lineTable
+	lanes             []Lane
+	probesAvoided     uint64
+	invalidationsSent uint64
 
 	// Batched-barrier scratch, reused across SliceBarrier calls so the
 	// drain stays allocation-free. Both are empty whenever the hierarchy
@@ -147,19 +151,6 @@ type Hierarchy struct {
 	// are taken.
 	drain      []drainOp   //tclint:allow snapfields -- transient barrier scratch, always empty at snapshot points
 	peakEvents []peakEvent //tclint:allow snapfields -- transient barrier scratch, always empty at snapshot points
-
-	// coherence traffic counters (base shard: broadcast mode and
-	// barrier-applied actions; Lane carries chip-local shards).
-	invalidationsSent uint64
-	upgrades          uint64
-	writebacks        uint64 // dirty lines evicted from the last level
-
-	// srcCounts attributes every access to the source that satisfied it,
-	// and srcCycles the latency charged per source — the raw material of
-	// the per-source miss-attribution metrics. Base shard; Lane carries
-	// the chip-local shards.
-	srcCounts [NumSources]uint64
-	srcCycles [NumSources]uint64
 
 	// NUMA configuration: nil means uniform memory (the base platform).
 	nodes memory.NodeMap //tclint:allow snapfields -- construction config, immutable after NewHierarchy
@@ -194,17 +185,17 @@ func NewHierarchy(topo topology.Topology, lat topology.Latencies, cfg HierarchyC
 		h.l3 = append(h.l3, l3)
 	}
 	h.mode = cfg.Coherence
-	if h.mode == CoherenceDirectory && (topo.NumCores() > 64 || topo.Chips > 64) {
+	if h.mode == CoherenceDirectory && topo.Chips > 64 {
+		// The presence masks are one bit per chip.
 		h.mode = CoherenceBroadcast
 	}
 	if h.mode == CoherenceDirectory {
 		h.pres.init()
-		h.lanes = make([]Lane, topo.Chips)
-		for chip := range h.lanes {
-			h.lanes[chip].h = h
-			h.lanes[chip].chip = chip
-			h.lanes[chip].shard.init()
-		}
+	}
+	h.lanes = make([]Lane, topo.Chips)
+	for chip := range h.lanes {
+		h.lanes[chip].h = h
+		h.lanes[chip].chip = chip
 	}
 	return h, nil
 }
@@ -235,7 +226,7 @@ func (h *Hierarchy) InvalidationsSent() uint64 {
 
 // Upgrades returns how many Shared->Modified write upgrades occurred.
 func (h *Hierarchy) Upgrades() uint64 {
-	s := h.upgrades
+	var s uint64
 	for i := range h.lanes {
 		s += h.lanes[i].upgrades
 	}
@@ -245,7 +236,7 @@ func (h *Hierarchy) Upgrades() uint64 {
 // Writebacks returns how many dirty lines were written back to memory
 // (Modified lines evicted from the last-level cache).
 func (h *Hierarchy) Writebacks() uint64 {
-	s := h.writebacks
+	var s uint64
 	for i := range h.lanes {
 		s += h.lanes[i].writebacks
 	}
@@ -255,7 +246,7 @@ func (h *Hierarchy) Writebacks() uint64 {
 // SourceCounts returns how many accesses each source satisfied since
 // construction, indexed by Source.
 func (h *Hierarchy) SourceCounts() [NumSources]uint64 {
-	s := h.srcCounts
+	var s [NumSources]uint64
 	for i := range h.lanes {
 		for src, n := range h.lanes[i].srcCounts {
 			s[src] += n
@@ -267,7 +258,7 @@ func (h *Hierarchy) SourceCounts() [NumSources]uint64 {
 // SourceCycles returns the total latency cycles charged per source since
 // construction, indexed by Source.
 func (h *Hierarchy) SourceCycles() [NumSources]uint64 {
-	s := h.srcCycles
+	var s [NumSources]uint64
 	for i := range h.lanes {
 		for src, n := range h.lanes[i].srcCycles {
 			s[src] += n
@@ -281,207 +272,23 @@ func (h *Hierarchy) SourceCycles() [NumSources]uint64 {
 // (invalidation-based coherence); reads leave remote copies in Shared
 // state. The returned latency follows the Figure 1 ladder.
 //
-// In directory mode this is the degenerate case of the deferred model:
-// one lane access followed by an immediate barrier, so every coherence
-// effect is visible before the next access, exactly like the broadcast
-// reference protocol.
+// This is the degenerate case of the deferred model: one lane access
+// followed by an immediate drain of that lane's mailbox, so every
+// coherence effect is visible before the next access in both modes
+// (broadcast-mode lanes never queue anything in the first place).
 func (h *Hierarchy) Access(cpu topology.CPUID, addr memory.Addr, write bool) AccessResult {
-	if h.mode == CoherenceDirectory {
-		l := &h.lanes[h.topo.ChipOf(cpu)]
-		res := l.access(cpu, addr, write)
-		l.srcCounts[res.Source]++
-		l.srcCycles[res.Source] += res.Cycles
+	l := &h.lanes[h.topo.ChipOf(cpu)]
+	res := l.Access(cpu, addr, write)
+	if len(l.ops) != 0 {
 		h.applyLane(l)
-		return res
 	}
-	res := h.access(cpu, addr, write)
-	h.srcCounts[res.Source]++
-	h.srcCycles[res.Source] += res.Cycles
 	return res
-}
-
-// access is the broadcast reference implementation: every coherence
-// action linearly probes all cores' L1s and all chips' L2/L3s.
-func (h *Hierarchy) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessResult {
-	line := memory.LineOf(addr)
-	core := h.topo.CoreOf(cpu)
-	chip := h.topo.ChipOf(cpu)
-
-	// L1 probe.
-	if st := h.l1[core].Lookup(line); st != Invalid {
-		if write && st == Shared {
-			// Write upgrade: invalidate every other copy in the machine.
-			h.upgrades++
-			h.invalidateOthers(line, core, chip)
-			h.l1[core].SetState(line, Modified)
-			h.l2[chip].SetState(line, Modified)
-		} else if write {
-			h.l1[core].SetState(line, Modified)
-			h.l2[chip].SetState(line, Modified)
-		}
-		return AccessResult{Line: line, Source: SrcL1, Cycles: h.lat.L1Hit}
-	}
-
-	// L2 probe (chip-local).
-	if st := h.l2[chip].Lookup(line); st != Invalid {
-		newState := st
-		if write {
-			if st == Shared {
-				h.upgrades++
-				h.invalidateOthers(line, core, chip)
-			}
-			newState = Modified
-			h.l2[chip].SetState(line, Modified)
-		}
-		h.fillL1(core, line, newState)
-		return AccessResult{Line: line, Source: SrcL2, Cycles: h.lat.L2Hit, L1Miss: true}
-	}
-
-	// L3 probe (chip-local victim cache: a hit moves the line back to L2).
-	if st := h.l3[chip].Peek(line); st != Invalid {
-		h.l3[chip].Invalidate(line)
-		newState := st
-		if write {
-			if st == Shared {
-				h.upgrades++
-				h.invalidateOthers(line, core, chip)
-			}
-			newState = Modified
-		}
-		h.fillL2(chip, line, newState)
-		h.fillL1(core, line, newState)
-		return AccessResult{Line: line, Source: SrcL3, Cycles: h.lat.L3Hit, L1Miss: true}
-	}
-
-	// Cross-chip snoop: another chip's L2, then another chip's L3.
-	remoteChip, remoteSrc := h.snoop(line, chip)
-	if remoteSrc != SrcMemory {
-		var newState State
-		if write {
-			// Read-with-intent-to-modify: invalidate every remote copy.
-			h.invalidateOthers(line, core, chip)
-			newState = Modified
-		} else {
-			// Remote sharer keeps a Shared copy; we take one too.
-			h.downgradeChip(line, remoteChip)
-			newState = Shared
-		}
-		h.fillL2(chip, line, newState)
-		h.fillL1(core, line, newState)
-		lat := h.lat.RemoteL2
-		if remoteSrc == SrcRemoteL3 {
-			lat = h.lat.RemoteL3
-		}
-		return AccessResult{Line: line, Source: remoteSrc, Cycles: lat, L1Miss: true}
-	}
-
-	// Memory fill. Under NUMA configuration the line's home node decides
-	// whether this is a local or remote memory access.
-	st := Exclusive
-	if write {
-		st = Modified
-	}
-	h.fillL2(chip, line, st)
-	h.fillL1(core, line, st)
-	src, lat := SrcMemory, h.lat.Memory
-	if h.nodes != nil && h.lat.RemoteMemory != 0 && h.nodes.NodeOf(line)%h.topo.Chips != chip {
-		src, lat = SrcRemoteMemory, h.lat.RemoteMemory
-	}
-	return AccessResult{Line: line, Source: src, Cycles: lat, L1Miss: true}
 }
 
 // SetNUMA configures per-chip memory homing: fills whose line is homed on
 // another chip's memory cost Latencies.RemoteMemory and are attributed to
 // SrcRemoteMemory. Passing nil reverts to uniform memory.
 func (h *Hierarchy) SetNUMA(nodes memory.NodeMap) { h.nodes = nodes }
-
-// snoop looks for the line in any other chip's L2 or L3 and returns the
-// owning chip and the source class, or SrcMemory if no chip holds it.
-// L2s are probed across all chips before L3s, mirroring the point-to-point
-// fabric's preference for the faster source.
-func (h *Hierarchy) snoop(line memory.Addr, exceptChip int) (int, Source) {
-	for chip := range h.l2 {
-		if chip == exceptChip {
-			continue
-		}
-		if h.l2[chip].Peek(line) != Invalid {
-			return chip, SrcRemoteL2
-		}
-	}
-	for chip := range h.l3 {
-		if chip == exceptChip {
-			continue
-		}
-		if h.l3[chip].Peek(line) != Invalid {
-			return chip, SrcRemoteL3
-		}
-	}
-	return -1, SrcMemory
-}
-
-// invalidateOthers removes every cached copy of the line outside the
-// requesting core's L1 and the requesting chip's L2/L3.
-func (h *Hierarchy) invalidateOthers(line memory.Addr, exceptCore, exceptChip int) {
-	for core := range h.l1 {
-		if core == exceptCore {
-			continue
-		}
-		if h.l1[core].Invalidate(line) != Invalid {
-			h.invalidationsSent++
-		}
-	}
-	for chip := range h.l2 {
-		if chip == exceptChip {
-			continue
-		}
-		if h.l2[chip].Invalidate(line) != Invalid {
-			h.invalidationsSent++
-		}
-		if h.l3[chip].Invalidate(line) != Invalid {
-			h.invalidationsSent++
-		}
-	}
-}
-
-// downgradeChip moves the line to Shared in the given chip's caches (and
-// the L1s of its cores), modelling a read snoop hit.
-func (h *Hierarchy) downgradeChip(line memory.Addr, chip int) {
-	if chip < 0 {
-		return
-	}
-	h.l2[chip].Downgrade(line)
-	h.l3[chip].Downgrade(line)
-	for core := chip * h.topo.CoresPerChip; core < (chip+1)*h.topo.CoresPerChip; core++ {
-		h.l1[core].Downgrade(line)
-	}
-}
-
-// fillL1 inserts the line into a core's L1. L1 evictions are clean drops:
-// the L2 above it is (approximately) inclusive, so the data survives.
-func (h *Hierarchy) fillL1(core int, line memory.Addr, st State) {
-	h.l1[core].Insert(line, st)
-}
-
-// fillL2 inserts the line into a chip's L2, spilling any eviction into the
-// chip's victim L3 and maintaining L1 inclusion for evicted lines.
-func (h *Hierarchy) fillL2(chip int, line memory.Addr, st State) {
-	evicted, evictedState, didEvict := h.l2[chip].Insert(line, st)
-	if !didEvict {
-		return
-	}
-	// Victim L3 receives the evicted line; what the L3 itself evicts
-	// leaves the cache system, and dirty victims go back to memory.
-	if _, l3State, l3Evict := h.l3[chip].Insert(evicted, evictedState); l3Evict {
-		if l3State == Modified {
-			h.writebacks++
-		}
-	}
-	// Inclusion: an L2 eviction must purge the chip's L1s so a remote
-	// chip's snoop (which only probes L2/L3) can never miss a live copy.
-	for c := chip * h.topo.CoresPerChip; c < (chip+1)*h.topo.CoresPerChip; c++ {
-		h.l1[c].Invalidate(evicted)
-	}
-}
 
 // FlushAll empties every cache, modelling the cold state after a machine
 // reset. Useful between experiment phases.
@@ -504,7 +311,6 @@ func (h *Hierarchy) FlushAll() {
 		h.pres.init()
 		h.pres.peak = peak
 		for chip := range h.lanes {
-			h.lanes[chip].shard.init()
 			h.lanes[chip].ops = h.lanes[chip].ops[:0]
 		}
 	}

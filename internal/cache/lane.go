@@ -12,14 +12,18 @@ import (
 // makes chip-parallel simulation deterministic.
 //
 // Every chip owns a Lane: the only handle through which that chip's CPUs
-// access the hierarchy during a slice. A lane may immediately read and
-// mutate chip-local state — the L1s of its own cores, its own L2 and
-// victim L3, and its own directory shard — because no other lane ever
-// touches them mid-slice. Anything that crosses a chip boundary (remote
-// invalidations, downgrades, and the presence-table updates that make a
-// fill visible to other chips' snoops) is queued as a mailbox op instead.
-// Cross-chip *reads* (snoops) are answered from the presence table, which
-// is frozen during a slice: it is only written when the mailboxes drain.
+// access the hierarchy, in either coherence mode, and the home of the one
+// L1 -> L2 -> L3 -> snoop -> memory walk (Lane.access). A lane may
+// immediately read and mutate chip-local state — the L1s of its own
+// cores, its own L2 and victim L3 — because no other lane ever touches
+// them mid-slice. In directory mode anything that crosses a chip boundary
+// (remote invalidations, downgrades, and the presence-table updates that
+// make a fill visible to other chips' snoops) is queued as a mailbox op
+// instead, and cross-chip *reads* (snoops) are answered from the presence
+// table, which is frozen during a slice: it is only written when the
+// mailboxes drain. Broadcast mode has no table and no mailbox: the same
+// walk scans and mutates the other chips' caches on the spot, so its
+// lanes must be driven serially (Hierarchy.Access).
 //
 // At the end of a slice the driver calls Hierarchy.SliceBarrier, which
 // drains every lane's mailbox with cross-chip effects applied *as if*
@@ -37,10 +41,9 @@ import (
 // the directory is probed once per line touched rather than once per op
 // and all of a line's barrier work happens while its entry is hot.
 // Barrier ops on *distinct* lines commute — each touches only its own
-// line's presence entry, shard records and cached copies, and never
-// inserts into a cache (no LRU or stamp movement) — so only the
-// within-line order matters, and the seq tiebreak preserves exactly
-// that. The one thing reordering could distort, the presence table's
+// line's presence entry and cached copies, and never inserts into a
+// cache (no LRU or stamp movement) — so only the within-line order
+// matters, and the seq tiebreak preserves exactly that. The one thing reordering could distort, the presence table's
 // peak-occupancy high-water mark, is reconstructed exactly by replaying
 // the per-op occupancy deltas in seq order (deltas are order-independent
 // because within-line order is preserved). The op-by-op reference drain
@@ -49,9 +52,10 @@ import (
 //
 // The classic serial protocol is the degenerate case: Hierarchy.Access
 // runs one lane access followed immediately by a one-lane barrier, which
-// makes every op visible before the next access exactly like the old
-// immediate directory implementation (and is differentially tested
-// against broadcast mode to stay byte-identical with it).
+// makes every op visible before the next access. Access-for-access that
+// is observably identical to broadcast mode, and both are differentially
+// pinned against the pre-merge broadcast walk kept in
+// broadcastref_test.go.
 
 // opKind enumerates the cross-chip coherence mailbox operations.
 type opKind uint8
@@ -85,22 +89,19 @@ type cohOp struct {
 	probes uint16 // opInvalidateRemote: own-chip probes already issued
 }
 
-// Lane is one chip's access port into the hierarchy under the deferred
-// coherence model. Distinct lanes may be driven from distinct goroutines
-// within a slice; SliceBarrier must be called from a single goroutine
-// with all lanes quiescent.
+// Lane is one chip's access port into the hierarchy. In directory mode
+// distinct lanes may be driven from distinct goroutines within a slice;
+// SliceBarrier must be called from a single goroutine with all lanes
+// quiescent.
 type Lane struct {
 	h    *Hierarchy
 	chip int
 
-	// shard is this chip's slice of the coherence directory: per line,
-	// which of the chip's cores hold it in L1 and which core owns it.
-	shard lineTable[shardEntry]
-
 	// ops is the outgoing coherence mailbox, drained at the barrier.
+	// Always empty in broadcast mode.
 	ops []cohOp
 
-	// Chip-local counter shards, merged by the Hierarchy getters.
+	// Chip-local counters, summed by the Hierarchy getters.
 	probesAvoided     uint64
 	invalidationsSent uint64
 	upgrades          uint64
@@ -109,14 +110,14 @@ type Lane struct {
 	srcCycles         [NumSources]uint64
 }
 
-// Lane returns the access port for the given chip. Valid only in
-// directory mode (the broadcast reference protocol needs to probe other
-// chips' caches synchronously and cannot defer).
+// Lane returns the access port for the given chip. Only directory-mode
+// lanes defer (and so may run concurrently): the broadcast protocol
+// probes other chips' caches synchronously.
 func (h *Hierarchy) Lane(chip int) *Lane { return &h.lanes[chip] }
 
-// Access performs one data access by a CPU of this lane's chip under
-// deferred coherence, returning how it was satisfied. Cross-chip effects
-// become visible at the next SliceBarrier.
+// Access performs one data access by a CPU of this lane's chip, returning
+// how it was satisfied. In directory mode cross-chip effects become
+// visible at the next SliceBarrier.
 func (l *Lane) Access(cpu topology.CPUID, addr memory.Addr, write bool) AccessResult {
 	res := l.access(cpu, addr, write)
 	l.srcCounts[res.Source]++
@@ -124,6 +125,8 @@ func (l *Lane) Access(cpu topology.CPUID, addr memory.Addr, write bool) AccessRe
 	return res
 }
 
+// access is the one walk down the Figure 1 ladder. The coherence modes
+// differ only inside snoop, invalidateOthers, downgrade and publish.
 func (l *Lane) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessResult {
 	h := l.h
 	line := memory.LineOf(addr)
@@ -132,73 +135,66 @@ func (l *Lane) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessRe
 
 	// L1 probe.
 	if st := h.l1[core].Lookup(line); st != Invalid {
-		if write && st == Shared {
-			// Write upgrade: invalidate every other copy in the machine.
-			l.upgrades++
-			probes := l.invalidateOwnChip(line, core)
-			l.queueOp(cohOp{line: line, kind: opInvalidateRemote, probes: probes})
-			h.l1[core].SetState(line, Modified)
-			h.l2[chip].SetState(line, Modified)
-		} else if write {
-			h.l1[core].SetState(line, Modified)
-			h.l2[chip].SetState(line, Modified)
-		}
 		if write {
-			l.setOwner(line, core)
+			if st == Shared {
+				// Write upgrade: invalidate every other copy in the machine.
+				l.upgrades++
+				l.invalidateOthers(line, core)
+			}
+			h.l1[core].SetState(line, Modified)
+			h.l2[chip].SetState(line, Modified)
 		}
 		return AccessResult{Line: line, Source: SrcL1, Cycles: h.lat.L1Hit}
 	}
 
-	// L2 probe (chip-local).
+	// L2 probe (chip-local). L1 fills evict clean: the L2 above is
+	// inclusive, so the data survives.
 	if st := h.l2[chip].Lookup(line); st != Invalid {
 		newState := st
 		if write {
 			if st == Shared {
 				l.upgrades++
-				probes := l.invalidateOwnChip(line, core)
-				l.queueOp(cohOp{line: line, kind: opInvalidateRemote, probes: probes})
+				l.invalidateOthers(line, core)
 			}
 			newState = Modified
 			h.l2[chip].SetState(line, Modified)
 		}
-		l.fillL1(core, line, newState)
+		h.l1[core].Insert(line, newState)
 		return AccessResult{Line: line, Source: SrcL2, Cycles: h.lat.L2Hit, L1Miss: true}
 	}
 
 	// L3 probe (chip-local victim cache: a hit moves the line back to L2).
 	if st := h.l3[chip].Peek(line); st != Invalid {
 		h.l3[chip].Invalidate(line)
-		l.queueOp(cohOp{line: line, kind: opClearL3})
+		l.publish(cohOp{line: line, kind: opClearL3})
 		newState := st
 		if write {
 			if st == Shared {
 				l.upgrades++
-				probes := l.invalidateOwnChip(line, core)
-				l.queueOp(cohOp{line: line, kind: opInvalidateRemote, probes: probes})
+				l.invalidateOthers(line, core)
 			}
 			newState = Modified
 		}
-		l.fillL2(core, line, newState)
-		l.fillL1(core, line, newState)
+		l.fillL2(line, newState)
+		h.l1[core].Insert(line, newState)
 		return AccessResult{Line: line, Source: SrcL3, Cycles: h.lat.L3Hit, L1Miss: true}
 	}
 
-	// Cross-chip snoop, answered from the frozen presence table.
-	remoteChip, remoteSrc := l.snoopFrozen(line)
+	// Cross-chip snoop: another chip's L2, then another chip's L3.
+	remoteChip, remoteSrc := l.snoop(line)
 	if remoteSrc != SrcMemory {
 		var newState State
 		if write {
 			// Read-with-intent-to-modify: invalidate every remote copy.
-			probes := l.invalidateOwnChip(line, core)
-			l.queueOp(cohOp{line: line, kind: opInvalidateRemote, probes: probes})
+			l.invalidateOthers(line, core)
 			newState = Modified
 		} else {
 			// Remote sharer keeps a Shared copy; we take one too.
-			l.queueOp(cohOp{line: line, kind: opDowngradeChip, chip: int16(remoteChip)})
+			l.downgrade(line, remoteChip)
 			newState = Shared
 		}
-		l.fillL2(core, line, newState)
-		l.fillL1(core, line, newState)
+		l.fillL2(line, newState)
+		h.l1[core].Insert(line, newState)
 		lat := h.lat.RemoteL2
 		if remoteSrc == SrcRemoteL3 {
 			lat = h.lat.RemoteL3
@@ -212,8 +208,8 @@ func (l *Lane) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessRe
 	if write {
 		st = Modified
 	}
-	l.fillL2(core, line, st)
-	l.fillL1(core, line, st)
+	l.fillL2(line, st)
+	h.l1[core].Insert(line, st)
 	src, lat := SrcMemory, h.lat.Memory
 	if h.nodes != nil && h.lat.RemoteMemory != 0 && h.nodes.NodeOf(line)%h.topo.Chips != chip {
 		src, lat = SrcRemoteMemory, h.lat.RemoteMemory
@@ -221,15 +217,34 @@ func (l *Lane) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessRe
 	return AccessResult{Line: line, Source: src, Cycles: lat, L1Miss: true}
 }
 
-func (l *Lane) queueOp(op cohOp) { l.ops = append(l.ops, op) }
+// publish queues a presence-table update for the barrier. Broadcast mode
+// keeps no table, so there is nothing to tell it.
+func (l *Lane) publish(op cohOp) {
+	if l.h.mode == CoherenceDirectory {
+		l.ops = append(l.ops, op)
+	}
+}
 
-// snoopFrozen answers a cross-chip snoop from the presence table: the
-// lowest-index chip other than ours holding the line in L2, else in L3,
-// else memory — the order the broadcast scan resolves in. The table is
-// written only at barriers, so concurrent lanes read a consistent frozen
-// snapshot.
-func (l *Lane) snoopFrozen(line memory.Addr) (int, Source) {
+// snoop looks for the line on any other chip and returns the lowest-index
+// chip holding it in L2, else in L3 (the point-to-point fabric prefers
+// the faster source), else SrcMemory. Directory mode answers from the
+// presence table, which is written only at barriers, so concurrent lanes
+// read a consistent frozen snapshot; broadcast mode scans the caches.
+func (l *Lane) snoop(line memory.Addr) (int, Source) {
 	h := l.h
+	if h.mode == CoherenceBroadcast {
+		for chip := range h.l2 {
+			if chip != l.chip && h.l2[chip].Peek(line) != Invalid {
+				return chip, SrcRemoteL2
+			}
+		}
+		for chip := range h.l3 {
+			if chip != l.chip && h.l3[chip].Peek(line) != Invalid {
+				return chip, SrcRemoteL3
+			}
+		}
+		return -1, SrcMemory
+	}
 	l.probesAvoided += uint64(2 * (len(h.l2) - 1))
 	e := h.pres.find(line)
 	if e == nil {
@@ -244,119 +259,106 @@ func (l *Lane) snoopFrozen(line memory.Addr) (int, Source) {
 	return -1, SrcMemory
 }
 
-// invalidateOwnChip invalidates the line in the L1s of this chip's other
-// cores (the chip-local half of an invalidate-others; the remote half is
-// queued). Returns how many probes it issued, for the op's accounting.
-func (l *Lane) invalidateOwnChip(line memory.Addr, exceptCore int) uint16 {
-	e := l.shard.find(line)
-	if e == nil {
-		return 0
+// invalidateOthers removes every cached copy of the line outside the
+// requesting core's L1 and the requesting chip's L2/L3. Directory mode
+// probes the chip's own other L1s now and leaves the other chips to the
+// barrier, whose op carries how many of those probes found the line for
+// the probe accounting; broadcast mode scans every other cache now.
+func (l *Lane) invalidateOthers(line memory.Addr, exceptCore int) {
+	h := l.h
+	if h.mode == CoherenceDirectory {
+		found := h.invalidateL1s(line, l.chip, exceptCore)
+		l.invalidationsSent += found
+		l.ops = append(l.ops, cohOp{line: line, kind: opInvalidateRemote, probes: uint16(found)})
+		return
 	}
-	var probes uint16
-	for m := e.l1 &^ (1 << uint(exceptCore)); m != 0; m &= m - 1 {
-		core := bits.TrailingZeros64(m)
-		probes++
-		if l.h.l1[core].Invalidate(line) != Invalid {
+	for core := range h.l1 {
+		if core != exceptCore && h.l1[core].Invalidate(line) != Invalid {
 			l.invalidationsSent++
 		}
-		e.l1 &^= 1 << uint(core)
-		if int(e.owner) == core {
-			e.owner = NoOwner
+	}
+	for chip := range h.l2 {
+		if chip == l.chip {
+			continue
+		}
+		if h.l2[chip].Invalidate(line) != Invalid {
+			l.invalidationsSent++
+		}
+		if h.l3[chip].Invalidate(line) != Invalid {
+			l.invalidationsSent++
 		}
 	}
-	if e.empty() {
-		l.shard.drop(line)
-	}
-	return probes
 }
 
-// purgeOwnL1 invalidates this chip's L1 copies of an L2-evicted line (the
-// inclusion purge), visiting only the cores the shard records as holders.
-func (l *Lane) purgeOwnL1(line memory.Addr) {
-	broadcastProbes := uint64(l.h.topo.CoresPerChip)
-	var probes uint64
-	if e := l.shard.find(line); e != nil {
-		for m := e.l1; m != 0; m &= m - 1 {
-			core := bits.TrailingZeros64(m)
-			probes++
-			l.h.l1[core].Invalidate(line)
-			e.l1 &^= 1 << uint(core)
-			if int(e.owner) == core {
-				e.owner = NoOwner
-			}
-		}
-		if e.empty() {
-			l.shard.drop(line)
-		}
+// downgrade moves the snooped chip's copies of the line to Shared (a read
+// snoop hit): at the barrier in directory mode, now in broadcast mode.
+func (l *Lane) downgrade(line memory.Addr, chip int) {
+	h := l.h
+	if h.mode == CoherenceDirectory {
+		l.ops = append(l.ops, cohOp{line: line, kind: opDowngradeChip, chip: int16(chip)})
+		return
 	}
-	l.probesAvoided += broadcastProbes - probes
-}
-
-// fillL1 inserts the line into a core's L1 and maintains the shard. L1
-// evictions are clean drops: the L2 above it is (approximately)
-// inclusive, so the data survives.
-func (l *Lane) fillL1(core int, line memory.Addr, st State) {
-	evicted, _, didEvict := l.h.l1[core].Insert(line, st)
-	if didEvict {
-		l.shardClearL1(evicted, core)
-	}
-	l.shardSetL1(line, core)
-	if st == Modified {
-		l.setOwner(line, core)
-	}
+	h.l2[chip].Downgrade(line)
+	h.l3[chip].Downgrade(line)
+	h.downgradeL1s(line, chip)
 }
 
 // fillL2 inserts the line into this chip's L2, spilling any eviction into
 // the chip's victim L3 and maintaining L1 inclusion for evicted lines.
 // The presence-table updates are queued in the exact order the serial
 // protocol issued them, so occupancy (and its peak) evolves identically.
-func (l *Lane) fillL2(core int, line memory.Addr, st State) {
-	chip := l.chip
-	evicted, evictedState, didEvict := l.h.l2[chip].Insert(line, st)
-	l.queueOp(cohOp{line: line, kind: opFillL2, state: st})
+func (l *Lane) fillL2(line memory.Addr, st State) {
+	h, chip := l.h, l.chip
+	evicted, evictedState, didEvict := h.l2[chip].Insert(line, st)
+	l.publish(cohOp{line: line, kind: opFillL2, state: st})
 	if !didEvict {
 		return
 	}
-	l.queueOp(cohOp{line: evicted, kind: opClearL2})
+	l.publish(cohOp{line: evicted, kind: opClearL2})
 	// Victim L3 receives the evicted line; what the L3 itself evicts
 	// leaves the cache system, and dirty victims go back to memory.
-	if l3Victim, l3State, l3Evict := l.h.l3[chip].Insert(evicted, evictedState); l3Evict {
-		l.queueOp(cohOp{line: l3Victim, kind: opClearL3})
+	if l3Victim, l3State, l3Evict := h.l3[chip].Insert(evicted, evictedState); l3Evict {
+		l.publish(cohOp{line: l3Victim, kind: opClearL3})
 		if l3State == Modified {
 			l.writebacks++
 		}
 	}
-	l.queueOp(cohOp{line: evicted, kind: opSetL3})
+	l.publish(cohOp{line: evicted, kind: opSetL3})
 	// Inclusion: an L2 eviction must purge the chip's L1s so a remote
 	// chip's snoop (which only probes L2/L3) can never miss a live copy.
-	l.purgeOwnL1(evicted)
-}
-
-func (l *Lane) shardSetL1(line memory.Addr, core int) {
-	e := l.shard.ensure(line)
-	if e.l1 == 0 {
-		// Fresh entry (empty entries are always dropped): initialize owner.
-		e.owner = NoOwner
-	}
-	e.l1 |= 1 << uint(core)
-}
-
-func (l *Lane) shardClearL1(line memory.Addr, core int) {
-	if e := l.shard.find(line); e != nil {
-		e.l1 &^= 1 << uint(core)
-		if int(e.owner) == core {
-			e.owner = NoOwner
-		}
-		if e.empty() {
-			l.shard.drop(line)
-		}
+	found := h.invalidateL1s(evicted, chip, -1)
+	if h.mode == CoherenceDirectory {
+		l.probesAvoided += uint64(h.topo.CoresPerChip) - found
 	}
 }
 
-// setOwner records write ownership for a line the requesting core just
-// made Modified in its L1.
-func (l *Lane) setOwner(line memory.Addr, core int) {
-	l.shard.ensure(line).owner = int8(core)
+// invalidateL1s invalidates the line in the L1s of one chip's cores,
+// skipping exceptCore (-1 for none), and returns how many held it. A chip
+// has few cores under its L2 (two on every machine the paper uses), so
+// "which of them hold the line" is asked of the L1s themselves rather
+// than of a second per-chip table (DESIGN.md §5).
+func (h *Hierarchy) invalidateL1s(line memory.Addr, chip, exceptCore int) uint64 {
+	var found uint64
+	per := h.topo.CoresPerChip
+	for core := chip * per; core < (chip+1)*per; core++ {
+		if core != exceptCore && h.l1[core].Invalidate(line) != Invalid {
+			found++
+		}
+	}
+	return found
+}
+
+// downgradeL1s moves the line to Shared in the L1s of one chip's cores
+// and returns how many held it.
+func (h *Hierarchy) downgradeL1s(line memory.Addr, chip int) uint64 {
+	var found uint64
+	per := h.topo.CoresPerChip
+	for core := chip * per; core < (chip+1)*per; core++ {
+		if h.l1[core].Downgrade(line) {
+			found++
+		}
+	}
+	return found
 }
 
 // drainOp is one gathered mailbox op in the batched barrier drain: a
@@ -384,7 +386,7 @@ type peakEvent struct {
 // cross-chip effects of the finished slice visible — byte-identical to
 // an op-by-op drain in canonical chip order (see the file comment for
 // why the batched application commutes). Must be called with no lane
-// access in flight. A no-op in broadcast mode (which has no lanes).
+// access in flight. A no-op in broadcast mode (whose mailboxes stay empty).
 func (h *Hierarchy) SliceBarrier() {
 	h.drain = h.drain[:0]
 	h.peakEvents = h.peakEvents[:0]
@@ -524,25 +526,19 @@ func (h *Hierarchy) applyInvalidateRemote(except int, line memory.Addr, ownProbe
 	return e
 }
 
-// invalidateHolders invalidates every recorded copy of the line outside
-// the excepted chip — remote L1s (via the holder chips' shards), L2s and
-// L3s — clearing the corresponding presence bits. It returns how many
-// cache probes it issued. The caller drops the presence entry if the line
-// is gone.
+// invalidateHolders invalidates every copy of the line on the chips the
+// presence entry records outside the excepted chip — their L1s, and the
+// L2s and L3s whose bits are set — clearing those bits. It returns how
+// many cache probes that is worth in the probe accounting: L2/L3 probes
+// issued plus L1 probes that found the line. The caller drops the
+// presence entry if the line is gone.
 func (h *Hierarchy) invalidateHolders(line memory.Addr, e *presEntry, except int) uint64 {
 	var probes uint64
 	for m := holderChips(e, except); m != 0; m &= m - 1 {
 		chip := bits.TrailingZeros64(m)
-		if sh := h.lanes[chip].shard.find(line); sh != nil {
-			for cm := sh.l1; cm != 0; cm &= cm - 1 {
-				core := bits.TrailingZeros64(cm)
-				probes++
-				if h.l1[core].Invalidate(line) != Invalid {
-					h.invalidationsSent++
-				}
-			}
-			h.lanes[chip].shard.drop(line)
-		}
+		found := h.invalidateL1s(line, chip, -1)
+		probes += found
+		h.invalidationsSent += found
 		bit := uint64(1) << uint(chip)
 		if e.l2&bit != 0 {
 			probes++
@@ -562,14 +558,11 @@ func (h *Hierarchy) invalidateHolders(line memory.Addr, e *presEntry, except int
 	return probes
 }
 
-// applyDowngrade moves the line to Shared in the given chip's caches,
-// touching only recorded holders, with the usual probe accounting. The
-// caller supplies the line's presence entry (downgrades never change
-// presence, so there is nothing to return).
+// applyDowngrade moves the line to Shared in the given chip's caches with
+// the usual probe accounting. The caller supplies the line's presence
+// entry (downgrades never change presence, so there is nothing to
+// return).
 func (h *Hierarchy) applyDowngrade(line memory.Addr, chip int, e *presEntry) {
-	if chip < 0 {
-		return
-	}
 	broadcastProbes := uint64(2 + h.topo.CoresPerChip)
 	probes := h.downgradeChipCopies(line, chip, e)
 	if broadcastProbes > probes {
@@ -577,8 +570,9 @@ func (h *Hierarchy) applyDowngrade(line memory.Addr, chip int, e *presEntry) {
 	}
 }
 
-// downgradeChipCopies moves one chip's recorded copies of the line to
-// Shared and returns how many probes that took. Presence bits are
+// downgradeChipCopies moves one chip's copies of the line to Shared — the
+// L2/L3 the presence entry records, and its L1s — and returns how many
+// probes that is worth (as in invalidateHolders). Presence bits are
 // unchanged (the chip keeps Shared copies).
 func (h *Hierarchy) downgradeChipCopies(line memory.Addr, chip int, e *presEntry) uint64 {
 	var probes uint64
@@ -593,17 +587,7 @@ func (h *Hierarchy) downgradeChipCopies(line memory.Addr, chip int, e *presEntry
 			h.l3[chip].Downgrade(line)
 		}
 	}
-	if sh := h.lanes[chip].shard.find(line); sh != nil {
-		for m := sh.l1; m != 0; m &= m - 1 {
-			core := bits.TrailingZeros64(m)
-			probes++
-			h.l1[core].Downgrade(line)
-			if int(sh.owner) == core {
-				sh.owner = NoOwner
-			}
-		}
-	}
-	return probes
+	return probes + h.downgradeL1s(line, chip)
 }
 
 // applyFill publishes a chip's L2 fill in the presence table, arbitrating
@@ -629,8 +613,8 @@ func (h *Hierarchy) downgradeChipCopies(line memory.Addr, chip int, e *presEntry
 // (another chip's read → it settles Shared) or invalidated it outright
 // (another chip's conflicting write saw this chip's pre-slice presence
 // bit — e.g. the line was evicted and re-fetched within the slice). A
-// dead fill publishes nothing; its L1/shard records were already torn
-// down by the invalidation that killed it.
+// dead fill publishes nothing; its L1 copies were already torn down by
+// the invalidation that killed it.
 //
 // The caller supplies the line's presence entry; the published entry is
 // returned (nil only when the fill was dead and the line untracked).
@@ -652,13 +636,9 @@ func (h *Hierarchy) applyFill(chip int, line memory.Addr, st State, e *presEntry
 				h.downgradeChipCopies(line, bits.TrailingZeros64(m), e)
 			}
 			// The filling chip's own fresh copies are not yet published in
-			// the presence table; downgrade them directly (L1s via shard).
+			// the presence table; downgrade them directly.
 			h.l2[chip].Downgrade(line)
-			if sh := h.lanes[chip].shard.find(line); sh != nil {
-				for m := sh.l1; m != 0; m &= m - 1 {
-					h.l1[bits.TrailingZeros64(m)].Downgrade(line)
-				}
-			}
+			h.downgradeL1s(line, chip)
 		}
 	}
 	if e == nil {

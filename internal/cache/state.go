@@ -2,7 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
@@ -12,8 +12,8 @@ import (
 // This file serializes the hierarchy's complete mutable state for machine
 // snapshots: every cache's valid ways (tag, MESI state, LRU stamp and way
 // position), the per-cache statistics and stamp counters, the coherence
-// directory (presence table plus per-chip shards, each emitted sorted by
-// line address so the encoding is canonical), and every counter shard.
+// directory's presence table (emitted sorted by line address so the
+// encoding is canonical), and the barrier-side and per-lane counters.
 // Topology, latencies, geometry and the NUMA node map are configuration
 // the restoring caller rebuilds; restore validates the snapshot against
 // them and refuses mismatches.
@@ -139,21 +139,15 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 	return nil
 }
 
-// sortedLines returns the table's tracked line addresses in ascending
-// order — the canonical iteration order for encoding.
-func sortedLines[E any](t *lineTable[E]) []memory.Addr {
+// savePres appends the machine-wide presence table sorted by line — the
+// canonical order, whatever the hash table's layout.
+func savePres(e *snapbin.Enc, t *lineTable) {
+	e.U64(uint64(t.peak))
 	lines := make([]memory.Addr, 0, t.n)
-	t.forEach(func(line memory.Addr, _ *E) {
+	t.forEach(func(line memory.Addr, _ *presEntry) {
 		lines = append(lines, line)
 	})
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
-}
-
-// savePres appends the machine-wide presence table sorted by line.
-func savePres(e *snapbin.Enc, t *lineTable[presEntry]) {
-	e.U64(uint64(t.peak))
-	lines := sortedLines(t)
+	slices.Sort(lines)
 	e.U32(uint32(len(lines)))
 	for _, line := range lines {
 		ent := t.find(line)
@@ -168,7 +162,7 @@ func (h *Hierarchy) restorePres(d *snapbin.Dec) error {
 	peak := int(d.U64())
 	n := d.Count(24)
 	chipMask := uint64(1)<<uint(h.topo.Chips) - 1
-	var t lineTable[presEntry]
+	var t lineTable
 	t.init()
 	var prev memory.Addr
 	for i := 0; i < n; i++ {
@@ -198,58 +192,6 @@ func (h *Hierarchy) restorePres(d *snapbin.Dec) error {
 	return nil
 }
 
-// saveShard appends one chip's directory shard sorted by line.
-func saveShard(e *snapbin.Enc, t *lineTable[shardEntry]) {
-	e.U64(uint64(t.peak))
-	lines := sortedLines(t)
-	e.U32(uint32(len(lines)))
-	for _, line := range lines {
-		ent := t.find(line)
-		e.U64(uint64(line))
-		e.U64(ent.l1)
-		e.U8(uint8(ent.owner))
-	}
-}
-
-// restoreShard rebuilds one chip's directory shard from a saveShard
-// encoding, validating core bits and owner against the chip's core mask.
-func (h *Hierarchy) restoreShard(d *snapbin.Dec, chip int) error {
-	peak := int(d.U64())
-	n := d.Count(17)
-	mask := h.chipCoreMask(chip)
-	var t lineTable[shardEntry]
-	t.init()
-	var prev memory.Addr
-	for i := 0; i < n; i++ {
-		line := memory.Addr(d.U64())
-		l1 := d.U64()
-		owner := int8(d.U8())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if i > 0 && line <= prev {
-			return fmt.Errorf("cache: snapshot chip %d shard out of order at %#x: %w", chip, uint64(line), snapbin.ErrCorrupt)
-		}
-		prev = line
-		if line != memory.LineOf(line) || l1 == 0 || l1&^mask != 0 {
-			return fmt.Errorf("cache: snapshot chip %d shard entry %#x l1 %#x: %w", chip, uint64(line), l1, snapbin.ErrCorrupt)
-		}
-		if owner != NoOwner && (owner < 0 || l1&(1<<uint(owner)) == 0) {
-			return fmt.Errorf("cache: snapshot chip %d shard entry %#x owner %d: %w", chip, uint64(line), owner, snapbin.ErrCorrupt)
-		}
-		*t.ensure(line) = shardEntry{l1: l1, owner: owner}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if peak < t.n {
-		return fmt.Errorf("cache: snapshot chip %d shard peak %d below occupancy %d: %w", chip, peak, t.n, snapbin.ErrCorrupt)
-	}
-	t.peak = peak
-	h.lanes[chip].shard = t
-	return nil
-}
-
 // SaveState appends the hierarchy's complete mutable state to the
 // encoder. The hierarchy must be quiesced at a slice barrier: every
 // lane's coherence mailbox drained. The encoding is canonical — hash
@@ -274,20 +216,11 @@ func (h *Hierarchy) SaveState(e *snapbin.Enc) error {
 	}
 	e.U64(h.probesAvoided)
 	e.U64(h.invalidationsSent)
-	e.U64(h.upgrades)
-	e.U64(h.writebacks)
-	e.U32(uint32(NumSources))
-	for _, v := range h.srcCounts {
-		e.U64(v)
-	}
-	for _, v := range h.srcCycles {
-		e.U64(v)
-	}
 	savePres(e, &h.pres)
 	e.U32(uint32(len(h.lanes)))
+	e.U32(uint32(NumSources))
 	for chip := range h.lanes {
 		l := &h.lanes[chip]
-		saveShard(e, &l.shard)
 		e.U64(l.probesAvoided)
 		e.U64(l.invalidationsSent)
 		e.U64(l.upgrades)
@@ -331,28 +264,17 @@ func (h *Hierarchy) RestoreState(d *snapbin.Dec) error {
 	}
 	h.probesAvoided = d.U64()
 	h.invalidationsSent = d.U64()
-	h.upgrades = d.U64()
-	h.writebacks = d.U64()
-	if n := int(d.U32()); d.Err() == nil && n != NumSources {
-		return fmt.Errorf("cache: snapshot has %d access sources, built with %d: %w", n, NumSources, errs.ErrBadConfig)
-	}
-	for i := range h.srcCounts {
-		h.srcCounts[i] = d.U64()
-	}
-	for i := range h.srcCycles {
-		h.srcCycles[i] = d.U64()
-	}
 	if err := h.restorePres(d); err != nil {
 		return err
 	}
 	if n := int(d.U32()); d.Err() == nil && n != len(h.lanes) {
 		return fmt.Errorf("cache: snapshot has %d lanes, built with %d: %w", n, len(h.lanes), errs.ErrBadConfig)
 	}
+	if n := int(d.U32()); d.Err() == nil && n != NumSources {
+		return fmt.Errorf("cache: snapshot has %d access sources, built with %d: %w", n, NumSources, errs.ErrBadConfig)
+	}
 	for chip := range h.lanes {
 		l := &h.lanes[chip]
-		if err := h.restoreShard(d, chip); err != nil {
-			return err
-		}
 		l.ops = l.ops[:0]
 		l.probesAvoided = d.U64()
 		l.invalidationsSent = d.U64()

@@ -282,6 +282,10 @@ func (s *Server) admit(norm JobSpec, cost int64, completed map[int]CheckpointCel
 	s.bySeq = append(s.bySeq, j)
 	s.mu.Unlock()
 
+	// The queued event goes in before the push: once the job is on the
+	// queue a worker may pop it and append "running" at any moment. If the
+	// push is refused the log dies with the job.
+	j.events.append(Event{Time: s.clock.Now(), Type: EventQueued, Job: norm.ID})
 	if err := s.queue.push(j); err != nil {
 		s.mu.Lock()
 		delete(s.jobs, norm.ID)
@@ -299,7 +303,6 @@ func (s *Server) admit(norm JobSpec, cost int64, completed map[int]CheckpointCel
 		return JobStatus{}, err
 	}
 	s.mJobsAdmitted.Inc()
-	j.events.append(Event{Time: s.clock.Now(), Type: EventQueued, Job: norm.ID})
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

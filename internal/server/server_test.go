@@ -113,6 +113,59 @@ func TestSubmitRunsJobToDone(t *testing.T) {
 	}
 }
 
+// eagerWorkerClock plays the fastest possible worker at every point where
+// the server reads the clock: if a job is already on the queue it pops it
+// and announces it running, as a real worker goroutine scheduled at that
+// instant would.
+type eagerWorkerClock struct {
+	Clock
+	s      *Server
+	popped *job
+}
+
+func (c *eagerWorkerClock) Now() time.Time {
+	if j := tryPop(c.s); j != nil {
+		j.events.append(Event{Type: EventRunning, Job: j.spec.ID})
+		c.popped = j
+	}
+	return c.Clock.Now()
+}
+
+// tryPop is a non-blocking queue pop.
+func tryPop(s *Server) *job {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return s.queue.pop(ctx)
+}
+
+// TestQueuedEventPrecedesThePush: a worker that pops the job the instant
+// it lands on the queue must still find "queued" at seq 0 of its log —
+// admit used to push first and log second, so "running" could come out
+// ahead of "queued" (seen as [running queued task done] on the NDJSON
+// stream).
+func TestQueuedEventPrecedesThePush(t *testing.T) {
+	s, err := New(Options{Clock: testClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.started = true // admit without launching workers: the test is the worker
+	clock := &eagerWorkerClock{Clock: s.clock, s: s}
+	s.clock = clock
+	if _, err := s.Submit(context.Background(), smallSpec("order")); err != nil {
+		t.Fatal(err)
+	}
+	j := clock.popped
+	if j == nil {
+		if j = tryPop(s); j == nil {
+			t.Fatal("admitted job is not on the queue")
+		}
+	}
+	evs, _, _ := j.events.snapshotFrom(0)
+	if len(evs) == 0 || evs[0].Type != EventQueued || evs[0].Seq != 0 {
+		t.Fatalf("event log at pop time is %+v, want queued at seq 0", evs)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s := startServer(t, Options{}, nil)
 	cases := []struct {

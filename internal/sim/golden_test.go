@@ -3,13 +3,19 @@ package sim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"threadcluster/internal/cache"
+	"threadcluster/internal/errs"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -56,14 +62,16 @@ func buildGoldenMachine(t testing.TB, g goldenScenario) *Machine {
 	return m
 }
 
-// TestGoldenSnapshotCompat restores the committed pre-rewrite golden
-// snapshots and requires (a) the live machine to accept them, (b) an
-// immediate re-snapshot to reproduce the committed bytes exactly — the
-// encoder must emit the historical canonical form from whatever internal
-// layout it now uses — and (c) the simulation to continue from the
-// restore onto the committed trajectory digest. Regenerate with
+// TestGoldenSnapshotCompat restores the committed golden snapshots and
+// requires (a) the live machine to accept them, (b) an immediate
+// re-snapshot to reproduce the committed bytes exactly — the encoder must
+// emit the committed canonical form from whatever internal layout it now
+// uses — and (c) the simulation to continue from the restore onto the
+// committed trajectory digest. Regenerate with
 // `go test ./internal/sim -run TestGoldenSnapshotCompat -update-golden`
-// only when an intentional SnapshotVersion bump invalidates the format.
+// only when an intentional SnapshotVersion bump invalidates the format
+// (last: v2, with TestGoldenTrajectory as the behaviour bridge), and keep
+// the outgoing files for TestGoldenOldVersionRefused.
 func TestGoldenSnapshotCompat(t *testing.T) {
 	for _, g := range goldenScenarios() {
 		g := g
@@ -122,7 +130,7 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(resnap.Encode(), raw) {
-				t.Fatalf("re-snapshot after restore is not byte-identical to the committed golden (%d vs %d bytes); the encoder no longer emits the canonical pre-rewrite form", len(resnap.Encode()), len(raw))
+				t.Fatalf("re-snapshot after restore is not byte-identical to the committed golden (%d vs %d bytes); the encoder no longer emits the committed canonical form", len(resnap.Encode()), len(raw))
 			}
 			if err := m.RunRoundsCtx(ctx, g.extra); err != nil {
 				t.Fatal(err)
@@ -133,6 +141,100 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 			}
 			if got, want := after.Digest(), strings.TrimSpace(string(wantDig)); got != want {
 				t.Fatalf("trajectory diverged after restoring the golden: digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// TestGoldenOldVersionRefused keeps the last version-1 goldens around to
+// pin what happens to files written before a format bump: they are
+// refused outright with ErrBadConfig, naming the version found and the
+// version this build reads — never half-decoded, never migrated.
+func TestGoldenOldVersionRefused(t *testing.T) {
+	for _, g := range goldenScenarios() {
+		raw, err := os.ReadFile(filepath.Join("testdata", "golden_v1_"+g.name+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeSnapshot(raw)
+		if !errors.Is(err, errs.ErrBadConfig) {
+			t.Fatalf("%s: decoding a version-1 snapshot: %v, want ErrBadConfig", g.name, err)
+		}
+		want := fmt.Sprintf("version 1, this build reads %d", SnapshotVersion)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not say %q", g.name, err, want)
+		}
+	}
+}
+
+var updateTrajectory = flag.Bool("update-trajectory", false,
+	"rewrite the testdata golden_*.traj.sha256 pins from the current implementation (a behaviour change, not a format bump)")
+
+// trajectoryHash fingerprints everything a cache-layer refactor must not
+// move: every CPU's AccessResult stream so far, then the metrics
+// registry snapshot (every counter the payload digests are built from).
+func trajectoryHash(t *testing.T, m *Machine) string {
+	t.Helper()
+	h := sha256.New()
+	var buf [25]byte
+	for cpu, stream := range m.capture {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(cpu))
+		binary.LittleEndian.PutUint64(buf[8:16], uint64(len(stream)))
+		h.Write(buf[:16])
+		for _, r := range stream {
+			binary.LittleEndian.PutUint64(buf[:8], uint64(r.Line))
+			binary.LittleEndian.PutUint64(buf[8:16], uint64(r.Source))
+			binary.LittleEndian.PutUint64(buf[16:24], r.Cycles)
+			buf[24] = 0
+			if r.L1Miss {
+				buf[24] = 1
+			}
+			h.Write(buf[:25])
+		}
+	}
+	if err := m.SnapshotMetrics().WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenTrajectory pins simulated behaviour independently of the
+// snapshot format: for each golden scenario, in each coherence mode, the
+// SHA-256 of the per-CPU access streams plus the registry snapshot after
+// warm rounds and again after warm+extra rounds. The pins were recorded
+// before the cache walks were merged and the snapshot format went to v2;
+// unlike the .snap/.digest goldens they survive a SnapshotVersion bump,
+// so they are the bridge that shows a format change moved no behaviour.
+func TestGoldenTrajectory(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range goldenScenarios() {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			var got strings.Builder
+			for _, mode := range []cache.CoherenceMode{cache.CoherenceDirectory, cache.CoherenceBroadcast} {
+				gm := g
+				gm.caches.Coherence = mode
+				m := buildGoldenMachine(t, gm)
+				enableCapture(m)
+				for _, rounds := range []int{g.warm, g.extra} {
+					if err := m.RunRoundsCtx(ctx, rounds); err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&got, "%s %s@%d\n", trajectoryHash(t, m), mode, m.rounds)
+				}
+			}
+			path := filepath.Join("testdata", "golden_"+g.name+".traj.sha256")
+			if *updateTrajectory {
+				if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing trajectory pin: %v", err)
+			}
+			if got.String() != string(want) {
+				t.Fatalf("simulated trajectory moved:\ngot:\n%swant:\n%s", got.String(), want)
 			}
 		})
 	}

@@ -16,8 +16,10 @@ import (
 // SnapshotVersion is the current encoding version of MachineSnapshot.
 // Decoders reject snapshots from a different version outright: the
 // encoding is a direct image of internal component state, which does not
-// migrate across versions.
-const SnapshotVersion = 1
+// migrate across versions. Version 2 dropped what the cache hierarchy
+// stopped keeping — the per-chip L1 sharer tables and the hierarchy-level
+// access counters — from the cache section (DESIGN.md §9).
+const SnapshotVersion = 2
 
 // snapshotMagic opens every encoded snapshot ("TCSNAP\0\0" little-endian).
 const snapshotMagic uint64 = 0x0000_50414E534354
