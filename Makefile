@@ -46,10 +46,12 @@ bench:
 # The guarded benchmarks, one recipe for three targets that differ only
 # in the flag benchcmp gets: the broadcast-vs-directory coherence
 # benchmarks against BENCH_coherence.json, the seq-vs-parallel engine
-# benchmarks plus the SoA-vs-AoS cache hot-path pair against
-# BENCH_sim.json (two `go test -bench` runs concatenated into one
-# benchcmp input), and the incremental clustering per-event benchmarks
-# against BENCH_clustering.json.
+# benchmarks, the fresh-vs-recycled short-job pair (a closed machine's
+# cache slabs must keep making the next build >= 1.5x cheaper, whole job
+# timed) and the SoA-vs-AoS cache hot-path pair against BENCH_sim.json
+# (two `go test -bench` runs concatenated into one benchcmp input), and
+# the incremental clustering per-event benchmarks against
+# BENCH_clustering.json.
 #
 #   bench-compare   (no flag) fails when a benchmark regresses past
 #                   tolerance, a speedup pair drops below its required
@@ -68,7 +70,7 @@ bench-smoke: BENCHCMP_FLAG = -report
 bench-compare bench-baseline bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkCoherence -benchtime 1s ./internal/cache \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_coherence.json $(BENCHCMP_FLAG)
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMachineRound32Way(Seq|Parallel)' -benchtime 2s ./internal/sim ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkMachineRound32Way(Seq|Parallel)|BenchmarkNewMachine(Fresh|Recycled)' -benchtime 2s ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSetAssocHot(SoA|AoSRef)' -benchtime 1s ./internal/cache ; } \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json $(BENCHCMP_FLAG)
 	$(GO) test -run '^$$' -bench BenchmarkIncrementalEvent -benchtime 1s ./internal/clustering \
@@ -108,15 +110,19 @@ fuzz-smoke:
 # (including the sketch state provider), the batched-vs-serial
 # slice-barrier drain, the three-way reference/broadcast/directory walk
 # differential and the per-op directory scan at several GOMAXPROCS
-# levels, the incremental-vs-batch
+# levels, the slab pool (released == fresh word for word, reuse after
+# Close and after every failed build or restore, and sweep workers
+# handing slabs of two machine geometries to each other while every cell
+# stays equal to the serial run's), the incremental-vs-batch
 # clustering differential, the experiment harnesses' golden-output and
 # Options-plumbing tests (their policy/workload fan-out runs on sweep.Map
 # goroutines), and the job server + client under load.
 test-race:
 	$(GO) test -race ./internal/metrics ./internal/sweep
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
-	$(GO) test -race -run 'TestEngine|TestRunSlice|TestSnapshot|TestGolden' ./internal/sim
-	$(GO) test -race -short -run 'TestSliceBarrierBatchedVsSerial|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk' -cpu 1,2,4 ./internal/cache
+	$(GO) test -race -run 'TestGridRecyclesAcrossWorkers|TestBuildFailureRecyclesSlabs|TestGridCellsCloseTheirMachine' -cpu 1,2,4 ./internal/experiments
+	$(GO) test -race -run 'TestEngine|TestRunSlice|TestSnapshot|TestGolden|TestClose' ./internal/sim
+	$(GO) test -race -short -run 'TestSliceBarrierBatchedVsSerial|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestReleased' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race -run 'TestIncremental|TestSketch' -cpu 1,2,4 ./internal/clustering
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet

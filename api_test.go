@@ -18,6 +18,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	defer machine.Close() // recycles the cache slabs; read results first
 
 	arena := threadcluster.NewArena()
 	spec, err := threadcluster.NewSyntheticWorkload(arena, threadcluster.DefaultSyntheticConfig())

@@ -36,7 +36,7 @@ func main() {
 	opt := experiments.DefaultOptions().WithRounds(0, 0, *rounds)
 	opt.Seed = *seed
 	withEngine := pol == sched.PolicyClustered
-	res, _, err := experiments.RunWorkload(context.Background(), *workload, pol, withEngine, opt)
+	res, err := experiments.RunWorkload(context.Background(), *workload, pol, withEngine, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stallbreak:", err)
 		os.Exit(1)

@@ -29,7 +29,7 @@ func main() {
 		sched.PolicyDefault, sched.PolicyRoundRobin,
 		sched.PolicyHandOptimized, sched.PolicyClustered,
 	} {
-		res, _, err := experiments.RunWorkload(context.Background(), experiments.Volano, pol, pol == sched.PolicyClustered, opt)
+		res, err := experiments.RunWorkload(context.Background(), experiments.Volano, pol, pol == sched.PolicyClustered, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

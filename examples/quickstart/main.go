@@ -29,6 +29,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Close hands the machine's cache slabs to the next NewMachine; read
+	// every result first.
+	defer machine.Close()
 	fmt.Println("machine:", machine.Topology())
 
 	// 2. The workload: 4 scoreboards, 4 threads each, every thread mixing

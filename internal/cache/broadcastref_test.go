@@ -41,19 +41,13 @@ type broadcastRef struct {
 func newBroadcastRef(t testing.TB, topo topology.Topology, lat topology.Latencies, cfg HierarchyConfig) *broadcastRef {
 	t.Helper()
 	h := &broadcastRef{topo: topo, lat: lat}
-	mk := func(c Config) *SetAssoc {
-		sa, err := NewSetAssoc(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sa
-	}
+	// The reference never runs on recycled slabs.
 	for core := 0; core < topo.NumCores(); core++ {
-		h.l1 = append(h.l1, mk(cfg.L1))
+		h.l1 = append(h.l1, freshCache(t, cfg.L1))
 	}
 	for chip := 0; chip < topo.Chips; chip++ {
-		h.l2 = append(h.l2, mk(cfg.L2))
-		h.l3 = append(h.l3, mk(cfg.L3))
+		h.l2 = append(h.l2, freshCache(t, cfg.L2))
+		h.l3 = append(h.l3, freshCache(t, cfg.L3))
 	}
 	return h
 }

@@ -11,7 +11,9 @@ import (
 // sequence — 3 bytes per access: CPU selector, line selector, flag byte
 // (bit 0: write) — and replays it through the pre-merge broadcast
 // reference walk and the unified walk in broadcast and directory mode, in
-// lockstep. Whatever the sequence, none of them may panic, every
+// lockstep, and then a fourth time through a directory hierarchy built on
+// the slabs the second and third just released (and every earlier input
+// dirtied). Whatever the sequence, none of them may panic, every
 // per-access result must match, the coherence and attribution counters
 // and the cache contents must stay identical, and the directory must
 // agree with a ground-truth scan of cache contents.
@@ -31,11 +33,14 @@ func FuzzHierarchyAccess(f *testing.F) {
 		topo := topology.OpenPower720()
 		ref, bc, dir := triplet(t, topo, topology.DefaultLatencies(), SmallConfig())
 		ncpu := topo.NumCPUs()
+		decode := func(i int) (topology.CPUID, memory.Addr, bool) {
+			return topology.CPUID(int(data[i]) % ncpu), memory.Addr(uint64(data[i+1]) * memory.LineSize), data[i+2]&1 != 0
+		}
+		var want []AccessResult
 		for i := 0; i+3 <= len(data); i += 3 {
-			cpu := topology.CPUID(int(data[i]) % ncpu)
-			addr := memory.Addr(uint64(data[i+1]) * memory.LineSize)
-			write := data[i+2]&1 != 0
+			cpu, addr, write := decode(i)
 			rr := ref.Access(cpu, addr, write)
+			want = append(want, rr)
 			rb := bc.Access(cpu, addr, write)
 			rd := dir.Access(cpu, addr, write)
 			if rr != rb || rr != rd {
@@ -50,5 +55,27 @@ func FuzzHierarchyAccess(f *testing.F) {
 		if err := dir.CheckDirectory(); err != nil {
 			t.Fatal(err)
 		}
+
+		bc.Release()
+		dir.Release()
+		cfg := SmallConfig()
+		cfg.Coherence = CoherenceDirectory
+		rec, err := NewHierarchy(topo, topology.DefaultLatencies(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+3 <= len(data); i += 3 {
+			cpu, addr, write := decode(i)
+			if got := rec.Access(cpu, addr, write); got != want[i/3] {
+				t.Fatalf("op %d on recycled slabs: cpu %d line %#x write=%v:\nreference %+v\nrecycled  %+v",
+					i/3, cpu, uint64(addr), write, want[i/3], got)
+			}
+		}
+		compareCounters(t, len(data)/3, ref, rec)
+		sameCaches(t, ref, rec)
+		if err := rec.CheckDirectory(); err != nil {
+			t.Fatal(err)
+		}
+		rec.Release()
 	})
 }

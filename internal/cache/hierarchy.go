@@ -290,21 +290,27 @@ func (h *Hierarchy) Access(cpu topology.CPUID, addr memory.Addr, write bool) Acc
 // SrcRemoteMemory. Passing nil reverts to uniform memory.
 func (h *Hierarchy) SetNUMA(nodes memory.NodeMap) { h.nodes = nodes }
 
+// Release hands every cache's slabs back for reuse by the next hierarchy
+// built with the same geometry, and drops them: the hierarchy must not be
+// accessed, queried or snapshotted afterwards. Counters held outside the
+// caches (lanes, the presence table) are not recycled.
+func (h *Hierarchy) Release() {
+	for _, level := range [][]*SetAssoc{h.l1, h.l2, h.l3} {
+		for _, c := range level {
+			c.release()
+		}
+	}
+	h.l1, h.l2, h.l3 = nil, nil, nil
+}
+
 // FlushAll empties every cache, modelling the cold state after a machine
 // reset. Useful between experiment phases.
 func (h *Hierarchy) FlushAll() {
-	cfgOf := func(c *SetAssoc) Config { return c.Config() }
-	for i, c := range h.l1 {
-		nc, _ := NewSetAssoc(cfgOf(c))
-		h.l1[i] = nc
-	}
-	for i, c := range h.l2 {
-		nc, _ := NewSetAssoc(cfgOf(c))
-		h.l2[i] = nc
-	}
-	for i, c := range h.l3 {
-		nc, _ := NewSetAssoc(cfgOf(c))
-		h.l3[i] = nc
+	for _, level := range [][]*SetAssoc{h.l1, h.l2, h.l3} {
+		for i, c := range level {
+			c.release()
+			level[i], _ = NewSetAssoc(c.cfg)
+		}
 	}
 	if h.mode == CoherenceDirectory {
 		peak := h.pres.peak

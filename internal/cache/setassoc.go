@@ -8,6 +8,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
@@ -84,7 +86,7 @@ type Stats struct {
 // pattern can never equal a real line: a probe may compare tags alone,
 // touching one dense slab, without consulting the state slab first. The
 // invariant — tags[i] == invalidTag exactly when states[i] == Invalid —
-// is maintained by Invalidate and restoreCache.
+// is maintained by Invalidate, restoreCache and release.
 const invalidTag = ^memory.Addr(0)
 
 // SetAssoc is a set-associative cache with true-LRU replacement. Addresses
@@ -108,6 +110,12 @@ type SetAssoc struct {
 	lru    []uint64 // last-touch stamps; larger = more recent
 	stamp  uint64
 	stats  Stats
+	// touched has one bit per set, raised when a way of the set may differ
+	// from the freshly built image: by Insert, the only operation that
+	// makes a way valid, and by restoreCache for the sets it fills. release
+	// rewrites exactly those sets, so recycling a cache costs O(sets
+	// touched), not O(capacity).
+	touched []uint64 //tclint:allow snapfields -- derived from the slabs: restoreCache rebuilds it from the ways it fills, so it is never serialised
 	// setMask is nsets-1 when the set count is a power of two, which
 	// turns the per-probe modulo into a mask (the hot-path case: every
 	// Power5 L1 and all of SmallConfig). Zero set counts are rejected by
@@ -117,19 +125,36 @@ type SetAssoc struct {
 	pow2    bool
 }
 
-// NewSetAssoc builds a cache from the configuration.
+// slabPools parks released caches for reuse, one sync.Pool per geometry
+// (Config → *sync.Pool). A parked cache is word for word what newSetAssoc
+// would build; the garbage collector bounds how long an idle one is kept.
+var slabPools sync.Map
+
+// NewSetAssoc builds a cache from the configuration, reusing the slabs of
+// a released cache of the same geometry when one is parked.
 func NewSetAssoc(cfg Config) (*SetAssoc, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if p, ok := slabPools.Load(cfg); ok {
+		if c, ok := p.(*sync.Pool).Get().(*SetAssoc); ok {
+			return c, nil
+		}
+	}
+	return newSetAssoc(cfg), nil
+}
+
+// newSetAssoc allocates and fills a cache; cfg must have been validated.
+func newSetAssoc(cfg Config) *SetAssoc {
 	n := cfg.Sets()
 	c := &SetAssoc{
-		cfg:    cfg,
-		nsets:  n,
-		ways:   cfg.Ways,
-		tags:   make([]memory.Addr, n*cfg.Ways),
-		states: make([]State, n*cfg.Ways),
-		lru:    make([]uint64, n*cfg.Ways),
+		cfg:     cfg,
+		nsets:   n,
+		ways:    cfg.Ways,
+		tags:    make([]memory.Addr, n*cfg.Ways),
+		states:  make([]State, n*cfg.Ways),
+		lru:     make([]uint64, n*cfg.Ways),
+		touched: make([]uint64, (n+63)/64),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -138,7 +163,31 @@ func NewSetAssoc(cfg Config) (*SetAssoc, error) {
 		c.setMask = uint64(n) - 1
 		c.pow2 = true
 	}
-	return c, nil
+	return c
+}
+
+// release returns the cache to the freshly built image — only the touched
+// sets need rewriting — and parks it for the next NewSetAssoc of the same
+// geometry. The caller must drop every reference to it.
+func (c *SetAssoc) release() {
+	for w, word := range c.touched {
+		for ; word != 0; word &= word - 1 {
+			b := (w<<6 + bits.TrailingZeros64(word)) * c.ways
+			for i := b; i < b+c.ways; i++ {
+				c.tags[i] = invalidTag
+				c.states[i] = Invalid
+				c.lru[i] = 0
+			}
+		}
+		c.touched[w] = 0
+	}
+	c.stamp = 0
+	c.stats = Stats{}
+	p, ok := slabPools.Load(c.cfg)
+	if !ok {
+		p, _ = slabPools.LoadOrStore(c.cfg, new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(c)
 }
 
 // Config returns the cache's configuration.
@@ -147,16 +196,19 @@ func (c *SetAssoc) Config() Config { return c.cfg }
 // Stats returns a copy of the cache's counters.
 func (c *SetAssoc) Stats() Stats { return c.stats }
 
-// setBase returns the slab index of the set's first way.
-func (c *SetAssoc) setBase(line memory.Addr) int {
+// setOf returns the index of the set the line maps to.
+func (c *SetAssoc) setOf(line memory.Addr) int {
 	if c.pow2 {
-		return int(memory.LineIndex(line)&c.setMask) * c.ways
+		return int(memory.LineIndex(line) & c.setMask)
 	}
 	// A non-power-of-two set count (e.g. the Power5 L2's 1638 sets) must
 	// keep the modulo: any faster reduction would change the set mapping
 	// and with it every byte of downstream results.
-	return int(memory.LineIndex(line)%uint64(c.nsets)) * c.ways
+	return int(memory.LineIndex(line) % uint64(c.nsets))
 }
+
+// setBase returns the slab index of the set's first way.
+func (c *SetAssoc) setBase(line memory.Addr) int { return c.setOf(line) * c.ways }
 
 // findWay returns the slab index of the line's way, or -1. Because empty
 // ways hold invalidTag, the scan touches only the tag slab.
@@ -202,7 +254,9 @@ func (c *SetAssoc) Insert(line memory.Addr, st State) (evicted memory.Addr, evic
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	b := c.setBase(line)
+	set := c.setOf(line)
+	b := set * c.ways
+	c.touched[set>>6] |= 1 << (uint(set) & 63)
 	c.stamp++
 	// One pass over the tag slab finds the line and, failing that, the
 	// first free way (empty ways carry invalidTag, so both checks read

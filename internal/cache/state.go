@@ -77,6 +77,7 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 	freshTags := make([]memory.Addr, nsets*ways)
 	freshStates := make([]State, nsets*ways)
 	freshLRU := make([]uint64, nsets*ways)
+	freshTouched := make([]uint64, len(c.touched))
 	for i := range freshTags {
 		freshTags[i] = invalidTag
 	}
@@ -89,6 +90,9 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 		if valid > ways {
 			return fmt.Errorf("cache: snapshot %s set %d claims %d valid ways of %d: %w",
 				what, s, valid, ways, snapbin.ErrCorrupt)
+		}
+		if valid > 0 {
+			freshTouched[s>>6] |= 1 << (uint(s) & 63)
 		}
 		prev := -1
 		for v := 0; v < valid; v++ {
@@ -136,6 +140,9 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 	copy(c.tags, freshTags)
 	copy(c.states, freshStates)
 	copy(c.lru, freshLRU)
+	// Every set the snapshot left empty is back at the built image, so the
+	// filled sets are exactly the touched ones.
+	copy(c.touched, freshTouched)
 	return nil
 }
 

@@ -129,6 +129,7 @@ func probeOne(ctx context.Context, opt Options, bytes uint64) (ProbePoint, error
 	if err != nil {
 		return ProbePoint{}, err
 	}
+	defer r.close()
 	th := r.m.Thread(1)
 	if th.Insts == 0 {
 		return ProbePoint{}, fmt.Errorf("probe thread never ran")

@@ -142,8 +142,12 @@ func Scale32(ctx context.Context, opt Options) (Scale32Result, error) {
 		if policy == sched.PolicyClustered {
 			st.engine = EngineConfigFor
 		}
-		res, _, err := st.run(ctx, big, big.WarmRounds+big.EngineRounds, big.MeasureRounds)
-		return res.OpsPerMCycle, err
+		res, r, err := st.run(ctx, big, big.WarmRounds+big.EngineRounds, big.MeasureRounds)
+		if err != nil {
+			return 0, err
+		}
+		r.close()
+		return res.OpsPerMCycle, nil
 	}
 
 	defPerf, err := measure(sched.PolicyDefault)

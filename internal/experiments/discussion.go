@@ -107,10 +107,11 @@ func contentionRun(ctx context.Context, opt Options, placement string, caches ca
 		st.engine = EngineConfigFor
 	}
 
-	res, _, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
+	res, r, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
 	if err != nil {
 		return ContentionRow{}, err
 	}
+	r.close()
 	b := res.Breakdown
 	return ContentionRow{
 		Placement:         placement,
@@ -154,6 +155,7 @@ func MigrationCost(ctx context.Context, opt Options) (MigrationCostResult, error
 	if err != nil {
 		return MigrationCostResult{}, err
 	}
+	defer r.close()
 	m := r.m
 
 	const window = 20

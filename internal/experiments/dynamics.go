@@ -56,6 +56,7 @@ func PhaseChange(ctx context.Context, opt Options) (PhaseChangeResult, error) {
 	if err != nil {
 		return PhaseChangeResult{}, err
 	}
+	defer r.close()
 	m, eng := r.m, r.eng
 
 	res := PhaseChangeResult{Timeline: stats.Series{Label: "remote-stall fraction"}}

@@ -252,11 +252,13 @@ type EngineStats struct {
 }
 
 // RunWorkload measures one workload under one policy, optionally with the
-// clustering engine attached (policy should then be PolicyClustered).
-func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngine bool, opt Options) (RunMetrics, *sim.Machine, error) {
+// clustering engine attached (policy should then be PolicyClustered). The
+// machine is closed before RunWorkload returns, so a grid of cells
+// recycles one set of cache slabs per worker.
+func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngine bool, opt Options) (RunMetrics, error) {
 	spec, err := BuildWorkload(name, opt.Seed)
 	if err != nil {
-		return RunMetrics{}, nil, err
+		return RunMetrics{}, err
 	}
 	s := study{policy: policy, install: spec.Install}
 	if withEngine {
@@ -268,10 +270,11 @@ func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngi
 	// old one would confound placement effects with workload age.
 	res, r, err := s.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
 	if err != nil {
-		return RunMetrics{}, nil, err
+		return RunMetrics{}, err
 	}
+	r.close()
 	res.Workload = name
-	return res, r.m, nil
+	return res, nil
 }
 
 // PolicyRuns measures one workload under all four placement strategies of
@@ -285,8 +288,7 @@ func PolicyRuns(ctx context.Context, name string, opt Options) (map[sched.Policy
 		func(ctx context.Context, i int) (RunMetrics, error) {
 			pol := policies[i]
 			withEngine := pol == sched.PolicyClustered
-			r, _, err := RunWorkload(ctx, name, pol, withEngine, opt)
-			return r, err
+			return RunWorkload(ctx, name, pol, withEngine, opt)
 		})
 	if err != nil {
 		return nil, err

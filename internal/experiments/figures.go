@@ -80,7 +80,7 @@ func Figure1(opt Options) (*stats.Table, error) {
 // workload under default scheduling, with data-cache stalls attributed to
 // the source that satisfied each miss.
 func Figure3(ctx context.Context, workload string, opt Options) (*stats.Table, pmu.Breakdown, error) {
-	res, _, err := RunWorkload(ctx, workload, sched.PolicyDefault, false, opt)
+	res, err := RunWorkload(ctx, workload, sched.PolicyDefault, false, opt)
 	if err != nil {
 		return nil, pmu.Breakdown{}, err
 	}

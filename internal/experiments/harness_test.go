@@ -146,10 +146,15 @@ func TestHarnessOptionsReachMachine(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var mu sync.Mutex // harnesses fan machines out over sweep.Map goroutines
-			var built []*sim.Machine
+			// Read at build time: a harness closes its machines.
+			type carried struct {
+				coherence cache.CoherenceMode
+				engine    sim.Engine
+			}
+			var built []carried
 			machineBuilt = func(m *sim.Machine) {
 				mu.Lock()
-				built = append(built, m)
+				built = append(built, carried{m.Hierarchy().Coherence(), m.Config().Engine})
 				mu.Unlock()
 				if slowEntry(name) {
 					cancel()
@@ -163,11 +168,11 @@ func TestHarnessOptionsReachMachine(t *testing.T) {
 				t.Error("built no machine through the rig")
 			}
 			for i, m := range built {
-				if got := m.Hierarchy().Coherence(); got != cache.CoherenceBroadcast {
-					t.Errorf("machine %d of %d: coherence %v, want broadcast", i+1, len(built), got)
+				if m.coherence != cache.CoherenceBroadcast {
+					t.Errorf("machine %d of %d: coherence %v, want broadcast", i+1, len(built), m.coherence)
 				}
-				if got := m.Config().Engine; got != sim.EngineSeq {
-					t.Errorf("machine %d of %d: engine %v, want seq", i+1, len(built), got)
+				if m.engine != sim.EngineSeq {
+					t.Errorf("machine %d of %d: engine %v, want seq", i+1, len(built), m.engine)
 				}
 			}
 		})

@@ -64,7 +64,7 @@ func MuxValidation(ctx context.Context, opt Options) (MuxValidationResult, *stat
 			return nil
 		},
 	}
-	measured, _, err := st.runInterval(ctx, opt, opt.WarmRounds, func(r *rig) error {
+	measured, r, err := st.runInterval(ctx, opt, opt.WarmRounds, func(r *rig) error {
 		for c := range muxes {
 			muxes[c].Reset()
 		}
@@ -74,6 +74,7 @@ func MuxValidation(ctx context.Context, opt Options) (MuxValidationResult, *stat
 	if err != nil {
 		return MuxValidationResult{}, nil, err
 	}
+	r.close()
 
 	exact := measured.Breakdown
 	var est pmu.Breakdown

@@ -136,10 +136,11 @@ func numaRun(ctx context.Context, opt Options, policy sched.Policy, withEngine, 
 		}
 	}
 
-	res, _, err := st.run(ctx, numaOpt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
+	res, r, err := st.run(ctx, numaOpt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
 	if err != nil {
 		return NUMARow{}, err
 	}
+	r.close()
 	return NUMARow{
 		Config:               name,
 		RemoteCacheFraction:  res.RemoteFraction,

@@ -77,6 +77,7 @@ func pmuDetectorRow(ctx context.Context, workload string, opt Options) (Detector
 	if err != nil {
 		return DetectorComparison{}, fmt.Errorf("pmu path on %s: %w", workload, err)
 	}
+	defer r.close()
 	return detectorRow(workload, "pmu", snap.clusters, spec, res, r), nil
 }
 
@@ -100,6 +101,7 @@ func pageDetectorRow(ctx context.Context, workload string, opt Options) (Detecto
 	if err != nil {
 		return DetectorComparison{}, err
 	}
+	defer r.close()
 	clusters := det.Cluster(pagedetect.DefaultClusterConfig())
 	return detectorRow(workload, "page", clusters, spec, res, r), nil
 }

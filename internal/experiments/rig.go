@@ -49,11 +49,17 @@ type study struct {
 }
 
 // rig is one built machine with its workload installed and, when the
-// study asked for one, its clustering engine attached.
+// study asked for one, its clustering engine attached. The rig owns the
+// machine's lifecycle: whoever holds it closes it once every result has
+// been read.
 type rig struct {
 	m   *sim.Machine
 	eng *core.Engine
 }
+
+// close hands the machine's cache slabs to the next machine built (see
+// sim.Machine.Close); r.m and r.eng must not be read afterwards.
+func (r *rig) close() { r.m.Close() }
 
 // machineBuilt, when set by a test, observes every machine the rig
 // builds.
@@ -73,28 +79,36 @@ func (s study) build(opt Options) (*rig, error) {
 	if machineBuilt != nil {
 		machineBuilt(m)
 	}
-	if err := s.install(m); err != nil {
+	r := &rig{m: m}
+	if err := s.attach(r, opt); err != nil {
+		r.close()
 		return nil, err
 	}
-	r := &rig{m: m}
+	return r, nil
+}
+
+// attach installs the workload, the clustering engine the study asked
+// for, and the study's setup on the freshly built machine, in that order.
+func (s study) attach(r *rig, opt Options) error {
+	if err := s.install(r.m); err != nil {
+		return err
+	}
 	if s.engine != nil {
 		ecfg, err := s.engine(opt)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if r.eng, err = core.New(m, ecfg); err != nil {
-			return nil, err
+		if r.eng, err = core.New(r.m, ecfg); err != nil {
+			return err
 		}
 		if err := r.eng.Install(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if s.setup != nil {
-		if err := s.setup(r); err != nil {
-			return nil, err
-		}
+		return s.setup(r)
 	}
-	return r, nil
+	return nil
 }
 
 // run builds the study's machine, warms it, discards the warm-up
@@ -114,11 +128,13 @@ func (s study) runInterval(ctx context.Context, opt Options, warm int, interval 
 		return RunMetrics{}, nil, err
 	}
 	if err := r.m.RunRoundsCtx(ctx, warm); err != nil {
+		r.close()
 		return RunMetrics{}, nil, err
 	}
 	r.m.ResetMetrics()
 	base := r.m.SnapshotMetrics()
 	if err := interval(r); err != nil {
+		r.close()
 		return RunMetrics{}, nil, err
 	}
 

@@ -71,6 +71,7 @@ func figure8Point(ctx context.Context, interval uint64, opt Options) (Figure8Poi
 	if err != nil {
 		return Figure8Point{}, fmt.Errorf("experiments: sampling interval %d: %w", interval, err)
 	}
+	defer r.close()
 	return Figure8Point{
 		RatePercent:     100.0 / float64(interval),
 		OverheadPercent: 100 * stats.Ratio(float64(r.m.OverheadCycles()), float64(res.Breakdown.Cycles)),
@@ -179,6 +180,7 @@ func SDARPurity(ctx context.Context, opt Options) (SDARPurityResult, error) {
 	if err != nil {
 		return SDARPurityResult{}, err
 	}
+	defer r.close()
 	// The handlers count from the first round: the whole run is the
 	// sample, with no warm-up to discard.
 	if err := r.m.RunRoundsCtx(ctx, opt.WarmRounds+opt.MeasureRounds); err != nil {
@@ -205,6 +207,7 @@ func detectOnce(ctx context.Context, opt Options, spec *workloads.Spec, adjust f
 	if err != nil {
 		return nil, err
 	}
+	defer r.close()
 	if err := r.m.RunRoundsCtx(ctx, opt.WarmRounds); err != nil {
 		return nil, err
 	}

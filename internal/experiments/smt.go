@@ -106,10 +106,11 @@ func smtRun(ctx context.Context, opt Options, seed int64, spread bool) (SMTRow, 
 			return nil
 		},
 	}
-	res, _, err := st.run(ctx, seeded, opt.WarmRounds, opt.MeasureRounds)
+	res, r, err := st.run(ctx, seeded, opt.WarmRounds, opt.MeasureRounds)
 	if err != nil {
 		return SMTRow{}, err
 	}
+	r.close()
 	return SMTRow{
 		SMTStallFraction: res.Breakdown.Fraction(pmu.EvStallSMT),
 		RemoteFraction:   res.RemoteFraction,

@@ -52,14 +52,16 @@ func Staged(ctx context.Context, opt Options) (StagedResult, *stats.Table, error
 	}
 
 	var res StagedResult
-	def, _, _, err := run(sched.PolicyDefault)
+	def, dr, _, err := run(sched.PolicyDefault)
 	if err != nil {
 		return res, nil, err
 	}
+	dr.close()
 	clu, r, spec, err := run(sched.PolicyClustered)
 	if err != nil {
 		return res, nil, err
 	}
+	defer r.close()
 	res.DefaultRemote, res.DefaultOps = def.RemoteFraction, def.Ops
 	res.ClusteredRemote, res.ClusteredOps = clu.RemoteFraction, clu.Ops
 	m := r.m

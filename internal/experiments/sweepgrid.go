@@ -158,7 +158,7 @@ func (g GridSpec) taskFor(cell GridCell) (sweep.Task, error) {
 			opt := g.Opt
 			opt.Topo = topo
 			opt.Seed = seed
-			r, _, err := RunWorkload(ctx, cell.Workload, cell.Policy, cell.Policy == sched.PolicyClustered, opt)
+			r, err := RunWorkload(ctx, cell.Workload, cell.Policy, cell.Policy == sched.PolicyClustered, opt)
 			if err != nil {
 				return metrics.Snapshot{}, err
 			}

@@ -48,9 +48,9 @@ func goldenScenarios() []goldenScenario {
 	}
 }
 
-func buildGoldenMachine(t testing.TB, g goldenScenario) *Machine {
+func buildGoldenMachine(t testing.TB, g goldenScenario, engine Engine) *Machine {
 	t.Helper()
-	cfg := diffConfig(g.sc, EngineSeq, g.seed)
+	cfg := diffConfig(g.sc, engine, g.seed)
 	cfg.Caches = g.caches
 	m, err := NewMachine(cfg)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 			ctx := context.Background()
 
 			if *updateGolden {
-				m := buildGoldenMachine(t, g)
+				m := buildGoldenMachine(t, g, EngineSeq)
 				if err := m.RunRoundsCtx(ctx, g.warm); err != nil {
 					t.Fatal(err)
 				}
@@ -205,36 +205,60 @@ func trajectoryHash(t *testing.T, m *Machine) string {
 // before the cache walks were merged and the snapshot format went to v2;
 // unlike the .snap/.digest goldens they survive a SnapshotVersion bump,
 // so they are the bridge that shows a format change moved no behaviour.
+//
+// Each scenario runs under both engines, twice over, and every machine is
+// closed once read: all but the first are built on slabs a predecessor
+// dirtied and released, and must still land on the pins and — in
+// directory mode, the mode the .digest golden was recorded in — on the
+// committed machine-snapshot digest. Recycled is fresh, word for word.
 func TestGoldenTrajectory(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range goldenScenarios() {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
-			var got strings.Builder
-			for _, mode := range []cache.CoherenceMode{cache.CoherenceDirectory, cache.CoherenceBroadcast} {
-				gm := g
-				gm.caches.Coherence = mode
-				m := buildGoldenMachine(t, gm)
-				enableCapture(m)
-				for _, rounds := range []int{g.warm, g.extra} {
-					if err := m.RunRoundsCtx(ctx, rounds); err != nil {
-						t.Fatal(err)
-					}
-					fmt.Fprintf(&got, "%s %s@%d\n", trajectoryHash(t, m), mode, m.rounds)
-				}
-			}
 			path := filepath.Join("testdata", "golden_"+g.name+".traj.sha256")
-			if *updateTrajectory {
-				if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
+			wantDig, err := os.ReadFile(filepath.Join("testdata", "golden_"+g.name+".digest"))
 			if err != nil {
-				t.Fatalf("missing trajectory pin: %v", err)
+				t.Fatalf("missing golden digest: %v", err)
 			}
-			if got.String() != string(want) {
-				t.Fatalf("simulated trajectory moved:\ngot:\n%swant:\n%s", got.String(), want)
+			for pass := 1; pass <= 2; pass++ {
+				for _, engine := range []Engine{EngineSeq, EngineParallel} {
+					var got strings.Builder
+					for _, mode := range []cache.CoherenceMode{cache.CoherenceDirectory, cache.CoherenceBroadcast} {
+						gm := g
+						gm.caches.Coherence = mode
+						m := buildGoldenMachine(t, gm, engine)
+						enableCapture(m)
+						for _, rounds := range []int{g.warm, g.extra} {
+							if err := m.RunRoundsCtx(ctx, rounds); err != nil {
+								t.Fatal(err)
+							}
+							fmt.Fprintf(&got, "%s %s@%d\n", trajectoryHash(t, m), mode, m.rounds)
+						}
+						if mode == cache.CoherenceDirectory {
+							snap, err := m.Snapshot(ctx)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if dig, want := snap.Digest(), strings.TrimSpace(string(wantDig)); dig != want {
+								t.Fatalf("pass %d, %v: machine-snapshot digest %s, golden %s", pass, engine, dig, want)
+							}
+						}
+						m.Close()
+					}
+					if *updateTrajectory {
+						if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("missing trajectory pin: %v", err)
+					}
+					if got.String() != string(want) {
+						t.Fatalf("pass %d, %v: simulated trajectory moved:\ngot:\n%swant:\n%s", pass, engine, got.String(), want)
+					}
+				}
 			}
 		})
 	}

@@ -74,12 +74,18 @@ const (
 // Metrics returns the machine's metrics registry. Components attached to
 // the machine (the clustering engine, experiment harnesses) register
 // their own series here so one snapshot covers the whole system.
-func (m *Machine) Metrics() *metrics.Registry { return m.metrics }
+func (m *Machine) Metrics() *metrics.Registry {
+	m.live()
+	return m.metrics
+}
 
 // SnapshotMetrics captures every registered series. Collector functions
 // are evaluated against the machine's current state; call it only
 // between rounds (like any other machine inspection).
-func (m *Machine) SnapshotMetrics() metrics.Snapshot { return m.metrics.Snapshot() }
+func (m *Machine) SnapshotMetrics() metrics.Snapshot {
+	m.live()
+	return m.metrics.Snapshot()
+}
 
 // Rounds returns how many scheduling rounds have completed.
 func (m *Machine) Rounds() uint64 { return m.rounds }

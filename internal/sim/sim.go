@@ -206,6 +206,33 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
+// Close ends the machine's life and hands its cache slabs back for the
+// next NewMachine of the same geometry to reuse, which makes building a
+// machine cost O(sets the previous run touched) instead of O(cache
+// capacity). Read everything you need first: running the machine,
+// snapshotting it, restoring into it or reading its hierarchy or metrics
+// after Close panics with "sim: machine used after Close". A second Close
+// is a no-op. A machine that is never closed is simply garbage collected.
+func (m *Machine) Close() {
+	if m.hier == nil {
+		return
+	}
+	m.hier.Release()
+	m.hier = nil
+}
+
+// errUseAfterClose is the panic value of every use of a closed machine.
+const errUseAfterClose = "sim: machine used after Close"
+
+// live panics when the machine has been closed (Close drops the
+// hierarchy): its slabs may already belong to another machine, so no read
+// of them can be meaningful.
+func (m *Machine) live() {
+	if m.hier == nil {
+		panic(errUseAfterClose)
+	}
+}
+
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
@@ -213,7 +240,10 @@ func (m *Machine) Config() Config { return m.cfg }
 func (m *Machine) Topology() topology.Topology { return m.topo }
 
 // Hierarchy exposes the cache system (stats, tests).
-func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }
+func (m *Machine) Hierarchy() *cache.Hierarchy {
+	m.live()
+	return m.hier
+}
 
 // Scheduler exposes the scheduling layer.
 func (m *Machine) Scheduler() *sched.Scheduler { return m.sch }
@@ -354,6 +384,7 @@ func (m *Machine) RunRoundsCtx(ctx context.Context, n int) error {
 // interleaved in slices, then performs periodic balancing and fires tick
 // observers.
 func (m *Machine) runRound() {
+	m.live()
 	ncpu := m.topo.NumCPUs()
 	// Quantum dispatch: each CPU picks its thread for the round.
 	for c := 0; c < ncpu; c++ {

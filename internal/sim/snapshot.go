@@ -192,6 +192,7 @@ func (m *Machine) providerNames() []string {
 // mutate shared structures at generation time have no serializable
 // cursor, and snapshotting them is refused.
 func (m *Machine) Snapshot(ctx context.Context) (*MachineSnapshot, error) {
+	m.live()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -286,6 +287,7 @@ func (m *Machine) savePMUState(e *snapbin.Enc) {
 // machine unusable only if a section was partially applied (callers
 // should discard the machine on error).
 func (m *Machine) RestoreSnapshot(snap *MachineSnapshot) error {
+	m.live()
 	if snap == nil {
 		return fmt.Errorf("sim: nil snapshot: %w", errs.ErrBadConfig)
 	}
@@ -448,10 +450,12 @@ func RestoreMachine(cfg Config, snap *MachineSnapshot, install func(*Machine) er
 	}
 	if install != nil {
 		if err := install(m); err != nil {
+			m.Close()
 			return nil, err
 		}
 	}
 	if err := m.RestoreSnapshot(snap); err != nil {
+		m.Close()
 		return nil, err
 	}
 	return m, nil
