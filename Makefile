@@ -49,16 +49,12 @@ bench:
 # benchmarks, the fresh-vs-recycled short-job pair (a closed machine's
 # cache slabs must keep making the next build >= 1.5x cheaper, whole job
 # timed) and the SoA-vs-AoS cache hot-path pair against BENCH_sim.json
-# (two `go test -bench` runs concatenated into one benchcmp input), and
-# the incremental clustering per-event benchmarks against
-# BENCH_clustering.json.
+# (two `go test -bench` runs concatenated into one benchcmp input).
 #
 #   bench-compare   (no flag) fails when a benchmark regresses past
-#                   tolerance, a speedup pair drops below its required
-#                   minimum, or a scaling pair exceeds its max_ratio
-#                   ceiling (per-event cost at 100k threads must stay
-#                   within 8x of 1k); the parallel-engine speedup gate
-#                   only applies on hosts with at least min_cores cores.
+#                   tolerance or a speedup pair drops below its required
+#                   minimum; the parallel-engine speedup gate only
+#                   applies on hosts with at least min_cores cores.
 #   bench-baseline  (-update) refreshes the committed baselines from
 #                   this machine.
 #   bench-smoke     (-report) prints every comparison but never fails:
@@ -73,8 +69,6 @@ bench-compare bench-baseline bench-smoke:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkMachineRound32Way(Seq|Parallel)|BenchmarkNewMachine(Fresh|Recycled)' -benchtime 2s ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSetAssocHot(SoA|AoSRef)' -benchtime 1s ./internal/cache ; } \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json $(BENCHCMP_FLAG)
-	$(GO) test -run '^$$' -bench BenchmarkIncrementalEvent -benchtime 1s ./internal/clustering \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_clustering.json $(BENCHCMP_FLAG)
 
 # The performance ledger's identity checks at one second of fixed work
 # per workload (~12 s): exits non-zero unless the seq and parallel
@@ -95,28 +89,27 @@ bench-sweep-smoke:
 	$(GO) run ./cmd/tcsim bench-sweep -chips 1,2,4 -cores 1 -intensity 0.2,0.6 -rounds 6 -warm 2
 
 # Short fuzzing pass over the coherence differential target, the trace
-# parser, the snapshot decoder and the sketch estimator's error-bound
-# invariants (CI runs the same).
+# parser, the snapshot decoder and the snapbin codec under it (CI runs
+# the same).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHierarchyAccess -fuzztime 30s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 15s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzSketchEstimate -fuzztime 15s ./internal/clustering
+	$(GO) test -run '^$$' -fuzz FuzzSnapbinDec -fuzztime 15s ./internal/snapbin
 
 # Race-detector coverage for the concurrent packages, including the
 # chip-parallel engine differential (seq vs parallel byte-identity under
 # every GOMAXPROCS level), the golden snapshot, old-version-refusal and
 # trajectory tests (TestGolden*), the snapshot N+M differential
-# (including the sketch state provider), the batched-vs-serial
+# (including a foreign state provider), the batched-vs-serial
 # slice-barrier drain, the three-way reference/broadcast/directory walk
 # differential and the per-op directory scan at several GOMAXPROCS
 # levels, the slab pool (released == fresh word for word, reuse after
 # Close and after every failed build or restore, and sweep workers
 # handing slabs of two machine geometries to each other while every cell
-# stays equal to the serial run's), the incremental-vs-batch
-# clustering differential, the experiment harnesses' golden-output and
-# Options-plumbing tests (their policy/workload fan-out runs on sweep.Map
-# goroutines), and the job server + client under load.
+# stays equal to the serial run's), the experiment harnesses'
+# golden-output and Options-plumbing tests (their policy/workload fan-out
+# runs on sweep.Map goroutines), and the job server + client under load.
 test-race:
 	$(GO) test -race ./internal/metrics ./internal/sweep
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
@@ -124,7 +117,6 @@ test-race:
 	$(GO) test -race -run 'TestEngine|TestRunSlice|TestSnapshot|TestGolden|TestClose' ./internal/sim
 	$(GO) test -race -short -run 'TestSliceBarrierBatchedVsSerial|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestReleased' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
-	$(GO) test -race -run 'TestIncremental|TestSketch' -cpu 1,2,4 ./internal/clustering
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
 
 # End-to-end smoke of the tcsimd job service: boot the daemon, submit a

@@ -6,12 +6,10 @@
 //	    go run ./cmd/benchcmp -baseline BENCH_coherence.json
 //
 // The comparison fails (exit 1) when a benchmark slows down by more than
-// -tolerance relative to its baseline ns/op, when a recorded speedup
+// -tolerance relative to its baseline ns/op, or when a recorded speedup
 // pair (e.g. directory vs broadcast on the 32-way machine) drops below its
-// required minimum ratio, or when a pair with a max_ratio ceiling exceeds
-// it (the scaling guards: a 100x-larger input may cost at most max_ratio
-// more per operation). -update rewrites the baseline from the current
-// run instead of comparing, preserving each pair's required bounds and
+// required minimum ratio. -update rewrites the baseline from the current
+// run instead of comparing, preserving each pair's required minimum and
 // the "sweep" section `tcsim bench-sweep -record` maintains, and stamps
 // the measuring host's core count and GOMAXPROCS into generated_with.
 package main
@@ -44,16 +42,12 @@ type Baseline struct {
 }
 
 // Speedup requires benchmark `Fast` to run at least MinRatio times faster
-// than benchmark `Slow` — and, when MaxRatio is set, at most MaxRatio
-// times faster. A MaxRatio with MinRatio 0 turns the pair into a pure
-// ceiling: the scaling guards use it to require that a 100x-larger input
-// costs at most MaxRatio times more per operation (sublinear scaling).
+// than benchmark `Slow`.
 type Speedup struct {
 	Name          string  `json:"name"`
 	Slow          string  `json:"slow"`
 	Fast          string  `json:"fast"`
 	MinRatio      float64 `json:"min_ratio"`
-	MaxRatio      float64 `json:"max_ratio,omitempty"`
 	RecordedRatio float64 `json:"recorded_ratio"`
 	// MinCores, when non-zero, gates MinRatio enforcement on host
 	// parallelism: the ratio is only required when the host has at least
@@ -178,17 +172,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			status = "BELOW MINIMUM"
 			failures = append(failures, fmt.Sprintf("speedup %s: %.2fx < required %.2fx (baseline recorded %.2fx)",
 				s.Name, ratio, s.MinRatio, s.RecordedRatio))
-		case s.MaxRatio > 0 && ratio > s.MaxRatio:
-			status = "ABOVE MAXIMUM"
-			failures = append(failures, fmt.Sprintf("speedup %s: %.2fx > allowed %.2fx (baseline recorded %.2fx)",
-				s.Name, ratio, s.MaxRatio, s.RecordedRatio))
 		}
-		bounds := fmt.Sprintf("required >= %.2fx", s.MinRatio)
-		if s.MaxRatio > 0 {
-			bounds += fmt.Sprintf(", <= %.2fx", s.MaxRatio)
-		}
-		fmt.Fprintf(stdout, "speedup %-32s %6.2fx  (%s, baseline %.2fx)  %s\n",
-			s.Name, ratio, bounds, s.RecordedRatio, status)
+		fmt.Fprintf(stdout, "speedup %-32s %6.2fx  (required >= %.2fx, baseline %.2fx)  %s\n",
+			s.Name, ratio, s.MinRatio, s.RecordedRatio, status)
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {

@@ -123,58 +123,6 @@ func TestMinCoresGatesSpeedup(t *testing.T) {
 	}
 }
 
-const ceilingBaseline = `{
-  "ns_per_op": {
-    "BenchmarkCoherenceBroadcast32Way": 710.0,
-    "BenchmarkCoherenceDirectory32Way": 340.0
-  },
-  "speedups": [
-    {"name": "sublinear-scaling",
-     "slow": "BenchmarkCoherenceBroadcast32Way",
-     "fast": "BenchmarkCoherenceDirectory32Way",
-     "min_ratio": 0, "max_ratio": 8.0, "recorded_ratio": 2.0}
-  ]
-}`
-
-func TestMaxRatioCeiling(t *testing.T) {
-	path := writeBaseline(t, ceilingBaseline)
-	// Ratio 700/350 = 2.0 <= 8.0: passes (min_ratio 0 never binds).
-	var out, errb bytes.Buffer
-	if err := run([]string{"-baseline", path}, strings.NewReader(sampleBench), &out, &errb); err != nil {
-		t.Fatalf("ratio under the ceiling should pass: %v\nstderr: %s", err, errb.String())
-	}
-	if !strings.Contains(out.String(), "<= 8.00x") {
-		t.Errorf("output should show the ceiling:\n%s", out.String())
-	}
-	// Slow side blows up: 7000/350 = 20x > 8x ceiling. Tolerance is widened
-	// so the failure is attributable to the ceiling alone.
-	blown := strings.Replace(sampleBench, "700.0 ns/op", "7000.0 ns/op", 1)
-	out.Reset()
-	errb.Reset()
-	err := run([]string{"-baseline", path, "-tolerance", "100"}, strings.NewReader(blown), &out, &errb)
-	if err == nil {
-		t.Fatal("ratio above max_ratio should fail")
-	}
-	if !strings.Contains(errb.String(), "allowed") {
-		t.Errorf("stderr should name the exceeded ceiling:\n%s", errb.String())
-	}
-}
-
-func TestUpdatePreservesMaxRatio(t *testing.T) {
-	path := writeBaseline(t, ceilingBaseline)
-	var out, errb bytes.Buffer
-	if err := run([]string{"-baseline", path, "-update"}, strings.NewReader(sampleBench), &out, &errb); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"max_ratio": 8`) {
-		t.Errorf("update must keep the max_ratio ceiling:\n%s", raw)
-	}
-}
-
 func TestReportModeNeverFails(t *testing.T) {
 	slow := strings.Replace(sampleBench, "700.0 ns/op", "2000.0 ns/op", 1)
 	path := writeBaseline(t, sampleBaseline)

@@ -13,9 +13,7 @@
 // extension studies — lives in internal/experiments; `tcsim -h` lists
 // it. Use -exp all for everything and -markdown for GitHub-flavored
 // tables. The -coherence and -engine flags reach every experiment's
-// machine. The -cluster flag swaps the engine's per-detection batch
-// pass for the incremental clusterer (dense vectors or fixed-size
-// sketches); results are differentially tested to match batch.
+// machine.
 //
 // The sweep subcommand fans a configuration grid (policy x topology x
 // workload) across a worker pool and emits a metrics table:
@@ -54,10 +52,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"threadcluster/internal/cache"
@@ -83,56 +83,68 @@ func main() {
 			return
 		}
 	}
+	os.Exit(runExperiments(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// runExperiments implements the -exp entry point and returns the exit
+// status: 2 for a bad flag or flag value, 1 for a failed experiment.
+// Every flag is checked before the CPU profile starts, so a rejected
+// command line leaves no file behind.
+func runExperiments(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment to run: "+strings.Join(experiments.ExperimentNames(), "|")+"|all")
-		workload  = flag.String("workload", experiments.Volano, "workload for fig3: microbenchmark|volano|specjbb|rubis")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		warm      = flag.Int("warm", 0, "override warm-up rounds (0 = default)")
-		measure   = flag.Int("measure", 0, "override measured rounds (0 = default)")
-		markdown  = flag.Bool("markdown", false, "emit tables as GitHub-flavored Markdown")
-		coherence = flag.String("coherence", "directory", "cache-coherence implementation of every experiment's machine: directory|broadcast")
-		engine    = flag.String("engine", "parallel", "execution engine for eligible multi-chip rounds: seq|parallel (results are byte-identical)")
-		cluster   = flag.String("cluster", "batch", "clustering path: batch (from-scratch per detection)|dense|sketch (incremental)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		exp       = fs.String("exp", "all", "experiment to run: "+strings.Join(experiments.ExperimentNames(), "|")+"|all")
+		workload  = fs.String("workload", experiments.Volano, "workload for fig3: microbenchmark|volano|specjbb|rubis")
+		seed      = fs.Int64("seed", 1, "simulation seed")
+		warm      = fs.Int("warm", 0, "override warm-up rounds (0 = default)")
+		measure   = fs.Int("measure", 0, "override measured rounds (0 = default)")
+		markdown  = fs.Bool("markdown", false, "emit tables as GitHub-flavored Markdown")
+		coherence = fs.String("coherence", "directory", "cache-coherence implementation of every experiment's machine: directory|broadcast")
+		engine    = fs.String("engine", "parallel", "execution engine for eligible multi-chip rounds: seq|parallel (results are byte-identical)")
+		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof   = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	opt := experiments.DefaultOptions().WithRounds(*warm, 0, *measure)
 	opt.Seed = *seed
 	mode, err := cache.ParseCoherenceMode(*coherence)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tcsim:", err)
+		return 2
 	}
 	opt.Coherence = mode
 	eng, err := sim.ParseEngine(*engine)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcsim:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tcsim:", err)
+		return 2
 	}
 	opt.Engine = eng
-	if *cluster != "batch" {
-		opt.ClusterMode = *cluster
-		if _, err := experiments.EngineConfigFor(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "tcsim:", err)
-			os.Exit(2)
-		}
+	if names := experiments.ExperimentNames(); *exp != "all" && !slices.Contains(names, *exp) {
+		fmt.Fprintf(stderr, "tcsim: unknown experiment %q (have %s, all)\n", *exp, strings.Join(names, ", "))
+		return 2
 	}
 
 	stopCPU, err := startCPUProfile(*cpuprof)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	runErr := experiments.RunExperiment(context.Background(), os.Stdout, *exp, *workload, opt, *markdown)
+	runErr := experiments.RunExperiment(context.Background(), stdout, *exp, *workload, opt, *markdown)
 	stopCPU()
 	if err := writeMemProfile(*memprof); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "tcsim:", runErr)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tcsim:", runErr)
+		return 1
 	}
+	return 0
 }

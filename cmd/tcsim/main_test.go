@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -55,5 +58,36 @@ func TestRunTable1AndFig1(t *testing.T) {
 func TestRunFig3SingleWorkload(t *testing.T) {
 	if err := run(context.Background(), "fig3", experiments.Microbenchmark, fastOptions(), false); err != nil {
 		t.Errorf("fig3: %v", err)
+	}
+}
+
+// TestBadFlagsExitBeforeProfiling: every rejected command line — an
+// unknown -exp included — exits 2 before the CPU profile is created, and
+// -cluster is not a flag (there is one clustering path, DESIGN.md §10).
+func TestBadFlagsExitBeforeProfiling(t *testing.T) {
+	for name, tc := range map[string]struct {
+		args []string
+		want string
+	}{
+		"unknown -exp":  {[]string{"-exp", "nosuch"}, `unknown experiment "nosuch"`},
+		"bad -engine":   {[]string{"-engine", "nosuch"}, "nosuch"},
+		"-cluster gone": {[]string{"-cluster", "dense"}, "flag provided but not defined: -cluster"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			prof := filepath.Join(t.TempDir(), "cpu.prof")
+			var stdout, stderr bytes.Buffer
+			if code := runExperiments(append(tc.args, "-cpuprofile", prof), &stdout, &stderr); code != 2 {
+				t.Errorf("exit status %d, want 2", code)
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr %q does not mention %q", stderr.String(), tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("wrote %q to stdout", stdout.String())
+			}
+			if _, err := os.Stat(prof); !os.IsNotExist(err) {
+				t.Errorf("a rejected command line left %s behind (stat: %v)", prof, err)
+			}
+		})
 	}
 }

@@ -92,62 +92,3 @@ func BenchmarkHashLine(b *testing.B) {
 		HashLine(memory.Addr(uint64(i)*memory.LineSize), 256)
 	}
 }
-
-// makeInterleavedBench is makeGroupsBench with group-interleaved keys
-// (group of key k is k % nGroups). Populating an incremental engine in
-// ascending key order then keeps every band at a steady 1/nGroups of the
-// live threads; contiguous per-group blocks would make each band look
-// globally shared (100% of live threads) while its group arrives, and
-// the global-sharing mask would rightly suppress it.
-func makeInterleavedBench(nGroups, groupSize, entries int, intensity uint8) map[ThreadKey]*ShMap {
-	shmaps := make(map[ThreadKey]*ShMap, nGroups*groupSize)
-	band := entries / (nGroups + 1)
-	for g := 0; g < nGroups; g++ {
-		for t := 0; t < groupSize; t++ {
-			m := NewShMap(entries)
-			for e := g * band; e < (g+1)*band; e++ {
-				for k := uint8(0); k < intensity; k++ {
-					m.Increment(e)
-				}
-			}
-			shmaps[ThreadKey(t*nGroups+g)] = m
-		}
-	}
-	return shmaps
-}
-
-// benchIncrementalEvent measures the per-event cost of the incremental
-// clusterer at population n: an engine holding n threads in four sharing
-// groups absorbs sharing-delta events. Each event re-scores one thread
-// against the cluster representatives, so the cost is bounded by cluster
-// count and vector/sketch size — not by n. BENCH_clustering.json guards
-// that: the 100k-thread per-event cost may be at most 8x the 1k one.
-// Intensity stays low (8) so populating 100k threads is fast; the
-// threshold scales down with it (51-entry band, 51*8*8 = 3264 in-group).
-func benchIncrementalEvent(b *testing.B, mode Mode, n int) {
-	const nGroups = 4
-	shmaps := makeInterleavedBench(nGroups, n/nGroups, 256, 8)
-	cfg := DefaultEngineConfig()
-	cfg.Mode = mode
-	cfg.Clustering.Threshold = 2000
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.ApplyChurn(ChurnEvent{Arrived: shmaps}); err != nil {
-		b.Fatal(err)
-	}
-	keys := eng.Threads()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[i%len(keys)]
-		if err := eng.ApplyMigration(k, shmaps[k]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIncrementalEventDense1k(b *testing.B)    { benchIncrementalEvent(b, ModeDense, 1_000) }
-func BenchmarkIncrementalEventDense100k(b *testing.B)  { benchIncrementalEvent(b, ModeDense, 100_000) }
-func BenchmarkIncrementalEventSketch1k(b *testing.B)   { benchIncrementalEvent(b, ModeSketch, 1_000) }
-func BenchmarkIncrementalEventSketch100k(b *testing.B) { benchIncrementalEvent(b, ModeSketch, 100_000) }

@@ -28,80 +28,6 @@ func (m *ShMap) RestoreState(d *snapbin.Dec) error {
 	return nil
 }
 
-// SaveState appends the sketch's complete state: shape, buckets in
-// row-major order, and the exact scalars.
-func (s *Sketch) SaveState(e *snapbin.Enc) {
-	e.U32(uint32(s.rows))
-	e.U32(uint32(s.width))
-	for _, b := range s.buckets {
-		e.U32(b)
-	}
-	e.U64(s.l1)
-	e.U64(s.l2sq)
-	e.U32(s.nnz)
-}
-
-// RestoreState overwrites the sketch with a state saved by SaveState.
-// The sketch must have been built with the same shape (ErrBadConfig
-// otherwise). The decoded state is cross-validated against the
-// invariants every SketchShMap-built sketch satisfies — each row's
-// buckets sum to the L1 mass, the folded L2 never undershoots the exact
-// L2, integer entries give l2sq >= l1 (elementwise v^2 >= v) while the
-// CounterMax saturation gives l2sq <= CounterMax*l1, and no row has more
-// non-zero buckets than the vector has non-zero entries — so malformed
-// bytes surface as snapbin.ErrCorrupt instead of silently skewing
-// similarity scores.
-func (s *Sketch) RestoreState(d *snapbin.Dec) error {
-	rows := int(d.U32())
-	width := int(d.U32())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if rows != s.rows || width != s.width {
-		return fmt.Errorf("clustering: snapshot sketch is %dx%d, built with %dx%d: %w",
-			rows, width, s.rows, s.width, errs.ErrBadConfig)
-	}
-	buckets := make([]uint32, rows*width)
-	for i := range buckets {
-		buckets[i] = d.U32()
-	}
-	l1 := d.U64()
-	l2sq := d.U64()
-	nnz := d.U32()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	// maxSketchMass bounds the plausible total mass (2^40 covers a
-	// 4-billion-entry vector of saturated counters) so the overflow-free
-	// range of the arithmetic checks below is never left.
-	const maxSketchMass = 1 << 40
-	if l1 > maxSketchMass || (l1 == 0) != (nnz == 0) || uint64(nnz) > l1 || l2sq < l1 || l2sq > CounterMax*l1 {
-		return fmt.Errorf("clustering: snapshot sketch scalars l1=%d l2sq=%d nnz=%d inconsistent: %w",
-			l1, l2sq, nnz, snapbin.ErrCorrupt)
-	}
-	for r := 0; r < rows; r++ {
-		var sum, sumsq uint64
-		nzb := uint32(0)
-		for w := 0; w < width; w++ {
-			v := uint64(buckets[r*width+w])
-			sum += v
-			sumsq += v * v
-			if v > 0 {
-				nzb++
-			}
-		}
-		if sum != l1 || sumsq < l2sq || nzb > nnz {
-			return fmt.Errorf("clustering: snapshot sketch row %d violates fold invariants: %w",
-				r, snapbin.ErrCorrupt)
-		}
-	}
-	s.buckets = buckets
-	s.l1 = l1
-	s.l2sq = l2sq
-	s.nnz = nnz
-	return nil
-}
-
 // SaveState appends the filter's complete mutable state: every claimed
 // entry (in ascending entry order — the canonical order) with its line
 // and owning thread, plus the accept/reject counters. The per-thread

@@ -126,15 +126,6 @@ type Config struct {
 	// different cache lines and must never be compared. Nil models a
 	// single process.
 	ProcessOf func(sched.ThreadID) int
-	// Streaming, when non-nil, replaces the from-scratch one-pass per
-	// detection with the incremental clusterer: each detection's shMaps
-	// feed a clustering.Engine as churn/sharing-delta events, and a full
-	// batch recluster runs only when its sharing-drift detector fires.
-	// The embedded Clustering field is overwritten with this Config's
-	// Clustering, so there is one source of truth for the similarity
-	// parameters. Incompatible with ProcessOf: the incremental engine
-	// keeps one global partition.
-	Streaming *clustering.EngineConfig
 	// Seed drives sampling jitter.
 	Seed int64
 }
@@ -170,9 +161,6 @@ type Engine struct {
 	filter  *clustering.Filter         //tclint:allow snapfields -- aliases filters[0], whose section carries the data; RestoreState re-links it
 	filters map[int]*clustering.Filter // per process, including 0
 	rng     *rng.Rand
-
-	stream    *clustering.Engine // incremental clusterer (Config.Streaming)
-	streamCfg clustering.EngineConfig
 
 	samplesRead        int
 	samplesAdmitted    int
@@ -223,28 +211,14 @@ func New(m *sim.Machine, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var stream *clustering.Engine
-	var streamCfg clustering.EngineConfig
-	if cfg.Streaming != nil {
-		if cfg.ProcessOf != nil {
-			return nil, fmt.Errorf("core: streaming clustering keeps one global partition and cannot honor ProcessOf: %w", errs.ErrBadConfig)
-		}
-		streamCfg = *cfg.Streaming
-		streamCfg.Clustering = cfg.Clustering
-		if stream, err = clustering.NewEngine(streamCfg); err != nil {
-			return nil, err
-		}
-	}
 	return &Engine{
-		cfg:       cfg,
-		m:         m,
-		phase:     PhaseMonitoring,
-		shmaps:    make(map[clustering.ThreadKey]*clustering.ShMap),
-		filter:    filter,
-		filters:   map[int]*clustering.Filter{0: filter},
-		stream:    stream,
-		streamCfg: streamCfg,
-		rng:       rng.New(cfg.Seed + 0x7C1),
+		cfg:     cfg,
+		m:       m,
+		phase:   PhaseMonitoring,
+		shmaps:  make(map[clustering.ThreadKey]*clustering.ShMap),
+		filter:  filter,
+		filters: map[int]*clustering.Filter{0: filter},
+		rng:     rng.New(cfg.Seed + 0x7C1),
 	}, nil
 }
 
@@ -486,11 +460,7 @@ func (e *Engine) finishDetection() {
 		}
 	}
 	e.prevClusters = e.clusters
-	if e.stream != nil {
-		e.clusters = e.streamClusters()
-	} else {
-		e.clusters = e.clusterAll()
-	}
+	e.clusters = e.clusterAll()
 	e.clusterings++
 	if e.prevClusters != nil {
 		// Stability across re-clusterings: the Rand index between the
@@ -589,54 +559,6 @@ func (e *Engine) clusterAll() []clustering.Cluster {
 		all = append(all, e.cfg.Clustering.Cluster(byProc[p])...)
 	}
 	return all
-}
-
-// Stream returns the incremental clusterer when Config.Streaming is set,
-// nil otherwise. Callers may inspect its drift and recluster counters;
-// the engine owns event delivery.
-func (e *Engine) Stream() *clustering.Engine { return e.stream }
-
-// streamClusters feeds the fresh detection's shMaps to the incremental
-// clusterer as events and returns its partition. Threads the clusterer
-// tracks but that were silent this detection depart first, so it covers
-// exactly the thread set the batch path would cluster; then, in
-// ascending key order, known threads become sharing-delta events and
-// unknown threads arrivals. The clusterer's drift detector decides when
-// the incrementally maintained partition snaps back to the full batch
-// result.
-func (e *Engine) streamClusters() []clustering.Cluster {
-	var departed []clustering.ThreadKey
-	for _, key := range e.stream.Threads() {
-		if _, ok := e.shmaps[key]; !ok {
-			departed = append(departed, key)
-		}
-	}
-	if len(departed) > 0 {
-		if err := e.stream.ApplyChurn(clustering.ChurnEvent{Departed: departed}); err != nil {
-			// Departures are tracked keys by construction; an error here
-			// is a programming error, not a runtime condition.
-			panic(fmt.Sprintf("core: streaming departure: %v", err))
-		}
-	}
-	keys := make([]clustering.ThreadKey, 0, len(e.shmaps))
-	for k := range e.shmaps {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		var err error
-		if e.stream.Has(key) {
-			err = e.stream.ApplyMigration(key, e.shmaps[key])
-		} else {
-			err = e.stream.ApplyChurn(clustering.ChurnEvent{
-				Arrived: map[clustering.ThreadKey]*clustering.ShMap{key: e.shmaps[key]},
-			})
-		}
-		if err != nil {
-			panic(fmt.Sprintf("core: streaming delta for thread %d: %v", int(key), err))
-		}
-	}
-	return e.stream.Clusters()
 }
 
 // migrate implements the Section 4.5 cluster-to-chip assignment:

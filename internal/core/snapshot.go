@@ -34,14 +34,6 @@ const (
 	// MetricWindowRemoteFraction is the current monitoring-window remote
 	// stall share the activation rule evaluates.
 	MetricWindowRemoteFraction = "engine_window_remote_fraction"
-	// MetricStreamEvents / MetricStreamReclusters / MetricStreamDrift
-	// describe the incremental clusterer; registered only when
-	// Config.Streaming is set. Reclusters staying far below Clusterings
-	// is the streaming path working: most detections are absorbed as
-	// deltas, and only sharing-pattern drift pays for a batch pass.
-	MetricStreamEvents     = "engine_stream_events_total"
-	MetricStreamReclusters = "engine_stream_reclusters_total"
-	MetricStreamDrift      = "engine_stream_drift"
 )
 
 // ClusterSnapshot is one detected cluster at snapshot time.
@@ -96,18 +88,6 @@ type EngineSnapshot struct {
 	// Clusters is the latest clustering result (nil before the first
 	// detection completes), including sub-threshold clusters.
 	Clusters []ClusterSnapshot
-
-	// Streaming reports whether the incremental clusterer is attached;
-	// the Stream* fields are zero when it is not.
-	Streaming bool
-	// StreamMode is the incremental representation ("dense" or "sketch").
-	StreamMode string
-	// StreamEvents counts churn/delta events the clusterer absorbed.
-	StreamEvents uint64
-	// StreamReclusters counts drift-triggered full batch reclusters.
-	StreamReclusters uint64
-	// StreamDrift is the current windowed mean centroid displacement.
-	StreamDrift float64
 }
 
 // Snapshot captures the engine's structured state. Report is rendered
@@ -128,13 +108,6 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		Stability:            e.lastStability,
 		StabilityKnown:       e.stabilityKnown,
 		MinClusterSize:       e.cfg.MinClusterSize,
-	}
-	if e.stream != nil {
-		s.Streaming = true
-		s.StreamMode = e.stream.Mode().String()
-		s.StreamEvents = e.stream.Events()
-		s.StreamReclusters = e.stream.Reclusters()
-		s.StreamDrift = e.stream.Drift()
 	}
 	if e.clusters != nil {
 		s.Clusters = make([]ClusterSnapshot, 0, len(e.clusters))
@@ -170,10 +143,6 @@ func (e *Engine) Report() string {
 		fmt.Fprintf(&sb, "  detection: %d/%d samples read, %d admitted, filter %d/%d entries claimed\n",
 			s.SamplesRead, s.TargetSamples, s.SamplesAdmitted, s.FilterClaimed, s.FilterEntries)
 	}
-	if s.Streaming {
-		fmt.Fprintf(&sb, "  streaming: mode=%s events=%d reclusters=%d drift=%.3f\n",
-			s.StreamMode, s.StreamEvents, s.StreamReclusters, s.StreamDrift)
-	}
 	if s.Clusters != nil {
 		fmt.Fprintf(&sb, "  clusters (%d):\n", len(s.Clusters))
 		for i, c := range s.Clusters {
@@ -199,11 +168,4 @@ func (e *Engine) registerMetrics() {
 	r.RegisterGaugeFunc(MetricClusters, nil, func() float64 { return float64(len(e.clusters)) })
 	r.RegisterGaugeFunc(MetricDetectionCycles, nil, func() float64 { return float64(e.lastDetectTime) })
 	r.RegisterGaugeFunc(MetricWindowRemoteFraction, nil, e.windowRemoteFraction)
-	if e.stream != nil {
-		// Closures read e.stream at scrape time: RestoreState swaps in a
-		// freshly decoded clusterer, and the series must follow it.
-		r.RegisterCounterFunc(MetricStreamEvents, nil, func() uint64 { return e.stream.Events() })
-		r.RegisterCounterFunc(MetricStreamReclusters, nil, func() uint64 { return e.stream.Reclusters() })
-		r.RegisterGaugeFunc(MetricStreamDrift, nil, func() float64 { return e.stream.Drift() })
-	}
 }

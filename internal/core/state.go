@@ -19,8 +19,7 @@ const StateProviderName = "core.engine"
 // SaveState appends the engine's complete mutable state in canonical
 // form: phase, monitoring-window bases, shMaps sorted by thread key,
 // filters sorted by process, the jitter RNG, sampling counters, the two
-// most recent clusterings, the migration bookkeeping and — when
-// Config.Streaming is set — the incremental clusterer. Config and the
+// most recent clusterings and the migration bookkeeping. Config and the
 // installed closures (overflow handlers, tick hook, cluster listener)
 // are not state — the restoring side rebuilds them via Install.
 func (e *Engine) SaveState(enc *snapbin.Enc) error {
@@ -71,11 +70,6 @@ func (e *Engine) SaveState(enc *snapbin.Enc) error {
 	enc.U64(e.migrationsDone)
 	enc.F64(e.lastStability)
 	enc.Bool(e.stabilityKnown)
-	if e.stream != nil {
-		// Present exactly when Config.Streaming is set; the restoring side
-		// is built with the same config, so presence always matches.
-		e.stream.SaveState(enc)
-	}
 	return nil
 }
 
@@ -188,19 +182,6 @@ func (e *Engine) RestoreState(d *snapbin.Dec) error {
 	migrationsDone := d.U64()
 	lastStability := d.F64()
 	stabilityKnown := d.Bool()
-	var stream *clustering.Engine
-	if e.stream != nil {
-		// Decode into a fresh clusterer so a corrupt section cannot leave
-		// the live one half-overwritten.
-		fresh, err := clustering.NewEngine(e.streamCfg)
-		if err != nil {
-			return err
-		}
-		if err := fresh.RestoreState(d); err != nil {
-			return fmt.Errorf("core: streaming clusterer: %w", err)
-		}
-		stream = fresh
-	}
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -235,8 +216,5 @@ func (e *Engine) RestoreState(d *snapbin.Dec) error {
 	e.migrationsDone = migrationsDone
 	e.lastStability = lastStability
 	e.stabilityKnown = stabilityKnown
-	if stream != nil {
-		e.stream = stream
-	}
 	return nil
 }

@@ -95,7 +95,6 @@ var catalogue = []experiment{
 	{"probe", tabled(CacheProbe)},
 	{"staged", tabled(Staged)},
 	{"churn", tabled(Churn)},
-	{"streaming", tabled(Streaming)},
 }
 
 // tabled adapts the harnesses that return (data, table, error).

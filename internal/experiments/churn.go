@@ -67,7 +67,7 @@ func churnRun(ctx context.Context, opt Options, replaceEvery int) (ChurnPoint, *
 	st := study{
 		policy:  sched.PolicyClustered,
 		install: server.Spec().Install,
-		engine:  EngineConfigFor,
+		engine:  ScaledEngineConfig,
 	}
 	// The churn driver: every replaceEvery rounds, tear down the oldest
 	// live connection and open a fresh one in the same room. Runs as a

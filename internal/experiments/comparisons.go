@@ -140,7 +140,7 @@ func Scale32(ctx context.Context, opt Options) (Scale32Result, error) {
 		}
 		st := study{policy: policy, install: spec.Install}
 		if policy == sched.PolicyClustered {
-			st.engine = EngineConfigFor
+			st.engine = ScaledEngineConfig
 		}
 		res, r, err := st.run(ctx, big, big.WarmRounds+big.EngineRounds, big.MeasureRounds)
 		if err != nil {

@@ -104,7 +104,7 @@ func contentionRun(ctx context.Context, opt Options, placement string, caches ca
 			return nil
 		}
 	case "engine (balanced)":
-		st.engine = EngineConfigFor
+		st.engine = ScaledEngineConfig
 	}
 
 	res, r, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)

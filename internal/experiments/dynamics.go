@@ -52,7 +52,7 @@ func PhaseChange(ctx context.Context, opt Options) (PhaseChangeResult, error) {
 	if err != nil {
 		return PhaseChangeResult{}, err
 	}
-	r, err := study{policy: sched.PolicyClustered, install: spec.Install, engine: EngineConfigFor}.build(opt)
+	r, err := study{policy: sched.PolicyClustered, install: spec.Install, engine: ScaledEngineConfig}.build(opt)
 	if err != nil {
 		return PhaseChangeResult{}, err
 	}

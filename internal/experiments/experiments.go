@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"threadcluster/internal/cache"
-	"threadcluster/internal/clustering"
 	"threadcluster/internal/core"
 	"threadcluster/internal/memory"
 	"threadcluster/internal/metrics"
@@ -69,12 +68,6 @@ type Options struct {
 	// value: chip-parallel). Both engines are differentially tested to be
 	// byte-identical; this is purely a speed/debugging knob.
 	Engine sim.Engine
-	// ClusterMode selects how the clustering engine turns each detection
-	// into a partition: "" or "batch" is the paper's from-scratch one-pass;
-	// "dense" and "sketch" attach the incremental clusterer (retained
-	// vectors or fixed-size sketches) with the default drift detector, so
-	// stable detections are absorbed as deltas instead of reclustered.
-	ClusterMode string
 }
 
 // DefaultOptions returns the scaled defaults used by the CLI and benches.
@@ -127,25 +120,6 @@ func ScaledEngineConfig(seed int64) core.Config {
 	cfg.Clustering.Threshold = 500
 	cfg.Seed = seed
 	return cfg
-}
-
-// EngineConfigFor is ScaledEngineConfig with the Options' cluster mode
-// applied: "batch" (or empty) leaves the from-scratch one-pass, "dense"
-// and "sketch" attach the incremental clusterer in the matching
-// representation.
-func EngineConfigFor(opt Options) (core.Config, error) {
-	cfg := ScaledEngineConfig(opt.Seed)
-	if opt.ClusterMode == "" || opt.ClusterMode == "batch" {
-		return cfg, nil
-	}
-	mode, err := clustering.ParseMode(opt.ClusterMode)
-	if err != nil {
-		return core.Config{}, fmt.Errorf("experiments: cluster mode: %w", err)
-	}
-	scfg := clustering.DefaultEngineConfig()
-	scfg.Mode = mode
-	cfg.Streaming = &scfg
-	return cfg, nil
 }
 
 // ControlledEngineConfig is ScaledEngineConfig with the activation
@@ -262,7 +236,7 @@ func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngi
 	}
 	s := study{policy: policy, install: spec.Install}
 	if withEngine {
-		s.engine = EngineConfigFor
+		s.engine = ScaledEngineConfig
 	}
 	// Every policy warms for the same total rounds so that measurement
 	// windows are time-aligned: the workloads' data structures grow as

@@ -314,54 +314,6 @@ func TestChurnDegradesClustering(t *testing.T) {
 	}
 }
 
-func TestStreamingModesAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("streaming study is slow")
-	}
-	rows, _, err := Streaming(context.Background(), testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	batch := rows[0]
-	if batch.Events != 0 || batch.Reclusters != 0 {
-		t.Errorf("batch mode should report no stream counters: %+v", batch)
-	}
-	for _, r := range rows[1:] {
-		if r.Events == 0 {
-			t.Errorf("%s: no events reached the incremental clusterer", r.Mode)
-		}
-		// Placement quality must be equivalent: the incremental paths are
-		// differentially pinned to batch, so the residual remote-stall
-		// share may only differ by estimator noise.
-		if r.RemoteFraction > batch.RemoteFraction+0.03 {
-			t.Errorf("%s: residual %.3f much worse than batch %.3f",
-				r.Mode, r.RemoteFraction, batch.RemoteFraction)
-		}
-	}
-}
-
-func TestEngineConfigForModes(t *testing.T) {
-	opt := DefaultOptions()
-	for _, mode := range []string{"", "batch", "dense", "sketch"} {
-		opt.ClusterMode = mode
-		cfg, err := EngineConfigFor(opt)
-		if err != nil {
-			t.Fatalf("%q: %v", mode, err)
-		}
-		wantStreaming := mode == "dense" || mode == "sketch"
-		if (cfg.Streaming != nil) != wantStreaming {
-			t.Errorf("%q: Streaming = %v, want set=%v", mode, cfg.Streaming, wantStreaming)
-		}
-	}
-	opt.ClusterMode = "bogus"
-	if _, err := EngineConfigFor(opt); err == nil {
-		t.Error("unknown cluster mode should fail")
-	}
-}
-
 func TestStagedPipelineCut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staged study is slow")

@@ -57,10 +57,10 @@ func Multiprogrammed(ctx context.Context, opt Options) (MultiprogResult, *stats.
 			},
 		}
 		if policy == sched.PolicyClustered {
-			st.engine = func(opt Options) (core.Config, error) {
-				ecfg := ScaledEngineConfig(opt.Seed)
+			st.engine = func(seed int64) core.Config {
+				ecfg := ScaledEngineConfig(seed)
 				ecfg.ProcessOf = processOf
-				return ecfg, nil
+				return ecfg
 			}
 		}
 		measured, r, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)

@@ -124,14 +124,14 @@ func numaRun(ctx context.Context, opt Options, policy sched.Policy, withEngine, 
 	name := "default"
 	if withEngine {
 		name = "clustered (NUMA-blind)"
-		st.engine = EngineConfigFor
+		st.engine = ScaledEngineConfig
 		if numaEngine {
 			name = "clustered+numa (Section 8)"
-			st.engine = func(opt Options) (core.Config, error) {
-				ecfg, err := EngineConfigFor(opt)
+			st.engine = func(seed int64) core.Config {
+				ecfg := ScaledEngineConfig(seed)
 				ecfg.NUMA = true
 				ecfg.NodeOf = func(a memory.Addr) int { return nodes.NodeOf(a) }
-				return ecfg, err
+				return ecfg
 			}
 		}
 	}

@@ -41,9 +41,9 @@ func closed(m *sim.Machine) (yes bool) {
 }
 
 // TestBuildFailureRecyclesSlabs drives every way study.build can fail
-// after the machine exists — install, the engine's configuration,
-// core.New, Engine.Install, setup — and requires the machine to have
-// been closed: the next machine of that geometry is built on its slabs.
+// after the machine exists — install, core.New, Engine.Install, setup —
+// and requires the machine to have been closed: the next machine of that
+// geometry is built on its slabs.
 // A daemon fed bad specs must not fall back to allocating per job.
 func TestBuildFailureRecyclesSlabs(t *testing.T) {
 	opt := goldenOptions()
@@ -58,10 +58,8 @@ func TestBuildFailureRecyclesSlabs(t *testing.T) {
 	}
 	for name, st := range map[string]study{
 		"install": {install: func(*sim.Machine) error { return boom }},
-		"engine config": {install: spec.Install,
-			engine: func(Options) (core.Config, error) { return core.Config{}, boom }},
 		"core.New": {install: spec.Install,
-			engine: func(Options) (core.Config, error) { return core.Config{PMUSlot: -1}, nil }},
+			engine: func(int64) core.Config { return core.Config{PMUSlot: -1} }},
 		"Engine.Install": {
 			install: func(m *sim.Machine) error { return m.RegisterStateProvider(core.StateProviderName, nop) },
 			engine:  controlledEngine(nil)},

@@ -39,10 +39,11 @@ type study struct {
 	hardware func(*sim.Config)
 	// install puts the workload on the fresh machine.
 	install func(*sim.Machine) error
-	// engine, when set, yields the clustering engine's configuration
-	// (EngineConfigFor, controlledEngine(...), or an adjusted copy of
-	// either); the rig attaches the engine right after the workload.
-	engine func(Options) (core.Config, error)
+	// engine, when set, yields the clustering engine's configuration for
+	// the Options' seed (ScaledEngineConfig, controlledEngine(...), or an
+	// adjusted copy of either); the rig attaches the engine right after
+	// the workload.
+	engine func(seed int64) core.Config
 	// setup optionally runs last, once the engine (if any) is attached:
 	// manual placement, PMU programming, tick drivers.
 	setup func(*rig) error
@@ -94,11 +95,8 @@ func (s study) attach(r *rig, opt Options) error {
 		return err
 	}
 	if s.engine != nil {
-		ecfg, err := s.engine(opt)
-		if err != nil {
-			return err
-		}
-		if r.eng, err = core.New(r.m, ecfg); err != nil {
+		var err error
+		if r.eng, err = core.New(r.m, s.engine(opt.Seed)); err != nil {
 			return err
 		}
 		if err := r.eng.Install(); err != nil {
@@ -167,13 +165,13 @@ func (s study) runInterval(ctx context.Context, opt Options, warm int, interval 
 // controlledEngine is the engine configuration of the harnesses that
 // drive the detection phase themselves (see ControlledEngineConfig),
 // optionally adjusted.
-func controlledEngine(adjust func(*core.Config)) func(Options) (core.Config, error) {
-	return func(opt Options) (core.Config, error) {
-		cfg := ControlledEngineConfig(opt.Seed)
+func controlledEngine(adjust func(*core.Config)) func(seed int64) core.Config {
+	return func(seed int64) core.Config {
+		cfg := ControlledEngineConfig(seed)
 		if adjust != nil {
 			adjust(&cfg)
 		}
-		return cfg, nil
+		return cfg
 	}
 }
 

@@ -45,7 +45,7 @@ func Staged(ctx context.Context, opt Options) (StagedResult, *stats.Table, error
 		}
 		st := study{policy: policy, install: spec.Install}
 		if policy == sched.PolicyClustered {
-			st.engine = EngineConfigFor
+			st.engine = ScaledEngineConfig
 		}
 		res, r, err := st.run(ctx, opt, opt.WarmRounds+opt.EngineRounds, opt.MeasureRounds)
 		return res, r, spec, err

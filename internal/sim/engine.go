@@ -120,9 +120,9 @@ func (m *Machine) deferredRound() bool {
 // cache.Lane), so workers never contend; determinism follows from the
 // lanes' frozen-snapshot reads plus the canonical barrier order (see
 // DESIGN.md §7). Goroutines are spawned per slice rather than kept in a
-// pool: a Machine has no Close hook, and sweeps build thousands of
-// machines — parked pools would pile up, while a goroutine spawn is
-// trivial next to a slice's work.
+// pool: Close only recycles cache slabs and callers may skip it, so a
+// parked pool would leak with every machine dropped unclosed, while a
+// goroutine spawn is trivial next to a slice's work.
 func (m *Machine) runSlices(sliceBudget uint64, spawn bool) {
 	var wg *sync.WaitGroup // nil unless spawning: the sequential driver allocates nothing
 	if spawn {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"threadcluster/internal/clustering"
@@ -102,11 +103,31 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// sketchDriverVector builds the deterministic shMap the sketch-provider
-// driver feeds for thread key at event number n: a banded pattern (four
-// key groups, sixteen entries each) whose counts vary with n.
-func sketchDriverVector(key clustering.ThreadKey, n uint64) *clustering.ShMap {
-	sm := clustering.NewShMap(64)
+// shmapTable is a test-local state provider foreign to the machine: a
+// keyed table of shMaps and the number of driver events applied to it.
+type shmapTable struct {
+	events uint64
+	rows   map[clustering.ThreadKey]*clustering.ShMap
+}
+
+const shmapTableEntries = 64
+
+// tick applies driver event number t.events. Every event is a pure
+// function of the table's own state, so after a restore the continuation
+// depends on snapshotted state only — no driver-private bookkeeping to
+// lose. Event n concerns key n%48: a present key departs on every
+// seventh event, otherwise its row is replaced (or it arrives) with a
+// banded pattern (four key groups, sixteen entries each) whose counts
+// vary with n.
+func (t *shmapTable) tick() {
+	n := t.events
+	t.events++
+	key := clustering.ThreadKey(n % 48)
+	if _, ok := t.rows[key]; ok && n%7 == 3 {
+		delete(t.rows, key)
+		return
+	}
+	sm := clustering.NewShMap(shmapTableEntries)
 	base := (int(key) % 4) * 16
 	for i := 0; i < 12; i++ {
 		reps := 1 + int((n+uint64(i))%3)
@@ -114,60 +135,68 @@ func sketchDriverVector(key clustering.ThreadKey, n uint64) *clustering.ShMap {
 			sm.Increment(base + i)
 		}
 	}
-	return sm
+	t.rows[key] = sm
 }
 
-// sketchProviderInstall is diffInstall plus a sketch-mode incremental
-// clusterer registered as an extra state provider and a per-tick churn
-// driver. The driver derives every event purely from the clusterer's own
-// event counter, so after a restore the continuation is a pure function
-// of snapshotted state — no driver-private bookkeeping to lose.
-func sketchProviderInstall(sc diffTopo, seed int64) func(*Machine) error {
+func (t *shmapTable) save(enc *snapbin.Enc) error {
+	enc.U64(t.events)
+	keys := make([]clustering.ThreadKey, 0, len(t.rows))
+	for k := range t.rows {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	enc.U32(uint32(len(keys)))
+	for _, k := range keys {
+		enc.I64(int64(k))
+		t.rows[k].SaveState(enc)
+	}
+	return nil
+}
+
+func (t *shmapTable) restore(d *snapbin.Dec) error {
+	events := d.U64()
+	n := d.Count(8 + 4 + shmapTableEntries)
+	rows := make(map[clustering.ThreadKey]*clustering.ShMap, n)
+	for i := 0; i < n; i++ {
+		sm := clustering.NewShMap(shmapTableEntries)
+		rows[clustering.ThreadKey(d.I64())] = sm
+		if err := sm.RestoreState(d); err != nil {
+			return err
+		}
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	t.events, t.rows = events, rows
+	return nil
+}
+
+// foreignProviderInstall is diffInstall plus a shmapTable registered as
+// an extra state provider and driven once per tick.
+func foreignProviderInstall(sc diffTopo, seed int64) func(*Machine) error {
 	base := diffInstall(sc, seed)
 	return func(m *Machine) error {
 		if err := base(m); err != nil {
 			return err
 		}
-		cfg := clustering.DefaultEngineConfig()
-		cfg.Mode = clustering.ModeSketch
-		eng, err := clustering.NewEngine(cfg)
-		if err != nil {
-			return err
-		}
-		if err := m.RegisterStateProvider("test.sketch", StateProvider{
-			Save:    func(enc *snapbin.Enc) error { eng.SaveState(enc); return nil },
-			Restore: eng.RestoreState,
+		table := &shmapTable{rows: make(map[clustering.ThreadKey]*clustering.ShMap)}
+		if err := m.RegisterStateProvider("test.shmaps", StateProvider{
+			Save:    table.save,
+			Restore: table.restore,
 		}); err != nil {
 			return err
 		}
-		m.OnTick(func(*Machine) {
-			n := eng.Events()
-			key := clustering.ThreadKey(n % 48)
-			var err error
-			switch {
-			case n%7 == 3 && eng.Has(key):
-				err = eng.ApplyChurn(clustering.ChurnEvent{Departed: []clustering.ThreadKey{key}})
-			case eng.Has(key):
-				err = eng.ApplyMigration(key, sketchDriverVector(key, n))
-			default:
-				err = eng.ApplyChurn(clustering.ChurnEvent{
-					Arrived: map[clustering.ThreadKey]*clustering.ShMap{key: sketchDriverVector(key, n)},
-				})
-			}
-			if err != nil {
-				panic(fmt.Sprintf("sketch driver event %d: %v", n, err))
-			}
-		})
+		m.OnTick(func(*Machine) { table.tick() })
 		return nil
 	}
 }
 
-// TestSnapshotDifferentialSketchProvider extends the snapshot pin to the
-// clustering engine's sketch state: a machine carrying a sketch-mode
-// incremental clusterer (fed churn by a deterministic per-tick driver)
-// must survive snapshot/restore byte-exactly, and the restored run must
-// end in the same digest as the uninterrupted one.
-func TestSnapshotDifferentialSketchProvider(t *testing.T) {
+// TestSnapshotDifferentialForeignProvider extends the snapshot pin to
+// state the machine does not own: a machine carrying a foreign state
+// provider (mutated by a deterministic per-tick driver) must survive
+// snapshot/restore byte-exactly, and the restored run must end in the
+// same digest as the uninterrupted one.
+func TestSnapshotDifferentialForeignProvider(t *testing.T) {
 	const seed = 77
 	const preRounds, postRounds = 24, 16
 	ctx := context.Background()
@@ -180,7 +209,7 @@ func TestSnapshotDifferentialSketchProvider(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sketchProviderInstall(sc, seed)(m); err != nil {
+				if err := foreignProviderInstall(sc, seed)(m); err != nil {
 					t.Fatal(err)
 				}
 				return m
@@ -205,18 +234,18 @@ func TestSnapshotDifferentialSketchProvider(t *testing.T) {
 			}
 			found := false
 			for _, name := range snap.Sections() {
-				if name == "test.sketch" {
+				if name == "test.shmaps" {
 					found = true
 				}
 			}
 			if !found {
-				t.Fatalf("snapshot sections %v lack the sketch provider", snap.Sections())
+				t.Fatalf("snapshot sections %v lack the foreign provider", snap.Sections())
 			}
 			decoded, err := DecodeSnapshot(snap.Encode())
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := RestoreMachine(diffConfig(sc, engine, seed), decoded, sketchProviderInstall(sc, seed))
+			restored, err := RestoreMachine(diffConfig(sc, engine, seed), decoded, foreignProviderInstall(sc, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
