@@ -33,6 +33,9 @@ type Baseline struct {
 	GeneratedWith string `json:"generated_with"`
 	// NsPerOp maps benchmark name (no -procs suffix) to baseline ns/op.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// BytesPerOp records B/op for the benchmarks that report it. It is on
+	// file for the reader (what a job allocates); nothing is gated on it.
+	BytesPerOp map[string]float64 `json:"bytes_per_op,omitempty"`
 	// Speedups are required ratios between benchmark pairs.
 	Speedups []Speedup `json:"speedups"`
 	// Sweep is the saturation-sweep report `tcsim bench-sweep -record`
@@ -59,29 +62,34 @@ type Speedup struct {
 }
 
 // benchLine matches e.g. "BenchmarkFoo-16   1234   56.7 ns/op   0 B/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op)?`)
 
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
+// parseBench extracts ns/op, and B/op where a benchmark reports it.
+func parseBench(r io.Reader) (nsPerOp, bytesPerOp map[string]float64, err error) {
+	nsPerOp, bytesPerOp = make(map[string]float64), make(map[string]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchcmp: bad ns/op in %q: %w", sc.Text(), err)
+		if nsPerOp[m[1]], err = strconv.ParseFloat(m[2], 64); err != nil {
+			return nil, nil, fmt.Errorf("benchcmp: bad ns/op in %q: %w", sc.Text(), err)
 		}
-		out[m[1]] = ns
+		if m[3] == "" {
+			continue
+		}
+		if bytesPerOp[m[1]], err = strconv.ParseFloat(m[3], 64); err != nil {
+			return nil, nil, fmt.Errorf("benchcmp: bad B/op in %q: %w", sc.Text(), err)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("benchcmp: no benchmark lines on stdin")
+	if len(nsPerOp) == 0 {
+		return nil, nil, fmt.Errorf("benchcmp: no benchmark lines on stdin")
 	}
-	return out, sc.Err()
+	return nsPerOp, bytesPerOp, nil
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
@@ -96,7 +104,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	current, err := parseBench(stdin)
+	current, currentBytes, err := parseBench(stdin)
 	if err != nil {
 		return err
 	}
@@ -112,6 +120,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	if *update {
 		base.NsPerOp = current
+		base.BytesPerOp = currentBytes
 		base.GeneratedWith = withHostFacts(base.GeneratedWith, *cores, runtime.GOMAXPROCS(0))
 		for i := range base.Speedups {
 			s := &base.Speedups[i]

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -86,8 +88,37 @@ func TestUpdateRewritesBaseline(t *testing.T) {
 	}
 }
 
+// TestUpdateRecordsBytesPerOp: B/op goes on file for the benchmarks that
+// report it and for no others, whatever sits between it and ns/op.
+func TestUpdateRecordsBytesPerOp(t *testing.T) {
+	bench := `BenchmarkNewMachineFresh-2   	     500	   2300000 ns/op	  512344 B/op	    3069 allocs/op
+BenchmarkMachineRound-2      	     100	  21000000 ns/op	  1.5 refs/ns	   64 B/op
+BenchmarkSetAssocHotSoA-2    	30000000	        38.9 ns/op
+`
+	path := writeBaseline(t, `{"ns_per_op": {}, "speedups": []}`)
+	var out, errb bytes.Buffer
+	if err := run([]string{"-baseline", path, "-update"}, strings.NewReader(bench), &out, &errb); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Baseline
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"BenchmarkNewMachineFresh": 512344, "BenchmarkMachineRound": 64}
+	if !reflect.DeepEqual(got.BytesPerOp, want) {
+		t.Errorf("bytes_per_op = %v, want %v", got.BytesPerOp, want)
+	}
+	if len(got.NsPerOp) != 3 {
+		t.Errorf("ns_per_op = %v, want all three benchmarks", got.NsPerOp)
+	}
+}
+
 func TestParseBenchRejectsEmpty(t *testing.T) {
-	if _, err := parseBench(strings.NewReader("no benchmarks here\n")); err == nil {
+	if _, _, err := parseBench(strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Error("empty input should error")
 	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"threadcluster/internal/memory"
 )
@@ -79,11 +80,43 @@ type lineTable struct {
 
 const lineTableMinSize = 256
 
+// tablePool parks the slot arrays of released presence tables, so a
+// steady stream of jobs does not regrow 256 → working-set slots each time.
+// A table's capacity is unobservable — savePres sorts, peak counts entries
+// — so any parked one serves any hierarchy.
+var tablePool sync.Pool
+
+// init readies an empty table: a parked one when there is one, else one
+// of the minimum size.
 func (t *lineTable) init() {
-	t.keys = make([]uint64, lineTableMinSize)
-	t.ents = make([]presEntry, lineTableMinSize)
-	t.mask = lineTableMinSize - 1
+	if p, ok := tablePool.Get().(*lineTable); ok {
+		*t = *p
+		return
+	}
+	*t = lineTable{
+		keys: make([]uint64, lineTableMinSize),
+		ents: make([]presEntry, lineTableMinSize),
+		mask: lineTableMinSize - 1,
+	}
+}
+
+// clear empties the table and keeps its capacity. Only the keys mark a
+// slot occupied; ensure zeroes an entry when it claims the slot.
+func (t *lineTable) clear() {
+	clear(t.keys)
 	t.n = 0
+}
+
+// release parks the cleared table for the next init and leaves t unusable.
+func (t *lineTable) release() {
+	if t.keys == nil {
+		return
+	}
+	t.clear()
+	t.peak = 0
+	p := *t
+	*t = lineTable{}
+	tablePool.Put(&p)
 }
 
 // lineKey maps a line address to a nonzero table key. Lines are multiples

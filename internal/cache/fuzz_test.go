@@ -11,12 +11,13 @@ import (
 // sequence — 3 bytes per access: CPU selector, line selector, flag byte
 // (bit 0: write) — and replays it through the pre-merge broadcast
 // reference walk and the unified walk in broadcast and directory mode, in
-// lockstep, and then a fourth time through a directory hierarchy built on
-// the slabs the second and third just released (and every earlier input
-// dirtied). Whatever the sequence, none of them may panic, every
-// per-access result must match, the coherence and attribution counters
-// and the cache contents must stay identical, and the directory must
-// agree with a ground-truth scan of cache contents.
+// lockstep, and then a fourth time through a directory hierarchy that
+// builds on the slabs the second and third just released (and every
+// earlier input dirtied). Whatever the sequence, none of them may panic,
+// after every access the result and the coherence and attribution
+// counters must match, and the cache contents must be identical and the
+// directory agree with a ground-truth scan of them (checked as the
+// sequence runs and at its end).
 func FuzzHierarchyAccess(f *testing.F) {
 	f.Add([]byte{0, 0, 1})
 	f.Add([]byte{1, 0, 0, 5, 0, 1, 1, 0, 0})
@@ -37,6 +38,7 @@ func FuzzHierarchyAccess(f *testing.F) {
 			return topology.CPUID(int(data[i]) % ncpu), memory.Addr(uint64(data[i+1]) * memory.LineSize), data[i+2]&1 != 0
 		}
 		var want []AccessResult
+		built := 0
 		for i := 0; i+3 <= len(data); i += 3 {
 			cpu, addr, write := decode(i)
 			rr := ref.Access(cpu, addr, write)
@@ -47,9 +49,26 @@ func FuzzHierarchyAccess(f *testing.F) {
 				t.Fatalf("op %d: cpu %d line %#x write=%v:\nreference %+v\nbroadcast %+v\ndirectory %+v",
 					i/3, cpu, uint64(addr), write, rr, rb, rd)
 			}
+			// The reference's caches are built at construction, the other
+			// two build at their first Insert: no step may tell them apart.
+			// Counters are compared after every access; the O(capacity)
+			// image and directory checks after every access that built a
+			// cache — the only steps at which lazy and eager differ in
+			// structure — and every sixteenth, so the fuzzer keeps its
+			// throughput. TestLazyHierarchyEqualsEager runs them all at
+			// every step.
+			compareCounters(t, i/3, ref, bc)
+			compareCounters(t, i/3, ref, dir)
+			if n := len(backings(bc)) + len(backings(dir)); n != built || i/3%16 == 0 {
+				built = n
+				sameCaches(t, ref, bc)
+				sameCaches(t, ref, dir)
+				if err := dir.CheckDirectory(); err != nil {
+					t.Fatalf("op %d: %v", i/3, err)
+				}
+			}
 		}
 		for _, h := range []coherent{bc, dir} {
-			compareCounters(t, len(data)/3, ref, h)
 			sameCaches(t, ref, h)
 		}
 		if err := dir.CheckDirectory(); err != nil {

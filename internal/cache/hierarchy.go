@@ -290,10 +290,10 @@ func (h *Hierarchy) Access(cpu topology.CPUID, addr memory.Addr, write bool) Acc
 // SrcRemoteMemory. Passing nil reverts to uniform memory.
 func (h *Hierarchy) SetNUMA(nodes memory.NodeMap) { h.nodes = nodes }
 
-// Release hands every cache's slabs back for reuse by the next hierarchy
-// built with the same geometry, and drops them: the hierarchy must not be
-// accessed, queried or snapshotted afterwards. Counters held outside the
-// caches (lanes, the presence table) are not recycled.
+// Release hands the slabs of every cache that holds any, and the presence
+// table, back for reuse by the next hierarchy, and drops them: the
+// hierarchy must not be accessed, queried or snapshotted afterwards. The
+// lanes' counters and mailboxes are not recycled.
 func (h *Hierarchy) Release() {
 	for _, level := range [][]*SetAssoc{h.l1, h.l2, h.l3} {
 		for _, c := range level {
@@ -301,21 +301,19 @@ func (h *Hierarchy) Release() {
 		}
 	}
 	h.l1, h.l2, h.l3 = nil, nil, nil
+	h.pres.release()
 }
 
 // FlushAll empties every cache, modelling the cold state after a machine
 // reset. Useful between experiment phases.
 func (h *Hierarchy) FlushAll() {
 	for _, level := range [][]*SetAssoc{h.l1, h.l2, h.l3} {
-		for i, c := range level {
+		for _, c := range level {
 			c.release()
-			level[i], _ = NewSetAssoc(c.cfg)
 		}
 	}
 	if h.mode == CoherenceDirectory {
-		peak := h.pres.peak
-		h.pres.init()
-		h.pres.peak = peak
+		h.pres.clear()
 		for chip := range h.lanes {
 			h.lanes[chip].ops = h.lanes[chip].ops[:0]
 		}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
@@ -86,7 +87,7 @@ type Stats struct {
 // pattern can never equal a real line: a probe may compare tags alone,
 // touching one dense slab, without consulting the state slab first. The
 // invariant — tags[i] == invalidTag exactly when states[i] == Invalid —
-// is maintained by Invalidate, restoreCache and release.
+// is maintained by newSlabs, Invalidate, restoreCache and release.
 const invalidTag = ^memory.Addr(0)
 
 // SetAssoc is a set-associative cache with true-LRU replacement. Addresses
@@ -99,23 +100,20 @@ const invalidTag = ^memory.Addr(0)
 // simulator-host memory — instead of chasing a per-set slice header into
 // 24-byte AoS records. The hit path then touches exactly the state and
 // LRU words it needs.
+//
+// Slabs are built by the first Insert — the one operation that makes a
+// way valid. Until then a cache is a shell that answers every probe
+// "absent", which is what an all-invalidTag slab would answer, so a cache
+// nothing is ever inserted into (the victim L3 of a run whose L2s never
+// cast out) costs no allocation; at most it holds, untouched, a slab set
+// some earlier cache released.
 type SetAssoc struct {
 	cfg   Config
 	nsets int
 	ways  int
-	// The slabs. All three have nsets*ways entries; way i of set s lives
-	// at index s*ways + i.
-	tags   []memory.Addr
-	states []State
-	lru    []uint64 // last-touch stamps; larger = more recent
-	stamp  uint64
-	stats  Stats
-	// touched has one bit per set, raised when a way of the set may differ
-	// from the freshly built image: by Insert, the only operation that
-	// makes a way valid, and by restoreCache for the sets it fills. release
-	// rewrites exactly those sets, so recycling a cache costs O(sets
-	// touched), not O(capacity).
-	touched []uint64 //tclint:allow snapfields -- derived from the slabs: restoreCache rebuilds it from the ways it fills, so it is never serialised
+	slabs
+	stamp uint64
+	stats Stats
 	// setMask is nsets-1 when the set count is a power of two, which
 	// turns the per-probe modulo into a mask (the hot-path case: every
 	// Power5 L1 and all of SmallConfig). Zero set counts are rejected by
@@ -125,51 +123,86 @@ type SetAssoc struct {
 	pow2    bool
 }
 
-// slabPools parks released caches for reuse, one sync.Pool per geometry
-// (Config → *sync.Pool). A parked cache is word for word what newSetAssoc
-// would build; the garbage collector bounds how long an idle one is kept.
+// slabs is the backing store of one built cache; all four are nil in a
+// shell. tags, states and lru have nsets*ways entries; way i of set s lives
+// at index s*ways + i.
+type slabs struct {
+	tags   []memory.Addr
+	states []State
+	lru    []uint64 // last-touch stamps; larger = more recent
+	// touched has one bit per set, raised when a way of the set may differ
+	// from the freshly built image: by Insert and by restoreCache for the
+	// sets it fills. release rewrites exactly those sets, so recycling a
+	// cache costs O(sets touched), not O(capacity).
+	touched []uint64 //tclint:allow snapfields -- derived from the slabs: restoreCache rebuilds it from the ways it fills, so it is never serialised
+}
+
+// slabPools parks released slab sets for reuse, one sync.Pool per geometry
+// (Config → *sync.Pool of *slabs). A parked set is word for word what
+// newSlabs returns; the garbage collector bounds how long an idle one is
+// kept.
 var slabPools sync.Map
 
-// NewSetAssoc builds a cache from the configuration, reusing the slabs of
-// a released cache of the same geometry when one is parked.
+// NewSetAssoc returns an empty cache of the configuration. It allocates no
+// slabs — the first Insert builds them — but takes a parked set of its
+// geometry when there is one: that memory is resident either way, and
+// holding it from construction keeps the collector from dropping it
+// moments before a cast-out would have asked for it.
 func NewSetAssoc(cfg Config) (*SetAssoc, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if p, ok := slabPools.Load(cfg); ok {
-		if c, ok := p.(*sync.Pool).Get().(*SetAssoc); ok {
-			return c, nil
-		}
-	}
-	return newSetAssoc(cfg), nil
-}
-
-// newSetAssoc allocates and fills a cache; cfg must have been validated.
-func newSetAssoc(cfg Config) *SetAssoc {
 	n := cfg.Sets()
-	c := &SetAssoc{
-		cfg:     cfg,
-		nsets:   n,
-		ways:    cfg.Ways,
-		tags:    make([]memory.Addr, n*cfg.Ways),
-		states:  make([]State, n*cfg.Ways),
-		lru:     make([]uint64, n*cfg.Ways),
-		touched: make([]uint64, (n+63)/64),
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
+	c := &SetAssoc{cfg: cfg, nsets: n, ways: cfg.Ways, slabs: parkedSlabs(cfg)}
 	if n&(n-1) == 0 {
 		c.setMask = uint64(n) - 1
 		c.pow2 = true
 	}
-	return c
+	return c, nil
 }
 
-// release returns the cache to the freshly built image — only the touched
-// sets need rewriting — and parks it for the next NewSetAssoc of the same
-// geometry. The caller must drop every reference to it.
+// parkedSlabs takes a released slab set of the geometry out of the pool,
+// or returns the zero slabs when none is parked.
+func parkedSlabs(cfg Config) slabs {
+	if p, ok := slabPools.Load(cfg); ok {
+		if s, ok := p.(*sync.Pool).Get().(*slabs); ok {
+			return *s
+		}
+	}
+	return slabs{}
+}
+
+// build gives a shell its slabs: a set parked since the cache was made,
+// or a freshly allocated one.
+func (c *SetAssoc) build() {
+	if c.slabs = parkedSlabs(c.cfg); c.tags == nil {
+		c.slabs = newSlabs(c.nsets, c.ways)
+	}
+}
+
+// newSlabs allocates and tag-fills the slabs of an empty cache.
+func newSlabs(nsets, ways int) slabs {
+	s := slabs{
+		tags:    make([]memory.Addr, nsets*ways),
+		states:  make([]State, nsets*ways),
+		lru:     make([]uint64, nsets*ways),
+		touched: make([]uint64, (nsets+63)/64),
+	}
+	for i := range s.tags {
+		s.tags[i] = invalidTag
+	}
+	return s
+}
+
+// release empties the cache: one that holds slabs rewrites the touched
+// sets to the freshly built image, parks the slabs for the next cache of
+// the geometry, and is a shell again; a shell only zeroes its counters.
 func (c *SetAssoc) release() {
+	c.stamp = 0
+	c.stats = Stats{}
+	if c.tags == nil {
+		return
+	}
 	for w, word := range c.touched {
 		for ; word != 0; word &= word - 1 {
 			b := (w<<6 + bits.TrailingZeros64(word)) * c.ways
@@ -181,13 +214,13 @@ func (c *SetAssoc) release() {
 		}
 		c.touched[w] = 0
 	}
-	c.stamp = 0
-	c.stats = Stats{}
 	p, ok := slabPools.Load(c.cfg)
 	if !ok {
 		p, _ = slabPools.LoadOrStore(c.cfg, new(sync.Pool))
 	}
-	p.(*sync.Pool).Put(c)
+	s := c.slabs
+	c.slabs = slabs{}
+	p.(*sync.Pool).Put(&s)
 }
 
 // Config returns the cache's configuration.
@@ -211,8 +244,12 @@ func (c *SetAssoc) setOf(line memory.Addr) int {
 func (c *SetAssoc) setBase(line memory.Addr) int { return c.setOf(line) * c.ways }
 
 // findWay returns the slab index of the line's way, or -1. Because empty
-// ways hold invalidTag, the scan touches only the tag slab.
+// ways hold invalidTag, the scan touches only the tag slab; a shell holds
+// nothing, so it answers before computing a set.
 func (c *SetAssoc) findWay(line memory.Addr) int {
+	if c.tags == nil {
+		return -1
+	}
 	b := c.setBase(line)
 	tags := c.tags[b : b+c.ways]
 	for i := range tags {
@@ -253,6 +290,9 @@ func (c *SetAssoc) Peek(line memory.Addr) State {
 func (c *SetAssoc) Insert(line memory.Addr, st State) (evicted memory.Addr, evictedState State, didEvict bool) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
+	}
+	if c.tags == nil {
+		c.build()
 	}
 	set := c.setOf(line)
 	b := set * c.ways
@@ -353,6 +393,11 @@ func (c *SetAssoc) Occupancy() int {
 	}
 	return n
 }
+
+// Backing identifies the cache's slabs: nil while it holds none, and equal
+// for two caches exactly when the later one holds the slabs the earlier
+// one released.
+func (c *SetAssoc) Backing() *memory.Addr { return unsafe.SliceData(c.tags) }
 
 // Capacity returns the total number of lines the cache can hold.
 func (c *SetAssoc) Capacity() int { return c.nsets * c.ways }

@@ -31,7 +31,14 @@ func saveCache(e *snapbin.Enc, c *SetAssoc) {
 	e.U32(uint32(c.nsets))
 	e.U32(uint32(c.ways))
 	// Walk the slabs in (set, way) order — the same canonical order the
-	// pre-slab AoS encoder emitted, so snapshots stay byte-identical.
+	// pre-slab AoS encoder emitted, so snapshots stay byte-identical. An
+	// unbuilt cache has no slab to walk: every set is empty.
+	if c.tags == nil {
+		for s := 0; s < c.nsets; s++ {
+			e.U8(0)
+		}
+		return
+	}
 	for s := 0; s < c.nsets; s++ {
 		b := s * c.ways
 		valid := 0
@@ -56,7 +63,10 @@ func saveCache(e *snapbin.Enc, c *SetAssoc) {
 // restoreCache overwrites one cache's state with a state saved by
 // saveCache, validating geometry, set mapping, way positions, states and
 // LRU stamps so a corrupt or hostile snapshot cannot construct a cache
-// the simulator could never have produced.
+// the simulator could never have produced. The snapshot is decoded into a
+// scratch cache that builds its slabs at the first valid way, as Insert
+// would; c is untouched unless the whole of it validates, and then swaps
+// its own slabs for the scratch's — so an empty snapshot leaves c unbuilt.
 func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 	stamp := d.U64()
 	var st Stats
@@ -74,13 +84,10 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 		return fmt.Errorf("cache: snapshot %s geometry %dx%d, built %dx%d: %w",
 			what, nsets, ways, c.nsets, c.ways, errs.ErrBadConfig)
 	}
-	freshTags := make([]memory.Addr, nsets*ways)
-	freshStates := make([]State, nsets*ways)
-	freshLRU := make([]uint64, nsets*ways)
-	freshTouched := make([]uint64, len(c.touched))
-	for i := range freshTags {
-		freshTags[i] = invalidTag
-	}
+	fresh := SetAssoc{cfg: c.cfg, nsets: nsets, ways: ways}
+	// Parks whichever slabs end up unused: the scratch's when the snapshot
+	// is refused, c's own — reset in O(touched sets) — when it is adopted.
+	defer fresh.release()
 	for s := 0; s < nsets; s++ {
 		b := s * ways
 		valid := int(d.U8())
@@ -92,7 +99,12 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 				what, s, valid, ways, snapbin.ErrCorrupt)
 		}
 		if valid > 0 {
-			freshTouched[s>>6] |= 1 << (uint(s) & 63)
+			if fresh.tags == nil {
+				fresh.build()
+			}
+			// Every set the snapshot leaves empty stays at the built image,
+			// so the filled sets are exactly the touched ones.
+			fresh.touched[s>>6] |= 1 << (uint(s) & 63)
 		}
 		prev := -1
 		for v := 0; v < valid; v++ {
@@ -125,24 +137,19 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 					what, uint64(tag), lru, stamp, snapbin.ErrCorrupt)
 			}
 			for w := 0; w < idx; w++ {
-				if freshTags[b+w] == tag {
+				if fresh.tags[b+w] == tag {
 					return fmt.Errorf("cache: snapshot %s line %#x duplicated in set %d: %w",
 						what, uint64(tag), s, snapbin.ErrCorrupt)
 				}
 			}
-			freshTags[b+idx] = tag
-			freshStates[b+idx] = state
-			freshLRU[b+idx] = lru
+			fresh.tags[b+idx] = tag
+			fresh.states[b+idx] = state
+			fresh.lru[b+idx] = lru
 		}
 	}
+	c.slabs, fresh.slabs = fresh.slabs, c.slabs
 	c.stamp = stamp
 	c.stats = st
-	copy(c.tags, freshTags)
-	copy(c.states, freshStates)
-	copy(c.lru, freshLRU)
-	// Every set the snapshot left empty is back at the built image, so the
-	// filled sets are exactly the touched ones.
-	copy(c.touched, freshTouched)
 	return nil
 }
 
@@ -171,6 +178,7 @@ func (h *Hierarchy) restorePres(d *snapbin.Dec) error {
 	chipMask := uint64(1)<<uint(h.topo.Chips) - 1
 	var t lineTable
 	t.init()
+	defer t.release() // the refused table, or the one the restored one replaces
 	var prev memory.Addr
 	for i := 0; i < n; i++ {
 		line := memory.Addr(d.U64())
@@ -195,7 +203,7 @@ func (h *Hierarchy) restorePres(d *snapbin.Dec) error {
 		return fmt.Errorf("cache: snapshot presence peak %d below occupancy %d: %w", peak, t.n, snapbin.ErrCorrupt)
 	}
 	t.peak = peak
-	h.pres = t
+	h.pres, t = t, h.pres
 	return nil
 }
 

@@ -7,27 +7,35 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"runtime"
 	"testing"
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/core"
+	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
 	"threadcluster/internal/snapbin"
+	"threadcluster/internal/topology"
 )
 
-// slabsOf returns the machine's caches by identity; a cache is pooled
-// whole, so meeting one again means a machine was built on recycled
-// slabs.
-func slabsOf(m *sim.Machine) map[*cache.SetAssoc]bool {
+// slabsOf returns the slab identity of every cache of the machine that
+// has built its slabs; slabs are pooled as a set, so meeting one again
+// means a cache was built on recycled slabs.
+func slabsOf(m *sim.Machine) map[*memory.Addr]bool {
 	h, topo := m.Hierarchy(), m.Topology()
-	s := map[*cache.SetAssoc]bool{}
+	s := map[*memory.Addr]bool{}
+	add := func(c *cache.SetAssoc) {
+		if b := c.Backing(); b != nil {
+			s[b] = true
+		}
+	}
 	for core := 0; core < topo.NumCores(); core++ {
-		s[h.L1(core)] = true
+		add(h.L1(core))
 	}
 	for chip := 0; chip < topo.Chips; chip++ {
-		s[h.L2(chip)] = true
-		s[h.L3(chip)] = true
+		add(h.L2(chip))
+		add(h.L3(chip))
 	}
 	return s
 }
@@ -40,12 +48,16 @@ func closed(m *sim.Machine) (yes bool) {
 	return false
 }
 
-// TestBuildFailureRecyclesSlabs drives every way study.build can fail
-// after the machine exists — install, core.New, Engine.Install, setup —
-// and requires the machine to have been closed: the next machine of that
-// geometry is built on its slabs.
+// TestBuildFailureRecyclesSlabs drives every way a study's machine can
+// fail once it exists — in its measured interval, and before its first
+// reference in install, core.New, Engine.Install or setup — and requires
+// the machine to have been closed. One that fails in its interval parks
+// what its warm-up built; one that fails in build has built nothing, and
+// hands back the slabs it took from the pool when it was made. Either
+// way the next machine of that geometry holds them.
 // A daemon fed bad specs must not fall back to allocating per job.
 func TestBuildFailureRecyclesSlabs(t *testing.T) {
+	ctx := context.Background()
 	opt := goldenOptions()
 	spec, err := BuildWorkload(Microbenchmark, opt.Seed)
 	if err != nil {
@@ -56,6 +68,44 @@ func TestBuildFailureRecyclesSlabs(t *testing.T) {
 		Save:    func(*snapbin.Enc) error { return nil },
 		Restore: func(*snapbin.Dec) error { return nil },
 	}
+	var failed *sim.Machine
+	var released map[*memory.Addr]bool
+	machineBuilt = func(m *sim.Machine) { failed, released = m, slabsOf(m) }
+	defer func() { machineBuilt = nil }()
+	good := study{policy: sched.PolicyClustered, install: spec.Install}
+	// sync.Pool may drop an item (at random under the race detector): any
+	// one slab set turning up again is reuse.
+	requireReuse := func(t *testing.T) {
+		t.Helper()
+		if !closed(failed) {
+			t.Fatal("the study failed and left its machine open")
+		}
+		held := released
+		_, next, err := good.run(ctx, opt, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer next.close()
+		for b := range slabsOf(next.m) {
+			if held[b] {
+				return
+			}
+		}
+		t.Fatalf("the next machine holds none of the %d released slab sets", len(held))
+	}
+	t.Run("interval", func(t *testing.T) {
+		_, _, err := good.runInterval(ctx, opt, 2, func(r *rig) error {
+			released = slabsOf(r.m)
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("runInterval with a failing interval: %v", err)
+		}
+		if len(released) == 0 {
+			t.Fatal("two warm-up rounds built no cache")
+		}
+		requireReuse(t)
+	})
 	for name, st := range map[string]study{
 		"install": {install: func(*sim.Machine) error { return boom }},
 		"core.New": {install: spec.Install,
@@ -66,30 +116,19 @@ func TestBuildFailureRecyclesSlabs(t *testing.T) {
 		"setup": {install: spec.Install, setup: func(*rig) error { return boom }},
 	} {
 		t.Run(name, func(t *testing.T) {
-			var failed *sim.Machine
-			var released map[*cache.SetAssoc]bool
-			machineBuilt = func(m *sim.Machine) { failed, released = m, slabsOf(m) }
-			defer func() { machineBuilt = nil }()
 			st.policy = sched.PolicyClustered
 			if _, err := st.build(opt); err == nil {
 				t.Fatal("build succeeded")
 			}
-			if !closed(failed) {
-				t.Fatal("build failed and left its machine open")
-			}
-			next, err := sim.NewMachine(MachineConfig(opt, st.policy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer next.Close()
-			// sync.Pool may drop an item (at random under the race
-			// detector): any one cache turning up again is reuse.
-			for c := range slabsOf(next) {
-				if released[c] {
-					return
+			if len(released) == 0 {
+				// The pool dropped every parked slab set before this machine
+				// was made: nothing was held, nothing can come back.
+				if !closed(failed) {
+					t.Fatal("the study failed and left its machine open")
 				}
+				return
 			}
-			t.Fatalf("the next machine reused none of the %d released caches", len(released))
+			requireReuse(t)
 		})
 	}
 }
@@ -188,5 +227,24 @@ func TestGridRecyclesAcrossWorkers(t *testing.T) {
 		if string(got) != string(want) {
 			t.Errorf("%s: snapshot differs between the serial and the 3-worker run", cells[i].Name())
 		}
+	}
+}
+
+// TestShortJobAllocBudget: a 32-way cell at 1/1/1 rounds — the shape of a
+// service-floor job — allocates what its three rounds touch, not the
+// 42 MB of cache slabs the machine could come to own. The budget holds
+// with an empty slab pool; parked slabs only lower the figure.
+func TestShortJobAllocBudget(t *testing.T) {
+	opt := DefaultOptions().WithRounds(1, 1, 1)
+	opt.Topo = topology.Power5_32Way()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunWorkload(context.Background(), Volano, sched.PolicyClustered, true, opt); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("a 32-way 1/1/1 cell allocated %.1f MB, budget %d MB", float64(got)/(1<<20), budget>>20)
 	}
 }

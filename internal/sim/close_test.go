@@ -6,19 +6,26 @@ import (
 	"testing"
 
 	"threadcluster/internal/cache"
+	"threadcluster/internal/memory"
+	"threadcluster/internal/snapbin"
 )
 
-// slabsOf returns the machine's caches by identity. A cache is pooled
-// whole, so finding one of them in a later machine means that machine
-// was built on recycled slabs.
-func slabsOf(m *Machine) map[*cache.SetAssoc]bool {
-	s := map[*cache.SetAssoc]bool{}
+// slabsOf returns the slab identity of every cache of the machine that
+// holds slabs. Slabs are pooled as a set, so finding one of them in a
+// later machine means that cache runs on recycled slabs.
+func slabsOf(m *Machine) map[*memory.Addr]bool {
+	s := map[*memory.Addr]bool{}
+	add := func(c *cache.SetAssoc) {
+		if b := c.Backing(); b != nil {
+			s[b] = true
+		}
+	}
 	for core := 0; core < m.topo.NumCores(); core++ {
-		s[m.hier.L1(core)] = true
+		add(m.hier.L1(core))
 	}
 	for chip := 0; chip < m.topo.Chips; chip++ {
-		s[m.hier.L2(chip)] = true
-		s[m.hier.L3(chip)] = true
+		add(m.hier.L2(chip))
+		add(m.hier.L3(chip))
 	}
 	return s
 }
@@ -32,66 +39,104 @@ func closeTestConfig() (diffTopo, Config) {
 	return sc, cfg
 }
 
-// TestCloseRecyclesSlabs: a closed machine's slabs are what the next
-// machine of that geometry is built on — also when the machine was
-// closed for the caller, on RestoreMachine's two failure paths, which
-// used to drop a fully allocated hierarchy on the floor.
+// TestCloseRecyclesSlabs: the slabs a closed machine held are what the
+// next machine's caches of that geometry hold — also when the machine was
+// closed for the caller, by a RestoreMachine that failed after the cache
+// section had been restored. A RestoreMachine that fails before its first
+// reference has built nothing: all it can hold, and hands back, is what
+// it took from the pool when it was made.
 func TestCloseRecyclesSlabs(t *testing.T) {
 	ctx := context.Background()
 	sc, cfg := closeTestConfig()
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
+	boom := errors.New("boom")
+	// The probe section restores last, after the caches.
+	var probe func(*Machine) error
+	install := func(m *Machine) error {
+		if err := diffInstall(sc, cfg.Seed)(m); err != nil {
+			return err
+		}
+		return m.RegisterStateProvider("probe", StateProvider{
+			Save:    func(*snapbin.Enc) error { return nil },
+			Restore: func(*snapbin.Dec) error { return probe(m) },
+		})
 	}
-	if err := diffInstall(sc, cfg.Seed)(m); err != nil {
-		t.Fatal(err)
+	run := func() *Machine {
+		t.Helper()
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := install(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RunRoundsCtx(ctx, 4); err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	if err := m.RunRoundsCtx(ctx, 4); err != nil {
-		t.Fatal(err)
-	}
+	m := run()
 	snap, err := m.Snapshot(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	released := slabsOf(m)
+	if len(released) == 0 {
+		t.Fatal("four rounds built no cache")
+	}
 	m.Close()
 
 	// sync.Pool may drop an item (at random under the race detector), so
-	// "reused" is any one of the released caches turning up again.
+	// "reused" is any one of the released slab sets turning up again.
 	requireReuse := func(what string) {
 		t.Helper()
-		next, err := NewMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		next := run()
 		defer next.Close()
-		for c := range slabsOf(next) {
-			if released[c] {
+		for b := range slabsOf(next) {
+			if released[b] {
 				return
 			}
 		}
-		t.Fatalf("after %s: the next machine reused none of the %d released caches", what, len(released))
+		t.Fatalf("after %s: the next machine holds none of the %d released slab sets", what, len(released))
 	}
 	requireReuse("Close")
 
-	boom := errors.New("install failed")
-	_, err = RestoreMachine(cfg, snap, func(m *Machine) error {
-		released = slabsOf(m)
+	var failed *Machine
+	probe = func(m *Machine) error {
+		failed, released = m, slabsOf(m)
 		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("RestoreMachine with a failing install: %v", err)
 	}
-	requireReuse("a failed install")
-
-	// The workload is missing, so the snapshot cannot be overlaid.
-	if _, err = RestoreMachine(cfg, snap, func(m *Machine) error {
-		released = slabsOf(m)
-		return nil
-	}); err == nil {
-		t.Fatal("RestoreMachine accepted a snapshot of threads that were never installed")
+	if _, err = RestoreMachine(cfg, snap, install); !errors.Is(err, boom) {
+		t.Fatalf("RestoreMachine with a failing provider: %v", err)
+	}
+	if len(released) == 0 {
+		t.Fatal("restoring the cache section built no cache")
+	}
+	if failed.hier != nil {
+		t.Fatal("RestoreMachine failed and left its machine open")
 	}
 	requireReuse("a failed RestoreSnapshot")
+
+	// Failures ahead of the cache section: a failing install, and a
+	// missing workload, which the machine section refuses. The machine made
+	// for the restore took the slabs the last one parked.
+	for name, install := range map[string]func(*Machine) error{
+		"install":     func(*Machine) error { return boom },
+		"no workload": func(*Machine) error { return nil },
+	} {
+		_, err = RestoreMachine(cfg, snap, func(m *Machine) error {
+			failed, released = m, slabsOf(m)
+			return install(m)
+		})
+		if err == nil {
+			t.Fatalf("%s: RestoreMachine succeeded", name)
+		}
+		if failed.hier != nil {
+			t.Fatalf("%s: RestoreMachine failed and left its machine open", name)
+		}
+		if len(released) != 0 {
+			requireReuse(name)
+		}
+	}
 }
 
 // TestCloseThenUsePanics: Close is idempotent, and every way of reaching
