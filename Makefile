@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet tclint lint test test-short test-race bench bench-compare bench-baseline bench-smoke ledger-smoke bench-sweep bench-sweep-smoke fuzz-smoke experiments sweep-smoke server-smoke snapshot-smoke fleet-smoke examples clean
+.PHONY: all build vet tclint lint test test-short test-race bench bench-compare bench-baseline bench-smoke ledger-smoke fuzz-smoke experiments sweep-smoke server-smoke snapshot-smoke fleet-smoke examples clean
 
 all: build lint test
 
@@ -56,8 +56,7 @@ bench:
 #
 #   bench-compare   (no flag) fails when a benchmark regresses past
 #                   tolerance or a speedup pair drops below its required
-#                   minimum; the parallel-engine speedup gate only
-#                   applies on hosts with at least min_cores cores.
+#                   minimum.
 #   bench-baseline  (-update) refreshes the committed baselines from
 #                   this machine.
 #   bench-smoke     (-report) prints every comparison but never fails:
@@ -80,17 +79,6 @@ bench-compare bench-baseline bench-smoke:
 ledger-smoke:
 	$(GO) run ./cmd/tcbench all -seconds 1
 
-# Saturation sweep (tcsim bench-sweep): time the scoreboard workload
-# over a chips x cores-per-chip x intensity grid under both engines and
-# record the knee analysis into BENCH_sim.json's "sweep" section.
-bench-sweep:
-	$(GO) run ./cmd/tcsim bench-sweep -record BENCH_sim.json
-
-# Fast report-only sweep for CI: a small grid printed to the log, never
-# written anywhere and never failing on timing.
-bench-sweep-smoke:
-	$(GO) run ./cmd/tcsim bench-sweep -chips 1,2,4 -cores 1 -intensity 0.2,0.6 -rounds 6 -warm 2
-
 # Short fuzzing pass over the coherence differential target, the trace
 # parser, the snapshot decoder and the snapbin codec under it (CI runs
 # the same).
@@ -104,8 +92,8 @@ fuzz-smoke:
 # chip-parallel engine differential (seq vs parallel byte-identity under
 # every GOMAXPROCS level), the golden snapshot, old-version-refusal and
 # trajectory tests (TestGolden*), the snapshot N+M differential
-# (including a foreign state provider), the batched-vs-serial
-# slice-barrier drain, the three-way reference/broadcast/directory walk
+# (including a foreign state provider), the slice barrier's canonical
+# drain order, the three-way reference/broadcast/directory walk
 # differential and the per-op directory scan at several GOMAXPROCS
 # levels, the lazily built slabs (lazy == eager at every step, first
 # Inserts racing on the pool from lane goroutines) and the slab pool
@@ -120,7 +108,7 @@ test-race:
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
 	$(GO) test -race -run 'TestGridRecyclesAcrossWorkers|TestBuildFailureRecyclesSlabs|TestGridCellsCloseTheirMachine' -cpu 1,2,4 ./internal/experiments
 	$(GO) test -race -run 'TestEngine|TestRunSlice|TestSnapshot|TestGolden|TestClose' ./internal/sim
-	$(GO) test -race -short -run 'TestSliceBarrierBatchedVsSerial|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestReleased|TestLazy' -cpu 1,2,4 ./internal/cache
+	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestReleased|TestLazy' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
 

@@ -9,9 +9,9 @@
 // -tolerance relative to its baseline ns/op, or when a recorded speedup
 // pair (e.g. directory vs broadcast on the 32-way machine) drops below its
 // required minimum ratio. -update rewrites the baseline from the current
-// run instead of comparing, preserving each pair's required minimum and
-// the "sweep" section `tcsim bench-sweep -record` maintains, and stamps
-// the measuring host's core count and GOMAXPROCS into generated_with.
+// run instead of comparing, preserving each pair's required minimum, and
+// stamps the measuring host's core count and GOMAXPROCS into
+// generated_with.
 package main
 
 import (
@@ -38,10 +38,6 @@ type Baseline struct {
 	BytesPerOp map[string]float64 `json:"bytes_per_op,omitempty"`
 	// Speedups are required ratios between benchmark pairs.
 	Speedups []Speedup `json:"speedups"`
-	// Sweep is the saturation-sweep report `tcsim bench-sweep -record`
-	// maintains. benchcmp never interprets it; the raw passthrough keeps
-	// the section intact across -update rewrites.
-	Sweep json.RawMessage `json:"sweep,omitempty"`
 }
 
 // Speedup requires benchmark `Fast` to run at least MinRatio times faster
@@ -52,13 +48,6 @@ type Speedup struct {
 	Fast          string  `json:"fast"`
 	MinRatio      float64 `json:"min_ratio"`
 	RecordedRatio float64 `json:"recorded_ratio"`
-	// MinCores, when non-zero, gates MinRatio enforcement on host
-	// parallelism: the ratio is only required when the host has at least
-	// this many CPU cores. Pairs whose speedup comes from running on
-	// multiple cores (the chip-parallel engine) cannot be expected to hold
-	// on a one-core CI runner; below the floor the ratio is reported but
-	// not enforced.
-	MinCores int `json:"min_cores,omitempty"`
 }
 
 // benchLine matches e.g. "BenchmarkFoo-16   1234   56.7 ns/op   0 B/op".
@@ -99,7 +88,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	tolerance := fs.Float64("tolerance", 0.5, "allowed fractional slowdown vs baseline ns/op (0.5 = 50%)")
 	update := fs.Bool("update", false, "rewrite the baseline from this run instead of comparing")
 	report := fs.Bool("report", false, "report-only mode: print every comparison but never fail")
-	cores := fs.Int("cores", runtime.NumCPU(), "host core count used for min_cores gating (overridable for tests)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -121,7 +109,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *update {
 		base.NsPerOp = current
 		base.BytesPerOp = currentBytes
-		base.GeneratedWith = withHostFacts(base.GeneratedWith, *cores, runtime.GOMAXPROCS(0))
+		base.GeneratedWith = withHostFacts(base.GeneratedWith, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 		for i := range base.Speedups {
 			s := &base.Speedups[i]
 			slow, okS := current[s.Slow]
@@ -174,10 +162,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		}
 		ratio := slow / fast
 		status := "ok"
-		switch {
-		case s.MinCores > 0 && *cores < s.MinCores:
-			status = fmt.Sprintf("skipped (host has %d cores, gate needs >= %d)", *cores, s.MinCores)
-		case ratio < s.MinRatio:
+		if ratio < s.MinRatio {
 			status = "BELOW MINIMUM"
 			failures = append(failures, fmt.Sprintf("speedup %s: %.2fx < required %.2fx (baseline recorded %.2fx)",
 				s.Name, ratio, s.MinRatio, s.RecordedRatio))
@@ -204,9 +189,9 @@ func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }
 // so repeated -update runs replace it instead of stacking copies.
 var hostFacts = regexp.MustCompile(`\s*\[host: \d+ cores?, GOMAXPROCS \d+\]`)
 
-// withHostFacts records where a baseline's numbers were measured: the
-// min_cores gates and any cross-host comparison of the committed ns/op
-// need the core count and GOMAXPROCS of the measuring machine on file.
+// withHostFacts records where a baseline's numbers were measured: any
+// cross-host comparison of the committed ns/op needs the core count and
+// GOMAXPROCS of the measuring machine on file.
 func withHostFacts(generatedWith string, cores, procs int) string {
 	return fmt.Sprintf("%s [host: %d cores, GOMAXPROCS %d]",
 		hostFacts.ReplaceAllString(generatedWith, ""), cores, procs)

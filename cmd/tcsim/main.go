@@ -38,16 +38,6 @@
 //
 //	tcsim snapshot -rounds 250 -out half.snap
 //	tcsim snapshot -resume half.snap -rounds 150 -out full.snap
-//
-// The bench-sweep subcommand runs the saturation sweep: a grid of
-// machine shapes (chips x cores-per-chip, 2 SMT contexts) and coherence
-// intensities, each cell timed under the sequential and the chip-parallel
-// engine, with knee points (where parallel speedup or coherence cost
-// saturates) extracted by internal/satbench:
-//
-//	tcsim bench-sweep                          # 4x2x3 grid, table output
-//	tcsim bench-sweep -chips 1,2 -rounds 10 -format json
-//	tcsim bench-sweep -record BENCH_sim.json   # refresh the "sweep" key
 package main
 
 import (
@@ -67,10 +57,9 @@ import (
 
 // subcommands are the non-experiment entry points, by first argument.
 var subcommands = map[string]func(args []string, stdout, stderr io.Writer) error{
-	"sweep":       runSweep,
-	"submit":      runSubmit,
-	"snapshot":    runSnapshot,
-	"bench-sweep": runBenchSweep,
+	"sweep":    runSweep,
+	"submit":   runSubmit,
+	"snapshot": runSnapshot,
 }
 
 func main() {

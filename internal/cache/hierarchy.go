@@ -145,13 +145,6 @@ type Hierarchy struct {
 	probesAvoided     uint64
 	invalidationsSent uint64
 
-	// Batched-barrier scratch, reused across SliceBarrier calls so the
-	// drain stays allocation-free. Both are empty whenever the hierarchy
-	// is quiescent (between barriers), which is the only time snapshots
-	// are taken.
-	drain      []drainOp   //tclint:allow snapfields -- transient barrier scratch, always empty at snapshot points
-	peakEvents []peakEvent //tclint:allow snapfields -- transient barrier scratch, always empty at snapshot points
-
 	// NUMA configuration: nil means uniform memory (the base platform).
 	nodes memory.NodeMap //tclint:allow snapfields -- construction config, immutable after NewHierarchy
 }

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/bits"
-	"slices"
 
 	"threadcluster/internal/memory"
 	"threadcluster/internal/topology"
@@ -35,20 +34,12 @@ import (
 // in what real-time order they finished. That is the determinism
 // argument, spelled out in DESIGN.md §7.
 //
-// The barrier does not literally walk the queues op by op: it gathers
-// every lane's ops into one buffer, tags each with its canonical
-// sequence number, sorts by (line, seq) and applies per-line runs, so
-// the directory is probed once per line touched rather than once per op
-// and all of a line's barrier work happens while its entry is hot.
-// Barrier ops on *distinct* lines commute — each touches only its own
-// line's presence entry and cached copies, and never inserts into a
-// cache (no LRU or stamp movement) — so only the within-line order
-// matters, and the seq tiebreak preserves exactly that. The one thing reordering could distort, the presence table's
-// peak-occupancy high-water mark, is reconstructed exactly by replaying
-// the per-op occupancy deltas in seq order (deltas are order-independent
-// because within-line order is preserved). The op-by-op reference drain
-// is a test fixture (sliceBarrierSerial in drain_test.go), and the
-// batched drain is differentially pinned against it.
+// The drain is that canonical loop and nothing else: applyLane walks one
+// mailbox op by op, SliceBarrier calls it for every chip in order, and
+// Hierarchy.Access calls it for the one lane it just drove. A batched
+// variant (gather, sort by line, apply per-line runs, replay the
+// occupancy peak) was measured at two-thirds of a deferred round's CPU
+// and removed (CHANGES.md, PR 21).
 //
 // The classic serial protocol is the degenerate case: Hierarchy.Access
 // runs one lane access followed immediately by a one-lane barrier, which
@@ -69,8 +60,8 @@ const (
 	// opDowngradeChip moves one chip's copies of the line to Shared
 	// (a read snoop hit on that chip).
 	opDowngradeChip
-	// opFillL2 publishes that the issuing chip's L2 now holds the line in
-	// the given state. Conflicting same-slice fills are arbitrated here.
+	// opFillL2 publishes that the issuing chip's L2 now holds the line.
+	// Conflicting same-slice fills are arbitrated here.
 	opFillL2
 	// opClearL2 publishes that the issuing chip's L2 evicted the line.
 	opClearL2
@@ -84,7 +75,6 @@ const (
 type cohOp struct {
 	line   memory.Addr
 	kind   opKind
-	state  State  // opFillL2: the fill state
 	chip   int16  // opDowngradeChip: target chip
 	probes uint16 // opInvalidateRemote: own-chip probes already issued
 }
@@ -310,7 +300,7 @@ func (l *Lane) downgrade(line memory.Addr, chip int) {
 func (l *Lane) fillL2(line memory.Addr, st State) {
 	h, chip := l.h, l.chip
 	evicted, evictedState, didEvict := h.l2[chip].Insert(line, st)
-	l.publish(cohOp{line: line, kind: opFillL2, state: st})
+	l.publish(cohOp{line: line, kind: opFillL2})
 	if !didEvict {
 		return
 	}
@@ -361,169 +351,75 @@ func (h *Hierarchy) downgradeL1s(line memory.Addr, chip int) uint64 {
 	return found
 }
 
-// drainOp is one gathered mailbox op in the batched barrier drain: a
-// cohOp stamped with its issuing chip and its canonical sequence number
-// (position in the chip-order, queue-order-within-chip serial drain).
-type drainOp struct {
-	line   memory.Addr
-	seq    uint32
-	kind   opKind
-	state  State
-	src    int16 // issuing chip
-	tgt    int16 // opDowngradeChip: target chip
-	probes uint16
-}
-
-// peakEvent records that the op at canonical position seq changed the
-// presence table's occupancy by delta (always ±1). Replayed in seq order
-// after a batched drain to reconstruct the canonical peak.
-type peakEvent struct {
-	seq   uint32
-	delta int8
-}
-
-// SliceBarrier drains every lane's coherence mailbox, making all
-// cross-chip effects of the finished slice visible — byte-identical to
-// an op-by-op drain in canonical chip order (see the file comment for
-// why the batched application commutes). Must be called with no lane
-// access in flight. A no-op in broadcast mode (whose mailboxes stay empty).
+// SliceBarrier drains every lane's coherence mailbox in canonical chip
+// order, making all cross-chip effects of the finished slice visible. Must
+// be called with no lane access in flight. A no-op in broadcast mode
+// (whose mailboxes stay empty).
 func (h *Hierarchy) SliceBarrier() {
-	h.drain = h.drain[:0]
-	h.peakEvents = h.peakEvents[:0]
-	var seq uint32
 	for chip := range h.lanes {
-		l := &h.lanes[chip]
-		for i := range l.ops {
-			op := &l.ops[i]
-			h.drain = append(h.drain, drainOp{
-				line: op.line, seq: seq, kind: op.kind, state: op.state,
-				src: int16(chip), tgt: op.chip, probes: op.probes,
-			})
-			seq++
-		}
-		l.ops = l.ops[:0]
+		h.applyLane(&h.lanes[chip])
 	}
-	if len(h.drain) == 0 {
-		return
-	}
-	slices.SortFunc(h.drain, func(a, b drainOp) int {
-		if a.line != b.line {
-			if a.line < b.line {
-				return -1
-			}
-			return 1
-		}
-		return int(a.seq) - int(b.seq)
-	})
-	n0, peak0 := h.pres.n, h.pres.peak
-	for i := 0; i < len(h.drain); {
-		line := h.drain[i].line
-		// One directory probe per line run; ops thread the entry through.
-		e := h.pres.find(line)
-		for ; i < len(h.drain) && h.drain[i].line == line; i++ {
-			op := &h.drain[i]
-			before := h.pres.n
-			e = h.applyOpE(int(op.src), line, op.kind, op.state, int(op.tgt), op.probes, e)
-			if d := h.pres.n - before; d != 0 {
-				h.peakEvents = append(h.peakEvents, peakEvent{seq: op.seq, delta: int8(d)})
-			}
-		}
-	}
-	// The sorted application reached the same final occupancy as the
-	// canonical order (per-op deltas are order-independent across lines),
-	// but may have visited a different high-water mark. Replay the deltas
-	// in canonical order to restore the exact serial-drain peak.
-	slices.SortFunc(h.peakEvents, func(a, b peakEvent) int { return int(a.seq) - int(b.seq) })
-	n, peak := n0, peak0
-	for _, ev := range h.peakEvents {
-		n += int(ev.delta)
-		if n > peak {
-			peak = n
-		}
-	}
-	h.pres.peak = peak
-	h.drain = h.drain[:0]
-	h.peakEvents = h.peakEvents[:0]
 }
 
-// applyLane drains one lane's mailbox in queue order. The immediate-mode
-// Access path still drains this way — one lane with a handful of ops has
-// nothing to batch.
+// applyLane drains one lane's mailbox in queue order.
 func (h *Hierarchy) applyLane(l *Lane) {
 	for i := range l.ops {
-		op := &l.ops[i]
-		var e *presEntry
-		if op.kind != opSetL3 {
-			// opSetL3 touches the table only when the victim copy is live,
-			// and then through ensure; probing upfront would waste a scan.
-			e = h.pres.find(op.line)
-		}
-		h.applyOpE(l.chip, op.line, op.kind, op.state, int(op.chip), op.probes, e)
+		h.applyOp(l.chip, &l.ops[i])
 	}
 	l.ops = l.ops[:0]
 }
 
-// applyOpE applies one coherence op given the line's current presence
-// entry (nil when absent) and returns the entry afterwards (nil when the
-// op dropped it). Threading the entry through is what lets the batched
-// drain amortize the directory probe across a line's whole run.
-func (h *Hierarchy) applyOpE(chip int, line memory.Addr, kind opKind, st State, tgt int, probes uint16, e *presEntry) *presEntry {
-	switch kind {
+// applyOp applies one coherence op issued by the given chip.
+func (h *Hierarchy) applyOp(chip int, op *cohOp) {
+	line, bit := op.line, uint64(1)<<uint(chip)
+	switch op.kind {
 	case opInvalidateRemote:
-		return h.applyInvalidateRemote(chip, line, uint64(probes), e)
+		h.applyInvalidateRemote(chip, line, uint64(op.probes))
 	case opDowngradeChip:
-		h.applyDowngrade(line, tgt, e)
+		h.applyDowngrade(line, int(op.chip))
 	case opFillL2:
-		return h.applyFill(chip, line, st, e)
+		h.applyFill(chip, line)
 	case opClearL2:
-		if e != nil {
-			e.l2 &^= 1 << uint(chip)
-			if e.empty() {
-				h.pres.drop(line)
-				return nil
-			}
+		if e := h.pres.find(line); e != nil {
+			e.l2 &^= bit
+			h.dropIfEmpty(line, e)
 		}
 	case opSetL3:
 		// Publish only if the victim copy is still there: an earlier op
 		// of this barrier may have invalidated it through the chip's
 		// pre-slice L3 presence bit (see applyFill for the L2 analogue).
 		if h.l3[chip].Peek(line) != Invalid {
-			if e == nil {
-				e = h.pres.ensure(line)
-			}
-			e.l3 |= 1 << uint(chip)
+			h.pres.ensure(line).l3 |= bit
 		}
 	case opClearL3:
-		if e != nil {
-			e.l3 &^= 1 << uint(chip)
-			if e.empty() {
-				h.pres.drop(line)
-				return nil
-			}
+		if e := h.pres.find(line); e != nil {
+			e.l3 &^= bit
+			h.dropIfEmpty(line, e)
 		}
 	}
-	return e
+}
+
+// dropIfEmpty removes the line's presence entry once it records no holder.
+func (h *Hierarchy) dropIfEmpty(line memory.Addr, e *presEntry) {
+	if e.empty() {
+		h.pres.drop(line)
+	}
 }
 
 // applyInvalidateRemote removes every cached copy of the line outside the
 // issuing chip, visiting only the holders the directory records, and
 // settles the broadcast-vs-directory probe accounting (ownProbes L1
-// probes were already issued chip-locally at queue time). The caller
-// supplies the line's presence entry; the survivor (or nil) is returned.
-func (h *Hierarchy) applyInvalidateRemote(except int, line memory.Addr, ownProbes uint64, e *presEntry) *presEntry {
+// probes were already issued chip-locally at queue time).
+func (h *Hierarchy) applyInvalidateRemote(except int, line memory.Addr, ownProbes uint64) {
 	broadcastProbes := uint64(len(h.l1) - 1 + 2*(len(h.l2)-1))
 	probes := ownProbes
-	if e != nil {
+	if e := h.pres.find(line); e != nil {
 		probes += h.invalidateHolders(line, e, except)
-		if e.empty() {
-			h.pres.drop(line)
-			e = nil
-		}
+		h.dropIfEmpty(line, e)
 	}
 	if broadcastProbes > probes {
 		h.probesAvoided += broadcastProbes - probes
 	}
-	return e
 }
 
 // invalidateHolders invalidates every copy of the line on the chips the
@@ -559,12 +455,10 @@ func (h *Hierarchy) invalidateHolders(line memory.Addr, e *presEntry, except int
 }
 
 // applyDowngrade moves the line to Shared in the given chip's caches with
-// the usual probe accounting. The caller supplies the line's presence
-// entry (downgrades never change presence, so there is nothing to
-// return).
-func (h *Hierarchy) applyDowngrade(line memory.Addr, chip int, e *presEntry) {
+// the usual probe accounting. Downgrades never change presence.
+func (h *Hierarchy) applyDowngrade(line memory.Addr, chip int) {
 	broadcastProbes := uint64(2 + h.topo.CoresPerChip)
-	probes := h.downgradeChipCopies(line, chip, e)
+	probes := h.downgradeChipCopies(line, chip, h.pres.find(line))
 	if broadcastProbes > probes {
 		h.probesAvoided += broadcastProbes - probes
 	}
@@ -615,17 +509,12 @@ func (h *Hierarchy) downgradeChipCopies(line memory.Addr, chip int, e *presEntry
 // bit — e.g. the line was evicted and re-fetched within the slice). A
 // dead fill publishes nothing; its L1 copies were already torn down by
 // the invalidation that killed it.
-//
-// The caller supplies the line's presence entry; the published entry is
-// returned (nil only when the fill was dead and the line untracked).
-func (h *Hierarchy) applyFill(chip int, line memory.Addr, st State, e *presEntry) *presEntry {
-	switch cur := h.l2[chip].Peek(line); cur {
-	case Invalid:
-		return e
-	default:
-		st = cur
+func (h *Hierarchy) applyFill(chip int, line memory.Addr) {
+	st := h.l2[chip].Peek(line)
+	if st == Invalid {
+		return
 	}
-	bit := uint64(1) << uint(chip)
+	e := h.pres.find(line)
 	if e != nil && holderChips(e, chip) != 0 {
 		switch st {
 		case Modified:
@@ -644,6 +533,5 @@ func (h *Hierarchy) applyFill(chip int, line memory.Addr, st State, e *presEntry
 	if e == nil {
 		e = h.pres.ensure(line)
 	}
-	e.l2 |= bit
-	return e
+	e.l2 |= 1 << uint(chip)
 }

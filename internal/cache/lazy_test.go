@@ -5,9 +5,59 @@ import (
 	"sync"
 	"testing"
 
+	"threadcluster/internal/memory"
 	"threadcluster/internal/snapbin"
 	"threadcluster/internal/topology"
 )
+
+// laneStep is one recorded lane access of a slice, grouped by chip so
+// both hierarchies replay identical per-chip streams (the order the
+// chip-parallel engine produces them in).
+type laneStep struct {
+	cpu   topology.CPUID
+	addr  memory.Addr
+	write bool
+}
+
+// compareDrainState requires two hierarchies driven with the same stream
+// indistinguishable at a barrier boundary: every counter, the directory's
+// occupancy and peak, and its ground-truth check on both sides.
+func compareDrainState(t *testing.T, seed int64, slice int, lazy, eager *Hierarchy) {
+	t.Helper()
+	fail := func(what string, l, e interface{}) {
+		t.Fatalf("seed %d slice %d: %s diverged: lazy %v, eager %v", seed, slice, what, l, e)
+	}
+	if l, e := lazy.DirectoryLines(), eager.DirectoryLines(); l != e {
+		fail("DirectoryLines", l, e)
+	}
+	if l, e := lazy.DirectoryPeakLines(), eager.DirectoryPeakLines(); l != e {
+		fail("DirectoryPeakLines", l, e)
+	}
+	if l, e := lazy.SourceCounts(), eager.SourceCounts(); l != e {
+		fail("SourceCounts", l, e)
+	}
+	if l, e := lazy.SourceCycles(), eager.SourceCycles(); l != e {
+		fail("SourceCycles", l, e)
+	}
+	if l, e := lazy.InvalidationsSent(), eager.InvalidationsSent(); l != e {
+		fail("InvalidationsSent", l, e)
+	}
+	if l, e := lazy.Upgrades(), eager.Upgrades(); l != e {
+		fail("Upgrades", l, e)
+	}
+	if l, e := lazy.Writebacks(), eager.Writebacks(); l != e {
+		fail("Writebacks", l, e)
+	}
+	if l, e := lazy.SnoopProbesAvoided(), eager.SnoopProbesAvoided(); l != e {
+		fail("SnoopProbesAvoided", l, e)
+	}
+	if err := lazy.CheckDirectory(); err != nil {
+		t.Fatalf("seed %d slice %d: lazy directory check: %v", seed, slice, err)
+	}
+	if err := eager.CheckDirectory(); err != nil {
+		t.Fatalf("seed %d slice %d: eager directory check: %v", seed, slice, err)
+	}
+}
 
 // stateBytes is the hierarchy's canonical SaveState encoding.
 func stateBytes(t *testing.T, h *Hierarchy) []byte {

@@ -16,6 +16,7 @@ import (
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/errs"
+	"threadcluster/internal/snapbin"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -70,8 +71,7 @@ func buildGoldenMachine(t testing.TB, g goldenScenario, engine Engine) *Machine 
 // committed trajectory digest. Regenerate with
 // `go test ./internal/sim -run TestGoldenSnapshotCompat -update-golden`
 // only when an intentional SnapshotVersion bump invalidates the format
-// (last: v2, with TestGoldenTrajectory as the behaviour bridge), and keep
-// the outgoing files for TestGoldenOldVersionRefused.
+// (last: v2, with TestGoldenTrajectory as the behaviour bridge).
 func TestGoldenSnapshotCompat(t *testing.T) {
 	for _, g := range goldenScenarios() {
 		g := g
@@ -146,24 +146,24 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 	}
 }
 
-// TestGoldenOldVersionRefused keeps the last version-1 goldens around to
-// pin what happens to files written before a format bump: they are
-// refused outright with ErrBadConfig, naming the version found and the
-// version this build reads — never half-decoded, never migrated.
+// TestGoldenOldVersionRefused pins what happens to files written before a
+// format bump: a well-formed snapshot header of version 1 (magic, version,
+// integrity digest — DecodeSnapshot checks them in the order integrity,
+// magic, version) is refused outright with ErrBadConfig, naming the
+// version found and the version this build reads — never half-decoded,
+// never migrated.
 func TestGoldenOldVersionRefused(t *testing.T) {
-	for _, g := range goldenScenarios() {
-		raw, err := os.ReadFile(filepath.Join("testdata", "golden_v1_"+g.name+".snap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = DecodeSnapshot(raw)
-		if !errors.Is(err, errs.ErrBadConfig) {
-			t.Fatalf("%s: decoding a version-1 snapshot: %v, want ErrBadConfig", g.name, err)
-		}
-		want := fmt.Sprintf("version 1, this build reads %d", SnapshotVersion)
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: error %q does not say %q", g.name, err, want)
-		}
+	e := &snapbin.Enc{}
+	e.U64(snapshotMagic)
+	e.U16(1)
+	sum := sha256.Sum256(e.Bytes())
+	_, err := DecodeSnapshot(append(e.Bytes(), sum[:]...))
+	if !errors.Is(err, errs.ErrBadConfig) {
+		t.Fatalf("decoding a version-1 snapshot: %v, want ErrBadConfig", err)
+	}
+	want := fmt.Sprintf("version 1, this build reads %d", SnapshotVersion)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not say %q", err, want)
 	}
 }
 
