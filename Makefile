@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet tclint lint test test-short test-race bench bench-compare bench-baseline bench-smoke ledger-smoke fuzz-smoke experiments sweep-smoke server-smoke snapshot-smoke fleet-smoke examples clean
+.PHONY: all build vet tclint lint test test-short test-race bench bench-compare bench-baseline bench-smoke ledger-smoke fuzz-smoke experiments goldens sweep-smoke server-smoke snapshot-smoke fleet-smoke examples clean
 
 all: build lint test
 
@@ -80,13 +80,14 @@ ledger-smoke:
 	$(GO) run ./cmd/tcbench all -seconds 1
 
 # Short fuzzing pass over the coherence differential target, the trace
-# parser, the snapshot decoder and the snapbin codec under it (CI runs
-# the same).
+# parser, the snapshot decoder, the snapbin codec under it and the
+# generator's State/Restore round trip (CI runs the same).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHierarchyAccess -fuzztime 30s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 15s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSnapbinDec -fuzztime 15s ./internal/snapbin
+	$(GO) test -run '^$$' -fuzz FuzzRandRestore -fuzztime 10s ./internal/rng
 
 # Race-detector coverage for the concurrent packages, including the
 # chip-parallel engine differential (seq vs parallel byte-identity under
@@ -136,6 +137,21 @@ fleet-smoke:
 experiments:
 	$(GO) run ./cmd/tcsim -exp all > experiments_output.txt.tmp
 	mv experiments_output.txt.tmp experiments_output.txt
+
+# Regenerate every pinned artifact of simulated behaviour, in one go: the
+# golden machine snapshots and their digests, the trajectory pins, the
+# B-tree reference-stream digests, the per-experiment output digests and
+# experiments_output.txt. For a digest epoch only — a change that is
+# meant to move simulated results (DESIGN.md §6, "Epochs") — never for a
+# refactor or a host-time optimisation, whose whole proof is that these
+# files did not change. Review the diff of experiments_output.txt and run
+# the shape tests (`make test`) afterwards: they, not the pins, say
+# whether the science moved.
+goldens:
+	$(GO) test ./internal/sim -run 'TestGoldenSnapshotCompat|TestGoldenTrajectory' -update-golden -update-trajectory
+	$(GO) test ./internal/workloads -run TestBTreeGeneratorStreamsGolden -update-stream-golden
+	$(GO) test ./internal/experiments -run TestHarnessGolden -update-harness-golden
+	$(MAKE) experiments
 
 # Tiny 2x2 sweep grid as a smoke test of the concurrent runner.
 sweep-smoke:

@@ -2,8 +2,9 @@ package clustering
 
 import (
 	"math"
-	"math/rand"
 	"sort"
+
+	"threadcluster/internal/rng"
 )
 
 // KMeans clusters shMap vectors into k groups with Lloyd's algorithm — one
@@ -52,7 +53,7 @@ func KMeans(shmaps map[ThreadKey]*ShMap, k int, floor uint8, globalFraction floa
 
 	// k-means++ style seeding for stability: first centroid is the point
 	// with the largest mass, then farthest-point heuristic.
-	rng := rand.New(rand.NewSource(seed))
+	jitter := rng.New(seed)
 	centroids := make([][]float64, 0, k)
 	first := 0
 	bestMass := -1.0
@@ -76,7 +77,7 @@ func KMeans(shmaps map[ThreadKey]*ShMap, k int, floor uint8, globalFraction floa
 				}
 			}
 			// Tiny jitter breaks exact ties deterministically per seed.
-			d += rng.Float64() * 1e-9
+			d += jitter.Float64() * 1e-9
 			if d > farDist {
 				far, farDist = i, d
 			}

@@ -146,6 +146,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// jitterStream is the engine's stream under the run seed: the machine's
+// scheduler draws from the run seed itself and the workloads from their
+// own derived streams, and the engine must not share either's draws.
+const jitterStream = 0x7C1
+
 // Engine is the thread-clustering engine attached to one machine.
 type Engine struct {
 	cfg Config
@@ -218,7 +223,7 @@ func New(m *sim.Machine, cfg Config) (*Engine, error) {
 		shmaps:  make(map[clustering.ThreadKey]*clustering.ShMap),
 		filter:  filter,
 		filters: map[int]*clustering.Filter{0: filter},
-		rng:     rng.New(cfg.Seed + 0x7C1),
+		rng:     rng.New(rng.Derive(cfg.Seed, jitterStream)),
 	}, nil
 }
 

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 )
 
@@ -233,25 +235,125 @@ func TestSDARPurityNearPerfect(t *testing.T) {
 	}
 }
 
+// sweepSeeds is how many derived seeds a swept shape test runs, and
+// sweepQuorum how many of them its property must hold on. A property
+// that one seed carries by luck (or misses by luck) is not a property of
+// the model; tests whose subject is a single detection run — whose shMap
+// quality depends on where the scheduler happened to put the threads —
+// are stated over rng.Derive(testOptions().Seed, 0..sweepSeeds-1).
+const (
+	sweepSeeds  = 5
+	sweepQuorum = 4
+)
+
+// holdsOnSweep runs property once per derived seed and fails the test
+// unless it held (returned no complaint) on quorum of them.
+func holdsOnSweep(t *testing.T, quorum int, property func(opt Options) (complaint string)) {
+	t.Helper()
+	held := 0
+	for i := 0; i < sweepSeeds; i++ {
+		opt := testOptions()
+		opt.Seed = rng.Derive(opt.Seed, i)
+		if c := property(opt); c != "" {
+			t.Logf("seed %d: %s", opt.Seed, c)
+		} else {
+			held++
+		}
+	}
+	if held < quorum {
+		t.Errorf("property held on %d of %d seeds, want >= %d", held, sweepSeeds, quorum)
+	}
+}
+
+// jbbShape is the thread and warehouse count of the default SPECjbb
+// workload, the subject of the ablation and threshold studies.
+func jbbShape(t *testing.T) (threads, warehouses int) {
+	t.Helper()
+	spec, err := BuildWorkload(JBB, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(spec.Threads), spec.NumPartitions
+}
+
+// TestDetectionSamplesHalfTheThreads pins how much of the workload one
+// detection gets to see. The serial loop visits a chip's CPUs in id
+// order, so of a warehouse's threads on a chip the first visited takes
+// the remote misses (and the samples) and the rest hit the line it
+// fetched: two CPUs of four per chip are sampled, half the threads
+// (94/100 derived seeds before the generator epoch, 95/100 after). The
+// exception is a placement that runs one warehouse alone on a chip in
+// some rounds, which leaves 4-5 threads sampled (6/100 and 5/100) — two
+// of this sweep's five seeds, so the quorum is a majority. A change that
+// starves more threads than this fails here; the ablation and threshold
+// tests score clusterings over the threads that were sampled.
+func TestDetectionSamplesHalfTheThreads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a detection run per seed")
+	}
+	threads, _ := jbbShape(t)
+	holdsOnSweep(t, sweepSeeds/2+1, func(opt Options) string {
+		shmaps, truth, _, err := detectedShMaps(context.Background(), JBB, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled := len(sampledThreads(shmaps, len(truth), ScaledEngineConfig(opt.Seed).TargetSamples))
+		if 2*sampled < threads {
+			return fmt.Sprintf("detection sampled %d of %d threads, want at least half", sampled, threads)
+		}
+		return ""
+	})
+}
+
 func TestAblationAlgorithmsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation detection run is slow")
 	}
-	rows, tbl, err := Ablation(context.Background(), testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5 algorithms", len(rows))
-	}
-	for _, r := range rows {
-		if r.Purity < 0.8 {
-			t.Errorf("%s: purity = %.2f, want >= 0.8", r.Algorithm, r.Purity)
+	// The paper's case for its one-pass heuristic: on the same shMaps
+	// every algorithm and metric, K-means with the true k included, keeps
+	// the warehouses apart (purity >= 0.8), and K-means does no better
+	// than the heuristic. The floor is scored over the threads the
+	// detection sampled (sampledThreads) for every algorithm, and over all
+	// threads for all but K-means: forced to exactly k clusters, K-means
+	// must put the threads whose shMaps are near-empty somewhere, and its
+	// all-thread purity reaches 0.8 on one seed in eight (12/100 before
+	// the generator epoch, 15/100 after; CHANGES.md, PR 22). Two sampled
+	// threads per warehouse is the least that gives the sampled-thread
+	// score something to get wrong; how many there usually are is
+	// TestDetectionSamplesHalfTheThreads.
+	_, warehouses := jbbShape(t)
+	holdsOnSweep(t, sweepQuorum, func(opt Options) string {
+		rows, tbl, err := Ablation(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !strings.Contains(tbl.String(), "one-pass dot-product") {
-		t.Error("table missing the paper's algorithm")
-	}
+		if len(rows) != 5 {
+			t.Fatalf("rows = %d, want 5 algorithms", len(rows))
+		}
+		if !strings.Contains(tbl.String(), "one-pass dot-product") {
+			t.Fatal("table missing the paper's algorithm")
+		}
+		paper := rows[0]
+		if paper.Sampled < 2*warehouses {
+			return fmt.Sprintf("detection sampled %d threads, want >= %d", paper.Sampled, 2*warehouses)
+		}
+		for _, r := range rows {
+			kmeans := strings.HasPrefix(r.Algorithm, "k-means")
+			if r.SampledPurity < 0.8 {
+				return fmt.Sprintf("%s: purity over the %d sampled threads = %.2f, want >= 0.8", r.Algorithm, r.Sampled, r.SampledPurity)
+			}
+			if !kmeans && r.Purity < 0.8 {
+				return fmt.Sprintf("%s: purity = %.2f, want >= 0.8", r.Algorithm, r.Purity)
+			}
+			if kmeans {
+				t.Logf("seed %d: %s: purity %.2f over all threads, %.2f over the %d sampled", opt.Seed, r.Algorithm, r.Purity, r.SampledPurity, r.Sampled)
+				if r.Purity > paper.Purity {
+					return fmt.Sprintf("%s: purity %.2f beats the one-pass heuristic's %.2f", r.Algorithm, r.Purity, paper.Purity)
+				}
+			}
+		}
+		return ""
+	})
 }
 
 func TestPageVsPMUDetection(t *testing.T) {
@@ -407,36 +509,51 @@ func TestThresholdSensitivityPlateau(t *testing.T) {
 	if testing.Short() {
 		t.Skip("threshold sweep needs a detection run")
 	}
-	points, _, err := ThresholdSensitivity(context.Background(), testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// There must be a plateau of thresholds achieving a high Rand index,
-	// and the extremes must degrade: very high thresholds shatter the
-	// clusters into singletons.
-	best := 0.0
-	plateau := 0
-	for _, p := range points {
-		if p.RandIndex > best {
-			best = p.RandIndex
+	// There must be a plateau of thresholds scoring near the best Rand
+	// index, the best must be high, and the extremes must degrade: very
+	// high thresholds shatter the clusters into singletons. "High" is
+	// Rand >= 0.9 over the threads the detection sampled (at least two
+	// per warehouse; TestDetectionSamplesHalfTheThreads); over all threads
+	// the best Rand is logged, because the threads one detection starves
+	// stay singletons at every threshold and 0.9 is reached on one seed in
+	// four (23/100 before the generator epoch, 31/100 after; CHANGES.md,
+	// PR 22).
+	_, warehouses := jbbShape(t)
+	holdsOnSweep(t, sweepQuorum, func(opt Options) string {
+		points, _, err := ThresholdSensitivity(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, p := range points {
-		if p.RandIndex >= best-0.05 {
-			plateau++
+		best, bestSampled := 0.0, 0.0
+		plateau := 0
+		for _, p := range points {
+			best = max(best, p.RandIndex)
+			bestSampled = max(bestSampled, p.SampledRand)
 		}
-	}
-	if best < 0.9 {
-		t.Errorf("best rand index = %.2f, want >= 0.9", best)
-	}
-	if plateau < 3 {
-		t.Errorf("only %d thresholds near the best score; expected a robust plateau", plateau)
-	}
-	last := points[len(points)-1]
-	if last.Clusters <= points[0].Clusters {
-		t.Errorf("highest threshold should shatter clusters: %d vs %d at the lowest",
-			last.Clusters, points[0].Clusters)
-	}
+		for _, p := range points {
+			if p.RandIndex >= best-0.05 {
+				plateau++
+			}
+		}
+		sampled := points[0].Sampled
+		t.Logf("seed %d: best rand index %.2f over all threads, %.2f over the %d sampled, plateau of %d thresholds",
+			opt.Seed, best, bestSampled, sampled, plateau)
+		if sampled < 2*warehouses {
+			return fmt.Sprintf("detection sampled %d threads, want >= %d", sampled, 2*warehouses)
+		}
+		if bestSampled < 0.9 {
+			return fmt.Sprintf("best rand index over the %d sampled threads = %.2f, want >= 0.9", sampled, bestSampled)
+		}
+		if plateau < 3 {
+			return fmt.Sprintf("only %d thresholds near the best score; expected a robust plateau", plateau)
+		}
+		last := points[len(points)-1]
+		if last.Clusters <= points[0].Clusters || last.RandIndex >= best {
+			return fmt.Sprintf("highest threshold should shatter clusters: %d (rand %.2f) vs %d at the lowest (best rand %.2f)",
+				last.Clusters, last.RandIndex, points[0].Clusters, best)
+		}
+		return ""
+	})
 }
 
 func TestMultiprogrammed(t *testing.T) {

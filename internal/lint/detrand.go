@@ -1,100 +1,33 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-	"strings"
-)
+import "strconv"
 
-// globalRandFuncs are the math/rand (and math/rand/v2) package-level
-// functions that read or reseed the shared global source. Constructors
-// (New, NewSource, NewZipf, NewPCG, NewChaCha8) and types are fine: they
-// are exactly how a deterministic, seed-threaded *rand.Rand is built.
-var globalRandFuncs = map[string]bool{
-	// shared by v1 and v2
-	"Int": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true,
-	"ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true,
-	// v1 only
-	"Seed": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Read": true,
-	// v2 only
-	"N": true, "IntN": true, "Int32": true, "Int32N": true,
-	"Int64": true, "Int64N": true, "Uint": true, "UintN": true,
-	"Uint32N": true, "Uint64N": true,
-}
-
-// DetRand forbids the global math/rand source in library code. Every
-// simulation component derives its randomness from a seeded *rand.Rand
-// threaded down from the engine or sweep seed (see DESIGN.md §6); the
-// global source is shared mutable state that makes two runs with the
-// same seed diverge as soon as goroutine interleaving differs.
+// DetRand forbids math/rand and math/rand/v2 in library code outright.
+// Every stochastic component draws from an internal/rng generator
+// seeded by rng.Derive from the engine or sweep seed (see DESIGN.md
+// §6): that generator's state is the sixteen bytes a snapshot stores,
+// while a math/rand source is either the process-global one — shared
+// mutable state that makes two runs with the same seed diverge as soon
+// as goroutine interleaving differs — or a private one no snapshot can
+// capture. Banning the import covers both, under any alias or a dot
+// import. Tests are not library code and stay free to use math/rand.
 var DetRand = &Analyzer{
 	Name: "detrand",
-	Doc: "forbid the global math/rand source (top-level funcs and rand.Seed) in library code; " +
-		"randomness must come from a seeded *rand.Rand threaded from the engine/sweep seed",
+	Doc: "forbid importing math/rand and math/rand/v2 in library code; " +
+		"randomness must come from an internal/rng generator seeded from the engine/sweep seed",
 	Appropriate: inLibrary,
 	Run:         runDetRand,
 }
 
 func runDetRand(pass *Pass) error {
-	report := func(pos ast.Node, path, name string) {
-		short := path[strings.LastIndex(path, "/")+1:]
-		if short == "v2" {
-			short = "rand/v2"
-		}
-		if name == "Seed" {
-			pass.Reportf(pos.Pos(), "rand.Seed reseeds the process-global source; seed a private rand.New(rand.NewSource(seed)) instead")
-		} else {
-			pass.Reportf(pos.Pos(), "%s.%s uses the process-global source; use a seeded *rand.Rand threaded from the engine/sweep seed", short, name)
-		}
-	}
 	for _, f := range pass.Files {
-		// Selector uses (rand.Intn) report on the qualified expression;
-		// the selector's Sel idents are excluded from the bare-ident walk
-		// below so nothing reports twice.
-		inSelector := make(map[*ast.Ident]bool)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				inSelector[sel.Sel] = true
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || (path != "math/rand" && path != "math/rand/v2") {
+				continue
 			}
-			return true
-		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				path := pkgNameOf(pass.TypesInfo, n)
-				if path != "math/rand" && path != "math/rand/v2" {
-					return true
-				}
-				if globalRandFuncs[n.Sel.Name] {
-					report(n, path, n.Sel.Name)
-				}
-			case *ast.Ident:
-				// A dot import (import . "math/rand") makes the global
-				// funcs reachable as bare idents, which no selector-based
-				// check sees; resolve the use to its defining package.
-				if inSelector[n] {
-					return true
-				}
-				fn, ok := pass.TypesInfo.Uses[n].(*types.Func)
-				if !ok || fn.Pkg() == nil {
-					return true
-				}
-				path := fn.Pkg().Path()
-				if path != "math/rand" && path != "math/rand/v2" {
-					return true
-				}
-				if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-					return true // methods are fine; only package-level funcs hit the global source
-				}
-				if globalRandFuncs[fn.Name()] {
-					report(n, path, fn.Name())
-				}
-			}
-			return true
-		})
+			pass.Reportf(imp.Pos(), "%s imported in library code; draw from an internal/rng generator seeded with rng.Derive from the run seed", path)
+		}
 	}
 	return nil
 }

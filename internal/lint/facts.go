@@ -15,7 +15,7 @@ import (
 // objects (a function, method, type or variable); when the suite later
 // analyzes a package that imports P, the same analyzer can look that
 // fact up by object and act on it. Facts are how seedflow knows that
-// rng.New's argument is an RNG seed while analyzing a package three
+// sched.New's argument reaches rng.New while analyzing a package three
 // import hops away, and how snapfields knows that cache.Hierarchy is a
 // snapshotable component while analyzing sim.
 //

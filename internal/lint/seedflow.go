@@ -11,26 +11,31 @@ import (
 	"threadcluster/internal/snapbin"
 )
 
-// SeedFlow is detrand's interprocedural counterpart. detrand bans the
-// global math/rand source; seedflow proves the private sources are no
-// better disguised: every library-code expression that seeds an RNG —
-// rand.NewSource, rand/v2.NewPCG, Source.Seed, and any function whose
-// summary says a parameter flows into one of those — must receive a
-// value provenance-traceable to a run seed. Traceable means: a seed-
-// named config field or package variable (the repo's convention for the
-// run seed), a value derived from one by integer arithmetic (the
-// cfg.Seed*prime+i and SplitMix64 mixing patterns), a draw from an
-// already-seeded *rand.Rand or *rng.Rand, or a call whose SeedSummary
-// fact vouches for the result. A parameter is NOT traceable by itself:
-// it turns into an obligation on the caller, exported as a fact, so the
-// proof crosses package boundaries — rng.New's seed parameter obligates
-// sched.New's, which obligates sim.NewMachine's caller, until a Seed
-// field or a constant is reached. Constants seeding library RNGs are
-// exactly the bug class the N+M differential harnesses cannot see.
+// SeedFlow is detrand's interprocedural counterpart. detrand leaves
+// internal/rng as the only generator library code can build; seedflow
+// proves every one of them is seeded from the run: each expression that
+// positions a generator — the argument of rng.New, the State handed to
+// (*rng.Rand).Restore, and any function whose summary says a parameter
+// flows into one of those — must receive a value provenance-traceable to
+// a run seed. Traceable means: a seed-named config field or package
+// variable (the repo's convention for the run seed), a value derived
+// from one by integer arithmetic or by a summarized mixer (rng.Derive),
+// an rng.State literal whose Seed field is one, a draw from or the
+// State of an already-seeded *rng.Rand, an int64 that a function named
+// restore*/Restore* reads back from a snapshot ((*snapbin.Dec).I64:
+// what a seeded run's State wrote; the analyzer cannot tell the seed
+// from another int64 of the same blob, which is the hole that remains),
+// or a call whose SeedSummary fact vouches for the result. A parameter
+// is NOT traceable by itself: it turns into an obligation on the
+// caller, exported as a fact, so the proof crosses package boundaries —
+// rng.New's seed parameter obligates sched.New's, which obligates
+// sim.NewMachine's caller, until a Seed field or a constant is reached.
+// Constants seeding library RNGs are exactly the bug class the N+M
+// differential harnesses cannot see.
 var SeedFlow = &Analyzer{
 	Name: "seedflow",
 	Doc: "require every RNG seed expression in library code to be provenance-traceable to a run seed " +
-		"(a Seed config field, sweep.DeriveSeed-style mixing, or a seeded generator), " +
+		"(a Seed config field, rng.Derive mixing, a seeded generator or a snapshot), " +
 		"propagating the obligation across package boundaries via facts",
 	Appropriate: inLibrary,
 	Run:         runSeedFlow,
@@ -228,6 +233,7 @@ func runSeedFlow(pass *Pass) error {
 // seedCtx is the per-function classification context.
 type seedCtx struct {
 	pass      *Pass
+	restoring bool // the function is a restore*/Restore* one: snapshot reads are seeds
 	summaries map[*types.Func]*SeedSummaryFact
 	params    map[*types.Var]int
 	closure   map[*types.Var]bool
@@ -241,6 +247,7 @@ func seedAnalyzeFunc(pass *Pass, fn seedFunc, summaries map[*types.Func]*SeedSum
 	sig := fn.obj.Type().(*types.Signature)
 	ctx := &seedCtx{
 		pass:      pass,
+		restoring: strings.HasPrefix(strings.ToLower(fn.obj.Name()), "restore"),
 		summaries: summaries,
 		params:    make(map[*types.Var]int),
 		closure:   make(map[*types.Var]bool),
@@ -352,6 +359,8 @@ func (c *seedCtx) classify(e ast.Expr) seedCls {
 		return seedCombine(c.classify(e.X), c.classify(e.Y))
 	case *ast.BasicLit:
 		return seedCls{isConst: true}
+	case *ast.CompositeLit:
+		return c.classifyStructLit(e)
 	case *ast.Ident:
 		return c.classifyObj(c.pass.TypesInfo.Uses[e])
 	case *ast.SelectorExpr:
@@ -366,6 +375,32 @@ func (c *seedCtx) classify(e ast.Expr) seedCls {
 		return c.classifyCall(e)
 	}
 	return seedCls{}
+}
+
+// classifyStructLit classifies a struct literal by what it stores in
+// its seed-named fields (rng.State{Seed: s, Draws: n} carries s's
+// provenance; the zero seed of an omitted field is a constant).
+func (c *seedCtx) classifyStructLit(lit *ast.CompositeLit) seedCls {
+	st, ok := c.pass.TypesInfo.TypeOf(lit).Underlying().(*types.Struct)
+	if !ok {
+		return seedCls{}
+	}
+	cls := seedCls{isConst: true}
+	for i, elt := range lit.Elts {
+		name, val := "", elt
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				name = id.Name
+			}
+			val = kv.Value
+		} else if i < st.NumFields() {
+			name = st.Field(i).Name()
+		}
+		if isSeedName(name) {
+			cls = seedCombine(cls, c.classify(val))
+		}
+	}
+	return cls
 }
 
 func (c *seedCtx) classifyObj(obj types.Object) seedCls {
@@ -400,11 +435,16 @@ func (c *seedCtx) classifyCall(call *ast.CallExpr) seedCls {
 	if callee == nil {
 		return seedCls{}
 	}
-	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil && recvIsSeededRand(sig.Recv().Type()) {
-		// A draw from an already-seeded generator is run-seed-derived
-		// by construction (the generator's own seeding was checked at
-		// its seeding site).
-		return seedCls{traceable: true}
+	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
+		// A draw from (or the State of) an already-seeded generator is
+		// run-seed-derived by construction — the generator's own
+		// seeding was checked at its seeding site — and so is the int64
+		// a restore function reads back from a snapshot: a seeded run
+		// wrote it.
+		recv := sig.Recv().Type()
+		if isNamedIn(recv, rngPath, "Rand") || c.restoring && callee.Name() == "I64" && isNamedIn(recv, snapbinPath, "Dec") {
+			return seedCls{traceable: true}
+		}
 	}
 	if s := c.summaryOf(callee); s != nil {
 		if s.ResultTraceable {
@@ -462,7 +502,7 @@ func (c *seedCtx) checkSink(call *ast.CallExpr, sum *SeedSummaryFact, groups map
 			pos = call.Args[g[0]].Pos()
 		}
 		if cls.isConst {
-			c.pass.Reportf(pos, "%s is seeded with a constant; derive the seed from the run seed (a Seed config field or sweep.DeriveSeed)", seedCalleeName(callee))
+			c.pass.Reportf(pos, "%s is seeded with a constant; derive the seed from the run seed (a Seed config field or rng.Derive)", seedCalleeName(callee))
 		} else {
 			c.pass.Reportf(pos, "%s seed argument is not traceable to a run seed; thread it from the engine/sweep seed", seedCalleeName(callee))
 		}
@@ -470,25 +510,14 @@ func (c *seedCtx) checkSink(call *ast.CallExpr, sum *SeedSummaryFact, groups map
 }
 
 // sinkGroupsOf returns the parameter groups of fn that must receive a
-// run-seed-derived argument: the built-in math/rand seeding entry
-// points, plus whatever fn's own summary obligates.
+// run-seed-derived argument: the two primitive seeding sites — rng.New
+// and (*rng.Rand).Restore, the only ways to position the only generator
+// detrand lets library code have — plus whatever fn's own summary
+// obligates.
 func (c *seedCtx) sinkGroupsOf(fn *types.Func) [][]uint32 {
-	sig, _ := fn.Type().(*types.Signature)
-	if pkg := fn.Pkg(); pkg != nil && sig != nil {
-		switch pkg.Path() {
-		case "math/rand":
-			if fn.Name() == "NewSource" && sig.Recv() == nil {
-				return [][]uint32{{0}}
-			}
-			// Source.Seed / Rand.Seed method: reseeding a private
-			// source. (The package-level rand.Seed is detrand's.)
-			if fn.Name() == "Seed" && sig.Recv() != nil {
-				return [][]uint32{{0}}
-			}
-		case "math/rand/v2":
-			if fn.Name() == "NewPCG" && sig.Recv() == nil {
-				return [][]uint32{{0}, {1}}
-			}
+	if pkg := fn.Pkg(); pkg != nil && pkg.Path() == rngPath {
+		if key, _ := ObjectKey(fn); key == "New" || key == "Rand.Restore" {
+			return [][]uint32{{0}}
 		}
 	}
 	if s := c.summaryOf(fn); s != nil {
@@ -563,16 +592,17 @@ func (c *seedCtx) summarizeResult(fn seedFunc, sig *types.Signature, sum *SeedSu
 	sum.ResultParams = sortedU32(pset)
 }
 
-// recvIsSeededRand reports whether t is math/rand.Rand or the module's
-// rng.Rand (possibly behind a pointer) — generators whose draws are
-// run-seed-derived once their own seeding checks out.
-func recvIsSeededRand(t types.Type) bool {
+// rngPath is the package holding the tree's one generator.
+const rngPath = ModulePath + "/internal/rng"
+
+// snapbinPath is the package holding the snapshot codec.
+const snapbinPath = ModulePath + "/internal/snapbin"
+
+// isNamedIn reports whether t (possibly behind a pointer) is the named
+// type pkgPath.name.
+func isNamedIn(t types.Type, pkgPath, name string) bool {
 	named, ok := namedOfRecv(t)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Name() != "Rand" {
-		return false
-	}
-	path := named.Obj().Pkg().Path()
-	return path == "math/rand" || path == ModulePath+"/internal/rng"
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
 }
 
 // calleeFuncOf resolves a call's callee to its *types.Func, or nil for

@@ -1,36 +1,19 @@
-// Package a is the detrand golden package: global math/rand usage is
-// forbidden in library code; seeded *rand.Rand values are the only
-// sanctioned randomness.
+// Package a is the detrand golden package: math/rand is not importable
+// in library code at all — the global source is shared mutable state and
+// a private one cannot be snapshotted — so the finding sits on the
+// import, whatever the file then does with it.
 package a
 
 import (
-	"math/rand"
+	"math/rand" // want `math/rand imported in library code`
 )
 
-func seedGlobal() {
-	rand.Seed(42) // want `rand\.Seed reseeds the process-global source`
-}
-
 func useGlobal() int {
-	n := rand.Intn(10)                 // want `rand\.Intn uses the process-global source`
-	f := rand.Float64()                // want `rand\.Float64 uses the process-global source`
-	p := rand.Perm(4)                  // want `rand\.Perm uses the process-global source`
-	rand.Shuffle(2, func(i, j int) {}) // want `rand\.Shuffle uses the process-global source`
-	return n + int(f) + p[0]
+	return rand.Intn(10)
 }
 
-// seeded is the sanctioned pattern: a private source threaded from a seed.
+// seeded was the sanctioned pattern before internal/rng carried every
+// stream; it needs the import too, so it is covered by the same finding.
 func seeded(seed int64) int {
-	rng := rand.New(rand.NewSource(seed))
-	return rng.Intn(10)
-}
-
-// methodsOK: methods on a *rand.Rand value named like the globals are fine.
-func methodsOK(rng *rand.Rand) float64 {
-	return rng.Float64()
-}
-
-func suppressed() int {
-	//tclint:allow detrand -- golden test for the suppression path
-	return rand.Intn(3)
+	return rand.New(rand.NewSource(seed)).Intn(10)
 }

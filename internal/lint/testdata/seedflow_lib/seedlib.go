@@ -4,13 +4,13 @@
 package seedlib
 
 import (
-	"math/rand"
+	"threadcluster/internal/rng"
 )
 
 // NewGen seeds a generator; the seed parameter becomes a cross-package
 // obligation ({0} in NewGen's SinkGroups fact).
-func NewGen(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+func NewGen(seed int64) *rng.Rand {
+	return rng.New(seed)
 }
 
 // Mix is a SplitMix64-style derivation: its result is seed-derived iff

@@ -7,6 +7,7 @@ import (
 
 	"threadcluster/internal/clustering"
 	"threadcluster/internal/memory"
+	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
 	"threadcluster/internal/workloads"
@@ -220,31 +221,46 @@ func TestDetectorConfusedByAllocatorInterleaving(t *testing.T) {
 	// converge — the false-sharing drawback of Section 1, emerging from
 	// layout alone. The PMU path separates the same workload perfectly
 	// (see internal/experiments tests).
-	d, _ := New(DefaultConfig())
-	mcfg := sim.DefaultConfig()
-	mcfg.QuantumCycles = 20_000
-	mcfg.Policy = sched.PolicyRoundRobin
-	m, _ := sim.NewMachine(mcfg)
-	arena := memory.NewDefaultArena()
-	cfg := workloads.DefaultJBBConfig()
-	cfg.InitialKeys = 1500
-	spec, err := workloads.NewJBB(arena, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = spec.Install(m)
-	d.Install(m)
-	m.RunRoundsCtx(context.Background(), 500)
+	//
+	// How badly the trees interleave depends on which keys the run
+	// inserts, so the claim is stated over a seed sweep: on at least 4 of
+	// 5 derived seeds the page path must NOT cleanly recover the 2
+	// warehouses.
+	const seeds = 5
+	confused := 0
+	for i := 0; i < seeds; i++ {
+		seed := rng.Derive(1, i)
+		d, _ := New(DefaultConfig())
+		mcfg := sim.DefaultConfig()
+		mcfg.QuantumCycles = 20_000
+		mcfg.Policy = sched.PolicyRoundRobin
+		mcfg.Seed = seed
+		m, _ := sim.NewMachine(mcfg)
+		arena := memory.NewDefaultArena()
+		cfg := workloads.DefaultJBBConfig()
+		cfg.InitialKeys = 1500
+		cfg.Seed = seed
+		spec, err := workloads.NewJBB(arena, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = spec.Install(m)
+		d.Install(m)
+		m.RunRoundsCtx(context.Background(), 500)
 
-	clusters := d.Cluster(DefaultClusterConfig())
-	truth := make(map[clustering.ThreadKey]int)
-	for _, th := range spec.Threads {
-		truth[clustering.ThreadKey(th.ID)] = th.Partition
+		clusters := d.Cluster(DefaultClusterConfig())
+		truth := make(map[clustering.ThreadKey]int)
+		for _, th := range spec.Threads {
+			truth[clustering.ThreadKey(th.ID)] = th.Partition
+		}
+		purity := clustering.Purity(clusters, truth)
+		t.Logf("seed %d: %d clusters, purity %.2f", seed, len(clusters), purity)
+		if len(clusters) != 2 || purity != 1.0 {
+			confused++
+		}
 	}
-	// The page path must NOT cleanly recover the 2 warehouses.
-	twoClean := len(clusters) == 2 && clustering.Purity(clusters, truth) == 1.0
-	if twoClean {
-		t.Error("page granularity unexpectedly separated interleaved warehouses cleanly")
+	if confused < seeds-1 {
+		t.Errorf("page granularity separated interleaved warehouses cleanly on %d of %d seeds, want at most 1", seeds-confused, seeds)
 	}
 }
 

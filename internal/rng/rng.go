@@ -1,79 +1,77 @@
-// Package rng provides the simulator's snapshotable random number
-// generator. It wraps math/rand with a draw-counting source, so the
-// value stream for a given seed is bit-identical to the plain
-// rand.New(rand.NewSource(seed)) the simulator has always used, while
-// the generator's complete state compresses to sixteen bytes: the seed
-// and the number of source draws consumed. Restoring re-seeds and
-// fast-forwards, which costs one lagged-Fibonacci step per historical
-// draw — nanoseconds each, paid only on the (rare, never hot-path)
-// restore.
-//
-// The counting works because math/rand's rngSource advances exactly one
-// step per Int63 or Uint64 call (Int63 is Uint64 masked), so a replay
-// of n raw Uint64 draws reproduces the source state no matter which mix
-// of Rand methods consumed the originals.
+// Package rng is the simulator's random number generator, a
+// counter-based SplitMix64: a generator is a seed and a count of draws,
+// and its n-th output is mix(mix(seed) + n·γ). The sixteen bytes a
+// snapshot stores are therefore its complete state, and seeding and
+// Restore are assignments. A run's scheduler draws from the run seed's
+// own stream; every other stream is seeded with Derive(run seed, stream
+// index), so adding a consumer never shifts another's stream and
+// siblings never start on adjacent counters.
 package rng
 
-import "math/rand"
+import "math/bits"
 
-// State is a generator's complete serializable state.
+// gamma is SplitMix64's counter increment (2^64/φ, odd).
+const gamma = 0x9E3779B97F4A7C15
+
+// mix is the SplitMix64 finalizer, a bijection on uint64.
+func mix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
+}
+
+// Derive maps (base seed, stream index) to the seed of an independent
+// stream. The result is non-negative, which reads better in reports.
+func Derive(base int64, index int) int64 {
+	return int64(mix(uint64(base)+uint64(index)*gamma) &^ (1 << 63))
+}
+
+// State is a generator's complete state: its seed and outputs consumed.
 type State struct {
-	// Seed is the seed the source was last seeded with.
-	Seed int64
-	// Draws is the number of source steps consumed since seeding.
+	Seed  int64
 	Draws uint64
 }
 
-// source counts draws from an underlying math/rand source.
-type source struct {
-	src  rand.Source64
+// Rand is a snapshotable generator.
+type Rand struct {
 	seed int64
+	key  uint64 // mix(seed), kept so a draw is one mix rather than two
 	n    uint64
 }
 
-func (s *source) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *source) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-func (s *source) Seed(seed int64) {
-	s.seed, s.n = seed, 0
-	s.src.Seed(seed)
-}
-
-// Rand is a snapshotable *rand.Rand. The embedded Rand provides the full
-// method set (Intn, Float64, Int63n, ...); State and Restore capture and
-// reinstate the stream position.
-type Rand struct {
-	*rand.Rand //tclint:allow snapfields -- stateless method façade over src; Restore rebuilds the stream by reseed+replay
-	src        *source
-}
-
-// New returns a Rand whose value stream for this seed is identical to
-// rand.New(rand.NewSource(seed)).
-func New(seed int64) *Rand {
-	src := &source{src: rand.NewSource(seed).(rand.Source64), seed: seed}
-	return &Rand{Rand: rand.New(src), src: src}
-}
+// New returns a generator at the start of seed's stream.
+func New(seed int64) *Rand { return &Rand{seed: seed, key: mix(uint64(seed))} }
 
 // State returns the generator's current position.
-func (r *Rand) State() State {
-	return State{Seed: r.src.seed, Draws: r.src.n}
+func (r *Rand) State() State { return State{Seed: r.seed, Draws: r.n} }
+
+// Restore moves the generator to exactly st.
+func (r *Rand) Restore(st State) { r.seed, r.key, r.n = st.Seed, mix(uint64(st.Seed)), st.Draws }
+
+// Uint64 returns the next output.
+func (r *Rand) Uint64() uint64 {
+	r.n++
+	return mix(r.key + r.n*gamma)
 }
 
-// Restore rewinds or advances the generator to exactly st: it re-seeds
-// with st.Seed and replays st.Draws raw source steps. After Restore the
-// generator produces the same stream it would have produced had it just
-// arrived at that position.
-func (r *Rand) Restore(st State) {
-	r.src.Seed(st.Seed)
-	for i := uint64(0); i < st.Draws; i++ {
-		r.src.src.Uint64()
+// Float64 returns a uniform float64 in [0, 1) with 53 random bits.
+func (r *Rand) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
+
+// Intn returns a uniform int in [0, n). It panics if n <= 0.
+func (r *Rand) Intn(n int) int { return int(r.Int63n(int64(n))) }
+
+// Int63n returns a uniform int64 in [0, n) by Lemire's multiply-shift:
+// the high word of a 64×64 product, redrawing only when the low word
+// falls in the biased sliver below 2^64 mod n. It panics if n <= 0.
+func (r *Rand) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("rng: bound must be positive")
 	}
-	r.src.n = st.Draws
+	hi, lo := bits.Mul64(r.Uint64(), uint64(n))
+	if lo < uint64(n) {
+		for thresh := -uint64(n) % uint64(n); lo < thresh; {
+			hi, lo = bits.Mul64(r.Uint64(), uint64(n))
+		}
+	}
+	return int64(hi)
 }

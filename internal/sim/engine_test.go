@@ -62,14 +62,14 @@ func (g *diffGen) Next() MemRef {
 	ref := MemRef{Insts: 10}
 	switch {
 	case g.step%5 == 0: // group-shared line, half writes
-		ref.Addr = lineIn(g.rng.Rand, g.shared)
+		ref.Addr = lineIn(g.rng, g.shared)
 		ref.Write = g.rng.Intn(2) == 0
 		ref.Ops = 1
 	case g.step%17 == 0: // global state, occasional update
-		ref.Addr = lineIn(g.rng.Rand, g.global)
+		ref.Addr = lineIn(g.rng, g.global)
 		ref.Write = g.rng.Intn(8) == 0
 	default: // private working set
-		ref.Addr = lineIn(g.rng.Rand, g.private)
+		ref.Addr = lineIn(g.rng, g.private)
 		ref.Write = g.rng.Intn(3) == 0
 		ref.BranchStall = uint64(g.rng.Intn(3))
 		ref.OtherStall = uint64(g.rng.Intn(5))
@@ -77,8 +77,8 @@ func (g *diffGen) Next() MemRef {
 	return ref
 }
 
-func lineIn(rng *rand.Rand, r memory.Region) memory.Addr {
-	off := uint64(rng.Intn(int(r.Size/memory.LineSize))) * memory.LineSize
+func lineIn(g *rng.Rand, r memory.Region) memory.Addr {
+	off := uint64(g.Intn(int(r.Size/memory.LineSize))) * memory.LineSize
 	return r.At(off)
 }
 

@@ -147,23 +147,27 @@ func TestGoldenSnapshotCompat(t *testing.T) {
 }
 
 // TestGoldenOldVersionRefused pins what happens to files written before a
-// format bump: a well-formed snapshot header of version 1 (magic, version,
-// integrity digest — DecodeSnapshot checks them in the order integrity,
-// magic, version) is refused outright with ErrBadConfig, naming the
-// version found and the version this build reads — never half-decoded,
-// never migrated.
+// version bump: a well-formed snapshot header of version 1 or 2 (magic,
+// version, integrity digest — DecodeSnapshot checks them in the order
+// integrity, magic, version) is refused outright with ErrBadConfig,
+// naming the version found and the version this build reads — never
+// half-decoded, never migrated. Version 2 has the current layout but was
+// written under the math/rand generator: its RNG positions name a
+// different stream, so accepting it would restore onto the wrong run.
 func TestGoldenOldVersionRefused(t *testing.T) {
-	e := &snapbin.Enc{}
-	e.U64(snapshotMagic)
-	e.U16(1)
-	sum := sha256.Sum256(e.Bytes())
-	_, err := DecodeSnapshot(append(e.Bytes(), sum[:]...))
-	if !errors.Is(err, errs.ErrBadConfig) {
-		t.Fatalf("decoding a version-1 snapshot: %v, want ErrBadConfig", err)
-	}
-	want := fmt.Sprintf("version 1, this build reads %d", SnapshotVersion)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not say %q", err, want)
+	for old := uint16(1); old < SnapshotVersion; old++ {
+		e := &snapbin.Enc{}
+		e.U64(snapshotMagic)
+		e.U16(old)
+		sum := sha256.Sum256(e.Bytes())
+		_, err := DecodeSnapshot(append(e.Bytes(), sum[:]...))
+		if !errors.Is(err, errs.ErrBadConfig) {
+			t.Fatalf("decoding a version-%d snapshot: %v, want ErrBadConfig", old, err)
+		}
+		want := fmt.Sprintf("version %d, this build reads %d", old, SnapshotVersion)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
 

@@ -18,8 +18,11 @@ import (
 // encoding is a direct image of internal component state, which does not
 // migrate across versions. Version 2 dropped what the cache hierarchy
 // stopped keeping — the per-chip L1 sharer tables and the hierarchy-level
-// access counters — from the cache section (DESIGN.md §9).
-const SnapshotVersion = 2
+// access counters — from the cache section (DESIGN.md §9). Version 3
+// changed no layout: it marks the generator epoch (internal/rng became a
+// counter-based SplitMix64), because a (seed, draws) pair written by a
+// version-2 build names a position in a different stream.
+const SnapshotVersion = 3
 
 // snapshotMagic opens every encoded snapshot ("TCSNAP\0\0" little-endian).
 const snapshotMagic uint64 = 0x0000_50414E534354

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"threadcluster/internal/metrics"
+	"threadcluster/internal/rng"
 )
 
 // Task is one independent run of a sweep.
@@ -42,19 +43,10 @@ type Result struct {
 	Err error
 }
 
-// DeriveSeed maps (base seed, task index) to a per-run seed with a
-// SplitMix64 finalizer, so adjacent runs do not feed nearly identical
-// seeds into the simulators' linear generators. Deterministic by
+// DeriveSeed maps (base seed, task index) to a per-run seed: rng.Derive,
+// the one stream-derivation function in the tree. Deterministic by
 // construction: the schedule of workers never enters into it.
-func DeriveSeed(base int64, index int) int64 {
-	z := uint64(base) + uint64(index)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	// Keep seeds positive: rand.NewSource is symmetric in sign but
-	// positive values read better in reports.
-	return int64(z &^ (1 << 63))
-}
+func DeriveSeed(base int64, index int) int64 { return rng.Derive(base, index) }
 
 // Workers resolves a worker-count request: n > 0 is used as given,
 // anything else means GOMAXPROCS.

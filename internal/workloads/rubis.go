@@ -2,10 +2,10 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
+	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
 )
@@ -73,7 +73,7 @@ type dbInstance struct {
 
 // rubisWorker executes browse/bid transactions against its instance.
 type rubisWorker struct {
-	rng     *rand.Rand
+	rng     rng.Rand
 	inst    *dbInstance
 	cfg     RubisConfig
 	global  memory.Region
@@ -93,7 +93,7 @@ func (w *rubisWorker) transaction() []sim.MemRef {
 	key := uint64(w.rng.Int63n(int64(w.cfg.KeySpace))) + 1
 
 	// 1. Lock acquisition: write-hot, instance-shared.
-	refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.inst.locks), Write: true, Insts: 6})
+	refs = append(refs, sim.MemRef{Addr: pick(&w.rng, w.inst.locks), Write: true, Insts: 6})
 
 	// 2. Index traversal.
 	if bid {
@@ -102,7 +102,7 @@ func (w *rubisWorker) transaction() []sim.MemRef {
 		w.trace, _ = w.inst.index.Lookup(w.trace[:0], key)
 	}
 	for _, a := range w.trace {
-		branch, other := stallNoise(w.rng, 2, 5)
+		branch, other := stallNoise(&w.rng, 2, 5)
 		refs = append(refs, sim.MemRef{Addr: a, Insts: 9, BranchStall: branch, OtherStall: other})
 	}
 
@@ -113,20 +113,20 @@ func (w *rubisWorker) transaction() []sim.MemRef {
 	}
 	for i := 0; i < nRows; i++ {
 		refs = append(refs, sim.MemRef{
-			Addr:  pickHot(w.rng, w.inst.rows, rubisHotRowLines, 0.4),
+			Addr:  pickHot(&w.rng, w.inst.rows, rubisHotRowLines, 0.4),
 			Write: bid,
 			Insts: 10,
 		})
 	}
 
 	// 4. Lock release.
-	refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.inst.locks), Write: true, Insts: 6})
+	refs = append(refs, sim.MemRef{Addr: pick(&w.rng, w.inst.locks), Write: true, Insts: 6})
 
 	// 5. Session state (private) and occasional process-global touch.
-	refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.session), Write: true, Insts: 12})
+	refs = append(refs, sim.MemRef{Addr: pick(&w.rng, w.session), Write: true, Insts: 12})
 	if w.rng.Intn(10) == 0 {
 		refs = append(refs, sim.MemRef{
-			Addr:  pick(w.rng, w.global),
+			Addr:  pick(&w.rng, w.global),
 			Write: w.rng.Intn(5) == 0,
 			Insts: 8,
 		})
@@ -158,7 +158,7 @@ func NewRubis(arena *memory.Arena, cfg RubisConfig) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	popRng := rand.New(rand.NewSource(cfg.Seed * 60013))
+	popRng := rng.New(streamSeed(cfg.Seed, streamRubis, populationStream))
 	insts := make([]*dbInstance, cfg.Instances)
 	var scratch []memory.Addr // population traces are discarded
 	for i := range insts {
@@ -190,7 +190,7 @@ func NewRubis(arena *memory.Arena, cfg RubisConfig) (*Spec, error) {
 			return nil, err
 		}
 		w := &rubisWorker{
-			rng:     rand.New(rand.NewSource(cfg.Seed*50021 + int64(i))),
+			rng:     *rng.New(streamSeed(cfg.Seed, streamRubis, i)),
 			inst:    insts[in],
 			cfg:     cfg,
 			global:  global,

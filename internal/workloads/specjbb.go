@@ -2,10 +2,10 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
+	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
 )
@@ -65,7 +65,7 @@ func DefaultJBBConfig() JBBConfig {
 // jbbWorker runs warehouse transactions against its warehouse's B-tree,
 // replaying the tree's address traces through a traceGenerator.
 type jbbWorker struct {
-	rng    *rand.Rand
+	rng    rng.Rand
 	tree   *BTree
 	meta   memory.Region
 	cfg    JBBConfig
@@ -86,7 +86,7 @@ func (w *jbbWorker) transaction() []sim.MemRef {
 	isUpdate := w.rng.Float64() < w.cfg.UpdateRatio
 
 	// Transaction prologue: read the warehouse/district record.
-	refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.meta), Insts: 8})
+	refs = append(refs, sim.MemRef{Addr: pick(&w.rng, w.meta), Insts: 8})
 
 	if isUpdate {
 		w.trace, _ = w.tree.Insert(w.trace[:0], key)
@@ -94,7 +94,7 @@ func (w *jbbWorker) transaction() []sim.MemRef {
 		w.trace, _ = w.tree.Lookup(w.trace[:0], key)
 	}
 	for i, a := range w.trace {
-		branch, other := stallNoise(w.rng, 2, 4)
+		branch, other := stallNoise(&w.rng, 2, 4)
 		refs = append(refs, sim.MemRef{
 			Addr:        a,
 			Write:       isUpdate && i == len(w.trace)-1, // the leaf write
@@ -106,7 +106,7 @@ func (w *jbbWorker) transaction() []sim.MemRef {
 	// Object churn on the private heap between tree operations.
 	for i := 0; i < 3; i++ {
 		refs = append(refs, sim.MemRef{
-			Addr:  pick(w.rng, w.heap),
+			Addr:  pick(&w.rng, w.heap),
 			Write: i == 0,
 			Insts: 12,
 		})
@@ -114,7 +114,7 @@ func (w *jbbWorker) transaction() []sim.MemRef {
 	// Occasional JVM-global write (allocation slow path, lock metadata).
 	if w.rng.Intn(8) == 0 {
 		refs = append(refs, sim.MemRef{
-			Addr:  pick(w.rng, w.global),
+			Addr:  pick(&w.rng, w.global),
 			Write: w.rng.Intn(4) == 0,
 			Insts: 10,
 		})
@@ -122,7 +122,7 @@ func (w *jbbWorker) transaction() []sim.MemRef {
 	// Transaction epilogue: most transactions update the district record
 	// (next-order id, YTD totals).
 	if w.rng.Float64() < w.cfg.MetaWriteRatio {
-		refs = append(refs, sim.MemRef{Addr: pick(w.rng, w.meta), Write: true, Insts: 8})
+		refs = append(refs, sim.MemRef{Addr: pick(&w.rng, w.meta), Write: true, Insts: 8})
 	}
 	refs[len(refs)-1].Ops = 1 // one transaction completed
 	w.refs = refs
@@ -167,7 +167,7 @@ func newJBB(arenaFor func(warehouse int) *memory.Arena, globalArena *memory.Aren
 	if err != nil {
 		return nil, err
 	}
-	popRng := rand.New(rand.NewSource(cfg.Seed * 31337))
+	popRng := rng.New(streamSeed(cfg.Seed, streamJBB, populationStream))
 	trees := make([]*BTree, cfg.Warehouses)
 	metas := make([]memory.Region, cfg.Warehouses)
 	var scratch []memory.Addr // population traces are discarded
@@ -196,7 +196,7 @@ func newJBB(arenaFor func(warehouse int) *memory.Arena, globalArena *memory.Aren
 			return nil, err
 		}
 		w := &jbbWorker{
-			rng:    rand.New(rand.NewSource(cfg.Seed*7331 + int64(i))),
+			rng:    *rng.New(streamSeed(cfg.Seed, streamJBB, i)),
 			tree:   trees[wh],
 			meta:   metas[wh],
 			cfg:    cfg,

@@ -58,7 +58,7 @@ const stagedHotQueueLines = 2
 // stagedWorker processes events: dequeue from the inbound queue, consult
 // stage state, work on private scratch, enqueue to the outbound queue.
 type stagedWorker struct {
-	rng      *rng.Rand
+	rng      rng.Rand
 	inbound  memory.Region
 	outbound memory.Region
 	state    memory.Region
@@ -97,21 +97,21 @@ func (w *stagedWorker) RestoreState(state []byte) error {
 
 func (w *stagedWorker) Next() sim.MemRef {
 	w.step++
-	branch, other := stallNoise(w.rng.Rand, 2, 4)
+	branch, other := stallNoise(&w.rng, 2, 4)
 	base := sim.MemRef{Insts: 10, BranchStall: branch, OtherStall: other}
 	switch w.step % 6 {
 	case 0: // dequeue: read + head-pointer update on the inbound queue
-		base.Addr = pickHot(w.rng.Rand, w.inbound, stagedHotQueueLines, 0.6)
+		base.Addr = pickHot(&w.rng, w.inbound, stagedHotQueueLines, 0.6)
 		base.Write = w.rng.Intn(2) == 0
 	case 1: // enqueue: write into the outbound queue
-		base.Addr = pickHot(w.rng.Rand, w.outbound, stagedHotQueueLines, 0.6)
+		base.Addr = pickHot(&w.rng, w.outbound, stagedHotQueueLines, 0.6)
 		base.Write = true
 		base.Ops = 1 // one event processed
 	case 2: // stage-internal shared state, read-mostly
-		base.Addr = pick(w.rng.Rand, w.state)
+		base.Addr = pick(&w.rng, w.state)
 		base.Write = w.rng.Intn(8) == 0
 	default: // private scratch work
-		base.Addr = pick(w.rng.Rand, w.scratch)
+		base.Addr = pick(&w.rng, w.scratch)
 		base.Write = w.rng.Intn(3) == 0
 	}
 	return base
@@ -155,7 +155,7 @@ func NewStaged(arena *memory.Arena, cfg StagedConfig) (*Spec, error) {
 			return nil, err
 		}
 		w := &stagedWorker{
-			rng:      rng.New(cfg.Seed*86243 + int64(i)),
+			rng:      *rng.New(streamSeed(cfg.Seed, streamStaged, i)),
 			inbound:  queues[stage],
 			outbound: queues[stage+1],
 			state:    states[stage],

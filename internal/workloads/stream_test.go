@@ -4,7 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"threadcluster/internal/memory"
@@ -33,42 +37,73 @@ func streamDigest(spec *Spec, n int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+var updateStreamGolden = flag.Bool("update-stream-golden", false,
+	"rewrite testdata/btree_streams.sha256 from the current implementation (a deliberate stream change, never a refactor)")
+
+const streamGoldenPath = "testdata/btree_streams.sha256"
+
 // TestBTreeGeneratorStreamsGolden pins the B-tree workloads' reference
-// streams to SHA-256 values recorded at the commit before their generators
-// were made allocation-free (append-style BTree, reused transaction
-// buffers, inline node arrays). A host-time optimisation must not move an
-// RNG draw or an address; do not regenerate these for one.
+// streams to the SHA-256 values in testdata/btree_streams.sha256, one
+// "digest  workload/seed=N" line per case. A host-time optimisation must
+// not move an RNG draw or an address; regenerate (make goldens) only for
+// a change that is meant to move the streams, as the generator epoch was.
 func TestBTreeGeneratorStreamsGolden(t *testing.T) {
 	const refs = 200_000
-	cases := []struct {
+	type streamCase struct {
 		workload string
 		seed     int64
-		want     string
-	}{
-		{"specjbb", 1, "013a6e4e39d957ce0c098516163b3169c8ce468a59b03d4e6bdbae0a2d2e9fe3"},
-		{"specjbb", 20070321, "1bbba81e0510c9722fb2b99ac5fb16325811b91a44df163e3c3a19c243480a16"},
-		{"rubis", 1, "d77dfa4d47ef70de54b3a7cca52b30e4d8b05c94950707523f18e00665363e8b"},
-		{"rubis", 20070321, "8441a75143bc855e01af1cf933081b593a4b58cfcf235f3d7a62ae82dfeddef6"},
+	}
+	cases := []streamCase{{"specjbb", 1}, {"specjbb", 20070321}, {"rubis", 1}, {"rubis", 20070321}}
+	digest := func(t *testing.T, tc streamCase) string {
+		var spec *Spec
+		var err error
+		switch tc.workload {
+		case "specjbb":
+			cfg := DefaultJBBConfig()
+			cfg.Seed = tc.seed
+			spec, err = NewJBB(memory.NewDefaultArena(), cfg)
+		case "rubis":
+			cfg := DefaultRubisConfig()
+			cfg.Seed = tc.seed
+			spec, err = NewRubis(memory.NewDefaultArena(), cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return streamDigest(spec, refs)
+	}
+	name := func(tc streamCase) string { return fmt.Sprintf("%s/seed=%d", tc.workload, tc.seed) }
+	if *updateStreamGolden {
+		var sb strings.Builder
+		for _, tc := range cases {
+			fmt.Fprintf(&sb, "%s  %s\n", digest(t, tc), name(tc))
+		}
+		if err := os.MkdirAll(filepath.Dir(streamGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(streamGoldenPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(streamGoldenPath)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update-stream-golden): %v", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		sum, key, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[key] = sum
+	}
+	if len(want) != len(cases) {
+		t.Errorf("golden pins %d streams, test has %d cases", len(want), len(cases))
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/seed=%d", tc.workload, tc.seed), func(t *testing.T) {
-			var spec *Spec
-			var err error
-			switch tc.workload {
-			case "specjbb":
-				cfg := DefaultJBBConfig()
-				cfg.Seed = tc.seed
-				spec, err = NewJBB(memory.NewDefaultArena(), cfg)
-			case "rubis":
-				cfg := DefaultRubisConfig()
-				cfg.Seed = tc.seed
-				spec, err = NewRubis(memory.NewDefaultArena(), cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := streamDigest(spec, refs); got != tc.want {
-				t.Errorf("stream digest = %s, want %s", got, tc.want)
+		t.Run(name(tc), func(t *testing.T) {
+			if got := digest(t, tc); got != want[name(tc)] {
+				t.Errorf("stream digest = %s, want %s", got, want[name(tc)])
 			}
 		})
 	}

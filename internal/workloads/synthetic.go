@@ -54,7 +54,7 @@ func DefaultSyntheticConfig() SyntheticConfig {
 }
 
 type syntheticWorker struct {
-	rng        *rng.Rand
+	rng        rng.Rand
 	private    memory.Region
 	scoreboard memory.Region
 	cfg        SyntheticConfig
@@ -111,11 +111,11 @@ func (w *syntheticWorker) Next() sim.MemRef {
 	if w.phaseAfterRefs > 0 && w.refs == w.phaseAfterRefs {
 		w.scoreboard = w.secondBoard
 	}
-	branch, other := stallNoise(w.rng.Rand, 2, 4)
+	branch, other := stallNoise(&w.rng, 2, 4)
 	if w.rng.Float64() < w.cfg.SharedRatio {
 		// Read-modify the scoreboard: one task completed per touch.
 		return sim.MemRef{
-			Addr:        pick(w.rng.Rand, w.scoreboard),
+			Addr:        pick(&w.rng, w.scoreboard),
 			Write:       w.rng.Float64() < w.cfg.WriteRatio,
 			Insts:       10,
 			BranchStall: branch,
@@ -124,7 +124,7 @@ func (w *syntheticWorker) Next() sim.MemRef {
 		}
 	}
 	return sim.MemRef{
-		Addr:        pick(w.rng.Rand, w.private),
+		Addr:        pick(&w.rng, w.private),
 		Write:       w.rng.Intn(4) == 0,
 		Insts:       10,
 		BranchStall: branch,
@@ -164,7 +164,7 @@ func NewSynthetic(arena *memory.Arena, cfg SyntheticConfig) (*Spec, error) {
 			return nil, err
 		}
 		w := &syntheticWorker{
-			rng:        rng.New(cfg.Seed*7919 + int64(i)),
+			rng:        *rng.New(streamSeed(cfg.Seed, streamSynthetic, i)),
 			private:    private,
 			scoreboard: boards[board],
 			firstBoard: boards[board],

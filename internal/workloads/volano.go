@@ -58,7 +58,7 @@ const volanoHotRoomLines = 4
 // buffer); a "writer" posts the client's messages (read conn buffer,
 // write room board). Both occasionally touch global server state.
 type volanoThread struct {
-	rng    *rng.Rand
+	rng    rng.Rand
 	writer bool
 	room   memory.Region
 	conn   memory.Region
@@ -98,21 +98,21 @@ func (v *volanoThread) RestoreState(state []byte) error {
 
 func (v *volanoThread) Next() sim.MemRef {
 	v.step++
-	branch, other := stallNoise(v.rng.Rand, 3, 6)
+	branch, other := stallNoise(&v.rng, 3, 6)
 	base := sim.MemRef{Insts: 12, BranchStall: branch, OtherStall: other}
 	switch v.step % 8 {
 	case 0: // message transfer through the room board
-		base.Addr = pickHot(v.rng.Rand, v.room, volanoHotRoomLines, 0.5)
+		base.Addr = pickHot(&v.rng, v.room, volanoHotRoomLines, 0.5)
 		base.Write = v.writer
 		base.Ops = 1 // one message handled
 	case 1: // connection buffer (pair-shared)
-		base.Addr = pick(v.rng.Rand, v.conn)
+		base.Addr = pick(&v.rng, v.conn)
 		base.Write = !v.writer
 	case 2: // global server state, mostly reads with occasional updates
-		base.Addr = pick(v.rng.Rand, v.global)
+		base.Addr = pick(&v.rng, v.global)
 		base.Write = v.rng.Intn(16) == 0
 	default: // heap churn: parsing, formatting, GC-ish traffic
-		base.Addr = pick(v.rng.Rand, v.heap)
+		base.Addr = pick(&v.rng, v.heap)
 		base.Write = v.rng.Intn(3) == 0
 	}
 	return base
@@ -193,7 +193,7 @@ func (s *VolanoServer) NewConnection(room int) ([]*sim.Thread, error) {
 			return nil, err
 		}
 		th := &volanoThread{
-			rng:    rng.New(s.cfg.Seed*104729 + int64(s.nextID)),
+			rng:    *rng.New(streamSeed(s.cfg.Seed, streamVolano, s.nextID)),
 			writer: writer,
 			room:   s.rooms[room],
 			conn:   conn,

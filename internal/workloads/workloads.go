@@ -2,10 +2,10 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
+	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
 )
@@ -87,20 +87,40 @@ func checkRegions(workload string, regions ...regionSize) error {
 	return nil
 }
 
+// Stream families, one per workload. Every generator is seeded with
+// streamSeed(cfg.Seed, family, index): the family keeps two workloads
+// configured with one seed (and the engine, which derives its own
+// stream from it, and the scheduler, which draws from the seed's own
+// stream) off each other's streams; the index is the thread's
+// position, or populationStream for the generator that fills a B-tree.
+const (
+	streamSynthetic = 1 + iota
+	streamVolano
+	streamJBB
+	streamRubis
+	streamStaged
+
+	populationStream = -1
+)
+
+func streamSeed(seed int64, family, index int) int64 {
+	return rng.Derive(rng.Derive(seed, family), index)
+}
+
 // pick returns a uniformly random line-aligned address inside the region.
-func pick(rng *rand.Rand, r memory.Region) memory.Addr {
+func pick(g *rng.Rand, r memory.Region) memory.Addr {
 	lines := int(r.Size / memory.LineSize)
-	return r.At(uint64(rng.Intn(lines)) * memory.LineSize)
+	return r.At(uint64(g.Intn(lines)) * memory.LineSize)
 }
 
 // pickHot returns an address from the first hotLines lines of the region
 // with probability hotProb, else a uniform pick — a cheap two-tier
 // approximation of the skewed accesses real servers exhibit.
-func pickHot(rng *rand.Rand, r memory.Region, hotLines int, hotProb float64) memory.Addr {
-	if rng.Float64() < hotProb {
-		return r.At(uint64(rng.Intn(hotLines)) * memory.LineSize)
+func pickHot(g *rng.Rand, r memory.Region, hotLines int, hotProb float64) memory.Addr {
+	if g.Float64() < hotProb {
+		return r.At(uint64(g.Intn(hotLines)) * memory.LineSize)
 	}
-	return pick(rng, r)
+	return pick(g, r)
 }
 
 // traceGenerator replays queued address traces (e.g. a B-tree operation's
@@ -125,12 +145,12 @@ func (g *traceGenerator) Next() sim.MemRef {
 
 // stallNoise returns small random branch/other stall cycles so the CPI
 // stack has the non-dcache components visible in Figure 3.
-func stallNoise(rng *rand.Rand, branchMax, otherMax uint64) (branch, other uint64) {
+func stallNoise(g *rng.Rand, branchMax, otherMax uint64) (branch, other uint64) {
 	if branchMax > 0 {
-		branch = uint64(rng.Int63n(int64(branchMax + 1)))
+		branch = uint64(g.Int63n(int64(branchMax + 1)))
 	}
 	if otherMax > 0 {
-		other = uint64(rng.Int63n(int64(otherMax + 1)))
+		other = uint64(g.Int63n(int64(otherMax + 1)))
 	}
 	return branch, other
 }
