@@ -13,15 +13,14 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (detrand, wallclock, maporder, errwrap,
-# ctxplumb, nodeprecated, seedflow, snapfields; see DESIGN.md §6),
-# driven through go vet's vettool protocol so results share vet's
-# per-package build cache and the interprocedural analyzers' facts ride
-# its vetx files. The cmd/ tree is allowlisted for wall-clock reads
-# wholesale: operator-facing progress timing and the tcsimd system
-# clock live there, never in internal/.
+# ctxplumb, nodeprecated, seedflow, snapfields; see DESIGN.md §6), run
+# by tclint's own driver: it loads ./... with `go list -export -deps`
+# and analyzes the packages in dependency order, the interprocedural
+# analyzers' facts held in one in-memory store. The cmd/ tree is
+# allowlisted for wall-clock reads wholesale: operator-facing progress
+# timing and the tcsimd system clock live there, never in internal/.
 tclint:
-	$(GO) build -o bin/tclint ./cmd/tclint
-	$(GO) vet -vettool=$(CURDIR)/bin/tclint -wallclock.allow=threadcluster/cmd ./...
+	$(GO) run ./cmd/tclint -wallclock.allow=threadcluster/cmd ./...
 
 # Full local lint: standard vet, the project analyzers, and staticcheck
 # when installed (CI always runs it; the local toolbox may not have it).
@@ -43,16 +42,16 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The guarded benchmarks, one recipe for three targets that differ only
-# in the flag benchcmp gets: the broadcast-vs-directory coherence
-# benchmarks against BENCH_coherence.json, the seq-vs-parallel engine
-# benchmarks, the fresh-vs-recycled short-job pairs on the OpenPower 720
-# and the 32-way machine (whole job timed; slabs are built on first
-# Insert, so a short job builds little either way and the floor is 1.0:
-# building on a closed machine's slabs must never cost more than
-# allocating them; B/op is recorded next to ns/op) and the SoA-vs-AoS
-# cache hot-path pair against BENCH_sim.json (two `go test -bench` runs
-# concatenated into one benchcmp input).
+# The guarded micro-benchmarks tcbench does not report, one recipe for
+# three targets that differ only in the flag benchcmp gets: the
+# fresh-vs-recycled short-job pairs on the OpenPower 720 and the 32-way
+# machine (whole job timed; slabs are built on first Insert, so a short
+# job builds little either way and the floor is 1.0: building on a
+# closed machine's slabs must never cost more than allocating them; B/op
+# is recorded next to ns/op) and the SoA-vs-AoS cache hot-path pair,
+# against BENCH_sim.json (two `go test -bench` runs concatenated into
+# one benchcmp input). Coherence and engine speed are tcbench's
+# cache.broadcast_refs_per_s and sim.parallel_speedup.
 #
 #   bench-compare   (no flag) fails when a benchmark regresses past
 #                   tolerance or a speedup pair drops below its required
@@ -66,9 +65,7 @@ bench-compare: BENCHCMP_FLAG =
 bench-baseline: BENCHCMP_FLAG = -update
 bench-smoke: BENCHCMP_FLAG = -report
 bench-compare bench-baseline bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkCoherence -benchtime 1s ./internal/cache \
-		| $(GO) run ./cmd/benchcmp -baseline BENCH_coherence.json $(BENCHCMP_FLAG)
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMachineRound32Way(Seq|Parallel)|BenchmarkNewMachine(Fresh|Recycled)' -benchtime 2s ./internal/sim ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkNewMachine(Fresh|Recycled)' -benchtime 2s ./internal/sim ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSetAssocHot(SoA|AoSRef)' -benchtime 1s ./internal/cache ; } \
 		| $(GO) run ./cmd/benchcmp -baseline BENCH_sim.json $(BENCHCMP_FLAG)
 
@@ -80,14 +77,17 @@ ledger-smoke:
 	$(GO) run ./cmd/tcbench all -seconds 1
 
 # Short fuzzing pass over the coherence differential target, the trace
-# parser, the snapshot decoder, the snapbin codec under it and the
-# generator's State/Restore round trip (CI runs the same).
+# parser, the snapshot decoder, the snapbin codec under it, the
+# generator's State/Restore round trip, the job-spec decoder and the
+# two checkpoint decoders (CI runs the same).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHierarchyAccess -fuzztime 30s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 15s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSnapbinDec -fuzztime 15s ./internal/snapbin
 	$(GO) test -run '^$$' -fuzz FuzzRandRestore -fuzztime 10s ./internal/rng
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 15s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 15s ./internal/fleet
 
 # Race-detector coverage for the concurrent packages, including the
 # chip-parallel engine differential (seq vs parallel byte-identity under
@@ -168,4 +168,3 @@ examples:
 
 clean:
 	$(GO) clean ./...
-	rm -rf bin

@@ -1,13 +1,14 @@
-// Command benchcmp guards the coherence benchmarks against regression. It
-// reads `go test -bench` output on stdin, extracts ns/op per benchmark,
-// and compares the run against a committed baseline JSON:
+// Command benchcmp guards the micro-benchmarks `tcbench` does not report
+// against regression. It reads `go test -bench` output on stdin, extracts
+// ns/op per benchmark, and compares the run against a committed baseline
+// JSON (BENCH_sim.json by default):
 //
-//	go test -run '^$' -bench BenchmarkCoherence ./internal/cache | \
-//	    go run ./cmd/benchcmp -baseline BENCH_coherence.json
+//	go test -run '^$' -bench 'BenchmarkSetAssocHot(SoA|AoSRef)' ./internal/cache | \
+//	    go run ./cmd/benchcmp
 //
 // The comparison fails (exit 1) when a benchmark slows down by more than
 // -tolerance relative to its baseline ns/op, or when a recorded speedup
-// pair (e.g. directory vs broadcast on the 32-way machine) drops below its
+// pair (e.g. the SoA cache hot path vs its AoS reference) drops below its
 // required minimum ratio. -update rewrites the baseline from the current
 // run instead of comparing, preserving each pair's required minimum, and
 // stamps the measuring host's core count and GOMAXPROCS into
@@ -84,7 +85,7 @@ func parseBench(r io.Reader) (nsPerOp, bytesPerOp map[string]float64, err error)
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchcmp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	baselinePath := fs.String("baseline", "BENCH_coherence.json", "baseline JSON file")
+	baselinePath := fs.String("baseline", "BENCH_sim.json", "baseline JSON file")
 	tolerance := fs.Float64("tolerance", 0.5, "allowed fractional slowdown vs baseline ns/op (0.5 = 50%)")
 	update := fs.Bool("update", false, "rewrite the baseline from this run instead of comparing")
 	report := fs.Bool("report", false, "report-only mode: print every comparison but never fail")

@@ -5,16 +5,14 @@
 // snapshot-coverage contracts the simulator's differential tests check
 // dynamically. See DESIGN.md §6 for the contract each analyzer guards.
 //
-// Two modes:
+// Usage:
 //
-//	tclint ./...                        # standalone, like staticcheck
-//	go vet -vettool=$(which tclint) ./...   # unitchecker protocol
+//	tclint [-json] [-list] [-wallclock.allow=prefix,...] [packages]
 //
-// Standalone mode exits 0 when clean, 1 on diagnostics or failure. The
-// vettool mode follows go vet's per-package .cfg protocol, including
-// the -V=full fingerprint handshake; the interprocedural analyzers'
-// facts ride go vet's vetx files there, and an in-memory store in
-// standalone mode — identical findings either way.
+// With no packages it checks ./... . It loads the patterns and every
+// module package they depend on with `go list -export -deps`, and
+// analyzes them in dependency order against one in-memory facts store.
+// It exits 0 when clean, 1 on diagnostics or failure.
 //
 // -json emits the diagnostics as a sorted JSON array (stable field
 // order) on stdout instead of text, for CI annotation tooling.
@@ -23,8 +21,8 @@
 //
 //	//tclint:allow wallclock -- operator progress output, not simulated time
 //
-// The reason after "--" is mandatory in both drivers: a suppression
-// without one is itself a finding.
+// The reason after "--" is mandatory: a suppression without one is
+// itself a finding.
 package main
 
 import (
@@ -53,26 +51,13 @@ type jsonDiagnostic struct {
 }
 
 func run(args []string) int {
-	// go vet's handshake probes with -V=full (build-cache fingerprint)
-	// and -flags (supported flags as JSON) before any real work.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			lint.PrintVersion(os.Stdout)
-			return 0
-		case "-flags", "--flags":
-			lint.PrintFlags(os.Stdout)
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("tclint", flag.ContinueOnError)
 	wallclockAllow := fs.String("wallclock.allow", "",
 		"comma-separated package path prefixes where wall-clock time is allowed wholesale")
 	listOnly := fs.Bool("list", false, "list the analyzers and their docs, then exit")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout (standalone mode)")
+	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: tclint [flags] [packages]\n       go vet -vettool=$(which tclint) [packages]\n")
+		fmt.Fprintf(fs.Output(), "usage: tclint [flags] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -91,11 +76,6 @@ func run(args []string) int {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	// A single *.cfg argument means go vet is driving us.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return lint.Unitchecker(rest[0], analyzers, os.Stderr)
 	}
 
 	patterns := fs.Args()

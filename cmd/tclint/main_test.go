@@ -60,32 +60,13 @@ func buildTclint(t *testing.T) string {
 	return filepath.Join(buildDir, "tclint")
 }
 
-// TestVersionHandshake checks the -V=full fingerprint protocol go vet
-// uses to identify vettools for its build cache.
-func TestVersionHandshake(t *testing.T) {
-	out, err := exec.Command(buildTclint(t), "-V=full").Output()
-	if err != nil {
-		t.Fatalf("tclint -V=full: %v", err)
-	}
-	got := string(out)
-	if !strings.HasPrefix(got, "tclint version ") {
-		t.Fatalf("tclint -V=full = %q, want a 'tclint version ...' line", got)
-	}
-}
-
-// TestVettoolProtocol drives the binary exactly as `go vet -vettool=`
-// does, against a scratch module that reuses our module path so the
-// scoping rules apply: a clean package passes, a seeded wallclock +
-// detrand violation fails with our diagnostics.
-func TestVettoolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a scratch module and shells out to go vet")
-	}
-	bin := buildTclint(t)
-
+// scratchModule writes files (relative path -> content) into a fresh
+// module that reuses our module path, so the scoping rules apply.
+func scratchModule(t *testing.T, files map[string]string) string {
+	t.Helper()
 	dir := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
+	files["go.mod"] = "module threadcluster\n\ngo 1.22\n"
+	for rel, content := range files {
 		full := filepath.Join(dir, rel)
 		if err := os.MkdirAll(filepath.Dir(full), 0o777); err != nil {
 			t.Fatal(err)
@@ -94,80 +75,31 @@ func TestVettoolProtocol(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write("go.mod", "module threadcluster\n\ngo 1.22\n")
-	write("internal/clean/clean.go", `package clean
-
-func Add(a, b int) int { return a + b }
-`)
-	write("internal/sim/dirty.go", `package sim
-
-import (
-	"math/rand"
-	"time"
-)
-
-func Jitter() time.Time {
-	_ = rand.Intn(3)
-	return time.Now()
-}
-`)
-
-	vet := func(pkg string) (string, error) {
-		cmd := exec.Command("go", "vet", "-vettool="+bin, pkg)
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		return string(out), err
-	}
-
-	if out, err := vet("./internal/clean"); err != nil {
-		t.Fatalf("go vet -vettool on a clean package failed: %v\n%s", err, out)
-	}
-	out, err := vet("./internal/sim")
-	if err == nil {
-		t.Fatalf("go vet -vettool on a dirty package passed; output:\n%s", out)
-	}
-	for _, wantFragment := range []string{
-		"math/rand imported in library code",
-		"time.Now reads the wall clock",
-	} {
-		if !strings.Contains(out, wantFragment) {
-			t.Errorf("go vet output missing %q; got:\n%s", wantFragment, out)
-		}
-	}
+	return dir
 }
 
-// TestVettoolFacts proves facts survive the real vetx round-trip: the
-// seed obligation on seedlib.NewGen is computed while go vet analyzes
-// the library package, serialized into its vetx file, and read back
-// when the dependent package is checked — the constant-seed diagnostic
-// in the caller is only possible if that file carried the fact.
-func TestVettoolFacts(t *testing.T) {
+// TestStandaloneFacts proves facts cross real package boundaries through
+// the real loader: the seed obligation on seedlib.NewGen is computed
+// while analyzing the library package and read back when the dependent
+// package is checked — the constant-seed diagnostic in the caller is
+// only possible if the fact arrived. Under ./internal/sim, seedlib is
+// loaded DepOnly, so the fact comes from a package whose own
+// diagnostics are withheld.
+func TestStandaloneFacts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a scratch module and shells out to go vet")
+		t.Skip("builds a scratch module")
 	}
 	bin := buildTclint(t)
-
-	dir := t.TempDir()
-	write := func(rel, content string) {
-		t.Helper()
-		full := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(full), 0o777); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(full, []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module threadcluster\n\ngo 1.22\n")
-	// seedflow's primitive seeding site is threadcluster/internal/rng.New,
-	// by path and name; the scratch module supplies a stand-in.
-	write("internal/rng/rng.go", `package rng
+	dir := scratchModule(t, map[string]string{
+		// seedflow's primitive seeding site is threadcluster/internal/rng.New,
+		// by path and name; the scratch module supplies a stand-in.
+		"internal/rng/rng.go": `package rng
 
 type Rand struct{ seed int64 }
 
 func New(seed int64) *Rand { return &Rand{seed: seed} }
-`)
-	write("internal/seedlib/seedlib.go", `package seedlib
+`,
+		"internal/seedlib/seedlib.go": `package seedlib
 
 import "threadcluster/internal/rng"
 
@@ -176,8 +108,8 @@ import "threadcluster/internal/rng"
 func NewGen(seed int64) *rng.Rand {
 	return rng.New(seed)
 }
-`)
-	write("internal/sim/use.go", `package sim
+`,
+		"internal/sim/use.go": `package sim
 
 import "threadcluster/internal/seedlib"
 
@@ -192,20 +124,22 @@ func Fine(cfg Config) {
 func Broken() {
 	_ = seedlib.NewGen(42)
 }
-`)
+`,
+	})
 
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet passed despite a constant seed crossing a package boundary; output:\n%s", out)
-	}
-	got := string(out)
-	if !strings.Contains(got, "seedlib.NewGen is seeded with a constant") {
-		t.Errorf("missing cross-package seedflow diagnostic; got:\n%s", got)
-	}
-	if strings.Contains(got, "cfg.Seed") || strings.Contains(got, "Fine") {
-		t.Errorf("traceable call site reported; got:\n%s", got)
+	for _, pattern := range []string{"./...", "./internal/sim"} {
+		cmd := exec.Command(bin, pattern)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+			t.Fatalf("tclint %s: err = %v, want exit code 1; output:\n%s", pattern, err, out)
+		}
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		if len(lines) != 1 || !strings.Contains(lines[0], "use.go:14:") ||
+			!strings.Contains(lines[0], "seedlib.NewGen is seeded with a constant") {
+			t.Errorf("tclint %s: want exactly one constant-seed finding at use.go:14; got:\n%s", pattern, out)
+		}
 	}
 }
 
@@ -218,19 +152,7 @@ func TestJSONOutput(t *testing.T) {
 	}
 	bin := buildTclint(t)
 
-	mkmod := func(src string) string {
-		t.Helper()
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module threadcluster\n\ngo 1.22\n"), 0o666); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "root.go"), []byte(src), 0o666); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-
-	clean := mkmod("package threadcluster\n\nfunc Add(a, b int) int { return a + b }\n")
+	clean := scratchModule(t, map[string]string{"root.go": "package threadcluster\n\nfunc Add(a, b int) int { return a + b }\n"})
 	cmd := exec.Command(bin, "-json", "./...")
 	cmd.Dir = clean
 	out, err := cmd.Output()
@@ -241,7 +163,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Errorf("clean -json output = %q, want []", got)
 	}
 
-	dirty := mkmod(`package threadcluster
+	dirty := scratchModule(t, map[string]string{"root.go": `package threadcluster
 
 import (
 	"math/rand"
@@ -251,7 +173,7 @@ import (
 func Pick() int { return rand.Intn(5) }
 
 func Stamp() int64 { return time.Now().UnixNano() }
-`)
+`})
 	cmd = exec.Command(bin, "-json", "./...")
 	cmd.Dir = dirty
 	out, err = cmd.Output()
@@ -301,26 +223,19 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 }
 
-// TestStandaloneOnDirtyModule runs standalone mode against the same
-// scratch-module shape to pin the exit-code contract.
+// TestStandaloneOnDirtyModule runs tclint in text mode against a dirty
+// scratch module to pin the exit-code contract.
 func TestStandaloneOnDirtyModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a scratch module")
 	}
 	bin := buildTclint(t)
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module threadcluster\n\ngo 1.22\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	src := `package threadcluster
+	dir := scratchModule(t, map[string]string{"root.go": `package threadcluster
 
 import "math/rand"
 
 func Pick() int { return rand.Intn(5) }
-`
-	if err := os.WriteFile(filepath.Join(dir, "root.go"), []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
+`})
 	cmd := exec.Command(bin, "./...")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()

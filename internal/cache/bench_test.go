@@ -133,14 +133,13 @@ func benchCoherence(b *testing.B, topo topology.Topology, mode CoherenceMode) {
 	}
 }
 
-// The broadcast-vs-directory pairs below are the regression guard: `make
-// bench-compare` compares them against BENCH_coherence.json. Both modes
-// run the same walk (Lane.access) and differ only in how they answer a
-// cross-chip snoop and when they apply an invalidation, so the pairs
-// measure the presence table against the L2/L3 scans it replaces: the
-// table wins on 8 chips and loses on 2, where there is one other chip to
-// scan (DESIGN.md §5). The committed floors guard against the directory
-// badly regressing.
+// The broadcast-vs-directory pairs below are for `go test -bench` only;
+// the guarded number is tcbench's cache.broadcast_refs_per_s against
+// sim_refs_per_s. Both modes run the same walk (Lane.access) and differ
+// only in how they answer a cross-chip snoop and when they apply an
+// invalidation, so the pairs measure the presence table against the
+// L2/L3 scans it replaces: the table wins on 8 chips and loses on 2,
+// where there is one other chip to scan (DESIGN.md §5).
 func BenchmarkCoherenceBroadcast32Way(b *testing.B) {
 	benchCoherence(b, topology.Power5_32Way(), CoherenceBroadcast)
 }

@@ -122,10 +122,10 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, fil
 
 // Run loads patterns (relative to dir) and applies the analyzers,
 // returning all surviving diagnostics in package order. A single facts
-// store is threaded through every package in dependency order, so the
-// interprocedural analyzers see the same facts here that they would see
-// round-tripped through vetx files under `go vet -vettool=`. Packages
-// loaded only as dependencies contribute facts but no diagnostics.
+// store is threaded through every package in dependency order, so each
+// package's facts are in the store before its importers are analyzed.
+// Packages loaded only as dependencies contribute facts but no
+// diagnostics.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := Load(dir, patterns)
 	if err != nil {

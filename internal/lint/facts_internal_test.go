@@ -1,15 +1,11 @@
 package lint
 
 import (
-	"bytes"
-	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"testing"
-
-	"threadcluster/internal/snapbin"
 )
 
 // checkSource type-checks one dependency-free source snippet and
@@ -97,150 +93,13 @@ type I interface{ IfaceMethod() }
 	}
 }
 
-// put in two different insertion orders must encode identically — go
-// vet caches vetx files by content, so any order sensitivity would
-// thrash its build cache and desynchronize the two drivers.
-func TestFactsEncodeDeterministic(t *testing.T) {
-	entries := []struct {
-		key     factKey
-		payload []byte
-	}{
-		{factKey{"b/pkg", "F", "SeedSummaryFact"}, []byte{1, 2, 3}},
-		{factKey{"a/pkg", "T.M", "SnapFieldsFact"}, []byte{4}},
-		{factKey{"a/pkg", "T.M", "SeedSummaryFact"}, []byte{5, 6}},
-		{factKey{"a/pkg", "A", "SeedSummaryFact"}, nil},
-	}
-	forward := NewFacts()
-	for _, e := range entries {
-		forward.put(e.key, e.payload)
-	}
-	backward := NewFacts()
-	for i := len(entries) - 1; i >= 0; i-- {
-		backward.put(entries[i].key, entries[i].payload)
-	}
-	a, b := forward.Encode(), backward.Encode()
-	if !bytes.Equal(a, b) {
-		t.Errorf("insertion order changed the encoding:\n%x\n%x", a, b)
-	}
-}
-
-func TestFactsRoundTrip(t *testing.T) {
-	src := NewFacts()
-	src.put(factKey{"p/one", "F", "SeedSummaryFact"}, []byte{9, 9})
-	src.put(factKey{"p/two", "T.Save", "SnapFieldsFact"}, []byte{})
-
-	dst := NewFacts()
-	if err := dst.DecodeFacts(src.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Len() != src.Len() {
-		t.Fatalf("round-trip kept %d of %d facts", dst.Len(), src.Len())
-	}
-	for k, v := range src.m {
-		got, ok := dst.get(k)
-		if !ok || !bytes.Equal(got, v) {
-			t.Errorf("fact %+v: got (%x, %v), want (%x, true)", k, got, ok, v)
-		}
-	}
-	if !bytes.Equal(dst.Encode(), src.Encode()) {
-		t.Error("re-encoding the decoded store diverged")
-	}
-}
-
-// A zero-byte blob is the pre-facts suite's vetx output; go vet may
-// still hold such files in its cache, so decoding one must succeed as
-// an empty store rather than error.
-func TestFactsDecodeEmpty(t *testing.T) {
-	f := NewFacts()
-	if err := f.DecodeFacts(nil); err != nil {
-		t.Fatalf("DecodeFacts(nil) = %v", err)
-	}
-	if f.Len() != 0 {
-		t.Fatalf("empty decode produced %d facts", f.Len())
-	}
-}
-
-func TestFactsDecodeRejectsForeignBytes(t *testing.T) {
-	wrongMagic := &snapbin.Enc{}
-	wrongMagic.Str("not-tclint")
-	wrongMagic.U16(factsVersion)
-	wrongMagic.U32(0)
-
-	wrongVersion := &snapbin.Enc{}
-	wrongVersion.Str(factsMagic)
-	wrongVersion.U16(factsVersion + 1)
-	wrongVersion.U32(0)
-
-	for _, c := range []struct {
-		label string
-		data  []byte
-	}{
-		{"wrong magic", wrongMagic.Bytes()},
-		{"wrong version", wrongVersion.Bytes()},
-		{"garbage", []byte{0xff, 0xfe, 0xfd}},
-		{"truncated", NewFacts().Encode()[:4]},
-	} {
-		f := NewFacts()
-		err := f.DecodeFacts(c.data)
-		if !errors.Is(err, snapbin.ErrCorrupt) {
-			t.Errorf("%s: DecodeFacts = %v, want ErrCorrupt", c.label, err)
-		}
-	}
-}
-
-func TestFactsMerge(t *testing.T) {
-	base := NewFacts()
-	base.put(factKey{"p", "A", "SeedSummaryFact"}, []byte{1})
-	overlay := NewFacts()
-	overlay.put(factKey{"p", "A", "SeedSummaryFact"}, []byte{2})
-	overlay.put(factKey{"p", "B", "SeedSummaryFact"}, []byte{3})
-	base.Merge(overlay)
-	if base.Len() != 2 {
-		t.Fatalf("merged store has %d facts, want 2", base.Len())
-	}
-	if got, _ := base.get(factKey{"p", "A", "SeedSummaryFact"}); !bytes.Equal(got, []byte{2}) {
-		t.Errorf("merge did not overwrite: got %x", got)
-	}
-}
-
-// The two fact payload codecs must round-trip exactly: these bytes are
-// what crosses the vetx boundary between go vet invocations.
-func TestFactPayloadRoundTrip(t *testing.T) {
-	seed := &SeedSummaryFact{
-		ResultTraceable: true,
-		ResultParams:    []uint32{0, 2},
-		SinkGroups:      [][]uint32{{0}, {1, 3}},
-	}
-	e := &snapbin.Enc{}
-	seed.EncodeFact(e)
-	var seedBack SeedSummaryFact
-	d := snapbin.NewDec(e.Bytes())
-	if err := seedBack.DecodeFact(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2 := &snapbin.Enc{}
-	seedBack.EncodeFact(e2)
-	if !bytes.Equal(e.Bytes(), e2.Bytes()) {
-		t.Errorf("SeedSummaryFact did not round-trip: %x vs %x", e.Bytes(), e2.Bytes())
-	}
-
-	snap := &SnapFieldsFact{Saved: []string{"clock", "hits"}}
-	e = &snapbin.Enc{}
-	snap.EncodeFact(e)
-	var snapBack SnapFieldsFact
-	d = snapbin.NewDec(e.Bytes())
-	if err := snapBack.DecodeFact(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2 = &snapbin.Enc{}
-	snapBack.EncodeFact(e2)
-	if !bytes.Equal(e.Bytes(), e2.Bytes()) {
-		t.Errorf("SnapFieldsFact did not round-trip: %x vs %x", e.Bytes(), e2.Bytes())
+// The seedflow fixpoint stops when no summary changes; a summary that
+// only flips between nil and empty slices has not changed.
+func TestSeedSummaryEqual(t *testing.T) {
+	a := &SeedSummaryFact{SinkGroups: [][]uint32{{0}, {}}}
+	b := &SeedSummaryFact{ResultParams: []uint32{}, SinkGroups: [][]uint32{{0}, nil}}
+	c := &SeedSummaryFact{SinkGroups: [][]uint32{{0}, {1}}}
+	if !a.equal(b) || a.equal(c) {
+		t.Errorf("equal: nil vs empty = %v (want true), different groups = %v (want false)", a.equal(b), a.equal(c))
 	}
 }

@@ -12,21 +12,19 @@
 // The package is deliberately built on the standard library's go/ast
 // and go/types only (no golang.org/x/tools dependency), but mirrors the
 // go/analysis Analyzer/Pass shape so the analyzers would port to a
-// multichecker mechanically. Two drivers run them: a standalone one
-// (Load + RunPackages, used by `tclint ./...`) that type-checks against
-// `go list -export` data, and a unitchecker-protocol one (UnitcheckerMain)
-// so the same binary works as `go vet -vettool=$(TCLINT)`.
+// multichecker mechanically. One driver runs them: Run (used by
+// `tclint ./...`) loads packages with Load, type-checking each against
+// `go list -export` data, and analyzes them in dependency order.
 //
 // Suppression: a `//tclint:allow <name>[,<name>...] -- <reason>` comment
 // on the offending line, or on the line directly above it, silences the
-// named analyzers for that line. When RequireAllowReason is set (both
-// tclint drivers set it; the golden-test harness does not), a
-// suppression without a `-- reason` is itself a diagnostic: the repo's
-// own tree must justify every allowance.
+// named analyzers for that line. When RequireAllowReason is set (tclint
+// sets it; the golden-test harness does not), a suppression without a
+// `-- reason` is itself a diagnostic: the repo's own tree must justify
+// every allowance.
 //
 // Interprocedural analyzers (seedflow, snapfields) additionally
-// exchange Facts across package boundaries; see facts.go for the
-// mechanism and codec.
+// exchange Facts across package boundaries; see facts.go.
 package lint
 
 import (
@@ -75,7 +73,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	facts  *Facts
+	facts  Facts
 	report func(Diagnostic)
 }
 
@@ -126,26 +124,18 @@ func NewTypesInfo() *types.Info {
 }
 
 // RequireAllowReason makes a `//tclint:allow` comment without a
-// `-- reason` justification a diagnostic in its own right. Both tclint
-// drivers set it (every suppression surviving in the repo tree must
-// explain itself); the linttest golden harness leaves it unset so
-// golden packages can exercise the bare-comment parse path.
+// `-- reason` justification a diagnostic in its own right. tclint sets
+// it (every suppression surviving in the repo tree must explain
+// itself); the linttest golden harness leaves it unset so golden
+// packages can exercise the bare-comment parse path.
 var RequireAllowReason bool
 
-// RunPackage applies every appropriate analyzer to pkg with a fresh,
-// private facts store and returns the surviving (non-suppressed)
-// diagnostics sorted by position. Cross-package fact flow needs
-// RunPackageFacts with a store shared across packages.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunPackageFacts(pkg, analyzers, NewFacts())
-}
-
 // RunPackageFacts applies every appropriate analyzer to pkg, importing
-// facts from and exporting facts to the given store. For fact flow to be
-// complete, packages must be analyzed in dependency order against the
-// same store (the standalone driver) or the store must be pre-loaded
-// from the dependencies' vetx files (the unitchecker driver).
-func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts *Facts) ([]Diagnostic, error) {
+// facts from and exporting facts to the given store, and returns the
+// surviving (non-suppressed) diagnostics sorted by position. For fact
+// flow to be complete, packages must be analyzed in dependency order
+// against the same store.
+func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts Facts) ([]Diagnostic, error) {
 	suppressions, bare := collectSuppressions(pkg.Fset, pkg.Files)
 	var diags []Diagnostic
 	if RequireAllowReason {

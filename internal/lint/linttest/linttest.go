@@ -104,7 +104,7 @@ type want struct {
 	re   *regexp.Regexp
 }
 
-func analyze(t *testing.T, a *lint.Analyzer, dir, asPath string, fset *token.FileSet, im *moduleImporter, facts *lint.Facts) ([]lint.Diagnostic, []want) {
+func analyze(t *testing.T, a *lint.Analyzer, dir, asPath string, fset *token.FileSet, im *moduleImporter, facts lint.Facts) ([]lint.Diagnostic, []want) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -113,7 +113,7 @@ func analyze(t *testing.T, a *lint.Analyzer, dir, asPath string, fset *token.Fil
 	var files []*ast.File
 	var wants []want
 	for _, e := range entries {
-		// Test files are skipped, as the drivers skip them: a dep may be
+		// Test files are skipped, as the driver skips them: a dep may be
 		// a real package directory of the module.
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
@@ -154,8 +154,8 @@ func analyze(t *testing.T, a *lint.Analyzer, dir, asPath string, fset *token.Fil
 // moduleImporter resolves imports under the module path by parsing and
 // type-checking the real package directory at the repository root
 // (memoized per run); everything else falls through to the standard
-// source importer. Test files are skipped, matching how go vet hands
-// packages to the analyzers.
+// source importer. Test files are skipped, matching the files tclint's
+// loader hands the analyzers.
 type moduleImporter struct {
 	t    *testing.T
 	fset *token.FileSet

@@ -5,10 +5,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
-
-	"threadcluster/internal/snapbin"
 )
 
 // SeedFlow is detrand's interprocedural counterpart. detrand leaves
@@ -58,51 +57,16 @@ type SeedSummaryFact struct {
 
 func (*SeedSummaryFact) AFact() {}
 
-// EncodeFact renders the summary canonically: ResultParams sorted,
-// each sink group sorted, groups in lexicographic order.
-func (f *SeedSummaryFact) EncodeFact(e *snapbin.Enc) {
-	e.Bool(f.ResultTraceable)
-	e.U32(uint32(len(f.ResultParams)))
-	for _, p := range f.ResultParams {
-		e.U32(p)
-	}
-	e.U32(uint32(len(f.SinkGroups)))
-	for _, g := range f.SinkGroups {
-		e.U32(uint32(len(g)))
-		for _, p := range g {
-			e.U32(p)
-		}
-	}
-}
-
-func (f *SeedSummaryFact) DecodeFact(d *snapbin.Dec) error {
-	f.ResultTraceable = d.Bool()
-	f.ResultParams = nil
-	n := d.Count(4)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		f.ResultParams = append(f.ResultParams, d.U32())
-	}
-	f.SinkGroups = nil
-	n = d.Count(4)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var g []uint32
-		k := d.Count(4)
-		for j := 0; j < k && d.Err() == nil; j++ {
-			g = append(g, d.U32())
-		}
-		f.SinkGroups = append(f.SinkGroups, g)
-	}
-	return d.Err()
-}
-
 func (f *SeedSummaryFact) trivial() bool {
 	return !f.ResultTraceable && len(f.ResultParams) == 0 && len(f.SinkGroups) == 0
 }
 
-func (f *SeedSummaryFact) encodeBytes() []byte {
-	e := &snapbin.Enc{}
-	f.EncodeFact(e)
-	return e.Bytes()
+// equal reports whether two summaries say the same thing. Nil and empty
+// slices are equal: a summary that flips between them has converged.
+func (f *SeedSummaryFact) equal(o *SeedSummaryFact) bool {
+	return f.ResultTraceable == o.ResultTraceable &&
+		slices.Equal(f.ResultParams, o.ResultParams) &&
+		slices.EqualFunc(f.SinkGroups, o.SinkGroups, slices.Equal[[]uint32])
 }
 
 // seedFixpointMax bounds the in-package summary iteration. The
@@ -201,7 +165,7 @@ func runSeedFlow(pass *Pass) error {
 		changed := false
 		for _, fn := range fns {
 			s := seedAnalyzeFunc(pass, fn, summaries, false)
-			if prev := summaries[fn.obj]; prev == nil || string(prev.encodeBytes()) != string(s.encodeBytes()) {
+			if prev := summaries[fn.obj]; prev == nil || !prev.equal(s) {
 				summaries[fn.obj] = s
 				changed = true
 			}

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-
-	"threadcluster/internal/snapbin"
 )
 
 // SnapFields guards the snapshot contract: PR 6's N+M identity test
@@ -44,22 +42,6 @@ type SnapFieldsFact struct {
 }
 
 func (*SnapFieldsFact) AFact() {}
-
-func (f *SnapFieldsFact) EncodeFact(e *snapbin.Enc) {
-	e.U32(uint32(len(f.Saved)))
-	for _, s := range f.Saved {
-		e.Str(s)
-	}
-}
-
-func (f *SnapFieldsFact) DecodeFact(d *snapbin.Dec) error {
-	f.Saved = nil
-	n := d.Count(4)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		f.Saved = append(f.Saved, d.Str())
-	}
-	return d.Err()
-}
 
 // snapVerbs are the method names through which one component serializes
 // another. Seeing `x.f.SaveState(...)` (called or passed as a method

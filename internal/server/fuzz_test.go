@@ -1,0 +1,46 @@
+package server
+
+import (
+	"encoding/json"
+	"errors"
+	"reflect"
+	"testing"
+
+	"threadcluster/internal/errs"
+)
+
+// FuzzJobSpec feeds arbitrary bytes to the wire decoder and Normalize:
+// neither may panic, every rejection is a bad config (a 400), and an
+// accepted spec has a positive cost and is a fixed point of Normalize.
+func FuzzJobSpec(f *testing.F) {
+	overflow, sharded := smallSpec("overflow"), shardSpec("shard")
+	overflow.WarmRounds, overflow.EngineRounds = 1<<62, 1<<62
+	sharded.Cells = []int{0, 2}
+	for _, spec := range []JobSpec{smallSpec("small"), diffSpec("diff"), shardSpec(""), sharded, overflow} {
+		data, _ := json.Marshal(spec)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		norm, err := spec.Normalize()
+		if err != nil {
+			if !errors.Is(err, errs.ErrBadConfig) {
+				t.Fatalf("Normalize error %v does not wrap ErrBadConfig", err)
+			}
+			return
+		}
+		if c := norm.Cost(); c <= 0 {
+			t.Fatalf("accepted spec has cost %d", c)
+		}
+		again, err := norm.Normalize()
+		if err != nil {
+			t.Fatalf("Normalize(norm) = %v", err)
+		}
+		if !reflect.DeepEqual(again, norm) {
+			t.Fatalf("Normalize is not idempotent:\n%+v\n%+v", norm, again)
+		}
+	})
+}

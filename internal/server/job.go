@@ -3,7 +3,10 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
+	"sync"
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/errs"
@@ -121,6 +124,9 @@ func (js JobSpec) Normalize() (JobSpec, error) {
 			return JobSpec{}, fmt.Errorf("server: %w: %v", errs.ErrBadConfig, err)
 		}
 	}
+	if _, ok := out.cost(); !ok {
+		return JobSpec{}, fmt.Errorf("server: %w: job cost (grid cells x rounds) overflows int64", errs.ErrBadConfig)
+	}
 	return out, nil
 }
 
@@ -159,14 +165,36 @@ func (js JobSpec) Grid() (experiments.GridSpec, error) {
 // simulated rounds per cell (only the selected cells for a shard-scoped
 // job). It is the unit the server's per-job budget (Options.MaxJobCost)
 // and outstanding pool (Options.MaxQueuedCost) are denominated in.
+// Normalize rejects a spec whose cost does not fit in int64.
 func (js JobSpec) Cost() int64 {
+	c, _ := js.cost() // overflow was rejected by Normalize
+	return c
+}
+
+// cost computes Cost, reporting ok=false when it overflows int64.
+// Round counts are positive: WithRounds keeps the defaults for
+// non-positive overrides.
+func (js JobSpec) cost() (int64, bool) {
 	opt := js.options()
-	cells := int64(len(js.Workloads)) * int64(len(js.Policies)) * int64(len(js.Topos))
-	if len(js.Cells) > 0 {
-		cells = int64(len(js.Cells))
+	var total uint64
+	for _, r := range []int{opt.WarmRounds, opt.EngineRounds, opt.MeasureRounds} {
+		if total > math.MaxInt64-uint64(r) {
+			return 0, false
+		}
+		total += uint64(r)
 	}
-	rounds := int64(opt.WarmRounds) + int64(opt.EngineRounds) + int64(opt.MeasureRounds)
-	return cells * rounds
+	cells := []int{len(js.Workloads), len(js.Policies), len(js.Topos)}
+	if len(js.Cells) > 0 {
+		cells = []int{len(js.Cells)}
+	}
+	for _, n := range cells {
+		hi, lo := bits.Mul64(total, uint64(n))
+		if hi != 0 || lo > math.MaxInt64 {
+			return 0, false
+		}
+		total = lo
+	}
+	return int64(total), true
 }
 
 // compile expands the spec into the cells and tasks the job will run:
@@ -240,6 +268,12 @@ type job struct {
 	// the last checkpoint flush.
 	completed map[int]CheckpointCell
 	ckptNew   int
+
+	// ckptMu serializes the job's checkpoint installs, which run on its
+	// sweep workers outside the server mutex; ckptCells, guarded by it, is
+	// the cell count of the checkpoint last installed.
+	ckptMu    sync.Mutex
+	ckptCells int
 
 	events  *eventLog
 	payload []byte // canonical result payload bytes (state == done)

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/experiments"
@@ -47,6 +49,7 @@ import (
 const (
 	checkpointSuffix = ".ckpt"
 	spoolSuffix      = ".json"
+	tmpSuffix        = ".tmp"
 	// QuarantineSuffix is appended to the name of a spool or checkpoint
 	// file that failed to parse or validate.
 	QuarantineSuffix = ".quarantine"
@@ -116,23 +119,58 @@ func writeJSONAtomic(path string, v any) error {
 	return WriteFileAtomic(path, append(data, '\n'))
 }
 
-// WriteFileAtomic writes data to a temp name beside path and renames it
-// into place, creating the directory if needed, so a crash mid-write
-// never leaves a truncated file under the real name. Every file the
-// tree persists (spooled specs, checkpoints, machine snapshots) goes
-// through it.
-func WriteFileAtomic(path string, data []byte) error {
+// WriteFileAtomic writes data to a unique temp file beside path, syncs
+// it and renames it into place, creating the directory if needed, so a
+// crash mid-write never leaves a truncated file under the real name and
+// concurrent writers of one path never share a temp file. The file is
+// created with mode 0666 less the umask, like os.WriteFile. Every file
+// the tree persists (spooled specs, checkpoints, machine snapshots) goes
+// through it. A crash mid-write can leave a "<name>.<pid>.<n>.tmp" file
+// behind; tcsimd removes those from its spool at start (loadSpool).
+func WriteFileAtomic(path string, data []byte) (err error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
 		return fmt.Errorf("creating directory: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o666); err != nil {
+	f, err := createTemp(path)
+	if err != nil {
 		return fmt.Errorf("writing: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if _, err := f.Write(data); err != nil {
+		return fmt.Errorf("writing: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("syncing: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("writing: %w", err)
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
 		return fmt.Errorf("installing: %w", err)
 	}
 	return nil
+}
+
+// tmpSeq numbers this process's temp files.
+var tmpSeq atomic.Uint64
+
+// createTemp opens a new temp file beside path. The pid and a
+// per-process sequence number keep concurrent writers apart; O_EXCL
+// skips a name a crashed process left behind. Unlike os.CreateTemp
+// (always 0600) it honours the umask.
+func createTemp(path string) (*os.File, error) {
+	for {
+		name := fmt.Sprintf("%s.%d.%d%s", path, os.Getpid(), tmpSeq.Add(1), tmpSuffix)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
 }
 
 // Quarantine renames a bad spool or checkpoint file aside and returns
@@ -171,7 +209,8 @@ func (s *Server) spool(queued []*job) error {
 // still resumes. Jobs that no longer fit (queue depth, token pool)
 // remain on disk for the next start. Files that fail to parse or
 // validate are quarantined and reported through SpoolWarnings — a
-// corrupt file never stops the daemon from starting.
+// corrupt file never stops the daemon from starting. Temp files a crash
+// left mid-write are removed: nothing is writing yet.
 func (s *Server) loadSpool() error {
 	if s.opt.SpoolDir == "" {
 		return nil
@@ -187,6 +226,12 @@ func (s *Server) loadSpool() error {
 	for _, e := range entries {
 		switch {
 		case e.IsDir():
+		case strings.HasSuffix(e.Name(), tmpSuffix):
+			if err := os.Remove(filepath.Join(s.opt.SpoolDir, e.Name())); err != nil && !os.IsNotExist(err) {
+				s.mu.Lock()
+				s.spoolWarnings = append(s.spoolWarnings, fmt.Errorf("server: removing stale temp file: %w", err))
+				s.mu.Unlock()
+			}
 		case strings.HasSuffix(e.Name(), checkpointSuffix):
 			ckpts = append(ckpts, e.Name())
 		case strings.HasSuffix(e.Name(), spoolSuffix):
@@ -237,30 +282,42 @@ func (s *Server) loadSpool() error {
 // next start); any error means the file is corrupt or no longer
 // admissible and should be quarantined.
 func (s *Server) readmitCheckpoint(name string) (full bool, err error) {
-	data, readErr := os.ReadFile(filepath.Join(s.opt.SpoolDir, name))
-	if readErr != nil {
-		return false, fmt.Errorf("reading checkpoint: %w", readErr)
-	}
-	var cf Checkpoint
-	if err := json.Unmarshal(data, &cf); err != nil {
-		return false, fmt.Errorf("parsing checkpoint: %w", err)
-	}
-	norm, err := cf.Spec.Normalize()
+	data, err := os.ReadFile(filepath.Join(s.opt.SpoolDir, name))
 	if err != nil {
-		return false, fmt.Errorf("validating checkpointed spec: %w", err)
+		return false, fmt.Errorf("reading checkpoint: %w", err)
 	}
-	if norm.ID == "" {
-		return false, fmt.Errorf("checkpointed spec has no job ID")
-	}
-	cells, _, err := norm.compile()
-	if err != nil {
-		return false, fmt.Errorf("compiling checkpointed grid: %w", err)
-	}
-	completed, err := cf.Validate(cells)
+	spec, completed, err := ReadCheckpoint(data)
 	if err != nil {
 		return false, err
 	}
-	return s.readmit(cf.Spec, completed)
+	return s.readmit(spec, completed)
+}
+
+// ReadCheckpoint parses and validates a tcsimd checkpoint file: its spec
+// must normalize, carry a job ID and compile, and its cells must match
+// that grid. It returns the spec as written and the completed-cell map
+// a resumed job starts from.
+func ReadCheckpoint(data []byte) (JobSpec, map[int]CheckpointCell, error) {
+	var cf Checkpoint
+	if err := json.Unmarshal(data, &cf); err != nil {
+		return JobSpec{}, nil, fmt.Errorf("parsing checkpoint: %w", err)
+	}
+	norm, err := cf.Spec.Normalize()
+	if err != nil {
+		return JobSpec{}, nil, fmt.Errorf("validating checkpointed spec: %w", err)
+	}
+	if norm.ID == "" {
+		return JobSpec{}, nil, fmt.Errorf("checkpointed spec has no job ID")
+	}
+	cells, _, err := norm.compile()
+	if err != nil {
+		return JobSpec{}, nil, fmt.Errorf("compiling checkpointed grid: %w", err)
+	}
+	completed, err := cf.Validate(cells)
+	if err != nil {
+		return JobSpec{}, nil, err
+	}
+	return cf.Spec, completed, nil
 }
 
 // readmit normalizes and admits one persisted spec, seeding the job with
@@ -319,16 +376,24 @@ func (s *Server) SpoolWarnings() []error {
 	return append([]error(nil), s.spoolWarnings...)
 }
 
-// writeCheckpoint persists a job's checkpoint file. Failures are
-// recorded as warnings, not job failures: losing a checkpoint costs
-// resumability, not correctness.
-func (s *Server) writeCheckpoint(cp *Checkpoint) {
+// writeCheckpoint persists a job's checkpoint file. Installs are
+// serialized per job, and a checkpoint with fewer cells than the one
+// already installed is dropped: the job's completed set only grows, so
+// it is an older snapshot. Failures are recorded as warnings, not job
+// failures: losing a checkpoint costs resumability, not correctness.
+func (s *Server) writeCheckpoint(j *job, cp *Checkpoint) {
+	j.ckptMu.Lock()
+	defer j.ckptMu.Unlock()
+	if len(cp.Cells) < j.ckptCells {
+		return
+	}
 	if err := cp.Save(filepath.Join(s.opt.SpoolDir, cp.Spec.ID+checkpointSuffix)); err != nil {
 		s.mu.Lock()
 		s.spoolWarnings = append(s.spoolWarnings, fmt.Errorf("server: checkpoint %q: %w", cp.Spec.ID, err))
 		s.mu.Unlock()
 		return
 	}
+	j.ckptCells = len(cp.Cells)
 	s.mCheckpoints.Inc()
 }
 

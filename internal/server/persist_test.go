@@ -1,15 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,12 +31,15 @@ func writeSpoolFile(t *testing.T, dir, name string, data string) {
 // TestSpoolQuarantine: corrupt spool and checkpoint files must be
 // renamed aside with a structured ErrSpoolCorrupt warning while valid
 // neighbors re-admit — a damaged file costs one job, never the daemon.
+// Temp files a crash left mid-write are deleted without a warning.
 func TestSpoolQuarantine(t *testing.T) {
 	spool := t.TempDir()
 	valid, err := json.Marshal(smallSpec("survivor"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	writeSpoolFile(t, spool, "crashed.ckpt.4242.7.tmp", `{"spec": {`)
+	writeSpoolFile(t, spool, "00000000-old.json.tmp", `{"id": "old"`)
 	writeSpoolFile(t, spool, "00000000-truncated.json", `{"id": "trunc", "workloads": ["micro`)
 	writeSpoolFile(t, spool, "00000001-survivor.json", string(valid))
 	writeSpoolFile(t, spool, "00000002-badspec.json", `{"id": "nogrid", "workloads": [], "policies": [], "topos": []}`)
@@ -222,6 +229,124 @@ func TestCheckpointPeriodicFlush(t *testing.T) {
 		}
 		if fs.cells != i {
 			t.Fatalf("after cell %d the checkpoint holds %d cells, want %d", i, fs.cells, i)
+		}
+	}
+}
+
+// TestWriteFileAtomicConcurrent: concurrent writers of one path each
+// get their own temp file, so every install succeeds and the file ends
+// holding exactly one writer's whole payload.
+func TestWriteFileAtomicConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.ckpt")
+	const writers, calls = 8, 200
+	payloads := make([][]byte, writers)
+	for w := range payloads {
+		payloads[w] = bytes.Repeat([]byte{byte('a' + w)}, 4096+w)
+	}
+	var wg sync.WaitGroup
+	var failed atomic.Int64
+	for _, data := range payloads {
+		wg.Add(1)
+		go func(data []byte) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if WriteFileAtomic(path, data) != nil {
+					failed.Add(1)
+				}
+			}
+		}(data)
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		t.Fatalf("%d of %d concurrent writes failed", n, writers*calls)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || int(got[0]-'a') >= writers || !bytes.Equal(got, payloads[got[0]-'a']) {
+		t.Fatalf("final file (%d bytes) is no single writer's payload", len(got))
+	}
+	if entries, _ := listSpool(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %v, want only the installed file", entries)
+	}
+}
+
+// TestWriteFileAtomicMode: the installed file gets the mode os.WriteFile
+// would give it (0666 less the umask).
+func TestWriteFileAtomicMode(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref")
+	if err := os.WriteFile(ref, []byte("x"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "atomic")
+	if err := WriteFileAtomic(path, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.Stat(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode().Perm() != want.Mode().Perm() {
+		t.Fatalf("mode = %v, want %v (os.WriteFile's)", got.Mode().Perm(), want.Mode().Perm())
+	}
+}
+
+// TestCheckpointConcurrentFlush: with eight sweep workers per job and a
+// flush after every cell, a job's checkpoint installs overlap; none may
+// fail, and the file on disk never loses cells it already held.
+func TestCheckpointConcurrentFlush(t *testing.T) {
+	spool := t.TempDir()
+	var (
+		mu        sync.Mutex
+		lastCells = map[string]int{}
+	)
+	s := startServer(t, Options{JobWorkers: 1, SpoolDir: spool, CheckpointEvery: 1}, func(s *Server) {
+		s.afterTask = func(j *job, _ int) {
+			mu.Lock() // serialized reads: monotone installs read as monotone
+			defer mu.Unlock()
+			data, err := os.ReadFile(filepath.Join(spool, j.spec.ID+checkpointSuffix))
+			if err != nil {
+				return // the failed install is reported through SpoolWarnings
+			}
+			var cf Checkpoint
+			if err := json.Unmarshal(data, &cf); err != nil {
+				t.Errorf("%s: parsing checkpoint: %v", j.spec.ID, err)
+				return
+			}
+			if len(cf.Cells) < lastCells[j.spec.ID] {
+				t.Errorf("%s: checkpoint went from %d cells to %d", j.spec.ID, lastCells[j.spec.ID], len(cf.Cells))
+			}
+			lastCells[j.spec.ID] = len(cf.Cells)
+		}
+	})
+	for i := 0; i < 10; i++ {
+		id := fmt.Sprintf("flush-%d", i)
+		spec := JobSpec{
+			ID:            id,
+			Workloads:     []string{"microbenchmark", "volano", "microbenchmark", "volano"},
+			Policies:      []string{"default", "round-robin"},
+			Topos:         []string{"open720", "power5-32"},
+			Seed:          int64(i + 1),
+			WarmRounds:    1,
+			EngineRounds:  1,
+			MeasureRounds: 1,
+			Workers:       8,
+		}
+		if _, err := s.Submit(context.Background(), spec); err != nil {
+			t.Fatalf("Submit %s: %v", id, err)
+		}
+		if st := waitTerminal(t, s, id); st.State != StateDone {
+			t.Fatalf("%s state = %s (err %q), want done", id, st.State, st.Error)
+		}
+		if w := s.SpoolWarnings(); len(w) != 0 {
+			t.Fatalf("%s: SpoolWarnings() = %v, want none", id, w)
 		}
 	}
 }

@@ -571,7 +571,7 @@ func (s *Server) taskDone(j *job, idx int, name string, seed int64, snap metrics
 	}
 	s.mu.Unlock()
 	if flush != nil {
-		s.writeCheckpoint(flush)
+		s.writeCheckpoint(j, flush)
 	}
 	if s.afterTask != nil {
 		s.afterTask(j, idx)
@@ -616,7 +616,7 @@ func (s *Server) settle(j *job, state JobState, cause error) {
 	s.mu.Unlock()
 
 	if flush != nil {
-		s.writeCheckpoint(flush)
+		s.writeCheckpoint(j, flush)
 	}
 	if removeCkpt {
 		s.removeCheckpoint(j.spec.ID)

@@ -181,6 +181,12 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative rounds", func(js *JobSpec) { js.WarmRounds = -1 }},
 		{"negative workers", func(js *JobSpec) { js.Workers = -1 }},
 		{"separator in id", func(js *JobSpec) { js.ID = "a/b" }},
+		{"rounds sum overflows", func(js *JobSpec) { js.WarmRounds, js.EngineRounds = 1<<62, 1<<62 }},
+		{"cost product overflows", func(js *JobSpec) {
+			js.WarmRounds = 1 << 62
+			js.Policies = []string{"default", "clustered"}
+			js.Topos = []string{"open720", "power5-32"}
+		}},
 	}
 	for _, tc := range cases {
 		spec := smallSpec("v-" + strings.ReplaceAll(tc.name, " ", "-"))

@@ -81,9 +81,8 @@ func benchEngineMachine(b *testing.B, engine Engine) *Machine {
 	return buildDiffMachine(b, sc, engine, 1)
 }
 
-// The seq/parallel pair is the engine's speedup guard: `make
-// bench-compare` checks both against BENCH_sim.json and requires the
-// parallel engine to be no slower than seq (min_ratio 1.0).
+// The seq/parallel pair is for `go test -bench` only; the guarded
+// engine speedup is tcbench's sim.parallel_speedup.
 func BenchmarkMachineRound32WaySeq(b *testing.B) {
 	runBenchRounds(b, benchEngineMachine(b, EngineSeq))
 }
