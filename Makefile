@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet tclint lint test test-short test-race bench bench-compare bench-baseline bench-smoke ledger-smoke fuzz-smoke experiments goldens sweep-smoke server-smoke snapshot-smoke fleet-smoke examples clean
+.PHONY: all build vet tclint lint test test-short test-race bench bench-compare bench-baseline bench-smoke ledger-smoke profile-grid fuzz-smoke experiments goldens sweep-smoke server-smoke snapshot-smoke fleet-smoke examples clean
 
 all: build lint test
 
@@ -76,6 +76,14 @@ bench-compare bench-baseline bench-smoke:
 ledger-smoke:
 	$(GO) run ./cmd/tcbench all -seconds 1
 
+# CPU profile of the hot loop as grid-paper drives it: that workload's
+# Fig. 6/7 grid at its 15-second round counts (under the sweep's default
+# seed, not tcbench's derived one), on one worker, written to grid.pprof
+# (`go tool pprof -top grid.pprof`). Start a hot-loop change here, and
+# compare the same profile on the parent commit.
+profile-grid:
+	$(GO) run ./cmd/tcsim sweep -warm 50 -engine 1000 -measure 100 -workers 1 -cpuprofile grid.pprof
+
 # Short fuzzing pass over the coherence differential target, the trace
 # parser, the snapshot decoder, the snapbin codec under it, the
 # generator's State/Restore round trip, the job-spec decoder and the
@@ -96,7 +104,8 @@ fuzz-smoke:
 # (including a foreign state provider), the slice barrier's canonical
 # drain order, the three-way reference/broadcast/directory walk
 # differential and the per-op directory scan at several GOMAXPROCS
-# levels, the lazily built slabs (lazy == eager at every step, first
+# levels, the refusal of hostile restored cache states in both coherence
+# modes, Run's saturating budget, the lazily built slabs (lazy == eager at every step, first
 # Inserts racing on the pool from lane goroutines) and the slab pool
 # (released == fresh word for word, reuse after Close and after a
 # failed interval or restore, and sweep workers
@@ -108,8 +117,8 @@ test-race:
 	$(GO) test -race ./internal/metrics ./internal/sweep
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
 	$(GO) test -race -run 'TestGridRecyclesAcrossWorkers|TestBuildFailureRecyclesSlabs|TestGridCellsCloseTheirMachine' -cpu 1,2,4 ./internal/experiments
-	$(GO) test -race -run 'TestEngine|TestRunSlice|TestSnapshot|TestGolden|TestClose' ./internal/sim
-	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestReleased|TestLazy' -cpu 1,2,4 ./internal/cache
+	$(GO) test -race -run 'TestEngine|TestRunSlice|TestRunSaturates|TestSnapshot|TestGolden|TestClose' ./internal/sim
+	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
 

@@ -229,7 +229,9 @@ func dumpLines(fe func(func(memory.Addr, State))) []lineState {
 // TestSetAssocMatchesAoSReference replays the same deterministic stream
 // through the slab-backed SetAssoc and the preserved AoS reference and
 // requires identical results op by op — hit states, eviction victims
-// (i.e. identical LRU order), invalidation/downgrade outcomes — plus
+// (i.e. identical LRU order), invalidation/downgrade outcomes, and state
+// rewrites of a hit line, both through the way lookupWay returned
+// (setWayState, as the access walk does) and through SetState — plus
 // identical statistics and final contents. Geometries cover the pow2
 // mask path, the non-pow2 modulo path (the Power5 L2's 1638 sets) and
 // the 1-set degenerate cache.
@@ -265,16 +267,39 @@ func TestSetAssocMatchesAoSReference(t *testing.T) {
 						t.Fatalf("op %d: Peek(%#x) = %v, AoS reference %v", i, uint64(op.line), g, w)
 					}
 				default:
-					g, w := soa.Lookup(op.line), aos.Lookup(op.line)
-					if g != w {
+					// Odd ops probe the way the access walk does: lookupWay,
+					// then a state write to the way it hit, in place.
+					// Even ops take Lookup and rewrite a hit with SetState.
+					way, g := -1, Invalid
+					if i%2 == 1 {
+						way, g = soa.lookupWay(op.line)
+					} else {
+						g = soa.Lookup(op.line)
+					}
+					if w := aos.Lookup(op.line); g != w {
 						t.Fatalf("op %d: Lookup(%#x) = %v, AoS reference %v", i, uint64(op.line), g, w)
 					}
-					if g == Invalid {
+					if i%2 == 1 && (way < 0) != (g == Invalid) {
+						t.Fatalf("op %d: lookupWay(%#x) = way %d with state %v", i, uint64(op.line), way, g)
+					}
+					if way >= 0 && soa.tags[way] != op.line {
+						t.Fatalf("op %d: lookupWay(%#x) hit way %d, which holds %#x", i, uint64(op.line), way, uint64(soa.tags[way]))
+					}
+					switch {
+					case g == Invalid:
 						ge, gs, gd := soa.Insert(op.line, op.st)
 						we, ws, wd := aos.Insert(op.line, op.st)
 						if ge != we || gs != ws || gd != wd {
 							t.Fatalf("op %d: Insert(%#x,%v) evicted (%#x,%v,%v), AoS reference (%#x,%v,%v)",
 								i, uint64(op.line), op.st, uint64(ge), gs, gd, uint64(we), ws, wd)
+						}
+					case g == op.st:
+					case way >= 0:
+						soa.setWayState(way, op.st)
+						aos.SetState(op.line, op.st)
+					default:
+						if !soa.SetState(op.line, op.st) || !aos.SetState(op.line, op.st) {
+							t.Fatalf("op %d: SetState(%#x,%v) missed a line Lookup hit", i, uint64(op.line), op.st)
 						}
 					}
 				}

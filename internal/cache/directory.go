@@ -263,14 +263,18 @@ func (h *Hierarchy) SnoopProbesAvoided() uint64 {
 // broadcast).
 func (h *Hierarchy) Coherence() CoherenceMode { return h.mode }
 
-// CheckDirectory verifies the directory against a ground-truth scan of
-// every cache's contents: the presence table must correspond exactly to
-// the valid L2/L3 lines and vice versa, and every L1 copy must sit under
-// its own chip's L2 (inclusion — the reason invalidating a line on its
-// holder chips reaches every L1 copy). Broadcast-mode hierarchies
-// trivially pass. Tests and the fuzz target call it between accesses
-// (i.e. at barrier boundaries); it is O(total cache capacity).
+// CheckDirectory verifies the hierarchy's invariants against a
+// ground-truth scan of every cache's contents. In both coherence modes
+// the L1s must sit under their L2s (checkL1s). In directory mode the
+// presence table must also correspond exactly to the valid L2/L3 lines
+// and vice versa, and every mailbox must be empty. Tests and the fuzz
+// target call it between accesses (i.e. at barrier boundaries), and
+// RestoreState refuses a state that fails it; it is O(total cache
+// capacity).
 func (h *Hierarchy) CheckDirectory() error {
+	if err := h.checkL1s(); err != nil {
+		return err
+	}
 	if h.mode != CoherenceDirectory {
 		return nil
 	}
@@ -328,10 +332,6 @@ func (h *Hierarchy) CheckDirectory() error {
 			return fmt.Errorf("cache: caches hold line %#x {l1:%#x l2:%#x l3:%#x} the presence table does not track",
 				uint64(line), want.l1, want.l2, want.l3)
 		}
-		if want.l1&^want.l2 != 0 {
-			return fmt.Errorf("cache: line %#x is in L1 on chips %#x but in L2 only on %#x (inclusion)",
-				uint64(line), want.l1, want.l2)
-		}
 	}
 	if len(truth) != h.pres.n {
 		return fmt.Errorf("cache: presence table tracks %d lines, caches hold %d", h.pres.n, len(truth))
@@ -340,6 +340,35 @@ func (h *Hierarchy) CheckDirectory() error {
 	for chip := range h.lanes {
 		if len(h.lanes[chip].ops) != 0 {
 			return fmt.Errorf("cache: chip %d lane has %d unapplied coherence ops", chip, len(h.lanes[chip].ops))
+		}
+	}
+	return nil
+}
+
+// checkL1s verifies, in either coherence mode, that every L1 copy sits
+// under its own chip's L2 copy (inclusion — the reason invalidating a line
+// on its holder chips reaches every L1 copy) and that an L1 Modified copy
+// sits under a Modified one (the access walk's write hit on a Modified L1
+// line rewrites neither cache).
+func (h *Hierarchy) checkL1s() error {
+	var err error
+	for core, c := range h.l1 {
+		chip := core / h.topo.CoresPerChip
+		c.ForEachLine(func(line memory.Addr, st State) {
+			if err != nil {
+				return
+			}
+			switch l2 := h.l2[chip].Peek(line); {
+			case l2 == Invalid:
+				err = fmt.Errorf("cache: line %#x is in core %d's L1 but not in chip %d's L2 (inclusion)",
+					uint64(line), core, chip)
+			case st == Modified && l2 != Modified:
+				err = fmt.Errorf("cache: line %#x is Modified in core %d's L1 but %v in chip %d's L2",
+					uint64(line), core, l2, chip)
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -15,9 +15,9 @@ import (
 // builds on the slabs the second and third just released (and every
 // earlier input dirtied). Whatever the sequence, none of them may panic,
 // after every access the result and the coherence and attribution
-// counters must match, and the cache contents must be identical and the
-// directory agree with a ground-truth scan of them (checked as the
-// sequence runs and at its end).
+// counters must match, the cache contents must be identical, and both
+// unified hierarchies must pass CheckDirectory against a ground-truth scan
+// of them (checked as the sequence runs and at its end).
 func FuzzHierarchyAccess(f *testing.F) {
 	f.Add([]byte{0, 0, 1})
 	f.Add([]byte{1, 0, 0, 5, 0, 1, 1, 0, 0})
@@ -63,16 +63,18 @@ func FuzzHierarchyAccess(f *testing.F) {
 				built = n
 				sameCaches(t, ref, bc)
 				sameCaches(t, ref, dir)
-				if err := dir.CheckDirectory(); err != nil {
-					t.Fatalf("op %d: %v", i/3, err)
+				for _, h := range []*Hierarchy{bc, dir} {
+					if err := h.CheckDirectory(); err != nil {
+						t.Fatalf("op %d: %v: %v", i/3, h.Coherence(), err)
+					}
 				}
 			}
 		}
-		for _, h := range []coherent{bc, dir} {
+		for _, h := range []*Hierarchy{bc, dir} {
 			sameCaches(t, ref, h)
-		}
-		if err := dir.CheckDirectory(); err != nil {
-			t.Fatal(err)
+			if err := h.CheckDirectory(); err != nil {
+				t.Fatalf("%v: %v", h.Coherence(), err)
+			}
 		}
 
 		bc.Release()

@@ -123,15 +123,21 @@ func (l *Lane) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessRe
 	core := h.topo.CoreOf(cpu)
 	chip := l.chip
 
-	// L1 probe.
-	if st := h.l1[core].Lookup(line); st != Invalid {
-		if write {
+	// L1 probe. Each level's set is probed once: a hit returns its way,
+	// and a write rewrites that way's state in place. invalidateOthers
+	// never touches the issuing core's L1 or its chip's L2, so the way
+	// stays valid across it.
+	if way, st := h.l1[core].lookupWay(line); st != Invalid {
+		// A write to a line the L1 already holds Modified changes nothing:
+		// an L1 Modified copy always sits under a Modified L2 copy
+		// (CheckDirectory enforces it on every restored state).
+		if write && st != Modified {
 			if st == Shared {
 				// Write upgrade: invalidate every other copy in the machine.
 				l.upgrades++
 				l.invalidateOthers(line, core)
 			}
-			h.l1[core].SetState(line, Modified)
+			h.l1[core].setWayState(way, Modified)
 			h.l2[chip].SetState(line, Modified)
 		}
 		return AccessResult{Line: line, Source: SrcL1, Cycles: h.lat.L1Hit}
@@ -139,7 +145,7 @@ func (l *Lane) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessRe
 
 	// L2 probe (chip-local). L1 fills evict clean: the L2 above is
 	// inclusive, so the data survives.
-	if st := h.l2[chip].Lookup(line); st != Invalid {
+	if way, st := h.l2[chip].lookupWay(line); st != Invalid {
 		newState := st
 		if write {
 			if st == Shared {
@@ -147,15 +153,14 @@ func (l *Lane) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessRe
 				l.invalidateOthers(line, core)
 			}
 			newState = Modified
-			h.l2[chip].SetState(line, Modified)
+			h.l2[chip].setWayState(way, Modified)
 		}
 		h.l1[core].Insert(line, newState)
 		return AccessResult{Line: line, Source: SrcL2, Cycles: h.lat.L2Hit, L1Miss: true}
 	}
 
 	// L3 probe (chip-local victim cache: a hit moves the line back to L2).
-	if st := h.l3[chip].Peek(line); st != Invalid {
-		h.l3[chip].Invalidate(line)
+	if st := h.l3[chip].Invalidate(line); st != Invalid {
 		l.publish(cohOp{line: line, kind: opClearL3})
 		newState := st
 		if write {

@@ -263,15 +263,28 @@ func (c *SetAssoc) findWay(line memory.Addr) int {
 // Lookup probes for the line. On a hit it refreshes LRU and returns the
 // current state; on a miss it returns Invalid.
 func (c *SetAssoc) Lookup(line memory.Addr) State {
+	_, st := c.lookupWay(line)
+	return st
+}
+
+// lookupWay is Lookup that also returns the slab index of the way it hit
+// (-1 on a miss), so the access walk can rewrite that way's state with
+// setWayState instead of probing the set again.
+func (c *SetAssoc) lookupWay(line memory.Addr) (int, State) {
 	if i := c.findWay(line); i >= 0 {
 		c.stamp++
 		c.lru[i] = c.stamp
 		c.stats.Hits++
-		return c.states[i]
+		return i, c.states[i]
 	}
 	c.stats.Misses++
-	return Invalid
+	return -1, Invalid
 }
+
+// setWayState rewrites the state of the valid way at slab index i, as
+// returned by a lookupWay whose line nothing has evicted or invalidated
+// since. It is SetState without the probe.
+func (c *SetAssoc) setWayState(i int, st State) { c.states[i] = st }
 
 // Peek probes for the line without perturbing LRU or statistics. Coherence
 // snoops from other chips use Peek so that remote probes do not distort

@@ -10,10 +10,10 @@ import (
 	"threadcluster/internal/snapbin"
 )
 
-// scanPMU is the reference the per-event index in PMU.Observe is checked
-// against: the PMU as it was before the index existed, with Observe
-// scanning every counter slot for every event. Handlers are kept by id so
-// both implementations can run the same one.
+// scanPMU is the reference the PMU is checked against: the PMU as it was
+// before the per-event index and the deferred path existed, observing
+// every event at once and scanning every counter slot for it. Handlers
+// are kept by id so both implementations can run the same one.
 type scanPMU struct {
 	counts          [NumEvents]uint64
 	slots           [NumPhysicalCounters]scanSlot
@@ -139,6 +139,12 @@ var diffHandlers = []diffHandler{
 	{cycles: 1200, act: func(program func(int, Event, uint64, int), _ func(int), _ func(int, uint64)) {
 		program(5, EvL1DMiss, 2, 3) // a handler-armed slot for the event RecordMiss counts first
 	}},
+	{cycles: 3, act: func(program func(int, Event, uint64, int), _ func(int), _ func(int, uint64)) {
+		program(3, EvCycles, 5, -1) // a handler-less wrapping slot for an event that is usually pending
+	}},
+	{cycles: 11, act: func(_ func(int, Event, uint64, int), _ func(int), retune func(int, uint64)) {
+		retune(0, 4) // re-threshold whatever slot 0 counts, pending or armed
+	}},
 }
 
 // diffPair drives a PMU and the slot-scan reference through the same
@@ -219,26 +225,41 @@ func (d *diffPair) saveRestore() {
 	d.real = fresh
 }
 
-func (d *diffPair) compare(step int, op string) {
+func (d *diffPair) fail(step int, op, format string, args ...any) {
 	d.t.Helper()
-	fail := func(format string, args ...any) {
-		d.t.Helper()
-		d.t.Fatalf("step %d (%s): %s", step, op, fmt.Sprintf(format, args...))
-	}
+	d.t.Fatalf("step %d (%s): %s", step, op, fmt.Sprintf(format, args...))
+}
+
+// compareReads compares everything the deferred path may hold back:
+// counts, counter values and the multiplexer's observations. Each read
+// flushes the real PMU's pending deltas first.
+func (d *diffPair) compareReads(step int, op string) {
+	d.t.Helper()
 	for ev := Event(0); int(ev) < NumEvents; ev++ {
 		if got, want := d.real.Count(ev), d.ref.counts[ev]; got != want {
-			fail("Count(%v) = %d, slot-scan reference %d", ev, got, want)
+			d.fail(step, op, "Count(%v) = %d, slot-scan reference %d", ev, got, want)
 		}
 		if d.realMux != nil {
 			if got, want := d.realMux.Observed(ev), d.refMux.Observed(ev); got != want {
-				fail("multiplexer Observed(%v) = %d, reference %d", ev, got, want)
+				d.fail(step, op, "multiplexer Observed(%v) = %d, reference %d", ev, got, want)
 			}
 		}
 	}
 	for slot := 0; slot < NumPhysicalCounters; slot++ {
 		if got, want := d.real.CounterValue(slot), d.ref.slots[slot].value; got != want {
-			fail("CounterValue(%d) = %d, reference %d", slot, got, want)
+			d.fail(step, op, "CounterValue(%d) = %d, reference %d", slot, got, want)
 		}
+	}
+}
+
+// compare compares the state the deferred path never holds back: the
+// sampling register, interrupt cycles, the armed index and the order
+// handlers fired in. None of these reads flushes.
+func (d *diffPair) compare(step int, op string) {
+	d.t.Helper()
+	fail := func(format string, args ...any) {
+		d.t.Helper()
+		d.fail(step, op, format, args...)
 	}
 	if got, want := d.real.ReadSDAR(), d.ref.sdar; got != want {
 		fail("SDAR = %+v, reference %+v", got, want)
@@ -263,10 +284,17 @@ func (d *diffPair) compare(step int, op string) {
 
 // TestObserveMatchesSlotScanReference replays seeded random operation
 // sequences through the PMU and the slot-scan reference, with and without
-// a multiplexer, and requires equal counts, counter values, sampling
-// register, handler firing order and interrupt cycles after every
-// operation. The index Observe filters on is derived state; this is what
-// says it never filters out an event some slot counts.
+// a multiplexer. The real PMU records events the way the simulator does,
+// through Add and RecordMiss, so unarmed events wait in its pending batch
+// while the reference observes every event at once; handlers program,
+// unprogram and re-threshold other slots mid-batch, and the state is
+// saved and restored between batches. After every operation the sampling
+// register, interrupt cycles, armed state and handler firing order must
+// match; counts, counter values and multiplexer observations — what the
+// deferral holds back — must match at every read, and the reads are
+// spread out so pending deltas survive across reprogramming. The watched
+// and armed indexes and the pending batch are derived state; this is what
+// says they never filter, delay or misplace an event some slot counts.
 func TestObserveMatchesSlotScanReference(t *testing.T) {
 	thresholds := []uint64{0, 0, 1, 2, 3, 5, 17, 100}
 	amounts := []uint64{0, 1, 1, 1, 2, 7, 250}
@@ -290,6 +318,7 @@ func TestObserveMatchesSlotScanReference(t *testing.T) {
 				d.ref.mux = d.refMux
 			}
 			var drained, refDrained uint64
+			var reads, deferredReads int
 			for step := 0; step < 4000; step++ {
 				var op string
 				switch k := rng.Intn(100); {
@@ -317,12 +346,22 @@ func TestObserveMatchesSlotScanReference(t *testing.T) {
 					if ok := d.ref.setOverflowThreshold(slot, at); ok != (err == nil) {
 						t.Fatalf("step %d (%s): err = %v, reference accepted = %v", step, op, err, ok)
 					}
+				case k < 55:
+					// One reference's worth of events, as runSlice records
+					// them: several Adds in a row, mostly of unarmed events.
+					op = "Add"
+					for i := rng.Intn(4); i >= 0; i-- {
+						ev, n := Event(rng.Intn(NumEvents)), amounts[rng.Intn(len(amounts))]
+						op += fmt.Sprintf(" (%v, %d)", ev, n)
+						d.real.Add(ev, n)
+						d.ref.observe(ev, n)
+					}
 				case k < 60:
 					ev, n := Event(rng.Intn(NumEvents)), amounts[rng.Intn(len(amounts))]
 					op = fmt.Sprintf("Observe(%v, %d)", ev, n)
 					d.real.Observe(ev, n)
 					d.ref.observe(ev, n)
-				case k < 70:
+				case k < 66:
 					var b, rb Batch
 					for i := rng.Intn(6); i >= 0; i-- {
 						b.Add(Event(rng.Intn(NumEvents)), amounts[rng.Intn(len(amounts))])
@@ -334,23 +373,49 @@ func TestObserveMatchesSlotScanReference(t *testing.T) {
 					if b != (Batch{}) {
 						t.Fatalf("step %d (%s): batch not zeroed", step, op)
 					}
-				case k < 88:
+				case k < 84:
 					line, src := memory.Addr(rng.Intn(1<<20))*memory.LineSize, cache.Source(rng.Intn(cache.NumSources))
 					op = fmt.Sprintf("RecordMiss(%#x, %v)", uint64(line), src)
 					d.real.RecordMiss(line, src)
 					d.ref.recordMiss(line, src)
-				case k < 90:
+				case k < 86:
 					op = "Reset"
 					d.real.Reset()
 					d.ref.reset()
-				case k < 94:
+				case k < 90:
 					op = "SaveState -> RestoreState"
 					d.saveRestore()
-				case k < 97:
+				case k < 93:
 					op = "DrainInterruptCycles"
 					drained += d.real.DrainInterruptCycles()
 					refDrained += d.ref.interruptCycles
 					d.ref.interruptCycles = 0
+				case k < 97:
+					// A read: one reader flushes the pending batch on its
+					// own and must already agree; then everything is read.
+					if d.real.pending != (Batch{}) {
+						deferredReads++
+					}
+					reads++
+					ev, slot := Event(rng.Intn(NumEvents)), rng.Intn(NumPhysicalCounters)
+					switch r := rng.Intn(3); {
+					case r == 0:
+						op = fmt.Sprintf("Count(%v)", ev)
+						if got, want := d.real.Count(ev), d.ref.counts[ev]; got != want {
+							d.fail(step, op, "= %d, reference %d", got, want)
+						}
+					case r == 1 || !withMux:
+						op = fmt.Sprintf("CounterValue(%d)", slot)
+						if got, want := d.real.CounterValue(slot), d.ref.slots[slot].value; got != want {
+							d.fail(step, op, "= %d, reference %d", got, want)
+						}
+					default:
+						op = fmt.Sprintf("Multiplexer.Estimate(%v)", ev)
+						if got, want := d.realMux.Estimate(ev), d.refMux.Estimate(ev); got != want {
+							d.fail(step, op, "= %d, reference %d", got, want)
+						}
+					}
+					d.compareReads(step, op)
 				default:
 					if !withMux {
 						continue
@@ -365,11 +430,16 @@ func TestObserveMatchesSlotScanReference(t *testing.T) {
 				}
 				d.compare(step, op)
 			}
+			d.compareReads(4000, "final read")
 			if got, want := d.real.DrainInterruptCycles(), d.ref.interruptCycles; got != want {
 				t.Fatalf("mux=%v seed %d: %d undrained interrupt cycles at the end, reference %d", withMux, seed, got, want)
 			}
 			if drained == 0 {
 				t.Errorf("mux=%v seed %d: no handler ever fired; the sequence does not exercise overflow", withMux, seed)
+			}
+			if deferredReads < reads/2 {
+				t.Errorf("mux=%v seed %d: only %d of %d reads found deltas pending; the sequence does not exercise deferral",
+					withMux, seed, deferredReads, reads)
 			}
 		}
 	}

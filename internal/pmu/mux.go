@@ -23,6 +23,18 @@ type Multiplexer struct {
 	totalCyc  uint64
 	groupOf   [NumEvents]int //tclint:allow snapfields -- derived from groups at construction, never mutated
 	rotations uint64         // completed group switches
+
+	// owner is the PMU the multiplexer is attached to; its pending deltas
+	// belong in observed before anything reads observed or rotates the
+	// active group.
+	owner *PMU //tclint:allow snapfields -- attachment wiring set by PMU.AttachMultiplexer
+}
+
+// sync delivers the owning PMU's pending deltas.
+func (m *Multiplexer) sync() {
+	if m.owner != nil {
+		m.owner.flush()
+	}
 }
 
 // NewMultiplexer builds a multiplexer over the given event groups. Each
@@ -64,6 +76,7 @@ func (m *Multiplexer) observe(ev Event, n uint64) {
 // Advance accounts for the passage of cycles and rotates groups at slice
 // boundaries. The owning simulator calls it as simulated time advances.
 func (m *Multiplexer) Advance(cycles uint64) {
+	m.sync()
 	m.totalCyc += cycles
 	for cycles > 0 {
 		step := cycles
@@ -94,6 +107,7 @@ func (m *Multiplexer) NumGroups() int { return len(m.groups) }
 // count divided by the fraction of cycles the event's group was scheduled.
 // Events never scheduled (or not monitored) estimate to zero.
 func (m *Multiplexer) Estimate(ev Event) uint64 {
+	m.sync()
 	if m.groupOf[ev] == 0 || m.activeCyc[ev] == 0 {
 		return 0
 	}
@@ -102,7 +116,10 @@ func (m *Multiplexer) Estimate(ev Event) uint64 {
 }
 
 // Observed returns the raw (unscaled) count for an event.
-func (m *Multiplexer) Observed(ev Event) uint64 { return m.observed[ev] }
+func (m *Multiplexer) Observed(ev Event) uint64 {
+	m.sync()
+	return m.observed[ev]
+}
 
 // ActiveFraction returns the fraction of cycles the event's group has been
 // scheduled so far (0 when never scheduled).
@@ -115,6 +132,7 @@ func (m *Multiplexer) ActiveFraction(ev Event) float64 {
 
 // Reset clears all accumulated observations but keeps the group schedule.
 func (m *Multiplexer) Reset() {
+	m.sync()
 	m.observed = [NumEvents]uint64{}
 	m.activeCyc = [NumEvents]uint64{}
 	m.totalCyc = 0

@@ -51,6 +51,19 @@ type SampledAddr struct {
 //   - the constrained programmable-counter interface with overflow
 //     exceptions and a last-L1D-miss sampling register (what the online
 //     engine uses).
+//
+// Events recorded with Add (and RecordMiss) take one of two paths. An
+// occurrence of an event that an armed slot counts — one with a handler
+// and a nonzero threshold — is observed at once, so its handler fires at
+// the exact occurrence. Every other event only sums: aggregate counts,
+// multiplexer observations and handler-less counter values are additive,
+// and a handler-less wrap is a residue modulo the threshold. Those deltas
+// wait in a pending batch that is flushed before anything reads or
+// reprograms the PMU (Count, CounterValue, Program, Unprogram,
+// SetOverflowThreshold, Reset, the state codec, AttachMultiplexer and
+// the attached multiplexer's own reads and rotations). Pending events are
+// never armed, so a flush fires no handler, and every reader sees exactly
+// what observing each event at once would have produced.
 type PMU struct {
 	counts [NumEvents]uint64
 	slots  [NumPhysicalCounters]counterSlot
@@ -59,7 +72,12 @@ type PMU struct {
 
 	// watched[ev] reports whether any programmed slot counts ev, so
 	// Observe can skip the slot scan for the (many) events nothing counts.
-	watched [NumEvents]bool //tclint:allow snapfields -- derived from slots by Program/Unprogram; RestoreState requires matching programming and leaves it untouched
+	watched [NumEvents]bool //tclint:allow snapfields -- derived from slots by reindex; RestoreState requires matching programming and reindexes
+	// armed[ev] reports whether a slot that counts ev can fire its handler
+	// (it has one and a nonzero threshold). Add observes those events at
+	// once and leaves every other event's deltas in pending.
+	armed   [NumEvents]bool //tclint:allow snapfields -- derived from slots by reindex, like watched
+	pending Batch           //tclint:allow snapfields -- always empty when saved or restored: both flush first
 
 	// interruptCycles accumulates cycles spent in overflow handlers; the
 	// simulator drains it into the running thread's cost.
@@ -78,6 +96,7 @@ func (p *PMU) Program(slot int, ev Event, overflowAt uint64, h OverflowHandler) 
 	if ev < 0 || int(ev) >= NumEvents {
 		return fmt.Errorf("pmu: unknown event %d", int(ev))
 	}
+	p.flush()
 	p.slots[slot] = counterSlot{event: ev, overflowAt: overflowAt, handler: h, programmed: true}
 	p.reindex()
 	return nil
@@ -86,17 +105,22 @@ func (p *PMU) Program(slot int, ev Event, overflowAt uint64, h OverflowHandler) 
 // Unprogram frees a counter slot.
 func (p *PMU) Unprogram(slot int) {
 	if slot >= 0 && slot < NumPhysicalCounters {
+		p.flush()
 		p.slots[slot] = counterSlot{}
 		p.reindex()
 	}
 }
 
-// reindex rebuilds watched from the slots' programming.
+// reindex rebuilds watched and armed from the slots' programming.
 func (p *PMU) reindex() {
 	p.watched = [NumEvents]bool{}
+	p.armed = [NumEvents]bool{}
 	for i := range p.slots {
 		if s := &p.slots[i]; s.programmed {
 			p.watched[s.event] = true
+			if s.handler != nil && s.overflowAt != 0 {
+				p.armed[s.event] = true
+			}
 		}
 	}
 }
@@ -108,7 +132,9 @@ func (p *PMU) SetOverflowThreshold(slot int, overflowAt uint64) error {
 	if slot < 0 || slot >= NumPhysicalCounters || !p.slots[slot].programmed {
 		return fmt.Errorf("pmu: slot %d not programmed", slot)
 	}
+	p.flush()
 	p.slots[slot].overflowAt = overflowAt
+	p.reindex()
 	return nil
 }
 
@@ -117,6 +143,7 @@ func (p *PMU) CounterValue(slot int) uint64 {
 	if slot < 0 || slot >= NumPhysicalCounters {
 		return 0
 	}
+	p.flush()
 	return p.slots[slot].value
 }
 
@@ -157,21 +184,17 @@ func (p *PMU) Observe(ev Event, n uint64) {
 	}
 }
 
-// Batch accumulates per-event deltas so a hot loop can make one
-// ObserveBatch call per slice instead of several Observe calls per
-// reference. Index by Event.
+// Batch accumulates per-event deltas for one ObserveBatch call. Index by
+// Event. The PMU keeps one as its pending batch.
 type Batch [NumEvents]uint64
 
 // Add records n occurrences of an event into the batch.
 func (b *Batch) Add(ev Event, n uint64) { b[ev] += n }
 
-// ObserveBatch feeds every nonzero event of the batch through Observe and
-// zeroes the batch. Because Observe is additive — aggregate counts,
-// multiplexer accumulation and handler-less counter values all sum — a
-// batched flush is count-equivalent to per-reference Observe calls for
-// every consumer except overflow *handlers*, whose firing points within
-// the batch are not reconstructed. Callers must therefore keep the
-// per-reference path whenever HasArmedHandler reports true.
+// ObserveBatch feeds every nonzero event of the batch through Observe, in
+// event order, and zeroes the batch. An armed event in the batch fires its
+// handler at most once for the whole delta, so a caller that needs exact
+// firing points uses Add instead.
 func (p *PMU) ObserveBatch(b *Batch) {
 	for ev := range b {
 		if b[ev] != 0 {
@@ -181,15 +204,29 @@ func (p *PMU) ObserveBatch(b *Batch) {
 	}
 }
 
+// Add records n occurrences of an event: at once when an armed slot
+// counts it, so the handler fires at this very occurrence, and into the
+// pending batch otherwise. It is the simulator's per-reference path.
+func (p *PMU) Add(ev Event, n uint64) {
+	if p.armed[ev] {
+		p.Observe(ev, n)
+		return
+	}
+	p.pending[ev] += n
+}
+
+// flush observes the pending deltas. None of their events is armed, so no
+// handler fires; every reader and reprogrammer of the PMU calls it first.
+func (p *PMU) flush() { p.ObserveBatch(&p.pending) }
+
 // HasArmedHandler reports whether any programmed counter can currently
 // fire an overflow handler (a handler installed with a nonzero overflow
 // threshold). Armed-but-silent programming (handler with overflowAt 0,
 // how the clustering engine parks its detection hooks between phases)
 // does not count: it cannot fire.
 func (p *PMU) HasArmedHandler() bool {
-	for i := range p.slots {
-		s := &p.slots[i]
-		if s.programmed && s.handler != nil && s.overflowAt != 0 {
+	for _, a := range p.armed {
+		if a {
 			return true
 		}
 	}
@@ -199,19 +236,19 @@ func (p *PMU) HasArmedHandler() bool {
 // RecordMiss feeds one completed L1D miss into the PMU: it updates the
 // continuous-sampling register with the miss's line address (regardless of
 // source — that is the Power5 limitation the paper works around), then
-// counts the per-source events. Remote sources additionally count
-// EvRemoteAccess, which is the overflow trigger of the Section 5.2.1
+// counts the per-source events through Add. Remote sources additionally
+// count EvRemoteAccess, which is the overflow trigger of the Section 5.2.1
 // composition: because the counting happens *after* the register update,
 // an overflow handler that reads the register immediately will almost
 // always observe the remote access that caused the overflow.
 func (p *PMU) RecordMiss(line memory.Addr, src cache.Source) {
 	p.sdar = SampledAddr{Line: line, Valid: true, source: src}
-	p.Observe(EvL1DMiss, 1)
+	p.Add(EvL1DMiss, 1)
 	if ev, ok := MissEvent(src); ok {
-		p.Observe(ev, 1)
+		p.Add(ev, 1)
 	}
 	if src.Remote() {
-		p.Observe(EvRemoteAccess, 1)
+		p.Add(EvRemoteAccess, 1)
 	}
 }
 
@@ -226,7 +263,10 @@ func (p *PMU) ReadSDAR() SampledAddr { return p.sdar }
 func (s SampledAddr) SDARSourceForValidation() cache.Source { return s.source }
 
 // Count returns the exact aggregate count of an event.
-func (p *PMU) Count(ev Event) uint64 { return p.counts[ev] }
+func (p *PMU) Count(ev Event) uint64 {
+	p.flush()
+	return p.counts[ev]
+}
 
 // DrainInterruptCycles returns and clears the cycles spent in overflow
 // handlers since the last drain.
@@ -236,11 +276,23 @@ func (p *PMU) DrainInterruptCycles() uint64 {
 	return c
 }
 
-// AttachMultiplexer routes subsequent events into a multiplexer as well.
-func (p *PMU) AttachMultiplexer(m *Multiplexer) { p.mux = m }
+// AttachMultiplexer routes subsequent events into a multiplexer as well
+// (nil detaches). A multiplexer serves one PMU: it flushes that PMU's
+// pending deltas before it reads or rotates.
+func (p *PMU) AttachMultiplexer(m *Multiplexer) {
+	p.flush()
+	if p.mux != nil {
+		p.mux.owner = nil
+	}
+	if m != nil {
+		m.owner = p
+	}
+	p.mux = m
+}
 
 // Reset clears aggregate counts and counter values but keeps programming.
 func (p *PMU) Reset() {
+	p.flush()
 	p.counts = [NumEvents]uint64{}
 	for i := range p.slots {
 		p.slots[i].value = 0

@@ -16,6 +16,7 @@ import (
 // serialized — restore validates them against a PMU whose owner has
 // already re-installed the same programming.
 func (p *PMU) SaveState(e *snapbin.Enc) {
+	p.flush()
 	e.U32(uint32(NumEvents))
 	for _, c := range p.counts {
 		e.U64(c)
@@ -84,11 +85,15 @@ func (p *PMU) RestoreState(d *snapbin.Dec) error {
 				i, st.programmed, st.event, cur.programmed, cur.event, errs.ErrBadConfig)
 		}
 	}
+	// The pending deltas predate the restored state; the multiplexer
+	// still takes them, as it took every event observed before.
+	p.flush()
 	p.counts = counts
 	for i, st := range slots {
 		p.slots[i].value = st.value
 		p.slots[i].overflowAt = st.overflowAt
 	}
+	p.reindex()
 	p.sdar = SampledAddr{Line: line, Valid: valid, source: source}
 	p.interruptCycles = interruptCycles
 	return nil
@@ -98,6 +103,7 @@ func (p *PMU) RestoreState(d *snapbin.Dec) error {
 // observations to the encoder. The group schedule itself is configuration
 // the restoring caller rebuilds.
 func (m *Multiplexer) SaveState(e *snapbin.Enc) {
+	m.sync()
 	e.U32(uint32(len(m.groups)))
 	e.U32(uint32(m.active))
 	e.U64(m.sliceLen)
@@ -144,6 +150,7 @@ func (m *Multiplexer) RestoreState(d *snapbin.Dec) error {
 	if active >= len(m.groups) || sliceLeft > sliceLen || sliceLeft == 0 {
 		return fmt.Errorf("pmu: snapshot multiplexer position out of range: %w", errs.ErrBadConfig)
 	}
+	m.sync()
 	m.active = active
 	m.sliceLeft = sliceLeft
 	m.observed = observed

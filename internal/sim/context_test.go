@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"threadcluster/internal/errs"
@@ -36,6 +37,32 @@ func TestRunHonorsContextCancellation(t *testing.T) {
 	}
 	if m.Clock() != before {
 		t.Error("a pre-cancelled context should not advance the clock")
+	}
+}
+
+// TestRunSaturatesHugeBudgets gives Run, on a clock already past zero, a
+// budget that would carry the clock past 2^64: the end of the run must
+// saturate rather than wrap below the clock (which ran nothing and
+// reported success), so the machine runs until the context stops it.
+func TestRunSaturatesHugeBudgets(t *testing.T) {
+	m := newLoadedMachine(t, 4)
+	if err := m.RunRoundsCtx(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	const want = 3
+	stop := m.Rounds() + want
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.OnTick(func(m *Machine) {
+		if m.Rounds() == stop {
+			cancel()
+		}
+	})
+	if err := m.Run(ctx, math.MaxUint64); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run(MaxUint64) err = %v, want context.Canceled after %d rounds", err, want)
+	}
+	if m.Rounds() != stop {
+		t.Fatalf("Run(MaxUint64) stopped at round %d, want %d", m.Rounds(), stop)
 	}
 }
 

@@ -14,6 +14,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/errs"
@@ -355,9 +356,13 @@ func (m *Machine) SetAccessObserver(o AccessObserver) { m.observer = o }
 // Run advances the machine by (at least) the given number of cycles, in
 // whole scheduling rounds, checking ctx at every round boundary. It
 // returns ctx's error if the context is cancelled before the cycles
-// elapse, leaving the machine in a consistent between-rounds state.
+// elapse, leaving the machine in a consistent between-rounds state. A
+// budget that would run the clock past its range runs until cancelled.
 func (m *Machine) Run(ctx context.Context, cycles uint64) error {
 	end := m.clock + cycles
+	if end < m.clock {
+		end = math.MaxUint64
+	}
 	for m.clock < end {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -456,18 +461,16 @@ func (m *Machine) smtBusy(cpu topology.CPUID) bool {
 // deferred coherence (the caller owns the slice barrier); nil uses the
 // hierarchy's immediate-coherence Access.
 //
-// This is the simulator's hot loop and must not allocate: PMU deltas
-// accumulate in a stack batch flushed once per slice (whenever no armed
-// overflow handler needs the per-reference Observe timing), the lane/
-// hierarchy fast paths are allocation-free, and the loop introduces no
-// closures or interface conversions of its own.
+// This is the simulator's hot loop and must not allocate. Every reference
+// takes the same observation path: each event goes to PMU.Add, which
+// observes it at once when an armed overflow handler counts it and
+// otherwise leaves it in the PMU's pending batch, flushed before anything
+// reads or reprograms the PMU. So a handler fires at the exact reference
+// that overflows its counter, and an unarmed event costs one add. The
+// lane/hierarchy fast paths are allocation-free, and the loop introduces
+// no closures or interface conversions of its own.
 func (m *Machine) runSlice(cpu topology.CPUID, t *Thread, budget uint64, smtBusy bool, lane *cache.Lane) {
 	p := m.pmus[cpu]
-	// Batched observation is count-equivalent to per-reference Observe
-	// calls except for the firing points of armed overflow handlers (and
-	// an observer may arm one mid-slice), so those keep the exact path.
-	batched := m.observer == nil && !p.HasArmedHandler()
-	var batch pmu.Batch
 	var used uint64
 	for used < budget {
 		ref := t.Gen.Next()
@@ -503,43 +506,25 @@ func (m *Machine) runSlice(cpu topology.CPUID, t *Thread, budget uint64, smtBusy
 			m.overhead += observerCycles
 		}
 
-		if batched {
-			batch.Add(pmu.EvCycles, total)
-			batch.Add(pmu.EvInstCompleted, completion)
-			batch.Add(pmu.EvCompletionCycles, completion)
-			if hasStall && stall > 0 {
-				batch.Add(stallEv, stall)
-			}
-			if smtStall > 0 {
-				batch.Add(pmu.EvStallSMT, smtStall)
-			}
-			batch.Add(pmu.EvStallBranch, ref.BranchStall)
-			batch.Add(pmu.EvStallOther, ref.OtherStall)
-		} else {
-			p.Observe(pmu.EvCycles, total)
-			p.Observe(pmu.EvInstCompleted, completion)
-			p.Observe(pmu.EvCompletionCycles, completion)
-			if hasStall && stall > 0 {
-				p.Observe(stallEv, stall)
-			}
-			if smtStall > 0 {
-				p.Observe(pmu.EvStallSMT, smtStall)
-			}
-			if ref.BranchStall > 0 {
-				p.Observe(pmu.EvStallBranch, ref.BranchStall)
-			}
-			if ref.OtherStall > 0 {
-				p.Observe(pmu.EvStallOther, ref.OtherStall)
-			}
-			if observerCycles > 0 {
-				p.Observe(pmu.EvStallOther, observerCycles)
-			}
+		// One Add per event occurrence, in a fixed order: an armed event
+		// is observed right here, so the split matters (the observer's
+		// cycles are a second EvStallOther occurrence, not part of the
+		// first).
+		p.Add(pmu.EvCycles, total)
+		p.Add(pmu.EvInstCompleted, completion)
+		p.Add(pmu.EvCompletionCycles, completion)
+		if hasStall {
+			p.Add(stallEv, stall)
+		}
+		p.Add(pmu.EvStallSMT, smtStall)
+		p.Add(pmu.EvStallBranch, ref.BranchStall)
+		p.Add(pmu.EvStallOther, ref.OtherStall)
+		if observerCycles > 0 {
+			p.Add(pmu.EvStallOther, observerCycles)
 		}
 		if res.L1Miss {
 			// RecordMiss updates the sampling register and may fire the
-			// remote-access overflow handler synchronously. It stays
-			// per-reference even when batching: the sampling register
-			// must always hold the *last* miss.
+			// remote-access overflow handler synchronously.
 			p.RecordMiss(res.Line, res.Source)
 		}
 		if res.Source.Remote() {
@@ -547,15 +532,12 @@ func (m *Machine) runSlice(cpu topology.CPUID, t *Thread, budget uint64, smtBusy
 		}
 
 		// Charge any overflow-handler time to this CPU and account it as
-		// cycles: the detection phase's runtime overhead (Figure 8). With
-		// no armed handler (the batched case) there is nothing to drain.
-		if !batched {
-			if ic := p.DrainInterruptCycles(); ic > 0 {
-				p.Observe(pmu.EvCycles, ic)
-				p.Observe(pmu.EvStallOther, ic)
-				m.overhead += ic
-				total += ic
-			}
+		// cycles: the detection phase's runtime overhead (Figure 8).
+		if ic := p.DrainInterruptCycles(); ic > 0 {
+			p.Add(pmu.EvCycles, ic)
+			p.Add(pmu.EvStallOther, ic)
+			m.overhead += ic
+			total += ic
 		}
 
 		if m.capture != nil {
@@ -565,9 +547,6 @@ func (m *Machine) runSlice(cpu topology.CPUID, t *Thread, budget uint64, smtBusy
 		t.Cycles += total
 		t.Insts += completion
 		t.Ops += ref.Ops
-	}
-	if batched {
-		p.ObserveBatch(&batch)
 	}
 }
 

@@ -2,10 +2,13 @@ package workloads
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"threadcluster/internal/core"
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
+	"threadcluster/internal/sim"
 )
 
 // TestBTreeGeneratorsAmortisedZeroAlloc pins the B-tree workloads'
@@ -79,6 +82,70 @@ func TestSerialRoundsAmortisedZeroAlloc(t *testing.T) {
 	}
 	if perKref := 1000 * perRun / refsPerRun; perKref >= 10 {
 		t.Errorf("serial rounds allocate %.2f per 1000 references (%.0f allocs, %.0f refs per %d rounds), want < 10",
+			perKref, perRun, refsPerRun, rounds)
+	}
+}
+
+// TestArmedRoundsAmortisedZeroAlloc is the armed-handler sibling of
+// TestSerialRoundsAmortisedZeroAlloc: volano under the clustering engine
+// on the OpenPower 720, held mid-detection, so every CPU's remote-access
+// counter carries an armed overflow handler. Such rounds never defer
+// coherence, and every reference goes through PMU.Add with one event
+// observed at once and the rest pending. Whole rounds must stay under
+// one allocation per thousand references (about 0.2 measured: the
+// scheduler's run-queue appends and the clustered policy's per-round
+// balancing, none of them per reference).
+func TestArmedRoundsAmortisedZeroAlloc(t *testing.T) {
+	spec, err := NewVolano(memory.NewDefaultArena(), DefaultVolanoConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := sim.DefaultConfig() // full 100k-cycle quanta: per-round allocations spread thin
+	mcfg.Policy = sched.PolicyClustered
+	m, err := sim.NewMachine(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Install(m); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.TargetSamples = math.MaxInt // never leave detection
+	e, err := core.New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Install(); err != nil {
+		t.Fatal(err)
+	}
+	e.ForceDetection()
+	ctx := context.Background()
+	if err := m.RunRoundsCtx(ctx, 100); err != nil {
+		t.Fatal(err)
+	}
+	if !m.PMU(0).HasArmedHandler() || e.Phase() != core.PhaseDetecting {
+		t.Fatal("the engine is not sampling: no handler is armed")
+	}
+	refs := func() (n uint64) {
+		for _, c := range m.Hierarchy().SourceCounts() {
+			n += c
+		}
+		return n
+	}
+	const rounds = 10
+	before, samples := refs(), e.SamplesRead()
+	perRun := testing.AllocsPerRun(10, func() {
+		if err := m.RunRoundsCtx(ctx, rounds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if e.SamplesRead() == samples {
+		t.Fatal("no handler fired while measuring")
+	}
+	// AllocsPerRun runs the function once more to warm up: 11 runs in all.
+	refsPerRun := float64(refs()-before) / 11
+	if perKref := 1000 * perRun / refsPerRun; perKref >= 1 {
+		t.Errorf("armed rounds allocate %.2f per 1000 references (%.0f allocs, %.0f refs per %d rounds), want < 1",
 			perKref, perRun, refsPerRun, rounds)
 	}
 }

@@ -95,26 +95,30 @@ func (w *stagedWorker) RestoreState(state []byte) error {
 	return nil
 }
 
+// Next builds its reference in locals and returns one composite literal
+// (see syntheticWorker.Next for why).
 func (w *stagedWorker) Next() sim.MemRef {
 	w.step++
 	branch, other := stallNoise(&w.rng, 2, 4)
-	base := sim.MemRef{Insts: 10, BranchStall: branch, OtherStall: other}
+	var addr memory.Addr
+	var write bool
+	var ops uint64
 	switch w.step % 6 {
 	case 0: // dequeue: read + head-pointer update on the inbound queue
-		base.Addr = pickHot(&w.rng, w.inbound, stagedHotQueueLines, 0.6)
-		base.Write = w.rng.Intn(2) == 0
+		addr = pickHot(&w.rng, w.inbound, stagedHotQueueLines, 0.6)
+		write = w.rng.Intn(2) == 0
 	case 1: // enqueue: write into the outbound queue
-		base.Addr = pickHot(&w.rng, w.outbound, stagedHotQueueLines, 0.6)
-		base.Write = true
-		base.Ops = 1 // one event processed
+		addr = pickHot(&w.rng, w.outbound, stagedHotQueueLines, 0.6)
+		write = true
+		ops = 1 // one event processed
 	case 2: // stage-internal shared state, read-mostly
-		base.Addr = pick(&w.rng, w.state)
-		base.Write = w.rng.Intn(8) == 0
+		addr = pick(&w.rng, w.state)
+		write = w.rng.Intn(8) == 0
 	default: // private scratch work
-		base.Addr = pick(&w.rng, w.scratch)
-		base.Write = w.rng.Intn(3) == 0
+		addr = pick(&w.rng, w.scratch)
+		write = w.rng.Intn(3) == 0
 	}
-	return base
+	return sim.MemRef{Addr: addr, Write: write, Insts: 10, BranchStall: branch, OtherStall: other, Ops: ops}
 }
 
 // NewStaged builds the staged-server workload. Thread IDs interleave

@@ -106,6 +106,12 @@ func (w *syntheticWorker) RestoreState(state []byte) error {
 	return nil
 }
 
+// Next returns each reference as one composite literal built from
+// values already in registers. Assembling a MemRef field by field in a
+// local and returning it makes the compiler write the fields to the stack
+// and then copy the struct out with wide loads that straddle those
+// narrower stores, which defeats store-to-load forwarding on every call.
+// The other confined generators follow the same shape.
 func (w *syntheticWorker) Next() sim.MemRef {
 	w.refs++
 	if w.phaseAfterRefs > 0 && w.refs == w.phaseAfterRefs {

@@ -96,26 +96,30 @@ func (v *volanoThread) RestoreState(state []byte) error {
 	return nil
 }
 
+// Next builds its reference in locals and returns one composite literal
+// (see syntheticWorker.Next for why).
 func (v *volanoThread) Next() sim.MemRef {
 	v.step++
 	branch, other := stallNoise(&v.rng, 3, 6)
-	base := sim.MemRef{Insts: 12, BranchStall: branch, OtherStall: other}
+	var addr memory.Addr
+	var write bool
+	var ops uint64
 	switch v.step % 8 {
 	case 0: // message transfer through the room board
-		base.Addr = pickHot(&v.rng, v.room, volanoHotRoomLines, 0.5)
-		base.Write = v.writer
-		base.Ops = 1 // one message handled
+		addr = pickHot(&v.rng, v.room, volanoHotRoomLines, 0.5)
+		write = v.writer
+		ops = 1 // one message handled
 	case 1: // connection buffer (pair-shared)
-		base.Addr = pick(&v.rng, v.conn)
-		base.Write = !v.writer
+		addr = pick(&v.rng, v.conn)
+		write = !v.writer
 	case 2: // global server state, mostly reads with occasional updates
-		base.Addr = pick(&v.rng, v.global)
-		base.Write = v.rng.Intn(16) == 0
+		addr = pick(&v.rng, v.global)
+		write = v.rng.Intn(16) == 0
 	default: // heap churn: parsing, formatting, GC-ish traffic
-		base.Addr = pick(&v.rng, v.heap)
-		base.Write = v.rng.Intn(3) == 0
+		addr = pick(&v.rng, v.heap)
+		write = v.rng.Intn(3) == 0
 	}
-	return base
+	return sim.MemRef{Addr: addr, Write: write, Insts: 12, BranchStall: branch, OtherStall: other, Ops: ops}
 }
 
 // VolanoServer is the chat server's long-lived state: its rooms and
