@@ -13,10 +13,10 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (detrand, wallclock, maporder, errwrap,
-# ctxplumb, nodeprecated, seedflow, snapfields; see DESIGN.md §6), run
-# by tclint's own driver: it loads ./... with `go list -export -deps`
-# and analyzes the packages in dependency order, the interprocedural
-# analyzers' facts held in one in-memory store. The cmd/ tree is
+# ctxplumb, nodeprecated, snapfields; see DESIGN.md §6), run by
+# tclint's own driver: it loads ./... with `go list -export -deps` and
+# analyzes the packages in dependency order, snapfields' facts held in
+# one in-memory store. The cmd/ tree is
 # allowlisted for wall-clock reads wholesale: operator-facing progress
 # timing and the tcsimd system clock live there, never in internal/.
 tclint:

@@ -303,7 +303,7 @@ func RunSweep(ctx context.Context, tasks []SweepTask, workers int) ([]SweepResul
 
 // DeriveSeed decorrelates a per-task seed from a base seed and task index;
 // the mapping is fixed, so sweeps are reproducible run to run.
-func DeriveSeed(base int64, index int) int64 { return sweep.DeriveSeed(base, index) }
+func DeriveSeed(seed int64, index int) int64 { return sweep.DeriveSeed(seed, index) }
 
 // Traces.
 type (

@@ -1,7 +1,7 @@
-// Command tclint runs the project's static-analysis suite: eight
+// Command tclint runs the project's static-analysis suite: seven
 // analyzers (detrand, wallclock, maporder, errwrap, ctxplumb,
-// nodeprecated, seedflow, snapfields) that enforce the determinism,
-// error-wrapping, context, deprecation-hygiene, seed-provenance and
+// nodeprecated, snapfields) that enforce the determinism (seed
+// provenance included), error-wrapping, context, deprecation-hygiene and
 // snapshot-coverage contracts the simulator's differential tests check
 // dynamically. See DESIGN.md §6 for the contract each analyzer guards.
 //

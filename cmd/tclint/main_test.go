@@ -79,50 +79,70 @@ func scratchModule(t *testing.T, files map[string]string) string {
 }
 
 // TestStandaloneFacts proves facts cross real package boundaries through
-// the real loader: the seed obligation on seedlib.NewGen is computed
-// while analyzing the library package and read back when the dependent
-// package is checked — the constant-seed diagnostic in the caller is
-// only possible if the fact arrived. Under ./internal/sim, seedlib is
-// loaded DepOnly, so the fact comes from a package whose own
-// diagnostics are withheld.
+// the real loader: snaplib.Comp's SnapFieldsFact is computed while
+// analyzing the library package and read back when the dependent package
+// is checked. Holder mentions both of its Comp fields, so only the
+// cross-package rule can flag the one it never snapshots, and that rule
+// knows Comp is snapshotable only if the fact arrived. Under
+// ./internal/sim, snaplib is loaded DepOnly, so the fact comes from a
+// package whose own diagnostics are withheld.
 func TestStandaloneFacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a scratch module")
 	}
 	bin := buildTclint(t)
 	dir := scratchModule(t, map[string]string{
-		// seedflow's primitive seeding site is threadcluster/internal/rng.New,
-		// by path and name; the scratch module supplies a stand-in.
-		"internal/rng/rng.go": `package rng
+		// snapfields recognizes state code by threadcluster/internal/snapbin's
+		// Enc and Dec, by path and name; the scratch module supplies a
+		// stand-in.
+		"internal/snapbin/snapbin.go": `package snapbin
 
-type Rand struct{ seed int64 }
+type Enc struct{ buf []byte }
 
-func New(seed int64) *Rand { return &Rand{seed: seed} }
+func (e *Enc) U64(v uint64) { e.buf = append(e.buf, byte(v)) }
+
+func (e *Enc) Bool(v bool) { e.U64(0) }
+
+type Dec struct{ buf []byte }
+
+func (d *Dec) U64() uint64 { return uint64(len(d.buf)) }
+
+func (d *Dec) Bool() bool { return len(d.buf) > 0 }
 `,
-		"internal/seedlib/seedlib.go": `package seedlib
+		"internal/snaplib/snaplib.go": `package snaplib
 
-import "threadcluster/internal/rng"
+import "threadcluster/internal/snapbin"
 
-// NewGen picks up a seed obligation on its parameter: callers must
-// pass something traceable to a run seed.
-func NewGen(seed int64) *rng.Rand {
-	return rng.New(seed)
+// Comp is a complete state provider.
+type Comp struct{ ticks uint64 }
+
+func (c *Comp) SaveState(e *snapbin.Enc) { e.U64(c.ticks) }
+
+func (c *Comp) RestoreState(d *snapbin.Dec) error {
+	c.ticks = d.U64()
+	return nil
 }
 `,
 		"internal/sim/use.go": `package sim
 
-import "threadcluster/internal/seedlib"
+import (
+	"threadcluster/internal/snapbin"
+	"threadcluster/internal/snaplib"
+)
 
-type Config struct {
-	Seed int64
+type Holder struct {
+	primary *snaplib.Comp
+	shadow  *snaplib.Comp
 }
 
-func Fine(cfg Config) {
-	_ = seedlib.NewGen(cfg.Seed)
+func (h *Holder) SaveState(e *snapbin.Enc) {
+	h.primary.SaveState(e)
+	e.Bool(h.shadow != nil)
 }
 
-func Broken() {
-	_ = seedlib.NewGen(42)
+func (h *Holder) RestoreState(d *snapbin.Dec) error {
+	_ = d.Bool()
+	return h.primary.RestoreState(d)
 }
 `,
 	})
@@ -136,9 +156,9 @@ func Broken() {
 			t.Fatalf("tclint %s: err = %v, want exit code 1; output:\n%s", pattern, err, out)
 		}
 		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-		if len(lines) != 1 || !strings.Contains(lines[0], "use.go:14:") ||
-			!strings.Contains(lines[0], "seedlib.NewGen is seeded with a constant") {
-			t.Errorf("tclint %s: want exactly one constant-seed finding at use.go:14; got:\n%s", pattern, out)
+		if len(lines) != 1 || !strings.Contains(lines[0], "use.go:10:") ||
+			!strings.Contains(lines[0], "Holder serializes some snapshotable components but never field shadow") {
+			t.Errorf("tclint %s: want exactly one snapfields finding at use.go:10; got:\n%s", pattern, out)
 		}
 	}
 }

@@ -30,7 +30,8 @@ import (
 // The build flags (-workload, -policy, -topo, -seed, -coherence) must
 // match between the snapshotting run and the resuming run: generators
 // and PMU programming are rebuilt from them, then validated against the
-// snapshot during restore. Only workloads with confined generators
+// snapshot during restore; a resume under another -seed is refused with
+// a bad-configuration error. Only workloads with confined generators
 // (microbenchmark, volano) can snapshot; specjbb and rubis touch shared
 // scoreboards mid-quantum and are rejected with a bad-configuration
 // error.
@@ -43,7 +44,7 @@ func runSnapshot(args []string, stdout, stderr io.Writer) error {
 		policyFlag = fs.String("policy", "default",
 			"placement policy: default|round-robin|hand-optimized|clustered (clustered attaches the engine)")
 		topoFlag  = fs.String("topo", experiments.TopoOpenPower720, "topology: open720|power5-32")
-		seed      = fs.Int64("seed", 1, "simulation seed; must match the snapshot when resuming")
+		seed      = fs.Int64("seed", 1, "simulation seed; must match the snapshot when resuming (a mismatch is refused)")
 		rounds    = fs.Int("rounds", 200, "scheduling rounds to run before snapshotting")
 		out       = fs.String("out", "", "write the machine snapshot to this file")
 		resume    = fs.String("resume", "", "restore the machine from this snapshot file, then run -rounds more")

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"threadcluster/internal/errs"
 )
 
 // runSnapshotOut runs the snapshot subcommand with a tiny round budget
@@ -46,6 +49,25 @@ func TestSnapshotSplitRunIdentity(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("snapshot files differ: full %d bytes, resumed %d bytes", len(a), len(b))
+	}
+}
+
+// TestSnapshotResumeRefusesForeignSeed: -seed must match the snapshot
+// when resuming. A resume under another seed fails with a
+// bad-configuration error and writes nothing, rather than continuing the
+// snapshot's run and reporting it under the new seed.
+func TestSnapshotResumeRefusesForeignSeed(t *testing.T) {
+	dir := t.TempDir()
+	half := filepath.Join(dir, "half.snap")
+	resumed := filepath.Join(dir, "resumed.snap")
+	runSnapshotOut(t, "-workload", "volano", "-rounds", "10", "-seed", "1", "-out", half)
+	err := runSnapshot([]string{"-workload", "volano", "-resume", half, "-seed", "2", "-rounds", "5", "-out", resumed},
+		io.Discard, io.Discard)
+	if !errors.Is(err, errs.ErrBadConfig) {
+		t.Fatalf("resume with a foreign -seed: %v, want ErrBadConfig", err)
+	}
+	if _, err := os.Stat(resumed); !os.IsNotExist(err) {
+		t.Errorf("refused resume left %s behind (stat: %v)", resumed, err)
 	}
 }
 

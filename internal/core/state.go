@@ -192,6 +192,9 @@ func (e *Engine) RestoreState(d *snapbin.Dec) error {
 	if !e.installed {
 		return fmt.Errorf("core: engine must be Installed before restore: %w", errs.ErrBadConfig)
 	}
+	if err := e.rng.Restore(rng.State{Seed: rngSeed, Draws: rngDraws}); err != nil {
+		return fmt.Errorf("core: jitter generator: %w", err)
+	}
 
 	e.phase = phase
 	e.windowStart = windowStart
@@ -201,7 +204,6 @@ func (e *Engine) RestoreState(d *snapbin.Dec) error {
 	e.shmaps = shmaps
 	e.filters = filters
 	e.filter = filters[0]
-	e.rng.Restore(rng.State{Seed: rngSeed, Draws: rngDraws})
 	e.samplesRead = int(samplesRead)
 	e.samplesAdmitted = int(samplesAdmitted)
 	e.cumSamplesRead = cumRead

@@ -48,8 +48,7 @@ func (g *confinedSharer) RestoreState(state []byte) error {
 	if err := d.Close(); err != nil {
 		return err
 	}
-	g.rng.Restore(rng.State{Seed: seed, Draws: draws})
-	return nil
+	return g.rng.Restore(rng.State{Seed: seed, Draws: draws})
 }
 
 // installConfinedWorkload adds the interleaved sharing groups plus the

@@ -6,15 +6,14 @@ import (
 	"reflect"
 )
 
-// This file is the facts layer: the mechanism that turns the suite from
-// six intra-package checkers into an interprocedural one. An analyzer
+// This file is the facts layer: the mechanism that lets an analyzer see
+// across package boundaries what export data does not carry. An analyzer
 // running on package P can attach a Fact to one of P's package-level
 // objects (a function, method, type or variable); when the suite later
 // analyzes a package that imports P, the same analyzer can look that
-// fact up by object and act on it. Facts are how seedflow knows that
-// sched.New's argument reaches rng.New while analyzing a package three
-// import hops away, and how snapfields knows that cache.Hierarchy is a
-// snapshotable component while analyzing sim.
+// fact up by object and act on it. Its one client is snapfields: facts
+// are how it knows that cache.Hierarchy is a snapshotable component
+// while analyzing sim.
 //
 // The driver analyzes packages in dependency order and threads one
 // in-memory store through all of them, so a package's facts are in the

@@ -92,14 +92,3 @@ type I interface{ IfaceMethod() }
 		}
 	}
 }
-
-// The seedflow fixpoint stops when no summary changes; a summary that
-// only flips between nil and empty slices has not changed.
-func TestSeedSummaryEqual(t *testing.T) {
-	a := &SeedSummaryFact{SinkGroups: [][]uint32{{0}, {}}}
-	b := &SeedSummaryFact{ResultParams: []uint32{}, SinkGroups: [][]uint32{{0}, nil}}
-	c := &SeedSummaryFact{SinkGroups: [][]uint32{{0}, {1}}}
-	if !a.equal(b) || a.equal(c) {
-		t.Errorf("equal: nil vs empty = %v (want true), different groups = %v (want false)", a.equal(b), a.equal(c))
-	}
-}

@@ -1,12 +1,12 @@
-// Package lint is the project's static-analysis suite: eight analyzers
-// that enforce the determinism, error-wrapping, context, deprecation-
-// hygiene, seed-provenance and snapshot-coverage contracts the
-// simulator's differential tests rely on dynamically. The sweep
-// runner promises byte-identical results for any worker count and the
-// coherence differential harness requires byte-identical AccessResults
-// between broadcast and directory mode; a single stray time.Now, global
-// math/rand call or unsorted map iteration in a result path silently
-// voids both. These analyzers catch that class of regression at vet
+// Package lint is the project's static-analysis suite: seven analyzers
+// that enforce the determinism (seed provenance included), error-
+// wrapping, context, deprecation-hygiene and snapshot-coverage
+// contracts the simulator's differential tests rely on dynamically.
+// The sweep runner promises byte-identical results for any worker
+// count and the coherence differential harness requires byte-identical
+// AccessResults between broadcast and directory mode; a single stray
+// time.Now, global math/rand call or unsorted map iteration in a result
+// path silently voids both. These analyzers catch that class of regression at vet
 // time instead of waiting for a differential test to flake.
 //
 // The package is deliberately built on the standard library's go/ast
@@ -23,8 +23,8 @@
 // `-- reason` is itself a diagnostic: the repo's own tree must justify
 // every allowance.
 //
-// Interprocedural analyzers (seedflow, snapfields) additionally
-// exchange Facts across package boundaries; see facts.go.
+// The interprocedural analyzer, snapfields, additionally exchanges
+// Facts across package boundaries; see facts.go.
 package lint
 
 import (
@@ -259,8 +259,8 @@ func parseAllow(text string) (names []string, reason string, ok bool) {
 }
 
 // All returns the full suite in stable order. The first six are
-// package-local; seedflow and snapfields are interprocedural and need
-// facts from the package's dependencies to be complete.
+// package-local; snapfields is interprocedural and needs facts from the
+// package's dependencies to be complete.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetRand,
@@ -269,7 +269,6 @@ func All() []*Analyzer {
 		ErrWrap,
 		CtxPlumb,
 		NoDeprecated,
-		SeedFlow,
 		SnapFields,
 	}
 }

@@ -20,8 +20,8 @@ func TestParseAllow(t *testing.T) {
 		{"//tclint:allow detrand maporder", []string{"detrand", "maporder"}, ""},
 		{"//tclint:allow\tdetrand,\twallclock -- tab separators", []string{"detrand", "wallclock"}, "tab separators"},
 		{"//tclint:allow * -- blanket", []string{"*"}, "blanket"},
-		{"//tclint:allow seedflow --", []string{"seedflow"}, ""},    // empty reason is a bare allow
-		{"//tclint:allow seedflow --   ", []string{"seedflow"}, ""}, // whitespace-only reason too
+		{"//tclint:allow snapfields --", []string{"snapfields"}, ""},    // empty reason is a bare allow
+		{"//tclint:allow snapfields --   ", []string{"snapfields"}, ""}, // whitespace-only reason too
 		{"//tclint:allow", nil, ""},            // no names, not a suppression
 		{"//tclint:allowed nothing", nil, ""},  // different directive
 		{"// tclint:allow wallclock", nil, ""}, // the directive admits no space, like //go:
@@ -98,7 +98,7 @@ func TestAllStable(t *testing.T) {
 	for _, a := range All() {
 		names = append(names, a.Name)
 	}
-	want := []string{"detrand", "wallclock", "maporder", "errwrap", "ctxplumb", "nodeprecated", "seedflow", "snapfields"}
+	want := []string{"detrand", "wallclock", "maporder", "errwrap", "ctxplumb", "nodeprecated", "snapfields"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("All() = %v, want %v", names, want)
 	}

@@ -1,14 +1,19 @@
 // Package rng is the simulator's random number generator, a
 // counter-based SplitMix64: a generator is a seed and a count of draws,
 // and its n-th output is mix(mix(seed) + n·γ). The sixteen bytes a
-// snapshot stores are therefore its complete state, and seeding and
-// Restore are assignments. A run's scheduler draws from the run seed's
-// own stream; every other stream is seeded with Derive(run seed, stream
-// index), so adding a consumer never shifts another's stream and
-// siblings never start on adjacent counters.
+// snapshot stores are therefore its complete state. New is the only call
+// that picks a stream; Restore moves a generator along its own. A run's
+// scheduler draws from the run seed's own stream; every other stream is
+// seeded with Derive(run seed, stream index), so adding a consumer never
+// shifts another's stream and siblings never start on adjacent counters.
 package rng
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+
+	"threadcluster/internal/errs"
+)
 
 // gamma is SplitMix64's counter increment (2^64/φ, odd).
 const gamma = 0x9E3779B97F4A7C15
@@ -20,10 +25,10 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Derive maps (base seed, stream index) to the seed of an independent
+// Derive maps (seed, stream index) to the seed of an independent
 // stream. The result is non-negative, which reads better in reports.
-func Derive(base int64, index int) int64 {
-	return int64(mix(uint64(base)+uint64(index)*gamma) &^ (1 << 63))
+func Derive(seed int64, index int) int64 {
+	return int64(mix(uint64(seed)+uint64(index)*gamma) &^ (1 << 63))
 }
 
 // State is a generator's complete state: its seed and outputs consumed.
@@ -45,8 +50,15 @@ func New(seed int64) *Rand { return &Rand{seed: seed, key: mix(uint64(seed))} }
 // State returns the generator's current position.
 func (r *Rand) State() State { return State{Seed: r.seed, Draws: r.n} }
 
-// Restore moves the generator to exactly st.
-func (r *Rand) Restore(st State) { r.seed, r.key, r.n = st.Seed, mix(uint64(st.Seed)), st.Draws }
+// Restore moves the generator to draw st.Draws of its own stream. It
+// refuses another seed's State with errs.ErrBadConfig and stays put.
+func (r *Rand) Restore(st State) error {
+	if mix(uint64(st.Seed)) != r.key { // mix is a bijection: equal keys, equal seeds
+		return fmt.Errorf("rng: restoring a seed-%d position onto a seed-%d generator: %w", st.Seed, r.seed, errs.ErrBadConfig)
+	}
+	r.n = st.Draws
+	return nil
+}
 
 // Uint64 returns the next output.
 func (r *Rand) Uint64() uint64 {

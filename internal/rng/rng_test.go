@@ -1,6 +1,11 @@
 package rng
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"threadcluster/internal/errs"
+)
 
 // TestSplitMix64KnownAnswers pins the raw step — state += γ, output
 // mix(state) — to the reference implementation's vector for state
@@ -63,7 +68,8 @@ func drawMixed(r *Rand, op byte) uint64 {
 }
 
 // TestStateRestore: capture mid-stream, keep drawing, restore into a
-// fresh generator, and require the continuations to agree exactly.
+// fresh generator of the same seed — the only kind Restore accepts — and
+// require the continuations to agree exactly.
 func TestStateRestore(t *testing.T) {
 	r := New(99)
 	for i := 0; i < 12345; i++ {
@@ -73,8 +79,10 @@ func TestStateRestore(t *testing.T) {
 	if st.Seed != 99 || st.Draws < 12345 {
 		t.Fatalf("State = %+v after 12345 draws from seed 99", st)
 	}
-	fresh := New(0)
-	fresh.Restore(st)
+	fresh := New(99)
+	if err := fresh.Restore(st); err != nil {
+		t.Fatal(err)
+	}
 	if got := fresh.State(); got != st {
 		t.Fatalf("State after Restore = %+v, want %+v", got, st)
 	}
@@ -115,8 +123,10 @@ func TestStateCountsMixedMethods(t *testing.T) {
 // drawing from there.
 func TestRestoreIsConstantTime(t *testing.T) {
 	st := State{Seed: 7, Draws: 1 << 60}
-	r := New(1)
-	r.Restore(st)
+	r := New(7)
+	if err := r.Restore(st); err != nil {
+		t.Fatal(err)
+	}
 	if got := r.State(); got != st {
 		t.Fatalf("State after Restore = %+v, want %+v", got, st)
 	}
@@ -130,8 +140,8 @@ func TestRestoreIsConstantTime(t *testing.T) {
 }
 
 // FuzzRandRestore: after any prefix of draws through any mix of
-// methods, State → Restore into a fresh generator yields the same
-// continuation.
+// methods, State → Restore into a fresh generator of the same seed
+// yields the same continuation.
 func FuzzRandRestore(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3})
 	f.Add(int64(-20070321), []byte{3, 3, 1, 2, 2, 0, 1})
@@ -145,8 +155,10 @@ func FuzzRandRestore(f *testing.F) {
 		if st.Seed != seed || st.Draws < uint64(len(ops)) {
 			t.Fatalf("State = %+v after %d draws from seed %d", st, len(ops), seed)
 		}
-		b := New(^seed)
-		b.Restore(st)
+		b := New(seed)
+		if err := b.Restore(st); err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 64; i++ {
 			op := byte(i)
 			if i < len(ops) {
@@ -160,6 +172,28 @@ func FuzzRandRestore(f *testing.F) {
 			t.Fatalf("states diverged: %+v vs %+v", a.State(), b.State())
 		}
 	})
+}
+
+// TestRestoreRefusesForeignSeed: New is the only call that picks a
+// stream. A State of another seed's stream is refused with ErrBadConfig
+// and leaves the generator where it was, at every position.
+func TestRestoreRefusesForeignSeed(t *testing.T) {
+	for _, foreign := range []State{{Seed: 8}, {Seed: 8, Draws: 5}, {Seed: -7, Draws: 1 << 60}} {
+		r := New(7)
+		r.Uint64()
+		before := r.State()
+		if err := r.Restore(foreign); !errors.Is(err, errs.ErrBadConfig) {
+			t.Errorf("Restore(%+v) onto New(7) = %v, want ErrBadConfig", foreign, err)
+		}
+		if got := r.State(); got != before {
+			t.Errorf("refused Restore(%+v) moved the generator: %+v, want %+v", foreign, got, before)
+		}
+		ref := New(7)
+		ref.Uint64()
+		if got, want := r.Uint64(), ref.Uint64(); got != want {
+			t.Errorf("draw after refused Restore(%+v) = %d, want seed 7's second output %d", foreign, got, want)
+		}
+	}
 }
 
 // chiSquare returns Pearson's statistic of observed counts against a

@@ -107,12 +107,14 @@ func (s *Scheduler) RestoreState(d *snapbin.Dec) error {
 			return fmt.Errorf("sched: pinned thread %d: %w", id, errs.ErrUnknownThread)
 		}
 	}
+	if err := s.rng.Restore(rng.State{Seed: rngSeed, Draws: rngDraws}); err != nil {
+		return fmt.Errorf("sched: %w", err)
+	}
 
 	s.queues = queues
 	s.cpuOf = cpuOf
 	s.running = make(map[ThreadID]bool)
 	s.rrNext = rrNext
-	s.rng.Restore(rng.State{Seed: rngSeed, Draws: rngDraws})
 	s.migrations = migrations
 	s.steals = steals
 	s.pinned = pinned

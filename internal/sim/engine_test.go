@@ -52,9 +52,8 @@ func (g *diffGen) RestoreState(state []byte) error {
 	if err := d.Close(); err != nil {
 		return err
 	}
-	g.rng.Restore(rng.State{Seed: seed, Draws: draws})
 	g.step = int(step)
-	return nil
+	return g.rng.Restore(rng.State{Seed: seed, Draws: draws})
 }
 
 func (g *diffGen) Next() MemRef {

@@ -21,7 +21,6 @@ import (
 	"threadcluster/internal/memory"
 	"threadcluster/internal/metrics"
 	"threadcluster/internal/pmu"
-	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/topology"
 )
@@ -136,7 +135,6 @@ type Machine struct {
 
 	clock    uint64 // machine time in cycles
 	rounds   uint64 // completed scheduling rounds
-	rng      *rng.Rand
 	ticks    []TickFunc
 	running  []sched.ThreadID // per CPU; -1 = idle
 	overhead uint64           // cycles burned in PMU overflow handlers
@@ -195,7 +193,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		hier:    hier,
 		sch:     sch,
 		threads: make(map[sched.ThreadID]*Thread),
-		rng:     rng.New(cfg.Seed),
 		running: make([]sched.ThreadID, cfg.Topo.NumCPUs()),
 	}
 	for i := 0; i < cfg.Topo.NumCPUs(); i++ {

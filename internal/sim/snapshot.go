@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"threadcluster/internal/errs"
-	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/snapbin"
 )
@@ -234,14 +233,14 @@ func (m *Machine) Snapshot(ctx context.Context) (*MachineSnapshot, error) {
 }
 
 // saveMachineState encodes the machine-level section: clock, counters,
-// the machine RNG, the runqueue-depth histogram, and every thread's
-// metrics and generator cursor in installation order.
+// the run seed as (cfg.Seed, 0) — the layout of an undrawn generator the
+// machine no longer keeps; restore checks both words — the runqueue-depth
+// histogram, and every thread's metrics and generator cursor in order.
 func (m *Machine) saveMachineState(e *snapbin.Enc) error {
 	e.U64(m.clock)
 	e.U64(m.rounds)
-	st := m.rng.State()
-	e.I64(st.Seed)
-	e.U64(st.Draws)
+	e.I64(m.cfg.Seed)
+	e.U64(0)
 	e.U64(m.overhead)
 	e.U64(m.dispatchSlots)
 	e.U64(m.dispatchBusy)
@@ -348,8 +347,8 @@ func (m *Machine) RestoreSnapshot(snap *MachineSnapshot) error {
 func (m *Machine) restoreMachineState(d *snapbin.Dec) error {
 	clock := d.U64()
 	rounds := d.U64()
-	rngSeed := d.I64()
-	rngDraws := d.U64()
+	seed := d.I64()
+	seedDraws := d.U64()
 	overhead := d.U64()
 	dispatchSlots := d.U64()
 	dispatchBusy := d.U64()
@@ -386,6 +385,9 @@ func (m *Machine) restoreMachineState(d *snapbin.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
+	if seed != m.cfg.Seed || seedDraws != 0 {
+		return fmt.Errorf("sim: snapshot of seed %d (draws %d) onto a seed-%d machine: %w", seed, seedDraws, m.cfg.Seed, errs.ErrBadConfig)
+	}
 	if err := m.depthHist.RestoreState(histCounts, histSum, histN); err != nil {
 		return fmt.Errorf("%s: %w", err, errs.ErrBadConfig)
 	}
@@ -405,7 +407,6 @@ func (m *Machine) restoreMachineState(d *snapbin.Dec) error {
 	}
 	m.clock = clock
 	m.rounds = rounds
-	m.rng.Restore(rng.State{Seed: rngSeed, Draws: rngDraws})
 	m.overhead = overhead
 	m.dispatchSlots = dispatchSlots
 	m.dispatchBusy = dispatchBusy

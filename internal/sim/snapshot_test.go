@@ -354,6 +354,33 @@ func TestSnapshotErrors(t *testing.T) {
 	})
 }
 
+// TestRestoreMachineRefusesForeignSeed: a snapshot belongs to the run
+// seed it was taken under. Restoring it onto a machine configured with
+// another seed is refused, whether the workload is rebuilt with the
+// snapshot's seed or with the machine's, instead of silently continuing
+// the snapshot's run under the wrong name.
+func TestRestoreMachineRefusesForeignSeed(t *testing.T) {
+	const seed, foreign = 5, 6
+	sc := diffTopologies()[0]
+	m := buildDiffMachine(t, sc, EngineSeq, seed)
+	if err := m.RunRoundsCtx(context.Background(), 3); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, installSeed := range []int64{seed, foreign} {
+		if _, err := RestoreMachine(diffConfig(sc, EngineSeq, foreign), snap, diffInstall(sc, installSeed)); !errors.Is(err, errs.ErrBadConfig) {
+			t.Errorf("restore of a seed-%d snapshot onto a seed-%d machine (workload seed %d): %v, want ErrBadConfig",
+				seed, foreign, installSeed, err)
+		}
+	}
+	if _, err := RestoreMachine(diffConfig(sc, EngineSeq, seed), snap, diffInstall(sc, seed)); err != nil {
+		t.Errorf("restore onto the snapshot's own seed: %v", err)
+	}
+}
+
 // FuzzSnapshotDecode pins two properties of the decoder: arbitrary bytes
 // never panic it, and any input it accepts re-encodes to the exact bytes
 // it was decoded from.

@@ -43,10 +43,10 @@ type Result struct {
 	Err error
 }
 
-// DeriveSeed maps (base seed, task index) to a per-run seed: rng.Derive,
-// the one stream-derivation function in the tree. Deterministic by
+// DeriveSeed maps (seed, task index) to a per-run seed: rng.Derive, the
+// one stream-derivation function in the tree. Deterministic by
 // construction: the schedule of workers never enters into it.
-func DeriveSeed(base int64, index int) int64 { return rng.Derive(base, index) }
+func DeriveSeed(seed int64, index int) int64 { return rng.Derive(seed, index) }
 
 // Workers resolves a worker-count request: n > 0 is used as given,
 // anything else means GOMAXPROCS.

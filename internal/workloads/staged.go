@@ -90,9 +90,8 @@ func (w *stagedWorker) RestoreState(state []byte) error {
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("workloads: staged cursor: %w", err)
 	}
-	w.rng.Restore(rng.State{Seed: seed, Draws: draws})
 	w.step = int(step)
-	return nil
+	return w.rng.Restore(rng.State{Seed: seed, Draws: draws})
 }
 
 // Next builds its reference in locals and returns one composite literal

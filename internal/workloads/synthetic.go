@@ -94,7 +94,6 @@ func (w *syntheticWorker) RestoreState(state []byte) error {
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("workloads: synthetic cursor: %w", err)
 	}
-	w.rng.Restore(rng.State{Seed: seed, Draws: draws})
 	w.refs = refs
 	// Next switches boards exactly when refs hits phaseAfterRefs; the
 	// restored cursor decides which side of the switch the worker is on.
@@ -103,7 +102,7 @@ func (w *syntheticWorker) RestoreState(state []byte) error {
 	} else {
 		w.scoreboard = w.firstBoard
 	}
-	return nil
+	return w.rng.Restore(rng.State{Seed: seed, Draws: draws})
 }
 
 // Next returns each reference as one composite literal built from

@@ -91,9 +91,8 @@ func (v *volanoThread) RestoreState(state []byte) error {
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("workloads: volano cursor: %w", err)
 	}
-	v.rng.Restore(rng.State{Seed: seed, Draws: draws})
 	v.step = int(step)
-	return nil
+	return v.rng.Restore(rng.State{Seed: seed, Draws: draws})
 }
 
 // Next builds its reference in locals and returns one composite literal

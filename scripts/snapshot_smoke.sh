@@ -7,7 +7,7 @@
 #   1. Machine snapshots: `tcsim snapshot` run for N+M rounds in one go
 #      and as a snapshot/resume pair at N produces byte-identical
 #      snapshot files (the canonical encoding is a pure function of the
-#      simulated state).
+#      simulated state), and a resume under a different -seed fails.
 #   2. Daemon checkpoints: a tcsimd job cut down mid-run by a zero-grace
 #      drain leaves a completed-cell checkpoint beside the spool, and a
 #      restarted daemon resumes it to the same result digest
@@ -40,6 +40,15 @@ if ! cmp -s "$WORK/full.snap" "$WORK/resumed.snap"; then
     exit 1
 fi
 echo "snapshot-smoke: split-run snapshot is byte-identical to the unbroken run"
+
+# A snapshot belongs to its run seed: resuming it under another -seed
+# must fail instead of continuing the snapshot's run under a new name.
+if "$WORK/tcsim" snapshot -policy clustered -resume "$WORK/half.snap" -seed 2 \
+    -rounds 30 -out "$WORK/foreign.snap" >/dev/null 2>&1; then
+    echo "snapshot-smoke: resume with a mismatched -seed exited 0" >&2
+    exit 1
+fi
+echo "snapshot-smoke: resume with a mismatched -seed is refused"
 
 # --- 2. daemon checkpoint, kill, resume -----------------------------
 
