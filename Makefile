@@ -87,7 +87,7 @@ profile-grid:
 # Short fuzzing pass over the coherence differential target, the trace
 # parser, the snapshot decoder, the snapbin codec under it, the
 # generator's State/Restore round trip, the job-spec decoder and the
-# two checkpoint decoders (CI runs the same).
+# cell-record decoder (CI runs the same).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHierarchyAccess -fuzztime 30s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 15s ./internal/trace
@@ -95,7 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSnapbinDec -fuzztime 15s ./internal/snapbin
 	$(GO) test -run '^$$' -fuzz FuzzRandRestore -fuzztime 10s ./internal/rng
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 15s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzCheckpoint -fuzztime 15s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzCellRecord -fuzztime 15s ./internal/server
 
 # Race-detector coverage for the concurrent packages, including the
 # chip-parallel engine differential (seq vs parallel byte-identity under
@@ -128,10 +128,11 @@ test-race:
 server-smoke:
 	sh ./scripts/server_smoke.sh
 
-# End-to-end smoke of snapshot/restore and checkpoint/resume: a split
-# `tcsim snapshot` run must be byte-identical to an unbroken one, and a
-# tcsimd job cut down mid-run must resume from its checkpoint to the
-# offline sweep digest.
+# End-to-end smoke of snapshot/restore and daemon resume: a split
+# `tcsim snapshot` run must be byte-identical to an unbroken one, a
+# tcsimd SIGKILLed mid-job must resume from its cell records to the
+# offline sweep digest, and a resubmission under a new ID must replay
+# them to the same digest.
 snapshot-smoke:
 	sh ./scripts/snapshot_smoke.sh
 
@@ -155,7 +156,8 @@ experiments:
 # refactor or a host-time optimisation, whose whole proof is that these
 # files did not change. Review the diff of experiments_output.txt and run
 # the shape tests (`make test`) afterwards: they, not the pins, say
-# whether the science moved.
+# whether the science moved. Goldens that moved mean a new epoch: bump
+# experiments.DigestEpoch and re-pin TestDigestEpochPinned.
 goldens:
 	$(GO) test ./internal/sim -run 'TestGoldenSnapshotCompat|TestGoldenTrajectory' -update-golden -update-trajectory
 	$(GO) test ./internal/workloads -run TestBTreeGeneratorStreamsGolden -update-stream-golden

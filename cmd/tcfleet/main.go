@@ -17,9 +17,11 @@
 // jobs carrying full-grid cell indices, so every cell keeps the seed
 // the whole grid derives. Failed shards retry with deterministic
 // backoff, dead workers' leases expire back into the pool, idle
-// workers steal duplicates of stragglers, and with -spool a killed
-// coordinator resumes from its checkpoint to the uninterrupted digest.
-// See DESIGN.md §11.
+// workers steal duplicates of stragglers, and with -spool every
+// completed cell is written once as a record under <spool>/cells/, so a
+// killed coordinator's rerun — or any later run that shares cells with
+// it — replays the recorded cells and dispatches only the rest,
+// converging on the uninterrupted digest. See DESIGN.md §11.
 package main
 
 import (
@@ -60,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workersFlag = fs.String("workers", "http://127.0.0.1:8321",
 			"comma-separated tcsimd base URLs; worker names are w0, w1, ... in flag order")
 		grid          = server.BindGridFlags(fs)
-		id            = fs.String("id", "", "job ID (empty = deterministic spec-derived ID, so reruns resume their own checkpoint)")
+		id            = fs.String("id", "", "job ID, the prefix of its shard job IDs on the workers (empty = deterministic spec-derived ID)")
 		taskWorkers   = fs.Int("task-workers", 0, "per-shard sweep pool size on each worker (0 = worker default)")
 		virtualShards = fs.Int("virtual-shards", 0, "virtual-shard ring size (0 = default 64)")
 		maxAttempts   = fs.Int("max-attempts", 0, "failed attempts per shard before the job fails (0 = default 4)")
@@ -69,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		stealAfter    = fs.Duration("steal-after", 0, "runtime before an idle worker may duplicate a shard (0 = default 30s)")
 		poll          = fs.Duration("poll", 0, "orchestrator idle tick (0 = default 200ms)")
 		retries       = fs.Int("retries", 5, "per-submit 429 retries on each worker (0 = fail fast)")
-		spoolDir      = fs.String("spool", "", "directory for the job's resume checkpoint (empty = no crash resume)")
+		spoolDir      = fs.String("spool", "", "directory for completed grid-cell records, replayed by any later run that shares the cells (empty = no resume)")
 		eventsFile    = fs.String("events", "", "write the NDJSON event stream here ('-' = stderr, empty = off)")
 		metricsFile   = fs.String("metrics", "", "write the final fleet metrics exposition here ('-' = stderr, empty = off)")
 		digest        = fs.Bool("digest", false, "print only the result digest instead of the payload")

@@ -17,12 +17,13 @@
 //
 // On SIGINT/SIGTERM the daemon stops admission, drains in-flight jobs
 // for -grace, spools still-queued specs to -spool (re-admitted on the
-// next start), then exits. Jobs cut by the drain deadline — and, with
-// -checkpoint-every N, jobs killed without a drain — leave completed-
-// cell checkpoints beside the spool; a restarted daemon resumes them to
-// the same result digest an uninterrupted run produces. Corrupt spool
-// or checkpoint files are quarantined (renamed *.quarantine) and
-// reported, never fatal.
+// next start), then exits. With -spool every completed grid cell is
+// also written once as a record under <spool>/cells/, and a running
+// job's spec stays in <spool>/<id>.run until the job settles, so a job
+// cut by the drain deadline or killed outright is re-admitted at the
+// next start and replays its recorded cells to the same result digest
+// an uninterrupted run produces. Corrupt spool files and cell records
+// are quarantined (renamed *.quarantine) and reported, never fatal.
 package main
 
 import (
@@ -69,8 +70,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 		maxJobCost  = fs.Int64("max-job-cost", 0, "per-job token budget, grid cells x rounds (0 = default)")
 		maxQueued   = fs.Int64("max-queued-cost", 0, "outstanding token pool before 429 (0 = 8x per-job budget)")
 		eventBuffer = fs.Int("event-buffer", 0, "per-job event ring capacity (0 = default)")
-		spoolDir    = fs.String("spool", "", "directory for queued-job specs and running-job checkpoints across restarts (empty = no spool)")
-		ckptEvery   = fs.Int("checkpoint-every", 0, "flush a running job's checkpoint beside the spool every N completed grid cells (0 = only when a drain cuts it; requires -spool)")
+		spoolDir    = fs.String("spool", "", "directory for queued and running jobs' specs and completed grid-cell records across restarts (empty = no spool)")
 		grace       = fs.Duration("grace", 30*time.Second, "drain deadline for in-flight jobs at shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -78,15 +78,14 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 	}
 
 	s, err := server.New(server.Options{
-		Clock:           systemClock{},
-		QueueDepth:      *queueDepth,
-		MaxJobCost:      *maxJobCost,
-		MaxQueuedCost:   *maxQueued,
-		JobWorkers:      *jobWorkers,
-		TaskWorkers:     *taskWorkers,
-		EventBuffer:     *eventBuffer,
-		SpoolDir:        *spoolDir,
-		CheckpointEvery: *ckptEvery,
+		Clock:         systemClock{},
+		QueueDepth:    *queueDepth,
+		MaxJobCost:    *maxJobCost,
+		MaxQueuedCost: *maxQueued,
+		JobWorkers:    *jobWorkers,
+		TaskWorkers:   *taskWorkers,
+		EventBuffer:   *eventBuffer,
+		SpoolDir:      *spoolDir,
 	})
 	if err != nil {
 		return err
@@ -99,8 +98,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 	if err := s.Start(context.WithoutCancel(ctx)); err != nil {
 		return err
 	}
-	// Quarantined spool/checkpoint files are warnings, not startup
-	// failures: report them and serve.
+	// Quarantined spool files are warnings, not startup failures:
+	// report them and serve.
 	for _, w := range s.SpoolWarnings() {
 		fmt.Fprintf(stderr, "tcsimd: spool: %v\n", w)
 	}

@@ -54,10 +54,10 @@ var (
 	// has not started; nothing is wrong with the request itself.
 	ErrUnavailable = errors.New("server unavailable")
 
-	// ErrSpoolCorrupt reports a spool or checkpoint file that failed to
-	// parse or validate at re-admission. The server quarantines the file
-	// (renames it aside) and keeps starting; the wrapped cause says what
-	// was wrong with it.
+	// ErrSpoolCorrupt reports a spool file that failed to parse or
+	// validate at re-admission, or a cell record that failed to at
+	// lookup. The reader quarantines the file (renames it aside) and
+	// carries on; the wrapped cause says what was wrong with it.
 	ErrSpoolCorrupt = errors.New("corrupt spool entry")
 )
 

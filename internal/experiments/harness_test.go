@@ -124,6 +124,27 @@ func TestHarnessGolden(t *testing.T) {
 	}
 }
 
+// goldenPins records the sha256 of harness_golden.sha256 at each
+// DigestEpoch.
+var goldenPins = map[int]string{
+	1: "abac20ba0a21e4786ce7ad46cb258aa6132623e504d1b65efc852bbe18e365d5",
+}
+
+// TestDigestEpochPinned ties DigestEpoch to the goldens: regenerating
+// them without bumping the epoch would let cell records written by the
+// old build replay into the new build's payloads.
+func TestDigestEpochPinned(t *testing.T) {
+	raw, err := os.ReadFile(harnessGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	if got := hex.EncodeToString(sum[:]); got != goldenPins[DigestEpoch] {
+		t.Fatalf("goldens moved: bump DigestEpoch and re-pin (%s hashes to %s; epoch %d pins %q)",
+			harnessGoldenPath, got, DigestEpoch, goldenPins[DigestEpoch])
+	}
+}
+
 // TestHarnessOptionsReachMachine runs every experiment with the
 // non-default coherence mode and execution engine and requires every
 // machine it builds to carry them: no harness may drop an Options field

@@ -21,6 +21,14 @@ const (
 	TopoPower5_32    = "power5-32"
 )
 
+// DigestEpoch numbers the simulator's result epochs: a grid cell's
+// metrics are a pure function of its spec, its seed and this epoch.
+// Epoch 1 began with the SplitMix64 generator. Bump it whenever any
+// pinned digest moves (`make goldens`); TestDigestEpochPinned fails
+// until you do. Records of completed cells are keyed by it, so a bump
+// retires every record an older build wrote.
+const DigestEpoch = 1
+
 // ParseTopo resolves a topology name.
 func ParseTopo(name string) (topology.Topology, error) {
 	switch name {

@@ -16,8 +16,8 @@
 // retry with a deterministic seed-derived backoff, leases expire so a
 // hung worker's shards re-enter the pool, idle workers steal duplicate
 // attempts of stragglers (first completion wins; duplicates are safe
-// because shard results are pure), and a spool checkpoint lets a
-// killed coordinator resume to the uninterrupted digest.
+// because shard results are pure), and the spool's write-once cell
+// records let a killed coordinator resume to the uninterrupted digest.
 package fleet
 
 import (
@@ -46,10 +46,7 @@ type Options struct {
 	Registry *metrics.Registry
 
 	// VirtualShards is the ring size cells are hashed onto — the unit
-	// of dispatch, retry and theft. Default 64. Must not change
-	// between a crash and a resume of the same job (the checkpoint is
-	// per-cell, so even that only costs re-execution, not
-	// correctness).
+	// of dispatch, retry and theft. Default 64.
 	VirtualShards int
 
 	// MaxAttempts bounds failed attempts per shard before the job
@@ -79,8 +76,10 @@ type Options struct {
 	// PingTimeout bounds one health probe of a down worker. Default 2s.
 	PingTimeout time.Duration
 
-	// SpoolDir holds "<job id>.fleetckpt" checkpoints; "" disables
-	// crash resume.
+	// SpoolDir holds the write-once records of completed grid cells
+	// under "cells/", in the format tcsimd's spool uses (server.LookupCell):
+	// Run replays every recorded cell and dispatches only the rest. ""
+	// disables resume.
 	SpoolDir string
 
 	// Events receives the NDJSON event stream; nil discards it.
@@ -217,7 +216,8 @@ func New(workers []Worker, opt Options) (*Coordinator, error) {
 func (c *Coordinator) Registry() *metrics.Registry { return c.opt.Registry }
 
 // Warnings returns the non-fatal problems accumulated so far —
-// checkpoint quarantines and write failures — in occurrence order.
+// quarantined cell records and record write failures — in occurrence
+// order.
 func (c *Coordinator) Warnings() []error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -302,79 +302,100 @@ func (c *cancelAfterDone) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFleetCheckpointResume: a coordinator killed mid-sweep leaves a
-// checkpoint; a fresh coordinator over the same spool resumes, runs
-// only the missing cells, and converges on the uninterrupted digest.
+// recordFiles lists the cell records in a fleet spool.
+func recordFiles(t *testing.T, spool string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(spool, "cells", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// TestFleetCheckpointResume: a coordinator killed mid-sweep leaves the
+// records of the cells it banked; a fresh coordinator over the same
+// spool runs only the missing cells and converges on the uninterrupted
+// digest, and a third run leases no shard at all and returns the same
+// bytes.
 func TestFleetCheckpointResume(t *testing.T) {
 	spool := t.TempDir()
 	spec := testSpec("") // empty ID: exercises the deterministic derived ID
 	want, wantDigest := offlinePayload(t, spec)
+	total := int64(len(spec.Workloads) * len(spec.Policies) * len(spec.Topos))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := fastOptions()
 	opt.SpoolDir = spool
 	opt.Events = &cancelAfterDone{n: 1, cancel: cancel}
-	w1 := newFakeWorker("a")
-	c1, err := New([]Worker{w1}, opt)
+	c1, err := New([]Worker{newFakeWorker("a")}, opt)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if _, _, err := c1.Run(ctx, spec); err == nil {
 		t.Fatalf("interrupted run unexpectedly succeeded")
 	}
-
-	ckpts, err := filepath.Glob(filepath.Join(spool, "*"+fleetCheckpointSuffix))
-	if err != nil || len(ckpts) != 1 {
-		t.Fatalf("expected one checkpoint in %s, got %v (err %v)", spool, ckpts, err)
+	if recs := recordFiles(t, spool); len(recs) == 0 || int64(len(recs)) >= total {
+		t.Fatalf("interrupted run left %d of %d cell records", len(recs), total)
 	}
 
-	opt2 := fastOptions()
-	opt2.SpoolDir = spool
-	w2 := newFakeWorker("a")
-	c2, err := New([]Worker{w2}, opt2)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	payload, got, err := c2.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("resumed Run: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("resumed payload differs from offline")
-	}
-	if payload.Digest != wantDigest {
-		t.Fatalf("resumed digest %s, want %s", payload.Digest, wantDigest)
-	}
-	total := int64(len(spec.Workloads) * len(spec.Policies) * len(spec.Topos))
-	if ran := w2.cellsRun.Load(); ran >= total {
-		t.Fatalf("resume re-ran %d of %d cells; checkpoint was not used", ran, total)
-	}
-	if _, err := os.Stat(ckpts[0]); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint %s not removed after settle (err %v)", ckpts[0], err)
-	}
-	if warns := c2.Warnings(); len(warns) != 0 {
-		t.Fatalf("resume produced warnings: %v", warns)
+	for _, run := range []string{"resumed", "all hits"} {
+		opt := fastOptions()
+		opt.SpoolDir = spool
+		var events bytes.Buffer
+		opt.Events = &events
+		w := newFakeWorker("a")
+		c, err := New([]Worker{w}, opt)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		payload, got, err := c.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%s Run: %v", run, err)
+		}
+		if !bytes.Equal(got, want) || payload.Digest != wantDigest {
+			t.Fatalf("%s payload differs from offline", run)
+		}
+		if warns := c.Warnings(); len(warns) != 0 {
+			t.Fatalf("%s run produced warnings: %v", run, warns)
+		}
+		ran := w.cellsRun.Load()
+		leased := strings.Count(events.String(), `"type":"shard_leased"`)
+		switch {
+		case run == "resumed" && (ran == 0 || ran >= total):
+			t.Fatalf("resume ran %d of %d cells; the records were not used", ran, total)
+		case run == "all hits" && (ran != 0 || leased != 0):
+			t.Fatalf("all-hit run ran %d cells in %d leased shards, want none", ran, leased)
+		}
 	}
 }
 
-// TestFleetQuarantinesCorruptCheckpoint: garbage where a checkpoint
-// should be is quarantined with a structured warning, and the run
-// starts clean.
+// TestFleetQuarantinesCorruptCheckpoint: a torn cell record is
+// quarantined with a structured warning and its cell recomputed; every
+// other recorded cell is replayed.
 func TestFleetQuarantinesCorruptCheckpoint(t *testing.T) {
 	spool := t.TempDir()
-	spec := testSpec("corrupt-ckpt")
-	path := filepath.Join(spool, spec.ID+fleetCheckpointSuffix)
-	if err := os.WriteFile(path, []byte("{not json"), 0o666); err != nil {
-		t.Fatalf("planting corrupt checkpoint: %v", err)
-	}
+	spec := testSpec("corrupt-record")
+	want, _ := offlinePayload(t, spec)
 	opt := fastOptions()
 	opt.SpoolDir = spool
 	c, err := New([]Worker{newFakeWorker("a")}, opt)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	want, _ := offlinePayload(t, spec)
+	if _, _, err := c.Run(context.Background(), spec); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	recs := recordFiles(t, spool)
+	if err := os.WriteFile(recs[0], []byte(`{"epoch": 1, "spec": {`), 0o666); err != nil {
+		t.Fatalf("tearing a record: %v", err)
+	}
+
+	w := newFakeWorker("a")
+	c, err = New([]Worker{w}, opt)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
 	_, got, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -386,8 +407,11 @@ func TestFleetQuarantinesCorruptCheckpoint(t *testing.T) {
 	if len(warns) != 1 || !errors.Is(warns[0], errs.ErrSpoolCorrupt) {
 		t.Fatalf("want one ErrSpoolCorrupt warning, got %v", warns)
 	}
-	if _, err := os.Stat(path + server.QuarantineSuffix); err != nil {
+	if _, err := os.Stat(recs[0] + server.QuarantineSuffix); err != nil {
 		t.Fatalf("quarantined file missing: %v", err)
+	}
+	if ran := w.cellsRun.Load(); ran != 1 {
+		t.Fatalf("recomputed %d cells, want only the torn one", ran)
 	}
 }
 

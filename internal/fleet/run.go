@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"threadcluster/internal/errs"
@@ -31,7 +30,7 @@ const (
 // shardRun is the coordinator-side state of one virtual-ring shard.
 type shardRun struct {
 	shard     Shard
-	remaining []int // cells still to compute (checkpoint-filtered)
+	remaining []int // cells still to compute (record hits filtered out)
 
 	state      shardState
 	attempts   int // dispatches, lifetime
@@ -60,16 +59,15 @@ type completion struct {
 // orchestrator goroutine touches it; attempt goroutines communicate
 // exclusively through the completions channel.
 type runState struct {
-	c         *Coordinator
-	ctx       context.Context // cancelled when Run returns; bounds every attempt
-	norm      server.JobSpec
-	cells     []experiments.GridCell
-	results   []sweep.Result
-	completed map[int]server.CheckpointCell
-	runs      []*shardRun
-	bySlot    map[int]*shardRun
-	comps     chan completion
-	sink      *eventSink
+	c       *Coordinator
+	ctx     context.Context // cancelled when Run returns; bounds every attempt
+	norm    server.JobSpec
+	cells   []experiments.GridCell
+	results []sweep.Result
+	runs    []*shardRun
+	bySlot  map[int]*shardRun
+	comps   chan completion
+	sink    *eventSink
 
 	doneShards int
 	cellsDone  int
@@ -80,11 +78,11 @@ type runState struct {
 // would serve) and any error. The payload and digest are byte-identical
 // to an offline experiments.RunGrid of the same spec regardless of
 // fleet size, worker deaths, retries, lease expiries, steals or a
-// previous coordinator crash resumed from the spool checkpoint.
+// previous coordinator crash resumed from the spool's cell records.
 //
 // The spec must not be shard-scoped already (Cells set) — sharding is
 // the coordinator's job. An empty ID gets a deterministic spec-derived
-// one, so re-running the same spec resumes its own checkpoint.
+// one.
 func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.ResultPayload, []byte, error) {
 	c.runGate.Lock()
 	defer c.runGate.Unlock()
@@ -119,27 +117,28 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 		sink:    newEventSink(c.opt.Events, c.opt.Clock, norm.ID),
 	}
 
-	// Resume: restore checkpointed cells into their grid positions.
-	st.completed = c.loadCheckpoint(norm, cells)
-	if st.completed == nil {
-		st.completed = make(map[int]server.CheckpointCell)
+	// Resume: every cell with a record goes straight into its grid
+	// position.
+	hit := make([]bool, len(cells))
+	if c.opt.SpoolDir != "" {
+		for idx, cell := range cells {
+			snap, ok, warn := server.LookupCell(c.opt.SpoolDir, norm, idx, cell)
+			if warn != nil {
+				c.warn(fmt.Errorf("fleet: %w", warn))
+			}
+			if ok {
+				hit[idx] = true
+				st.results[idx] = sweep.Result{Name: cell.Name(), Seed: cell.Seed, Metrics: snap}
+				st.cellsDone++
+			}
+		}
 	}
-	indices := make([]int, 0, len(st.completed))
-	for idx := range st.completed {
-		indices = append(indices, idx)
-	}
-	sort.Ints(indices)
-	for _, idx := range indices {
-		cc := st.completed[idx]
-		st.results[idx] = sweep.Result{Name: cc.Name, Seed: cc.Seed, Metrics: cc.Metrics}
-	}
-	st.cellsDone = len(indices)
 
-	// Plan: the ring partition, minus already-checkpointed cells.
+	// Plan: the ring partition, minus the recorded cells.
 	for _, sh := range Partition(cells, c.opt.VirtualShards) {
 		r := &shardRun{shard: sh, tried: make(map[string]int)}
 		for _, idx := range sh.Indices {
-			if _, ok := st.completed[idx]; !ok {
+			if !hit[idx] {
 				r.remaining = append(r.remaining, idx)
 			}
 		}
@@ -162,8 +161,8 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 	})
 
 	fail := func(err error) (server.ResultPayload, []byte, error) {
-		// The checkpoint survives a failure: a later run of the same
-		// spec resumes from the cells already banked.
+		// The records survive a failure: a later run of the same spec
+		// resumes from the cells already banked.
 		st.sink.emit(Event{Type: EventFailed, Error: err.Error()})
 		return server.ResultPayload{}, nil, err
 	}
@@ -229,7 +228,6 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 	if err != nil {
 		return fail(err)
 	}
-	c.removeCheckpoint(norm.ID)
 	st.sink.emit(Event{
 		Type:        EventDone,
 		Digest:      payload.Digest,
@@ -288,14 +286,14 @@ func (st *runState) handle(comp completion, now time.Time) error {
 	st.doneShards++
 	st.cellsDone += len(sh.remaining)
 	st.c.mCompleted[comp.worker].Inc()
-	st.c.writeCheckpoint(st.norm, st.completed)
 	st.sink.emit(Event{Type: EventShardDone, Shard: sh.name(), Worker: comp.worker, Attempt: sh.attempts})
 	st.sink.progress(st.cellsDone, len(st.cells), st.doneShards, len(st.runs))
 	return nil
 }
 
-// accept validates a shard payload against the grid and scatters its
-// cells into full-grid positions. Any mismatch is a determinism
+// accept validates a shard payload against the grid, scatters its cells
+// into full-grid positions and records each successful one in the
+// spool. Any mismatch is a determinism
 // violation — the worker computed something other than what the grid
 // defines — and fails the job rather than corrupting the digest.
 func (st *runState) accept(sh *shardRun, p server.ResultPayload) error {
@@ -314,15 +312,19 @@ func (st *runState) accept(sh *shardRun, p server.ResultPayload) error {
 		if tr.Error != "" {
 			// Scatter the failure faithfully — an offline run of this
 			// spec fails the same cell the same way, so the digest
-			// still matches. Errored cells are never checkpointed;
-			// a resume re-runs them (deterministically, to the same
+			// still matches. Errored cells are never recorded; a
+			// resume re-runs them (deterministically, to the same
 			// error).
 			r.Err = errors.New(tr.Error)
 			st.results[idx] = r
 			continue
 		}
 		st.results[idx] = r
-		st.completed[idx] = server.CheckpointCell{Index: idx, Name: tr.Name, Seed: tr.Seed, Metrics: tr.Metrics}
+		if st.c.opt.SpoolDir != "" {
+			if err := server.WriteCell(st.c.opt.SpoolDir, st.norm, idx, want, tr.Metrics); err != nil {
+				st.c.warn(fmt.Errorf("fleet: %w", err)) // a lost record costs a recomputation
+			}
+		}
 	}
 	return nil
 }
@@ -506,7 +508,7 @@ func retryDelay(base time.Duration, seed int64, slot, failures int) time.Duratio
 }
 
 // deriveJobID names an anonymous fleet job by its normalized spec, so
-// re-running the same spec finds (and resumes) its own checkpoint.
+// its shard job IDs on the workers are stable across reruns.
 func deriveJobID(norm server.JobSpec) string {
 	data, err := json.Marshal(norm)
 	if err != nil {

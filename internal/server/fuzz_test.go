@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"threadcluster/internal/errs"
+	"threadcluster/internal/experiments"
 )
 
 // FuzzJobSpec feeds arbitrary bytes to the wire decoder and Normalize:
@@ -41,6 +42,45 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, norm) {
 			t.Fatalf("Normalize is not idempotent:\n%+v\n%+v", norm, again)
+		}
+	})
+}
+
+// FuzzCellRecord feeds arbitrary bytes to the cell-record decoder under
+// one fixed key: it may not panic, and a record it accepts has fields
+// that hash to that key.
+func FuzzCellRecord(f *testing.F) {
+	norm, err := smallSpec("fuzz").Normalize()
+	if err != nil {
+		f.Fatal(err)
+	}
+	grid, err := norm.Grid()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cell := grid.Cells()[0]
+	key := newCellKey(norm, 0)
+	good := cellRecord{cellKey: key, Name: cell.Name(), Seed: cell.Seed}
+	stale, moved := good, good
+	stale.Epoch = experiments.DigestEpoch - 1
+	moved.Index = 1
+	for _, rec := range []cellRecord{good, stale, moved} {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte("{not json"))
+
+	want := key.hash()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := decodeCellRecord(data, want)
+		if err != nil {
+			return
+		}
+		if got := rec.hash(); got != want {
+			t.Fatalf("accepted a record hashing to %s under key %s", got, want)
 		}
 	})
 }

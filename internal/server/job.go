@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"strings"
-	"sync"
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/errs"
@@ -259,21 +258,9 @@ type job struct {
 	err        error
 	cancel     context.CancelFunc // set while running
 	cancelled  bool               // cancel requested (distinguishes cancel from ctx timeout)
-	cut        bool               // cancelled by a shutdown drain, not the submitter
+	cut        bool               // cancelled by a shutdown drain or a server stop, not the submitter
 	tasksDone  int
 	tasksTotal int
-
-	// completed records finished grid cells for checkpointing (and seeds
-	// a resumed job at re-admission); ckptNew counts completions since
-	// the last checkpoint flush.
-	completed map[int]CheckpointCell
-	ckptNew   int
-
-	// ckptMu serializes the job's checkpoint installs, which run on its
-	// sweep workers outside the server mutex; ckptCells, guarded by it, is
-	// the cell count of the checkpoint last installed.
-	ckptMu    sync.Mutex
-	ckptCells int
 
 	events  *eventLog
 	payload []byte // canonical result payload bytes (state == done)

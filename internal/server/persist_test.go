@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +17,7 @@ import (
 	"time"
 
 	"threadcluster/internal/errs"
+	"threadcluster/internal/experiments"
 )
 
 // writeSpoolFile drops raw bytes into a spool directory under name.
@@ -28,36 +28,59 @@ func writeSpoolFile(t *testing.T, dir, name string, data string) {
 	}
 }
 
-// TestSpoolQuarantine: corrupt spool and checkpoint files must be
-// renamed aside with a structured ErrSpoolCorrupt warning while valid
-// neighbors re-admit — a damaged file costs one job, never the daemon.
-// Temp files a crash left mid-write are deleted without a warning.
-func TestSpoolQuarantine(t *testing.T) {
-	spool := t.TempDir()
-	valid, err := json.Marshal(smallSpec("survivor"))
+// records lists the cell records in a spool, quarantined ones aside.
+func records(t *testing.T, spool string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(spool, cellsDir, "*"+spoolSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeSpoolFile(t, spool, "crashed.ckpt.4242.7.tmp", `{"spec": {`)
+	return names
+}
+
+// gridCells lists the full grid of a normalized spec.
+func gridCells(t *testing.T, norm JobSpec) []experiments.GridCell {
+	t.Helper()
+	grid, err := norm.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid.Cells()
+}
+
+// TestSpoolQuarantine: corrupt spec files, run files and cell records
+// must be renamed aside with a structured ErrSpoolCorrupt warning while
+// valid neighbors re-admit — a damaged file costs one job (or one
+// cell's recomputation), never the daemon. Temp files a crash left
+// mid-write, beside the specs or among the records, are deleted without
+// a warning.
+func TestSpoolQuarantine(t *testing.T) {
+	spool := t.TempDir()
+	survivor := mustNormalize(t, smallSpec("survivor"))
+	valid, err := json.Marshal(survivor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := cellPath(spool, newCellKey(survivor, 0).hash())
+	if err := os.MkdirAll(filepath.Dir(torn), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	writeSpoolFile(t, spool, "crashed.run.4242.7.tmp", `{"id": "crashed"`)
 	writeSpoolFile(t, spool, "00000000-old.json.tmp", `{"id": "old"`)
+	writeSpoolFile(t, spool, filepath.Join(cellsDir, "0123.json.4242.8.tmp"), `{"epoch": 1`)
 	writeSpoolFile(t, spool, "00000000-truncated.json", `{"id": "trunc", "workloads": ["micro`)
 	writeSpoolFile(t, spool, "00000001-survivor.json", string(valid))
 	writeSpoolFile(t, spool, "00000002-badspec.json", `{"id": "nogrid", "workloads": [], "policies": [], "topos": []}`)
-	writeSpoolFile(t, spool, "garbage.ckpt", "not json at all")
-	// Structurally valid checkpoint whose cell disagrees with its grid.
-	ckpt, err := json.Marshal(Checkpoint{
-		Spec:  mustNormalize(t, smallSpec("liar")),
-		Cells: []CheckpointCell{{Index: 0, Name: "wrong/cell/name", Seed: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeSpoolFile(t, spool, "liar.ckpt", string(ckpt))
+	writeSpoolFile(t, spool, "garbage.run", "not json at all")
+	writeSpoolFile(t, spool, filepath.Join(cellsDir, filepath.Base(torn)), `{"epoch": 1, "spec": {"workl`)
 
 	s := startServer(t, Options{SpoolDir: spool}, nil)
 
 	if st := waitTerminal(t, s, "survivor"); st.State != StateDone {
 		t.Fatalf("survivor state = %s (err %q), want done", st.State, st.Error)
+	}
+	if got, want := mustResult(t, s, "survivor"), offlinePayload(t, survivor, 1); !bytes.Equal(got, want) {
+		t.Fatal("survivor payload differs from offline after its torn record was quarantined")
 	}
 	warnings := s.SpoolWarnings()
 	if len(warnings) != 4 {
@@ -68,23 +91,85 @@ func TestSpoolQuarantine(t *testing.T) {
 			t.Errorf("warning %v does not wrap ErrSpoolCorrupt", w)
 		}
 	}
-	entries, err := listSpool(spool)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var quarantined []string
-	for _, name := range entries {
-		if strings.HasSuffix(name, QuarantineSuffix) {
-			quarantined = append(quarantined, name)
-		} else {
-			t.Errorf("unexpected non-quarantined spool entry %q", name)
+	for _, dir := range []string{spool, filepath.Join(spool, cellsDir)} {
+		entries, err := listSpool(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range entries {
+			switch {
+			case strings.HasSuffix(name, QuarantineSuffix):
+				quarantined = append(quarantined, name)
+			case dir == spool || strings.HasSuffix(name, tmpSuffix):
+				t.Errorf("unexpected spool entry %q", name)
+			}
 		}
 	}
 	if len(quarantined) != 4 {
 		t.Fatalf("quarantined files = %v, want 4", quarantined)
 	}
+	if _, err := os.Stat(torn); err != nil {
+		t.Fatalf("the recomputed cell was not recorded again: %v", err)
+	}
 	if got := s.reg.Counter("server_spool_quarantined_total", nil).Value(); got != 4 {
 		t.Fatalf("server_spool_quarantined_total = %d, want 4", got)
+	}
+}
+
+// TestStaleCellRecordsNeverReplay: a record is replayed only when its
+// own fields hash to the name it is looked up under. Records another
+// build wrote (DigestEpoch-1) under their own keys are never read; one
+// planted under a current key, and one copied from another cell's name,
+// are quarantined. The served payload is the offline one.
+func TestStaleCellRecordsNeverReplay(t *testing.T) {
+	spool := t.TempDir()
+	norm := mustNormalize(t, diffSpec("stale"))
+	cells := gridCells(t, norm)
+	other := diffSpec("other")
+	other.Seed = 43
+	var foreign ResultPayload // another run's metrics, cell by cell
+	if err := json.Unmarshal(offlinePayload(t, other, 1), &foreign); err != nil {
+		t.Fatal(err)
+	}
+	plant := func(name string, rec cellRecord) {
+		t.Helper()
+		if err := writeJSONAtomic(cellPath(spool, name), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, cell := range cells {
+		rec := cellRecord{cellKey: newCellKey(norm, i), Name: cell.Name(), Seed: cell.Seed, Metrics: foreign.Tasks[i].Metrics}
+		rec.Epoch = experiments.DigestEpoch - 1
+		plant(rec.hash(), rec)
+		if i == 0 { // the old build's record under this build's key
+			plant(newCellKey(norm, 0).hash(), rec)
+		}
+	}
+	moved := cellRecord{cellKey: newCellKey(norm, 2), Name: cells[1].Name(), Seed: cells[1].Seed, Metrics: foreign.Tasks[1].Metrics}
+	plant(newCellKey(norm, 1).hash(), moved) // fields say cell 2, name says cell 1
+
+	s := startServer(t, Options{SpoolDir: spool}, nil)
+	if _, err := s.Submit(context.Background(), norm); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, "stale"); st.State != StateDone {
+		t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
+	}
+	if got, want := mustResult(t, s, "stale"), offlinePayload(t, norm, 1); !bytes.Equal(got, want) {
+		t.Fatal("payload replayed a stale or misnamed record")
+	}
+	if got := s.reg.Counter("server_cell_records_reused_total", nil).Value(); got != 0 {
+		t.Fatalf("server_cell_records_reused_total = %d, want 0", got)
+	}
+	warnings := s.SpoolWarnings()
+	if len(warnings) != 2 {
+		t.Fatalf("SpoolWarnings() = %v, want 2 quarantines", warnings)
+	}
+	for _, w := range warnings {
+		if !errors.Is(w, errs.ErrSpoolCorrupt) || !strings.Contains(w.Error(), "not to its name") {
+			t.Errorf("warning %v is not a misnamed-record quarantine", w)
+		}
 	}
 }
 
@@ -97,11 +182,21 @@ func mustNormalize(t *testing.T, spec JobSpec) JobSpec {
 	return norm
 }
 
-// TestCheckpointResumeDigest is the kill-mid-run regression pin: a job
-// cut down by a drain after completing exactly one grid cell leaves a
-// checkpoint, and a restarted server — driven over HTTP like a real
-// client — resumes it to the byte-identical payload the offline sweep
-// (and hence an uninterrupted server run) produces.
+func mustResult(t *testing.T, s *Server, id string) []byte {
+	t.Helper()
+	data, err := s.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointResumeDigest is the drain-cut regression pin: a job cut
+// down by a drain after completing exactly one grid cell leaves one cell
+// record and its run file, and a restarted server — driven over HTTP
+// like a real client — resumes it to the byte-identical payload the
+// offline sweep (and hence an uninterrupted server run) produces, then
+// retires the run file.
 func TestCheckpointResumeDigest(t *testing.T) {
 	spool := t.TempDir()
 	spec := diffSpec("resume-me")
@@ -109,7 +204,7 @@ func TestCheckpointResumeDigest(t *testing.T) {
 
 	firstCell := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s1 := startServer(t, Options{JobWorkers: 1, SpoolDir: spool, CheckpointEvery: 1}, func(s *Server) {
+	s1 := startServer(t, Options{JobWorkers: 1, SpoolDir: spool}, func(s *Server) {
 		s.afterTask = func(*job, int) {
 			select {
 			case firstCell <- struct{}{}:
@@ -127,8 +222,17 @@ func TestCheckpointResumeDigest(t *testing.T) {
 	cancel() // deadline already struck: the drain cuts immediately
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- s1.Shutdown(cut) }()
-	// Shutdown cancels the running job's context, then the held worker
-	// resumes, fails the remaining cells and settles the job as cut.
+	// Release the held worker only once the drain has cut the job, so
+	// no second cell can complete.
+	for {
+		s1.mu.Lock()
+		isCut := s1.jobs["resume-me"].cut
+		s1.mu.Unlock()
+		if isCut {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(release)
 	if err := <-shutdownDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Shutdown err = %v, want context.Canceled (cut drain)", err)
@@ -136,18 +240,12 @@ func TestCheckpointResumeDigest(t *testing.T) {
 	if st, _ := s1.Status("resume-me"); st.State != StateCanceled {
 		t.Fatalf("state after cut = %s, want canceled", st.State)
 	}
-
-	// The checkpoint on disk records exactly the one completed cell.
-	data, err := os.ReadFile(filepath.Join(spool, "resume-me"+checkpointSuffix))
-	if err != nil {
-		t.Fatalf("reading checkpoint: %v", err)
+	if recs := records(t, spool); len(recs) != 1 {
+		t.Fatalf("cells/ holds %d records, want 1 (cut after the first cell)", len(recs))
 	}
-	var cf Checkpoint
-	if err := json.Unmarshal(data, &cf); err != nil {
-		t.Fatalf("parsing checkpoint: %v", err)
-	}
-	if len(cf.Cells) != 1 {
-		t.Fatalf("checkpoint holds %d cells, want 1 (cut after the first)", len(cf.Cells))
+	runFile := filepath.Join(spool, "resume-me"+runSuffix)
+	if _, err := os.Stat(runFile); err != nil {
+		t.Fatalf("the cut job's run file is gone: %v", err)
 	}
 
 	// Restart onto the same spool and drive the resumed job over HTTP.
@@ -174,62 +272,64 @@ func TestCheckpointResumeDigest(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("resumed payload differs from offline payload:\nresumed %d bytes\noffline %d bytes", len(got), len(want))
 	}
-
-	// The resumed job settled cleanly: its checkpoint is retired.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := os.Stat(filepath.Join(spool, "resume-me"+checkpointSuffix)); os.IsNotExist(err) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("checkpoint file still present after the resumed job settled")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if n := s2.reg.Counter("server_cell_records_reused_total", nil).Value(); n != 1 {
+		t.Fatalf("server_cell_records_reused_total = %d, want 1", n)
+	}
+	// The resumed job settled cleanly: its run file is retired.
+	if _, err := os.Stat(runFile); !os.IsNotExist(err) {
+		t.Fatalf("run file still present after the resumed job settled (err %v)", err)
 	}
 }
 
-// TestCheckpointPeriodicFlush: with CheckpointEvery=1 every completed
-// cell lands on disk, so even a kill with no drain (simulated by
-// reading the file mid-run) resumes from the last flush.
+// TestCheckpointPeriodicFlush: an abrupt kill needs no knob. Stopping
+// the server under a running job (its Start context cancelled, no
+// Shutdown) after two cells leaves those cells' records and the job's
+// run file; a new server on the same spool re-admits the job, runs only
+// the missing cells and serves the offline payload.
 func TestCheckpointPeriodicFlush(t *testing.T) {
 	spool := t.TempDir()
-	spec := diffSpec("flush-watch")
+	spec := diffSpec("killed")
 	spec.Workers = 1
+	total := len(gridCells(t, mustNormalize(t, spec)))
 
-	type flushState struct {
-		cells int
-		err   error
+	s1, err := New(Options{Clock: testClock(), JobWorkers: 1, SpoolDir: spool})
+	if err != nil {
+		t.Fatal(err)
 	}
-	observed := make(chan flushState, 16)
-	s := startServer(t, Options{JobWorkers: 1, SpoolDir: spool, CheckpointEvery: 1}, func(s *Server) {
-		s.afterTask = func(j *job, _ int) {
-			data, err := os.ReadFile(filepath.Join(spool, j.spec.ID+checkpointSuffix))
-			if err != nil {
-				observed <- flushState{err: err}
-				return
-			}
-			var cf Checkpoint
-			if err := json.Unmarshal(data, &cf); err != nil {
-				observed <- flushState{err: err}
-				return
-			}
-			observed <- flushState{cells: len(cf.Cells)}
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	s1.afterTask = func(j *job, _ int) {
+		s1.mu.Lock()
+		done := j.tasksDone
+		s1.mu.Unlock()
+		if done == 2 {
+			kill()
 		}
-	})
-	if _, err := s.Submit(context.Background(), spec); err != nil {
+	}
+	if err := s1.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.Submit(context.Background(), spec); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if st := waitTerminal(t, s, "flush-watch"); st.State != StateDone {
-		t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
+	if st := waitTerminal(t, s1, "killed"); st.State != StateCanceled {
+		t.Fatalf("state after the kill = %s, want canceled", st.State)
 	}
-	for i := 1; i <= 4; i++ {
-		fs := <-observed
-		if fs.err != nil {
-			t.Fatalf("after cell %d: reading checkpoint: %v", i, fs.err)
-		}
-		if fs.cells != i {
-			t.Fatalf("after cell %d the checkpoint holds %d cells, want %d", i, fs.cells, i)
-		}
+	if recs := records(t, spool); len(recs) != 2 {
+		t.Fatalf("cells/ holds %d records after the kill, want 2", len(recs))
+	}
+
+	s2 := startServer(t, Options{SpoolDir: spool}, nil)
+	if st := waitTerminal(t, s2, "killed"); st.State != StateDone {
+		t.Fatalf("resumed state = %s (err %q), want done", st.State, st.Error)
+	}
+	if got, want := mustResult(t, s2, "killed"), offlinePayload(t, spec, 1); !bytes.Equal(got, want) {
+		t.Fatal("resumed payload differs from offline payload")
+	}
+	reused := s2.reg.Counter("server_cell_records_reused_total", nil).Value()
+	written := s2.reg.Counter("server_cell_records_written_total", nil).Value()
+	if reused != 2 || written != uint64(total-2) {
+		t.Fatalf("restart reused %d and ran %d cells, want 2 and %d", reused, written, total-2)
 	}
 }
 
@@ -238,7 +338,7 @@ func TestCheckpointPeriodicFlush(t *testing.T) {
 // holding exactly one writer's whole payload.
 func TestWriteFileAtomicConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "job.ckpt")
+	path := filepath.Join(dir, "record.json")
 	const writers, calls = 8, 200
 	payloads := make([][]byte, writers)
 	for w := range payloads {
@@ -298,55 +398,88 @@ func TestWriteFileAtomicMode(t *testing.T) {
 	}
 }
 
-// TestCheckpointConcurrentFlush: with eight sweep workers per job and a
-// flush after every cell, a job's checkpoint installs overlap; none may
-// fail, and the file on disk never loses cells it already held.
+// TestSpoolRequeuesRunFiles: a job re-admitted from its run file but
+// still queued at the next drain is spooled as a spec and its run file
+// retired, so the start after that admits it once, without a warning.
+func TestSpoolRequeuesRunFiles(t *testing.T) {
+	spool := t.TempDir()
+	for _, id := range []string{"a", "b"} {
+		data, err := json.Marshal(mustNormalize(t, smallSpec(id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeSpoolFile(t, spool, id+runSuffix, string(data))
+	}
+	gate := make(chan struct{})
+	popped := make(chan struct{}, 2)
+	s1 := startServer(t, Options{JobWorkers: 1, SpoolDir: spool}, func(s *Server) {
+		s.beforeJob = func(*job) { popped <- struct{}{}; <-gate }
+	})
+	<-popped // a holds the worker; b stays queued
+	shutdownDone := make(chan error, 1)
+	go func() { shutdownDone <- s1.Shutdown(context.Background()) }()
+	for {
+		if _, err := os.Stat(filepath.Join(spool, "00000000-b.json")); err == nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if entries, _ := listSpool(spool); len(entries) != 1 {
+		t.Fatalf("spool holds %v after the drain, want only b's spec", entries)
+	}
+
+	s2 := startServer(t, Options{SpoolDir: spool}, nil)
+	if st := waitTerminal(t, s2, "b"); st.State != StateDone {
+		t.Fatalf("b state = %s (err %q), want done", st.State, st.Error)
+	}
+	if w := s2.SpoolWarnings(); len(w) != 0 || len(s2.Jobs()) != 1 {
+		t.Fatalf("restart admitted %d jobs with warnings %v, want b alone and none", len(s2.Jobs()), w)
+	}
+}
+
+// TestCheckpointConcurrentFlush: a job at eight sweep workers writes its
+// records concurrently without a warning, and a second job of the same
+// spec under another ID replays every cell from them — to the same
+// payload.
 func TestCheckpointConcurrentFlush(t *testing.T) {
 	spool := t.TempDir()
-	var (
-		mu        sync.Mutex
-		lastCells = map[string]int{}
-	)
-	s := startServer(t, Options{JobWorkers: 1, SpoolDir: spool, CheckpointEvery: 1}, func(s *Server) {
-		s.afterTask = func(j *job, _ int) {
-			mu.Lock() // serialized reads: monotone installs read as monotone
-			defer mu.Unlock()
-			data, err := os.ReadFile(filepath.Join(spool, j.spec.ID+checkpointSuffix))
-			if err != nil {
-				return // the failed install is reported through SpoolWarnings
-			}
-			var cf Checkpoint
-			if err := json.Unmarshal(data, &cf); err != nil {
-				t.Errorf("%s: parsing checkpoint: %v", j.spec.ID, err)
-				return
-			}
-			if len(cf.Cells) < lastCells[j.spec.ID] {
-				t.Errorf("%s: checkpoint went from %d cells to %d", j.spec.ID, lastCells[j.spec.ID], len(cf.Cells))
-			}
-			lastCells[j.spec.ID] = len(cf.Cells)
-		}
-	})
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("flush-%d", i)
-		spec := JobSpec{
-			ID:            id,
-			Workloads:     []string{"microbenchmark", "volano", "microbenchmark", "volano"},
-			Policies:      []string{"default", "round-robin"},
-			Topos:         []string{"open720", "power5-32"},
-			Seed:          int64(i + 1),
-			WarmRounds:    1,
-			EngineRounds:  1,
-			MeasureRounds: 1,
-			Workers:       8,
-		}
+	s := startServer(t, Options{JobWorkers: 1, SpoolDir: spool}, nil)
+	spec := JobSpec{
+		Workloads:     []string{"microbenchmark", "volano", "microbenchmark", "volano"},
+		Policies:      []string{"default", "round-robin"},
+		Topos:         []string{"open720", "power5-32"},
+		Seed:          3,
+		WarmRounds:    1,
+		EngineRounds:  1,
+		MeasureRounds: 1,
+		Workers:       8,
+	}
+	total := uint64(len(gridCells(t, mustNormalize(t, spec))))
+	var payloads [][]byte
+	for _, id := range []string{"first", "second"} {
+		spec.ID = id
 		if _, err := s.Submit(context.Background(), spec); err != nil {
 			t.Fatalf("Submit %s: %v", id, err)
 		}
 		if st := waitTerminal(t, s, id); st.State != StateDone {
 			t.Fatalf("%s state = %s (err %q), want done", id, st.State, st.Error)
 		}
-		if w := s.SpoolWarnings(); len(w) != 0 {
-			t.Fatalf("%s: SpoolWarnings() = %v, want none", id, w)
-		}
+		payloads = append(payloads, mustResult(t, s, id))
+	}
+	if w := s.SpoolWarnings(); len(w) != 0 {
+		t.Fatalf("SpoolWarnings() = %v, want none", w)
+	}
+	if n := s.reg.Counter("server_cell_records_written_total", nil).Value(); n != total {
+		t.Fatalf("server_cell_records_written_total = %d, want %d (first job only)", n, total)
+	}
+	if n := s.reg.Counter("server_cell_records_reused_total", nil).Value(); n != total {
+		t.Fatalf("server_cell_records_reused_total = %d, want %d (second job all hits)", n, total)
+	}
+	if !bytes.Equal(payloads[0], payloads[1]) {
+		t.Fatal("the all-hit job's payload differs from the computed one")
 	}
 }

@@ -20,15 +20,19 @@
 // of queueing unboundedly, and graceful shutdown stops admission, drains
 // in-flight jobs under the caller's deadline, and persists
 // queued-but-unstarted jobs as replayable spec files a restarted server
-// re-admits.
+// re-admits. Each completed grid cell is spooled once as an immutable
+// record keyed by what it computes (cells.go), so a job cut by a drain
+// or a kill resumes where it stopped.
 package server
 
 import (
 	"context"
 	"fmt"
+	"os"
 	"sync"
 
 	"threadcluster/internal/errs"
+	"threadcluster/internal/experiments"
 	"threadcluster/internal/metrics"
 	"threadcluster/internal/sim"
 	"threadcluster/internal/sweep"
@@ -73,18 +77,15 @@ type Options struct {
 	// replay from the earliest retained event. Default 1024.
 	EventBuffer int
 
-	// SpoolDir, when set, receives queued-but-unstarted jobs as
-	// replayable spec files at shutdown and running jobs' checkpoints
-	// (completed grid cells) beside them; Start re-admits both, in spool
-	// order. Corrupt files are quarantined (see SpoolWarnings), never
-	// fatal.
+	// SpoolDir, when set, persists work across restarts: each running
+	// job's spec as "<id>.run" until it settles, queued-but-unstarted
+	// jobs as replayable spec files at shutdown, and every completed grid
+	// cell as a write-once record under "cells/" (cells.go). Start
+	// re-admits run files, then spooled specs; every job looks its cells
+	// up before running them, so a job cut down by a drain or a kill
+	// resumes where it stopped. Corrupt files are quarantined (see
+	// SpoolWarnings), never fatal.
 	SpoolDir string
-
-	// CheckpointEvery flushes a running job's checkpoint after every N
-	// newly completed grid cells, so even an abrupt kill (no graceful
-	// drain) resumes from the last flush. 0 checkpoints only when a
-	// graceful drain cuts a running job. Requires SpoolDir.
-	CheckpointEvery int
 }
 
 // Server owns the job table, the admission queue and the worker pool.
@@ -112,14 +113,15 @@ type Server struct {
 	beforeJob func(*job)      // test hook: runs in the worker before a job executes
 	afterTask func(*job, int) // test hook: runs after a grid cell completes
 
-	spoolWarnings []error // quarantined files and checkpoint-write failures
+	spoolWarnings []error // quarantined files and spool write failures
 
 	mJobsAdmitted     *metrics.Counter
 	mJobsReadmitted   *metrics.Counter
 	mJobsSpooled      *metrics.Counter
 	mEventsDropped    *metrics.Counter
 	mSpoolQuarantined *metrics.Counter
-	mCheckpoints      *metrics.Counter
+	mRecordsWritten   *metrics.Counter
+	mRecordsReused    *metrics.Counter
 }
 
 // New validates opt, fills defaults and builds a stopped server; Start
@@ -146,12 +148,6 @@ func New(opt Options) (*Server, error) {
 	if opt.EventBuffer <= 0 {
 		opt.EventBuffer = 1024
 	}
-	if opt.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("server: %w: negative CheckpointEvery", errs.ErrBadConfig)
-	}
-	if opt.CheckpointEvery > 0 && opt.SpoolDir == "" {
-		return nil, fmt.Errorf("server: %w: CheckpointEvery requires SpoolDir (checkpoints live beside the spool)", errs.ErrBadConfig)
-	}
 	s := &Server{
 		opt:   opt,
 		clock: opt.Clock,
@@ -164,7 +160,8 @@ func New(opt Options) (*Server, error) {
 	s.mJobsSpooled = s.reg.Counter("server_jobs_spooled_total", nil)
 	s.mEventsDropped = s.reg.Counter("server_events_dropped_total", nil)
 	s.mSpoolQuarantined = s.reg.Counter("server_spool_quarantined_total", nil)
-	s.mCheckpoints = s.reg.Counter("server_checkpoints_written_total", nil)
+	s.mRecordsWritten = s.reg.Counter("server_cell_records_written_total", nil)
+	s.mRecordsReused = s.reg.Counter("server_cell_records_reused_total", nil)
 	s.reg.RegisterGaugeFunc("server_queue_depth", nil, func() float64 {
 		n, _ := s.queue.stats()
 		return float64(n)
@@ -247,13 +244,11 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("server: %w: job cost %d exceeds per-job budget %d (shrink the grid or rounds)",
 			errs.ErrBadConfig, cost, s.opt.MaxJobCost)
 	}
-	return s.admit(norm, cost, nil)
+	return s.admit(norm, cost)
 }
 
-// admit queues one validated job, optionally seeded with checkpointed
-// cells (the spool-restart path); the completed map must be attached
-// before the push so a worker can never observe the job without it.
-func (s *Server) admit(norm JobSpec, cost int64, completed map[int]CheckpointCell) (JobStatus, error) {
+// admit queues one validated job.
+func (s *Server) admit(norm JobSpec, cost int64) (JobStatus, error) {
 	s.mu.Lock()
 	if s.draining || !s.started {
 		s.mu.Unlock()
@@ -270,12 +265,11 @@ func (s *Server) admit(norm JobSpec, cost int64, completed map[int]CheckpointCel
 		return JobStatus{}, fmt.Errorf("server: %w: %q", errs.ErrJobExists, norm.ID)
 	}
 	j := &job{
-		spec:      norm,
-		seq:       seq,
-		cost:      cost,
-		state:     StateQueued,
-		completed: completed,
-		events:    newEventLog(s.opt.EventBuffer, s.mEventsDropped),
+		spec:   norm,
+		seq:    seq,
+		cost:   cost,
+		state:  StateQueued,
+		events: newEventLog(s.opt.EventBuffer, s.mEventsDropped),
 	}
 	s.nextSeq++
 	s.jobs[norm.ID] = j
@@ -469,37 +463,28 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	s.mu.Unlock()
 
 	started := s.clock.Now()
-	j.events.append(Event{Time: started, Type: EventRunning, Job: j.spec.ID, TasksTotal: len(tasks)})
-
-	// Cells already checkpointed (spool-restart resume) restore their
-	// recorded snapshots instead of re-running; cell seeds derive from
-	// the spec, so the re-assembled payload is byte-identical to an
-	// uninterrupted run's.
-	s.mu.Lock()
-	resume := make(map[int]CheckpointCell, len(j.completed))
-	for i, cc := range j.completed {
-		resume[i] = cc
+	if s.opt.SpoolDir != "" {
+		if err := writeJSONAtomic(s.runPath(j.spec.ID), j.spec); err != nil {
+			s.warn(fmt.Errorf("recording running job %q: %w", j.spec.ID, err))
+		}
 	}
-	s.mu.Unlock()
+	j.events.append(Event{Time: started, Type: EventRunning, Job: j.spec.ID, TasksTotal: len(tasks)})
 
 	// Wrap each task to emit a progress event at completion. Events fire
 	// in completion order (operational stream); the payload below is
 	// assembled in grid order (deterministic result).
 	wrapped := make([]sweep.Task, len(tasks))
 	for i, t := range tasks {
-		i, t := i, t
+		idx := i // full-grid index
+		if len(j.spec.Cells) > 0 {
+			idx = j.spec.Cells[i]
+		}
 		run := func(tctx context.Context, seed int64) (metrics.Snapshot, error) {
-			snap, err := t.Run(tctx, seed)
+			snap, err := s.runCell(tctx, j, idx, cells[i], t, seed)
 			if err == nil {
-				s.taskDone(j, i, t.Name, t.Seed, snap)
+				s.taskDone(j, i, t.Name, snap)
 			}
 			return snap, err
-		}
-		if cc, ok := resume[i]; ok {
-			run = func(context.Context, int64) (metrics.Snapshot, error) {
-				s.taskDone(j, i, t.Name, t.Seed, cc.Metrics)
-				return cc.Metrics, nil
-			}
 		}
 		wrapped[i] = sweep.Task{Name: t.Name, Seed: t.Seed, Run: run}
 	}
@@ -519,6 +504,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		s.ewmaSec = 0.7*s.ewmaSec + 0.3*elapsed
 	}
 	wasCancelled := j.cancelled
+	j.cut = j.cut || ctx.Err() != nil // the server stopped under the job: resume it at the next start
 	s.mu.Unlock()
 
 	if runErr != nil {
@@ -548,31 +534,40 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	s.settle(j, StateDone, nil)
 }
 
-// taskDone records one completed grid cell, flushes the job's
-// checkpoint when enough new cells accumulated, and emits the cell's
-// progress event.
-func (s *Server) taskDone(j *job, idx int, name string, seed int64, snap metrics.Snapshot) {
+// runCell computes one grid cell, full-grid cell idx of the job's grid.
+// With a spool it first looks the cell's record up: a hit replays it, a
+// miss runs the cell and records it.
+func (s *Server) runCell(ctx context.Context, j *job, idx int, cell experiments.GridCell, t sweep.Task, seed int64) (metrics.Snapshot, error) {
+	if s.opt.SpoolDir == "" {
+		return t.Run(ctx, seed)
+	}
+	snap, ok, warn := LookupCell(s.opt.SpoolDir, j.spec, idx, cell)
+	if warn != nil {
+		s.mSpoolQuarantined.Inc()
+		s.warn(warn)
+	}
+	if ok {
+		s.mRecordsReused.Inc()
+		return snap, nil
+	}
+	snap, err := t.Run(ctx, seed)
+	if err != nil {
+		return snap, err
+	}
+	if err := WriteCell(s.opt.SpoolDir, j.spec, idx, cell, snap); err != nil {
+		s.warn(err) // a lost record costs a recomputation, never the job
+	} else {
+		s.mRecordsWritten.Inc()
+	}
+	return snap, nil
+}
+
+// taskDone counts one completed grid cell and emits its progress event.
+func (s *Server) taskDone(j *job, idx int, name string, snap metrics.Snapshot) {
 	s.mu.Lock()
 	j.tasksDone++
 	done, total := j.tasksDone, j.tasksTotal
-	var flush *Checkpoint
-	if s.opt.SpoolDir != "" {
-		if j.completed == nil {
-			j.completed = make(map[int]CheckpointCell)
-		}
-		if _, ok := j.completed[idx]; !ok {
-			j.completed[idx] = CheckpointCell{Index: idx, Name: name, Seed: seed, Metrics: snap}
-			j.ckptNew++
-		}
-		if s.opt.CheckpointEvery > 0 && j.ckptNew >= s.opt.CheckpointEvery {
-			j.ckptNew = 0
-			flush = NewCheckpoint(j.spec, j.completed)
-		}
-	}
 	s.mu.Unlock()
-	if flush != nil {
-		s.writeCheckpoint(j, flush)
-	}
 	if s.afterTask != nil {
 		s.afterTask(j, idx)
 	}
@@ -601,25 +596,16 @@ func (s *Server) settle(j *job, state JobState, cause error) {
 	}
 	done, total := j.tasksDone, j.tasksTotal
 	digest := j.digest
-	// A running job cut down by a graceful drain leaves its checkpoint
-	// behind (final flush, even with periodic checkpointing off) so the
-	// next start resumes it; any other settlement retires the file.
-	var flush *Checkpoint
-	removeCkpt := false
-	if s.opt.SpoolDir != "" {
-		if state == StateCanceled && j.cut {
-			flush = NewCheckpoint(j.spec, j.completed)
-		} else {
-			removeCkpt = true
-		}
-	}
+	// A running job cut down by a drain or a server stop keeps its run
+	// file, so the next start re-admits it; any other settlement retires
+	// the file.
+	retire := s.opt.SpoolDir != "" && !(state == StateCanceled && j.cut)
 	s.mu.Unlock()
 
-	if flush != nil {
-		s.writeCheckpoint(j, flush)
-	}
-	if removeCkpt {
-		s.removeCheckpoint(j.spec.ID)
+	if retire {
+		if err := os.Remove(s.runPath(j.spec.ID)); err != nil && !os.IsNotExist(err) {
+			s.warn(fmt.Errorf("retiring run file of %q: %w", j.spec.ID, err))
+		}
 	}
 	s.queue.release(j.cost)
 	s.reg.Counter("server_jobs_total", metrics.Labels{"state": string(state)}).Inc()
@@ -702,8 +688,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // cancelRunning cancels every running job's context. These jobs are cut
-// by the drain deadline, not abandoned by their submitter, so they are
-// marked for a final checkpoint: the next start resumes them.
+// by the drain deadline, not abandoned by their submitter, so they keep
+// their run files: the next start resumes them.
 func (s *Server) cancelRunning() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

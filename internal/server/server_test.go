@@ -12,7 +12,8 @@ import (
 	"threadcluster/internal/errs"
 )
 
-// listSpool returns the spec file names in a spool directory.
+// listSpool returns the file names in a spool directory, skipping
+// subdirectories (the cell records live in one).
 func listSpool(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -20,7 +21,9 @@ func listSpool(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		names = append(names, e.Name())
+		if !e.IsDir() {
+			names = append(names, e.Name())
+		}
 	}
 	return names, nil
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # snapshot_smoke.sh: end-to-end smoke test of the snapshot/restore and
-# checkpoint/resume paths.
+# daemon resume paths.
 #
 # Two contracts are pinned:
 #
@@ -8,10 +8,11 @@
 #      and as a snapshot/resume pair at N produces byte-identical
 #      snapshot files (the canonical encoding is a pure function of the
 #      simulated state), and a resume under a different -seed fails.
-#   2. Daemon checkpoints: a tcsimd job cut down mid-run by a zero-grace
-#      drain leaves a completed-cell checkpoint beside the spool, and a
-#      restarted daemon resumes it to the same result digest
-#      `tcsim sweep -digest` computes offline.
+#   2. Daemon resume: a tcsimd SIGKILLed mid-job leaves the job's run
+#      file and a record of each completed grid cell in its spool; a
+#      restarted daemon resumes the job to the same result digest
+#      `tcsim sweep -digest` computes offline, and a resubmission of the
+#      grid under a new job ID replays the records to that digest too.
 #
 # Used by `make snapshot-smoke` and the CI snapshot-smoke job.
 set -eu
@@ -50,7 +51,7 @@ if "$WORK/tcsim" snapshot -policy clustered -resume "$WORK/half.snap" -seed 2 \
 fi
 echo "snapshot-smoke: resume with a mismatched -seed is refused"
 
-# --- 2. daemon checkpoint, kill, resume -----------------------------
+# --- 2. daemon kill, resume, replay ---------------------------------
 
 SPOOL="$WORK/spool"
 mkdir -p "$SPOOL"
@@ -58,7 +59,7 @@ mkdir -p "$SPOOL"
 start_daemon() {
     : >"$WORK/stdout"
     "$WORK/tcsimd" -addr 127.0.0.1:0 -job-workers 1 \
-        -spool "$SPOOL" -checkpoint-every 1 -grace 0s \
+        -spool "$SPOOL" -grace 0s \
         >"$WORK/stdout" 2>"$WORK/stderr" &
     PID=$!
     ADDR=""
@@ -98,14 +99,16 @@ start_daemon
 echo "snapshot-smoke: daemon up at $ADDR (spool $SPOOL)"
 
 # Admit the job without waiting, then let it run until the first
-# completed grid cell lands in the checkpoint.
+# completed grid cell is recorded.
 # shellcheck disable=SC2086
-"$WORK/tcsim" submit -addr "$ADDR" -id ckpt-job -wait=false $GRID >/dev/null 2>&1
+"$WORK/tcsim" submit -addr "$ADDR" -id kill-job -wait=false $GRID >/dev/null 2>&1
 
 i=0
-while [ ! -f "$SPOOL/ckpt-job.ckpt" ]; do
+while :; do
+    set -- "$SPOOL"/cells/*.json
+    [ -e "$1" ] && break
     if [ $i -ge 300 ]; then
-        echo "snapshot-smoke: no checkpoint appeared within 30s" >&2
+        echo "snapshot-smoke: no cell record appeared within 30s" >&2
         cat "$WORK/stderr" >&2
         exit 1
     fi
@@ -113,27 +116,27 @@ while [ ! -f "$SPOOL/ckpt-job.ckpt" ]; do
     i=$((i + 1))
 done
 
-# Cut the job down mid-run: zero grace means the drain deadline strikes
-# immediately, the running job is canceled and its final checkpoint
-# flushed on the way out.
-kill -TERM "$PID"
+# Kill the daemon outright: no drain, no settle, nothing flushed on the
+# way out. The run file and the records already written are all the
+# next start gets.
+kill -KILL "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
-if [ ! -f "$SPOOL/ckpt-job.ckpt" ]; then
-    echo "snapshot-smoke: checkpoint missing after the cut drain" >&2
+if [ ! -f "$SPOOL/kill-job.run" ]; then
+    echo "snapshot-smoke: run file missing after the kill" >&2
     exit 1
 fi
-echo "snapshot-smoke: job cut mid-run; checkpoint survives in the spool"
+echo "snapshot-smoke: daemon killed mid-job; run file and $# cell record(s) survive"
 
-# Restart onto the same spool: the checkpoint re-admits and the job
-# resumes from its completed cells.
+# Restart onto the same spool: the run file re-admits the job, which
+# replays its recorded cells and computes the rest.
 start_daemon
 echo "snapshot-smoke: daemon restarted at $ADDR"
 
 STATE=""
 i=0
 while [ $i -lt 600 ]; do
-    STATUS=$(fetch "$ADDR/v1/jobs/ckpt-job" 2>/dev/null || true)
+    STATUS=$(fetch "$ADDR/v1/jobs/kill-job" 2>/dev/null || true)
     STATE=$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')
     case "$STATE" in
     done) break ;;
@@ -157,6 +160,15 @@ if [ "$OFFLINE" != "$REMOTE" ]; then
     exit 1
 fi
 echo "snapshot-smoke: resumed digest matches the offline sweep: $REMOTE"
+
+# The same grid under a new job ID is all record hits: same digest.
+# shellcheck disable=SC2086
+AGAIN=$("$WORK/tcsim" submit -addr "$ADDR" -id again-job -digest $GRID 2>/dev/null)
+if [ "$OFFLINE" != "$AGAIN" ]; then
+    echo "snapshot-smoke: DIGEST MISMATCH: offline=$OFFLINE resubmitted=$AGAIN" >&2
+    exit 1
+fi
+echo "snapshot-smoke: resubmission under a new ID replays to the same digest"
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
