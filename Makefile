@@ -13,10 +13,9 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (detrand, wallclock, maporder, errwrap,
-# ctxplumb, nodeprecated, snapfields; see DESIGN.md §6), run by
-# tclint's own driver: it loads ./... with `go list -export -deps` and
-# analyzes the packages in dependency order, snapfields' facts held in
-# one in-memory store. The cmd/ tree is
+# ctxplumb, nodeprecated; see DESIGN.md §6), run by tclint's own driver:
+# it lists ./... with `go list -export -deps` and type-checks each package
+# against its imports' export data. The cmd/ tree is
 # allowlisted for wall-clock reads wholesale: operator-facing progress
 # timing and the tcsimd system clock live there, never in internal/.
 tclint:
@@ -101,7 +100,8 @@ fuzz-smoke:
 # chip-parallel engine differential (seq vs parallel byte-identity under
 # every GOMAXPROCS level), the golden snapshot, old-version-refusal and
 # trajectory tests (TestGolden*), the snapshot N+M differential
-# (including a foreign state provider), the slice barrier's canonical
+# (including a foreign state provider) and field-by-field coverage
+# walk, the slice barrier's canonical
 # drain order, the three-way reference/broadcast/directory walk
 # differential and the per-op directory scan at several GOMAXPROCS
 # levels, the refusal of hostile restored cache states in both coherence

@@ -1,18 +1,18 @@
-// Command tclint runs the project's static-analysis suite: seven
-// analyzers (detrand, wallclock, maporder, errwrap, ctxplumb,
-// nodeprecated, snapfields) that enforce the determinism (seed
-// provenance included), error-wrapping, context, deprecation-hygiene and
-// snapshot-coverage contracts the simulator's differential tests check
-// dynamically. See DESIGN.md §6 for the contract each analyzer guards.
+// Command tclint runs the project's static-analysis suite: six analyzers
+// (detrand, wallclock, maporder, errwrap, ctxplumb, nodeprecated) that
+// enforce the determinism (seed provenance included), error-wrapping,
+// context and deprecation-hygiene contracts the simulator's differential
+// tests check dynamically. See DESIGN.md §6 for the contract each
+// analyzer guards.
 //
 // Usage:
 //
 //	tclint [-json] [-list] [-wallclock.allow=prefix,...] [packages]
 //
-// With no packages it checks ./... . It loads the patterns and every
-// module package they depend on with `go list -export -deps`, and
-// analyzes them in dependency order against one in-memory facts store.
-// It exits 0 when clean, 1 on diagnostics or failure.
+// With no packages it checks ./... . It lists the patterns with
+// `go list -export -deps`, type-checks each matched package against its
+// imports' export data and analyzes it. It exits 0 when clean, 1 on
+// diagnostics or failure.
 //
 // -json emits the diagnostics as a sorted JSON array (stable field
 // order) on stdout instead of text, for CI annotation tooling.
@@ -22,7 +22,7 @@
 //	//tclint:allow wallclock -- operator progress output, not simulated time
 //
 // The reason after "--" is mandatory: a suppression without one is
-// itself a finding.
+// itself a finding, and so is one naming no analyzer of the suite.
 package main
 
 import (
@@ -66,9 +66,6 @@ func run(args []string) int {
 	if *wallclockAllow != "" {
 		lint.WallclockAllowlist = strings.Split(*wallclockAllow, ",")
 	}
-	// The repo tree must justify every suppression; only the golden-test
-	// harness runs with bare allows permitted.
-	lint.RequireAllowReason = true
 
 	analyzers := lint.All()
 	if *listOnly {

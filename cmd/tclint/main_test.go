@@ -22,9 +22,7 @@ import (
 // -wallclock.allow=threadcluster/cmd.
 func TestSelfClean(t *testing.T) {
 	defer func(prev []string) { lint.WallclockAllowlist = prev }(lint.WallclockAllowlist)
-	defer func(prev bool) { lint.RequireAllowReason = prev }(lint.RequireAllowReason)
 	lint.WallclockAllowlist = []string{"threadcluster/cmd"}
-	lint.RequireAllowReason = true
 	diags, err := lint.Run("../..", []string{"./..."}, lint.All())
 	if err != nil {
 		t.Fatalf("tclint: %v", err)
@@ -76,91 +74,6 @@ func scratchModule(t *testing.T, files map[string]string) string {
 		}
 	}
 	return dir
-}
-
-// TestStandaloneFacts proves facts cross real package boundaries through
-// the real loader: snaplib.Comp's SnapFieldsFact is computed while
-// analyzing the library package and read back when the dependent package
-// is checked. Holder mentions both of its Comp fields, so only the
-// cross-package rule can flag the one it never snapshots, and that rule
-// knows Comp is snapshotable only if the fact arrived. Under
-// ./internal/sim, snaplib is loaded DepOnly, so the fact comes from a
-// package whose own diagnostics are withheld.
-func TestStandaloneFacts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a scratch module")
-	}
-	bin := buildTclint(t)
-	dir := scratchModule(t, map[string]string{
-		// snapfields recognizes state code by threadcluster/internal/snapbin's
-		// Enc and Dec, by path and name; the scratch module supplies a
-		// stand-in.
-		"internal/snapbin/snapbin.go": `package snapbin
-
-type Enc struct{ buf []byte }
-
-func (e *Enc) U64(v uint64) { e.buf = append(e.buf, byte(v)) }
-
-func (e *Enc) Bool(v bool) { e.U64(0) }
-
-type Dec struct{ buf []byte }
-
-func (d *Dec) U64() uint64 { return uint64(len(d.buf)) }
-
-func (d *Dec) Bool() bool { return len(d.buf) > 0 }
-`,
-		"internal/snaplib/snaplib.go": `package snaplib
-
-import "threadcluster/internal/snapbin"
-
-// Comp is a complete state provider.
-type Comp struct{ ticks uint64 }
-
-func (c *Comp) SaveState(e *snapbin.Enc) { e.U64(c.ticks) }
-
-func (c *Comp) RestoreState(d *snapbin.Dec) error {
-	c.ticks = d.U64()
-	return nil
-}
-`,
-		"internal/sim/use.go": `package sim
-
-import (
-	"threadcluster/internal/snapbin"
-	"threadcluster/internal/snaplib"
-)
-
-type Holder struct {
-	primary *snaplib.Comp
-	shadow  *snaplib.Comp
-}
-
-func (h *Holder) SaveState(e *snapbin.Enc) {
-	h.primary.SaveState(e)
-	e.Bool(h.shadow != nil)
-}
-
-func (h *Holder) RestoreState(d *snapbin.Dec) error {
-	_ = d.Bool()
-	return h.primary.RestoreState(d)
-}
-`,
-	})
-
-	for _, pattern := range []string{"./...", "./internal/sim"} {
-		cmd := exec.Command(bin, pattern)
-		cmd.Dir = dir
-		out, err := cmd.Output()
-		var exitErr *exec.ExitError
-		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
-			t.Fatalf("tclint %s: err = %v, want exit code 1; output:\n%s", pattern, err, out)
-		}
-		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-		if len(lines) != 1 || !strings.Contains(lines[0], "use.go:10:") ||
-			!strings.Contains(lines[0], "Holder serializes some snapshotable components but never field shadow") {
-			t.Errorf("tclint %s: want exactly one snapfields finding at use.go:10; got:\n%s", pattern, out)
-		}
-	}
 }
 
 // TestJSONOutput pins the -json contract: a clean tree emits a literal
@@ -259,8 +172,9 @@ func Pick() int { return rand.Intn(5) }
 	cmd := exec.Command(bin, "./...")
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("tclint on a dirty module exited 0; output:\n%s", out)
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("tclint on a dirty module: err = %v, want exit code 1; output:\n%s", err, out)
 	}
 	if !strings.Contains(string(out), "math/rand imported in library code") {
 		t.Errorf("missing detrand diagnostic; got:\n%s", out)

@@ -126,8 +126,8 @@ func SmallConfig() HierarchyConfig {
 // methods (counters, occupancy, CheckDirectory) are only meaningful at
 // barrier boundaries.
 type Hierarchy struct {
-	topo topology.Topology  //tclint:allow snapfields -- construction config; RestoreMachine rebuilds it and the restore validates against it
-	lat  topology.Latencies //tclint:allow snapfields -- construction config, immutable after NewHierarchy
+	topo topology.Topology  // construction config; RestoreMachine rebuilds it and the restore validates against it
+	lat  topology.Latencies // construction config, immutable after NewHierarchy
 	l1   []*SetAssoc        // indexed by global core id
 	l2   []*SetAssoc        // indexed by chip
 	l3   []*SetAssoc        // indexed by chip
@@ -146,7 +146,7 @@ type Hierarchy struct {
 	invalidationsSent uint64
 
 	// NUMA configuration: nil means uniform memory (the base platform).
-	nodes memory.NodeMap //tclint:allow snapfields -- construction config, immutable after NewHierarchy
+	nodes memory.NodeMap // construction config, immutable after NewHierarchy
 }
 
 // NewHierarchy builds the cache system for a topology.

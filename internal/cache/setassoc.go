@@ -134,7 +134,7 @@ type slabs struct {
 	// from the freshly built image: by Insert and by restoreCache for the
 	// sets it fills. release rewrites exactly those sets, so recycling a
 	// cache costs O(sets touched), not O(capacity).
-	touched []uint64 //tclint:allow snapfields -- derived from the slabs: restoreCache rebuilds it from the ways it fills, so it is never serialised
+	touched []uint64 // derived from the slabs: restoreCache rebuilds it from the ways it fills, so it is never serialised
 }
 
 // slabPools parks released slab sets for reuse, one sync.Pool per geometry

@@ -154,7 +154,7 @@ const jitterStream = 0x7C1
 // Engine is the thread-clustering engine attached to one machine.
 type Engine struct {
 	cfg Config
-	m   *sim.Machine //tclint:allow snapfields -- machine attachment; Install re-links it before RestoreSnapshot overlays state
+	m   *sim.Machine // machine attachment; Install re-links it before RestoreSnapshot overlays state
 
 	phase         Phase
 	windowStart   uint64
@@ -163,7 +163,7 @@ type Engine struct {
 	baseRemoteMem uint64
 
 	shmaps  map[clustering.ThreadKey]*clustering.ShMap
-	filter  *clustering.Filter         //tclint:allow snapfields -- aliases filters[0], whose section carries the data; RestoreState re-links it
+	filter  *clustering.Filter         // aliases filters[0], whose section carries the data; RestoreState re-links it
 	filters map[int]*clustering.Filter // per process, including 0
 	rng     *rng.Rand
 

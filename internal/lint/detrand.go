@@ -24,7 +24,7 @@ import (
 // bound to an integer parameter whose name contains "seed" — rng.New,
 // rng.Derive, sched.New, BuildWorkload — must be seed-derived. Parameter
 // names come from the callee's signature, which export data keeps, so
-// the rule crosses packages without facts; a function that forwards its
+// the rule crosses packages on signatures alone; a function that forwards its
 // own parameter to a seed position must name it seed…, which makes its
 // callers' arguments seed positions in turn.
 var DetRand = &Analyzer{
@@ -176,4 +176,14 @@ func calleeName(info *types.Info, fun ast.Expr) string {
 		}
 	}
 	return fn.Pkg().Name() + "." + name
+}
+
+// namedOfRecv unwraps a method receiver type (T or *T) to its named
+// type, reporting false for anything else.
+func namedOfRecv(t types.Type) (*types.Named, bool) {
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		t = p.Elem()
+	}
+	n, isNamed := t.(*types.Named)
+	return n, isNamed
 }

@@ -11,9 +11,9 @@ func TestDetRand(t *testing.T) {
 	linttest.Run(t, lint.DetRand, "testdata/detrand", lint.ModulePath+"/internal/workloads")
 }
 
-// TestSeedFlow: the seed rule's goldens, analyzed after the genuine
+// TestDetRandSeed: the seed rule's goldens, analyzed after the genuine
 // internal/rng, whose own seed positions (New, Derive) must be clean.
-func TestSeedFlow(t *testing.T) {
+func TestDetRandSeed(t *testing.T) {
 	linttest.RunWithDeps(t, lint.DetRand,
 		[]linttest.Dep{{Dir: "../rng", AsPath: lint.ModulePath + "/internal/rng"}},
 		"testdata/detrand_seed", lint.ModulePath+"/internal/experiments")
@@ -44,9 +44,9 @@ func TestDetRandScope(t *testing.T) {
 	}
 }
 
-// TestSeedFlowScope: the seed rule covers internal/rng itself, whose
-// Derive forwards its seed parameter, and stops at the module edge and
-// at cmd/ packages.
+// TestSeedFlowScope: detrand's seed rule covers internal/rng itself,
+// whose Derive forwards its seed parameter, and stops at the module edge
+// and at cmd/ packages.
 func TestSeedFlowScope(t *testing.T) {
 	for path, want := range map[string]bool{
 		lint.ModulePath:                   true,

@@ -22,25 +22,21 @@ type listedPackage struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Standard   bool
-	DepOnly    bool
+	Match      []string // the patterns that matched it; none for a dependency
 	Error      *struct{ Err string }
 }
 
 // Load resolves patterns with the go command and returns each matched
-// package parsed and type-checked against `go list -export` data, in
-// dependency order (every package after all of its dependencies — the
-// order `go list -deps` emits). Module packages that are dependencies
-// of the matched set but not matched themselves are loaded too, marked
-// DepOnly: the facts pass must see them for cross-package provenance
-// even when the user asks for a subtree, but their diagnostics are not
-// the user's to fix right now. Only non-test Go files are loaded — the
-// determinism contracts govern what ships, and benchmarks/tests
-// legitimately use wall time and ad hoc randomness.
+// package parsed and type-checked against its imports' `go list -export`
+// data, in the order `go list -deps` emits them. Dependencies are listed
+// only for their export data; no package outside the patterns is parsed.
+// Only non-test Go files are loaded — the determinism contracts govern
+// what ships, and benchmarks/tests legitimately use wall time and ad hoc
+// randomness.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,Match,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -67,7 +63,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.Standard && (!p.DepOnly || inModule(p.ImportPath)) {
+		if len(p.Match) > 0 {
 			pkg := p
 			targets = append(targets, &pkg)
 		}
@@ -91,7 +87,6 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.DepOnly = t.DepOnly
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
@@ -113,34 +108,27 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, fil
 	}
 	info := NewTypesInfo()
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
+	_, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return &Package{PkgPath: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{PkgPath: path, Fset: fset, Files: files, Info: info}, nil
 }
 
 // Run loads patterns (relative to dir) and applies the analyzers,
-// returning all surviving diagnostics in package order. A single facts
-// store is threaded through every package in dependency order, so each
-// package's facts are in the store before its importers are analyzed.
-// Packages loaded only as dependencies contribute facts but no
-// diagnostics.
+// returning all surviving diagnostics in package order.
 func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := Load(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	facts := NewFacts()
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		ds, err := RunPackageFacts(pkg, analyzers, facts)
+		ds, err := RunPackage(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
-		if !pkg.DepOnly {
-			diags = append(diags, ds...)
-		}
+		diags = append(diags, ds...)
 	}
 	return diags, nil
 }

@@ -1,7 +1,7 @@
-// Package lint is the project's static-analysis suite: seven analyzers
+// Package lint is the project's static-analysis suite: six analyzers
 // that enforce the determinism (seed provenance included), error-
-// wrapping, context, deprecation-hygiene and snapshot-coverage
-// contracts the simulator's differential tests rely on dynamically.
+// wrapping, context and deprecation-hygiene contracts the simulator's
+// differential tests rely on dynamically.
 // The sweep runner promises byte-identical results for any worker
 // count and the coherence differential harness requires byte-identical
 // AccessResults between broadcast and directory mode; a single stray
@@ -14,17 +14,15 @@
 // go/analysis Analyzer/Pass shape so the analyzers would port to a
 // multichecker mechanically. One driver runs them: Run (used by
 // `tclint ./...`) loads packages with Load, type-checking each against
-// `go list -export` data, and analyzes them in dependency order.
+// its imports' `go list -export` data, and analyzes each package on its
+// own.
 //
 // Suppression: a `//tclint:allow <name>[,<name>...] -- <reason>` comment
 // on the offending line, or on the line directly above it, silences the
-// named analyzers for that line. When RequireAllowReason is set (tclint
-// sets it; the golden-test harness does not), a suppression without a
-// `-- reason` is itself a diagnostic: the repo's own tree must justify
-// every allowance.
-//
-// The interprocedural analyzer, snapfields, additionally exchanges
-// Facts across package boundaries; see facts.go.
+// named analyzers for that line. A suppression without a `-- reason` is
+// itself a diagnostic, since every allowance must justify itself, and so
+// is one naming no analyzer of All(), which is what deleting an analyzer
+// leaves behind.
 package lint
 
 import (
@@ -62,18 +60,14 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 }
 
-// A Pass carries one analyzer's view of one type-checked package, plus
-// the facts store shared across the whole run (ExportObjectFact /
-// ImportObjectFact in facts.go).
+// A Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	PkgPath   string
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	facts  Facts
 	report func(Diagnostic)
 }
 
@@ -98,16 +92,11 @@ func (d Diagnostic) String() string {
 }
 
 // Package is one loaded, type-checked package ready for analysis.
-// DepOnly marks packages loaded only because a target depends on them:
-// they are analyzed for the facts they export, but their diagnostics
-// are withheld.
 type Package struct {
 	PkgPath string
 	Fset    *token.FileSet
 	Files   []*ast.File
-	Types   *types.Package
 	Info    *types.Info
-	DepOnly bool
 }
 
 // NewTypesInfo returns a types.Info with every map the analyzers read
@@ -117,36 +106,15 @@ func NewTypesInfo() *types.Info {
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 }
 
-// RequireAllowReason makes a `//tclint:allow` comment without a
-// `-- reason` justification a diagnostic in its own right. tclint sets
-// it (every suppression surviving in the repo tree must explain
-// itself); the linttest golden harness leaves it unset so golden
-// packages can exercise the bare-comment parse path.
-var RequireAllowReason bool
-
-// RunPackageFacts applies every appropriate analyzer to pkg, importing
-// facts from and exporting facts to the given store, and returns the
-// surviving (non-suppressed) diagnostics sorted by position. For fact
-// flow to be complete, packages must be analyzed in dependency order
-// against the same store.
-func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts Facts) ([]Diagnostic, error) {
-	suppressions, bare := collectSuppressions(pkg.Fset, pkg.Files)
-	var diags []Diagnostic
-	if RequireAllowReason {
-		for _, pos := range bare {
-			diags = append(diags, Diagnostic{
-				Pos:      pos,
-				Analyzer: "allowreason",
-				Message:  "//tclint:allow without a '-- reason' justification; explain why the finding is acceptable",
-			})
-		}
-	}
+// RunPackage applies every appropriate analyzer to pkg and returns the
+// surviving (non-suppressed) diagnostics, plus the findings about the
+// suppressions themselves, sorted by position.
+func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	suppressions, diags := collectSuppressions(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
 		if a.Appropriate != nil && !a.Appropriate(pkg.PkgPath) {
 			continue
@@ -156,9 +124,7 @@ func RunPackageFacts(pkg *Package, analyzers []*Analyzer, facts Facts) ([]Diagno
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			PkgPath:   pkg.PkgPath,
-			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			facts:     facts,
 		}
 		pass.report = func(d Diagnostic) {
 			if suppressions.allows(d.Pos.Filename, d.Pos.Line, d.Analyzer) {
@@ -198,11 +164,19 @@ func (s suppressionIndex) allows(file string, line int, analyzer string) bool {
 }
 
 // collectSuppressions indexes every //tclint:allow comment and returns,
-// alongside the index, the positions of bare allows — suppressions with
-// no '-- reason' justification — for RequireAllowReason enforcement.
-func collectSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex, []token.Position) {
+// alongside the index, the comments' own findings under the
+// "allowreason" name, which no comment can suppress: every allow with no
+// '-- reason' justification and every name that is no analyzer of All().
+func collectSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex, []Diagnostic) {
+	known := map[string]bool{"*": true}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	idx := make(suppressionIndex)
-	var bare []token.Position
+	var findings []Diagnostic
+	report := func(pos token.Position, format string, args ...any) {
+		findings = append(findings, Diagnostic{Pos: pos, Analyzer: "allowreason", Message: fmt.Sprintf(format, args...)})
+	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -212,7 +186,12 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) (suppressionInd
 				}
 				pos := fset.Position(c.Pos())
 				if reason == "" {
-					bare = append(bare, pos)
+					report(pos, "//tclint:allow without a '-- reason' justification; explain why the finding is acceptable")
+				}
+				for _, n := range names {
+					if !known[n] {
+						report(pos, "//tclint:allow names %q, which is not a tclint analyzer; remove the stale name", n)
+					}
 				}
 				lines := idx[pos.Filename]
 				if lines == nil {
@@ -232,7 +211,7 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) (suppressionInd
 			}
 		}
 	}
-	return idx, bare
+	return idx, findings
 }
 
 // parseAllow extracts the analyzer names and the justification from an
@@ -258,9 +237,8 @@ func parseAllow(text string) (names []string, reason string, ok bool) {
 	return names, reason, len(names) > 0
 }
 
-// All returns the full suite in stable order. The first six are
-// package-local; snapfields is interprocedural and needs facts from the
-// package's dependencies to be complete.
+// All returns the full suite in stable order. Every analyzer judges a
+// package from its own syntax and its imports' export data.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetRand,
@@ -269,7 +247,6 @@ func All() []*Analyzer {
 		ErrWrap,
 		CtxPlumb,
 		NoDeprecated,
-		SnapFields,
 	}
 }
 

@@ -20,8 +20,8 @@ func TestParseAllow(t *testing.T) {
 		{"//tclint:allow detrand maporder", []string{"detrand", "maporder"}, ""},
 		{"//tclint:allow\tdetrand,\twallclock -- tab separators", []string{"detrand", "wallclock"}, "tab separators"},
 		{"//tclint:allow * -- blanket", []string{"*"}, "blanket"},
-		{"//tclint:allow snapfields --", []string{"snapfields"}, ""},    // empty reason is a bare allow
-		{"//tclint:allow snapfields --   ", []string{"snapfields"}, ""}, // whitespace-only reason too
+		{"//tclint:allow errwrap --", []string{"errwrap"}, ""},    // empty reason is a bare allow
+		{"//tclint:allow errwrap --   ", []string{"errwrap"}, ""}, // whitespace-only reason too
 		{"//tclint:allow", nil, ""},            // no names, not a suppression
 		{"//tclint:allowed nothing", nil, ""},  // different directive
 		{"// tclint:allow wallclock", nil, ""}, // the directive admits no space, like //go:
@@ -50,7 +50,7 @@ func f() {
 	_ = 4 //tclint:allow detrand,maporder -- multi-name
 	//tclint:allowed near-miss is not a directive
 	_ = 5
-	_ = 6 //tclint:allow bare
+	_ = 6 //tclint:allow errwrap
 }
 `
 	fset := token.NewFileSet()
@@ -58,7 +58,7 @@ func f() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, bare := collectSuppressions(fset, []*ast.File{f})
+	idx, findings := collectSuppressions(fset, []*ast.File{f})
 	cases := []struct {
 		line     int
 		analyzer string
@@ -77,7 +77,7 @@ func f() {
 		{9, "errwrap", false},    // multi-name list excludes others
 		{10, "near", false},      // //tclint:allowed is not ours
 		{11, "near", false},      // and covers nothing below either
-		{12, "bare", true},       // bare allows still suppress...
+		{12, "errwrap", true},    // bare allows still suppress...
 		{11, "wallclock", false}, // unrelated line
 	}
 	for _, c := range cases {
@@ -85,9 +85,9 @@ func f() {
 			t.Errorf("allows(p.go, %d, %q) = %v, want %v", c.line, c.analyzer, got, c.want)
 		}
 	}
-	// ...but are reported as bare for RequireAllowReason enforcement.
-	if len(bare) != 1 || bare[0].Line != 12 {
-		t.Errorf("bare allows = %v, want exactly one at line 12", bare)
+	// ...but are reported.
+	if len(findings) != 1 || findings[0].Pos.Line != 12 || findings[0].Analyzer != "allowreason" {
+		t.Errorf("findings = %v, want exactly one allowreason at line 12", findings)
 	}
 }
 
@@ -98,7 +98,7 @@ func TestAllStable(t *testing.T) {
 	for _, a := range All() {
 		names = append(names, a.Name)
 	}
-	want := []string{"detrand", "wallclock", "maporder", "errwrap", "ctxplumb", "nodeprecated", "snapfields"}
+	want := []string{"detrand", "wallclock", "maporder", "errwrap", "ctxplumb", "nodeprecated"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("All() = %v, want %v", names, want)
 	}

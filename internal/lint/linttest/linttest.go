@@ -8,6 +8,8 @@
 //
 // Both double-quoted and backquoted expectation strings are accepted;
 // each is a regular expression matched against the diagnostic message.
+// A want may also be a block comment, /* want "..." */, for a line whose
+// line comment is the subject of the test (a //tclint:allow directive).
 // Lines without a want comment must produce no diagnostics.
 //
 // Golden packages are type-checked with the standard library's source
@@ -53,20 +55,20 @@ type Dep struct {
 }
 
 // RunWithDeps analyzes one or more golden dependency packages followed
-// by the package under test, threading one facts store through all of
-// them — the multi-package scenario the interprocedural analyzers
-// exist for. Each dep is registered under its AsPath so the later
-// packages can import it by that path, and its // want comments are
-// checked too (a dep may carry its own expected diagnostics).
+// by the package under test, so a rule that reads an imported
+// package's signatures (detrand's seed positions) is exercised against
+// a dependency written for the test. Each dep is registered under its
+// AsPath so the later packages can import it by that path, and its
+// // want comments are checked too (a dep may carry its own expected
+// diagnostics).
 func RunWithDeps(t *testing.T, a *lint.Analyzer, deps []Dep, dir, asPath string) {
 	t.Helper()
 	fset := token.NewFileSet()
 	im := newModuleImporter(t, fset)
-	facts := lint.NewFacts()
 	var diags []lint.Diagnostic
 	var wants []want
 	for _, dep := range append(append([]Dep(nil), deps...), Dep{Dir: dir, AsPath: asPath}) {
-		ds, ws := analyze(t, a, dep.Dir, dep.AsPath, fset, im, facts)
+		ds, ws := analyze(t, a, dep.Dir, dep.AsPath, fset, im)
 		diags = append(diags, ds...)
 		wants = append(wants, ws...)
 	}
@@ -104,7 +106,7 @@ type want struct {
 	re   *regexp.Regexp
 }
 
-func analyze(t *testing.T, a *lint.Analyzer, dir, asPath string, fset *token.FileSet, im *moduleImporter, facts lint.Facts) ([]lint.Diagnostic, []want) {
+func analyze(t *testing.T, a *lint.Analyzer, dir, asPath string, fset *token.FileSet, im *moduleImporter) ([]lint.Diagnostic, []want) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -143,8 +145,8 @@ func analyze(t *testing.T, a *lint.Analyzer, dir, asPath string, fset *token.Fil
 	// Register the package so later golden packages in the same run can
 	// import it by its declared path (shadowing any real module package).
 	im.pkgs[asPath] = tpkg
-	pkg := &lint.Package{PkgPath: asPath, Fset: fset, Files: files, Types: tpkg, Info: info}
-	diags, err := lint.RunPackageFacts(pkg, []*lint.Analyzer{a}, facts)
+	pkg := &lint.Package{PkgPath: asPath, Fset: fset, Files: files, Info: info}
+	diags, err := lint.RunPackage(pkg, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
@@ -240,6 +242,9 @@ func collectWants(fset *token.FileSet, f *ast.File, base string) ([]want, error)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
+			if text == c.Text {
+				text = strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/")
+			}
 			text = strings.TrimSpace(text)
 			if !strings.HasPrefix(text, "want ") {
 				continue

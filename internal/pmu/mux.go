@@ -21,13 +21,13 @@ type Multiplexer struct {
 	observed  [NumEvents]uint64 // counts while the owning group was active
 	activeCyc [NumEvents]uint64 // cycles during which the event was active
 	totalCyc  uint64
-	groupOf   [NumEvents]int //tclint:allow snapfields -- derived from groups at construction, never mutated
+	groupOf   [NumEvents]int // derived from groups at construction, never mutated
 	rotations uint64         // completed group switches
 
 	// owner is the PMU the multiplexer is attached to; its pending deltas
 	// belong in observed before anything reads observed or rotates the
 	// active group.
-	owner *PMU //tclint:allow snapfields -- attachment wiring set by PMU.AttachMultiplexer
+	owner *PMU // attachment wiring set by PMU.AttachMultiplexer
 }
 
 // sync delivers the owning PMU's pending deltas.

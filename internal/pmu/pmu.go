@@ -68,16 +68,16 @@ type PMU struct {
 	counts [NumEvents]uint64
 	slots  [NumPhysicalCounters]counterSlot
 	sdar   SampledAddr
-	mux    *Multiplexer //tclint:allow snapfields -- optional attachment wiring; the multiplexer snapshots as its own subsection beside the PMU
+	mux    *Multiplexer // optional attachment wiring; the multiplexer snapshots as its own subsection beside the PMU
 
 	// watched[ev] reports whether any programmed slot counts ev, so
 	// Observe can skip the slot scan for the (many) events nothing counts.
-	watched [NumEvents]bool //tclint:allow snapfields -- derived from slots by reindex; RestoreState requires matching programming and reindexes
+	watched [NumEvents]bool // derived from slots by reindex; RestoreState requires matching programming and reindexes
 	// armed[ev] reports whether a slot that counts ev can fire its handler
 	// (it has one and a nonzero threshold). Add observes those events at
 	// once and leaves every other event's deltas in pending.
-	armed   [NumEvents]bool //tclint:allow snapfields -- derived from slots by reindex, like watched
-	pending Batch           //tclint:allow snapfields -- always empty when saved or restored: both flush first
+	armed   [NumEvents]bool // derived from slots by reindex, like watched
+	pending Batch           // always empty when saved or restored: both flush first
 
 	// interruptCycles accumulates cycles spent in overflow handlers; the
 	// simulator drains it into the running thread's cost.

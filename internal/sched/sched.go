@@ -62,8 +62,8 @@ func (p Policy) String() string {
 // Scheduler is not safe for concurrent use; the simulator is
 // single-goroutine.
 type Scheduler struct {
-	topo    topology.Topology //tclint:allow snapfields -- construction config; RestoreMachine rebuilds the scheduler with it
-	policy  Policy            //tclint:allow snapfields -- construction config; policies are stateless placement logic
+	topo    topology.Topology // construction config; RestoreMachine rebuilds the scheduler with it
+	policy  Policy            // construction config; policies are stateless placement logic
 	queues  [][]ThreadID
 	cpuOf   map[ThreadID]topology.CPUID
 	running map[ThreadID]bool // dequeued by PickNext, not yet requeued
