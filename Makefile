@@ -98,7 +98,8 @@ fuzz-smoke:
 
 # Race-detector coverage for the concurrent packages, including the
 # chip-parallel engine differential (seq vs parallel byte-identity under
-# every GOMAXPROCS level), the golden snapshot, old-version-refusal and
+# every GOMAXPROCS level), the Next adapter against multi-reference runs
+# whose tails chip workers carry across slices, the golden snapshot, old-version-refusal and
 # trajectory tests (TestGolden*), the snapshot N+M differential
 # (including a foreign state provider) and field-by-field coverage
 # walk, the slice barrier's canonical
@@ -117,7 +118,7 @@ test-race:
 	$(GO) test -race ./internal/metrics ./internal/sweep
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
 	$(GO) test -race -run 'TestGridRecyclesAcrossWorkers|TestBuildFailureRecyclesSlabs|TestGridCellsCloseTheirMachine' -cpu 1,2,4 ./internal/experiments
-	$(GO) test -race -run 'TestEngine|TestRunSlice|TestRunSaturates|TestSnapshot|TestGolden|TestClose' ./internal/sim
+	$(GO) test -race -run 'TestEngine|TestRunSlice|TestRunSaturates|TestNextAdapter|TestSnapshot|TestGolden|TestClose' ./internal/sim
 	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet

@@ -28,6 +28,8 @@ type chaseGen struct {
 	lines  uint64
 	pos    uint64
 	stride uint64
+
+	run [1]sim.MemRef // NextRun's slot
 }
 
 func newChaseGen(region memory.Region) *chaseGen {
@@ -73,9 +75,14 @@ func (g *chaseGen) RestoreState(state []byte) error {
 	return nil
 }
 
-func (g *chaseGen) Next() sim.MemRef {
+func (g *chaseGen) Next() sim.MemRef { return g.NextRun()[0] }
+
+// NextRun writes the next hop into the chase's run slot; the slot's
+// other fields stay zero.
+func (g *chaseGen) NextRun() []sim.MemRef {
 	g.pos = (g.pos + g.stride) % g.lines
-	return sim.MemRef{Addr: g.region.At(g.pos * memory.LineSize), Insts: 0}
+	g.run[0].Addr = g.region.At(g.pos * memory.LineSize)
+	return g.run[:]
 }
 
 // CacheProbe measures the machine's effective access latency as a

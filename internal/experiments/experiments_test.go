@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"threadcluster/internal/memory"
 	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
+	"threadcluster/internal/sim"
+	"threadcluster/internal/sim/simtest"
 )
 
 // testOptions shrinks the run lengths; the figure shapes must survive.
@@ -466,6 +469,15 @@ func TestCacheProbeStaircase(t *testing.T) {
 			t.Errorf("latency curve dipped at %d bytes", points[i].WorkingSetBytes)
 		}
 	}
+}
+
+// TestRunsMatchNext: the pointer chase consumed through NextRun yields
+// its Next stream, over several full walks of its working set.
+func TestRunsMatchNext(t *testing.T) {
+	region := memory.NewDefaultArena().MustAlloc(64<<10, 0)
+	gens := []sim.Generator{newChaseGen(region)}
+	twins := []sim.Generator{newChaseGen(region)}
+	simtest.RunsMatchNext(t, gens, twins, 200_000, 20070321)
 }
 
 func TestMuxValidationTracksExactBreakdown(t *testing.T) {

@@ -274,6 +274,9 @@ func (s *Server) admit(norm JobSpec, cost int64) (JobStatus, error) {
 	s.nextSeq++
 	s.jobs[norm.ID] = j
 	s.bySeq = append(s.bySeq, j)
+	// The admitted status is taken before the push: once the job is on the
+	// queue a worker may pop it and mark it running before Submit returns.
+	admitted := j.status()
 	s.mu.Unlock()
 
 	// The queued event goes in before the push: once the job is on the
@@ -297,10 +300,7 @@ func (s *Server) admit(norm JobSpec, cost int64) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	s.mJobsAdmitted.Inc()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return j.status(), nil
+	return admitted, nil
 }
 
 // RetryableError decorates an overload rejection with the server's

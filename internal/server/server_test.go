@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -166,6 +167,43 @@ func TestQueuedEventPrecedesThePush(t *testing.T) {
 	evs, _, _ := j.events.snapshotFrom(0)
 	if len(evs) == 0 || evs[0].Type != EventQueued || evs[0].Seq != 0 {
 		t.Fatalf("event log at pop time is %+v, want queued at seq 0", evs)
+	}
+}
+
+// TestAdmittedStatusIsQueued: Submit answers with the status the job was
+// admitted in. With idle workers a job is popped the moment it lands on
+// the queue; admit used to read the status after the push, so a fast
+// worker made Submit answer "running" (TestClientRoundTrip failed that
+// way in 2 of 40 runs under -race). Every job here is submitted to idle
+// workers while a poller contends for the server lock, which holds admit
+// up long enough for a worker to get in: the old admit answered "running"
+// for about one job in eight.
+func TestAdmittedStatusIsQueued(t *testing.T) {
+	const jobs = 48
+	s := startServer(t, Options{JobWorkers: 2}, nil)
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Jobs()
+			}
+		}
+	}()
+	defer func() { close(stop); <-polled }()
+	for i := 0; i < jobs; i++ {
+		id := fmt.Sprintf("admit-%d", i)
+		st, err := s.Submit(context.Background(), smallSpec(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ID != id || st.State != StateQueued {
+			t.Fatalf("job %d: admitted status %+v, want queued %s", i, st, id)
+		}
+		waitTerminal(t, s, id) // the workers are idle again for the next one
 	}
 }
 

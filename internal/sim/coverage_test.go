@@ -73,10 +73,16 @@ var zeroEverywhere = map[string]string{
 	"sched.Scheduler.running": "empty between rounds: SaveState refuses a scheduler with a thread dispatched",
 }
 
-// notState names fields that are deliberately not simulation state.
+// notState names fields that are deliberately not simulation state. They
+// are neither compared nor held to coverage.
 var notState = map[string]string{
-	"sim.Machine.parallelRounds": "counts which engine drove the rounds; metrics and snapshots must not depend on it",
+	"sim.Machine.parallelRounds":    "counts which engine drove the rounds; metrics and snapshots must not depend on it",
+	"workloads.syntheticWorker.run": runSlot,
+	"workloads.volanoThread.run":    runSlot,
+	"workloads.stagedWorker.run":    runSlot,
 }
+
+const runSlot = "NextRun's one-reference slot: every NextRun rewrites it and the slice loop consumes it at once (Snapshot refuses a pending run)"
 
 // corpusMachine is one machine of the corpus. It runs rounds rounds, or,
 // when ready is set, until ready holds and for at most rounds rounds.
@@ -244,8 +250,9 @@ func (w *walker) verify(t *testing.T) {
 	for p := range w.providers {
 		reached = append(reached, p.String())
 		for i := 0; i < p.NumField(); i++ {
-			if f := p.Field(i); f.Type.Kind() != reflect.Func {
-				fields = append(fields, p.String()+"."+f.Name)
+			name := p.String() + "." + p.Field(i).Name
+			if _, skip := notState[name]; !skip && p.Field(i).Type.Kind() != reflect.Func {
+				fields = append(fields, name)
 			}
 		}
 	}

@@ -56,9 +56,9 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("sim: unknown engine %q (want seq or parallel)", s)
 }
 
-// ConfinedGenerator marks a Generator whose Next method touches only
-// state owned by its own thread (its own RNG, immutable shared regions).
-// Generators that mutate shared structures at generation time — e.g. the
+// ConfinedGenerator marks a Generator whose Next (and NextRun) methods
+// touch only state owned by its own thread (its own RNG, immutable shared
+// regions). Generators that mutate shared structures at generation time — e.g. the
 // SPECjbb/RUBiS workloads, whose transactions insert into a B-tree shared
 // by the warehouse's threads — must not be marked: running them from
 // concurrent chip workers would race. Rounds with any unconfined running

@@ -3,12 +3,14 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"threadcluster/internal/cache"
+	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/rng"
@@ -352,6 +354,108 @@ func TestEngineFallbackUnconfined(t *testing.T) {
 type unconfined struct{ g Generator }
 
 func (u unconfined) Next() MemRef { return u.g.Next() }
+
+// runsOf hands diffGen's stream out in runs of seeded random lengths,
+// drawn ahead through Next. It keeps diffGen's confinement, so its rounds
+// defer exactly where diffGen's do.
+type runsOf struct {
+	*diffGen
+	cut *rng.Rand
+	buf []MemRef
+}
+
+func (g *runsOf) NextRun() []MemRef {
+	g.buf = g.buf[:0]
+	for n := 1 + g.cut.Intn(16); n > 0; n-- {
+		g.buf = append(g.buf, g.diffGen.Next())
+	}
+	return g.buf
+}
+
+// withGenerators re-adds every thread of a diff machine, in order, with
+// its generator replaced by wrap(thread id, generator).
+func withGenerators(t *testing.T, m *Machine, wrap func(sched.ThreadID, *diffGen) Generator) *Machine {
+	t.Helper()
+	for _, th := range m.Threads() {
+		id, partition, g := th.ID, th.Partition, th.Gen.(*diffGen)
+		if err := m.RemoveThread(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddThread(&Thread{ID: id, Gen: wrap(id, g), Partition: partition}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+func nextOnly(_ sched.ThreadID, g *diffGen) Generator { return g }
+
+func inRuns(id sched.ThreadID, g *diffGen) Generator {
+	return &runsOf{diffGen: g, cut: rng.New(int64(id))}
+}
+
+// TestNextAdapterMatchesRuns: diffGen implements only Next, so AddThread
+// gives it the one-slot adapter. The same streams handed out in runs of
+// up to sixteen references, whose tails wait on their threads across
+// slices and rounds, must drive the machine identically: per-CPU
+// AccessResult capture, PMU and coherence counters, per-thread accounting
+// and metrics, under both engines (chip-parallel under EngineParallel,
+// where each chip's goroutine carries its threads' pending runs).
+func TestNextAdapterMatchesRuns(t *testing.T) {
+	const seed, rounds = 11, 30
+	ctx := context.Background()
+	sc := diffTopo{name: "power5-32way", topo: topology.Power5_32Way()}
+	for _, engine := range []Engine{EngineSeq, EngineParallel} {
+		t.Run(engine.String(), func(t *testing.T) {
+			next := withGenerators(t, buildDiffMachine(t, sc, engine, seed), nextOnly)
+			runs := withGenerators(t, buildDiffMachine(t, sc, engine, seed), inRuns)
+			if _, ok := next.Threads()[0].runs.(*nextRuns); !ok {
+				t.Fatalf("a Next-only generator runs through %T, want the one-slot adapter", next.Threads()[0].runs)
+			}
+			for _, m := range []*Machine{next, runs} {
+				enableCapture(m)
+				if err := m.RunRoundsCtx(ctx, rounds); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if engine == EngineParallel && runs.parallelRounds == 0 {
+				t.Fatal("the runs machine never took the chip-parallel path")
+			}
+			held := 0
+			for _, th := range runs.Threads() {
+				held += len(th.pending)
+			}
+			if held == 0 {
+				t.Fatal("no run outlived its slice: the test exercises nothing")
+			}
+			diffStates(t, captureState(t, next), captureState(t, runs))
+		})
+	}
+}
+
+// TestSnapshotRefusesPendingRun: a thread holding unconsumed references
+// of a run cannot be snapshotted, since its generator's cursor is already
+// past them and a restore would skip them.
+func TestSnapshotRefusesPendingRun(t *testing.T) {
+	ctx := context.Background()
+	m := withGenerators(t, buildDiffMachine(t, diffTopologies()[0], EngineSeq, 5), inRuns)
+	if _, err := m.Snapshot(ctx); err != nil {
+		t.Fatalf("a machine that has not run holds no run: %v", err)
+	}
+	if err := m.RunRoundsCtx(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	held := false
+	for _, th := range m.Threads() {
+		held = held || len(th.pending) > 0
+	}
+	if !held {
+		t.Fatal("no thread holds a pending run")
+	}
+	if _, err := m.Snapshot(ctx); !errors.Is(err, errs.ErrBadConfig) {
+		t.Fatalf("snapshot with a pending run: %v, want ErrBadConfig", err)
+	}
+}
 
 // TestRunSliceZeroAlloc pins the engine's allocation-free hot path: after
 // warm-up, driving a full deferred slice sweep — every chip's CPUs through

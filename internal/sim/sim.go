@@ -53,6 +53,35 @@ type Generator interface {
 	Next() MemRef
 }
 
+// RunGenerator is an optional Generator capability: NextRun hands over the
+// next run of the stream in place — at least one reference, in stream
+// order — instead of one MemRef per call. The run stays valid until the
+// next NextRun call, and the generator's cursor is already past it, so a
+// caller consumes every reference of a run before asking for the next.
+// Next and NextRun draw from one stream: consuming it through either, or
+// through runs cut anywhere, yields the same references.
+//
+// A MemRef has six fields, more than Go returns in registers, so a Next
+// call returns it through memory, and the caller's copy out of that memory
+// straddles the callee's narrower stores. A run is a slice header, and
+// runSlice reads each reference in place.
+type RunGenerator interface {
+	Generator
+	NextRun() []MemRef
+}
+
+// nextRuns is the run source of a generator that only implements Next:
+// one reference per run, in a slot it owns.
+type nextRuns struct {
+	Generator
+	run [1]MemRef
+}
+
+func (a *nextRuns) NextRun() []MemRef {
+	a.run[0] = a.Next()
+	return a.run[:]
+}
+
 // Thread is one software thread.
 type Thread struct {
 	// ID is the scheduler handle.
@@ -73,9 +102,15 @@ type Thread struct {
 	// (ground truth, for validation plots).
 	RemoteMisses uint64
 
-	// confined caches whether Gen implements ConfinedGenerator; computed
-	// once at AddThread (swapping Gen afterwards is not supported).
+	// confined caches whether Gen implements ConfinedGenerator, and runs is
+	// Gen's run source: Gen itself when it is a RunGenerator, else a
+	// one-slot adapter over Next. Both are computed once at AddThread
+	// (swapping Gen afterwards is not supported).
 	confined bool
+	runs     RunGenerator
+	// pending is the unconsumed tail of the last run: a slice ends by
+	// budget, not at a run boundary, and the next slice starts here.
+	pending []MemRef
 }
 
 // Config assembles a machine.
@@ -278,6 +313,11 @@ func (m *Machine) AddThread(t *Thread) error {
 		return err
 	}
 	_, t.confined = t.Gen.(ConfinedGenerator)
+	if runs, ok := t.Gen.(RunGenerator); ok {
+		t.runs = runs
+	} else {
+		t.runs = &nextRuns{Generator: t.Gen}
+	}
 	m.threads[t.ID] = t
 	for int(t.ID) >= len(m.byID) {
 		m.byID = append(m.byID, nil)
@@ -459,8 +499,11 @@ func (m *Machine) smtBusy(cpu topology.CPUID) bool {
 // hierarchy's immediate-coherence Access.
 //
 // This is the simulator's hot loop and must not allocate. Every reference
-// takes the same observation path: each event goes to PMU.Add, which
-// observes it at once when an armed overflow handler counts it and
+// comes the same way: read in place from the thread's current run, which
+// the thread's run source refills when it is used up (see RunGenerator);
+// the unconsumed tail waits on the thread for its next slice. Every
+// reference takes the same observation path: each event goes to PMU.Add,
+// which observes it at once when an armed overflow handler counts it and
 // otherwise leaves it in the PMU's pending batch, flushed before anything
 // reads or reprograms the PMU. So a handler fires at the exact reference
 // that overflows its counter, and an unarmed event costs one add. The
@@ -468,12 +511,17 @@ func (m *Machine) smtBusy(cpu topology.CPUID) bool {
 // no closures or interface conversions of its own.
 func (m *Machine) runSlice(cpu topology.CPUID, t *Thread, budget uint64, smtBusy bool, lane *cache.Lane) {
 	p := m.pmus[cpu]
+	run := t.pending
 	var used uint64
 	for used < budget {
-		ref := t.Gen.Next()
+		if len(run) == 0 {
+			run = t.runs.NextRun()
+		}
+		ref := &run[0]
+		run = run[1:]
 		var observerCycles uint64
 		if m.observer != nil {
-			observerCycles = m.observer(cpu, t, ref)
+			observerCycles = m.observer(cpu, t, *ref)
 		}
 		var res cache.AccessResult
 		if lane != nil {
@@ -545,6 +593,7 @@ func (m *Machine) runSlice(cpu topology.CPUID, t *Thread, budget uint64, smtBusy
 		t.Insts += completion
 		t.Ops += ref.Ops
 	}
+	t.pending = run
 }
 
 // Utilization returns the fraction of CPU-quanta that had a thread

@@ -192,7 +192,9 @@ func (m *Machine) providerNames() []string {
 // must be quiesced between scheduling rounds (no thread dispatched), and
 // every thread's generator must be a ConfinedGenerator — generators that
 // mutate shared structures at generation time have no serializable
-// cursor, and snapshotting them is refused.
+// cursor, and snapshotting them is refused. So is a thread that holds
+// unconsumed references of a run (see RunGenerator): its generator's
+// cursor is already past them.
 func (m *Machine) Snapshot(ctx context.Context) (*MachineSnapshot, error) {
 	m.live()
 	if err := ctx.Err(); err != nil {
@@ -258,6 +260,10 @@ func (m *Machine) saveMachineState(e *snapbin.Enc) error {
 		if !ok {
 			return fmt.Errorf("sim: thread %d generator %T is not confined and has no serializable cursor: %w",
 				id, t.Gen, errs.ErrBadConfig)
+		}
+		if len(t.pending) > 0 {
+			return fmt.Errorf("sim: thread %d holds %d references of a run its generator's cursor is already past: %w",
+				id, len(t.pending), errs.ErrBadConfig)
 		}
 		e.I64(int64(id))
 		e.U64(t.Cycles)
@@ -400,6 +406,7 @@ func (m *Machine) restoreMachineState(d *snapbin.Dec) error {
 		if err := g.RestoreState(states[i].gen); err != nil {
 			return fmt.Errorf("sim: thread %d generator: %w", id, err)
 		}
+		t.pending = nil // the restored cursor is where the next run starts
 		t.Cycles = states[i].cycles
 		t.Insts = states[i].insts
 		t.Ops = states[i].ops

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
+
+	"threadcluster/internal/sim"
 )
 
 // FuzzLoad feeds arbitrary bytes to the trace parser: it must reject them
@@ -24,6 +27,14 @@ func FuzzLoad(f *testing.F) {
 		corrupted[i] ^= 0xFF
 	}
 	f.Add(corrupted)
+	// Every u32 field of a record at its bound, the Ops word included.
+	atBounds := func() []byte {
+		var buf bytes.Buffer
+		ref := sim.MemRef{Addr: 1 << 40, Write: true, Insts: math.MaxUint32, BranchStall: math.MaxUint32, OtherStall: math.MaxUint32, Ops: 1<<31 - 1}
+		_ = (&Trace{Threads: []ThreadTrace{{ID: 7, Partition: 1, Refs: []sim.MemRef{ref}}}}).Save(&buf)
+		return buf.Bytes()
+	}()
+	f.Add(atBounds)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Load(bytes.NewReader(data))

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
@@ -107,7 +108,9 @@ func (r *Recorder) Save(w io.Writer) error { return r.Snapshot().Save(w) }
 //	            per ref: addr:u64 insts:u32 flagsOps:u32
 //	                     branch:u32 other:u32
 //
-// where flagsOps packs the write bit (bit 31) and the ops count.
+// where flagsOps packs the write bit (bit 31) and the ops count. A
+// reference a record cannot hold exactly — a count past its field — is an
+// error, never truncated: the saved trace must replay the captured stream.
 func (t *Trace) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
@@ -125,11 +128,12 @@ func (t *Trace) Save(w io.Writer) error {
 		if err := binary.Write(bw, binary.LittleEndian, uint64(len(th.Refs))); err != nil {
 			return err
 		}
-		for _, ref := range th.Refs {
-			flagsOps := uint32(ref.Ops)
-			if ref.Ops > 1<<30 {
-				return fmt.Errorf("trace: ops count %d unencodable", ref.Ops)
+		for j, ref := range th.Refs {
+			if ref.Insts > math.MaxUint32 || ref.BranchStall > math.MaxUint32 || ref.OtherStall > math.MaxUint32 || ref.Ops >= 1<<31 {
+				return fmt.Errorf("trace: thread %d ref %d {Insts %d, BranchStall %d, OtherStall %d, Ops %d} does not fit a record",
+					th.ID, j, ref.Insts, ref.BranchStall, ref.OtherStall, ref.Ops)
 			}
+			flagsOps := uint32(ref.Ops)
 			if ref.Write {
 				flagsOps |= 1 << 31
 			}
@@ -199,8 +203,10 @@ func Load(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: implausible ref count %d", nRefs)
 		}
 		th := ThreadTrace{ID: sched.ThreadID(meta[0]), Partition: int(meta[1])}
-		th.Refs = make([]sim.MemRef, nRefs)
-		for j := range th.Refs {
+		// The count is not trusted with an allocation: the slice grows with
+		// the records actually read, so a short input fails at its end.
+		th.Refs = make([]sim.MemRef, 0, min(nRefs, 1<<16))
+		for j := 0; uint64(j) < nRefs; j++ {
 			var addr uint64
 			var rec [4]uint32
 			if err := binary.Read(br, binary.LittleEndian, &addr); err != nil {
@@ -209,14 +215,14 @@ func Load(r io.Reader) (*Trace, error) {
 			if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
 				return nil, fmt.Errorf("trace: thread %d ref %d: %w", i, j, err)
 			}
-			th.Refs[j] = sim.MemRef{
+			th.Refs = append(th.Refs, sim.MemRef{
 				Addr:        memory.Addr(addr),
 				Insts:       uint64(rec[0]),
 				Write:       rec[1]&(1<<31) != 0,
 				Ops:         uint64(rec[1] &^ (1 << 31)),
 				BranchStall: uint64(rec[2]),
 				OtherStall:  uint64(rec[3]),
-			}
+			})
 		}
 		t.Threads = append(t.Threads, th)
 	}
@@ -230,12 +236,17 @@ type replayGen struct {
 }
 
 func (g *replayGen) Next() sim.MemRef {
-	ref := g.refs[g.pos]
-	g.pos++
-	if g.pos == len(g.refs) {
-		g.pos = 0
-	}
-	return ref
+	run := g.NextRun()
+	g.pos = (len(g.refs) - len(run) + 1) % len(g.refs)
+	return run[0]
+}
+
+// NextRun returns the rest of the stream up to the loop point, in place:
+// the captured references never change.
+func (g *replayGen) NextRun() []sim.MemRef {
+	run := g.refs[g.pos:]
+	g.pos = 0
+	return run
 }
 
 // Threads materializes replay threads for a machine. The streams loop

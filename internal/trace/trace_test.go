@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,6 +13,7 @@ import (
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
+	"threadcluster/internal/sim/simtest"
 	"threadcluster/internal/workloads"
 )
 
@@ -129,6 +133,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace should fail")
 	}
+	// A ref count at the plausibility bound over a one-record body: the
+	// count alone must not size an allocation (it once asked for 192 GiB).
+	buf.Reset()
+	buf.WriteString("TCTR")
+	_ = binary.Write(&buf, binary.LittleEndian, []uint32{1, 1})
+	_ = binary.Write(&buf, binary.LittleEndian, []int64{0, 0})
+	_ = binary.Write(&buf, binary.LittleEndian, []uint64{1 << 32, 64})
+	_ = binary.Write(&buf, binary.LittleEndian, []uint32{1, 0, 0, 0})
+	if _, err := Load(&buf); err == nil {
+		t.Error("a trace shorter than its ref count should fail")
+	}
 }
 
 func TestReplayLoops(t *testing.T) {
@@ -150,6 +165,59 @@ func TestReplayLoops(t *testing.T) {
 	}
 	if threads[0].ID != 5 || threads[0].Partition != 1 {
 		t.Error("replay thread metadata lost")
+	}
+}
+
+// TestRunsMatchNext: a replay consumed through NextRun, which hands out
+// the rest of the capture up to its loop point, yields the Next stream
+// across many loops.
+func TestRunsMatchNext(t *testing.T) {
+	tr := randomTrace(rand.New(rand.NewSource(3)), 3, 1_000)
+	var gens [2][]sim.Generator
+	for i := range gens {
+		threads, err := tr.ThreadsForReplay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, th := range threads {
+			gens[i] = append(gens[i], th.Gen)
+		}
+	}
+	simtest.RunsMatchNext(t, gens[0], gens[1], 200_000, 20070321)
+}
+
+// TestSaveRefusesWhatARecordCannotHold: the u32 fields of a record take
+// every value up to their bound and refuse the next, instead of saving a
+// truncated stream that replays differently.
+func TestSaveRefusesWhatARecordCannotHold(t *testing.T) {
+	fields := map[string]func(*sim.MemRef, uint64){
+		"Insts":       func(r *sim.MemRef, v uint64) { r.Insts = v },
+		"BranchStall": func(r *sim.MemRef, v uint64) { r.BranchStall = v },
+		"OtherStall":  func(r *sim.MemRef, v uint64) { r.OtherStall = v },
+		"Ops":         func(r *sim.MemRef, v uint64) { r.Ops = v },
+	}
+	bound := map[string]uint64{"Insts": math.MaxUint32, "BranchStall": math.MaxUint32, "OtherStall": math.MaxUint32, "Ops": 1<<31 - 1}
+	for name, set := range fields {
+		t.Run(name, func(t *testing.T) {
+			tr := &Trace{Threads: []ThreadTrace{{ID: 1, Refs: make([]sim.MemRef, 2)}}}
+			tr.Threads[0].Refs[1].Write = true // the write bit shares the Ops word
+			set(&tr.Threads[0].Refs[1], bound[name])
+			var buf bytes.Buffer
+			if err := tr.Save(&buf); err != nil {
+				t.Fatalf("%s = %d: %v", name, bound[name], err)
+			}
+			loaded, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tracesEqual(tr, loaded) {
+				t.Fatalf("%s = %d: saved %+v, loaded %+v", name, bound[name], tr.Threads[0].Refs[1], loaded.Threads[0].Refs[1])
+			}
+			set(&tr.Threads[0].Refs[1], bound[name]+1)
+			if err := tr.Save(io.Discard); err == nil {
+				t.Fatalf("%s = %d saved; the record cannot hold it", name, bound[name]+1)
+			}
+		})
 	}
 }
 

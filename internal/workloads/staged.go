@@ -64,6 +64,8 @@ type stagedWorker struct {
 	state    memory.Region
 	scratch  memory.Region
 	step     int
+
+	run [1]sim.MemRef // NextRun's slot
 }
 
 // Confined marks the generator parallel-safe: a stage worker owns its
@@ -94,30 +96,31 @@ func (w *stagedWorker) RestoreState(state []byte) error {
 	return w.rng.Restore(rng.State{Seed: seed, Draws: draws})
 }
 
-// Next builds its reference in locals and returns one composite literal
-// (see syntheticWorker.Next for why).
-func (w *stagedWorker) Next() sim.MemRef {
+func (w *stagedWorker) Next() sim.MemRef { return w.NextRun()[0] }
+
+// NextRun writes one reference into the worker's run slot.
+func (w *stagedWorker) NextRun() []sim.MemRef {
 	w.step++
-	branch, other := stallNoise(&w.rng, 2, 4)
-	var addr memory.Addr
-	var write bool
-	var ops uint64
+	r := &w.run[0]
+	r.BranchStall, r.OtherStall = stallNoise(&w.rng, 2, 4)
+	r.Insts = 10
+	r.Ops = 0
 	switch w.step % 6 {
 	case 0: // dequeue: read + head-pointer update on the inbound queue
-		addr = pickHot(&w.rng, w.inbound, stagedHotQueueLines, 0.6)
-		write = w.rng.Intn(2) == 0
+		r.Addr = pickHot(&w.rng, w.inbound, stagedHotQueueLines, 0.6)
+		r.Write = w.rng.Intn(2) == 0
 	case 1: // enqueue: write into the outbound queue
-		addr = pickHot(&w.rng, w.outbound, stagedHotQueueLines, 0.6)
-		write = true
-		ops = 1 // one event processed
+		r.Addr = pickHot(&w.rng, w.outbound, stagedHotQueueLines, 0.6)
+		r.Write = true
+		r.Ops = 1 // one event processed
 	case 2: // stage-internal shared state, read-mostly
-		addr = pick(&w.rng, w.state)
-		write = w.rng.Intn(8) == 0
+		r.Addr = pick(&w.rng, w.state)
+		r.Write = w.rng.Intn(8) == 0
 	default: // private scratch work
-		addr = pick(&w.rng, w.scratch)
-		write = w.rng.Intn(3) == 0
+		r.Addr = pick(&w.rng, w.scratch)
+		r.Write = w.rng.Intn(3) == 0
 	}
-	return sim.MemRef{Addr: addr, Write: write, Insts: 10, BranchStall: branch, OtherStall: other, Ops: ops}
+	return w.run[:]
 }
 
 // NewStaged builds the staged-server workload. Thread IDs interleave

@@ -13,6 +13,7 @@ import (
 
 	"threadcluster/internal/memory"
 	"threadcluster/internal/sim"
+	"threadcluster/internal/sim/simtest"
 )
 
 // streamDigest hashes the first n references of a spec, every MemRef field
@@ -105,6 +106,40 @@ func TestBTreeGeneratorStreamsGolden(t *testing.T) {
 			if got := digest(t, tc); got != want[name(tc)] {
 				t.Errorf("stream digest = %s, want %s", got, want[name(tc)])
 			}
+		})
+	}
+}
+
+// TestRunsMatchNext: every workload's generators, consumed through
+// NextRun in runs that slice-sized turns cut anywhere, yield exactly
+// their Next stream. The B-tree workloads hand out the rest of a
+// transaction per run and refill only when a turn needs a reference past
+// it, so their threads mutate the shared tree in Next's order.
+func TestRunsMatchNext(t *testing.T) {
+	const refs = 200_000
+	builds := map[string]func(*memory.Arena) (*Spec, error){
+		"microbenchmark": func(a *memory.Arena) (*Spec, error) { return NewSynthetic(a, DefaultSyntheticConfig()) },
+		"phase-change": func(a *memory.Arena) (*Spec, error) {
+			return NewSyntheticWithPhaseChange(a, DefaultSyntheticConfig(), 5_000)
+		},
+		"volano":  func(a *memory.Arena) (*Spec, error) { return NewVolano(a, DefaultVolanoConfig()) },
+		"staged":  func(a *memory.Arena) (*Spec, error) { return NewStaged(a, DefaultStagedConfig()) },
+		"specjbb": func(a *memory.Arena) (*Spec, error) { return NewJBB(a, DefaultJBBConfig()) },
+		"rubis":   func(a *memory.Arena) (*Spec, error) { return NewRubis(a, DefaultRubisConfig()) },
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			var gens [2][]sim.Generator
+			for i := range gens {
+				spec, err := build(memory.NewDefaultArena())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, th := range spec.Threads {
+					gens[i] = append(gens[i], th.Gen)
+				}
+			}
+			simtest.RunsMatchNext(t, gens[0], gens[1], refs, 20070321)
 		})
 	}
 }

@@ -67,6 +67,8 @@ type syntheticWorker struct {
 	secondBoard    memory.Region
 	phaseAfterRefs uint64
 	refs           uint64
+
+	run [1]sim.MemRef // NextRun's slot
 }
 
 // Confined marks the generator parallel-safe: a worker owns its RNG and
@@ -105,36 +107,28 @@ func (w *syntheticWorker) RestoreState(state []byte) error {
 	return w.rng.Restore(rng.State{Seed: seed, Draws: draws})
 }
 
-// Next returns each reference as one composite literal built from
-// values already in registers. Assembling a MemRef field by field in a
-// local and returning it makes the compiler write the fields to the stack
-// and then copy the struct out with wide loads that straddle those
-// narrower stores, which defeats store-to-load forwarding on every call.
-// The other confined generators follow the same shape.
-func (w *syntheticWorker) Next() sim.MemRef {
+func (w *syntheticWorker) Next() sim.MemRef { return w.NextRun()[0] }
+
+// NextRun writes one reference into the worker's run slot.
+func (w *syntheticWorker) NextRun() []sim.MemRef {
 	w.refs++
 	if w.phaseAfterRefs > 0 && w.refs == w.phaseAfterRefs {
 		w.scoreboard = w.secondBoard
 	}
-	branch, other := stallNoise(&w.rng, 2, 4)
+	r := &w.run[0]
+	r.BranchStall, r.OtherStall = stallNoise(&w.rng, 2, 4)
+	r.Insts = 10
 	if w.rng.Float64() < w.cfg.SharedRatio {
 		// Read-modify the scoreboard: one task completed per touch.
-		return sim.MemRef{
-			Addr:        pick(&w.rng, w.scoreboard),
-			Write:       w.rng.Float64() < w.cfg.WriteRatio,
-			Insts:       10,
-			BranchStall: branch,
-			OtherStall:  other,
-			Ops:         1,
-		}
+		r.Addr = pick(&w.rng, w.scoreboard)
+		r.Write = w.rng.Float64() < w.cfg.WriteRatio
+		r.Ops = 1
+	} else {
+		r.Addr = pick(&w.rng, w.private)
+		r.Write = w.rng.Intn(4) == 0
+		r.Ops = 0
 	}
-	return sim.MemRef{
-		Addr:        pick(&w.rng, w.private),
-		Write:       w.rng.Intn(4) == 0,
-		Insts:       10,
-		BranchStall: branch,
-		OtherStall:  other,
-	}
+	return w.run[:]
 }
 
 // NewSynthetic builds the scoreboard microbenchmark. Threads are numbered

@@ -65,6 +65,8 @@ type volanoThread struct {
 	global memory.Region
 	heap   memory.Region
 	step   int
+
+	run [1]sim.MemRef // NextRun's slot
 }
 
 // Confined marks the generator parallel-safe: a connection thread owns
@@ -95,30 +97,31 @@ func (v *volanoThread) RestoreState(state []byte) error {
 	return v.rng.Restore(rng.State{Seed: seed, Draws: draws})
 }
 
-// Next builds its reference in locals and returns one composite literal
-// (see syntheticWorker.Next for why).
-func (v *volanoThread) Next() sim.MemRef {
+func (v *volanoThread) Next() sim.MemRef { return v.NextRun()[0] }
+
+// NextRun writes one reference into the thread's run slot.
+func (v *volanoThread) NextRun() []sim.MemRef {
 	v.step++
-	branch, other := stallNoise(&v.rng, 3, 6)
-	var addr memory.Addr
-	var write bool
-	var ops uint64
+	r := &v.run[0]
+	r.BranchStall, r.OtherStall = stallNoise(&v.rng, 3, 6)
+	r.Insts = 12
+	r.Ops = 0
 	switch v.step % 8 {
 	case 0: // message transfer through the room board
-		addr = pickHot(&v.rng, v.room, volanoHotRoomLines, 0.5)
-		write = v.writer
-		ops = 1 // one message handled
+		r.Addr = pickHot(&v.rng, v.room, volanoHotRoomLines, 0.5)
+		r.Write = v.writer
+		r.Ops = 1 // one message handled
 	case 1: // connection buffer (pair-shared)
-		addr = pick(&v.rng, v.conn)
-		write = !v.writer
+		r.Addr = pick(&v.rng, v.conn)
+		r.Write = !v.writer
 	case 2: // global server state, mostly reads with occasional updates
-		addr = pick(&v.rng, v.global)
-		write = v.rng.Intn(16) == 0
+		r.Addr = pick(&v.rng, v.global)
+		r.Write = v.rng.Intn(16) == 0
 	default: // heap churn: parsing, formatting, GC-ish traffic
-		addr = pick(&v.rng, v.heap)
-		write = v.rng.Intn(3) == 0
+		r.Addr = pick(&v.rng, v.heap)
+		r.Write = v.rng.Intn(3) == 0
 	}
-	return sim.MemRef{Addr: addr, Write: write, Insts: 12, BranchStall: branch, OtherStall: other, Ops: ops}
+	return v.run[:]
 }
 
 // VolanoServer is the chat server's long-lived state: its rooms and

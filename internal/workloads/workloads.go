@@ -135,12 +135,21 @@ type traceGenerator struct {
 }
 
 func (g *traceGenerator) Next() sim.MemRef {
+	run := g.NextRun()
+	g.next -= len(run) - 1
+	return run[0]
+}
+
+// NextRun returns the rest of the current operation's references. It
+// refills only when the machine needs a reference past them, so the
+// operations mutate their shared tree in the order Next would.
+func (g *traceGenerator) NextRun() []sim.MemRef {
 	for g.next == len(g.queue) {
 		g.queue, g.next = g.refill(), 0
 	}
-	ref := g.queue[g.next]
-	g.next++
-	return ref
+	run := g.queue[g.next:]
+	g.next = len(g.queue)
+	return run
 }
 
 // stallNoise returns small random branch/other stall cycles so the CPI
