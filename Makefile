@@ -85,8 +85,9 @@ profile-grid:
 
 # Short fuzzing pass over the coherence differential target, the trace
 # parser, the snapshot decoder, the snapbin codec under it, the
-# generator's State/Restore round trip, the job-spec decoder and the
-# cell-record decoder (CI runs the same).
+# generator's State/Restore round trip, the job-spec decoder, the
+# cell-record decoder and the metrics JSON appender's byte-identity to
+# encoding/json (CI runs the same).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHierarchyAccess -fuzztime 30s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 15s ./internal/trace
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRandRestore -fuzztime 10s ./internal/rng
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 15s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzCellRecord -fuzztime 15s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotJSON -fuzztime 15s ./internal/metrics
 
 # Race-detector coverage for the concurrent packages, including the
 # chip-parallel engine differential (seq vs parallel byte-identity under

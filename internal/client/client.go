@@ -238,19 +238,6 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	return data, nil
 }
 
-// ResultPayload fetches and decodes a done job's result.
-func (c *Client) ResultPayload(ctx context.Context, id string) (server.ResultPayload, error) {
-	data, err := c.Result(ctx, id)
-	if err != nil {
-		return server.ResultPayload{}, err
-	}
-	var p server.ResultPayload
-	if err := json.Unmarshal(data, &p); err != nil {
-		return server.ResultPayload{}, fmt.Errorf("client: decoding result payload: %w", err)
-	}
-	return p, nil
-}
-
 // Events streams the job's NDJSON progress events to fn, replaying
 // retained history first, until the stream's terminal event, ctx
 // cancellation, or an fn error.

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"strings"
@@ -76,9 +77,13 @@ func TestClientRoundTrip(t *testing.T) {
 	if final.State != server.StateDone {
 		t.Fatalf("state %s (err %q), want done", final.State, final.Error)
 	}
-	payload, err := f.cl.ResultPayload(ctx, "rt")
+	data, err := f.cl.Result(ctx, "rt")
 	if err != nil {
-		t.Fatalf("ResultPayload: %v", err)
+		t.Fatalf("Result: %v", err)
+	}
+	var payload server.ResultPayload
+	if err := json.Unmarshal(data, &payload); err != nil {
+		t.Fatalf("decoding result payload: %v", err)
 	}
 	if len(payload.Tasks) != 1 || payload.Digest != final.Digest {
 		t.Fatalf("payload %+v inconsistent with status digest %s", payload, final.Digest)

@@ -117,13 +117,13 @@ func (w *fakeWorker) Ping(ctx context.Context) error {
 	return nil
 }
 
-func (w *fakeWorker) RunShard(ctx context.Context, spec server.JobSpec) (server.ResultPayload, error) {
+func (w *fakeWorker) RunShard(ctx context.Context, spec server.JobSpec) ([]server.TaskResult, error) {
 	if w.hangFirst.CompareAndSwap(true, false) {
 		<-ctx.Done()
-		return server.ResultPayload{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 	if w.failNext.Add(-1) >= 0 {
-		return server.ResultPayload{}, fmt.Errorf("fake worker %s: injected failure", w.name)
+		return nil, fmt.Errorf("fake worker %s: injected failure", w.name)
 	}
 	w.failNext.Add(1) // undo the decrement below zero
 	p, err := runShardOffline(ctx, spec)
@@ -131,7 +131,7 @@ func (w *fakeWorker) RunShard(ctx context.Context, spec server.JobSpec) (server.
 		w.cellsRun.Add(int64(len(p.Tasks)))
 		w.shardsRun.Add(1)
 	}
-	return p, err
+	return p.Tasks, err
 }
 
 // fastOptions are coordinator knobs tuned for test latency.

@@ -48,11 +48,11 @@ func (sh *shardRun) name() string { return fmt.Sprintf("s%d", sh.shard.Slot) }
 
 // completion is one attempt's outcome, delivered on the run's channel.
 type completion struct {
-	slot    int
-	worker  string
-	steal   bool
-	payload server.ResultPayload
-	err     error
+	slot   int
+	worker string
+	steal  bool
+	tasks  []server.TaskResult
+	err    error
 }
 
 // runState is the per-job mutable state of one Run call. Only the
@@ -220,11 +220,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 	}
 
 	st.sink.setPhase("merge")
-	payload, err := server.BuildResultPayload(st.cells, st.results, sweep.Merged(st.results))
-	if err != nil {
-		return fail(err)
-	}
-	data, err := payload.Marshal()
+	payload, data, err := server.EncodeResultPayload(st.cells, st.results, sweep.Merged(st.results))
 	if err != nil {
 		return fail(err)
 	}
@@ -279,7 +275,7 @@ func (st *runState) handle(comp completion, now time.Time) error {
 	if sh.state == shardDone {
 		return nil // a duplicate already won; results are pure, discard
 	}
-	if err := st.accept(sh, comp.payload); err != nil {
+	if err := st.accept(sh, comp.tasks); err != nil {
 		return err
 	}
 	sh.state = shardDone
@@ -291,18 +287,18 @@ func (st *runState) handle(comp completion, now time.Time) error {
 	return nil
 }
 
-// accept validates a shard payload against the grid, scatters its cells
+// accept validates a shard's cell results against the grid, scatters them
 // into full-grid positions and records each successful one in the
 // spool. Any mismatch is a determinism
 // violation — the worker computed something other than what the grid
 // defines — and fails the job rather than corrupting the digest.
-func (st *runState) accept(sh *shardRun, p server.ResultPayload) error {
-	if len(p.Tasks) != len(sh.remaining) {
+func (st *runState) accept(sh *shardRun, tasks []server.TaskResult) error {
+	if len(tasks) != len(sh.remaining) {
 		return fmt.Errorf("fleet: shard %s returned %d cells, expected %d",
-			sh.name(), len(p.Tasks), len(sh.remaining))
+			sh.name(), len(tasks), len(sh.remaining))
 	}
 	for i, idx := range sh.remaining {
-		tr := p.Tasks[i]
+		tr := tasks[i]
 		want := st.cells[idx]
 		if tr.Name != want.Name() || tr.Seed != want.Seed {
 			return fmt.Errorf("fleet: shard %s cell %d is %q seed %d, grid says %q seed %d",
@@ -356,9 +352,9 @@ func (st *runState) dispatch(sh *shardRun, w Worker, steal bool, now time.Time) 
 		st.sink.emit(Event{Type: EventShardLeased, Shard: sh.name(), Worker: name, Attempt: attempt})
 	}
 	go func() {
-		p, err := w.RunShard(st.ctx, sub)
+		tasks, err := w.RunShard(st.ctx, sub)
 		select {
-		case st.comps <- completion{slot: sh.shard.Slot, worker: name, steal: steal, payload: p, err: err}:
+		case st.comps <- completion{slot: sh.shard.Slot, worker: name, steal: steal, tasks: tasks, err: err}:
 		case <-st.ctx.Done():
 		}
 	}()

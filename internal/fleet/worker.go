@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -23,10 +24,12 @@ type Worker interface {
 	// a later probe succeeds.
 	Ping(ctx context.Context) error
 	// RunShard executes one shard-scoped JobSpec to completion and
-	// returns its decoded result payload. The spec's Cells field
-	// carries full-grid indices, so the payload's per-cell names and
-	// seeds are exactly what the whole grid would assign.
-	RunShard(ctx context.Context, spec server.JobSpec) (server.ResultPayload, error)
+	// returns the per-cell results of its payload, in the spec's Cells
+	// order. The spec's Cells field carries full-grid indices, so the
+	// cells' names and seeds are exactly what the whole grid would
+	// assign. The shard's merged snapshot and digest are not needed:
+	// the coordinator merges and digests the whole grid itself.
+	RunShard(ctx context.Context, spec server.JobSpec) ([]server.TaskResult, error)
 }
 
 // HTTPWorker drives one tcsimd daemon through the typed client:
@@ -67,19 +70,37 @@ func (w *HTTPWorker) Ping(ctx context.Context) error {
 // rather than resubmitted; shard results are pure functions of the
 // spec, so attaching to the in-flight twin is indistinguishable from
 // having submitted it.
-func (w *HTTPWorker) RunShard(ctx context.Context, spec server.JobSpec) (server.ResultPayload, error) {
+func (w *HTTPWorker) RunShard(ctx context.Context, spec server.JobSpec) ([]server.TaskResult, error) {
 	if _, err := w.cl.Submit(ctx, spec); err != nil && !errors.Is(err, errs.ErrJobExists) {
-		return server.ResultPayload{}, err
+		return nil, err
 	}
 	st, err := w.cl.Wait(ctx, spec.ID)
 	if err != nil {
-		return server.ResultPayload{}, err
+		return nil, err
 	}
 	if st.State != server.StateDone {
-		return server.ResultPayload{}, fmt.Errorf("fleet: shard job %q ended %s on %s: %s",
+		return nil, fmt.Errorf("fleet: shard job %q ended %s on %s: %s",
 			spec.ID, st.State, w.name, st.Error)
 	}
-	return w.cl.ResultPayload(ctx, spec.ID)
+	data, err := w.cl.Result(ctx, spec.ID)
+	if err != nil {
+		return nil, err
+	}
+	tasks, err := decodeShardTasks(data)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: decoding shard %q result: %w", spec.ID, err)
+	}
+	return tasks, nil
+}
+
+// decodeShardTasks decodes the per-cell results of a served result
+// payload and skips its merged snapshot and digest.
+func decodeShardTasks(data []byte) ([]server.TaskResult, error) {
+	var p struct {
+		Tasks []server.TaskResult `json:"tasks"`
+	}
+	err := json.Unmarshal(data, &p)
+	return p.Tasks, err
 }
 
 // workerDown classifies a shard failure as a worker-health signal.

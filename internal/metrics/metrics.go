@@ -15,10 +15,17 @@
 // series; snapshots subtract (Delta), accumulate (Merge) and export to
 // JSON and CSV, so one snapshot answers "what did this run do" and a
 // merged snapshot answers the same for a whole parameter sweep.
+//
+// Snapshot order is by series key, the metric name followed by its
+// canonical labels, computed once when the series is registered. Samples
+// carry it, so Registry.Snapshot emits series in order without sorting,
+// and Delta and Merge are single linear merge-joins. The JSON encoding is
+// written by an appender that produces encoding/json's bytes exactly.
 package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,19 +36,25 @@ import (
 // is the unlabeled series of a metric.
 type Labels map[string]string
 
+// appendKeys appends the label names to keys in sorted order. Callers
+// pass a small stack array's slice so that no allocation is needed.
+func (l Labels) appendKeys(keys []string) []string {
+	for k := range l {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // canonical renders labels as a stable "k=v,k=v" string (keys sorted),
 // used as the registry key suffix and for deterministic export order.
 func (l Labels) canonical() string {
 	if len(l) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(l))
-	for k := range l {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	var buf [4]string
 	var sb strings.Builder
-	for i, k := range keys {
+	for i, k := range l.appendKeys(buf[:0]) {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
@@ -114,9 +127,6 @@ func (h *Histogram) Count() uint64 { return h.n.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
-// Bounds returns the configured bucket upper edges.
-func (h *Histogram) Bounds() []uint64 { return append([]uint64(nil), h.bounds...) }
-
 // BucketCounts returns per-bucket counts; the extra final element is the
 // overflow (+Inf) bucket.
 func (h *Histogram) BucketCounts() []uint64 {
@@ -151,6 +161,7 @@ type GaugeFunc func() float64
 
 // series is one registered metric instance.
 type series struct {
+	key    string // seriesKey(name, labels), computed once at registration
 	name   string
 	labels Labels
 	kind   Kind
@@ -167,6 +178,7 @@ type series struct {
 type Registry struct {
 	mu     sync.RWMutex
 	series map[string]*series
+	sorted []*series // every series, in key order: the order of a Snapshot
 }
 
 // NewRegistry returns an empty registry.
@@ -205,8 +217,21 @@ func (r *Registry) lookup(name string, labels Labels, kind Kind, mk func() *seri
 		return s
 	}
 	s = mk()
-	r.series[key] = s
+	s.key = key
+	r.put(s)
 	return s
+}
+
+// put registers s under its key, replacing any series already there and
+// keeping r.sorted in key order. The caller holds r.mu.
+func (r *Registry) put(s *series) {
+	i := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].key >= s.key })
+	if _, ok := r.series[s.key]; ok {
+		r.sorted[i] = s
+	} else {
+		r.sorted = slices.Insert(r.sorted, i, s)
+	}
+	r.series[s.key] = s
 }
 
 // Counter returns (registering if needed) the counter series.
@@ -246,7 +271,7 @@ func (r *Registry) Histogram(name string, labels Labels, bounds []uint64) *Histo
 func (r *Registry) RegisterCounterFunc(name string, labels Labels, f CounterFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.series[seriesKey(name, labels)] = &series{name: name, labels: labels.clone(), kind: KindCounter, cfunc: f}
+	r.put(&series{key: seriesKey(name, labels), name: name, labels: labels.clone(), kind: KindCounter, cfunc: f})
 }
 
 // RegisterGaugeFunc registers a collector read at snapshot time as a
@@ -254,7 +279,7 @@ func (r *Registry) RegisterCounterFunc(name string, labels Labels, f CounterFunc
 func (r *Registry) RegisterGaugeFunc(name string, labels Labels, f GaugeFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.series[seriesKey(name, labels)] = &series{name: name, labels: labels.clone(), kind: KindGauge, gfunc: f}
+	r.put(&series{key: seriesKey(name, labels), name: name, labels: labels.clone(), kind: KindGauge, gfunc: f})
 }
 
 // Len returns the number of registered series.

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -37,18 +36,14 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// MarshalJSON renders the kind as its string name.
-func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+// MarshalText renders the kind as its string name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalJSON parses the string name back into a Kind, so snapshots
+// UnmarshalText parses the string name back into a Kind, so snapshots
 // round-trip through their JSON wire form (e.g. the job-server result
 // payloads internal/client decodes).
-func (k *Kind) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return fmt.Errorf("metrics: parsing kind: %w", err)
-	}
-	switch name {
+func (k *Kind) UnmarshalText(text []byte) error {
+	switch string(text) {
 	case "counter":
 		*k = KindCounter
 	case "gauge":
@@ -56,7 +51,7 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 	case "histogram":
 		*k = KindHistogram
 	default:
-		return fmt.Errorf("metrics: unknown kind %q", name)
+		return fmt.Errorf("metrics: unknown kind %q", text)
 	}
 	return nil
 }
@@ -79,36 +74,52 @@ type Sample struct {
 	// trailing element for the overflow (+Inf) bucket.
 	Bounds  []uint64 `json:"bounds,omitempty"`
 	Buckets []uint64 `json:"buckets,omitempty"`
+
+	// skey caches seriesKey(Name, Labels): Registry.Snapshot copies it
+	// from the series, and Delta and Merge return every sample keyed. A
+	// decoded or hand-built sample has none until a merge-join keys it;
+	// key computes it on demand.
+	skey string
 }
 
 // key is the sample's deterministic sort/match key.
-func (s Sample) key() string { return seriesKey(s.Name, s.Labels) }
+func (s *Sample) key() string {
+	if s.skey == "" {
+		return seriesKey(s.Name, s.Labels)
+	}
+	return s.skey
+}
+
+// keyed returns s carrying its key.
+func (s Sample) keyed() Sample {
+	s.skey = s.key()
+	return s
+}
 
 // Snapshot is an immutable, deterministically ordered view of a
-// registry's series (sorted by name, then canonical labels).
+// registry's series: samples ascend by series key (name, then canonical
+// labels) and no key appears twice. Every snapshot this package returns
+// keeps that order, and so does its JSON round trip; Get, Delta and Merge
+// rely on it.
+// Snapshots may share label maps and slices with the snapshots they were
+// derived from, so a sample's Labels, Bounds and Buckets are read-only.
 type Snapshot struct {
 	Samples []Sample `json:"samples"`
 }
 
 // Snapshot reads every series. Collector functions run at this point;
-// atomic series are loaded. The result is sorted and detached from the
-// registry.
+// atomic series are loaded. The result is in key order. Its samples
+// share their label maps and histogram bounds with the registry, which
+// never changes either after registration.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
-	keys := make([]string, 0, len(r.series))
-	for k := range r.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	list := make([]*series, 0, len(keys))
-	for _, k := range keys {
-		list = append(list, r.series[k])
-	}
+	list := append([]*series(nil), r.sorted...)
 	r.mu.RUnlock()
 
-	samples := make([]Sample, 0, len(list))
-	for _, s := range list {
-		smp := Sample{Name: s.name, Labels: s.labels.clone(), Kind: s.kind}
+	samples := make([]Sample, len(list))
+	for i, s := range list {
+		smp := &samples[i]
+		smp.Name, smp.Labels, smp.Kind, smp.skey = s.name, s.labels, s.kind, s.key
 		switch {
 		case s.counter != nil:
 			smp.Count = s.counter.Value()
@@ -121,12 +132,10 @@ func (r *Registry) Snapshot() Snapshot {
 		case s.hist != nil:
 			smp.Count = s.hist.Count()
 			smp.Sum = s.hist.Sum()
-			smp.Bounds = s.hist.Bounds()
+			smp.Bounds = s.hist.bounds
 			smp.Buckets = s.hist.BucketCounts()
 		}
-		samples = append(samples, smp)
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].key() < samples[j].key() })
 	return Snapshot{Samples: samples}
 }
 
@@ -159,101 +168,111 @@ func (s Snapshot) Gauge(name string, labels Labels) float64 {
 }
 
 // Delta returns this snapshot minus prev: counters and histograms
-// subtract series-wise (series absent from prev pass through unchanged),
-// gauges keep their current value. Use it to isolate a measured interval
-// from a warm-up prefix.
+// subtract series-wise (series absent from prev pass through unchanged,
+// and a count never drops below zero), gauges keep their current value.
+// Use it to isolate a measured interval from a warm-up prefix. It is one
+// merge-join over the two key-ordered sample lists.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	prevByKey := make(map[string]Sample, len(prev.Samples))
-	for _, p := range prev.Samples {
-		prevByKey[p.key()] = p
-	}
-	out := Snapshot{Samples: make([]Sample, 0, len(s.Samples))}
+	out := make([]Sample, 0, len(s.Samples))
+	p := prev.Samples
 	for _, cur := range s.Samples {
-		d := cur.cloneSample()
-		if p, ok := prevByKey[cur.key()]; ok && p.Kind == cur.Kind {
-			switch cur.Kind {
-			case KindCounter:
-				d.Count = sub(cur.Count, p.Count)
-			case KindHistogram:
-				d.Count = sub(cur.Count, p.Count)
-				d.Sum = sub(cur.Sum, p.Sum)
-				for i := range d.Buckets {
-					if i < len(p.Buckets) {
-						d.Buckets[i] = sub(d.Buckets[i], p.Buckets[i])
-					}
-				}
-			}
+		cur = cur.keyed()
+		for len(p) > 0 && p[0].key() < cur.skey {
+			p = p[1:]
 		}
-		out.Samples = append(out.Samples, d)
+		if len(p) > 0 && p[0].Kind == cur.Kind && p[0].key() == cur.skey {
+			cur = cur.minus(&p[0])
+		}
+		out = append(out, cur)
 	}
-	return out
+	return Snapshot{Samples: out}
+}
+
+// minus subtracts p's counts from s's (s's kind, which p shares).
+func (s Sample) minus(p *Sample) Sample {
+	switch s.Kind {
+	case KindCounter:
+		s.Count = sub(s.Count, p.Count)
+	case KindHistogram:
+		s.Count = sub(s.Count, p.Count)
+		s.Sum = sub(s.Sum, p.Sum)
+		b := make([]uint64, len(s.Buckets))
+		for i, v := range s.Buckets {
+			if i < len(p.Buckets) {
+				v = sub(v, p.Buckets[i])
+			}
+			b[i] = v
+		}
+		s.Buckets = b
+	}
+	return s
 }
 
 // Merge returns the series-wise accumulation of the two snapshots:
 // counters, histogram counts and gauge values add (a merged gauge is a
 // total across machines — divide by run count for a mean). Series present
-// in only one snapshot pass through.
+// in only one snapshot pass through; where the two disagree on a series'
+// kind, s's sample wins unchanged. It is one merge-join over the two
+// key-ordered sample lists.
 func (s Snapshot) Merge(o Snapshot) Snapshot {
-	byKey := make(map[string]Sample, len(s.Samples))
-	order := make([]string, 0, len(s.Samples)+len(o.Samples))
-	for _, smp := range s.Samples {
-		byKey[smp.key()] = smp.cloneSample()
-		order = append(order, smp.key())
-	}
-	for _, smp := range o.Samples {
-		k := smp.key()
-		acc, ok := byKey[k]
-		if !ok {
-			byKey[k] = smp.cloneSample()
-			order = append(order, k)
-			continue
+	a, b := s.Samples, o.Samples
+	out := make([]Sample, 0, max(len(a), len(b)))
+	for len(a) > 0 && len(b) > 0 {
+		x, y := a[0].keyed(), b[0].keyed()
+		switch {
+		case x.skey < y.skey:
+			out, a = append(out, x), a[1:]
+		case y.skey < x.skey:
+			out, b = append(out, y), b[1:]
+		default:
+			out, a, b = append(out, x.plus(&y)), a[1:], b[1:]
 		}
-		if acc.Kind != smp.Kind {
-			continue // conflicting kinds: keep the first
-		}
-		switch smp.Kind {
-		case KindCounter:
-			acc.Count += smp.Count
-		case KindGauge:
-			acc.Value += smp.Value
-		case KindHistogram:
-			acc.Count += smp.Count
-			acc.Sum += smp.Sum
-			for i := range smp.Buckets {
-				if i < len(acc.Buckets) {
-					acc.Buckets[i] += smp.Buckets[i]
-				}
-			}
-		}
-		byKey[k] = acc
 	}
-	sort.Strings(order)
-	out := Snapshot{Samples: make([]Sample, 0, len(order))}
-	for _, k := range order {
-		out.Samples = append(out.Samples, byKey[k])
+	for _, smp := range a {
+		out = append(out, smp.keyed())
 	}
-	return out
+	for _, smp := range b {
+		out = append(out, smp.keyed())
+	}
+	return Snapshot{Samples: out}
 }
 
-// MergeAll folds a slice of snapshots into one.
-func MergeAll(snaps []Snapshot) Snapshot {
-	var out Snapshot
-	for i, s := range snaps {
-		if i == 0 {
-			out = Snapshot{Samples: append([]Sample(nil), s.Samples...)}
-			continue
+// plus adds o's values to s's when the two are of one kind.
+func (s Sample) plus(o *Sample) Sample {
+	if s.Kind != o.Kind {
+		return s
+	}
+	switch s.Kind {
+	case KindCounter:
+		s.Count += o.Count
+	case KindGauge:
+		s.Value += o.Value
+	case KindHistogram:
+		s.Count += o.Count
+		s.Sum += o.Sum
+		b := append([]uint64(nil), s.Buckets...)
+		for i := range b {
+			if i < len(o.Buckets) {
+				b[i] += o.Buckets[i]
+			}
 		}
+		s.Buckets = b
+	}
+	return s
+}
+
+// MergeAll folds a slice of snapshots into one, left to right. Folding
+// one snapshot copies its sample list (a nil list stays nil); folding
+// none yields a snapshot with no sample list.
+func MergeAll(snaps []Snapshot) Snapshot {
+	if len(snaps) == 0 {
+		return Snapshot{}
+	}
+	out := Snapshot{Samples: append([]Sample(nil), snaps[0].Samples...)}
+	for _, s := range snaps[1:] {
 		out = out.Merge(s)
 	}
 	return out
-}
-
-func (s Sample) cloneSample() Sample {
-	c := s
-	c.Labels = s.Labels.clone()
-	c.Bounds = append([]uint64(nil), s.Bounds...)
-	c.Buckets = append([]uint64(nil), s.Buckets...)
-	return c
 }
 
 func sub(a, b uint64) uint64 {
@@ -263,13 +282,16 @@ func sub(a, b uint64) uint64 {
 	return a - b
 }
 
-// WriteJSON emits the snapshot as indented JSON. Output is byte-stable
-// for equal snapshots: samples are sorted and label maps marshal with
-// sorted keys.
+// WriteJSON emits the snapshot as indented JSON, the bytes a
+// json.Encoder with a two-space indent writes. Output is byte-stable for
+// equal snapshots: samples are in key order and label keys are sorted.
 func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	compact, err := s.AppendJSON(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(AppendIndented(nil, compact))
+	return err
 }
 
 // WriteCSV emits one row per series: name, labels, kind, count, value,

@@ -2,8 +2,8 @@ package server
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"threadcluster/internal/experiments"
 	"threadcluster/internal/metrics"
@@ -41,6 +41,24 @@ type ResultPayload struct {
 // BuildResultPayload assembles and digests the canonical payload from a
 // grid run's cells and results (the shapes experiments.RunGrid returns).
 func BuildResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, error) {
+	p, _, err := buildResultPayload(cells, results, merged)
+	return p, err
+}
+
+// EncodeResultPayload is BuildResultPayload plus the bytes the result
+// endpoint serves, both from one encoding of the payload.
+func EncodeResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, []byte, error) {
+	p, compact, err := buildResultPayload(cells, results, merged)
+	if err != nil {
+		return ResultPayload{}, nil, err
+	}
+	return p, metrics.AppendIndented(nil, compact), nil
+}
+
+// buildResultPayload assembles the payload, encodes it compactly with
+// Digest blank, digests those bytes, and splices the digest into them:
+// it returns the payload and its compact encoding, digest included.
+func buildResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, []byte, error) {
 	p := ResultPayload{
 		Tasks:  make([]TaskResult, 0, len(results)),
 		Merged: merged,
@@ -55,12 +73,14 @@ func BuildResultPayload(cells []experiments.GridCell, results []sweep.Result, me
 		}
 		p.Tasks = append(p.Tasks, tr)
 	}
-	digest, err := payloadDigest(p)
+	data, err := p.appendJSON(nil)
 	if err != nil {
-		return ResultPayload{}, err
+		return ResultPayload{}, nil, fmt.Errorf("server: digesting payload: %w", err)
 	}
-	p.Digest = digest
-	return p, nil
+	p.Digest = fmt.Sprintf("sha256:%x", sha256.Sum256(data))
+	// data ends `"digest":""}`; the digest needs no escaping.
+	data = append(append(data[:len(data)-2], p.Digest...), `"}`...)
+	return p, data, nil
 }
 
 // Digest computes the payload digest for a grid run without building the
@@ -73,24 +93,51 @@ func Digest(cells []experiments.GridCell, results []sweep.Result, merged metrics
 	return p.Digest, nil
 }
 
-// payloadDigest hashes the canonical JSON encoding of p with the Digest
-// field blanked. json.Marshal is deterministic here: struct fields have
-// a fixed order and metrics label maps marshal with sorted keys.
-func payloadDigest(p ResultPayload) (string, error) {
-	p.Digest = ""
-	data, err := json.Marshal(p)
-	if err != nil {
-		return "", fmt.Errorf("server: digesting payload: %w", err)
-	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(data)), nil
-}
-
 // Marshal renders the payload as the exact bytes the result endpoint
-// serves (indented JSON with a trailing newline).
+// serves: json.MarshalIndent(p, "", "  ") and a trailing newline.
 func (p ResultPayload) Marshal() ([]byte, error) {
-	data, err := json.MarshalIndent(p, "", "  ")
+	data, err := p.appendJSON(nil)
 	if err != nil {
 		return nil, fmt.Errorf("server: marshaling payload: %w", err)
 	}
-	return append(data, '\n'), nil
+	return metrics.AppendIndented(nil, data), nil
+}
+
+// appendJSON appends p's compact JSON encoding, byte-identical to
+// json.Marshal(p), to dst.
+func (p ResultPayload) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"tasks":`...)
+	if p.Tasks == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, t := range p.Tasks {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":`...)
+			dst = metrics.AppendJSONString(dst, t.Name)
+			dst = append(dst, `,"seed":`...)
+			dst = strconv.AppendInt(dst, t.Seed, 10)
+			dst = append(dst, `,"metrics":`...)
+			var err error
+			if dst, err = t.Metrics.AppendJSON(dst); err != nil {
+				return nil, err
+			}
+			if t.Error != "" {
+				dst = append(dst, `,"error":`...)
+				dst = metrics.AppendJSONString(dst, t.Error)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"merged":`...)
+	dst, err := p.Merged.AppendJSON(dst)
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, `,"digest":`...)
+	dst = metrics.AppendJSONString(dst, p.Digest)
+	return append(dst, '}'), nil
 }

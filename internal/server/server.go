@@ -516,12 +516,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		return
 	}
 
-	payload, err := BuildResultPayload(cells, results, sweep.Merged(results))
-	if err != nil {
-		s.settle(j, StateFailed, err)
-		return
-	}
-	data, err := payload.Marshal()
+	payload, data, err := EncodeResultPayload(cells, results, sweep.Merged(results))
 	if err != nil {
 		s.settle(j, StateFailed, err)
 		return
