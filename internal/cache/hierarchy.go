@@ -132,6 +132,12 @@ type Hierarchy struct {
 	l2   []*SetAssoc        // indexed by chip
 	l3   []*SetAssoc        // indexed by chip
 
+	// cpuLane and cpuCore map a CPU id to its chip's lane and its global
+	// core index (into l1), so the per-reference path does not divide by
+	// the topology's shape. Both are derived from topo at construction.
+	cpuLane []*Lane
+	cpuCore []int32
+
 	// mode is the effective coherence implementation and lanes holds one
 	// access port per chip. In directory mode pres is the machine-wide
 	// chip-presence table (written only at barriers); broadcast mode
@@ -189,6 +195,12 @@ func NewHierarchy(topo topology.Topology, lat topology.Latencies, cfg HierarchyC
 	for chip := range h.lanes {
 		h.lanes[chip].h = h
 		h.lanes[chip].chip = chip
+	}
+	h.cpuLane = make([]*Lane, topo.NumCPUs())
+	h.cpuCore = make([]int32, topo.NumCPUs())
+	for cpu := range h.cpuLane {
+		h.cpuLane[cpu] = &h.lanes[topo.ChipOf(topology.CPUID(cpu))]
+		h.cpuCore[cpu] = int32(topo.CoreOf(topology.CPUID(cpu)))
 	}
 	return h, nil
 }
@@ -270,7 +282,7 @@ func (h *Hierarchy) SourceCycles() [NumSources]uint64 {
 // coherence effect is visible before the next access in both modes
 // (broadcast-mode lanes never queue anything in the first place).
 func (h *Hierarchy) Access(cpu topology.CPUID, addr memory.Addr, write bool) AccessResult {
-	l := &h.lanes[h.topo.ChipOf(cpu)]
+	l := h.cpuLane[cpu]
 	res := l.Access(cpu, addr, write)
 	if len(l.ops) != 0 {
 		h.applyLane(l)

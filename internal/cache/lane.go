@@ -120,7 +120,7 @@ func (l *Lane) Access(cpu topology.CPUID, addr memory.Addr, write bool) AccessRe
 func (l *Lane) access(cpu topology.CPUID, addr memory.Addr, write bool) AccessResult {
 	h := l.h
 	line := memory.LineOf(addr)
-	core := h.topo.CoreOf(cpu)
+	core := int(h.cpuCore[cpu])
 	chip := l.chip
 
 	// L1 probe. Each level's set is probed once: a hit returns its way,

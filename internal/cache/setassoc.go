@@ -245,19 +245,22 @@ func (c *SetAssoc) setBase(line memory.Addr) int { return c.setOf(line) * c.ways
 
 // findWay returns the slab index of the line's way, or -1. Because empty
 // ways hold invalidTag, the scan touches only the tag slab; a shell holds
-// nothing, so it answers before computing a set.
+// nothing, so it answers before computing a set. The scan reads every
+// way and keeps a match with a conditional move rather than leaving at
+// the first hit: a set's tags are unique, so the answer is the same, and
+// the loop has no data-dependent branch to mispredict.
 func (c *SetAssoc) findWay(line memory.Addr) int {
 	if c.tags == nil {
 		return -1
 	}
 	b := c.setBase(line)
-	tags := c.tags[b : b+c.ways]
-	for i := range tags {
-		if tags[i] == line {
-			return b + i
+	way := -1 - b // b + way is -1 on a miss
+	for i, tag := range c.tags[b : b+c.ways] {
+		if tag == line {
+			way = i
 		}
 	}
-	return -1
+	return b + way
 }
 
 // Lookup probes for the line. On a hit it refreshes LRU and returns the

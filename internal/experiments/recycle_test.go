@@ -54,6 +54,11 @@ func closed(m *sim.Machine) (yes bool) {
 // made. Either way the next machine of that geometry holds them.
 // A daemon fed bad specs must not fall back to allocating per job.
 func TestBuildFailureRecyclesSlabs(t *testing.T) {
+	// Start from empty pools: a Get takes its own P's slab sets first and
+	// then the oldest of other Ps', so sets parked by an earlier test
+	// would be handed out before the ones this test releases.
+	runtime.GC()
+	runtime.GC()
 	ctx := context.Background()
 	opt := goldenOptions()
 	boom := errors.New("boom")

@@ -220,7 +220,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 	}
 
 	st.sink.setPhase("merge")
-	payload, data, err := server.EncodeResultPayload(st.cells, st.results, sweep.Merged(st.results))
+	payload, compact, err := server.EncodeResultPayload(st.cells, st.results, sweep.Merged(st.results))
 	if err != nil {
 		return fail(err)
 	}
@@ -232,7 +232,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 		ShardsDone:  len(st.runs),
 		ShardsTotal: len(st.runs),
 	})
-	return payload, data, nil
+	return payload, server.RenderResultPayload(compact), nil
 }
 
 // handle folds one attempt outcome into the run state. A returned

@@ -23,9 +23,9 @@ func diffSpec(id string) JobSpec {
 	}
 }
 
-// offlinePayload runs the spec's grid on the offline sweep path (the
-// `tcsim sweep` code path) and returns the canonical payload bytes.
-func offlinePayload(t *testing.T, spec JobSpec, workers int) []byte {
+// offlineResult runs the spec's grid on the offline sweep path (the
+// `tcsim sweep` code path) and returns the canonical payload.
+func offlineResult(t *testing.T, spec JobSpec, workers int) ResultPayload {
 	t.Helper()
 	norm, err := spec.Normalize()
 	if err != nil {
@@ -43,7 +43,13 @@ func offlinePayload(t *testing.T, spec JobSpec, workers int) []byte {
 	if err != nil {
 		t.Fatalf("BuildResultPayload: %v", err)
 	}
-	data, err := payload.Marshal()
+	return payload
+}
+
+// offlinePayload is offlineResult's served bytes.
+func offlinePayload(t *testing.T, spec JobSpec, workers int) []byte {
+	t.Helper()
+	data, err := offlineResult(t, spec, workers).Marshal()
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}

@@ -59,10 +59,16 @@ type Event struct {
 // every append wakes all blocked subscribers by closing the current
 // update channel. A subscriber replays whatever is retained from the
 // earliest event on, then follows live; after close it drains and ends.
+//
+// A full log drops its oldest event by advancing start, and slides the
+// window back to the front of the slice only once start reaches the
+// capacity: one copy of capacity events per capacity appends, so an
+// append costs O(1) amortised however long the job runs.
 type eventLog struct {
 	mu       sync.Mutex
 	capacity int
-	events   []Event // events[i].Seq == firstSeq+i
+	events   []Event // the retained window is events[start:]; events[start+i].Seq == firstSeq+i
+	start    int
 	firstSeq int
 	nextSeq  int
 	dropped  int
@@ -94,13 +100,18 @@ func (l *eventLog) append(ev Event) {
 	ev.Seq = l.nextSeq
 	l.nextSeq++
 	l.events = append(l.events, ev)
-	if len(l.events) > l.capacity {
-		over := len(l.events) - l.capacity
-		l.events = append([]Event(nil), l.events[over:]...)
-		l.firstSeq += over
-		l.dropped += over
+	if len(l.events)-l.start > l.capacity {
+		l.start++
+		l.firstSeq++
+		l.dropped++
 		if l.droppedTotal != nil {
-			l.droppedTotal.Add(uint64(over))
+			l.droppedTotal.Inc()
+		}
+		if l.start == l.capacity {
+			n := copy(l.events, l.events[l.start:])
+			clear(l.events[n:])
+			l.events = l.events[:n]
+			l.start = 0
 		}
 	}
 	close(l.updated)
@@ -126,10 +137,8 @@ func (l *eventLog) closeLog() {
 func (l *eventLog) snapshotFrom(cursor int) ([]Event, <-chan struct{}, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	start := cursor - l.firstSeq
-	if start < 0 {
-		start = 0 // events before firstSeq were dropped; resume at the oldest retained
-	}
+	// Events before firstSeq were dropped; resume at the oldest retained.
+	start := l.start + max(cursor-l.firstSeq, 0)
 	var out []Event
 	if start < len(l.events) {
 		out = append(out, l.events[start:]...)

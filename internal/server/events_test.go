@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
+
+	"threadcluster/internal/metrics"
 )
 
 func logEvent(i int) Event {
@@ -123,5 +126,62 @@ func TestEventLogCallbackErrorStops(t *testing.T) {
 	})
 	if !errors.Is(err, boom) || n != 1 {
 		t.Fatalf("subscribe = (%v, %d calls), want boom after 1 call", err, n)
+	}
+}
+
+// refEventLog is the ring eventLog replaced: every append past capacity
+// copies the whole retained window. It is the reference for what a full
+// log keeps.
+type refEventLog struct {
+	capacity          int
+	events            []Event
+	firstSeq, nextSeq int
+	dropped           int
+}
+
+func (l *refEventLog) append(ev Event) {
+	ev.Seq = l.nextSeq
+	l.nextSeq++
+	l.events = append(l.events, ev)
+	if len(l.events) > l.capacity {
+		over := len(l.events) - l.capacity
+		l.events = append([]Event(nil), l.events[over:]...)
+		l.firstSeq += over
+		l.dropped += over
+	}
+}
+
+// TestEventLogAppendPastCapacity appends ten times the capacity and
+// requires, after every append, the reference's retained window, Seq
+// numbers and drop counts, and a replay from any cursor that starts
+// where the reference's would. Once the log is full an append allocates
+// at most the broadcast channel it replaces: no copy of the window.
+func TestEventLogAppendPastCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64} {
+		reg := metrics.NewRegistry()
+		l := newEventLog(capacity, reg.Counter("dropped", nil))
+		ref := &refEventLog{capacity: capacity}
+		for i := 0; i < 10*capacity; i++ {
+			l.append(logEvent(i))
+			ref.append(logEvent(i))
+			got, _, _ := l.snapshotFrom(0)
+			if !reflect.DeepEqual(got, ref.events) {
+				t.Fatalf("cap %d, append %d: retained %v, want %v", capacity, i, got, ref.events)
+			}
+			if l.Dropped() != ref.dropped || reg.Snapshot().Counter("dropped", nil) != uint64(ref.dropped) {
+				t.Fatalf("cap %d, append %d: dropped %d (counter %d), want %d", capacity, i,
+					l.Dropped(), reg.Snapshot().Counter("dropped", nil), ref.dropped)
+			}
+			for _, cursor := range []int{ref.firstSeq - 1, ref.firstSeq, ref.nextSeq - 1, ref.nextSeq} {
+				want := ref.events[max(cursor-ref.firstSeq, 0):]
+				if got, _, _ := l.snapshotFrom(cursor); len(got) != len(want) || (len(got) > 0 && got[0].Seq != want[0].Seq) {
+					t.Fatalf("cap %d, append %d: replay from %d = %v, want %v", capacity, i, cursor, got, want)
+				}
+			}
+		}
+		ev := logEvent(0)
+		if allocs := testing.AllocsPerRun(10*capacity, func() { l.append(ev) }); allocs > 1 {
+			t.Fatalf("cap %d: %.1f allocations per append to a full log, want at most 1 (the update channel)", capacity, allocs)
+		}
 	}
 }

@@ -320,6 +320,11 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		t.Fatalf("POST = %d %s", resp.StatusCode, data)
 	}
 	waitDoneHTTP(t, f, "m")
+	_, served := f.do(t, http.MethodGet, "/v1/jobs/m/result", nil)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, served); err != nil {
+		t.Fatalf("result body: %v", err)
+	}
 
 	resp, data := f.do(t, http.MethodGet, "/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -337,7 +342,8 @@ func TestHTTPMetricsEndpoint(t *testing.T) {
 		`server_jobs{state="done"}`,
 		"server_http_request_ms_bucket",
 		"server_jobs_admitted_total 1",
-		"sim_ops_total", // sim series from the completed job's snapshot
+		"sim_ops_total",                                        // sim series from the completed job's snapshot
+		fmt.Sprintf("server_result_bytes %d\n", compact.Len()), // the one job's retained compact payload
 	} {
 		if !strings.Contains(text, series) {
 			t.Errorf("exposition lacks %q:\n%s", series, text)

@@ -263,7 +263,7 @@ type job struct {
 	tasksTotal int
 
 	events  *eventLog
-	payload []byte // canonical result payload bytes (state == done)
+	payload []byte // compact result payload, digest included (state == done); Result renders the served form
 	digest  string
 }
 

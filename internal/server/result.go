@@ -41,24 +41,16 @@ type ResultPayload struct {
 // BuildResultPayload assembles and digests the canonical payload from a
 // grid run's cells and results (the shapes experiments.RunGrid returns).
 func BuildResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, error) {
-	p, _, err := buildResultPayload(cells, results, merged)
+	p, _, err := EncodeResultPayload(cells, results, merged)
 	return p, err
 }
 
-// EncodeResultPayload is BuildResultPayload plus the bytes the result
-// endpoint serves, both from one encoding of the payload.
-func EncodeResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, []byte, error) {
-	p, compact, err := buildResultPayload(cells, results, merged)
-	if err != nil {
-		return ResultPayload{}, nil, err
-	}
-	return p, metrics.AppendIndented(nil, compact), nil
-}
-
-// buildResultPayload assembles the payload, encodes it compactly with
+// EncodeResultPayload assembles the payload, encodes it compactly with
 // Digest blank, digests those bytes, and splices the digest into them:
-// it returns the payload and its compact encoding, digest included.
-func buildResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, []byte, error) {
+// it returns the payload and its compact encoding, digest included —
+// json.Marshal of the payload, the form a daemon retains.
+// RenderResultPayload turns it into the bytes the result endpoint serves.
+func EncodeResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, []byte, error) {
 	p := ResultPayload{
 		Tasks:  make([]TaskResult, 0, len(results)),
 		Merged: merged,
@@ -83,6 +75,13 @@ func buildResultPayload(cells []experiments.GridCell, results []sweep.Result, me
 	return p, data, nil
 }
 
+// RenderResultPayload returns the bytes the result endpoint serves for a
+// payload's compact encoding: json.MarshalIndent(p, "", "  ") and a
+// trailing newline.
+func RenderResultPayload(compact []byte) []byte {
+	return metrics.AppendIndented(nil, compact)
+}
+
 // Digest computes the payload digest for a grid run without building the
 // full payload value: the offline `tcsim sweep -digest` path.
 func Digest(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (string, error) {
@@ -100,7 +99,7 @@ func (p ResultPayload) Marshal() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: marshaling payload: %w", err)
 	}
-	return metrics.AppendIndented(nil, data), nil
+	return RenderResultPayload(data), nil
 }
 
 // appendJSON appends p's compact JSON encoding, byte-identical to

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"threadcluster/internal/experiments"
@@ -16,9 +17,10 @@ import (
 )
 
 // TestServedBytesAreMarshalIndent pins the one-encoding payload path to
-// the two reflective marshals it replaced: the served bytes must equal
+// the reflective marshals it replaced: the compact encoding must equal
+// json.Marshal of the payload, the served bytes rendered from it
 // json.MarshalIndent of the same payload plus a newline, and the digest
-// must be the sha256 of json.Marshal of the payload with Digest blank.
+// the sha256 of json.Marshal of the payload with Digest blank.
 // The grid has a failed cell whose name and error need escaping.
 func TestServedBytesAreMarshalIndent(t *testing.T) {
 	norm, err := diffSpec("bytes").Normalize()
@@ -36,10 +38,14 @@ func TestServedBytesAreMarshalIndent(t *testing.T) {
 	results = append(results, sweep.Result{Name: "x<&>\"/ ", Seed: -3,
 		Err: errors.New("boom: \"quoted\" <tag> & \\ \x01 \xff")})
 
-	p, served, err := EncodeResultPayload(cells, results, sweep.Merged(results))
+	p, compact, err := EncodeResultPayload(cells, results, sweep.Merged(results))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want, err := json.Marshal(p); err != nil || !bytes.Equal(compact, want) {
+		t.Fatalf("compact encoding differs from json.Marshal (err %v):\n got %s\nwant %s", err, compact, want)
+	}
+	served := RenderResultPayload(compact)
 	want, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +59,11 @@ func TestServedBytesAreMarshalIndent(t *testing.T) {
 
 	blank := p
 	blank.Digest = ""
-	compact, err := json.Marshal(blank)
+	unsigned, err := json.Marshal(blank)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("sha256:%x", sha256.Sum256(compact)); p.Digest != want {
+	if want := fmt.Sprintf("sha256:%x", sha256.Sum256(unsigned)); p.Digest != want {
 		t.Fatalf("digest %s, want %s", p.Digest, want)
 	}
 	if d, err := Digest(cells, results, sweep.Merged(results)); err != nil || d != p.Digest {
@@ -78,5 +84,84 @@ func TestPayloadRefusesWhatJSONRefuses(t *testing.T) {
 	}
 	if _, err := json.Marshal(ResultPayload{Tasks: []TaskResult{{Metrics: results[0].Metrics}}}); err == nil {
 		t.Fatal("json.Marshal accepted a NaN gauge")
+	}
+}
+
+// TestRetainedPayloadIsCompact: a settled job retains exactly the
+// compact bytes its digest covers — no indented copy, no spare capacity
+// — and the served body is rendered from them: json.Compact of what
+// Result returns gives the retained bytes back.
+func TestRetainedPayloadIsCompact(t *testing.T) {
+	s := startServer(t, Options{}, nil)
+	if _, err := s.Submit(context.Background(), smallSpec("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, "kept"); st.State != StateDone {
+		t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
+	}
+	s.mu.Lock()
+	kept := s.jobs["kept"].payload
+	s.mu.Unlock()
+	if len(kept) != cap(kept) {
+		t.Fatalf("retained payload len %d, cap %d: spare capacity kept", len(kept), cap(kept))
+	}
+	served, err := s.Result("kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, served); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(kept, compact.Bytes()) {
+		t.Fatalf("retained bytes are not the compact served body:\n kept %s\nwant %s", kept, compact.Bytes())
+	}
+}
+
+// TestResultFetchesAgree: every fetch of a settled job renders the same
+// bytes, json.MarshalIndent of the offline payload plus a newline —
+// fetched in sequence and from concurrent goroutines (run it under
+// -race: the render reads the retained bytes outside the server lock).
+func TestResultFetchesAgree(t *testing.T) {
+	p := offlineResult(t, smallSpec("fetch"), 1)
+	want, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+
+	s := startServer(t, Options{}, nil)
+	if _, err := s.Submit(context.Background(), smallSpec("fetch")); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, "fetch"); st.State != StateDone {
+		t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := s.Result("fetch")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("sequential fetch %d differs from json.MarshalIndent (err %v)", i, err)
+		}
+	}
+	const fetchers = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, fetchers)
+	for i := 0; i < fetchers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := s.Result("fetch")
+			if err == nil && !bytes.Equal(got, want) {
+				err = errors.New("concurrent fetch differs from json.MarshalIndent")
+			}
+			errc <- err
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

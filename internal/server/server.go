@@ -175,6 +175,15 @@ func New(opt Options) (*Server, error) {
 		defer s.mu.Unlock()
 		return float64(s.running)
 	})
+	s.reg.RegisterGaugeFunc("server_result_bytes", nil, func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		n := 0
+		for _, j := range s.bySeq {
+			n += len(j.payload)
+		}
+		return float64(n)
+	})
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
 		st := st
 		s.reg.RegisterGaugeFunc("server_jobs", metrics.Labels{"state": string(st)}, func() float64 {
@@ -366,18 +375,24 @@ func (s *Server) Jobs() []JobStatus {
 }
 
 // Result returns the completed job's canonical payload bytes — the exact
-// bytes every replica would serve for this spec.
+// bytes every replica would serve for this spec. The job holds only the
+// compact encoding its digest covers; the served form is rendered from
+// it per call, outside the server lock.
 func (s *Server) Result(id string) ([]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		s.mu.Unlock()
 		return nil, fmt.Errorf("server: %w: %q", errs.ErrJobNotFound, id)
 	}
 	if j.state != StateDone {
-		return nil, fmt.Errorf("server: %w: %q is %s", errs.ErrJobNotDone, id, j.state)
+		state := j.state
+		s.mu.Unlock()
+		return nil, fmt.Errorf("server: %w: %q is %s", errs.ErrJobNotDone, id, state)
 	}
-	return j.payload, nil
+	compact := j.payload // immutable once the job is done
+	s.mu.Unlock()
+	return RenderResultPayload(compact), nil
 }
 
 // Cancel cancels a queued or running job. A queued job settles
@@ -516,13 +531,18 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		return
 	}
 
-	payload, data, err := EncodeResultPayload(cells, results, sweep.Merged(results))
+	payload, compact, err := EncodeResultPayload(cells, results, sweep.Merged(results))
 	if err != nil {
 		s.settle(j, StateFailed, err)
 		return
 	}
+	// The job keeps the compact bytes for as long as the server runs; a
+	// copy of exactly their length leaves the encoder's spare capacity
+	// behind.
+	kept := make([]byte, len(compact))
+	copy(kept, compact)
 	s.mu.Lock()
-	j.payload = data
+	j.payload = kept
 	j.digest = payload.Digest
 	s.simTotals = s.simTotals.Merge(payload.Merged)
 	s.mu.Unlock()
