@@ -109,7 +109,9 @@ fuzz-smoke:
 # differential and the per-op directory scan at several GOMAXPROCS
 # levels, the refusal of hostile restored cache states in both coherence
 # modes, Run's saturating budget, the lazily built slabs (lazy == eager at every step, first
-# Inserts racing on the pool from lane goroutines) and the slab pool
+# Inserts racing on the pool from lane goroutines), the sparse victim L3
+# (sparse == dense, one block per filled set), the presence table against
+# a Go map, and the slab pool
 # (released == fresh word for word, reuse after Close and after a
 # failed interval or restore, and sweep workers
 # handing slabs of two machine geometries to each other while every cell
@@ -122,7 +124,7 @@ test-race:
 	$(GO) test -race -short -run 'TestCatalogueSharesCells|TestExperimentsCloseEveryMachine' -cpu 1,2,4 ./internal/experiments
 	$(GO) test -race -run 'TestGridRecyclesAcrossWorkers|TestBuildFailureRecyclesSlabs|TestGridCellsCloseTheirMachine' -cpu 1,2,4 ./internal/experiments
 	$(GO) test -race -run 'TestEngine|TestRunSlice|TestRunSaturates|TestNextAdapter|TestSnapshot|TestGolden|TestClose' ./internal/sim
-	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy' -cpu 1,2,4 ./internal/cache
+	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy|TestVictimL3HoldsWhatItCaches|TestCastOutStreamReachesL3|TestSparseArenaNeverOutgrowsDense|TestLineTableMatchesMap' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
 

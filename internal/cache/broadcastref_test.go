@@ -42,13 +42,15 @@ type broadcastRef struct {
 func newBroadcastRef(t testing.TB, topo topology.Topology, lat topology.Latencies, cfg HierarchyConfig) *broadcastRef {
 	t.Helper()
 	h := &broadcastRef{topo: topo, lat: lat}
-	// The reference never runs on recycled slabs.
+	// The reference never runs on recycled slabs, and its L3s are dense:
+	// every differential against it also checks the unified walk's sparse
+	// victim caches against the dense layout.
 	for core := 0; core < topo.NumCores(); core++ {
-		h.l1 = append(h.l1, freshCache(t, cfg.L1))
+		h.l1 = append(h.l1, freshCache(t, cfg.L1, false))
 	}
 	for chip := 0; chip < topo.Chips; chip++ {
-		h.l2 = append(h.l2, freshCache(t, cfg.L2))
-		h.l3 = append(h.l3, freshCache(t, cfg.L3))
+		h.l2 = append(h.l2, freshCache(t, cfg.L2, false))
+		h.l3 = append(h.l3, freshCache(t, cfg.L3, false))
 	}
 	return h
 }

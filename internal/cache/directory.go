@@ -71,11 +71,17 @@ func (e *presEntry) empty() bool { return e.l2 == 0 && e.l3 == 0 }
 // allocate per line. Entries exist only for lines cached somewhere, so
 // occupancy tracks live cache contents, not the address space.
 type lineTable struct {
-	keys []uint64    // line address + 1; 0 marks an empty slot
-	ents []presEntry // parallel to keys
-	mask uint64      // len(keys) - 1
-	n    int         // occupied slots
-	peak int
+	slots []lineSlot
+	mask  uint64 // len(slots) - 1
+	n     int    // occupied slots
+	peak  int
+}
+
+// lineSlot is one slot of the table: a key and its entry side by side, so
+// a probe that finds its key reads the entry from the same host line.
+type lineSlot struct {
+	key uint64 // line address + 1; 0 marks an empty slot
+	presEntry
 }
 
 const lineTableMinSize = 256
@@ -93,23 +99,18 @@ func (t *lineTable) init() {
 		*t = *p
 		return
 	}
-	*t = lineTable{
-		keys: make([]uint64, lineTableMinSize),
-		ents: make([]presEntry, lineTableMinSize),
-		mask: lineTableMinSize - 1,
-	}
+	*t = lineTable{slots: make([]lineSlot, lineTableMinSize), mask: lineTableMinSize - 1}
 }
 
-// clear empties the table and keeps its capacity. Only the keys mark a
-// slot occupied; ensure zeroes an entry when it claims the slot.
+// clear empties the table and keeps its capacity.
 func (t *lineTable) clear() {
-	clear(t.keys)
+	clear(t.slots)
 	t.n = 0
 }
 
 // release parks the cleared table for the next init and leaves t unusable.
 func (t *lineTable) release() {
-	if t.keys == nil {
+	if t.slots == nil {
 		return
 	}
 	t.clear()
@@ -133,9 +134,9 @@ func (t *lineTable) slot(k uint64) uint64 {
 func (t *lineTable) find(line memory.Addr) *presEntry {
 	k := lineKey(line)
 	for i := t.slot(k); ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
+		switch t.slots[i].key {
 		case k:
-			return &t.ents[i]
+			return &t.slots[i].presEntry
 		case 0:
 			return nil
 		}
@@ -147,43 +148,41 @@ func (t *lineTable) find(line memory.Addr) *presEntry {
 func (t *lineTable) ensure(line memory.Addr) *presEntry {
 	k := lineKey(line)
 	for i := t.slot(k); ; i = (i + 1) & t.mask {
-		switch t.keys[i] {
+		switch t.slots[i].key {
 		case k:
-			return &t.ents[i]
+			return &t.slots[i].presEntry
 		case 0:
-			// Grow at 50% load: probe chains stay short, and the table is
-			// tiny next to the caches it mirrors.
-			if uint64(t.n)*2 >= uint64(len(t.keys)) {
+			// Grow at 3/4 load, so the slots run 3/8–3/4 full instead of
+			// 1/4–1/2 (DESIGN.md §5): the table mirrors the caches' live
+			// lines and is a share of a run's heap, while its probe chains
+			// stay short next to the set scans around them.
+			if 4*uint64(t.n) >= 3*uint64(len(t.slots)) {
 				t.grow()
 				return t.ensure(line)
 			}
-			t.keys[i] = k
-			t.ents[i] = presEntry{}
+			t.slots[i] = lineSlot{key: k}
 			t.n++
 			if t.n > t.peak {
 				t.peak = t.n
 			}
-			return &t.ents[i]
+			return &t.slots[i].presEntry
 		}
 	}
 }
 
 func (t *lineTable) grow() {
-	oldKeys, oldEnts := t.keys, t.ents
-	size := uint64(len(oldKeys)) * 2
-	t.keys = make([]uint64, size)
-	t.ents = make([]presEntry, size)
-	t.mask = size - 1
-	for i, k := range oldKeys {
-		if k == 0 {
+	old := t.slots
+	t.slots = make([]lineSlot, 2*len(old))
+	t.mask = uint64(len(t.slots)) - 1
+	for _, s := range old {
+		if s.key == 0 {
 			continue
 		}
-		j := t.slot(k)
-		for t.keys[j] != 0 {
+		j := t.slot(s.key)
+		for t.slots[j].key != 0 {
 			j = (j + 1) & t.mask
 		}
-		t.keys[j] = k
-		t.ents[j] = oldEnts[i]
+		t.slots[j] = s
 	}
 }
 
@@ -193,8 +192,8 @@ func (t *lineTable) grow() {
 func (t *lineTable) drop(line memory.Addr) {
 	k := lineKey(line)
 	i := t.slot(k)
-	for t.keys[i] != k {
-		if t.keys[i] == 0 {
+	for t.slots[i].key != k {
+		if t.slots[i].key == 0 {
 			return
 		}
 		i = (i + 1) & t.mask
@@ -203,27 +202,26 @@ func (t *lineTable) drop(line memory.Addr) {
 	j := i
 	for {
 		j = (j + 1) & t.mask
-		if t.keys[j] == 0 {
+		if t.slots[j].key == 0 {
 			break
 		}
-		home := t.slot(t.keys[j])
+		home := t.slot(t.slots[j].key)
 		// The entry at j may move to i only if its home slot lies
 		// cyclically at or before i (otherwise a lookup starting at home
 		// would stop early at the vacated slot).
 		if (i-home)&t.mask <= (j-home)&t.mask {
-			t.keys[i] = t.keys[j]
-			t.ents[i] = t.ents[j]
+			t.slots[i] = t.slots[j]
 			i = j
 		}
 	}
-	t.keys[i] = 0
+	t.slots[i] = lineSlot{}
 }
 
 // forEach visits every tracked line.
 func (t *lineTable) forEach(f func(line memory.Addr, e *presEntry)) {
-	for i, k := range t.keys {
-		if k != 0 {
-			f(memory.Addr(k-1), &t.ents[i])
+	for i := range t.slots {
+		if k := t.slots[i].key; k != 0 {
+			f(memory.Addr(k-1), &t.slots[i].presEntry)
 		}
 	}
 }

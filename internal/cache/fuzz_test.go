@@ -29,6 +29,8 @@ func FuzzHierarchyAccess(f *testing.F) {
 		seed = append(seed, byte(i), byte(i*7), byte(i%2))
 	}
 	f.Add(seed)
+	// L2 cast-outs into a victim L3, read back locally and remotely.
+	f.Add(castOutStream())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		topo := topology.OpenPower720()
@@ -49,17 +51,18 @@ func FuzzHierarchyAccess(f *testing.F) {
 				t.Fatalf("op %d: cpu %d line %#x write=%v:\nreference %+v\nbroadcast %+v\ndirectory %+v",
 					i/3, cpu, uint64(addr), write, rr, rb, rd)
 			}
-			// The reference's caches are built at construction, the other
-			// two build at their first Insert: no step may tell them apart.
-			// Counters are compared after every access; the O(capacity)
-			// image and directory checks after every access that built a
-			// cache — the only steps at which lazy and eager differ in
-			// structure — and every sixteenth, so the fuzzer keeps its
-			// throughput. TestLazyHierarchyEqualsEager runs them all at
-			// every step.
+			// The reference's caches are built at construction and its L3s
+			// are dense; the other two build at their first Insert and
+			// give an L3 set its block at its first fill: no step may tell
+			// them apart. Counters are compared after every access; the
+			// O(capacity) image and directory checks after every access
+			// that built a cache or handed out a block — the only steps at
+			// which the layouts differ in structure — and every sixteenth,
+			// so the fuzzer keeps its throughput.
+			// TestLazyHierarchyEqualsEager runs them all at every step.
 			compareCounters(t, i/3, ref, bc)
 			compareCounters(t, i/3, ref, dir)
-			if n := len(backings(bc)) + len(backings(dir)); n != built || i/3%16 == 0 {
+			if n := hierarchyBlocks(bc) + hierarchyBlocks(dir); n != built || i/3%16 == 0 {
 				built = n
 				sameCaches(t, ref, bc)
 				sameCaches(t, ref, dir)

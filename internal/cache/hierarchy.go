@@ -176,7 +176,9 @@ func NewHierarchy(topo topology.Topology, lat topology.Latencies, cfg HierarchyC
 		if err != nil {
 			return nil, fmt.Errorf("cache: L2 for chip %d: %w", chip, err)
 		}
-		l3, err := NewSetAssoc(cfg.L3)
+		// The victim L3 is filled only by L2 cast-outs, and a run leaves
+		// most of its sets empty: it is the one sparse cache.
+		l3, err := newSetAssoc(cfg.L3, true)
 		if err != nil {
 			return nil, fmt.Errorf("cache: L3 for chip %d: %w", chip, err)
 		}

@@ -4,28 +4,29 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"threadcluster/internal/memory"
 	"threadcluster/internal/snapbin"
 	"threadcluster/internal/topology"
 )
 
-// freshCache builds a cache the eager way: slabs allocated at
-// construction and never out of the pool, which is how every cache was
-// built before the first Insert did it. It is the oracle lazy and
-// recycled caches are compared with.
-func freshCache(t testing.TB, cfg Config) *SetAssoc {
+// freshCache builds a cache of the layout the eager way: slabs allocated
+// at construction and never out of the pool, which is how every cache was
+// built before the first Insert did it. Its dense form is the oracle
+// lazy, recycled and sparse caches are compared with.
+func freshCache(t testing.TB, cfg Config, sparse bool) *SetAssoc {
 	t.Helper()
-	c := shellCache(t, cfg)
-	c.slabs = newSlabs(c.nsets, c.ways)
+	c := shellCache(t, cfg, sparse)
+	c.slabs = newSlabs(c.nsets, c.ways, sparse)
 	return c
 }
 
-// shellCache is a cache that holds no slabs, whatever the pool had
-// parked: its first Insert builds.
-func shellCache(t testing.TB, cfg Config) *SetAssoc {
+// shellCache is a cache of the layout that holds no slabs, whatever the
+// pool had parked: its first Insert builds.
+func shellCache(t testing.TB, cfg Config, sparse bool) *SetAssoc {
 	t.Helper()
-	c, err := NewSetAssoc(cfg)
+	c, err := newSetAssoc(cfg, sparse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +34,16 @@ func shellCache(t testing.TB, cfg Config) *SetAssoc {
 	return c
 }
 
-// hierarchyOf is NewHierarchy with every cache remade by one of the
-// constructors above: all shells, or all built at construction.
-func hierarchyOf(t testing.TB, cache func(testing.TB, Config) *SetAssoc, topo topology.Topology, lat topology.Latencies, cfg HierarchyConfig) *Hierarchy {
+// layouts names the two slab layouts for the tests that run over both.
+var layouts = []struct {
+	name   string
+	sparse bool
+}{{"dense", false}, {"sparse", true}}
+
+// hierarchyOf is NewHierarchy with every cache remade, in its own layout,
+// by one of the constructors above: all shells, or all built at
+// construction.
+func hierarchyOf(t testing.TB, cache func(testing.TB, Config, bool) *SetAssoc, topo topology.Topology, lat topology.Latencies, cfg HierarchyConfig) *Hierarchy {
 	t.Helper()
 	h, err := NewHierarchy(topo, lat, cfg)
 	if err != nil {
@@ -44,7 +52,7 @@ func hierarchyOf(t testing.TB, cache func(testing.TB, Config) *SetAssoc, topo to
 	for _, level := range [][]*SetAssoc{h.l1, h.l2, h.l3} {
 		for i, c := range level {
 			c.release()
-			level[i] = cache(t, c.cfg)
+			level[i] = cache(t, c.cfg, c.sparse)
 		}
 	}
 	return h
@@ -52,11 +60,16 @@ func hierarchyOf(t testing.TB, cache func(testing.TB, Config) *SetAssoc, topo to
 
 // releaseChecked releases the cache and fails unless it is an empty shell
 // afterwards and the slabs it parked, if it had any, equal freshly
-// allocated ones word for word.
+// allocated ones word for word. A sparse cache parks an empty arena of
+// the capacity it grew to, whose old words block rewrites as it hands
+// each out again, so its image is its (empty) arena and its directory.
 func releaseChecked(t *testing.T, c *SetAssoc) {
 	t.Helper()
 	parked := c.slabs
 	c.release()
+	if c.sparse {
+		parked.tags, parked.states, parked.lru = parked.tags[:0], parked.states[:0], parked.lru[:0]
+	}
 	if c.Backing() != nil || c.stamp != 0 || c.stats != (Stats{}) {
 		t.Fatalf("%+v: released cache keeps slabs %p stamp %d stats %+v", c.cfg, c.Backing(), c.stamp, c.stats)
 	}
@@ -68,12 +81,15 @@ func releaseChecked(t *testing.T, c *SetAssoc) {
 			t.Fatalf("way %d: tag %#x with state %v breaks tags==invalidTag <=> states==Invalid", i, uint64(parked.tags[i]), parked.states[i])
 		}
 	}
-	want := newSlabs(c.nsets, c.ways)
+	want := newSlabs(c.nsets, c.ways, c.sparse)
 	if !slices.Equal(parked.tags, want.tags) || !slices.Equal(parked.states, want.states) || !slices.Equal(parked.lru, want.lru) {
-		t.Fatalf("%+v: released slabs differ from freshly allocated ones", c.cfg)
+		t.Fatalf("%+v sparse=%v: released slabs differ from freshly allocated ones", c.cfg, c.sparse)
 	}
 	if !slices.Equal(parked.touched, want.touched) {
 		t.Fatalf("%+v: released touched bitmap %x, want all clear", c.cfg, parked.touched)
+	}
+	if !slices.Equal(parked.setDir, want.setDir) {
+		t.Fatalf("%+v: released set directory keeps blocks", c.cfg)
 	}
 }
 
@@ -154,127 +170,147 @@ var recycleGeometries = []Config{
 // leave stale LRU stamps behind, a restore over dirty slabs — release
 // parks slabs that are word for word what the allocator builds. One cache
 // takes what the earlier rounds parked at construction, the other at its
-// first Insert.
+// first Insert; each layout restores the other's state as well as its
+// own.
 func TestReleasedEqualsFresh(t *testing.T) {
 	for _, cfg := range recycleGeometries {
-		for seed := int64(1); seed <= 4; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			c, err := NewSetAssoc(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := shellCache(t, cfg)
-			churn(c, r, 200*int(seed)) // few operations on the low seeds: most sets stay untouched
-			churn(d, r, 5000)
+		for _, from := range layouts {
+			for _, into := range layouts {
+				for seed := int64(1); seed <= 4; seed++ {
+					r := rand.New(rand.NewSource(seed))
+					c, err := newSetAssoc(cfg, from.sparse)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d := shellCache(t, cfg, into.sparse)
+					churn(c, r, 200*int(seed)) // few operations on the low seeds: most sets stay untouched
+					churn(d, r, 5000)
 
-			// Restore c's state over the dirty d, then keep using d.
-			saved := cacheBytes(c)
-			if err := restoreCache(snapbin.NewDec([]byte(saved)), d, "d"); err != nil {
-				t.Fatal(err)
-			}
-			if cacheBytes(d) != saved {
-				t.Fatalf("%+v seed %d: restore did not reproduce the saved cache", cfg, seed)
-			}
-			churn(d, r, 300)
+					// Restore c's state over the dirty d, then keep using d.
+					saved := cacheBytes(c)
+					if err := restoreCache(snapbin.NewDec([]byte(saved)), d, "d"); err != nil {
+						t.Fatal(err)
+					}
+					if cacheBytes(d) != saved {
+						t.Fatalf("%+v %s→%s seed %d: restore did not reproduce the saved cache", cfg, from.name, into.name, seed)
+					}
+					churn(d, r, 300)
 
-			releaseChecked(t, c)
-			releaseChecked(t, d)
+					releaseChecked(t, c)
+					releaseChecked(t, d)
+				}
+			}
 		}
 	}
 }
 
-// TestLazyEqualsEager: a cache that builds its slabs at its first Insert
-// is, at every step of every operation stream, the cache that was built
-// at construction — same answers, same statistics, same snapshot bytes —
-// and a cache nothing is inserted into never builds at all, not even by
-// restoring an empty snapshot over it.
+// TestLazyEqualsEager: a cache of either layout that builds its slabs at
+// its first Insert is, at every step of every operation stream, the dense
+// cache that was built at construction — same answers, same statistics,
+// same snapshot bytes — and a cache nothing is inserted into never builds
+// at all, not even by restoring an empty snapshot over it. The sparse run
+// is the set directory's differential against the dense layout, through
+// restores over dirty slabs of both layouts and a release whose slabs the
+// next round's caches take back.
 func TestLazyEqualsEager(t *testing.T) {
 	for _, cfg := range recycleGeometries {
-		for seed := int64(1); seed <= 3; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			lazy, eager := shellCache(t, cfg), freshCache(t, cfg)
-			same := func(step int, what string) {
-				t.Helper()
-				if lazy.Stats() != eager.Stats() || lazy.Occupancy() != eager.Occupancy() {
-					t.Fatalf("%+v seed %d step %d %s: lazy %+v/%d lines, eager %+v/%d lines",
-						cfg, seed, step, what, lazy.Stats(), lazy.Occupancy(), eager.Stats(), eager.Occupancy())
-				}
-				if cacheBytes(lazy) != cacheBytes(eager) {
-					t.Fatalf("%+v seed %d step %d %s: snapshot bytes diverged", cfg, seed, step, what)
-				}
+		for _, layout := range layouts {
+			for seed := int64(1); seed <= 3; seed++ {
+				lazyEqualsEager(t, cfg, layout.sparse, seed)
 			}
-			drive := func(n int, inserts bool) {
-				t.Helper()
-				for i := 0; i < n; i++ {
-					op := randomOp(lazy, r, inserts)
-					if l, e := op.apply(lazy), op.apply(eager); l != e {
-						t.Fatalf("%+v seed %d op %d %+v: lazy %v, eager %v", cfg, seed, i, op, l, e)
-					}
-					// The snapshot walk is O(sets): every step on the small
-					// geometries, sampled on the Power5 L2's.
-					if lazy.nsets <= 128 || i%97 == 0 {
-						same(i, "op")
-					}
-				}
-			}
-
-			// Everything but Insert leaves the lazy cache a shell.
-			drive(300, false)
-			same(300, "before any insert")
-			if lazy.Backing() != nil {
-				t.Fatalf("%+v: a cache nothing was inserted into built its slabs", cfg)
-			}
-			if lazy.Stats().Misses == 0 {
-				t.Fatalf("%+v: an unbuilt cache must still count its misses", cfg)
-			}
-			lazy.ForEachLine(func(memory.Addr, State) { t.Fatal("an unbuilt cache reported a line") })
-			empty := cacheBytes(lazy)
-			if err := restoreCache(snapbin.NewDec([]byte(empty)), lazy, "lazy"); err != nil {
-				t.Fatal(err)
-			}
-			if lazy.Backing() != nil {
-				t.Fatalf("%+v: restoring an empty snapshot built the slabs", cfg)
-			}
-			same(300, "after an empty restore")
-
-			drive(2000, true)
-			if lazy.Backing() == nil {
-				t.Fatalf("%+v: inserts left the cache unbuilt", cfg)
-			}
-
-			// Both ways across a restore: the lazy state over a dirty eager
-			// cache, and the empty state over the built lazy one.
-			dirty := freshCache(t, cfg)
-			churn(dirty, r, 1000)
-			if err := restoreCache(snapbin.NewDec([]byte(cacheBytes(lazy))), dirty, "dirty"); err != nil {
-				t.Fatal(err)
-			}
-			eager = dirty
-			same(2300, "after restoring over dirty slabs")
-			drive(500, true)
-			for _, c := range []*SetAssoc{lazy, eager} {
-				if err := restoreCache(snapbin.NewDec([]byte(empty)), c, "c"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if lazy.Backing() != nil || eager.Backing() != nil {
-				t.Fatalf("%+v: restoring an empty snapshot over a built cache kept its slabs", cfg)
-			}
-			same(2800, "after an empty restore over built slabs")
-			drive(500, true)
-
-			// A refused snapshot leaves the cache as it was.
-			before := cacheBytes(lazy)
-			if err := restoreCache(snapbin.NewDec([]byte(before[:len(before)-1])), lazy, "lazy"); err == nil {
-				t.Fatalf("%+v: a truncated snapshot restored", cfg)
-			}
-			if cacheBytes(lazy) != before {
-				t.Fatalf("%+v: a refused snapshot changed the cache", cfg)
-			}
-			releaseChecked(t, lazy)
-			releaseChecked(t, eager)
 		}
 	}
+}
+
+func lazyEqualsEager(t *testing.T, cfg Config, sparse bool, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	lazy, eager := shellCache(t, cfg, sparse), freshCache(t, cfg, false)
+	same := func(step int, what string) {
+		t.Helper()
+		if lazy.Stats() != eager.Stats() || lazy.Occupancy() != eager.Occupancy() {
+			t.Fatalf("%+v sparse=%v seed %d step %d %s: lazy %+v/%d lines, eager %+v/%d lines",
+				cfg, sparse, seed, step, what, lazy.Stats(), lazy.Occupancy(), eager.Stats(), eager.Occupancy())
+		}
+		if cacheBytes(lazy) != cacheBytes(eager) {
+			t.Fatalf("%+v sparse=%v seed %d step %d %s: snapshot bytes diverged", cfg, sparse, seed, step, what)
+		}
+	}
+	drive := func(n int, inserts bool) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			op := randomOp(lazy, r, inserts)
+			if l, e := op.apply(lazy), op.apply(eager); l != e {
+				t.Fatalf("%+v sparse=%v seed %d op %d %+v: lazy %v, eager %v", cfg, sparse, seed, i, op, l, e)
+			}
+			// The snapshot walk is O(sets): every step on the small
+			// geometries, sampled on the Power5 L2's.
+			if lazy.nsets <= 128 || i%97 == 0 {
+				same(i, "op")
+			}
+		}
+	}
+
+	// Everything but Insert leaves the lazy cache a shell.
+	drive(300, false)
+	same(300, "before any insert")
+	if lazy.Backing() != nil {
+		t.Fatalf("%+v: a cache nothing was inserted into built its slabs", cfg)
+	}
+	if lazy.Stats().Misses == 0 {
+		t.Fatalf("%+v: an unbuilt cache must still count its misses", cfg)
+	}
+	lazy.ForEachLine(func(memory.Addr, State) { t.Fatal("an unbuilt cache reported a line") })
+	empty := cacheBytes(lazy)
+	if err := restoreCache(snapbin.NewDec([]byte(empty)), lazy, "lazy"); err != nil {
+		t.Fatal(err)
+	}
+	if lazy.Backing() != nil {
+		t.Fatalf("%+v: restoring an empty snapshot built the slabs", cfg)
+	}
+	same(300, "after an empty restore")
+
+	drive(2000, true)
+	if lazy.Backing() == nil {
+		t.Fatalf("%+v: inserts left the cache unbuilt", cfg)
+	}
+
+	// Both ways across a restore: the lazy state over a dirty eager
+	// cache and over a dirty cache of the lazy one's layout, which
+	// carries on as the lazy cache; then the empty state over both.
+	saved := cacheBytes(lazy)
+	dirty := []*SetAssoc{freshCache(t, cfg, false), shellCache(t, cfg, sparse)}
+	for _, c := range dirty {
+		churn(c, r, 1000)
+		if err := restoreCache(snapbin.NewDec([]byte(saved)), c, "dirty"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	releaseChecked(t, lazy)
+	releaseChecked(t, eager)
+	eager, lazy = dirty[0], dirty[1]
+	same(2300, "after restoring over dirty slabs")
+	drive(500, true)
+	for _, c := range []*SetAssoc{lazy, eager} {
+		if err := restoreCache(snapbin.NewDec([]byte(empty)), c, "c"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lazy.Backing() != nil || eager.Backing() != nil {
+		t.Fatalf("%+v: restoring an empty snapshot over a built cache kept its slabs", cfg)
+	}
+	same(2800, "after an empty restore over built slabs")
+	drive(500, true)
+
+	// A refused snapshot leaves the cache as it was.
+	before := cacheBytes(lazy)
+	if err := restoreCache(snapbin.NewDec([]byte(before[:len(before)-1])), lazy, "lazy"); err == nil {
+		t.Fatalf("%+v: a truncated snapshot restored", cfg)
+	}
+	if cacheBytes(lazy) != before {
+		t.Fatalf("%+v: a refused snapshot changed the cache", cfg)
+	}
+	releaseChecked(t, lazy)
+	releaseChecked(t, eager)
 }
 
 // randomAccess draws one access over a 4096-line range.
@@ -284,8 +320,8 @@ func randomAccess(r *rand.Rand, topo topology.Topology) (topology.CPUID, memory.
 
 // backings returns the slab identity of every cache of the hierarchy that
 // holds slabs.
-func backings(h *Hierarchy) map[*memory.Addr]bool {
-	b := map[*memory.Addr]bool{}
+func backings(h *Hierarchy) map[unsafe.Pointer]bool {
+	b := map[unsafe.Pointer]bool{}
 	for _, c := range slices.Concat(h.caches()) {
 		if c.Backing() != nil {
 			b[c.Backing()] = true

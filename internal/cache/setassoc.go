@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"unsafe"
@@ -87,7 +88,7 @@ type Stats struct {
 // pattern can never equal a real line: a probe may compare tags alone,
 // touching one dense slab, without consulting the state slab first. The
 // invariant — tags[i] == invalidTag exactly when states[i] == Invalid —
-// is maintained by newSlabs, Invalidate, restoreCache and release.
+// is maintained by newSlabs, block, Invalidate, restoreCache and release.
 const invalidTag = ^memory.Addr(0)
 
 // SetAssoc is a set-associative cache with true-LRU replacement. Addresses
@@ -95,11 +96,21 @@ const invalidTag = ^memory.Addr(0)
 // decisions live in Hierarchy.
 //
 // The backing store is structure-of-arrays: three contiguous slabs
-// (tags, states, lru) indexed by set*ways + way. A probe walks `ways`
-// adjacent tag words in one slab — typically a single cache line of
-// simulator-host memory — instead of chasing a per-set slice header into
-// 24-byte AoS records. The hit path then touches exactly the state and
-// LRU words it needs.
+// (tags, states, lru) of `ways`-sized blocks, one block per set. A probe
+// walks `ways` adjacent tag words in one slab — typically a single cache
+// line of simulator-host memory — instead of chasing a per-set slice
+// header into 24-byte AoS records. The hit path then touches exactly the
+// state and LRU words it needs.
+//
+// The slabs come in two layouts, chosen by the cache's role when
+// NewHierarchy builds it. A dense cache (every L1 and L2, and whatever
+// NewSetAssoc returns) holds a block for every set, way i of set s at
+// index s*ways + i: those levels run mostly full, and the probe computes
+// its block with no load. A sparse cache (the victim L3) holds blocks
+// only for the sets it has filled, in an arena behind a per-set
+// directory, so its host memory follows what it caches rather than its
+// capacity: a grid-length run leaves under 5 % of a 36 MB L3's lines
+// filled.
 //
 // Slabs are built by the first Insert — the one operation that makes a
 // way valid. Until then a cache is a shell that answers every probe
@@ -121,39 +132,63 @@ type SetAssoc struct {
 	// where the mask is trivially correct too.
 	setMask uint64
 	pow2    bool
+	sparse  bool // the slabs are a block arena behind setDir
 }
 
-// slabs is the backing store of one built cache; all four are nil in a
-// shell. tags, states and lru have nsets*ways entries; way i of set s lives
-// at index s*ways + i.
+// slabs is the backing store of one built cache; every slice is nil in a
+// shell. In a dense cache tags, states and lru have nsets*ways entries and
+// set s owns the block at s*ways. In a sparse cache they are an arena of
+// the blocks handed out so far, and setDir maps each set to its block.
 type slabs struct {
 	tags   []memory.Addr
 	states []State
 	lru    []uint64 // last-touch stamps; larger = more recent
-	// touched has one bit per set, raised when a way of the set may differ
-	// from the freshly built image: by Insert and by restoreCache for the
-	// sets it fills. release rewrites exactly those sets, so recycling a
-	// cache costs O(sets touched), not O(capacity).
+	// touched (dense only) has one bit per set, raised when a way of the
+	// set may differ from the freshly built image: by Insert and by
+	// restoreCache for the sets it fills. release rewrites exactly those
+	// sets, so recycling a cache costs O(sets touched), not O(capacity).
 	touched []uint64 // derived from the slabs: restoreCache rebuilds it from the ways it fills, so it is never serialised
+	// setDir (sparse only) has one entry per set: 0 for a set that has
+	// never been filled, else 1 + the index of the set's block in the
+	// arena. A set gets its block at its first fill and keeps it until
+	// release, which clears the directory and truncates the arena; that
+	// is the sparse layout's touched bitmap. Derived the same way: the
+	// arena's block order is fill order, which restoreCache does not
+	// replay, and nothing observable depends on it.
+	setDir []int32
 }
 
-// slabPools parks released slab sets for reuse, one sync.Pool per geometry
-// (Config → *sync.Pool of *slabs). A parked set is word for word what
-// newSlabs returns; the garbage collector bounds how long an idle one is
-// kept.
+// slabKey names one pool of parked slab sets: a geometry and a layout.
+type slabKey struct {
+	cfg    Config
+	sparse bool
+}
+
+// slabPools parks released slab sets for reuse, one sync.Pool per
+// geometry and layout (slabKey → *sync.Pool of *slabs). A parked set is
+// word for word what newSlabs returns, except that a sparse arena keeps
+// the capacity it grew to; the garbage collector bounds how long an idle
+// one is kept.
 var slabPools sync.Map
 
-// NewSetAssoc returns an empty cache of the configuration. It allocates no
-// slabs — the first Insert builds them — but takes a parked set of its
-// geometry when there is one: that memory is resident either way, and
-// holding it from construction keeps the collector from dropping it
-// moments before a cast-out would have asked for it.
-func NewSetAssoc(cfg Config) (*SetAssoc, error) {
+// NewSetAssoc returns an empty dense cache of the configuration. It
+// allocates no slabs — the first Insert builds them — but takes a parked
+// set of its geometry when there is one: that memory is resident either
+// way, and holding it from construction keeps the collector from dropping
+// it moments before a cast-out would have asked for it.
+func NewSetAssoc(cfg Config) (*SetAssoc, error) { return newSetAssoc(cfg, false) }
+
+// newSetAssoc is NewSetAssoc for either layout.
+func newSetAssoc(cfg Config, sparse bool) (*SetAssoc, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := cfg.Sets()
-	c := &SetAssoc{cfg: cfg, nsets: n, ways: cfg.Ways, slabs: parkedSlabs(cfg)}
+	if sparse && n > math.MaxInt32 {
+		return nil, fmt.Errorf("cache: %d sets overflow the set directory: %w", n, errs.ErrBadConfig)
+	}
+	c := &SetAssoc{cfg: cfg, nsets: n, ways: cfg.Ways, sparse: sparse}
+	c.slabs = c.parked()
 	if n&(n-1) == 0 {
 		c.setMask = uint64(n) - 1
 		c.pow2 = true
@@ -161,10 +196,10 @@ func NewSetAssoc(cfg Config) (*SetAssoc, error) {
 	return c, nil
 }
 
-// parkedSlabs takes a released slab set of the geometry out of the pool,
-// or returns the zero slabs when none is parked.
-func parkedSlabs(cfg Config) slabs {
-	if p, ok := slabPools.Load(cfg); ok {
+// parked takes a released slab set of the cache's geometry and layout out
+// of the pool, or returns the zero slabs when none is parked.
+func (c *SetAssoc) parked() slabs {
+	if p, ok := slabPools.Load(slabKey{c.cfg, c.sparse}); ok {
 		if s, ok := p.(*sync.Pool).Get().(*slabs); ok {
 			return *s
 		}
@@ -175,13 +210,24 @@ func parkedSlabs(cfg Config) slabs {
 // build gives a shell its slabs: a set parked since the cache was made,
 // or a freshly allocated one.
 func (c *SetAssoc) build() {
-	if c.slabs = parkedSlabs(c.cfg); c.tags == nil {
-		c.slabs = newSlabs(c.nsets, c.ways)
+	if c.slabs = c.parked(); c.tags == nil {
+		c.slabs = newSlabs(c.nsets, c.ways, c.sparse)
 	}
 }
 
-// newSlabs allocates and tag-fills the slabs of an empty cache.
-func newSlabs(nsets, ways int) slabs {
+// newSlabs allocates the slabs of an empty cache: tag-filled blocks for
+// every set of a dense one; for a sparse one a clear directory and an
+// empty arena with room for a few blocks.
+func newSlabs(nsets, ways int, sparse bool) slabs {
+	if sparse {
+		n := min(64, nsets) * ways
+		return slabs{
+			tags:   make([]memory.Addr, 0, n),
+			states: make([]State, 0, n),
+			lru:    make([]uint64, 0, n),
+			setDir: make([]int32, nsets),
+		}
+	}
 	s := slabs{
 		tags:    make([]memory.Addr, nsets*ways),
 		states:  make([]State, nsets*ways),
@@ -194,14 +240,20 @@ func newSlabs(nsets, ways int) slabs {
 	return s
 }
 
-// release empties the cache: one that holds slabs rewrites the touched
-// sets to the freshly built image, parks the slabs for the next cache of
-// the geometry, and is a shell again; a shell only zeroes its counters.
+// release empties the cache: one that holds slabs resets them to the
+// freshly built image — a dense cache rewrites its touched sets, a sparse
+// one clears its directory and truncates its arena — parks them for the
+// next cache of the geometry and layout, and is a shell again; a shell
+// only zeroes its counters.
 func (c *SetAssoc) release() {
 	c.stamp = 0
 	c.stats = Stats{}
 	if c.tags == nil {
 		return
+	}
+	if c.sparse {
+		clear(c.setDir)
+		c.tags, c.states, c.lru = c.tags[:0], c.states[:0], c.lru[:0]
 	}
 	for w, word := range c.touched {
 		for ; word != 0; word &= word - 1 {
@@ -214,9 +266,10 @@ func (c *SetAssoc) release() {
 		}
 		c.touched[w] = 0
 	}
-	p, ok := slabPools.Load(c.cfg)
+	key := slabKey{c.cfg, c.sparse}
+	p, ok := slabPools.Load(key)
 	if !ok {
-		p, _ = slabPools.LoadOrStore(c.cfg, new(sync.Pool))
+		p, _ = slabPools.LoadOrStore(key, new(sync.Pool))
 	}
 	s := c.slabs
 	c.slabs = slabs{}
@@ -240,20 +293,23 @@ func (c *SetAssoc) setOf(line memory.Addr) int {
 	return int(memory.LineIndex(line) % uint64(c.nsets))
 }
 
-// setBase returns the slab index of the set's first way.
-func (c *SetAssoc) setBase(line memory.Addr) int { return c.setOf(line) * c.ways }
-
 // findWay returns the slab index of the line's way, or -1. Because empty
 // ways hold invalidTag, the scan touches only the tag slab; a shell holds
-// nothing, so it answers before computing a set. The scan reads every
-// way and keeps a match with a conditional move rather than leaving at
-// the first hit: a set's tags are unique, so the answer is the same, and
-// the loop has no data-dependent branch to mispredict.
+// nothing, so it answers before computing a set, and a sparse cache
+// answers from its directory for a set it has never filled. The scan
+// reads every way and keeps a match with a conditional move rather than
+// leaving at the first hit: a set's tags are unique, so the answer is the
+// same, and the loop has no data-dependent branch to mispredict.
 func (c *SetAssoc) findWay(line memory.Addr) int {
 	if c.tags == nil {
 		return -1
 	}
-	b := c.setBase(line)
+	var b int
+	if c.setDir == nil {
+		b = c.setOf(line) * c.ways
+	} else if b = int(c.setDir[c.setOf(line)]-1) * c.ways; b < 0 {
+		return -1
+	}
 	way := -1 - b // b + way is -1 on a miss
 	for i, tag := range c.tags[b : b+c.ways] {
 		if tag == line {
@@ -261,6 +317,63 @@ func (c *SetAssoc) findWay(line memory.Addr) int {
 		}
 	}
 	return b + way
+}
+
+// block readies the set to take a valid way and returns the slab index of
+// its first way: it builds a shell's slabs, marks the set touched in a
+// dense cache, and hands a sparse cache's set its block at the first fill.
+// Insert and restoreCache are its only callers — the two places a way
+// becomes valid.
+func (c *SetAssoc) block(set int) int {
+	if c.tags == nil {
+		c.build()
+	}
+	if !c.sparse {
+		c.touched[set>>6] |= 1 << (uint(set) & 63)
+		return set * c.ways
+	}
+	if blk := c.setDir[set]; blk != 0 {
+		return int(blk-1) * c.ways
+	}
+	b := len(c.tags)
+	if b == cap(c.tags) {
+		c.growArena()
+	}
+	c.tags, c.states, c.lru = c.tags[:b+c.ways], c.states[:b+c.ways], c.lru[:b+c.ways]
+	for i := b; i < b+c.ways; i++ {
+		c.tags[i] = invalidTag
+		c.states[i] = Invalid
+		c.lru[i] = 0
+	}
+	c.setDir[set] = int32(b/c.ways) + 1
+	return b
+}
+
+// growArena doubles a sparse cache's arena, but never past a block per
+// set: a sparse cache that fills every set holds what a dense one does,
+// plus its directory.
+func (c *SetAssoc) growArena() {
+	n := min(2*cap(c.tags), c.nsets*c.ways)
+	tags, states, lru := make([]memory.Addr, len(c.tags), n), make([]State, len(c.tags), n), make([]uint64, len(c.tags), n)
+	copy(tags, c.tags)
+	copy(states, c.states)
+	copy(lru, c.lru)
+	c.tags, c.states, c.lru = tags, states, lru
+}
+
+// setBlock returns the slab index of the set's first way, or -1 when the
+// cache holds no block for it (a shell, or a sparse cache's unfilled set).
+func (c *SetAssoc) setBlock(set int) int {
+	switch {
+	case c.tags == nil:
+		return -1
+	case !c.sparse:
+		return set * c.ways
+	}
+	if blk := c.setDir[set]; blk != 0 {
+		return int(blk-1) * c.ways
+	}
+	return -1
 }
 
 // Lookup probes for the line. On a hit it refreshes LRU and returns the
@@ -307,12 +420,14 @@ func (c *SetAssoc) Insert(line memory.Addr, st State) (evicted memory.Addr, evic
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
 	}
-	if c.tags == nil {
-		c.build()
-	}
 	set := c.setOf(line)
 	b := set * c.ways
-	c.touched[set>>6] |= 1 << (uint(set) & 63)
+	if c.sparse || c.tags == nil {
+		b = c.block(set)
+	} else {
+		// block's dense case — every L1 and L2 fill — without the call.
+		c.touched[set>>6] |= 1 << (uint(set) & 63)
+	}
 	c.stamp++
 	// One pass over the tag slab finds the line and, failing that, the
 	// first free way (empty ways carry invalidTag, so both checks read
@@ -412,8 +527,14 @@ func (c *SetAssoc) Occupancy() int {
 
 // Backing identifies the cache's slabs: nil while it holds none, and equal
 // for two caches exactly when the later one holds the slabs the earlier
-// one released.
-func (c *SetAssoc) Backing() *memory.Addr { return unsafe.SliceData(c.tags) }
+// one released. A sparse cache is named by its directory, which keeps its
+// address while the arena grows.
+func (c *SetAssoc) Backing() unsafe.Pointer {
+	if c.sparse {
+		return unsafe.Pointer(unsafe.SliceData(c.setDir))
+	}
+	return unsafe.Pointer(unsafe.SliceData(c.tags))
+}
 
 // Capacity returns the total number of lines the cache can hold.
 func (c *SetAssoc) Capacity() int { return c.nsets * c.ways }

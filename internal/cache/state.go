@@ -30,17 +30,16 @@ func saveCache(e *snapbin.Enc, c *SetAssoc) {
 	e.U64(c.stats.Fills)
 	e.U32(uint32(c.nsets))
 	e.U32(uint32(c.ways))
-	// Walk the slabs in (set, way) order — the same canonical order the
-	// pre-slab AoS encoder emitted, so snapshots stay byte-identical. An
-	// unbuilt cache has no slab to walk: every set is empty.
-	if c.tags == nil {
-		for s := 0; s < c.nsets; s++ {
-			e.U8(0)
-		}
-		return
-	}
+	// Walk the ways in (set, way) order — the same canonical order the
+	// pre-slab AoS encoder emitted, so snapshots stay byte-identical
+	// whatever the layout. A set without a block (every set of an unbuilt
+	// cache, an unfilled set of a sparse one) is empty.
 	for s := 0; s < c.nsets; s++ {
-		b := s * c.ways
+		b := c.setBlock(s)
+		if b < 0 {
+			e.U8(0)
+			continue
+		}
 		valid := 0
 		for i := 0; i < c.ways; i++ {
 			if c.states[b+i] != Invalid {
@@ -64,9 +63,11 @@ func saveCache(e *snapbin.Enc, c *SetAssoc) {
 // saveCache, validating geometry, set mapping, way positions, states and
 // LRU stamps so a corrupt or hostile snapshot cannot construct a cache
 // the simulator could never have produced. The snapshot is decoded into a
-// scratch cache that builds its slabs at the first valid way, as Insert
-// would; c is untouched unless the whole of it validates, and then swaps
-// its own slabs for the scratch's — so an empty snapshot leaves c unbuilt.
+// scratch cache of c's layout that builds its slabs at the first valid
+// way, and a sparse one a set's block at the set's first valid way, as
+// Insert would; c is untouched unless the whole of it validates, and then
+// swaps its own slabs for the scratch's — so an empty snapshot leaves c
+// unbuilt.
 func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 	stamp := d.U64()
 	var st Stats
@@ -84,12 +85,11 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 		return fmt.Errorf("cache: snapshot %s geometry %dx%d, built %dx%d: %w",
 			what, nsets, ways, c.nsets, c.ways, errs.ErrBadConfig)
 	}
-	fresh := SetAssoc{cfg: c.cfg, nsets: nsets, ways: ways}
+	fresh := SetAssoc{cfg: c.cfg, nsets: nsets, ways: ways, sparse: c.sparse}
 	// Parks whichever slabs end up unused: the scratch's when the snapshot
 	// is refused, c's own — reset in O(touched sets) — when it is adopted.
 	defer fresh.release()
 	for s := 0; s < nsets; s++ {
-		b := s * ways
 		valid := int(d.U8())
 		if d.Err() != nil {
 			return d.Err()
@@ -98,13 +98,12 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 			return fmt.Errorf("cache: snapshot %s set %d claims %d valid ways of %d: %w",
 				what, s, valid, ways, snapbin.ErrCorrupt)
 		}
+		// Every set the snapshot leaves empty stays at the built image,
+		// so the filled sets are exactly the touched ones (the ones with a
+		// block, in a sparse cache).
+		b := -1
 		if valid > 0 {
-			if fresh.tags == nil {
-				fresh.build()
-			}
-			// Every set the snapshot leaves empty stays at the built image,
-			// so the filled sets are exactly the touched ones.
-			fresh.touched[s>>6] |= 1 << (uint(s) & 63)
+			b = fresh.block(s)
 		}
 		prev := -1
 		for v := 0; v < valid; v++ {

@@ -4,17 +4,17 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"threadcluster/internal/cache"
-	"threadcluster/internal/memory"
 	"threadcluster/internal/snapbin"
 )
 
 // slabsOf returns the slab identity of every cache of the machine that
 // holds slabs. Slabs are pooled as a set, so finding one of them in a
 // later machine means that cache runs on recycled slabs.
-func slabsOf(m *Machine) map[*memory.Addr]bool {
-	s := map[*memory.Addr]bool{}
+func slabsOf(m *Machine) map[unsafe.Pointer]bool {
+	s := map[unsafe.Pointer]bool{}
 	add := func(c *cache.SetAssoc) {
 		if b := c.Backing(); b != nil {
 			s[b] = true

@@ -307,7 +307,12 @@ func (w *walker) diff(path string, format string, args ...any) {
 func (w *walker) walk(path string, a, b reflect.Value) {
 	t := a.Type()
 	switch t.String() {
-	case "cache.slabs":
+	case "cache.SetAssoc":
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i).Name; f != "slabs" {
+				w.walk(path+"."+f, a.Field(i), b.Field(i))
+			}
+		}
 		w.slabs(path, a, b)
 		return
 	case "cache.lineTable":
@@ -396,25 +401,41 @@ func nonZero(v reflect.Value) bool {
 	return !v.IsZero()
 }
 
-// slabs compares two caches' ways as the snapshot sees them. An
-// Invalid way is empty whatever LRU stamp it kept (Insert fills the first
-// Invalid way, never by LRU, and saveCache skips it), a cache without
-// slabs holds only Invalid ways, and the touched bitmap is a recycling
-// hint restoreCache rebuilds from the sets it fills.
+// slabs compares two caches' ways as the snapshot sees them: set by set
+// and way by way, wherever each cache's layout keeps the set — a dense
+// cache at set*ways, a sparse one in the arena block its directory names,
+// which depends on fill order and so differs across a restore. An Invalid
+// way is empty whatever LRU stamp it kept (Insert fills the first Invalid
+// way, never by LRU, and saveCache skips it), a set without a block holds
+// only Invalid ways, and the touched bitmap is a recycling hint
+// restoreCache rebuilds from the sets it fills.
 func (w *walker) slabs(path string, a, b reflect.Value) {
-	state := func(slabs reflect.Value, i int) cache.State {
-		if states := slabs.FieldByName("states"); i < states.Len() {
-			return cache.State(states.Index(i).Uint())
+	nsets, ways := int(a.FieldByName("nsets").Int()), int(a.FieldByName("ways").Int())
+	// base is the slab index of the set's first way, or -1.
+	base := func(c reflect.Value, set int) int {
+		if dir := c.FieldByName("setDir"); dir.Len() > 0 {
+			return int(dir.Index(set).Int()-1) * ways
+		} else if c.FieldByName("states").Len() == 0 {
+			return -1
 		}
-		return cache.Invalid
+		return set * ways
 	}
-	n := max(a.FieldByName("states").Len(), b.FieldByName("states").Len())
-	for i := 0; i < n; i++ {
-		if sa, sb := state(a, i), state(b, i); sa != sb {
-			w.diff(fmt.Sprintf("%s.states[%d]", path, i), "%v vs %v", sa, sb)
-		} else if sa != cache.Invalid {
-			for _, f := range []string{"tags", "lru"} {
-				w.walk(fmt.Sprintf("%s.%s[%d]", path, f, i), a.FieldByName(f).Index(i), b.FieldByName(f).Index(i))
+	state := func(c reflect.Value, b, i int) cache.State {
+		if b < 0 {
+			return cache.Invalid
+		}
+		return cache.State(c.FieldByName("states").Index(b + i).Uint())
+	}
+	for set := 0; set < nsets; set++ {
+		ba, bb := base(a, set), base(b, set)
+		for i := 0; i < ways; i++ {
+			at := fmt.Sprintf("%s[set %d way %d]", path, set, i)
+			if sa, sb := state(a, ba, i), state(b, bb, i); sa != sb {
+				w.diff(at+".state", "%v vs %v", sa, sb)
+			} else if sa != cache.Invalid {
+				for _, f := range []string{"tags", "lru"} {
+					w.walk(at+"."+f, a.FieldByName(f).Index(ba+i), b.FieldByName(f).Index(bb+i))
+				}
 			}
 		}
 	}

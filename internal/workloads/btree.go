@@ -47,14 +47,16 @@ type BTree struct {
 	nodes int
 }
 
-// btreeNode holds its keys and children inline, so a node is one host
-// allocation and a search reads the node itself instead of chasing two
-// slice headers per level. Only keys[:nkeys] and children[:nkeys+1] (for
-// an interior node) are meaningful.
+// btreeNode holds its keys inline, so a search reads the node itself
+// instead of chasing a slice header per level. Only an interior node has
+// a child array (newNode allocates the two together): the leaves, nearly
+// every node of a tree of this fan-out, then take the 160-byte size class
+// instead of the 288-byte one. Only keys[:nkeys] and
+// (*children)[:nkeys+1] are meaningful.
 type btreeNode struct {
 	region   memory.Region
 	keys     [BTreeOrder - 1]uint64
-	children [BTreeOrder]*btreeNode
+	children *[BTreeOrder]*btreeNode // nil in a leaf
 	nkeys    int
 	leaf     bool
 }
@@ -79,7 +81,17 @@ func (t *BTree) newNode(leaf bool) (*btreeNode, error) {
 		return nil, err
 	}
 	t.nodes++
-	return &btreeNode{region: r, leaf: leaf}, nil
+	if leaf {
+		return &btreeNode{region: r, leaf: true}, nil
+	}
+	// An interior node and its child array are one allocation, so a
+	// descent reads the array from the node's own host memory.
+	in := &struct {
+		btreeNode
+		kids [BTreeOrder]*btreeNode
+	}{btreeNode: btreeNode{region: r}}
+	in.children = &in.kids
+	return &in.btreeNode, nil
 }
 
 // Size returns the number of keys stored.
@@ -248,12 +260,18 @@ func (t *BTree) CheckInvariants() error {
 			}
 		}
 		if n.leaf {
+			if n.children != nil {
+				return fmt.Errorf("btree: leaf with %d keys carries a child array", n.nkeys)
+			}
 			if leafDepth == -1 {
 				leafDepth = depth
 			} else if leafDepth != depth {
 				return fmt.Errorf("btree: leaves at depths %d and %d", leafDepth, depth)
 			}
 			return nil
+		}
+		if n.children == nil {
+			return fmt.Errorf("btree: interior node with %d keys has no child array", n.nkeys)
 		}
 		for i, c := range n.children[:n.nkeys+1] {
 			if c == nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"threadcluster/internal/memory"
 )
@@ -221,5 +222,46 @@ func TestBTreeAppendsToCallerBuffer(t *testing.T) {
 				t.Fatalf("op %d: trace[%d] = %#x with a reused buffer, %#x fresh", i, j, uint64(reused[j+1]), uint64(addr))
 			}
 		}
+	}
+}
+
+// TestBTreeChildArrayOnlyInInteriorNodes: a leaf carries no child array
+// and an interior node always has one — the layout that puts leaves in a
+// smaller allocation — and CheckInvariants refuses a tree that breaks
+// either rule.
+func TestBTreeChildArrayOnlyInInteriorNodes(t *testing.T) {
+	tr, _ := NewBTree(memory.NewDefaultArena())
+	for k := uint64(1); k <= 500; k++ {
+		if _, err := tr.Insert(nil, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height %d: the tree needs interior nodes below the root", tr.Height())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if size := unsafe.Sizeof(btreeNode{}); size > 160 {
+		t.Errorf("a node is %d bytes, over the 160-byte size class", size)
+	}
+	leaf := tr.root
+	for !leaf.leaf {
+		leaf = leaf.children[0]
+	}
+	leaf.children = new([BTreeOrder]*btreeNode)
+	if err := tr.CheckInvariants(); err == nil {
+		t.Error("a leaf with a child array passed CheckInvariants")
+	}
+	leaf.children = nil
+	interior := tr.root.children[0]
+	saved := interior.children
+	interior.children = nil
+	if err := tr.CheckInvariants(); err == nil {
+		t.Error("an interior node without a child array passed CheckInvariants")
+	}
+	interior.children = saved
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
