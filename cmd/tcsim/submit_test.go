@@ -56,8 +56,9 @@ func digestOut(t *testing.T, run func([]string, io.Writer, io.Writer) error, arg
 }
 
 // spoolViaDrain submits grid (by flags) to a tcsimd whose only worker is
-// held by a long job, drains the daemon, and returns the spec file the
-// drain spooled for it — a real spool entry, not a hand-written one.
+// held by a long job, drains the daemon, and returns the spec file its
+// admission spooled and the drain left behind — a real spool entry, not
+// a hand-written one.
 func spoolViaDrain(t *testing.T, grid []string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -82,8 +83,8 @@ func spoolViaDrain(t *testing.T, grid []string) string {
 	if err := runSubmit(queued, io.Discard, io.Discard); err != nil {
 		t.Fatalf("submitting parked job: %v", err)
 	}
-	// An expired drain deadline spools what is queued and cuts the
-	// holder down at its next round.
+	// An expired drain deadline cuts the holder down at its next round;
+	// the still-queued job keeps its spool file.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = s.Shutdown(ctx)

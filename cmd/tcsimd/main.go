@@ -6,7 +6,7 @@
 //
 //	tcsimd                                  # serve on 127.0.0.1:8321
 //	tcsimd -addr :9000 -job-workers 4
-//	tcsimd -spool /var/lib/tcsimd/spool     # persist queued jobs across restarts
+//	tcsimd -spool /var/lib/tcsimd/spool     # persist unfinished jobs across restarts
 //
 // Endpoints (see internal/server.Handler): POST /v1/jobs submits a
 // JobSpec, GET /v1/jobs/{id}/events streams NDJSON progress, GET
@@ -16,14 +16,15 @@
 // Retry-After rather than queued unboundedly.
 //
 // On SIGINT/SIGTERM the daemon stops admission, drains in-flight jobs
-// for -grace, spools still-queued specs to -spool (re-admitted on the
-// next start), then exits. With -spool every completed grid cell is
-// also written once as a record under <spool>/cells/, and a running
-// job's spec stays in <spool>/<id>.run until the job settles, so a job
-// cut by the drain deadline or killed outright is re-admitted at the
-// next start and replays its recorded cells to the same result digest
-// an uninterrupted run produces. Corrupt spool files and cell records
-// are quarantined (renamed *.quarantine) and reported, never fatal.
+// for -grace, then exits. With -spool every admitted job's spec is
+// written to <spool>/<seq>-<id>.json before it is queued and removed
+// when the job settles, and every completed grid cell is written once as
+// a record under <spool>/cells/. So a job still queued at exit, cut by
+// the drain deadline or killed outright is re-admitted, in seq order, at
+// the next start and replays its recorded cells to the same result
+// digest an uninterrupted run produces. Corrupt spool files and cell
+// records are quarantined (renamed *.quarantine) and reported, never
+// fatal.
 package main
 
 import (
@@ -70,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 		maxJobCost  = fs.Int64("max-job-cost", 0, "per-job token budget, grid cells x rounds (0 = default)")
 		maxQueued   = fs.Int64("max-queued-cost", 0, "outstanding token pool before 429 (0 = 8x per-job budget)")
 		eventBuffer = fs.Int("event-buffer", 0, "per-job event ring capacity (0 = default)")
-		spoolDir    = fs.String("spool", "", "directory for queued and running jobs' specs and completed grid-cell records across restarts (empty = no spool)")
+		spoolDir    = fs.String("spool", "", "directory for unfinished jobs' specs (one <seq>-<id>.json each, from admission until settled) and completed grid-cell records across restarts (empty = no spool)")
 		grace       = fs.Duration("grace", 30*time.Second, "drain deadline for in-flight jobs at shutdown")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -18,11 +18,12 @@ import (
 // as "<spool>/cells/<key>.json". The key is the hex sha256 of the
 // canonical JSON of what the cell's metrics are a pure function of: the
 // digest epoch, the normalized spec less the fields that only choose
-// where and when a cell runs, and the cell's full-grid index. tcsimd and
-// the fleet coordinator share the format, so resuming a job, resubmitting
-// it under a new ID or running an overlapping grid replays the recorded
-// cells instead of simulating them. sim.SnapshotVersion is not part of
-// the key: it versions the .snap encoding, and no record holds one.
+// where, when or on which engine a cell runs, and the cell's full-grid
+// index. tcsimd and the fleet coordinator share the format, so resuming
+// a job, resubmitting it under a new ID or running an overlapping grid
+// replays the recorded cells instead of simulating them.
+// sim.SnapshotVersion is not part of the key: it versions the .snap
+// encoding, and no record holds one.
 //
 // A record is immutable: concurrent writers of one key write identical
 // bytes, so nothing orders them, and nothing deletes them (removing
@@ -47,10 +48,11 @@ type cellRecord struct {
 }
 
 // newCellKey keys full-grid cell idx of the normalized spec norm. ID,
-// Priority, Workers and Cells choose where and when a cell runs, never
+// Priority, Workers and Cells choose where and when a cell runs, and
+// Engine how it runs (both engines give byte-identical metrics), never
 // what it computes; every other spec field is part of the key.
 func newCellKey(norm JobSpec, idx int) cellKey {
-	norm.ID, norm.Priority, norm.Workers, norm.Cells = "", 0, 0, nil
+	norm.ID, norm.Priority, norm.Workers, norm.Cells, norm.Engine = "", 0, 0, nil, ""
 	return cellKey{Epoch: experiments.DigestEpoch, Spec: norm, Index: idx}
 }
 

@@ -7,35 +7,37 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
 	"threadcluster/internal/errs"
 )
 
-// Spool format: one JSON JobSpec per file. Queued-but-unstarted jobs
-// are spooled at shutdown as "<zero-padded seq>-<job id>.json", so
-// lexical directory order is admission order; a running job's spec is
-// "<job id>.run" from its start until it settles (a job cut down by a
-// drain, or by the server stopping under it, keeps its run file). The
-// files are plain specs — replayable by hand with `tcsim submit -spec
+// Spool format: every admitted job that has not settled is one file,
+// "<zero-padded seq>-<job id>.json", holding its normalized JobSpec.
+// Admission writes it before the job is queued and settling removes it,
+// unless a drain or a server stop cut the running job down; a job still
+// queued at shutdown or caught by a kill keeps it. The seq is one
+// counter for admission order, file names and anonymous IDs. The files
+// are plain specs — replayable by hand with `tcsim sweep -spec
 // file.json` as well as by a restarting server — and because a job's
 // result is a pure function of its spec, a re-run after restart produces
 // the byte-identical payload the original admission would have. The
 // cells a job completed before it was cut are cell records (cells.go),
 // so its re-run replays them instead of simulating them again.
 //
-// Files that fail to parse or validate at re-admission are quarantined:
-// renamed to "<name>.quarantine", recorded as an errs.ErrSpoolCorrupt
-// warning (SpoolWarnings), counted in server_spool_quarantined_total —
-// and the daemon keeps starting.
+// Files misnamed, or failing to parse or validate, at re-admission are
+// quarantined: renamed to "<name>.quarantine", recorded as an
+// errs.ErrSpoolCorrupt warning (SpoolWarnings), counted in
+// server_spool_quarantined_total — and the daemon keeps starting.
 //
-// Every file in the spool — spec, run file or cell record — is written
-// to a temp name and renamed into place, so a crash mid-write never
-// leaves a truncated file where a valid one stood (or would have).
+// Every file in the spool — spec or cell record — is written to a temp
+// name and renamed into place, so a crash mid-write never leaves a
+// truncated file where a valid one stood (or would have).
 
 const (
-	runSuffix   = ".run"
 	spoolSuffix = ".json"
 	tmpSuffix   = ".tmp"
 	// QuarantineSuffix is appended to the name of a spool file or cell
@@ -57,7 +59,7 @@ func writeJSONAtomic(path string, v any) error {
 // crash mid-write never leaves a truncated file under the real name and
 // concurrent writers of one path never share a temp file. The file is
 // created with mode 0666 less the umask, like os.WriteFile. Every file
-// the tree persists (spooled specs, run files, cell records, machine
+// the tree persists (spooled specs, cell records, machine
 // snapshots) goes through it. A crash mid-write can leave a
 // "<name>.<pid>.<n>.tmp" file behind; tcsimd removes those from its
 // spool at start (loadSpool).
@@ -117,50 +119,52 @@ func Quarantine(path string, cause error) error {
 	return werr
 }
 
-// spool persists queued-but-unstarted jobs (in admission order) to
-// Options.SpoolDir, retiring the run file a re-admitted job still holds
-// from the start before. A nil SpoolDir drops them (the jobs were never
-// started; their specs are the client's to resubmit).
-func (s *Server) spool(queued []*job) error {
-	if s.opt.SpoolDir == "" || len(queued) == 0 {
-		return nil
-	}
-	for i, j := range queued {
-		name := fmt.Sprintf("%08d-%s%s", i, j.spec.ID, spoolSuffix)
-		if err := writeJSONAtomic(filepath.Join(s.opt.SpoolDir, name), j.spec); err != nil {
-			return fmt.Errorf("server: spooling job %q: %w", j.spec.ID, err)
-		}
-		if err := os.Remove(s.runPath(j.spec.ID)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("server: retiring run file of spooled job %q: %w", j.spec.ID, err)
-		}
-		s.mJobsSpooled.Inc()
-	}
-	return nil
+// spoolFile is a job's place in the spool: its admission seq and ID,
+// which together name its file.
+type spoolFile struct {
+	seq uint64
+	id  string
 }
 
-// runPath names a running job's run file.
-func (s *Server) runPath(id string) string {
-	return filepath.Join(s.opt.SpoolDir, id+runSuffix)
+func (f spoolFile) name() string { return fmt.Sprintf("%08d-%s%s", f.seq, f.id, spoolSuffix) }
+
+// parseSpoolName reads the seq and job ID out of a spool file's name,
+// which must be exactly the name admission gives them.
+func parseSpoolName(name string) (spoolFile, bool) {
+	seq, id, _ := strings.Cut(strings.TrimSuffix(name, spoolSuffix), "-")
+	n, err := strconv.ParseUint(seq, 10, 64)
+	f := spoolFile{seq: n, id: id}
+	return f, err == nil && id != "" && f.name() == name
 }
 
-// loadSpool re-admits persisted work found in SpoolDir: the run files of
-// cut-down running jobs first (they were admitted before anything that
-// was still queued at shutdown), then spooled specs, each group in
-// lexical (= original admission) order. Spec files are deleted once
-// their job is back in the queue; a run file stays until its job
-// settles, so a crash before then re-admits the job again. Jobs that no
-// longer fit (queue depth, token pool) remain on disk for the next
-// start. Files that fail to parse or validate are quarantined and
-// reported through SpoolWarnings — a corrupt file never stops the daemon
-// from starting. Temp files a crash left mid-write, beside the specs or
-// among the cell records, are removed: nothing is writing yet.
+// spoolPath is the path of the spool file of job j.
+func (s *Server) spoolPath(j *job) string {
+	return filepath.Join(s.opt.SpoolDir, spoolFile{j.seq, j.spec.ID}.name())
+}
+
+// unspool removes job j's spool file.
+func (s *Server) unspool(j *job) {
+	if err := os.Remove(s.spoolPath(j)); err != nil && !os.IsNotExist(err) {
+		s.warn(fmt.Errorf("removing spool file of %q: %w", j.spec.ID, err))
+	}
+}
+
+// loadSpool re-admits the unsettled jobs found in SpoolDir in seq
+// order, each under the seq and file it was spooled with, and resumes
+// nextSeq after the largest seq any file names. Jobs that no longer fit
+// (queue depth, token pool) remain on disk for the next start. Files
+// that fail to parse or validate are quarantined and reported through
+// SpoolWarnings — a corrupt file never stops the daemon from starting.
+// Temp files a crash left mid-write, beside the specs or among the cell
+// records, are removed: nothing is writing yet.
 func (s *Server) loadSpool() error {
 	if s.opt.SpoolDir == "" {
 		return nil
 	}
-	var runs, specs []string
+	var files []spoolFile
+	var next uint64
 	for _, dir := range []string{s.opt.SpoolDir, filepath.Join(s.opt.SpoolDir, cellsDir)} {
-		entries, err := os.ReadDir(dir) // sorted by name
+		entries, err := os.ReadDir(dir)
 		if os.IsNotExist(err) {
 			continue
 		}
@@ -176,81 +180,73 @@ func (s *Server) loadSpool() error {
 					s.warn(fmt.Errorf("removing stale temp file: %w", err))
 				}
 			case dir != s.opt.SpoolDir: // cell records are looked up, not re-admitted
-			case strings.HasSuffix(name, runSuffix):
-				runs = append(runs, name)
 			case strings.HasSuffix(name, spoolSuffix):
-				specs = append(specs, name)
+				f, ok := parseSpoolName(name)
+				if !ok {
+					s.quarantine(name, fmt.Errorf("spool file name is not <seq>-<id>%s", spoolSuffix))
+					continue
+				}
+				files = append(files, f)
+				next = max(next, f.seq+1)
 			}
 		}
 	}
-	for _, name := range append(runs, specs...) {
-		path := filepath.Join(s.opt.SpoolDir, name)
-		data, err := os.ReadFile(path)
+	s.mu.Lock()
+	s.nextSeq = max(s.nextSeq, next)
+	s.mu.Unlock()
+	sort.SliceStable(files, func(i, k int) bool { return files[i].seq < files[k].seq })
+	for _, f := range files {
+		full, err := s.readmit(f)
 		if err != nil {
-			return fmt.Errorf("server: reading spooled spec %s: %w", name, err)
-		}
-		var spec JobSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			s.quarantine(name, fmt.Errorf("parsing spec: %w", err))
-			continue
-		}
-		// A run file is retired by its job's ID at settle; one holding
-		// another ID would be re-admitted at every start.
-		id, isRun := strings.CutSuffix(name, runSuffix)
-		if isRun && spec.ID != id {
-			s.quarantine(name, fmt.Errorf("run file holds job ID %q", spec.ID))
-			continue
-		}
-		full, err := s.readmit(spec)
-		if err != nil {
-			s.quarantine(name, err)
+			s.quarantine(f.name(), err)
 			continue
 		}
 		if full {
 			return nil // no room this start; the rest stays on disk
 		}
-		if !isRun {
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("server: removing spooled spec %s: %w", name, err)
-			}
-		}
 	}
 	return nil
 }
 
-// readmit normalizes and admits one persisted spec. full=true means the
-// queue rejected it with backpressure (leave the file; stop
-// re-admitting); an error means the spec itself is unusable (quarantine
-// it).
-func (s *Server) readmit(spec JobSpec) (full bool, err error) {
+// readmit reads, validates and admits one spool file under the seq it
+// was spooled with. full=true means the queue rejected it with
+// backpressure (leave the file; stop re-admitting); an error means the
+// file is unusable (quarantine it).
+func (s *Server) readmit(f spoolFile) (full bool, err error) {
+	data, err := os.ReadFile(filepath.Join(s.opt.SpoolDir, f.name()))
+	if err != nil {
+		return false, fmt.Errorf("reading spec: %w", err)
+	}
+	var spec JobSpec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return false, fmt.Errorf("parsing spec: %w", err)
+	}
+	// Settling removes a file by its job's ID; one holding another ID
+	// would be re-admitted at every start.
+	if spec.ID != f.id {
+		return false, fmt.Errorf("spool file holds job ID %q", spec.ID)
+	}
 	norm, err := spec.Normalize()
 	if err != nil {
 		return false, fmt.Errorf("validating spec: %w", err)
-	}
-	// A spool carrying the same job ID twice (a run file plus a stale
-	// spec, or an operator-copied file) must not double-queue the job:
-	// the second file is a bad config, quarantined like any other
-	// invalid spec, and the first admission stands.
-	if norm.ID != "" {
-		s.mu.Lock()
-		_, dup := s.jobs[norm.ID]
-		s.mu.Unlock()
-		if dup {
-			return false, fmt.Errorf("%w: duplicate job ID %q in spool (already re-admitted this start)", errs.ErrBadConfig, norm.ID)
-		}
 	}
 	cost := norm.Cost()
 	if cost > s.opt.MaxJobCost {
 		return false, fmt.Errorf("cost %d exceeds per-job budget %d", cost, s.opt.MaxJobCost)
 	}
-	if _, err := s.admit(norm, cost); err != nil {
-		if errors.Is(err, errs.ErrOverloaded) {
-			return true, nil
-		}
-		return false, fmt.Errorf("re-admitting: %w", err)
+	_, err = s.admit(norm, cost, &f)
+	switch {
+	case err == nil:
+		s.mJobsReadmitted.Inc()
+		return false, nil
+	case errors.Is(err, errs.ErrOverloaded):
+		return true, nil
+	case errors.Is(err, errs.ErrJobExists):
+		// One job ID in two files (a copied file, or a resubmission of a
+		// job left on disk) is a bad config; the first admission stands.
+		return false, fmt.Errorf("%w: duplicate job ID %q in spool (already re-admitted this start)", errs.ErrBadConfig, norm.ID)
 	}
-	s.mJobsReadmitted.Inc()
-	return false, nil
+	return false, fmt.Errorf("re-admitting: %w", err)
 }
 
 // quarantine renames a bad spool file aside and records the structured

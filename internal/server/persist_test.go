@@ -48,12 +48,12 @@ func gridCells(t *testing.T, norm JobSpec) []experiments.GridCell {
 	return grid.Cells()
 }
 
-// TestSpoolQuarantine: corrupt spec files, run files and cell records
-// must be renamed aside with a structured ErrSpoolCorrupt warning while
-// valid neighbors re-admit — a damaged file costs one job (or one
-// cell's recomputation), never the daemon. Temp files a crash left
-// mid-write, beside the specs or among the records, are deleted without
-// a warning.
+// TestSpoolQuarantine: corrupt or misnamed spool files and corrupt cell
+// records must be renamed aside with a structured ErrSpoolCorrupt
+// warning while valid neighbors re-admit — a damaged file costs one job
+// (or one cell's recomputation), never the daemon. Temp files a crash
+// left mid-write, beside the specs or among the records, are deleted
+// without a warning.
 func TestSpoolQuarantine(t *testing.T) {
 	spool := t.TempDir()
 	survivor := mustNormalize(t, smallSpec("survivor"))
@@ -65,13 +65,19 @@ func TestSpoolQuarantine(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(torn), 0o777); err != nil {
 		t.Fatal(err)
 	}
-	writeSpoolFile(t, spool, "crashed.run.4242.7.tmp", `{"id": "crashed"`)
+	impostor, err := json.Marshal(mustNormalize(t, smallSpec("someone-else")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSpoolFile(t, spool, "00000005-crashed.json.4242.7.tmp", `{"id": "crashed"`)
 	writeSpoolFile(t, spool, "00000000-old.json.tmp", `{"id": "old"`)
 	writeSpoolFile(t, spool, filepath.Join(cellsDir, "0123.json.4242.8.tmp"), `{"epoch": 1`)
 	writeSpoolFile(t, spool, "00000000-truncated.json", `{"id": "trunc", "workloads": ["micro`)
 	writeSpoolFile(t, spool, "00000001-survivor.json", string(valid))
-	writeSpoolFile(t, spool, "00000002-badspec.json", `{"id": "nogrid", "workloads": [], "policies": [], "topos": []}`)
-	writeSpoolFile(t, spool, "garbage.run", "not json at all")
+	writeSpoolFile(t, spool, "00000002-nogrid.json", `{"id": "nogrid", "workloads": [], "policies": [], "topos": []}`)
+	writeSpoolFile(t, spool, "00000003-garbage.json", "not json at all")
+	writeSpoolFile(t, spool, "00000004-impostor.json", string(impostor))
+	writeSpoolFile(t, spool, "noseq.json", string(valid))
 	writeSpoolFile(t, spool, filepath.Join(cellsDir, filepath.Base(torn)), `{"epoch": 1, "spec": {"workl`)
 
 	s := startServer(t, Options{SpoolDir: spool}, nil)
@@ -83,8 +89,8 @@ func TestSpoolQuarantine(t *testing.T) {
 		t.Fatal("survivor payload differs from offline after its torn record was quarantined")
 	}
 	warnings := s.SpoolWarnings()
-	if len(warnings) != 4 {
-		t.Fatalf("SpoolWarnings() = %d warnings %v, want 4", len(warnings), warnings)
+	if len(warnings) != 6 {
+		t.Fatalf("SpoolWarnings() = %d warnings %v, want 6", len(warnings), warnings)
 	}
 	for _, w := range warnings {
 		if !errors.Is(w, errs.ErrSpoolCorrupt) {
@@ -106,14 +112,14 @@ func TestSpoolQuarantine(t *testing.T) {
 			}
 		}
 	}
-	if len(quarantined) != 4 {
-		t.Fatalf("quarantined files = %v, want 4", quarantined)
+	if len(quarantined) != 6 {
+		t.Fatalf("quarantined files = %v, want 6", quarantined)
 	}
 	if _, err := os.Stat(torn); err != nil {
 		t.Fatalf("the recomputed cell was not recorded again: %v", err)
 	}
-	if got := s.reg.Counter("server_spool_quarantined_total", nil).Value(); got != 4 {
-		t.Fatalf("server_spool_quarantined_total = %d, want 4", got)
+	if got := s.reg.Counter("server_spool_quarantined_total", nil).Value(); got != 6 {
+		t.Fatalf("server_spool_quarantined_total = %d, want 6", got)
 	}
 }
 
@@ -193,10 +199,10 @@ func mustResult(t *testing.T, s *Server, id string) []byte {
 
 // TestCheckpointResumeDigest is the drain-cut regression pin: a job cut
 // down by a drain after completing exactly one grid cell leaves one cell
-// record and its run file, and a restarted server — driven over HTTP
+// record and its spool file, and a restarted server — driven over HTTP
 // like a real client — resumes it to the byte-identical payload the
 // offline sweep (and hence an uninterrupted server run) produces, then
-// retires the run file.
+// removes the spool file.
 func TestCheckpointResumeDigest(t *testing.T) {
 	spool := t.TempDir()
 	spec := diffSpec("resume-me")
@@ -243,9 +249,9 @@ func TestCheckpointResumeDigest(t *testing.T) {
 	if recs := records(t, spool); len(recs) != 1 {
 		t.Fatalf("cells/ holds %d records, want 1 (cut after the first cell)", len(recs))
 	}
-	runFile := filepath.Join(spool, "resume-me"+runSuffix)
-	if _, err := os.Stat(runFile); err != nil {
-		t.Fatalf("the cut job's run file is gone: %v", err)
+	specFile := filepath.Join(spool, "00000000-resume-me.json")
+	if _, err := os.Stat(specFile); err != nil {
+		t.Fatalf("the cut job's spool file is gone: %v", err)
 	}
 
 	// Restart onto the same spool and drive the resumed job over HTTP.
@@ -275,17 +281,17 @@ func TestCheckpointResumeDigest(t *testing.T) {
 	if n := s2.reg.Counter("server_cell_records_reused_total", nil).Value(); n != 1 {
 		t.Fatalf("server_cell_records_reused_total = %d, want 1", n)
 	}
-	// The resumed job settled cleanly: its run file is retired.
-	if _, err := os.Stat(runFile); !os.IsNotExist(err) {
-		t.Fatalf("run file still present after the resumed job settled (err %v)", err)
+	// The resumed job settled cleanly: its spool file is removed.
+	if _, err := os.Stat(specFile); !os.IsNotExist(err) {
+		t.Fatalf("spool file still present after the resumed job settled (err %v)", err)
 	}
 }
 
 // TestCheckpointPeriodicFlush: an abrupt kill needs no knob. Stopping
 // the server under a running job (its Start context cancelled, no
 // Shutdown) after two cells leaves those cells' records and the job's
-// run file; a new server on the same spool re-admits the job, runs only
-// the missing cells and serves the offline payload.
+// spool file; a new server on the same spool re-admits the job, runs
+// only the missing cells and serves the offline payload.
 func TestCheckpointPeriodicFlush(t *testing.T) {
 	spool := t.TempDir()
 	spec := diffSpec("killed")
@@ -398,49 +404,6 @@ func TestWriteFileAtomicMode(t *testing.T) {
 	}
 }
 
-// TestSpoolRequeuesRunFiles: a job re-admitted from its run file but
-// still queued at the next drain is spooled as a spec and its run file
-// retired, so the start after that admits it once, without a warning.
-func TestSpoolRequeuesRunFiles(t *testing.T) {
-	spool := t.TempDir()
-	for _, id := range []string{"a", "b"} {
-		data, err := json.Marshal(mustNormalize(t, smallSpec(id)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		writeSpoolFile(t, spool, id+runSuffix, string(data))
-	}
-	gate := make(chan struct{})
-	popped := make(chan struct{}, 2)
-	s1 := startServer(t, Options{JobWorkers: 1, SpoolDir: spool}, func(s *Server) {
-		s.beforeJob = func(*job) { popped <- struct{}{}; <-gate }
-	})
-	<-popped // a holds the worker; b stays queued
-	shutdownDone := make(chan error, 1)
-	go func() { shutdownDone <- s1.Shutdown(context.Background()) }()
-	for {
-		if _, err := os.Stat(filepath.Join(spool, "00000000-b.json")); err == nil {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if entries, _ := listSpool(spool); len(entries) != 1 {
-		t.Fatalf("spool holds %v after the drain, want only b's spec", entries)
-	}
-
-	s2 := startServer(t, Options{SpoolDir: spool}, nil)
-	if st := waitTerminal(t, s2, "b"); st.State != StateDone {
-		t.Fatalf("b state = %s (err %q), want done", st.State, st.Error)
-	}
-	if w := s2.SpoolWarnings(); len(w) != 0 || len(s2.Jobs()) != 1 {
-		t.Fatalf("restart admitted %d jobs with warnings %v, want b alone and none", len(s2.Jobs()), w)
-	}
-}
-
 // TestCheckpointConcurrentFlush: a job at eight sweep workers writes its
 // records concurrently without a warning, and a second job of the same
 // spec under another ID replays every cell from them — to the same
@@ -481,5 +444,112 @@ func TestCheckpointConcurrentFlush(t *testing.T) {
 	}
 	if !bytes.Equal(payloads[0], payloads[1]) {
 		t.Fatal("the all-hit job's payload differs from the computed one")
+	}
+}
+
+// TestAbandonedServerResumesEveryJob: a server abandoned without
+// Shutdown — its Start context cancelled with one job running and one
+// queued — leaves both jobs' spool files, as a SIGKILL would, and a
+// restart on the same spool runs both to the payloads a fresh server
+// gives. The abandoned worker is held where the kill found it until the
+// test ends, so nothing it does afterwards reaches the spool.
+func TestAbandonedServerResumesEveryJob(t *testing.T) {
+	spool := t.TempDir()
+	running, queued := diffSpec("running"), smallSpec("queued")
+	running.Workers = 1
+
+	s1, err := New(Options{Clock: testClock(), JobWorkers: 1, SpoolDir: spool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	admitted, killed, frozen := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s1.beforeJob = func(*job) { <-admitted }
+	s1.afterTask = func(*job, int) {
+		once.Do(func() {
+			kill()
+			close(killed)
+			<-frozen
+		})
+	}
+	if err := s1.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(frozen)
+		s1.wg.Wait()
+	})
+	for _, spec := range []JobSpec{running, queued} {
+		if _, err := s1.Submit(context.Background(), spec); err != nil {
+			t.Fatalf("Submit %s: %v", spec.ID, err)
+		}
+	}
+	close(admitted)
+	<-killed
+
+	entries, err := listSpool(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"00000000-running.json", "00000001-queued.json"}; strings.Join(entries, " ") != strings.Join(want, " ") {
+		t.Errorf("spool after the kill = %v, want %v", entries, want)
+	}
+
+	s2 := startServer(t, Options{SpoolDir: spool}, nil)
+	fresh := startServer(t, Options{}, nil)
+	for _, spec := range []JobSpec{running, queued} {
+		if st := waitTerminal(t, s2, spec.ID); st.State != StateDone {
+			t.Fatalf("resumed %s state = %s (err %q), want done", spec.ID, st.State, st.Error)
+		}
+		if _, err := fresh.Submit(context.Background(), spec); err != nil {
+			t.Fatalf("fresh Submit %s: %v", spec.ID, err)
+		}
+		if st := waitTerminal(t, fresh, spec.ID); st.State != StateDone {
+			t.Fatalf("fresh %s state = %s, want done", spec.ID, st.State)
+		}
+		if !bytes.Equal(mustResult(t, s2, spec.ID), mustResult(t, fresh, spec.ID)) {
+			t.Fatalf("%s: resumed payload differs from a fresh server's", spec.ID)
+		}
+	}
+	if n := s2.reg.Counter("server_cell_records_reused_total", nil).Value(); n != 1 {
+		t.Fatalf("server_cell_records_reused_total = %d, want 1 (the cell finished before the kill)", n)
+	}
+	if entries, err := listSpool(spool); err != nil || len(entries) != 0 {
+		t.Fatalf("spool after both jobs settled = %v (err %v), want none", entries, err)
+	}
+}
+
+// TestCellRecordsIgnoreEngine: the engine is not part of a cell's key —
+// both engines give byte-identical metrics — so a grid run under seq and
+// then, under a new ID, under parallel reuses every cell and serves the
+// payload the parallel engine computes offline.
+func TestCellRecordsIgnoreEngine(t *testing.T) {
+	spool := t.TempDir()
+	s := startServer(t, Options{JobWorkers: 1, SpoolDir: spool}, nil)
+	spec := diffSpec("on-seq")
+	spec.Engine = "seq"
+	total := uint64(len(gridCells(t, mustNormalize(t, spec))))
+	var digests []string
+	for _, engine := range []string{"seq", "parallel"} {
+		spec.ID, spec.Engine = "on-"+engine, engine
+		if _, err := s.Submit(context.Background(), spec); err != nil {
+			t.Fatalf("Submit %s: %v", spec.ID, err)
+		}
+		st := waitTerminal(t, s, spec.ID)
+		if st.State != StateDone {
+			t.Fatalf("%s state = %s (err %q), want done", spec.ID, st.State, st.Error)
+		}
+		digests = append(digests, st.Digest)
+	}
+	if n := s.reg.Counter("server_cell_records_reused_total", nil).Value(); n != total {
+		t.Fatalf("server_cell_records_reused_total = %d, want %d (the parallel run all hits)", n, total)
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("digests differ across engines: %s vs %s", digests[0], digests[1])
+	}
+	if !bytes.Equal(mustResult(t, s, "on-parallel"), offlinePayload(t, spec, 1)) {
+		t.Fatal("the replayed payload differs from the parallel engine's offline payload")
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"threadcluster/internal/errs"
@@ -17,8 +16,8 @@ import (
 // what keeps server memory bounded under overload.
 //
 // Tokens are reserved at admission and released when the job leaves the
-// system (terminal state or spooled at shutdown), not at dequeue, so the
-// pool bounds queued *plus* running work.
+// system (terminal state, or still queued at shutdown), not at dequeue,
+// so the pool bounds queued *plus* running work.
 type jobQueue struct {
 	mu        sync.Mutex
 	depth     int   // max queued jobs
@@ -108,8 +107,8 @@ func (q *jobQueue) remove(j *job) bool {
 	return false
 }
 
-// drain closes admission and returns every job still queued, in
-// admission order, for spooling. Workers blocked in pop return nil.
+// drain closes admission and returns every job still queued. Workers
+// blocked in pop return nil.
 func (q *jobQueue) drain() []*job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -119,7 +118,6 @@ func (q *jobQueue) drain() []*job {
 	}
 	out := q.items
 	q.items = nil
-	sort.Slice(out, func(i, k int) bool { return out[i].seq < out[k].seq })
 	return out
 }
 

@@ -17,18 +17,18 @@
 //
 // Robustness is admission-controlled: a bounded queue plus a bounded
 // outstanding-token pool reject overload with 429 + Retry-After instead
-// of queueing unboundedly, and graceful shutdown stops admission, drains
-// in-flight jobs under the caller's deadline, and persists
-// queued-but-unstarted jobs as replayable spec files a restarted server
-// re-admits. Each completed grid cell is spooled once as an immutable
-// record keyed by what it computes (cells.go), so a job cut by a drain
-// or a kill resumes where it stopped.
+// of queueing unboundedly, and graceful shutdown stops admission and
+// drains in-flight jobs under the caller's deadline. With a spool, every
+// admitted job is persisted as a replayable spec file until it settles,
+// so a restarted server re-admits whatever a drain or a kill left
+// unfinished, and each completed grid cell is spooled once as an
+// immutable record keyed by what it computes (cells.go), so a job cut
+// by a drain or a kill resumes where it stopped.
 package server
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 
 	"threadcluster/internal/errs"
@@ -77,14 +77,13 @@ type Options struct {
 	// replay from the earliest retained event. Default 1024.
 	EventBuffer int
 
-	// SpoolDir, when set, persists work across restarts: each running
-	// job's spec as "<id>.run" until it settles, queued-but-unstarted
-	// jobs as replayable spec files at shutdown, and every completed grid
-	// cell as a write-once record under "cells/" (cells.go). Start
-	// re-admits run files, then spooled specs; every job looks its cells
-	// up before running them, so a job cut down by a drain or a kill
-	// resumes where it stopped. Corrupt files are quarantined (see
-	// SpoolWarnings), never fatal.
+	// SpoolDir, when set, persists work across restarts: each admitted
+	// job's spec as "<seq>-<id>.json" from admission until it settles
+	// (persist.go), and every completed grid cell as a write-once record
+	// under "cells/" (cells.go). Start re-admits the spooled specs in seq
+	// order; every job looks its cells up before running them, so a job
+	// cut down by a drain or a kill resumes where it stopped. Corrupt
+	// files are quarantined (see SpoolWarnings), never fatal.
 	SpoolDir string
 }
 
@@ -117,7 +116,6 @@ type Server struct {
 
 	mJobsAdmitted     *metrics.Counter
 	mJobsReadmitted   *metrics.Counter
-	mJobsSpooled      *metrics.Counter
 	mEventsDropped    *metrics.Counter
 	mSpoolQuarantined *metrics.Counter
 	mRecordsWritten   *metrics.Counter
@@ -157,7 +155,6 @@ func New(opt Options) (*Server, error) {
 	}
 	s.mJobsAdmitted = s.reg.Counter("server_jobs_admitted_total", nil)
 	s.mJobsReadmitted = s.reg.Counter("server_jobs_readmitted_total", nil)
-	s.mJobsSpooled = s.reg.Counter("server_jobs_spooled_total", nil)
 	s.mEventsDropped = s.reg.Counter("server_events_dropped_total", nil)
 	s.mSpoolQuarantined = s.reg.Counter("server_spool_quarantined_total", nil)
 	s.mRecordsWritten = s.reg.Counter("server_cell_records_written_total", nil)
@@ -253,11 +250,15 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("server: %w: job cost %d exceeds per-job budget %d (shrink the grid or rounds)",
 			errs.ErrBadConfig, cost, s.opt.MaxJobCost)
 	}
-	return s.admit(norm, cost)
+	return s.admit(norm, cost, nil)
 }
 
-// admit queues one validated job.
-func (s *Server) admit(norm JobSpec, cost int64) (JobStatus, error) {
+// admit queues one validated job. A submitted job (from == nil) takes
+// the next seq and, with a spool, has its spool file written before it
+// reaches the queue; a refused push removes the file again. A job
+// re-admitted from the spool keeps the seq and file it was read from,
+// and a refused push leaves that file for the next start.
+func (s *Server) admit(norm JobSpec, cost int64, from *spoolFile) (JobStatus, error) {
 	s.mu.Lock()
 	if s.draining || !s.started {
 		s.mu.Unlock()
@@ -265,6 +266,9 @@ func (s *Server) admit(norm JobSpec, cost int64) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("server: %w: not accepting jobs", errs.ErrUnavailable)
 	}
 	seq := s.nextSeq
+	if from != nil {
+		seq = from.seq // below nextSeq: loadSpool resumed it past every file
+	}
 	if norm.ID == "" {
 		norm.ID = fmt.Sprintf("job-%d", seq)
 	}
@@ -280,7 +284,7 @@ func (s *Server) admit(norm JobSpec, cost int64) (JobStatus, error) {
 		state:  StateQueued,
 		events: newEventLog(s.opt.EventBuffer, s.mEventsDropped),
 	}
-	s.nextSeq++
+	s.nextSeq = max(s.nextSeq, seq+1)
 	s.jobs[norm.ID] = j
 	s.bySeq = append(s.bySeq, j)
 	// The admitted status is taken before the push: once the job is on the
@@ -288,6 +292,14 @@ func (s *Server) admit(norm JobSpec, cost int64) (JobStatus, error) {
 	admitted := j.status()
 	s.mu.Unlock()
 
+	// The file goes down before the push, so the settle that removes it
+	// always comes after it.
+	spooled := s.opt.SpoolDir != "" && from == nil
+	if spooled {
+		if err := writeJSONAtomic(s.spoolPath(j), norm); err != nil {
+			s.warn(fmt.Errorf("spooling job %q: %w", norm.ID, err))
+		}
+	}
 	// The queued event goes in before the push: once the job is on the
 	// queue a worker may pop it and append "running" at any moment. If the
 	// push is refused the log dies with the job.
@@ -302,6 +314,9 @@ func (s *Server) admit(norm JobSpec, cost int64) (JobStatus, error) {
 			}
 		}
 		s.mu.Unlock()
+		if spooled {
+			s.unspool(j)
+		}
 		if hint := s.retryAfterSeconds(); hint > 0 {
 			err = &RetryableError{Err: err, RetryAfterSeconds: hint}
 		}
@@ -478,11 +493,6 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	s.mu.Unlock()
 
 	started := s.clock.Now()
-	if s.opt.SpoolDir != "" {
-		if err := writeJSONAtomic(s.runPath(j.spec.ID), j.spec); err != nil {
-			s.warn(fmt.Errorf("recording running job %q: %w", j.spec.ID, err))
-		}
-	}
 	j.events.append(Event{Time: started, Type: EventRunning, Job: j.spec.ID, TasksTotal: len(tasks)})
 
 	// Wrap each task to emit a progress event at completion. Events fire
@@ -611,16 +621,14 @@ func (s *Server) settle(j *job, state JobState, cause error) {
 	}
 	done, total := j.tasksDone, j.tasksTotal
 	digest := j.digest
-	// A running job cut down by a drain or a server stop keeps its run
-	// file, so the next start re-admits it; any other settlement retires
+	// A running job cut down by a drain or a server stop keeps its spool
+	// file, so the next start re-admits it; any other settlement removes
 	// the file.
 	retire := s.opt.SpoolDir != "" && !(state == StateCanceled && j.cut)
 	s.mu.Unlock()
 
 	if retire {
-		if err := os.Remove(s.runPath(j.spec.ID)); err != nil && !os.IsNotExist(err) {
-			s.warn(fmt.Errorf("retiring run file of %q: %w", j.spec.ID, err))
-		}
+		s.unspool(j)
 	}
 	s.queue.release(j.cost)
 	s.reg.Counter("server_jobs_total", metrics.Labels{"state": string(state)}).Inc()
@@ -643,10 +651,11 @@ func (s *Server) settle(j *job, state JobState, cause error) {
 }
 
 // Shutdown gracefully stops the server: admission closes (readyz and
-// POSTs turn 503), queued-but-unstarted jobs are persisted to the spool
-// as replayable specs, and in-flight jobs drain until ctx's deadline, at
-// which point they are cancelled. Streams of drained-away jobs end with
-// a shutdown event. Returns ctx.Err() when the drain was cut short.
+// POSTs turn 503), queued-but-unstarted jobs are left queued — with a
+// spool, their files stay on disk for the next start — and in-flight
+// jobs drain until ctx's deadline, at which point they are cancelled.
+// Streams of drained-away jobs end with a shutdown event. Returns
+// ctx.Err() when the drain was cut short.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.started {
@@ -660,13 +669,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return fmt.Errorf("server: %w: already shutting down", errs.ErrUnavailable)
 	}
 
-	// Close admission and take the still-queued jobs for the spool.
-	queued := s.queue.drain()
-	spoolErr := s.spool(queued)
-	for _, j := range queued {
-		s.mu.Lock()
-		j.state = StateQueued // unchanged; the job leaves this process queued
-		s.mu.Unlock()
+	// Close admission. Still-queued jobs leave this process queued; with
+	// a spool their files stay for the next start.
+	for _, j := range s.queue.drain() {
 		s.queue.release(j.cost)
 		j.events.append(Event{Time: s.clock.Now(), Type: EventShutdown, Job: j.spec.ID})
 		j.events.closeLog()
@@ -696,15 +701,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		j.events.closeLog()
 	}
 	s.stopWork()
-	if spoolErr != nil {
-		return spoolErr
-	}
 	return cut
 }
 
 // cancelRunning cancels every running job's context. These jobs are cut
 // by the drain deadline, not abandoned by their submitter, so they keep
-// their run files: the next start resumes them.
+// their spool files: the next start resumes them.
 func (s *Server) cancelRunning() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -438,7 +438,7 @@ func TestCancelRunningJob(t *testing.T) {
 
 // TestShutdownMidStream drains the server while a subscriber is attached
 // to a queued job: the stream must end with a shutdown event, and the
-// spec must land in the spool.
+// spec must stay in the spool.
 func TestShutdownMidStream(t *testing.T) {
 	spool := t.TempDir()
 	gate := make(chan struct{})
@@ -501,6 +501,9 @@ func TestShutdownMidStream(t *testing.T) {
 	if st, _ := s.Status("inflight"); st.State != StateDone {
 		t.Fatalf("inflight state = %s, want done (drained, not cut)", st.State)
 	}
+	if entries, err := listSpool(spool); err != nil || len(entries) != 1 || entries[0] != "00000001-parked.json" {
+		t.Fatalf("spool after the drain = %v (err %v), want only the parked job's file", entries, err)
+	}
 }
 
 // TestShutdownDeadlineCancelsRunning forces the drain deadline while a
@@ -555,12 +558,7 @@ func TestSpoolRestartDeterministic(t *testing.T) {
 			t.Fatalf("Submit %s: %v", id, err)
 		}
 	}
-	go func() { close(gate) }()
-	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer scancel()
-	if err := s1.Shutdown(sctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
+	shutdownReleasing(t, s1, gate)
 
 	// Restart on the same spool: both specs re-admit under their IDs, in
 	// admission order, and run to the same digests a fresh server yields.
@@ -586,9 +584,132 @@ func TestSpoolRestartDeterministic(t *testing.T) {
 			t.Fatalf("%s: restarted payload differs from fresh payload", id)
 		}
 	}
-	// The spool is empty again: every spec was re-admitted and removed.
+	// The spool is empty again: every re-admitted job settled and removed
+	// its file.
 	if entries, err := listSpool(spool); err != nil || len(entries) != 0 {
 		t.Fatalf("spool entries after restart = %v (err %v), want none", entries, err)
+	}
+}
+
+// shutdownReleasing drains s while its only worker is held at gate. The
+// gate opens once Shutdown has taken the queue, so every job still
+// queued stays queued and the held job runs to done.
+func shutdownReleasing(t *testing.T, s *Server, gate chan struct{}) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		done <- s.Shutdown(ctx)
+	}()
+	for {
+		if n, _ := s.queue.stats(); n == 0 && s.Draining() {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestRestartAnonymousIDsNeverConflict: jobs re-admitted from the spool
+// keep the seq their anonymous "job-<seq>" IDs were made from, and the
+// counter resumes after the largest seq on disk, so an anonymous submit
+// after a restart never collides with a re-admitted job.
+func TestRestartAnonymousIDsNeverConflict(t *testing.T) {
+	spool := t.TempDir()
+	gate := make(chan struct{})
+	popped := make(chan string, 8)
+	s1 := startServer(t, Options{JobWorkers: 1, SpoolDir: spool}, func(s *Server) {
+		s.beforeJob = func(j *job) { popped <- j.spec.ID; <-gate }
+	})
+	for i := 0; i < 3; i++ {
+		if _, err := s1.Submit(context.Background(), smallSpec("")); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		if i == 0 {
+			<-popped // job-0 holds the worker; job-1 and job-2 stay queued
+		}
+	}
+	shutdownReleasing(t, s1, gate)
+
+	s2 := startServer(t, Options{SpoolDir: spool}, nil)
+	taken := map[string]bool{}
+	for i, st := range s2.Jobs() {
+		if want := fmt.Sprintf("job-%d", i+1); st.ID != want || st.Seq != uint64(i+1) {
+			t.Errorf("re-admitted job %d = %s seq %d, want %s seq %d", i, st.ID, st.Seq, want, i+1)
+		}
+		taken[st.ID] = true
+	}
+	if len(taken) != 2 {
+		t.Errorf("restart re-admitted %v, want job-1 and job-2", s2.Jobs())
+	}
+	for i := 0; i < 3; i++ {
+		st, err := s2.Submit(context.Background(), smallSpec(""))
+		if err != nil {
+			t.Fatalf("anonymous submit %d after the restart: %v", i, err)
+		}
+		if taken[st.ID] {
+			t.Fatalf("anonymous submit %d got the taken ID %s", i, st.ID)
+		}
+		taken[st.ID] = true
+	}
+	for id := range taken {
+		if st := waitTerminal(t, s2, id); st.State != StateDone {
+			t.Fatalf("%s state = %s (err %q), want done", id, st.State, st.Error)
+		}
+	}
+}
+
+// TestShutdownLeavesSpoolUnchanged: a drain writes nothing. The jobs
+// still queued, and the running job the deadline cuts, keep the files
+// admission wrote for them, and no file is added.
+func TestShutdownLeavesSpoolUnchanged(t *testing.T) {
+	spool := t.TempDir()
+	s := startServer(t, Options{JobWorkers: 1, MaxJobCost: 100_000_000, SpoolDir: spool}, nil)
+	stuck := smallSpec("stuck")
+	stuck.EngineRounds = 2_000_000
+	stuck.MeasureRounds = 2_000_000
+	if _, err := s.Submit(context.Background(), stuck); err != nil {
+		t.Fatalf("Submit stuck: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	errStop := errors.New("saw running")
+	if err := s.Subscribe(ctx, "stuck", func(ev Event) error {
+		if ev.Type == EventRunning {
+			return errStop
+		}
+		return nil
+	}); !errors.Is(err, errStop) {
+		t.Fatalf("waiting for running event: %v", err)
+	}
+	for _, id := range []string{"parked-1", "parked-2"} {
+		if _, err := s.Submit(context.Background(), smallSpec(id)); err != nil {
+			t.Fatalf("Submit %s: %v", id, err)
+		}
+	}
+	before, err := listSpool(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != 3 {
+		t.Errorf("spool before the drain = %v, want the three jobs' files", before)
+	}
+
+	cut, cutNow := context.WithCancel(context.Background())
+	cutNow()
+	if err := s.Shutdown(cut); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Shutdown err = %v, want context.Canceled (cut drain)", err)
+	}
+	after, err := listSpool(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Fatalf("spool after the drain = %v, want %v", after, before)
 	}
 }
 

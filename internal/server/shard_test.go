@@ -130,8 +130,8 @@ func sameTask(t *testing.T, a, b TaskResult) bool {
 
 // TestSpoolDuplicateIDRejected: a spool carrying the same job ID twice
 // admits the first file and quarantines the second as a bad config —
-// never double-queues. Guards the restart path, where a run file and a
-// stale operator-copied spec can coexist.
+// never double-queues. Guards the restart path, where a job's spool file
+// and a stale operator-copied spec can coexist.
 func TestSpoolDuplicateIDRejected(t *testing.T) {
 	spool := t.TempDir()
 	valid, err := json.Marshal(smallSpec("twin"))
@@ -164,7 +164,8 @@ func TestSpoolDuplicateIDRejected(t *testing.T) {
 	}
 	// The classification itself: a duplicate re-admission is a bad
 	// config, not a transient condition.
-	if _, err := s.readmit(smallSpec("twin")); !errors.Is(err, errs.ErrBadConfig) {
+	writeSpoolFile(t, spool, "00000002-twin.json", string(valid))
+	if _, err := s.readmit(spoolFile{seq: 2, id: "twin"}); !errors.Is(err, errs.ErrBadConfig) {
 		t.Fatalf("readmit duplicate = %v, want ErrBadConfig", err)
 	}
 }

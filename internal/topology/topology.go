@@ -152,12 +152,6 @@ func Power5_32Way() Topology {
 	return Topology{Chips: 8, CoresPerChip: 2, ContextsPerCore: 2}
 }
 
-// FlatSMP is a degenerate topology with one context per core and one core
-// per chip: a traditional SMP with no shared caches, useful in tests.
-func FlatSMP(n int) Topology {
-	return Topology{Chips: n, CoresPerChip: 1, ContextsPerCore: 1}
-}
-
 // NiagaraLike is a single-chip many-context machine in the spirit of the
 // Sun Niagara the paper's introduction cites ("currently has 32 hardware
 // contexts"): 8 cores of 4 contexts on one chip. With only one chip there

@@ -8,11 +8,12 @@
 #      and as a snapshot/resume pair at N produces byte-identical
 #      snapshot files (the canonical encoding is a pure function of the
 #      simulated state), and a resume under a different -seed fails.
-#   2. Daemon resume: a tcsimd SIGKILLed mid-job leaves the job's run
-#      file and a record of each completed grid cell in its spool; a
-#      restarted daemon resumes the job to the same result digest
-#      `tcsim sweep -digest` computes offline, and a resubmission of the
-#      grid under a new job ID replays the records to that digest too.
+#   2. Daemon resume: a tcsimd SIGKILLed with one job running and one
+#      queued leaves both jobs' "<seq>-<id>.json" spool files and a
+#      record of each completed grid cell; a restarted daemon runs both
+#      jobs to the result digests `tcsim sweep -digest` computes offline,
+#      and a resubmission of the first grid under a new job ID replays
+#      the records to that digest too.
 #
 # Used by `make snapshot-smoke` and the CI snapshot-smoke job.
 set -eu
@@ -91,17 +92,23 @@ fetch() {
 }
 
 GRID="-workloads microbenchmark,volano -policies default,clustered -warm 100 -engine 300 -measure 100 -seed 5"
+QGRID="-workloads microbenchmark -policies default,clustered -warm 20 -engine 50 -measure 20 -seed 6"
 
 # shellcheck disable=SC2086 # word-splitting the grid flags is the point
 OFFLINE=$("$WORK/tcsim" sweep -digest $GRID 2>/dev/null)
+# shellcheck disable=SC2086
+QOFFLINE=$("$WORK/tcsim" sweep -digest $QGRID 2>/dev/null)
 
 start_daemon
 echo "snapshot-smoke: daemon up at $ADDR (spool $SPOOL)"
 
-# Admit the job without waiting, then let it run until the first
-# completed grid cell is recorded.
+# Admit two jobs without waiting: the daemon's one worker runs the
+# first, the second queues behind it. Then let the first run until its
+# first completed grid cell is recorded.
 # shellcheck disable=SC2086
 "$WORK/tcsim" submit -addr "$ADDR" -id kill-job -wait=false $GRID >/dev/null 2>&1
+# shellcheck disable=SC2086
+"$WORK/tcsim" submit -addr "$ADDR" -id queued-job -wait=false $QGRID >/dev/null 2>&1
 
 i=0
 while :; do
@@ -117,49 +124,58 @@ while :; do
 done
 
 # Kill the daemon outright: no drain, no settle, nothing flushed on the
-# way out. The run file and the records already written are all the
-# next start gets.
+# way out. The spool files admission wrote and the records already
+# written are all the next start gets.
 kill -KILL "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
-if [ ! -f "$SPOOL/kill-job.run" ]; then
-    echo "snapshot-smoke: run file missing after the kill" >&2
-    exit 1
-fi
-echo "snapshot-smoke: daemon killed mid-job; run file and $# cell record(s) survive"
+for f in 00000000-kill-job.json 00000001-queued-job.json; do
+    if [ ! -f "$SPOOL/$f" ]; then
+        echo "snapshot-smoke: spool file $f missing after the kill" >&2
+        ls -l "$SPOOL" >&2
+        exit 1
+    fi
+done
+echo "snapshot-smoke: daemon killed mid-job; both jobs' spool files and $# cell record(s) survive"
 
-# Restart onto the same spool: the run file re-admits the job, which
-# replays its recorded cells and computes the rest.
+# Restart onto the same spool: both files re-admit their jobs in seq
+# order; the running one replays its recorded cells and computes the
+# rest.
 start_daemon
 echo "snapshot-smoke: daemon restarted at $ADDR"
 
-STATE=""
-i=0
-while [ $i -lt 600 ]; do
-    STATUS=$(fetch "$ADDR/v1/jobs/kill-job" 2>/dev/null || true)
-    STATE=$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')
-    case "$STATE" in
-    done) break ;;
-    failed | canceled)
-        echo "snapshot-smoke: resumed job ended $STATE: $STATUS" >&2
+# wait_digest ID WANT: poll job ID until it is done and require its
+# digest to equal WANT.
+wait_digest() {
+    STATE=""
+    i=0
+    while [ $i -lt 600 ]; do
+        STATUS=$(fetch "$ADDR/v1/jobs/$1" 2>/dev/null || true)
+        STATE=$(printf '%s' "$STATUS" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p')
+        case "$STATE" in
+        done) break ;;
+        failed | canceled)
+            echo "snapshot-smoke: resumed job $1 ended $STATE: $STATUS" >&2
+            exit 1
+            ;;
+        esac
+        sleep 0.1
+        i=$((i + 1))
+    done
+    if [ "$STATE" != "done" ]; then
+        echo "snapshot-smoke: resumed job $1 never finished (last state: $STATE)" >&2
+        cat "$WORK/stderr" >&2
         exit 1
-        ;;
-    esac
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ "$STATE" != "done" ]; then
-    echo "snapshot-smoke: resumed job never finished (last state: $STATE)" >&2
-    cat "$WORK/stderr" >&2
-    exit 1
-fi
-
-REMOTE=$(printf '%s' "$STATUS" | sed -n 's/.*"digest": *"\([a-z0-9:]*\)".*/\1/p')
-if [ "$OFFLINE" != "$REMOTE" ]; then
-    echo "snapshot-smoke: DIGEST MISMATCH: offline=$OFFLINE resumed=$REMOTE" >&2
-    exit 1
-fi
-echo "snapshot-smoke: resumed digest matches the offline sweep: $REMOTE"
+    fi
+    REMOTE=$(printf '%s' "$STATUS" | sed -n 's/.*"digest": *"\([a-z0-9:]*\)".*/\1/p')
+    if [ "$2" != "$REMOTE" ]; then
+        echo "snapshot-smoke: DIGEST MISMATCH for $1: offline=$2 resumed=$REMOTE" >&2
+        exit 1
+    fi
+    echo "snapshot-smoke: $1 digest matches the offline sweep: $REMOTE"
+}
+wait_digest kill-job "$OFFLINE"
+wait_digest queued-job "$QOFFLINE"
 
 # The same grid under a new job ID is all record hits: same digest.
 # shellcheck disable=SC2086
