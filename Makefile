@@ -13,13 +13,11 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (detrand, wallclock, maporder, errwrap,
-# ctxplumb, nodeprecated; see DESIGN.md §6), run by tclint's own driver:
-# it lists ./... with `go list -export -deps` and type-checks each package
-# against its imports' export data. The cmd/ tree is
-# allowlisted for wall-clock reads wholesale: operator-facing progress
-# timing and the tcsimd system clock live there, never in internal/.
+# ctxplumb; see DESIGN.md §6), run by tclint's own driver: it lists
+# ./... with `go list -export -deps` and type-checks each package against
+# its imports' export data.
 tclint:
-	$(GO) run ./cmd/tclint -wallclock.allow=threadcluster/cmd ./...
+	$(GO) run ./cmd/tclint ./...
 
 # Full local lint: standard vet, the project analyzers, and staticcheck
 # when installed (CI always runs it; the local toolbox may not have it).
@@ -184,10 +182,6 @@ sweep-smoke:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/chatserver
-	$(GO) run ./examples/warehouse
-	$(GO) run ./examples/auctiondb
-	$(GO) run ./examples/numanode
 
 clean:
 	$(GO) clean ./...

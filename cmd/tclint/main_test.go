@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -16,13 +15,8 @@ import (
 // TestSelfClean is the suite's acceptance gate: tclint must exit clean
 // on the repository that defines it. Any new violation of the
 // determinism/error/context contracts fails this test (and `make lint`)
-// until fixed or annotated with a justified //tclint:allow. The cmd/
-// tree is on the wallclock allowlist — operator-facing progress timing
-// and the daemon's system clock live there, mirroring `make lint`'s
-// -wallclock.allow=threadcluster/cmd.
+// until fixed or annotated with a justified //tclint:allow.
 func TestSelfClean(t *testing.T) {
-	defer func(prev []string) { lint.WallclockAllowlist = prev }(lint.WallclockAllowlist)
-	lint.WallclockAllowlist = []string{"threadcluster/cmd"}
 	diags, err := lint.Run("../..", []string{"./..."}, lint.All())
 	if err != nil {
 		t.Fatalf("tclint: %v", err)
@@ -74,86 +68,6 @@ func scratchModule(t *testing.T, files map[string]string) string {
 		}
 	}
 	return dir
-}
-
-// TestJSONOutput pins the -json contract: a clean tree emits a literal
-// empty array, a dirty one emits position-sorted objects with the
-// documented field order, and the exit codes match text mode.
-func TestJSONOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds scratch modules")
-	}
-	bin := buildTclint(t)
-
-	clean := scratchModule(t, map[string]string{"root.go": "package threadcluster\n\nfunc Add(a, b int) int { return a + b }\n"})
-	cmd := exec.Command(bin, "-json", "./...")
-	cmd.Dir = clean
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("tclint -json on a clean module: %v\n%s", err, out)
-	}
-	if got := strings.TrimSpace(string(out)); got != "[]" {
-		t.Errorf("clean -json output = %q, want []", got)
-	}
-
-	dirty := scratchModule(t, map[string]string{"root.go": `package threadcluster
-
-import (
-	"math/rand"
-	"time"
-)
-
-func Pick() int { return rand.Intn(5) }
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`})
-	cmd = exec.Command(bin, "-json", "./...")
-	cmd.Dir = dirty
-	out, err = cmd.Output()
-	var exitErr *exec.ExitError
-	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
-		t.Fatalf("tclint -json on a dirty module: err = %v, want exit code 1", err)
-	}
-	var diags []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(out, &diags); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, out)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics, want 2:\n%s", len(diags), out)
-	}
-	for i := 1; i < len(diags); i++ {
-		if diags[i-1].File > diags[i].File ||
-			(diags[i-1].File == diags[i].File && diags[i-1].Line > diags[i].Line) {
-			t.Errorf("diagnostics not position-sorted:\n%s", out)
-		}
-	}
-	wantAnalyzers := map[string]string{
-		"detrand":   "math/rand imported in library code",
-		"wallclock": "time.Now reads the wall clock",
-	}
-	for _, d := range diags {
-		frag, ok := wantAnalyzers[d.Analyzer]
-		if !ok {
-			t.Errorf("unexpected analyzer %q in:\n%s", d.Analyzer, out)
-			continue
-		}
-		delete(wantAnalyzers, d.Analyzer)
-		if !strings.Contains(d.Message, frag) {
-			t.Errorf("analyzer %s message = %q, want fragment %q", d.Analyzer, d.Message, frag)
-		}
-		if d.File == "" || d.Line == 0 || d.Column == 0 {
-			t.Errorf("diagnostic missing position data: %+v", d)
-		}
-	}
-	for name := range wantAnalyzers {
-		t.Errorf("no %s diagnostic in:\n%s", name, out)
-	}
 }
 
 // TestStandaloneOnDirtyModule runs tclint in text mode against a dirty

@@ -1,7 +1,7 @@
-// Package lint is the project's static-analysis suite: six analyzers
+// Package lint is the project's static-analysis suite: five analyzers
 // that enforce the determinism (seed provenance included), error-
-// wrapping, context and deprecation-hygiene contracts the simulator's
-// differential tests rely on dynamically.
+// wrapping and context contracts the simulator's differential tests
+// rely on dynamically.
 // The sweep runner promises byte-identical results for any worker
 // count and the coherence differential harness requires byte-identical
 // AccessResults between broadcast and directory mode; a single stray
@@ -246,7 +246,6 @@ func All() []*Analyzer {
 		MapOrder,
 		ErrWrap,
 		CtxPlumb,
-		NoDeprecated,
 	}
 }
 

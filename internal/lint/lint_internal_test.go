@@ -98,7 +98,7 @@ func TestAllStable(t *testing.T) {
 	for _, a := range All() {
 		names = append(names, a.Name)
 	}
-	want := []string{"detrand", "wallclock", "maporder", "errwrap", "ctxplumb", "nodeprecated"}
+	want := []string{"detrand", "wallclock", "maporder", "errwrap", "ctxplumb"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("All() = %v, want %v", names, want)
 	}

@@ -1,42 +1,23 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
-
-// WallclockAllowlist holds package import-path prefixes exempt from the
-// wallclock analyzer (set with tclint's -wallclock.allow flag). Wall
-// time is permitted there wholesale — meant for cmd/ progress output,
-// never for internal/ simulation packages. Individual deliberate uses
-// elsewhere take a `//tclint:allow wallclock -- reason` comment instead.
-var WallclockAllowlist []string
+import "go/ast"
 
 // wallclockFuncs are the time functions that read the wall clock.
 var wallclockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-// Wallclock forbids reading the wall clock in the simulator. Simulated
+// Wallclock forbids reading the wall clock in library code. Simulated
 // time is cycle counts; any result, metric or AccessResult derived from
 // time.Now varies run to run and breaks the byte-identical contract the
-// sweep runner and the coherence differential harness depend on. Wall
-// time is legitimate only for operator-facing progress output (cmd/,
-// annotated) and benchmarks (_test.go files are not checked).
+// sweep runner and the coherence differential harness depend on. Library
+// code takes an injected clock; only the binaries under cmd/ decide that
+// the clock is the wall, so they are out of scope, as are benchmarks
+// (_test.go files are not checked).
 var Wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc: "forbid time.Now/time.Since/time.Until outside annotated progress output; " +
+	Doc: "forbid time.Now/time.Since/time.Until in library code; " +
 		"simulated time is cycle counts and wall time breaks run-to-run determinism",
-	Appropriate: func(path string) bool {
-		if !inModule(path) {
-			return false
-		}
-		for _, prefix := range WallclockAllowlist {
-			if path == prefix || strings.HasPrefix(path, prefix+"/") {
-				return false
-			}
-		}
-		return true
-	},
-	Run: runWallclock,
+	Appropriate: inLibrary,
+	Run:         runWallclock,
 }
 
 func runWallclock(pass *Pass) error {

@@ -11,23 +11,29 @@ func TestWallclock(t *testing.T) {
 	linttest.Run(t, lint.Wallclock, "testdata/wallclock", lint.ModulePath+"/internal/sim")
 }
 
-// TestWallclockAllowlist runs a package full of wall-clock reads with
-// its import path on the allowlist: everything passes.
+// TestWallclockAllowlist: the binaries under cmd/ read the wall clock
+// for progress output and the daemons' system clock, so wallclock
+// leaves every cmd/ package alone.
 func TestWallclockAllowlist(t *testing.T) {
-	path := lint.ModulePath + "/cmd/progress"
-	lint.WallclockAllowlist = []string{path}
-	defer func() { lint.WallclockAllowlist = nil }()
-	linttest.Run(t, lint.Wallclock, "testdata/wallclock_allowlisted", path)
+	for _, path := range []string{lint.ModulePath + "/cmd/tcsim", lint.ModulePath + "/cmd/tcsimd"} {
+		if lint.Wallclock.Appropriate(path) {
+			t.Errorf("%s should be out of wallclock's scope", path)
+		}
+	}
 }
 
-// TestWallclockAllowlistPrefix: allowlist entries cover subpackages.
+// TestWallclockAllowlistPrefix: the scope is library code, the root
+// package and everything under internal/, whatever their names share
+// with cmd/.
 func TestWallclockAllowlistPrefix(t *testing.T) {
-	lint.WallclockAllowlist = []string{lint.ModulePath + "/cmd"}
-	defer func() { lint.WallclockAllowlist = nil }()
-	if lint.Wallclock.Appropriate(lint.ModulePath + "/cmd/tcsim") {
-		t.Errorf("cmd/tcsim should be exempt under a %s/cmd allowlist entry", lint.ModulePath)
+	for _, path := range []string{lint.ModulePath, lint.ModulePath + "/internal/sim", lint.ModulePath + "/internal/cmd"} {
+		if !lint.Wallclock.Appropriate(path) {
+			t.Errorf("%s must stay covered by wallclock", path)
+		}
 	}
-	if !lint.Wallclock.Appropriate(lint.ModulePath + "/internal/sim") {
-		t.Errorf("internal/sim must stay covered regardless of the cmd allowlist")
+	for _, path := range []string{lint.ModulePath + "/cmd", "example.com/other/internal/sim"} {
+		if lint.Wallclock.Appropriate(path) {
+			t.Errorf("%s should be out of wallclock's scope", path)
+		}
 	}
 }
