@@ -115,7 +115,8 @@ fuzz-smoke:
 # handing slabs of two machine geometries to each other while every cell
 # stays equal to the serial run's), the experiment harnesses'
 # golden-output and Options-plumbing tests (their policy/workload fan-out
-# runs on sweep.Map goroutines), and the job server + client under load.
+# runs on sweep.Map goroutines), the job server + client under load, and
+# the fleet's straggler timer five times per GOMAXPROCS level.
 test-race:
 	$(GO) test -race ./internal/metrics ./internal/sweep
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
@@ -125,6 +126,7 @@ test-race:
 	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy|TestVictimL3HoldsWhatItCaches|TestCastOutStreamReachesL3|TestSparseArenaNeverOutgrowsDense|TestLineTableMatchesMap' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
+	$(GO) test -race -count 5 -cpu 1,2,4 -run 'TestFleetStealsStragglers|TestFleetStragglerAloneRetriesOnItself|TestFleetRecoversTwoStalledAttempts|TestFleetDuplicatesNeverDisplacePendingWork' ./internal/fleet
 
 # End-to-end smoke of the tcsimd job service: boot the daemon, submit a
 # grid, require the job digest to equal the offline sweep digest, and

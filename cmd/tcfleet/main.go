@@ -16,12 +16,13 @@
 // property of the job, not the fleet) and dispatched as shard-scoped
 // jobs carrying full-grid cell indices, so every cell keeps the seed
 // the whole grid derives. Failed shards retry with deterministic
-// backoff, dead workers' leases expire back into the pool, idle
-// workers steal duplicates of stragglers, and with -spool every
-// completed cell is written once as a record under <spool>/cells/, so a
-// killed coordinator's rerun — or any later run that shares cells with
-// it — replays the recorded cells and dispatches only the rest,
-// converging on the uninterrupted digest. See DESIGN.md §11.
+// backoff, a shard whose newest attempt outlives -steal-after (doubled
+// per duplicate) gets one more attempt, preferably on another worker,
+// and with -spool every completed cell is written once as a record
+// under <spool>/cells/, so a killed coordinator's rerun — or any later
+// run that shares cells with it — replays the recorded cells and
+// dispatches only the rest, converging on the uninterrupted digest. See
+// DESIGN.md §11.
 package main
 
 import (
@@ -41,9 +42,9 @@ import (
 	"threadcluster/internal/server"
 )
 
-// systemClock feeds real wall time to the coordinator; cmd/ is the
-// wallclock allowlist boundary, so the time.Now calls live here, not
-// in internal/fleet (DESIGN.md §6).
+// systemClock feeds real wall time to the coordinator. The wallclock
+// analyzer checks library code only and cmd/ is outside its scope, so
+// the time.Now calls live here, not in internal/fleet (DESIGN.md §6).
 type systemClock struct{}
 
 func (systemClock) Now() time.Time { return time.Now() }
@@ -67,8 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		virtualShards = fs.Int("virtual-shards", 0, "virtual-shard ring size (0 = default 64)")
 		maxAttempts   = fs.Int("max-attempts", 0, "failed attempts per shard before the job fails (0 = default 4)")
 		workerSlots   = fs.Int("worker-slots", 0, "concurrent shards per worker (0 = default 1)")
-		lease         = fs.Duration("lease", 0, "shard lease before re-pooling (0 = default 2m)")
-		stealAfter    = fs.Duration("steal-after", 0, "runtime before an idle worker may duplicate a shard (0 = default 30s)")
+		stealAfter    = fs.Duration("steal-after", 0, "runtime after which a shard's newest attempt gets a duplicate, doubling per duplicate (0 = default 30s)")
 		poll          = fs.Duration("poll", 0, "orchestrator idle tick (0 = default 200ms)")
 		retries       = fs.Int("retries", 5, "per-submit 429 retries on each worker (0 = fail fast)")
 		spoolDir      = fs.String("spool", "", "directory for completed grid-cell records, replayed by any later run that shares the cells (empty = no resume)")
@@ -121,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		VirtualShards: *virtualShards,
 		MaxAttempts:   *maxAttempts,
 		WorkerSlots:   *workerSlots,
-		Lease:         *lease,
 		StealAfter:    *stealAfter,
 		Poll:          *poll,
 		SpoolDir:      *spoolDir,

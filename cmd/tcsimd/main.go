@@ -43,9 +43,9 @@ import (
 	"threadcluster/internal/server"
 )
 
-// systemClock feeds real wall time to the server; cmd/ is the wallclock
-// allowlist boundary, so the time.Now calls live here, not in the
-// library (DESIGN.md §6).
+// systemClock feeds real wall time to the server. The wallclock
+// analyzer checks library code only and cmd/ is outside its scope, so
+// the time.Now calls live here, not in the library (DESIGN.md §6).
 type systemClock struct{}
 
 func (systemClock) Now() time.Time { return time.Now() }

@@ -99,12 +99,8 @@ func (f *Filter) Claimed() int {
 	return n
 }
 
-// Admits and Drops return the filter's accept/reject counts.
+// Admits returns how many samples the filter accepted.
 func (f *Filter) Admits() uint64 { return f.admits }
-
-// Drops returns how many samples the filter rejected (collisions and
-// quota overruns).
-func (f *Filter) Drops() uint64 { return f.drops }
 
 // Reset clears all claims, e.g. when the engine re-enters the detection
 // phase so "previously victimized threads obtain another chance"

@@ -124,10 +124,6 @@ type Figure5Result struct {
 	// Heatmap is the ASCII rendering: one row per thread, grouped by
 	// detected cluster, globally shared columns removed.
 	Heatmap string
-	// Rows are the raw intensity rows behind the heatmap, and RowGroups
-	// the per-cluster row counts (for the PNG renderer).
-	Rows      [][]uint8
-	RowGroups []int
 	// Clusters is the detected clustering.
 	Clusters []clustering.Cluster
 	// Purity and RandIndex score the clustering against the workload's
@@ -188,11 +184,9 @@ func renderFigure5(name string, d *detectionSnapshot) Figure5Result {
 
 	var rows [][]uint8
 	var labels []string
-	var groups []int
 	for ci, c := range clusters {
 		members := append([]clustering.ThreadKey{}, c.Members...)
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		inGroup := 0
 		for _, tk := range members {
 			m, ok := shmaps[tk]
 			if !ok {
@@ -207,10 +201,6 @@ func renderFigure5(name string, d *detectionSnapshot) Figure5Result {
 			}
 			rows = append(rows, row)
 			labels = append(labels, fmt.Sprintf("c%d/t%d", ci, tk))
-			inGroup++
-		}
-		if inGroup > 0 {
-			groups = append(groups, inGroup)
 		}
 	}
 
@@ -218,8 +208,6 @@ func renderFigure5(name string, d *detectionSnapshot) Figure5Result {
 	return Figure5Result{
 		Workload:  name,
 		Heatmap:   stats.Heatmap(rows, labels),
-		Rows:      rows,
-		RowGroups: groups,
 		Clusters:  clusters,
 		Purity:    clustering.Purity(clusters, truth),
 		RandIndex: clustering.RandIndex(clusters, truth),

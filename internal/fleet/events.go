@@ -15,19 +15,18 @@ import (
 const (
 	// EventPhase marks a phase transition: plan -> run -> merge.
 	EventPhase = "phase"
-	// EventShardLeased: a shard was dispatched to a worker.
+	// EventShardLeased: a pending shard was dispatched to a worker.
 	EventShardLeased = "shard_leased"
 	// EventShardDone: a shard's payload was accepted and scattered.
 	EventShardDone = "shard_done"
-	// EventShardRetry: an attempt failed; the shard will be re-leased.
+	// EventShardRetry: an attempt failed; unless another attempt is
+	// still running, the shard is re-leased after a backoff.
 	EventShardRetry = "shard_retry"
-	// EventShardSteal: an idle worker was given a duplicate of a
-	// straggling shard (first completion wins).
+	// EventShardSteal: a running shard whose newest attempt outlived
+	// its straggler timer was given a duplicate attempt; the earlier
+	// attempts keep running and the first completion wins (shard
+	// results are pure).
 	EventShardSteal = "shard_steal"
-	// EventLeaseExpired: a lease ran out; the shard re-enters the
-	// pending pool while the stale attempt keeps running (its result,
-	// if it ever lands first, is still valid — shard results are pure).
-	EventLeaseExpired = "lease_expired"
 	// EventWorkerDown / EventWorkerUp track health transitions.
 	EventWorkerDown = "worker_down"
 	EventWorkerUp   = "worker_up"

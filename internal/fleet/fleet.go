@@ -8,20 +8,20 @@
 // would assign — and scatters completed shards back into full-grid
 // positions. The merged payload and its sha256 digest equal an offline
 // experiments.RunGrid run of the same spec for any fleet size, worker
-// arrival order, retry schedule, lease expiry, steal or crash pattern,
+// arrival order, retry schedule, duplicate attempt or crash pattern,
 // because every mechanism only ever changes *where and when* a pure
 // function is evaluated, never *what* it evaluates (DESIGN.md §11).
 //
 // Robustness is first-class rather than bolted on: failed attempts
-// retry with a deterministic seed-derived backoff, leases expire so a
-// hung worker's shards re-enter the pool, idle workers steal duplicate
-// attempts of stragglers (first completion wins; duplicates are safe
-// because shard results are pure), and the spool's write-once cell
-// records let a killed coordinator resume to the uninterrupted digest.
+// retry with a deterministic seed-derived backoff, a shard whose newest
+// attempt outlives StealAfter (doubled per duplicate) gets one more
+// attempt, preferably on another worker, while the earlier ones keep
+// running (first completion wins: shard results are pure), and the
+// spool's write-once cell records let a killed coordinator resume to
+// the uninterrupted digest.
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -37,8 +37,8 @@ import (
 // clock, tests a server.FakeClock — internal/fleet itself stays
 // wallclock-clean per DESIGN.md §6).
 type Options struct {
-	// Clock is the coordinator's only source of wall time: leases,
-	// steal timers and event timestamps. Required.
+	// Clock is the coordinator's only source of wall time: straggler
+	// timers and event timestamps. Required.
 	Clock server.Clock
 
 	// Registry receives the fleet_* operational metrics; nil allocates
@@ -46,7 +46,7 @@ type Options struct {
 	Registry *metrics.Registry
 
 	// VirtualShards is the ring size cells are hashed onto — the unit
-	// of dispatch, retry and theft. Default 64.
+	// of dispatch, retry and duplication. Default 64.
 	VirtualShards int
 
 	// MaxAttempts bounds failed attempts per shard before the job
@@ -57,13 +57,11 @@ type Options struct {
 	// Default 1.
 	WorkerSlots int
 
-	// Lease is how long a dispatched shard may run before the
-	// coordinator re-pools it (the stale attempt keeps running; its
-	// completion, if it lands first, still counts). Default 2m.
-	Lease time.Duration
-
-	// StealAfter is how long a shard must be running before an idle
-	// worker may be handed a duplicate attempt. Default 30s.
+	// StealAfter is the only straggler timer: once a running shard's
+	// newest attempt has run longer than StealAfter·2^k, where k is the
+	// duplicates it already has, the shard gets one more attempt on a
+	// free slot, another worker's if any has one. Earlier attempts keep
+	// running and the first completion wins. Default 30s.
 	StealAfter time.Duration
 
 	// Poll is the orchestrator loop's idle tick. Default 200ms.
@@ -84,11 +82,6 @@ type Options struct {
 
 	// Events receives the NDJSON event stream; nil discards it.
 	Events io.Writer
-
-	// Sleep waits out one poll tick or retry delay; nil uses a
-	// ctx-aware timer. Tests inject it to drive a FakeClock instead of
-	// sleeping.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // withDefaults resolves the zero-value knobs.
@@ -104,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WorkerSlots <= 0 {
 		o.WorkerSlots = 1
-	}
-	if o.Lease <= 0 {
-		o.Lease = 2 * time.Minute
 	}
 	if o.StealAfter <= 0 {
 		o.StealAfter = 30 * time.Second
@@ -143,7 +133,6 @@ type Coordinator struct {
 	mStolen    map[string]*metrics.Counter
 	mRetried   map[string]*metrics.Counter
 	mCompleted map[string]*metrics.Counter
-	mExpired   map[string]*metrics.Counter
 }
 
 // New builds a coordinator over the given workers. Worker names must
@@ -165,7 +154,6 @@ func New(workers []Worker, opt Options) (*Coordinator, error) {
 		mStolen:    make(map[string]*metrics.Counter, len(workers)),
 		mRetried:   make(map[string]*metrics.Counter, len(workers)),
 		mCompleted: make(map[string]*metrics.Counter, len(workers)),
-		mExpired:   make(map[string]*metrics.Counter, len(workers)),
 	}
 	reg := c.opt.Registry
 	for _, w := range workers {
@@ -182,7 +170,6 @@ func New(workers []Worker, opt Options) (*Coordinator, error) {
 		c.mStolen[name] = reg.Counter("fleet_shards_stolen_total", labels)
 		c.mRetried[name] = reg.Counter("fleet_shard_retries_total", labels)
 		c.mCompleted[name] = reg.Counter("fleet_shards_completed_total", labels)
-		c.mExpired[name] = reg.Counter("fleet_leases_expired_total", labels)
 		reg.RegisterGaugeFunc("fleet_worker_up", labels, func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
@@ -258,21 +245,4 @@ func (c *Coordinator) inflightOf(name string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.inflight[name]
-}
-
-// sleep waits out d via the injected Sleep or a ctx-aware timer.
-// time.NewTimer (not time.Now) keeps this inside the wallclock
-// contract: durations are scheduling, not timestamps.
-func (c *Coordinator) sleep(ctx context.Context, d time.Duration) error {
-	if c.opt.Sleep != nil {
-		return c.opt.Sleep(ctx, d)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

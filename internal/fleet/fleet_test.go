@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -142,7 +143,6 @@ func fastOptions() Options {
 		Poll:          time.Millisecond,
 		RetryBase:     time.Millisecond,
 		PingTimeout:   100 * time.Millisecond,
-		Lease:         time.Minute,
 		StealAfter:    time.Minute,
 	}
 }
@@ -217,35 +217,64 @@ func TestFleetFailsWhenAllWorkersDead(t *testing.T) {
 	}
 }
 
+// runStalled runs spec on a fleet of workers under a 10 s deadline,
+// requires the offline bytes and returns the event stream. A
+// coordinator that waits on a wedged attempt fails here within seconds
+// instead of hanging until the test binary's timeout.
+func runStalled(t *testing.T, opt Options, spec server.JobSpec, workers ...Worker) []Event {
+	t.Helper()
+	var events bytes.Buffer
+	opt.Events = &events
+	c, err := New(workers, opt)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	want, _ := offlinePayload(t, spec)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, got, err := c.Run(ctx, spec); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Run: %v, payload equals offline: %v\n%s", err, bytes.Equal(got, want), events.String())
+	}
+	var evs []Event
+	for dec := json.NewDecoder(&events); dec.More(); {
+		var ev Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("decoding event stream: %v", err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+// wedged is a fake worker whose first attempt hangs until the run ends.
+func wedged(name string) *fakeWorker {
+	w := newFakeWorker(name)
+	w.hangFirst.Store(true)
+	return w
+}
+
+// steals counts the duplicate attempts in an event stream.
+func steals(evs []Event) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Type == EventShardSteal {
+			n++
+		}
+	}
+	return n
+}
+
 // TestFleetStealsStragglers: one worker wedges on its first shard; an
 // idle peer is handed a duplicate and the job finishes with the
 // offline bytes. Duplicate completions are safe because shard results
 // are pure functions of the spec.
 func TestFleetStealsStragglers(t *testing.T) {
-	slow := newFakeWorker("slow")
-	slow.hangFirst.Store(true)
-	fast := newFakeWorker("fast")
 	opt := fastOptions()
 	opt.StealAfter = 5 * time.Millisecond
-	opt.Lease = time.Hour // recovery must come from theft, not lease expiry
-	var events bytes.Buffer
-	opt.Events = &events
 	reg := metrics.NewRegistry()
 	opt.Registry = reg
-	c, err := New([]Worker{slow, fast}, opt)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	want, _ := offlinePayload(t, testSpec("steal-job"))
-	_, got, err := c.Run(context.Background(), testSpec("steal-job"))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fleet payload differs from offline after steal")
-	}
-	if !strings.Contains(events.String(), `"shard_steal"`) {
-		t.Fatalf("no shard_steal event in stream:\n%s", events.String())
+	if evs := runStalled(t, opt, testSpec("steal-job"), wedged("slow"), newFakeWorker("fast")); steals(evs) == 0 {
+		t.Fatalf("no shard_steal event in stream: %+v", evs)
 	}
 	var expo bytes.Buffer
 	if err := reg.WritePrometheus(&expo); err != nil {
@@ -256,31 +285,61 @@ func TestFleetStealsStragglers(t *testing.T) {
 	}
 }
 
-// TestFleetLeaseExpiry: a wedged primary's lease runs out, the shard
-// re-enters the pool and a peer completes it.
-func TestFleetLeaseExpiry(t *testing.T) {
-	slow := newFakeWorker("wedged")
-	slow.hangFirst.Store(true)
-	fast := newFakeWorker("healthy")
+// TestFleetStragglerAloneRetriesOnItself: a fleet of one worker with two
+// slots wedges its first attempt. With no peer to prefer, the duplicate
+// goes to the stalled worker's free slot.
+func TestFleetStragglerAloneRetriesOnItself(t *testing.T) {
 	opt := fastOptions()
-	opt.Lease = 5 * time.Millisecond
-	opt.StealAfter = time.Hour // recovery must come from the lease, not theft
-	var events bytes.Buffer
-	opt.Events = &events
-	c, err := New([]Worker{slow, fast}, opt)
-	if err != nil {
-		t.Fatalf("New: %v", err)
+	opt.WorkerSlots = 2
+	opt.StealAfter = 5 * time.Millisecond
+	if evs := runStalled(t, opt, testSpec("alone-job"), wedged("alone")); steals(evs) == 0 {
+		t.Fatalf("no shard_steal event in stream: %+v", evs)
 	}
-	want, _ := offlinePayload(t, testSpec("lease-job"))
-	_, got, err := c.Run(context.Background(), testSpec("lease-job"))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+}
+
+// TestFleetRecoversTwoStalledAttempts: on a one-cell grid, both workers
+// wedge their first attempt, the placement and then its duplicate, which
+// goes to the peer although the stalled worker has a free slot. The
+// duplicate's own timer, twice as long, gives the shard a third attempt.
+func TestFleetRecoversTwoStalledAttempts(t *testing.T) {
+	opt := fastOptions()
+	opt.WorkerSlots = 2
+	opt.StealAfter = 5 * time.Millisecond
+	spec := testSpec("two-stalls")
+	spec.Workloads, spec.Policies = []string{"microbenchmark"}, []string{"default"}
+	evs := runStalled(t, opt, spec, wedged("a"), wedged("b"))
+	var on []string
+	for _, ev := range evs {
+		if ev.Type == EventShardLeased || ev.Type == EventShardSteal {
+			on = append(on, ev.Worker)
+		}
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("fleet payload differs from offline after lease expiry")
+	if steals(evs) < 2 || on[0] == on[1] {
+		t.Fatalf("want >= 2 duplicates, the first on the peer; attempts ran on %v", on)
 	}
-	if !strings.Contains(events.String(), `"lease_expired"`) {
-		t.Fatalf("no lease_expired event in stream:\n%s", events.String())
+}
+
+// TestFleetDuplicatesNeverDisplacePendingWork: with a straggler timer
+// shorter than any shard, every running shard is late at once, yet no
+// duplicate is dispatched before every shard has had its first
+// placement.
+func TestFleetDuplicatesNeverDisplacePendingWork(t *testing.T) {
+	opt := fastOptions()
+	opt.StealAfter = time.Nanosecond
+	evs := runStalled(t, opt, testSpec("pending-first"), wedged("slow"), newFakeWorker("fast"))
+	placed, stole := make(map[string]bool), false
+	for _, ev := range evs {
+		switch {
+		case ev.Type == EventShardSteal:
+			stole = true
+		case ev.Type == EventShardLeased && stole && !placed[ev.Shard]:
+			t.Fatalf("shard %s first placed after a duplicate: %+v", ev.Shard, evs)
+		case ev.Type == EventShardLeased:
+			placed[ev.Shard] = true
+		}
+	}
+	if !stole || len(placed) < 3 {
+		t.Fatalf("want a duplicate after >= 3 placements, got %d placements: %+v", len(placed), evs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"threadcluster/internal/errs"
@@ -32,16 +33,15 @@ type shardRun struct {
 	shard     Shard
 	remaining []int // cells still to compute (record hits filtered out)
 
-	state      shardState
-	attempts   int // dispatches, lifetime
-	failures   int // failed completions, lifetime
-	inFlight   int // outstanding attempts (primary + steals)
-	stolen     bool
-	worker     string // primary lessee while running
-	leaseStart time.Time
-	leaseUntil time.Time
-	notBefore  time.Time      // retry backoff gate while pending
-	tried      map[string]int // failures/expiries per worker, for placement
+	state     shardState
+	attempts  int             // dispatches, lifetime
+	failures  int             // failed completions, lifetime
+	inFlight  int             // outstanding attempts (placement + duplicates)
+	dups      int             // duplicates dispatched since the shard left the pool
+	worker    string          // the newest attempt's worker while running
+	started   time.Time       // the newest attempt's dispatch time
+	notBefore time.Time       // retry backoff gate while pending
+	tried     map[string]bool // workers that failed or stalled on it, for placement
 }
 
 func (sh *shardRun) name() string { return fmt.Sprintf("s%d", sh.shard.Slot) }
@@ -50,7 +50,6 @@ func (sh *shardRun) name() string { return fmt.Sprintf("s%d", sh.shard.Slot) }
 type completion struct {
 	slot   int
 	worker string
-	steal  bool
 	tasks  []server.TaskResult
 	err    error
 }
@@ -77,7 +76,7 @@ type runState struct {
 // payload, its canonical bytes (exactly what tcsimd's result endpoint
 // would serve) and any error. The payload and digest are byte-identical
 // to an offline experiments.RunGrid of the same spec regardless of
-// fleet size, worker deaths, retries, lease expiries, steals or a
+// fleet size, worker deaths, retries, duplicate attempts or a
 // previous coordinator crash resumed from the spool's cell records.
 //
 // The spec must not be shard-scoped already (Cells set) — sharding is
@@ -136,7 +135,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 
 	// Plan: the ring partition, minus the recorded cells.
 	for _, sh := range Partition(cells, c.opt.VirtualShards) {
-		r := &shardRun{shard: sh, tried: make(map[string]int)}
+		r := &shardRun{shard: sh, tried: make(map[string]bool)}
 		for _, idx := range sh.Indices {
 			if !hit[idx] {
 				r.remaining = append(r.remaining, idx)
@@ -188,10 +187,9 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 			break
 		}
 		now := c.opt.Clock.Now()
-		st.expireLeases(now)
 		st.probeDown(ctx)
 		st.dispatchPending(now)
-		st.stealStragglers(now)
+		st.duplicateStragglers(now)
 
 		if st.anyInFlight() || st.anyLive() {
 			barren = 0
@@ -203,19 +201,18 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 			}
 		}
 
-		// Sleep out the tick, but wake immediately on a completion.
-		tick := make(chan struct{})
-		go func() {
-			_ = c.sleep(runCtx, c.opt.Poll)
-			close(tick)
-		}()
+		// Wait out the tick, but wake immediately on a completion.
+		tick := time.NewTimer(c.opt.Poll)
+		var err error
 		select {
 		case comp := <-st.comps:
-			if err := st.handle(comp, c.opt.Clock.Now()); err != nil {
-				return fail(err)
-			}
-		case <-tick:
+			err = st.handle(comp, c.opt.Clock.Now())
+		case <-tick.C:
 		case <-ctx.Done():
+		}
+		tick.Stop()
+		if err != nil {
+			return fail(err)
 		}
 	}
 
@@ -248,7 +245,7 @@ func (st *runState) handle(comp completion, now time.Time) error {
 		}
 		st.c.mRetried[comp.worker].Inc()
 		sh.failures++
-		sh.tried[comp.worker]++
+		sh.tried[comp.worker] = true
 		if workerDown(comp.err) && st.c.setLive(comp.worker, false) {
 			st.sink.emit(Event{Type: EventWorkerDown, Worker: comp.worker, Error: comp.err.Error()})
 		}
@@ -325,8 +322,9 @@ func (st *runState) accept(sh *shardRun, tasks []server.TaskResult) error {
 	return nil
 }
 
-// dispatch launches one attempt of sh on w.
-func (st *runState) dispatch(sh *shardRun, w Worker, steal bool, now time.Time) {
+// dispatch launches one attempt of sh on w: a placement of a pending
+// shard, or a duplicate of a running one.
+func (st *runState) dispatch(sh *shardRun, w Worker, now time.Time) {
 	sh.attempts++
 	attempt := sh.attempts
 	name := w.Name()
@@ -337,43 +335,27 @@ func (st *runState) dispatch(sh *shardRun, w Worker, steal bool, now time.Time) 
 	// holds an earlier twin.
 	sub.ID = fmt.Sprintf("%s-%s-a%d", st.norm.ID, sh.name(), attempt)
 
-	sh.inFlight++
-	st.c.addInflight(name, 1)
-	if steal {
-		sh.stolen = true
+	typ := EventShardLeased
+	if sh.state == shardRunning {
+		typ = EventShardSteal
+		sh.dups++
 		st.c.mStolen[name].Inc()
-		st.sink.emit(Event{Type: EventShardSteal, Shard: sh.name(), Worker: name, Attempt: attempt})
 	} else {
 		sh.state = shardRunning
-		sh.worker = name
-		sh.leaseStart = now
-		sh.leaseUntil = now.Add(st.c.opt.Lease)
+		sh.dups = 0
 		st.c.mLeased[name].Inc()
-		st.sink.emit(Event{Type: EventShardLeased, Shard: sh.name(), Worker: name, Attempt: attempt})
 	}
+	sh.inFlight++
+	sh.worker, sh.started = name, now
+	st.c.addInflight(name, 1)
+	st.sink.emit(Event{Type: typ, Shard: sh.name(), Worker: name, Attempt: attempt})
 	go func() {
 		tasks, err := w.RunShard(st.ctx, sub)
 		select {
-		case st.comps <- completion{slot: sh.shard.Slot, worker: name, steal: steal, tasks: tasks, err: err}:
+		case st.comps <- completion{slot: sh.shard.Slot, worker: name, tasks: tasks, err: err}:
 		case <-st.ctx.Done():
 		}
 	}()
-}
-
-// expireLeases re-pools running shards whose lease ran out. The stale
-// attempt keeps running — if it lands first it still wins, because
-// shard results are pure — but the shard no longer waits for it.
-func (st *runState) expireLeases(now time.Time) {
-	for _, sh := range st.runs {
-		if sh.state != shardRunning || !now.After(sh.leaseUntil) {
-			continue
-		}
-		st.c.mExpired[sh.worker].Inc()
-		st.sink.emit(Event{Type: EventLeaseExpired, Shard: sh.name(), Worker: sh.worker, Attempt: sh.attempts})
-		sh.tried[sh.worker]++
-		sh.state = shardPending
-		sh.notBefore = now
-	}
 }
 
 // probeDown pings workers currently marked down; a successful probe
@@ -401,7 +383,7 @@ func (st *runState) dispatchPending(now time.Time) {
 			continue
 		}
 		if w := st.pickWorker(sh); w != nil {
-			st.dispatch(sh, w, false, now)
+			st.dispatch(sh, w, now)
 		}
 	}
 }
@@ -422,7 +404,7 @@ func (st *runState) pickWorker(sh *shardRun) Worker {
 		if best == nil || score > bestScore {
 			best, bestScore = w, score
 		}
-		if sh.tried[name] == 0 && (bestUntried == nil || score > bestUntriedScore) {
+		if !sh.tried[name] && (bestUntried == nil || score > bestUntriedScore) {
 			bestUntried, bestUntriedScore = w, score
 		}
 	}
@@ -432,39 +414,28 @@ func (st *runState) pickWorker(sh *shardRun) Worker {
 	return best
 }
 
-// stealStragglers hands idle capacity a duplicate attempt of the
-// longest-running unstolen shard. First completion wins; the loser is
-// discarded on arrival. Stealing only happens when nothing is pending
-// — pending work always outranks duplicating running work.
-func (st *runState) stealStragglers(now time.Time) {
+// duplicateStragglers gives one more attempt to each running shard
+// whose newest attempt has run longer than StealAfter·2^k, k being the
+// duplicates it already has, oldest first. The stalled worker counts as
+// tried, so the attempt goes to a peer unless no peer has a free slot.
+// It runs after dispatchPending, so pending work always outranks
+// duplicates: a ready pending shard left unplaced means no live worker
+// has a free slot, and pickWorker then finds none here either.
+func (st *runState) duplicateStragglers(now time.Time) {
+	var late []*shardRun
 	for _, sh := range st.runs {
-		if sh.state == shardPending && !now.Before(sh.notBefore) {
-			return // capacity was short this tick; don't spend it on duplicates
+		if sh.state == shardRunning && now.Sub(sh.started) > st.c.opt.StealAfter<<sh.dups {
+			late = append(late, sh)
 		}
 	}
-	for _, w := range st.c.workers {
-		name := w.Name()
-		if !st.c.isLive(name) || st.c.inflightOf(name) >= st.c.opt.WorkerSlots {
-			continue
+	sort.SliceStable(late, func(i, j int) bool { return late[i].started.Before(late[j].started) })
+	for _, sh := range late {
+		sh.tried[sh.worker] = true
+		w := st.pickWorker(sh)
+		if w == nil {
+			return // every live worker is full
 		}
-		var victim *shardRun
-		for _, sh := range st.runs {
-			if sh.state != shardRunning || sh.stolen || sh.inFlight != 1 {
-				continue
-			}
-			if sh.worker == name || sh.tried[name] > 0 {
-				continue
-			}
-			if !now.After(sh.leaseStart.Add(st.c.opt.StealAfter)) {
-				continue
-			}
-			if victim == nil || sh.leaseStart.Before(victim.leaseStart) {
-				victim = sh
-			}
-		}
-		if victim != nil {
-			st.dispatch(victim, w, true, now)
-		}
+		st.dispatch(sh, w, now)
 	}
 }
 

@@ -141,11 +141,6 @@ func (a *Arena) MustAlloc(size uint64, align uint64) Region {
 	return r
 }
 
-// AllocLines reserves n cache lines, line-aligned.
-func (a *Arena) AllocLines(n uint64) (Region, error) {
-	return a.Alloc(n*LineSize, LineSize)
-}
-
 // Used returns the number of bytes handed out so far (including alignment
 // padding).
 func (a *Arena) Used() uint64 { return uint64(a.next) - uint64(a.base) }

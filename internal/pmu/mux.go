@@ -100,9 +100,6 @@ func (m *Multiplexer) Advance(cycles uint64) {
 // completed — the denominator of multiplexing-coverage metrics.
 func (m *Multiplexer) Rotations() uint64 { return m.rotations }
 
-// NumGroups returns how many event groups rotate through the counters.
-func (m *Multiplexer) NumGroups() int { return len(m.groups) }
-
 // Estimate returns the scaled full-run estimate for an event: the observed
 // count divided by the fraction of cycles the event's group was scheduled.
 // Events never scheduled (or not monitored) estimate to zero.

@@ -208,9 +208,6 @@ func (s *Scheduler) Migrate(id ThreadID, cpu topology.CPUID) error {
 // balancing will not undo the placement by moving it across chips.
 func (s *Scheduler) Pin(id ThreadID) { s.pinned[id] = true }
 
-// Unpin releases an engine placement (e.g. before re-clustering).
-func (s *Scheduler) Unpin(id ThreadID) { delete(s.pinned, id) }
-
 // CPUOf returns the CPU a thread is assigned to.
 func (s *Scheduler) CPUOf(id ThreadID) (topology.CPUID, bool) {
 	cpu, ok := s.cpuOf[id]

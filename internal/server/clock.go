@@ -11,9 +11,9 @@ import (
 // library code because wall time in a result path breaks byte-identical
 // replay; the server legitimately needs wall time for operational
 // output, so it is injected here instead: cmd/tcsimd supplies the system
-// clock (cmd/ is on the wallclock allowlist), tests supply a FakeClock,
-// and internal/server itself stays wallclock-clean. Nothing a Clock
-// returns ever enters a job's result payload.
+// clock (cmd/ is outside the wallclock analyzer's scope), tests supply a
+// FakeClock, and internal/server itself stays wallclock-clean. Nothing a
+// Clock returns ever enters a job's result payload.
 type Clock interface {
 	// Now returns the current wall time.
 	Now() time.Time
