@@ -108,7 +108,9 @@ fuzz-smoke:
 # levels, the refusal of hostile restored cache states in both coherence
 # modes, Run's saturating budget, the lazily built slabs (lazy == eager at every step, first
 # Inserts racing on the pool from lane goroutines), the sparse victim L3
-# (sparse == dense, one block per filled set), the presence table against
+# (sparse == dense, also on a 12-way L3 of few sets whose sets start in
+# 4-way blocks and are promoted, inside the lane goroutines too; one block
+# per filled set, small until the set's fifth line), the presence table against
 # a Go map, and the slab pool
 # (released == fresh word for word, reuse after Close and after a
 # failed interval or restore, and sweep workers
@@ -123,7 +125,7 @@ test-race:
 	$(GO) test -race -short -run 'TestCatalogueSharesCells|TestExperimentsCloseEveryMachine' -cpu 1,2,4 ./internal/experiments
 	$(GO) test -race -run 'TestGridRecyclesAcrossWorkers|TestBuildFailureRecyclesSlabs|TestGridCellsCloseTheirMachine' -cpu 1,2,4 ./internal/experiments
 	$(GO) test -race -run 'TestEngine|TestRunSlice|TestRunSaturates|TestNextAdapter|TestSnapshot|TestGolden|TestClose' ./internal/sim
-	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy|TestVictimL3HoldsWhatItCaches|TestCastOutStreamReachesL3|TestSparseArenaNeverOutgrowsDense|TestLineTableMatchesMap' -cpu 1,2,4 ./internal/cache
+	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy|TestVictimL3HoldsWhatItCaches|TestCastOutStreamReachesL3|TestPromoteStreamReachesFullBlock|TestSparseArenaNeverOutgrowsDense|TestLineTableMatchesMap' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
 	$(GO) test -race -count 5 -cpu 1,2,4 -run 'TestFleetStealsStragglers|TestFleetStragglerAloneRetriesOnItself|TestFleetRecoversTwoStalledAttempts|TestFleetDuplicatesNeverDisplacePendingWork' ./internal/fleet

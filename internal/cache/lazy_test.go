@@ -69,31 +69,40 @@ func stateBytes(t *testing.T, h *Hierarchy) []byte {
 	return e.Bytes()
 }
 
+// denseCache is freshCache in the dense layout whatever the cache's role:
+// the eager hierarchies below hold dense L3s, the oracle of the sparse
+// ones their lazy twins build.
+func denseCache(t testing.TB, cfg Config, _ bool) *SetAssoc { return freshCache(t, cfg, false) }
+
 // TestLazyHierarchyEqualsEager replays the three-way differential's
 // access streams through a hierarchy whose caches build at their first
-// Insert and one whose caches were all built at construction, in both
-// coherence modes, and requires them indistinguishable after every single
-// access: the result, every counter, the directory's occupancy and peak,
-// its ground-truth check, and every cache's snapshot bytes. At the end
-// the lazy state is restored into a third hierarchy, which must build
-// exactly the caches the snapshot has lines for.
+// Insert and one whose caches were all built densely at construction, in
+// both coherence modes, and on SmallConfig and on wideL3Config, whose
+// sparse L3 sets start small and are promoted, and requires them
+// indistinguishable after every single access: the result, every
+// counter, the directory's occupancy and peak, its ground-truth check,
+// and every cache's snapshot bytes. At the end the lazy state is restored
+// into a third hierarchy, which must build exactly the caches the
+// snapshot has lines for.
 func TestLazyHierarchyEqualsEager(t *testing.T) {
 	cases := []struct {
 		name string
 		topo topology.Topology
+		cfg  HierarchyConfig
 		ops  int
 	}{
-		{"open720", topology.OpenPower720(), 6000},
-		{"32way", topology.Power5_32Way(), 3000},
+		{"open720", topology.OpenPower720(), SmallConfig(), 6000},
+		{"32way", topology.Power5_32Way(), SmallConfig(), 3000},
+		{"open720-wideL3", topology.OpenPower720(), wideL3Config(), 6000},
 	}
 	for _, tc := range cases {
 		for _, mode := range []CoherenceMode{CoherenceDirectory, CoherenceBroadcast} {
 			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
-				cfg := SmallConfig()
+				cfg := tc.cfg
 				cfg.Coherence = mode
 				lat := topology.DefaultLatencies()
 				lazy := hierarchyOf(t, shellCache, tc.topo, lat, cfg)
-				eager := hierarchyOf(t, freshCache, tc.topo, lat, cfg)
+				eager := hierarchyOf(t, denseCache, tc.topo, lat, cfg)
 				w := newDiffWorkload(tc.topo, 2*tc.topo.NumCPUs(), 96, 42)
 				ops := tc.ops
 				if testing.Short() {
@@ -153,16 +162,22 @@ func TestLazyHierarchyEqualsEager(t *testing.T) {
 // Insert into a chip's caches happens on that chip's lane goroutine, so
 // several lanes build (and draw on the slab pool) at once. Slice after
 // slice of one goroutine per lane on a lazy hierarchy must equal the same
-// per-chip streams driven serially through an eagerly built one, and a
-// released hierarchy's slabs go round again for the next seed. For the
-// race detector.
+// per-chip streams driven serially through an eagerly built dense one,
+// and a released hierarchy's slabs go round again for the next seed. On
+// wideL3Config the lanes also promote their L3 sets. For the race
+// detector.
 func TestLazyBuildInsideLanes(t *testing.T) {
 	topo := topology.Power5_32Way()
-	cfg := SmallConfig()
+	for _, base := range []HierarchyConfig{SmallConfig(), wideL3Config()} {
+		lazyBuildInsideLanes(t, topo, base)
+	}
+}
+
+func lazyBuildInsideLanes(t *testing.T, topo topology.Topology, cfg HierarchyConfig) {
 	cfg.Coherence = CoherenceDirectory
 	for _, seed := range []int64{1, 42, 7} {
 		lazy := hierarchyOf(t, shellCache, topo, topology.DefaultLatencies(), cfg)
-		eager := hierarchyOf(t, freshCache, topo, topology.DefaultLatencies(), cfg)
+		eager := hierarchyOf(t, denseCache, topo, topology.DefaultLatencies(), cfg)
 		w := newDiffWorkload(topo, 2*topo.NumCPUs(), 96, seed)
 		slices := 120
 		if testing.Short() {
@@ -195,7 +210,7 @@ func TestLazyBuildInsideLanes(t *testing.T) {
 				l := eager.Lane(chip)
 				for i, st := range byChip[chip] {
 					if want := l.Access(st.cpu, st.addr, st.write); got[chip][i] != want {
-						t.Fatalf("seed %d slice %d chip %d op %d: lazy %+v, eager %+v", seed, s, chip, i, got[chip][i], want)
+						t.Fatalf("L3 %+v seed %d slice %d chip %d op %d: lazy %+v, eager %+v", cfg.L3, seed, s, chip, i, got[chip][i], want)
 					}
 				}
 			}
@@ -204,7 +219,7 @@ func TestLazyBuildInsideLanes(t *testing.T) {
 			compareDrainState(t, seed, s, lazy, eager)
 		}
 		if !bytes.Equal(stateBytes(t, lazy), stateBytes(t, eager)) {
-			t.Fatalf("seed %d: SaveState encodings diverge", seed)
+			t.Fatalf("L3 %+v seed %d: SaveState encodings diverge", cfg.L3, seed)
 		}
 		lazy.Release()
 		eager.Release()

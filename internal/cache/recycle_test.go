@@ -61,8 +61,9 @@ func hierarchyOf(t testing.TB, cache func(testing.TB, Config, bool) *SetAssoc, t
 // releaseChecked releases the cache and fails unless it is an empty shell
 // afterwards and the slabs it parked, if it had any, equal freshly
 // allocated ones word for word. A sparse cache parks an empty arena of
-// the capacity it grew to, whose old words block rewrites as it hands
-// each out again, so its image is its (empty) arena and its directory.
+// the capacity it grew to, whose old words claim rewrites as it hands
+// each way out again, so its image is its (empty) arena and its
+// directory.
 func releaseChecked(t *testing.T, c *SetAssoc) {
 	t.Helper()
 	parked := c.slabs
@@ -90,6 +91,33 @@ func releaseChecked(t *testing.T, c *SetAssoc) {
 	}
 	if !slices.Equal(parked.setDir, want.setDir) {
 		t.Fatalf("%+v: released set directory keeps blocks", c.cfg)
+	}
+}
+
+// restoredWidths fails unless every set of a cache restoreCache just
+// built holds the block Insert would have given it: none when it holds no
+// line, a small one when its highest valid way is below smallWays (and
+// the cache is wider than that), a full one otherwise.
+func restoredWidths(t *testing.T, c *SetAssoc) {
+	t.Helper()
+	for set := 0; set < c.nsets && c.tags != nil; set++ {
+		b, n := c.setBlock(set)
+		top := -1
+		for i := 0; i < n; i++ {
+			if c.states[b+i] != Invalid {
+				top = i
+			}
+		}
+		want := c.ways
+		switch {
+		case top < 0 && c.sparse:
+			want = 0
+		case top < smallWays && c.sparse && c.ways > smallWays:
+			want = smallWays
+		}
+		if n != want {
+			t.Fatalf("%+v sparse=%v: restored set %d, highest valid way %d, holds a block of %d ways, want %d", c.cfg, c.sparse, set, top, n, want)
+		}
 	}
 }
 
@@ -156,13 +184,16 @@ func cacheBytes(c *SetAssoc) string {
 }
 
 // recycleGeometries: a power-of-two set count, two that are not (one
-// spanning several bitmap words with a partial last word), and the
-// one-set cache.
+// spanning several bitmap words with a partial last word), the one-set
+// cache, and sixteen 12-way sets — wider than a sparse cache's small
+// block, and few enough that the streams promote sets and evict from
+// their full blocks while others stay small.
 var recycleGeometries = []Config{
 	{SizeBytes: 128 * 2 * memory.LineSize, Ways: 2},
 	{SizeBytes: 100 * 3 * memory.LineSize, Ways: 3},
 	{SizeBytes: 1638 * 10 * memory.LineSize, Ways: 10},
 	{SizeBytes: 4 * memory.LineSize, Ways: 4},
+	{SizeBytes: 16 * 12 * memory.LineSize, Ways: 12},
 }
 
 // TestReleasedEqualsFresh is the oracle of the slab pool: whatever a
@@ -194,6 +225,7 @@ func TestReleasedEqualsFresh(t *testing.T) {
 					if cacheBytes(d) != saved {
 						t.Fatalf("%+v %s→%s seed %d: restore did not reproduce the saved cache", cfg, from.name, into.name, seed)
 					}
+					restoredWidths(t, d)
 					churn(d, r, 300)
 
 					releaseChecked(t, c)
@@ -284,6 +316,7 @@ func lazyEqualsEager(t *testing.T, cfg Config, sparse bool, seed int64) {
 		if err := restoreCache(snapbin.NewDec([]byte(saved)), c, "dirty"); err != nil {
 			t.Fatal(err)
 		}
+		restoredWidths(t, c)
 	}
 	releaseChecked(t, lazy)
 	releaseChecked(t, eager)

@@ -88,7 +88,8 @@ type Stats struct {
 // pattern can never equal a real line: a probe may compare tags alone,
 // touching one dense slab, without consulting the state slab first. The
 // invariant — tags[i] == invalidTag exactly when states[i] == Invalid —
-// is maintained by newSlabs, block, Invalidate, restoreCache and release.
+// is maintained by newSlabs, claim, promote, Invalidate, restoreCache and
+// release.
 const invalidTag = ^memory.Addr(0)
 
 // SetAssoc is a set-associative cache with true-LRU replacement. Addresses
@@ -110,7 +111,11 @@ const invalidTag = ^memory.Addr(0)
 // only for the sets it has filled, in an arena behind a per-set
 // directory, so its host memory follows what it caches rather than its
 // capacity: a grid-length run leaves under 5 % of a 36 MB L3's lines
-// filled.
+// filled. A set's first fill gives it a small block of smallWays ways;
+// the Insert that finds those all valid moves the set to a full block of
+// ways and leaves the small one empty in place. Every line
+// keeps the way index the dense layout gives it, because Insert fills the
+// lowest invalid way and a small block holds ways 0..smallWays-1.
 //
 // Slabs are built by the first Insert — the one operation that makes a
 // way valid. Until then a cache is a shell that answers every probe
@@ -149,12 +154,13 @@ type slabs struct {
 	// sets, so recycling a cache costs O(sets touched), not O(capacity).
 	touched []uint64 // derived from the slabs: restoreCache rebuilds it from the ways it fills, so it is never serialised
 	// setDir (sparse only) has one entry per set: 0 for a set that has
-	// never been filled, else 1 + the index of the set's block in the
-	// arena. A set gets its block at its first fill and keeps it until
-	// release, which clears the directory and truncates the arena; that
-	// is the sparse layout's touched bitmap. Derived the same way: the
-	// arena's block order is fill order, which restoreCache does not
-	// replay, and nothing observable depends on it.
+	// never been filled, 1 + the arena index of the set's first way for a
+	// full block, and the negation of that for a small one. A set gets
+	// its block at its first fill, may trade it for a full one, and keeps
+	// that until release, which clears the directory and truncates the
+	// arena; that is the sparse layout's touched bitmap. Derived the same
+	// way: the arena's block order is fill order, which restoreCache does
+	// not replay, and nothing observable depends on it.
 	setDir []int32
 }
 
@@ -167,8 +173,8 @@ type slabKey struct {
 // slabPools parks released slab sets for reuse, one sync.Pool per
 // geometry and layout (slabKey → *sync.Pool of *slabs). A parked set is
 // word for word what newSlabs returns, except that a sparse arena keeps
-// the capacity it grew to; the garbage collector bounds how long an idle
-// one is kept.
+// the capacity it grew to; the garbage collector bounds how
+// long an idle one is kept.
 var slabPools sync.Map
 
 // NewSetAssoc returns an empty dense cache of the configuration. It
@@ -184,7 +190,7 @@ func newSetAssoc(cfg Config, sparse bool) (*SetAssoc, error) {
 		return nil, err
 	}
 	n := cfg.Sets()
-	if sparse && n > math.MaxInt32 {
+	if sparse && n*(cfg.Ways+smallWays) > math.MaxInt32 {
 		return nil, fmt.Errorf("cache: %d sets overflow the set directory: %w", n, errs.ErrBadConfig)
 	}
 	c := &SetAssoc{cfg: cfg, nsets: n, ways: cfg.Ways, sparse: sparse}
@@ -242,9 +248,9 @@ func newSlabs(nsets, ways int, sparse bool) slabs {
 
 // release empties the cache: one that holds slabs resets them to the
 // freshly built image — a dense cache rewrites its touched sets, a sparse
-// one clears its directory and truncates its arena — parks them for the
-// next cache of the geometry and layout, and is a shell again; a shell
-// only zeroes its counters.
+// one clears its directory and truncates its arena — parks
+// them for the next cache of the geometry and layout, and is a shell
+// again; a shell only zeroes its counters.
 func (c *SetAssoc) release() {
 	c.stamp = 0
 	c.stats = Stats{}
@@ -296,22 +302,23 @@ func (c *SetAssoc) setOf(line memory.Addr) int {
 // findWay returns the slab index of the line's way, or -1. Because empty
 // ways hold invalidTag, the scan touches only the tag slab; a shell holds
 // nothing, so it answers before computing a set, and a sparse cache
-// answers from its directory for a set it has never filled. The scan
-// reads every way and keeps a match with a conditional move rather than
-// leaving at the first hit: a set's tags are unique, so the answer is the
-// same, and the loop has no data-dependent branch to mispredict.
+// answers from its directory: nothing for a set it has never filled, else
+// the smallWays or ways tags of the set's block. The scan reads every way
+// and keeps a match with a conditional move rather than leaving at the
+// first hit: a set's tags are unique, so the answer is the same, and the
+// loop has no data-dependent branch to mispredict.
 func (c *SetAssoc) findWay(line memory.Addr) int {
 	if c.tags == nil {
 		return -1
 	}
-	var b int
+	b, n := 0, c.ways
 	if c.setDir == nil {
 		b = c.setOf(line) * c.ways
-	} else if b = int(c.setDir[c.setOf(line)]-1) * c.ways; b < 0 {
+	} else if b, n = c.span(c.setDir[c.setOf(line)]); b < 0 {
 		return -1
 	}
 	way := -1 - b // b + way is -1 on a miss
-	for i, tag := range c.tags[b : b+c.ways] {
+	for i, tag := range c.tags[b : b+n] {
 		if tag == line {
 			way = i
 		}
@@ -319,41 +326,101 @@ func (c *SetAssoc) findWay(line memory.Addr) int {
 	return b + way
 }
 
-// block readies the set to take a valid way and returns the slab index of
-// its first way: it builds a shell's slabs, marks the set touched in a
-// dense cache, and hands a sparse cache's set its block at the first fill.
-// Insert and restoreCache are its only callers — the two places a way
+// smallWays is the width of the block a sparse cache gives a set at its
+// first fill; the set takes a full block of ways at its fifth line. On
+// the paper's machine a grid-length specjbb run filled 7 091 sets of chip
+// 0's 12-way L3 and none held more than four lines, so a small block
+// holds the typical set in 32 bytes of tags instead of 96. A cache of at
+// most smallWays ways gives every set a full block.
+const smallWays = 4
+
+// span decodes a sparse cache's directory entry: the slab index of the
+// set's first way and the number of ways its block holds, or -1 for a
+// set that has never been filled.
+func (c *SetAssoc) span(v int32) (b, n int) {
+	switch {
+	case v > 0:
+		return int(v) - 1, c.ways
+	case v < 0:
+		return int(-v) - 1, smallWays
+	}
+	return -1, 0
+}
+
+// block readies the set to take a valid way below need and returns the
+// slab index of its first way and the number of ways its block holds: it
+// builds a shell's slabs, marks the set touched in a dense cache, and at
+// a sparse cache's first fill of the set claims a block — a small one
+// when need allows. Insert (need 1) and restoreCache (need the highest
+// way it restores, plus one) are its only callers — the two places a way
 // becomes valid.
-func (c *SetAssoc) block(set int) int {
+func (c *SetAssoc) block(set, need int) (int, int) {
 	if c.tags == nil {
 		c.build()
 	}
 	if !c.sparse {
 		c.touched[set>>6] |= 1 << (uint(set) & 63)
-		return set * c.ways
+		return set * c.ways, c.ways
 	}
-	if blk := c.setDir[set]; blk != 0 {
-		return int(blk-1) * c.ways
+	if v := c.setDir[set]; v != 0 {
+		return c.span(v)
 	}
+	if c.ways > smallWays && need <= smallWays {
+		return c.claim(set, smallWays), smallWays
+	}
+	return c.claim(set, c.ways), c.ways
+}
+
+// claim gives a sparse cache's set a block of n ways — smallWays or ways —
+// at the arena's end, reset from whatever an earlier cache left in those
+// words, and returns the slab index of its first way.
+func (c *SetAssoc) claim(set, n int) int {
 	b := len(c.tags)
-	if b == cap(c.tags) {
+	if b+n > cap(c.tags) {
 		c.growArena()
 	}
-	c.tags, c.states, c.lru = c.tags[:b+c.ways], c.states[:b+c.ways], c.lru[:b+c.ways]
-	for i := b; i < b+c.ways; i++ {
+	c.tags, c.states, c.lru = c.tags[:b+n], c.states[:b+n], c.lru[:b+n]
+	for i := b; i < b+n; i++ {
 		c.tags[i] = invalidTag
 		c.states[i] = Invalid
 		c.lru[i] = 0
 	}
-	c.setDir[set] = int32(b/c.ways) + 1
+	v := int32(b) + 1
+	if n < c.ways {
+		v = -v
+	}
+	c.setDir[set] = v
 	return b
 }
 
-// growArena doubles a sparse cache's arena, but never past a block per
-// set: a sparse cache that fills every set holds what a dense one does,
-// plus its directory.
+// promote moves a set from its small block at b, every way valid, to a
+// full block and returns the full block's slab index. The ways keep their
+// indexes. The small block stays in the arena, in no set's directory
+// entry, reset to the built image because ForEachLine and Occupancy scan
+// the whole arena.
+func (c *SetAssoc) promote(set, b int) int {
+	f := c.claim(set, c.ways)
+	copy(c.tags[f:f+smallWays], c.tags[b:b+smallWays])
+	copy(c.states[f:f+smallWays], c.states[b:b+smallWays])
+	copy(c.lru[f:f+smallWays], c.lru[b:b+smallWays])
+	for i := b; i < b+smallWays; i++ {
+		c.tags[i] = invalidTag
+		c.states[i] = Invalid
+		c.lru[i] = 0
+	}
+	return f
+}
+
+// growArena doubles a sparse cache's arena, but never past one full block
+// per set plus, when its sets start small, one small block per set: a set
+// claims a small block only at its first fill and a full block at most
+// once, since no set ever goes back to a small one.
 func (c *SetAssoc) growArena() {
-	n := min(2*cap(c.tags), c.nsets*c.ways)
+	n := c.nsets * c.ways
+	if c.ways > smallWays {
+		n += c.nsets * smallWays
+	}
+	n = min(2*cap(c.tags), n)
 	tags, states, lru := make([]memory.Addr, len(c.tags), n), make([]State, len(c.tags), n), make([]uint64, len(c.tags), n)
 	copy(tags, c.tags)
 	copy(states, c.states)
@@ -361,19 +428,28 @@ func (c *SetAssoc) growArena() {
 	c.tags, c.states, c.lru = tags, states, lru
 }
 
-// setBlock returns the slab index of the set's first way, or -1 when the
-// cache holds no block for it (a shell, or a sparse cache's unfilled set).
-func (c *SetAssoc) setBlock(set int) int {
+// setBlock returns the slab index of the set's first way and the number of
+// ways its block holds, or -1 when the cache holds no block for it (a
+// shell, or a sparse cache's unfilled set).
+func (c *SetAssoc) setBlock(set int) (int, int) {
 	switch {
 	case c.tags == nil:
-		return -1
+		return -1, 0
 	case !c.sparse:
-		return set * c.ways
+		return set * c.ways, c.ways
 	}
-	if blk := c.setDir[set]; blk != 0 {
-		return int(blk-1) * c.ways
+	return c.span(c.setDir[set])
+}
+
+// Way returns the line, state and LRU stamp in way i of the set, wherever
+// the cache's layout keeps the set; a way outside the set's block, or of a
+// set the cache holds no block for, is empty. It reads the ways as a
+// snapshot sees them, touching neither LRU nor statistics.
+func (c *SetAssoc) Way(set, i int) (memory.Addr, State, uint64) {
+	if b, n := c.setBlock(set); i < n {
+		return c.tags[b+i], c.states[b+i], c.lru[b+i]
 	}
-	return -1
+	return invalidTag, Invalid, 0
 }
 
 // Lookup probes for the line. On a hit it refreshes LRU and returns the
@@ -421,9 +497,9 @@ func (c *SetAssoc) Insert(line memory.Addr, st State) (evicted memory.Addr, evic
 		panic("cache: Insert with Invalid state")
 	}
 	set := c.setOf(line)
-	b := set * c.ways
+	b, n := set*c.ways, c.ways
 	if c.sparse || c.tags == nil {
-		b = c.block(set)
+		b, n = c.block(set, 1)
 	} else {
 		// block's dense case — every L1 and L2 fill — without the call.
 		c.touched[set>>6] |= 1 << (uint(set) & 63)
@@ -433,7 +509,7 @@ func (c *SetAssoc) Insert(line memory.Addr, st State) (evicted memory.Addr, evic
 	// first free way (empty ways carry invalidTag, so both checks read
 	// the same dense array).
 	victim := -1
-	tags := c.tags[b : b+c.ways]
+	tags := c.tags[b : b+n]
 	for i := range tags {
 		if tags[i] == line {
 			// Already present: update in place.
@@ -444,6 +520,12 @@ func (c *SetAssoc) Insert(line memory.Addr, st State) (evicted memory.Addr, evic
 		if victim < 0 && tags[i] == invalidTag {
 			victim = b + i
 		}
+	}
+	if victim < 0 && n < c.ways {
+		// A full small block: the line takes way n of the set's new full
+		// block, the lowest invalid way, as it would in the dense layout.
+		b = c.promote(set, b)
+		victim = b + n
 	}
 	if victim < 0 {
 		// Evict true LRU.

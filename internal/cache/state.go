@@ -33,21 +33,18 @@ func saveCache(e *snapbin.Enc, c *SetAssoc) {
 	// Walk the ways in (set, way) order — the same canonical order the
 	// pre-slab AoS encoder emitted, so snapshots stay byte-identical
 	// whatever the layout. A set without a block (every set of an unbuilt
-	// cache, an unfilled set of a sparse one) is empty.
+	// cache, an unfilled set of a sparse one) is empty, and a small
+	// block's ways are the set's first ones, the rest empty.
 	for s := 0; s < c.nsets; s++ {
-		b := c.setBlock(s)
-		if b < 0 {
-			e.U8(0)
-			continue
-		}
+		b, n := c.setBlock(s)
 		valid := 0
-		for i := 0; i < c.ways; i++ {
+		for i := 0; i < n; i++ {
 			if c.states[b+i] != Invalid {
 				valid++
 			}
 		}
 		e.U8(uint8(valid))
-		for i := 0; i < c.ways; i++ {
+		for i := 0; i < n; i++ {
 			if c.states[b+i] == Invalid {
 				continue
 			}
@@ -63,11 +60,12 @@ func saveCache(e *snapbin.Enc, c *SetAssoc) {
 // saveCache, validating geometry, set mapping, way positions, states and
 // LRU stamps so a corrupt or hostile snapshot cannot construct a cache
 // the simulator could never have produced. The snapshot is decoded into a
-// scratch cache of c's layout that builds its slabs at the first valid
-// way, and a sparse one a set's block at the set's first valid way, as
-// Insert would; c is untouched unless the whole of it validates, and then
-// swaps its own slabs for the scratch's — so an empty snapshot leaves c
-// unbuilt.
+// scratch cache of c's layout that builds its slabs at the first filled
+// set, and in a sparse one gives each filled set a block as Insert would
+// have: a small one when the set's highest valid way is below smallWays,
+// a full one otherwise. c is untouched unless the whole of it validates,
+// and then swaps its own slabs for the scratch's — so an empty snapshot
+// leaves c unbuilt.
 func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 	stamp := d.U64()
 	var st Stats
@@ -89,6 +87,15 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 	// Parks whichever slabs end up unused: the scratch's when the snapshot
 	// is refused, c's own — reset in O(touched sets) — when it is adopted.
 	defer fresh.release()
+	// One set's ways, validated before the set is given a block, since
+	// the block's width depends on its highest way.
+	type wayImage struct {
+		idx   int
+		tag   memory.Addr
+		state State
+		lru   uint64
+	}
+	var set []wayImage
 	for s := 0; s < nsets; s++ {
 		valid := int(d.U8())
 		if d.Err() != nil {
@@ -98,13 +105,7 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 			return fmt.Errorf("cache: snapshot %s set %d claims %d valid ways of %d: %w",
 				what, s, valid, ways, snapbin.ErrCorrupt)
 		}
-		// Every set the snapshot leaves empty stays at the built image,
-		// so the filled sets are exactly the touched ones (the ones with a
-		// block, in a sparse cache).
-		b := -1
-		if valid > 0 {
-			b = fresh.block(s)
-		}
+		set = set[:0]
 		prev := -1
 		for v := 0; v < valid; v++ {
 			idx := int(d.U8())
@@ -135,15 +136,25 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 				return fmt.Errorf("cache: snapshot %s line %#x LRU stamp %d beyond counter %d: %w",
 					what, uint64(tag), lru, stamp, snapbin.ErrCorrupt)
 			}
-			for w := 0; w < idx; w++ {
-				if fresh.tags[b+w] == tag {
+			for _, w := range set {
+				if w.tag == tag {
 					return fmt.Errorf("cache: snapshot %s line %#x duplicated in set %d: %w",
 						what, uint64(tag), s, snapbin.ErrCorrupt)
 				}
 			}
-			fresh.tags[b+idx] = tag
-			fresh.states[b+idx] = state
-			fresh.lru[b+idx] = lru
+			set = append(set, wayImage{idx, tag, state, lru})
+		}
+		// Every set the snapshot leaves empty stays at the built image,
+		// so the filled sets are exactly the touched ones (the ones with a
+		// block, in a sparse cache).
+		if valid == 0 {
+			continue
+		}
+		b, _ := fresh.block(s, prev+1)
+		for _, w := range set {
+			fresh.tags[b+w.idx] = w.tag
+			fresh.states[b+w.idx] = w.state
+			fresh.lru[b+w.idx] = w.lru
 		}
 	}
 	c.slabs, fresh.slabs = fresh.slabs, c.slabs

@@ -231,12 +231,24 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	// The server declares the payload's length, so it is read into one
+	// buffer of that size; a body of unknown length is read whole.
+	var data []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxResultPrealloc {
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("client: reading result: %w", err)
 	}
 	return data, nil
 }
+
+// maxResultPrealloc caps the buffer Result allocates on a declared
+// length's word alone; a longer payload is read as it arrives.
+const maxResultPrealloc = 64 << 20
 
 // Events streams the job's NDJSON progress events to fn, replaying
 // retained history first, until the stream's terminal event, ctx
@@ -247,8 +259,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(server.Event) er
 		return err
 	}
 	defer resp.Body.Close()
+	// Event lines are a few hundred bytes: start the scanner at 4 KB and
+	// let it grow to 1 MB for a longer one.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<20)
 	for sc.Scan() {
 		var ev server.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {

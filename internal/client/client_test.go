@@ -1,9 +1,11 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -80,6 +82,9 @@ func TestClientRoundTrip(t *testing.T) {
 	data, err := f.cl.Result(ctx, "rt")
 	if err != nil {
 		t.Fatalf("Result: %v", err)
+	}
+	if served, err := f.srv.Result("rt"); err != nil || !bytes.Equal(data, served) {
+		t.Fatalf("Result read %d bytes, the server serves %d (err %v)", len(data), len(served), err)
 	}
 	var payload server.ResultPayload
 	if err := json.Unmarshal(data, &payload); err != nil {
@@ -257,5 +262,44 @@ func TestClientEventStreamCancel(t *testing.T) {
 	}
 	if _, err := f.cl.Cancel(ctx, "long"); err != nil {
 		t.Fatalf("Cancel: %v", err)
+	}
+}
+
+// TestClientReadsLongEventsAndUnsizedResults: the event scanner starts
+// small but still decodes a line longer than its first buffer, and Result
+// reads a body that declares no length (a chunked one) as well as a
+// sized one.
+func TestClientReadsLongEventsAndUnsizedResults(t *testing.T) {
+	long := strings.Repeat("x", 10<<10)
+	payload := []byte(`{"digest":"` + strings.Repeat("d", 9000) + `"}`)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/jobs/j1/events":
+			enc := json.NewEncoder(w)
+			_ = enc.Encode(server.Event{Seq: 0, Type: server.EventFailed, Job: "j1", Error: long})
+		case "/v1/jobs/j1/result":
+			// Two flushed writes: the body goes out chunked, with no length.
+			_, _ = w.Write(payload[:100])
+			w.(http.Flusher).Flush()
+			_, _ = w.Write(payload[100:])
+		}
+	}))
+	defer ts.Close()
+	cl := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+
+	var got []server.Event
+	if err := cl.Events(ctx, "j1", func(ev server.Event) error {
+		got = append(got, ev)
+		return nil
+	}); err != nil {
+		t.Fatalf("Events over a %d-byte line: %v", len(long), err)
+	}
+	if len(got) != 1 || got[0].Error != long {
+		t.Fatalf("decoded %d events, want the one long event intact", len(got))
+	}
+	data, err := cl.Result(ctx, "j1")
+	if err != nil || string(data) != string(payload) {
+		t.Fatalf("unsized result: %d bytes (err %v), want the %d-byte payload", len(data), err, len(payload))
 	}
 }

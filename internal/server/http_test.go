@@ -146,6 +146,9 @@ func TestHTTPLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET result = %d, want 200", resp.StatusCode)
 	}
+	if n := resp.Header.Get("Content-Length"); n != strconv.Itoa(len(payload1)) || resp.ContentLength != int64(len(payload1)) {
+		t.Fatalf("result declares Content-Length %q (%d), body is %d bytes", n, resp.ContentLength, len(payload1))
+	}
 	_, payload2 := f.do(t, http.MethodGet, "/v1/jobs/web/result", nil)
 	if !bytes.Equal(payload1, payload2) {
 		t.Fatal("result endpoint is not byte-stable across reads")

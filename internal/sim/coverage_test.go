@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/core"
@@ -402,41 +403,36 @@ func nonZero(v reflect.Value) bool {
 }
 
 // slabs compares two caches' ways as the snapshot sees them: set by set
-// and way by way, wherever each cache's layout keeps the set — a dense
-// cache at set*ways, a sparse one in the arena block its directory names,
-// which depends on fill order and so differs across a restore. An Invalid
-// way is empty whatever LRU stamp it kept (Insert fills the first Invalid
-// way, never by LRU, and saveCache skips it), a set without a block holds
-// only Invalid ways, and the touched bitmap is a recycling hint
+// and way by way through (*cache.SetAssoc).Way, wherever and however wide
+// each cache's layout keeps the set — a sparse cache's arena order follows
+// fill order, and a restore gives a set whose ways above the small block's
+// were invalidated a small block. An Invalid way is empty whatever LRU
+// stamp it kept (Insert fills the first Invalid way, never by LRU, and
+// saveCache skips it), and the touched bitmap is a recycling hint
 // restoreCache rebuilds from the sets it fills.
 func (w *walker) slabs(path string, a, b reflect.Value) {
-	nsets, ways := int(a.FieldByName("nsets").Int()), int(a.FieldByName("ways").Int())
-	// base is the slab index of the set's first way, or -1.
-	base := func(c reflect.Value, set int) int {
-		if dir := c.FieldByName("setDir"); dir.Len() > 0 {
-			return int(dir.Index(set).Int()-1) * ways
-		} else if c.FieldByName("states").Len() == 0 {
-			return -1
-		}
-		return set * ways
-	}
-	state := func(c reflect.Value, b, i int) cache.State {
-		if b < 0 {
-			return cache.Invalid
-		}
-		return cache.State(c.FieldByName("states").Index(b + i).Uint())
-	}
-	for set := 0; set < nsets; set++ {
-		ba, bb := base(a, set), base(b, set)
-		for i := 0; i < ways; i++ {
+	ca, cb := setAssoc(a), setAssoc(b)
+	cfg := ca.Config()
+	for set := 0; set < cfg.Sets(); set++ {
+		for i := 0; i < cfg.Ways; i++ {
 			at := fmt.Sprintf("%s[set %d way %d]", path, set, i)
-			if sa, sb := state(a, ba, i), state(b, bb, i); sa != sb {
+			ta, sa, la := ca.Way(set, i)
+			tb, sb, lb := cb.Way(set, i)
+			switch {
+			case sa != sb:
 				w.diff(at+".state", "%v vs %v", sa, sb)
-			} else if sa != cache.Invalid {
-				for _, f := range []string{"tags", "lru"} {
-					w.walk(at+"."+f, a.FieldByName(f).Index(ba+i), b.FieldByName(f).Index(bb+i))
-				}
+			case sa == cache.Invalid:
+			case ta != tb:
+				w.diff(at+".tags", "%#x vs %#x", uint64(ta), uint64(tb))
+			case la != lb:
+				w.diff(at+".lru", "%d vs %d", la, lb)
 			}
 		}
 	}
+}
+
+// setAssoc returns the cache an addressable cache.SetAssoc value holds,
+// which the walk may have reached through unexported fields.
+func setAssoc(v reflect.Value) *cache.SetAssoc {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Interface().(*cache.SetAssoc)
 }
