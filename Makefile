@@ -84,8 +84,9 @@ profile-grid:
 # Short fuzzing pass over the coherence differential target, the trace
 # parser, the snapshot decoder, the snapbin codec under it, the
 # generator's State/Restore round trip, the job-spec decoder, the
-# cell-record decoder and the metrics JSON appender's byte-identity to
-# encoding/json (CI runs the same).
+# cell-record decoder, the metrics JSON appender's byte-identity to
+# encoding/json and a done job's kept payload (shape plus values) against
+# the served bytes it stands for (CI runs the same).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHierarchyAccess -fuzztime 30s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 15s ./internal/trace
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 15s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzCellRecord -fuzztime 15s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotJSON -fuzztime 15s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzKeptPayload -fuzztime 15s ./internal/server
 
 # Race-detector coverage for the concurrent packages, including the
 # chip-parallel engine differential (seq vs parallel byte-identity under
@@ -117,8 +119,10 @@ fuzz-smoke:
 # handing slabs of two machine geometries to each other while every cell
 # stays equal to the serial run's), the experiment harnesses'
 # golden-output and Options-plumbing tests (their policy/workload fan-out
-# runs on sweep.Map goroutines), the job server + client under load, and
-# the fleet's straggler timer five times per GOMAXPROCS level.
+# runs on sweep.Map goroutines), the job server + client under load,
+# concurrent settles interning one payload shape and scrapes reading the
+# sim totals while settles accumulate them, at several GOMAXPROCS levels,
+# and the fleet's straggler timer five times per GOMAXPROCS level.
 test-race:
 	$(GO) test -race ./internal/metrics ./internal/sweep
 	$(GO) test -race -short -run 'TestHarnessGolden|TestHarnessOptionsReachMachine' ./internal/experiments
@@ -128,6 +132,7 @@ test-race:
 	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy|TestVictimL3HoldsWhatItCaches|TestCastOutStreamReachesL3|TestPromoteStreamReachesFullBlock|TestSparseArenaNeverOutgrowsDense|TestLineTableMatchesMap' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
+	$(GO) test -race -count 3 -cpu 1,2,4 -run 'TestSettledJobsShareOneShape|TestScrapesDuringSettles' ./internal/server
 	$(GO) test -race -count 5 -cpu 1,2,4 -run 'TestFleetStealsStragglers|TestFleetStragglerAloneRetriesOnItself|TestFleetRecoversTwoStalledAttempts|TestFleetDuplicatesNeverDisplacePendingWork' ./internal/fleet
 
 # End-to-end smoke of the tcsimd job service: boot the daemon, submit a

@@ -217,7 +217,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 	}
 
 	st.sink.setPhase("merge")
-	payload, compact, err := server.EncodeResultPayload(st.cells, st.results, sweep.Merged(st.results))
+	payload, compact, err := server.EncodeResultPayload(nil, st.cells, st.results, sweep.Merged(st.results))
 	if err != nil {
 		return fail(err)
 	}

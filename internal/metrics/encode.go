@@ -182,6 +182,21 @@ func AppendJSONString(dst []byte, s string) []byte {
 // is how the served form of a payload is made from the one compact
 // encoding its digest covers.
 func AppendIndented(dst, compact []byte) []byte {
+	return appendIndented(dst, compact, nil)
+}
+
+// AppendIndentedShape is AppendIndented with every number token left out:
+// it appends the indented bytes without their numbers to dst, and to
+// slots the offset in dst where each number goes, in order. Putting the
+// numbers of compact back at those offsets gives AppendIndented's bytes.
+func AppendIndentedShape(dst, compact []byte, slots []int) ([]byte, []int) {
+	dst = appendIndented(dst, compact, &slots)
+	return dst, slots
+}
+
+// appendIndented is AppendIndented, leaving the numbers out and
+// recording their offsets in *slots when slots is not nil.
+func appendIndented(dst, compact []byte, slots *[]int) []byte {
 	dst = slices.Grow(dst, 2*len(compact))
 	depth, open := 0, false // open: just after '{' or '[', indent not yet written
 	for i := 0; i < len(compact); i++ {
@@ -222,7 +237,11 @@ func AppendIndented(dst, compact []byte) []byte {
 			for j < len(compact) && !jsonPunct[compact[j]] {
 				j++
 			}
-			dst = append(dst, compact[i:j]...)
+			if slots != nil && (c == '-' || '0' <= c && c <= '9') {
+				*slots = append(*slots, len(dst))
+			} else {
+				dst = append(dst, compact[i:j]...)
+			}
 			i = j - 1
 		}
 	}

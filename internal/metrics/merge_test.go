@@ -171,6 +171,20 @@ func TestMergeJoinsMatchReference(t *testing.T) {
 		}
 		checkKeyed(t, "Merge", a.Merge(b))
 
+		// Accumulate is Merge in place, and leaves a clone taken before
+		// it alone.
+		var acc Snapshot
+		acc.Accumulate(a)
+		held, heldJSON := acc.Clone(), mustJSON(t, acc)
+		acc.Accumulate(b)
+		if got, want := mustJSON(t, acc), mustJSON(t, Snapshot{}.Merge(a).Merge(b)); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: Accumulate\n got %s\nwant %s\n   s %s\n   o %s", trial, got, want, aJSON, bJSON)
+		}
+		checkKeyed(t, "Accumulate", acc)
+		if !bytes.Equal(mustJSON(t, held), heldJSON) {
+			t.Fatalf("trial %d: Accumulate wrote a clone taken before it", trial)
+		}
+
 		snaps := []Snapshot{a, b}
 		for range r.Intn(4) {
 			snaps = append(snaps, randomSnapshot(t, r, &cov))

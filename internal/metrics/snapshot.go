@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -239,8 +240,18 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 
 // plus adds o's values to s's when the two are of one kind.
 func (s Sample) plus(o *Sample) Sample {
+	if s.Kind == o.Kind && s.Kind == KindHistogram {
+		s.Buckets = append([]uint64(nil), s.Buckets...)
+	}
+	s.add(o)
+	return s
+}
+
+// add adds o's values into s's when the two are of one kind, writing
+// s's buckets in place.
+func (s *Sample) add(o *Sample) {
 	if s.Kind != o.Kind {
-		return s
+		return
 	}
 	switch s.Kind {
 	case KindCounter:
@@ -250,15 +261,52 @@ func (s Sample) plus(o *Sample) Sample {
 	case KindHistogram:
 		s.Count += o.Count
 		s.Sum += o.Sum
-		b := append([]uint64(nil), s.Buckets...)
-		for i := range b {
+		for i := range s.Buckets {
 			if i < len(o.Buckets) {
-				b[i] += o.Buckets[i]
+				s.Buckets[i] += o.Buckets[i]
 			}
 		}
-		s.Buckets = b
 	}
-	return s
+}
+
+// Accumulate sets s to s.Merge(o) in place: a series s already holds is
+// updated where it stands, so once s has seen every series o carries an
+// accumulation allocates nothing. It writes s's histogram buckets, so
+// they must be s's own, as they are when s started empty or as a Clone
+// (a series new to s arrives with a copy of its buckets); o is never
+// written. Hand s's samples out as a Clone, which later calls leave
+// alone.
+func (s *Snapshot) Accumulate(o Snapshot) {
+	var fresh []Sample
+	a := s.Samples
+	for k := range o.Samples {
+		y := &o.Samples[k]
+		key := y.key()
+		for len(a) > 0 && a[0].key() < key {
+			a = a[1:]
+		}
+		if len(a) > 0 && a[0].key() == key {
+			a[0].add(y)
+			continue
+		}
+		smp := y.keyed()
+		smp.Buckets = slices.Clone(smp.Buckets)
+		fresh = append(fresh, smp)
+	}
+	if len(fresh) > 0 || s.Samples == nil { // Merge also makes a nil list empty
+		*s = s.Merge(Snapshot{Samples: fresh})
+	}
+}
+
+// Clone returns a copy of s that Accumulate on s never writes: its own
+// sample list and histogram buckets (label maps and bounds, which
+// nothing writes, stay shared).
+func (s Snapshot) Clone() Snapshot {
+	out := Snapshot{Samples: slices.Clone(s.Samples)}
+	for i := range out.Samples {
+		out.Samples[i].Buckets = slices.Clone(out.Samples[i].Buckets)
+	}
+	return out
 }
 
 // MergeAll folds a slice of snapshots into one, left to right. Folding

@@ -7,13 +7,13 @@ import (
 	"threadcluster/internal/experiments"
 )
 
-// servedSink keeps the benchmark's render from being optimised away.
-var servedSink []byte
+// servedSink keeps the benchmark's writes from being optimised away.
+var servedSink stringSink
 
 // BenchmarkPayloadEncode assembles and digests the payload of tcbench's
-// 32-cell service-floor grid (1/1/1 rounds), as runJob does for a
-// finished job, and renders the served bytes once, as one fetch of it
-// does. Run it with -benchmem.
+// 32-cell service-floor grid (1/1/1 rounds) into a reused buffer, cuts
+// and interns it as runJob does for a finished job, and writes the
+// served bytes once, as one fetch of it does. Run it with -benchmem.
 func BenchmarkPayloadEncode(b *testing.B) {
 	norm, err := JobSpec{
 		Workloads:  experiments.AllWorkloads(),
@@ -33,13 +33,20 @@ func BenchmarkPayloadEncode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var sc payloadScratch
+	var shapes shapeTable
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		_, compact, err := EncodeResultPayload(cells, results, merged)
+		p, compact, err := EncodeResultPayload(sc.compact[:0], cells, results, merged)
 		if err != nil {
 			b.Fatal(err)
 		}
-		servedSink = RenderResultPayload(compact)
+		sc.compact = compact
+		sh, _, err := shapes.intern(&sc, compact, p.Digest)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = keptPayload{shape: sh, vals: string(sc.vals)}.writeTo(&servedSink, p.Digest)
 	}
 }

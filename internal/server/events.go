@@ -119,7 +119,9 @@ func (l *eventLog) append(ev Event) {
 }
 
 // closeLog marks the stream complete and wakes subscribers so they can
-// drain and finish. Idempotent.
+// drain and finish. Idempotent. The closed update channel stays: nothing
+// is published after close, and a subscriber that sees the log closed
+// never waits on it.
 func (l *eventLog) closeLog() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -128,7 +130,6 @@ func (l *eventLog) closeLog() {
 	}
 	l.closed = true
 	close(l.updated)
-	l.updated = make(chan struct{})
 }
 
 // snapshotFrom returns the retained events with Seq >= cursor, the

@@ -38,6 +38,29 @@ func TestEventLogReplay(t *testing.T) {
 	}
 }
 
+// TestEventLogCloseAllocatesNothing: closing a log publishes the close
+// on the update channel it has and makes no new one, and a subscriber
+// that arrives after the close still drains and ends.
+func TestEventLogCloseAllocatesNothing(t *testing.T) {
+	const runs = 50
+	logs := make([]*eventLog, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range logs {
+		logs[i] = newEventLog(4, nil)
+		logs[i].append(logEvent(i))
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		logs[next].closeLog()
+		next++
+	}); allocs != 0 {
+		t.Fatalf("closeLog allocated %v times per call, want 0", allocs)
+	}
+	n := 0
+	if err := logs[0].subscribe(context.Background(), func(Event) error { n++; return nil }); err != nil || n != 1 {
+		t.Fatalf("subscribe after close: %d events, err %v; want 1, nil", n, err)
+	}
+}
+
 func TestEventLogOverflowKeepsTail(t *testing.T) {
 	l := newEventLog(4, nil)
 	for i := 0; i < 10; i++ {

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/metrics"
@@ -209,8 +211,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, st)
 }
 
+// resultWriters pools the buffers result fetches write through, so the
+// pieces of a served payload reach the connection in large writes.
+var resultWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
+// handleResult writes the served payload straight from the job's shape
+// and values: no rendering pass and no body buffer per fetch.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	data, err := s.Result(r.PathValue("id"))
+	k, digest, err := s.kept(r.PathValue("id"))
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -218,8 +226,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	// A declared length lets a client read the payload into one buffer of
 	// its size; without it the body goes out chunked.
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
+	w.Header().Set("Content-Length", strconv.Itoa(k.size(digest)))
+	bw := resultWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	if k.writeTo(bw, digest) == nil { // an error is the client gone; nothing to recover
+		_ = bw.Flush()
+	}
+	bw.Reset(nil)
+	resultWriters.Put(bw)
 }
 
 // handleEvents streams the job's progress as NDJSON: one JSON event per

@@ -256,15 +256,15 @@ type job struct {
 
 	state      JobState
 	err        error
-	cancel     context.CancelFunc // set while running
+	cancel     context.CancelFunc // set while running, dropped at settle
 	cancelled  bool               // cancel requested (distinguishes cancel from ctx timeout)
 	cut        bool               // cancelled by a shutdown drain or a server stop, not the submitter
 	tasksDone  int
 	tasksTotal int
 
-	events  *eventLog
-	payload []byte // compact result payload, digest included (state == done); Result renders the served form
-	digest  string
+	events *eventLog
+	kept   keptPayload // the result payload's shape and values (state == done); Result writes the served form
+	digest string
 }
 
 // status snapshots the job's wire status. Caller holds the server mutex.

@@ -41,16 +41,17 @@ type ResultPayload struct {
 // BuildResultPayload assembles and digests the canonical payload from a
 // grid run's cells and results (the shapes experiments.RunGrid returns).
 func BuildResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, error) {
-	p, _, err := EncodeResultPayload(cells, results, merged)
+	p, _, err := EncodeResultPayload(nil, cells, results, merged)
 	return p, err
 }
 
-// EncodeResultPayload assembles the payload, encodes it compactly with
-// Digest blank, digests those bytes, and splices the digest into them:
-// it returns the payload and its compact encoding, digest included —
-// json.Marshal of the payload, the form a daemon retains.
-// RenderResultPayload turns it into the bytes the result endpoint serves.
-func EncodeResultPayload(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, []byte, error) {
+// EncodeResultPayload assembles the payload, appends its compact
+// encoding with Digest blank to dst, digests those bytes, and splices
+// the digest into them: it returns the payload and dst extended by its
+// compact encoding, digest included — json.Marshal of the payload.
+// RenderResultPayload turns it into the bytes the result endpoint
+// serves; a daemon cuts it into what a done job keeps and reuses dst.
+func EncodeResultPayload(dst []byte, cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, []byte, error) {
 	p := ResultPayload{
 		Tasks:  make([]TaskResult, 0, len(results)),
 		Merged: merged,
@@ -65,11 +66,11 @@ func EncodeResultPayload(cells []experiments.GridCell, results []sweep.Result, m
 		}
 		p.Tasks = append(p.Tasks, tr)
 	}
-	data, err := p.appendJSON(nil)
+	data, err := p.appendJSON(dst)
 	if err != nil {
 		return ResultPayload{}, nil, fmt.Errorf("server: digesting payload: %w", err)
 	}
-	p.Digest = fmt.Sprintf("sha256:%x", sha256.Sum256(data))
+	p.Digest = fmt.Sprintf("sha256:%x", sha256.Sum256(data[len(dst):]))
 	// data ends `"digest":""}`; the digest needs no escaping.
 	data = append(append(data[:len(data)-2], p.Digest...), `"}`...)
 	return p, data, nil

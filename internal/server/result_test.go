@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,7 +40,7 @@ func TestServedBytesAreMarshalIndent(t *testing.T) {
 	results = append(results, sweep.Result{Name: "x<&>\"/ ", Seed: -3,
 		Err: errors.New("boom: \"quoted\" <tag> & \\ \x01 \xff")})
 
-	p, compact, err := EncodeResultPayload(cells, results, sweep.Merged(results))
+	p, compact, err := EncodeResultPayload(nil, cells, results, sweep.Merged(results))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestPayloadRefusesWhatJSONRefuses(t *testing.T) {
 	r := metrics.NewRegistry()
 	r.Gauge("broken", nil).Set(math.NaN())
 	results := []sweep.Result{{Name: "cell", Seed: 1, Metrics: r.Snapshot()}}
-	_, _, err := EncodeResultPayload(nil, results, sweep.Merged(results))
+	_, _, err := EncodeResultPayload(nil, nil, results, sweep.Merged(results))
 	var uv *json.UnsupportedValueError
 	if !errors.As(err, &uv) {
 		t.Fatalf("EncodeResultPayload error %v, want a json.UnsupportedValueError", err)
@@ -87,10 +89,12 @@ func TestPayloadRefusesWhatJSONRefuses(t *testing.T) {
 	}
 }
 
-// TestRetainedPayloadIsCompact: a settled job retains exactly the
-// compact bytes its digest covers — no indented copy, no spare capacity
-// — and the served body is rendered from them: json.Compact of what
-// Result returns gives the retained bytes back.
+// TestRetainedPayloadIsCompact: a settled job retains its payload as
+// the server's interned shape plus its own number tokens — no compact or
+// indented copy of its own. The values are the payload's number tokens
+// in order, as an independent JSON decoder reads them, each followed by
+// the separator; the shape is the served body less those tokens and the
+// digest; and the context the job ran under is dropped at settle.
 func TestRetainedPayloadIsCompact(t *testing.T) {
 	s := startServer(t, Options{}, nil)
 	if _, err := s.Submit(context.Background(), smallSpec("kept")); err != nil {
@@ -100,21 +104,60 @@ func TestRetainedPayloadIsCompact(t *testing.T) {
 		t.Fatalf("state = %s (err %q), want done", st.State, st.Error)
 	}
 	s.mu.Lock()
-	kept := s.jobs["kept"].payload
+	j := s.jobs["kept"]
+	k, digest, cancel := j.kept, j.digest, j.cancel
+	keptBytes := s.keptBytes
 	s.mu.Unlock()
-	if len(kept) != cap(kept) {
-		t.Fatalf("retained payload len %d, cap %d: spare capacity kept", len(kept), cap(kept))
+	s.shapes.mu.Lock()
+	shapes := len(s.shapes.m)
+	s.shapes.mu.Unlock()
+	if cancel != nil {
+		t.Fatal("a settled job still holds its cancel func (and its context)")
 	}
 	served, err := s.Result("kept")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, served); err != nil {
-		t.Fatal(err)
+
+	tokens := numberTokens(t, served)
+	if want := strings.Join(tokens, ",") + ","; k.vals != want {
+		t.Fatalf("kept values\n %s\nwant the payload's number tokens\n %s", k.vals, want)
 	}
-	if !bytes.Equal(kept, compact.Bytes()) {
-		t.Fatalf("retained bytes are not the compact served body:\n kept %s\nwant %s", kept, compact.Bytes())
+	if len(k.shape.slots) != len(tokens) {
+		t.Fatalf("shape has %d slots for %d number tokens", len(k.shape.slots), len(tokens))
+	}
+	numBytes := len(k.vals) - len(tokens)
+	if want := len(served) - len(digest) - numBytes; len(k.shape.text) != want {
+		t.Fatalf("shape text is %d bytes, want the served %d less %d of digest and %d of numbers",
+			len(k.shape.text), len(served), len(digest), numBytes)
+	}
+	if strings.Contains(k.shape.text, digest) {
+		t.Fatal("the shape holds the digest")
+	}
+	if want := len(k.shape.text) + len(k.vals); shapes != 1 || keptBytes != want {
+		t.Fatalf("%d shapes, %d kept bytes; want 1 shape, and its text plus the values (%d)",
+			shapes, keptBytes, want)
+	}
+}
+
+// numberTokens returns the number tokens of a JSON document in order,
+// as encoding/json reads them.
+func numberTokens(t *testing.T, doc []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var out []string
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := tok.(json.Number); ok {
+			out = append(out, string(n))
+		}
 	}
 }
 

@@ -27,6 +27,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -104,7 +105,9 @@ type Server struct {
 	draining  bool
 	started   bool
 	ewmaSec   float64          // smoothed wall seconds per job, for Retry-After
-	simTotals metrics.Snapshot // merged sim series of every completed job; /metrics appends it
+	simTotals metrics.Snapshot // merged sim series of every completed job, accumulated in place; /metrics appends a clone
+	shapes    shapeTable       // the payload shapes done jobs keep, interned (its own lock)
+	keptBytes int              // each shape's text once plus each done job's values: server_result_bytes
 
 	baseCtx   context.Context
 	stopWork  context.CancelFunc
@@ -175,11 +178,7 @@ func New(opt Options) (*Server, error) {
 	s.reg.RegisterGaugeFunc("server_result_bytes", nil, func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		n := 0
-		for _, j := range s.bySeq {
-			n += len(j.payload)
-		}
-		return float64(n)
+		return float64(s.keptBytes)
 	})
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
 		st := st
@@ -221,12 +220,13 @@ func (s *Server) Start(ctx context.Context) error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			var sc payloadScratch
 			for {
 				j := s.queue.pop(workCtx)
 				if j == nil {
 					return
 				}
-				s.runJob(workCtx, j)
+				s.runJob(workCtx, j, &sc)
 			}
 		}()
 	}
@@ -390,24 +390,32 @@ func (s *Server) Jobs() []JobStatus {
 }
 
 // Result returns the completed job's canonical payload bytes — the exact
-// bytes every replica would serve for this spec. The job holds only the
-// compact encoding its digest covers; the served form is rendered from
-// it per call, outside the server lock.
+// bytes every replica would serve for this spec. The job keeps only its
+// interned shape and its values; the served form is written from them
+// per call, outside the server lock.
 func (s *Server) Result(id string) ([]byte, error) {
+	k, digest, err := s.kept(id)
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, k.size(digest)))
+	_ = k.writeTo(buf, digest) // a bytes.Buffer write never fails
+	return buf.Bytes(), nil
+}
+
+// kept returns what a done job keeps of its payload, and its digest.
+// Both are immutable once the job is done.
+func (s *Server) kept(id string) (keptPayload, string, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("server: %w: %q", errs.ErrJobNotFound, id)
+		return keptPayload{}, "", fmt.Errorf("server: %w: %q", errs.ErrJobNotFound, id)
 	}
 	if j.state != StateDone {
-		state := j.state
-		s.mu.Unlock()
-		return nil, fmt.Errorf("server: %w: %q is %s", errs.ErrJobNotDone, id, state)
+		return keptPayload{}, "", fmt.Errorf("server: %w: %q is %s", errs.ErrJobNotDone, id, j.state)
 	}
-	compact := j.payload // immutable once the job is done
-	s.mu.Unlock()
-	return RenderResultPayload(compact), nil
+	return j.kept, j.digest, nil
 }
 
 // Cancel cancels a queued or running job. A queued job settles
@@ -456,17 +464,20 @@ func (s *Server) Subscribe(ctx context.Context, id string, fn func(Event) error)
 // renders), so a daemon can register additional collectors.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// SimTotals returns the merged simulation snapshot accumulated across
-// every completed job; /metrics renders it after the server registry so
-// one scrape carries both the serving series and the sim series.
+// SimTotals returns a copy of the merged simulation snapshot accumulated
+// across every completed job; /metrics renders it after the server
+// registry so one scrape carries both the serving series and the sim
+// series. The copy is the caller's: later jobs accumulate into the
+// server's own snapshot in place.
 func (s *Server) SimTotals() metrics.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.simTotals
+	return s.simTotals.Clone()
 }
 
-// runJob executes one admitted job on the sweep pool and settles it.
-func (s *Server) runJob(ctx context.Context, j *job) {
+// runJob executes one admitted job on the sweep pool and settles it. sc
+// is the calling worker's scratch for the job's payload.
+func (s *Server) runJob(ctx context.Context, j *job, sc *payloadScratch) {
 	if s.beforeJob != nil {
 		s.beforeJob(j)
 	}
@@ -541,20 +552,28 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		return
 	}
 
-	payload, compact, err := EncodeResultPayload(cells, results, sweep.Merged(results))
+	payload, compact, err := EncodeResultPayload(sc.compact[:0], cells, results, sweep.Merged(results))
 	if err != nil {
 		s.settle(j, StateFailed, err)
 		return
 	}
-	// The job keeps the compact bytes for as long as the server runs; a
-	// copy of exactly their length leaves the encoder's spare capacity
-	// behind.
-	kept := make([]byte, len(compact))
-	copy(kept, compact)
+	sc.compact = compact
+	// The job keeps its payload for as long as the server runs: the shape
+	// it shares with every job of its grid shape, and its own values.
+	sh, added, err := s.shapes.intern(sc, compact, payload.Digest)
+	if err != nil {
+		s.settle(j, StateFailed, err)
+		return
+	}
+	vals := string(sc.vals)
 	s.mu.Lock()
-	j.payload = kept
+	if added {
+		s.keptBytes += len(sh.text)
+	}
+	s.keptBytes += len(vals)
+	j.kept = keptPayload{shape: sh, vals: vals}
 	j.digest = payload.Digest
-	s.simTotals = s.simTotals.Merge(payload.Merged)
+	s.simTotals.Accumulate(payload.Merged)
 	s.mu.Unlock()
 	s.settle(j, StateDone, nil)
 }
@@ -616,6 +635,7 @@ func (s *Server) settle(j *job, state JobState, cause error) {
 		return
 	}
 	j.state = state
+	j.cancel = nil // the job's context is done with; do not keep it for the server's life
 	if state != StateDone {
 		j.err = cause
 	}
