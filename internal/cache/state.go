@@ -1,8 +1,9 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
-	"slices"
+	"sort"
 
 	"threadcluster/internal/errs"
 	"threadcluster/internal/memory"
@@ -163,28 +164,45 @@ func restoreCache(d *snapbin.Dec, c *SetAssoc, what string) error {
 	return nil
 }
 
+// presRecordSize is one presence entry's encoding: line, l2 mask, l3 mask.
+const presRecordSize = 24
+
 // savePres appends the machine-wide presence table sorted by line — the
-// canonical order, whatever the hash table's layout.
+// canonical order, whatever the hash table's layout. The records are
+// written in table order and then sorted where they lie in the encoding,
+// so the table is walked once and nothing beside the encoding is
+// allocated.
 func savePres(e *snapbin.Enc, t *lineTable) {
 	e.U64(uint64(t.peak))
-	lines := make([]memory.Addr, 0, t.n)
-	t.forEach(func(line memory.Addr, _ *presEntry) {
-		lines = append(lines, line)
-	})
-	slices.Sort(lines)
-	e.U32(uint32(len(lines)))
-	for _, line := range lines {
-		ent := t.find(line)
+	e.U32(uint32(t.n))
+	start := e.Len()
+	t.forEach(func(line memory.Addr, ent *presEntry) {
 		e.U64(uint64(line))
 		e.U64(ent.l2)
 		e.U64(ent.l3)
-	}
+	})
+	sort.Sort(presRecords(e.Bytes()[start:]))
+}
+
+// presRecords sorts encoded presence records by line in place.
+type presRecords []byte
+
+func (r presRecords) Len() int { return len(r) / presRecordSize }
+
+func (r presRecords) Less(i, j int) bool {
+	return binary.LittleEndian.Uint64(r[i*presRecordSize:]) < binary.LittleEndian.Uint64(r[j*presRecordSize:])
+}
+
+func (r presRecords) Swap(i, j int) {
+	a := (*[presRecordSize]byte)(r[i*presRecordSize:])
+	b := (*[presRecordSize]byte)(r[j*presRecordSize:])
+	*a, *b = *b, *a
 }
 
 // restorePres rebuilds the presence table from a savePres encoding.
 func (h *Hierarchy) restorePres(d *snapbin.Dec) error {
 	peak := int(d.U64())
-	n := d.Count(24)
+	n := d.Count(presRecordSize)
 	chipMask := uint64(1)<<uint(h.topo.Chips) - 1
 	var t lineTable
 	t.init()
@@ -229,6 +247,7 @@ func (h *Hierarchy) SaveState(e *snapbin.Enc) error {
 				chip, len(h.lanes[chip].ops), errs.ErrThreadRunning)
 		}
 	}
+	e.Grow(h.stateSize())
 	e.U8(uint8(h.mode))
 	e.U32(uint32(len(h.l1)))
 	for _, c := range h.l1 {
@@ -259,6 +278,27 @@ func (h *Hierarchy) SaveState(e *snapbin.Enc) error {
 	}
 	return nil
 }
+
+// stateSize is the exact length of SaveState's encoding, which SaveState
+// hints to its encoder before it writes.
+func (h *Hierarchy) stateSize() int {
+	n := 1 + 4 + 4 // coherence mode, L1 count, chip count
+	for _, c := range h.l1 {
+		n += cacheStateSize(c)
+	}
+	for chip := range h.l2 {
+		n += cacheStateSize(h.l2[chip]) + cacheStateSize(h.l3[chip])
+	}
+	n += 8 + 8                                   // probesAvoided, invalidationsSent
+	n += 8 + 4 + presRecordSize*h.pres.n         // presence peak, count, records
+	n += 4 + 4 + len(h.lanes)*(4+2*NumSources)*8 // lane and source counts, each lane's counters
+	return n
+}
+
+// cacheStateSize is the length of saveCache's encoding of c: stamp, five
+// statistics and geometry, a valid-way count per set, and index, tag,
+// state and LRU stamp per valid way.
+func cacheStateSize(c *SetAssoc) int { return 8 + 5*8 + 4 + 4 + c.nsets + 18*c.Occupancy() }
 
 // RestoreState overwrites the hierarchy's mutable state with a state
 // saved by SaveState. The hierarchy must have been rebuilt with the same

@@ -65,3 +65,31 @@ func TestRestoreRefusesHostileSnapshots(t *testing.T) {
 		}
 	}
 }
+
+// TestStateSizeHintIsExact: the size SaveState hints before it writes is
+// the length it writes, in both coherence modes, from an empty hierarchy
+// through ones whose L2s cast out into victim L3s of small and promoted
+// blocks.
+func TestStateSizeHintIsExact(t *testing.T) {
+	topo := topology.OpenPower720()
+	for _, mode := range []CoherenceMode{CoherenceDirectory, CoherenceBroadcast} {
+		cfg := SmallConfig()
+		cfg.L3.Ways = 8 // above smallWays, so L3 sets start small and promote
+		cfg.Coherence = mode
+		h := mustHierarchy(t, topo, cfg)
+		w := newDiffWorkload(topo, 8, 1024, 5)
+		for op := 0; op <= 40_000; op++ {
+			if op%5_000 == 0 {
+				want := h.stateSize()
+				if got := len(stateBytes(t, h)); got != want {
+					t.Fatalf("%v after %d accesses: SaveState wrote %d bytes, hinted %d", mode, op, got, want)
+				}
+			}
+			cpu, addr, write := w.step()
+			h.Access(cpu, addr, write)
+		}
+		if h.l3[0].Occupancy() == 0 {
+			t.Fatalf("%v: the accesses never reached chip 0's victim L3", mode)
+		}
+	}
+}

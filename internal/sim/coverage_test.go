@@ -34,15 +34,7 @@ func TestSnapshotCoverage(t *testing.T) {
 	ctx := context.Background()
 	w := walker{nonzero: map[string]bool{}, providers: map[reflect.Type]bool{}}
 	for _, c := range snapshotCorpus() {
-		live, liveEngine := c.build(t)
-		for r := 0; c.ready == nil && r < c.rounds || c.ready != nil && !c.ready(liveEngine); r++ {
-			if r == c.rounds {
-				t.Fatalf("%s: not ready to snapshot after %d rounds", c.name, r)
-			}
-			if err := live.RunRoundsCtx(ctx, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
+		live, liveEngine := c.run(t)
 		snap, err := live.Snapshot(ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -122,6 +114,21 @@ func (c corpusMachine) build(t *testing.T) (*sim.Machine, *core.Engine) {
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
+	}
+	return m, e
+}
+
+// run builds the machine and runs it to where the corpus snapshots it.
+func (c corpusMachine) run(t *testing.T) (*sim.Machine, *core.Engine) {
+	t.Helper()
+	m, e := c.build(t)
+	for r := 0; c.ready == nil && r < c.rounds || c.ready != nil && !c.ready(e); r++ {
+		if r == c.rounds {
+			t.Fatalf("%s: not ready to snapshot after %d rounds", c.name, r)
+		}
+		if err := m.RunRoundsCtx(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return m, e
 }

@@ -79,28 +79,51 @@ func (s *MachineSnapshot) section(name string) ([]byte, bool) {
 	return nil, false
 }
 
-// Encode renders the snapshot in the canonical binary form: magic,
-// version, the sections, and a trailing SHA-256 digest of everything
-// before it.
-func (s *MachineSnapshot) Encode() []byte {
-	e := &snapbin.Enc{}
+// frame feeds the canonical body — everything Encode writes before its
+// trailing digest — to put, in order: magic, version and section count,
+// then each section's length-prefixed name and payload. Encode and
+// Digest both call it, so the format has one definition; payloads reach
+// put as they are, never copied. put must not keep the slices it is
+// given: the prefixes reuse one buffer.
+func (s *MachineSnapshot) frame(put func([]byte)) {
+	var e snapbin.Enc
 	e.U64(snapshotMagic)
 	e.U16(s.Version)
 	e.U32(uint32(len(s.sections)))
+	put(e.Bytes())
 	for _, sec := range s.sections {
+		e.Reset()
 		e.Str(sec.name)
-		e.Blob(sec.payload)
+		e.U32(uint32(len(sec.payload)))
+		put(e.Bytes())
+		put(sec.payload)
 	}
-	sum := sha256.Sum256(e.Bytes())
-	return append(e.Bytes(), sum[:]...)
+}
+
+// Encode renders the snapshot in the canonical binary form: magic,
+// version, the sections, and a trailing SHA-256 digest of everything
+// before it. It allocates once, exactly the encoding's length.
+func (s *MachineSnapshot) Encode() []byte {
+	n := sha256.Size
+	s.frame(func(b []byte) { n += len(b) })
+	out := make([]byte, 0, n)
+	s.frame(func(b []byte) { out = append(out, b...) })
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
 }
 
 // Digest returns the hex SHA-256 of the canonical encoding — a stable
-// fingerprint of the captured machine state.
+// fingerprint of the captured machine state. It streams the framing
+// through two hashers, one for the trailing digest and one for the
+// whole, and materialises no encoding.
 func (s *MachineSnapshot) Digest() string {
-	enc := s.Encode()
-	sum := sha256.Sum256(enc)
-	return hex.EncodeToString(sum[:])
+	inner, outer := sha256.New(), sha256.New()
+	s.frame(func(b []byte) {
+		inner.Write(b)
+		outer.Write(b)
+	})
+	outer.Write(inner.Sum(nil))
+	return hex.EncodeToString(outer.Sum(nil))
 }
 
 // DecodeSnapshot parses a canonical encoding produced by Encode. It

@@ -37,6 +37,18 @@ func (e *Enc) Bytes() []byte { return e.buf }
 // Len returns the current encoded length.
 func (e *Enc) Len() int { return len(e.buf) }
 
+// Grow makes room for at least n more bytes, so an encoder that knows
+// its size up front writes without regrowing. It only sets capacity: a
+// wrong hint costs a regrow or some slack, never a different byte.
+func (e *Enc) Grow(n int) {
+	if n > cap(e.buf)-len(e.buf) {
+		e.buf = append(make([]byte, 0, len(e.buf)+n), e.buf...)
+	}
+}
+
+// Reset empties the encoder and keeps its capacity.
+func (e *Enc) Reset() { e.buf = e.buf[:0] }
+
 // U8 appends one byte.
 func (e *Enc) U8(v uint8) { e.buf = append(e.buf, v) }
 

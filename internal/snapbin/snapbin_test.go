@@ -245,3 +245,35 @@ func FuzzSnapbinDec(f *testing.F) {
 		}
 	})
 }
+
+// TestGrowOnlySetsCapacity: a size hint, exact, short, long or made
+// mid-encoding, changes no byte; an exact one needs no regrow; Reset
+// empties the encoder and keeps its buffer.
+func TestGrowOnlySetsCapacity(t *testing.T) {
+	var plain Enc
+	inSequence.enc(&plain)
+	for _, hint := range []int{0, 1, plain.Len() / 2, plain.Len(), 4 * plain.Len()} {
+		var e Enc
+		e.Grow(hint)
+		c := cap(e.Bytes())
+		inSequence.enc(&e)
+		if hint >= plain.Len() && cap(e.Bytes()) != c {
+			t.Errorf("hint %d: the encoder regrew from %d to %d bytes", hint, c, cap(e.Bytes()))
+		}
+		e.Grow(hint)
+		if !bytes.Equal(e.Bytes(), plain.Bytes()) {
+			t.Errorf("hint %d: encoding differs from the unhinted one", hint)
+		}
+	}
+	e := Enc{}
+	inSequence.enc(&e)
+	c := cap(e.Bytes())
+	e.Reset()
+	if e.Len() != 0 || cap(e.Bytes()) != c {
+		t.Errorf("Reset left %d bytes in a buffer of %d, want 0 in %d", e.Len(), cap(e.Bytes()), c)
+	}
+	inSequence.enc(&e)
+	if !bytes.Equal(e.Bytes(), plain.Bytes()) {
+		t.Error("encoding after Reset differs")
+	}
+}

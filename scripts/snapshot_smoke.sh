@@ -7,7 +7,9 @@
 #   1. Machine snapshots: `tcsim snapshot` run for N+M rounds in one go
 #      and as a snapshot/resume pair at N produces byte-identical
 #      snapshot files (the canonical encoding is a pure function of the
-#      simulated state), and a resume under a different -seed fails.
+#      simulated state), the digest each run prints — streamed, never
+#      materialised — is the SHA-256 of the file it wrote, and a resume
+#      under a different -seed fails.
 #   2. Daemon resume: a tcsimd SIGKILLed with one job running and one
 #      queued leaves both jobs' "<seq>-<id>.json" spool files and a
 #      record of each completed grid cell; a restarted daemon runs both
@@ -33,15 +35,36 @@ $GO build -o "$WORK/tcsim" ./cmd/tcsim
 
 # --- 1. split-run snapshot identity ---------------------------------
 
-"$WORK/tcsim" snapshot -policy clustered -rounds 80 -out "$WORK/full.snap" >/dev/null 2>&1
+# file_sum FILE: the hex SHA-256 of FILE.
+file_sum() {
+    if command -v sha256sum >/dev/null 2>&1; then
+        sha256sum "$1" | cut -d' ' -f1
+    else
+        shasum -a 256 "$1" | cut -d' ' -f1
+    fi
+}
+
+FULL=$("$WORK/tcsim" snapshot -policy clustered -rounds 80 -out "$WORK/full.snap" 2>/dev/null)
 "$WORK/tcsim" snapshot -policy clustered -rounds 50 -out "$WORK/half.snap" >/dev/null 2>&1
-"$WORK/tcsim" snapshot -policy clustered -resume "$WORK/half.snap" -rounds 30 \
-    -out "$WORK/resumed.snap" >/dev/null 2>&1
+RESUMED=$("$WORK/tcsim" snapshot -policy clustered -resume "$WORK/half.snap" -rounds 30 \
+    -out "$WORK/resumed.snap" 2>/dev/null)
 if ! cmp -s "$WORK/full.snap" "$WORK/resumed.snap"; then
     echo "snapshot-smoke: SNAPSHOT MISMATCH: 80 rounds != 50+30 rounds" >&2
     exit 1
 fi
 echo "snapshot-smoke: split-run snapshot is byte-identical to the unbroken run"
+
+# The printed digest is hashed from the snapshot's sections as they
+# stream past, not from the written bytes: it must still be their hash.
+for pair in "$FULL full.snap" "$RESUMED resumed.snap"; do
+    # shellcheck disable=SC2086 # split the pair into digest and file
+    set -- $pair
+    if [ "$1" != "$(file_sum "$WORK/$2")" ]; then
+        echo "snapshot-smoke: DIGEST MISMATCH: printed $1, sha256 of $2 is $(file_sum "$WORK/$2")" >&2
+        exit 1
+    fi
+done
+echo "snapshot-smoke: printed digests are the SHA-256 of the written snapshots: $FULL"
 
 # A snapshot belongs to its run seed: resuming it under another -seed
 # must fail instead of continuing the snapshot's run under a new name.
