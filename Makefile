@@ -119,7 +119,11 @@ fuzz-smoke:
 # handing slabs of two machine geometries to each other while every cell
 # stays equal to the serial run's), the experiment harnesses'
 # golden-output and Options-plumbing tests (their policy/workload fan-out
-# runs on sweep.Map goroutines), the job server + client under load,
+# runs on sweep.Map goroutines), the workload generators (a B-tree worker
+# shared between threads, or marked Confined so the parallel engine runs
+# it off the serial path, trips the detector), the job server + client
+# under load, the fleet's digest at fleet sizes {1,2,5} with seed-derived
+# worker kills (TestFleetDigestMatchesOffline),
 # concurrent settles interning one payload shape and scrapes reading the
 # sim totals while settles accumulate them, at several GOMAXPROCS levels,
 # and the fleet's straggler timer five times per GOMAXPROCS level.
@@ -144,8 +148,9 @@ server-smoke:
 # End-to-end smoke of snapshot/restore and daemon resume: a split
 # `tcsim snapshot` run must be byte-identical to an unbroken one, a
 # tcsimd SIGKILLed mid-job must resume from its cell records to the
-# offline sweep digest, and a resubmission under a new ID must replay
-# them to the same digest.
+# offline sweep digest, a resubmission under a new ID must replay
+# them to the same digest, and the grid with one workload appended must
+# replay every old cell and reach its own offline digest.
 snapshot-smoke:
 	sh ./scripts/snapshot_smoke.sh
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"threadcluster/internal/sched"
@@ -133,6 +135,83 @@ func TestParsePolicy(t *testing.T) {
 	for _, name := range []string{"rr", "hand", "bogus", ""} {
 		if _, err := ParsePolicy(name); err == nil {
 			t.Errorf("ParsePolicy(%q) should be unknown", name)
+		}
+	}
+}
+
+// TestCellKeyCoversGrid walks every field of GridSpec and its Options by
+// reflection. Perturbing one must change a cell's key, unless the field
+// only says which cells exist or where their seeds come from (the three
+// lists, BaseSeed), the cell names it itself (Opt.Topo, Opt.Seed), or it
+// cannot change a result (Opt.Engine). Appending a workload or a policy
+// keeps the key of every old cell, whose seed a one-topology grid keeps.
+func TestCellKeyCoversGrid(t *testing.T) {
+	base := subsetGrid()
+	cell := base.Cells()[0]
+	want := base.CellKey(cell).Hash()
+	cleared := map[string]bool{
+		"Workloads": true, "Policies": true, "Topos": true, "BaseSeed": true,
+		"Opt.Topo": true, "Opt.Seed": true, "Opt.Engine": true,
+	}
+	seen := map[string]bool{}
+	var walk func(path string, index []int, typ reflect.Type, free bool)
+	walk = func(path string, index []int, typ reflect.Type, free bool) {
+		if typ.Kind() == reflect.Struct {
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				name := strings.TrimPrefix(path+"."+f.Name, ".")
+				walk(name, append(append([]int(nil), index...), i), f.Type, free || cleared[name])
+			}
+			return
+		}
+		seen[path] = true
+		g := subsetGrid()
+		v := reflect.ValueOf(&g).Elem().FieldByIndex(index)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float32, reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		default:
+			t.Fatalf("%s: no perturbation for a %s field; teach this test one", path, v.Kind())
+		}
+		if changed := g.CellKey(cell).Hash() != want; changed == free {
+			t.Errorf("perturbing %s: key changed = %v, want %v", path, changed, !free)
+		}
+	}
+	walk("", nil, reflect.TypeOf(base), false)
+	for _, path := range []string{"Opt.Engine", "Opt.QuantumCycles", "Opt.Coherence", "Opt.Topo.Chips", "BaseSeed"} {
+		if !seen[path] {
+			t.Errorf("the walk never reached %s", path)
+		}
+	}
+
+	for _, grow := range []func(*GridSpec){
+		func(g *GridSpec) { g.Workloads = append(g.Workloads, Rubis) },
+		func(g *GridSpec) { g.Policies = append(g.Policies, sched.PolicyRoundRobin) },
+	} {
+		g := subsetGrid()
+		grow(&g)
+		byName := map[string]GridCell{}
+		for _, c := range g.Cells() {
+			byName[c.Name()] = c
+		}
+		for _, old := range base.Cells() {
+			c, ok := byName[old.Name()]
+			if !ok || c.Seed != old.Seed {
+				t.Fatalf("grown grid lost cell %s or moved its seed", old.Name())
+			}
+			if g.CellKey(c).Hash() != base.CellKey(old).Hash() {
+				t.Errorf("growing the grid moved the key of %s", old.Name())
+			}
 		}
 	}
 }

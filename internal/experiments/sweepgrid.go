@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -22,7 +25,7 @@ const (
 )
 
 // DigestEpoch numbers the simulator's result epochs: a grid cell's
-// metrics are a pure function of its spec, its seed and this epoch.
+// metrics are a pure function of its CellKey, which holds this epoch.
 // Epoch 1 began with the SplitMix64 generator. Bump it whenever any
 // pinned digest moves (`make goldens`); TestDigestEpochPinned fails
 // until you do. Records of completed cells are keyed by it, so a bump
@@ -78,6 +81,38 @@ func (c GridCell) Name() string {
 	return c.Workload + "/" + c.Policy.String() + "/" + c.Topo
 }
 
+// CellKey is everything a grid cell's metrics are a pure function of:
+// the digest epoch, the cell's own coordinates and seed, and the rest of
+// its grid.
+type CellKey struct {
+	Epoch    int      `json:"epoch"`
+	Workload string   `json:"workload"`
+	Policy   string   `json:"policy"`
+	Topo     string   `json:"topo"`
+	Seed     int64    `json:"seed"`
+	Grid     GridSpec `json:"grid"`
+}
+
+// CellKey keys cell c of g. The grid's lists and base seed only say
+// which cells exist and where their seeds come from, the cell names its
+// own topology and seed, and both engines give byte-identical metrics,
+// so those fields are cleared; whole structs are cleared rather than
+// fields listed, so a field added to GridSpec or Options joins the key
+// by itself. A record keyed by it therefore serves any grid that holds
+// the cell with the same seed.
+func (g GridSpec) CellKey(c GridCell) CellKey {
+	g.Workloads, g.Policies, g.Topos, g.BaseSeed = nil, nil, nil, 0
+	g.Opt.Topo, g.Opt.Seed, g.Opt.Engine = topology.Topology{}, 0, 0
+	return CellKey{Epoch: DigestEpoch, Workload: c.Workload, Policy: c.Policy.String(), Topo: c.Topo, Seed: c.Seed, Grid: g}
+}
+
+// Hash is the key's name: the hex sha256 of its canonical JSON.
+func (k CellKey) Hash() string {
+	data, _ := json.Marshal(k) // strings and integers always marshal
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
 // Cells expands the grid in deterministic order (topology-major, then
 // workload, then policy).
 func (g GridSpec) Cells() []GridCell {
@@ -96,40 +131,33 @@ func (g GridSpec) Cells() []GridCell {
 // Tasks compiles the grid into sweep tasks. Each task builds its own
 // machine, measures RunWorkload's interval and returns the run's metrics
 // snapshot; the returned cells parallel the tasks index-wise.
-func (g GridSpec) Tasks() ([]GridCell, []sweep.Task, error) {
+func (g GridSpec) Tasks() ([]GridCell, []sweep.Task, error) { return g.SubsetTasks(nil) }
+
+// SubsetTasks compiles only the grid cells at the given full-grid
+// indices (every cell when indices is empty), preserving each cell's
+// full-grid identity: names and seeds are exactly what Tasks would
+// assign at those positions, so a shard of the grid executed elsewhere
+// produces the same per-cell snapshots the whole grid would. Indices
+// must be strictly increasing and in range (see CheckSubset). This is
+// the partition primitive the fleet coordinator shards jobs with.
+func (g GridSpec) SubsetTasks(indices []int) ([]GridCell, []sweep.Task, error) {
 	cells := g.Cells()
+	if len(indices) > 0 {
+		if err := CheckSubset(len(cells), indices); err != nil {
+			return nil, nil, err
+		}
+		sub := make([]GridCell, len(indices))
+		for i, idx := range indices {
+			sub[i] = cells[idx]
+		}
+		cells = sub
+	}
 	tasks := make([]sweep.Task, 0, len(cells))
 	for _, cell := range cells {
 		task, err := g.taskFor(cell)
 		if err != nil {
 			return nil, nil, err
 		}
-		tasks = append(tasks, task)
-	}
-	return cells, tasks, nil
-}
-
-// SubsetTasks compiles only the grid cells at the given full-grid
-// indices, preserving each cell's full-grid identity: names and seeds
-// are exactly what Tasks would assign at those positions, so a shard of
-// the grid executed elsewhere produces the same per-cell snapshots the
-// whole grid would. Indices must be strictly increasing and in range
-// (see CheckSubset). This is the partition primitive the fleet
-// coordinator shards jobs with.
-func (g GridSpec) SubsetTasks(indices []int) ([]GridCell, []sweep.Task, error) {
-	all := g.Cells()
-	if err := CheckSubset(len(all), indices); err != nil {
-		return nil, nil, err
-	}
-	cells := make([]GridCell, 0, len(indices))
-	tasks := make([]sweep.Task, 0, len(indices))
-	for _, idx := range indices {
-		cell := all[idx]
-		task, err := g.taskFor(cell)
-		if err != nil {
-			return nil, nil, err
-		}
-		cells = append(cells, cell)
 		tasks = append(tasks, task)
 	}
 	return cells, tasks, nil

@@ -18,7 +18,11 @@
 // attempt, preferably on another worker, while the earlier ones keep
 // running (first completion wins: shard results are pure), and the
 // spool's write-once cell records let a killed coordinator resume to
-// the uninterrupted digest.
+// the uninterrupted digest. A record is named by what its cell computes
+// (experiments.CellKey), not by its grid position, so a grid grown by a
+// policy, or on one topology by a workload, sends only its new cells
+// out. Records of an older format or epoch are never read; deleting
+// cells/ costs only recomputation.
 package fleet
 
 import (

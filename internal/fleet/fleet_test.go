@@ -429,6 +429,45 @@ func TestFleetCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestFleetReplaysGrownGrid: records are keyed by cell, not by grid
+// position, so a second run over the grid with one workload appended
+// sends only the new workload's cells to the workers and still returns
+// the offline digest.
+func TestFleetReplaysGrownGrid(t *testing.T) {
+	opt := fastOptions()
+	opt.SpoolDir = t.TempDir()
+	spec := testSpec("base")
+	grown := testSpec("grown")
+	grown.Workloads = append(grown.Workloads, "rubis")
+	for _, run := range []struct {
+		spec server.JobSpec
+		ran  int64
+	}{
+		{spec, 6},
+		{grown, int64(len(grown.Policies))},
+	} {
+		_, wantDigest := offlinePayload(t, run.spec)
+		w := newFakeWorker("a")
+		c, err := New([]Worker{w}, opt)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		payload, _, err := c.Run(context.Background(), run.spec)
+		if err != nil {
+			t.Fatalf("%s Run: %v", run.spec.ID, err)
+		}
+		if payload.Digest != wantDigest {
+			t.Fatalf("%s digest %s, offline %s", run.spec.ID, payload.Digest, wantDigest)
+		}
+		if got := w.cellsRun.Load(); got != run.ran {
+			t.Fatalf("%s sent %d cells to the worker, want %d", run.spec.ID, got, run.ran)
+		}
+		if warns := c.Warnings(); len(warns) != 0 {
+			t.Fatalf("%s run produced warnings: %v", run.spec.ID, warns)
+		}
+	}
+}
+
 // TestFleetQuarantinesCorruptCheckpoint: a torn cell record is
 // quarantined with a structured warning and its cell recomputed; every
 // other recorded cell is replayed.

@@ -61,6 +61,7 @@ type runState struct {
 	c       *Coordinator
 	ctx     context.Context // cancelled when Run returns; bounds every attempt
 	norm    server.JobSpec
+	grid    experiments.GridSpec
 	cells   []experiments.GridCell
 	results []sweep.Result
 	runs    []*shardRun
@@ -110,6 +111,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 		c:       c,
 		ctx:     runCtx,
 		norm:    norm,
+		grid:    grid,
 		cells:   cells,
 		results: make([]sweep.Result, len(cells)),
 		bySlot:  make(map[int]*shardRun),
@@ -121,7 +123,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 	hit := make([]bool, len(cells))
 	if c.opt.SpoolDir != "" {
 		for idx, cell := range cells {
-			snap, ok, warn := server.LookupCell(c.opt.SpoolDir, norm, idx, cell)
+			snap, ok, warn := server.LookupCell(c.opt.SpoolDir, grid, cell)
 			if warn != nil {
 				c.warn(fmt.Errorf("fleet: %w", warn))
 			}
@@ -314,7 +316,7 @@ func (st *runState) accept(sh *shardRun, tasks []server.TaskResult) error {
 		}
 		st.results[idx] = r
 		if st.c.opt.SpoolDir != "" {
-			if err := server.WriteCell(st.c.opt.SpoolDir, st.norm, idx, want, tr.Metrics); err != nil {
+			if err := server.WriteCell(st.c.opt.SpoolDir, st.grid, want, tr.Metrics); err != nil {
 				st.c.warn(fmt.Errorf("fleet: %w", err)) // a lost record costs a recomputation
 			}
 		}

@@ -58,12 +58,11 @@ func FuzzCellRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cell := grid.Cells()[0]
-	key := newCellKey(norm, 0)
-	good := cellRecord{cellKey: key, Name: cell.Name(), Seed: cell.Seed}
+	key := grid.CellKey(grid.Cells()[0])
+	good := cellRecord{CellKey: key}
 	stale, moved := good, good
 	stale.Epoch = experiments.DigestEpoch - 1
-	moved.Index = 1
+	moved.Seed++
 	for _, rec := range []cellRecord{good, stale, moved} {
 		data, err := json.Marshal(rec)
 		if err != nil {
@@ -73,13 +72,13 @@ func FuzzCellRecord(f *testing.F) {
 	}
 	f.Add([]byte("{not json"))
 
-	want := key.hash()
+	want := key.Hash()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeCellRecord(data, want)
 		if err != nil {
 			return
 		}
-		if got := rec.hash(); got != want {
+		if got := rec.Hash(); got != want {
 			t.Fatalf("accepted a record hashing to %s under key %s", got, want)
 		}
 	})

@@ -196,18 +196,16 @@ func (js JobSpec) cost() (int64, bool) {
 	return int64(total), true
 }
 
-// compile expands the spec into the cells and tasks the job will run:
-// the whole grid, or — for a shard-scoped job — the selected subset
-// with full-grid names and seeds.
-func (js JobSpec) compile() ([]experiments.GridCell, []sweep.Task, error) {
+// compile expands the spec into its grid and the cells and tasks the
+// job will run: the whole grid, or — for a shard-scoped job — the
+// selected subset with full-grid names and seeds.
+func (js JobSpec) compile() (experiments.GridSpec, []experiments.GridCell, []sweep.Task, error) {
 	grid, err := js.Grid()
 	if err != nil {
-		return nil, nil, err
+		return grid, nil, nil, err
 	}
-	if len(js.Cells) > 0 {
-		return grid.SubsetTasks(js.Cells)
-	}
-	return grid.Tasks()
+	cells, tasks, err := grid.SubsetTasks(js.Cells)
+	return grid, cells, tasks, err
 }
 
 // JobState is a job's position in its lifecycle.

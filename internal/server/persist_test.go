@@ -38,14 +38,20 @@ func records(t *testing.T, spool string) []string {
 	return names
 }
 
-// gridCells lists the full grid of a normalized spec.
-func gridCells(t *testing.T, norm JobSpec) []experiments.GridCell {
+// specGrid is the grid of a normalized spec.
+func specGrid(t *testing.T, norm JobSpec) experiments.GridSpec {
 	t.Helper()
 	grid, err := norm.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return grid.Cells()
+	return grid
+}
+
+// gridCells lists the full grid of a normalized spec.
+func gridCells(t *testing.T, norm JobSpec) []experiments.GridCell {
+	t.Helper()
+	return specGrid(t, norm).Cells()
 }
 
 // TestSpoolQuarantine: corrupt or misnamed spool files and corrupt cell
@@ -61,7 +67,8 @@ func TestSpoolQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := cellPath(spool, newCellKey(survivor, 0).hash())
+	grid := specGrid(t, survivor)
+	torn := cellPath(spool, grid.CellKey(grid.Cells()[0]).Hash())
 	if err := os.MkdirAll(filepath.Dir(torn), 0o777); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,8 @@ func TestSpoolQuarantine(t *testing.T) {
 func TestStaleCellRecordsNeverReplay(t *testing.T) {
 	spool := t.TempDir()
 	norm := mustNormalize(t, diffSpec("stale"))
-	cells := gridCells(t, norm)
+	grid := specGrid(t, norm)
+	cells := grid.Cells()
 	other := diffSpec("other")
 	other.Seed = 43
 	var foreign ResultPayload // another run's metrics, cell by cell
@@ -145,15 +153,15 @@ func TestStaleCellRecordsNeverReplay(t *testing.T) {
 		}
 	}
 	for i, cell := range cells {
-		rec := cellRecord{cellKey: newCellKey(norm, i), Name: cell.Name(), Seed: cell.Seed, Metrics: foreign.Tasks[i].Metrics}
+		rec := cellRecord{CellKey: grid.CellKey(cell), Metrics: foreign.Tasks[i].Metrics}
 		rec.Epoch = experiments.DigestEpoch - 1
-		plant(rec.hash(), rec)
+		plant(rec.Hash(), rec)
 		if i == 0 { // the old build's record under this build's key
-			plant(newCellKey(norm, 0).hash(), rec)
+			plant(grid.CellKey(cell).Hash(), rec)
 		}
 	}
-	moved := cellRecord{cellKey: newCellKey(norm, 2), Name: cells[1].Name(), Seed: cells[1].Seed, Metrics: foreign.Tasks[1].Metrics}
-	plant(newCellKey(norm, 1).hash(), moved) // fields say cell 2, name says cell 1
+	moved := cellRecord{CellKey: grid.CellKey(cells[2]), Metrics: foreign.Tasks[1].Metrics}
+	plant(grid.CellKey(cells[1]).Hash(), moved) // fields say cell 2, name says cell 1
 
 	s := startServer(t, Options{SpoolDir: spool}, nil)
 	if _, err := s.Submit(context.Background(), norm); err != nil {
@@ -521,35 +529,50 @@ func TestAbandonedServerResumesEveryJob(t *testing.T) {
 	}
 }
 
-// TestCellRecordsIgnoreEngine: the engine is not part of a cell's key —
-// both engines give byte-identical metrics — so a grid run under seq and
-// then, under a new ID, under parallel reuses every cell and serves the
-// payload the parallel engine computes offline.
-func TestCellRecordsIgnoreEngine(t *testing.T) {
+// TestCellRecordsReplayAcrossGrids: a cell's record serves every later
+// job whose grid holds the cell with the same seed. One spool serves a
+// grid under seq, the same grid under parallel (the engine is not part
+// of the key: both give byte-identical metrics), that grid with one
+// workload appended, then with one policy appended too. Each job
+// computes and records only its new cells, replays the old ones, and
+// serves the offline payload.
+func TestCellRecordsReplayAcrossGrids(t *testing.T) {
 	spool := t.TempDir()
 	s := startServer(t, Options{JobWorkers: 1, SpoolDir: spool}, nil)
-	spec := diffSpec("on-seq")
-	spec.Engine = "seq"
-	total := uint64(len(gridCells(t, mustNormalize(t, spec))))
-	var digests []string
-	for _, engine := range []string{"seq", "parallel"} {
-		spec.ID, spec.Engine = "on-"+engine, engine
-		if _, err := s.Submit(context.Background(), spec); err != nil {
-			t.Fatalf("Submit %s: %v", spec.ID, err)
+	seq, grown, wider := diffSpec("on-seq"), diffSpec("grown"), diffSpec("wider")
+	seq.Engine = "seq"
+	grown.Workloads = append(grown.Workloads, "rubis")
+	wider.Workloads, wider.Policies = grown.Workloads, append(wider.Policies, "round-robin")
+	var written, reused uint64
+	for _, step := range []struct {
+		spec   JobSpec
+		replay uint64
+	}{
+		{seq, 0},
+		{diffSpec("on-parallel"), 4},
+		{grown, 4},
+		{wider, 6},
+	} {
+		id := step.spec.ID
+		if _, err := s.Submit(context.Background(), step.spec); err != nil {
+			t.Fatalf("Submit %s: %v", id, err)
 		}
-		st := waitTerminal(t, s, spec.ID)
-		if st.State != StateDone {
-			t.Fatalf("%s state = %s (err %q), want done", spec.ID, st.State, st.Error)
+		if st := waitTerminal(t, s, id); st.State != StateDone {
+			t.Fatalf("%s state = %s (err %q), want done", id, st.State, st.Error)
 		}
-		digests = append(digests, st.Digest)
+		total := uint64(len(gridCells(t, mustNormalize(t, step.spec))))
+		w := s.reg.Counter("server_cell_records_written_total", nil).Value()
+		r := s.reg.Counter("server_cell_records_reused_total", nil).Value()
+		if w-written != total-step.replay || r-reused != step.replay {
+			t.Fatalf("%s wrote %d and reused %d of %d cells, want %d and %d",
+				id, w-written, r-reused, total, total-step.replay, step.replay)
+		}
+		written, reused = w, r
+		if !bytes.Equal(mustResult(t, s, id), offlinePayload(t, step.spec, 1)) {
+			t.Fatalf("%s payload differs from the offline payload", id)
+		}
 	}
-	if n := s.reg.Counter("server_cell_records_reused_total", nil).Value(); n != total {
-		t.Fatalf("server_cell_records_reused_total = %d, want %d (the parallel run all hits)", n, total)
-	}
-	if digests[0] != digests[1] {
-		t.Fatalf("digests differ across engines: %s vs %s", digests[0], digests[1])
-	}
-	if !bytes.Equal(mustResult(t, s, "on-parallel"), offlinePayload(t, spec, 1)) {
-		t.Fatal("the replayed payload differs from the parallel engine's offline payload")
+	if w := s.SpoolWarnings(); len(w) != 0 {
+		t.Fatalf("SpoolWarnings() = %v, want none", w)
 	}
 }

@@ -482,7 +482,7 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *payloadScratch) {
 		s.beforeJob(j)
 	}
 
-	cells, tasks, err := j.spec.compile()
+	grid, cells, tasks, err := j.spec.compile()
 	if err != nil {
 		s.settle(j, StateFailed, fmt.Errorf("server: compiling job %q: %w", j.spec.ID, err))
 		return
@@ -511,12 +511,8 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *payloadScratch) {
 	// assembled in grid order (deterministic result).
 	wrapped := make([]sweep.Task, len(tasks))
 	for i, t := range tasks {
-		idx := i // full-grid index
-		if len(j.spec.Cells) > 0 {
-			idx = j.spec.Cells[i]
-		}
 		run := func(tctx context.Context, seed int64) (metrics.Snapshot, error) {
-			snap, err := s.runCell(tctx, j, idx, cells[i], t, seed)
+			snap, err := s.runCell(tctx, grid, cells[i], t, seed)
 			if err == nil {
 				s.taskDone(j, i, t.Name, snap)
 			}
@@ -578,14 +574,14 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *payloadScratch) {
 	s.settle(j, StateDone, nil)
 }
 
-// runCell computes one grid cell, full-grid cell idx of the job's grid.
-// With a spool it first looks the cell's record up: a hit replays it, a
-// miss runs the cell and records it.
-func (s *Server) runCell(ctx context.Context, j *job, idx int, cell experiments.GridCell, t sweep.Task, seed int64) (metrics.Snapshot, error) {
+// runCell computes one cell of grid. With a spool it first looks the
+// cell's record up: a hit replays it, a miss runs the cell and records
+// it.
+func (s *Server) runCell(ctx context.Context, grid experiments.GridSpec, cell experiments.GridCell, t sweep.Task, seed int64) (metrics.Snapshot, error) {
 	if s.opt.SpoolDir == "" {
 		return t.Run(ctx, seed)
 	}
-	snap, ok, warn := LookupCell(s.opt.SpoolDir, j.spec, idx, cell)
+	snap, ok, warn := LookupCell(s.opt.SpoolDir, grid, cell)
 	if warn != nil {
 		s.mSpoolQuarantined.Inc()
 		s.warn(warn)
@@ -598,7 +594,7 @@ func (s *Server) runCell(ctx context.Context, j *job, idx int, cell experiments.
 	if err != nil {
 		return snap, err
 	}
-	if err := WriteCell(s.opt.SpoolDir, j.spec, idx, cell, snap); err != nil {
+	if err := WriteCell(s.opt.SpoolDir, grid, cell, snap); err != nil {
 		s.warn(err) // a lost record costs a recomputation, never the job
 	} else {
 		s.mRecordsWritten.Inc()

@@ -15,7 +15,11 @@
 #      record of each completed grid cell; a restarted daemon runs both
 #      jobs to the result digests `tcsim sweep -digest` computes offline,
 #      and a resubmission of the first grid under a new job ID replays
-#      the records to that digest too.
+#      the records to that digest too. Records are keyed by cell, not by
+#      grid position, so the first grid with one workload appended
+#      replays every old cell (server_cell_records_reused_total rises by
+#      the old grid's cell count) and reaches the grown grid's offline
+#      digest.
 #
 # Used by `make snapshot-smoke` and the CI snapshot-smoke job.
 set -eu
@@ -116,11 +120,15 @@ fetch() {
 
 GRID="-workloads microbenchmark,volano -policies default,clustered -warm 100 -engine 300 -measure 100 -seed 5"
 QGRID="-workloads microbenchmark -policies default,clustered -warm 20 -engine 50 -measure 20 -seed 6"
+GROWN="-workloads microbenchmark,volano,rubis -policies default,clustered -warm 100 -engine 300 -measure 100 -seed 5"
+GRID_CELLS=4
 
 # shellcheck disable=SC2086 # word-splitting the grid flags is the point
 OFFLINE=$("$WORK/tcsim" sweep -digest $GRID 2>/dev/null)
 # shellcheck disable=SC2086
 QOFFLINE=$("$WORK/tcsim" sweep -digest $QGRID 2>/dev/null)
+# shellcheck disable=SC2086
+GOFFLINE=$("$WORK/tcsim" sweep -digest $GROWN 2>/dev/null)
 
 start_daemon
 echo "snapshot-smoke: daemon up at $ADDR (spool $SPOOL)"
@@ -208,6 +216,28 @@ if [ "$OFFLINE" != "$AGAIN" ]; then
     exit 1
 fi
 echo "snapshot-smoke: resubmission under a new ID replays to the same digest"
+
+# reused: the daemon's server_cell_records_reused_total.
+reused() {
+    fetch "$ADDR/metrics" | sed -n 's/^server_cell_records_reused_total \([0-9]*\)$/\1/p'
+}
+
+# The grid with one workload appended keeps every old cell's seed, so it
+# replays all of the first grid's records and computes only the new
+# workload's cells.
+BEFORE=$(reused)
+# shellcheck disable=SC2086
+GROWN_DIGEST=$("$WORK/tcsim" submit -addr "$ADDR" -id grown-job -digest $GROWN 2>/dev/null)
+AFTER=$(reused)
+if [ "$GOFFLINE" != "$GROWN_DIGEST" ]; then
+    echo "snapshot-smoke: DIGEST MISMATCH: grown grid offline=$GOFFLINE daemon=$GROWN_DIGEST" >&2
+    exit 1
+fi
+if [ -z "$BEFORE" ] || [ -z "$AFTER" ] || [ $((AFTER - BEFORE)) -ne $GRID_CELLS ]; then
+    echo "snapshot-smoke: grown grid reused $BEFORE -> $AFTER records, want a rise of $GRID_CELLS" >&2
+    exit 1
+fi
+echo "snapshot-smoke: grid grown by a workload replays its $GRID_CELLS old cells and matches the offline digest"
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
