@@ -122,6 +122,15 @@ func TestFleetCLIRejectsNegativeRounds(t *testing.T) {
 	}
 }
 
+// TestFleetCLIHasNoSimEngineFlag: the grid flags no longer pick the
+// simulator's driver.
+func TestFleetCLIHasNoSimEngineFlag(t *testing.T) {
+	err := run([]string{"-workers", "http://127.0.0.1:1", "-simengine", "seq"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -simengine") {
+		t.Errorf("tcfleet -simengine seq = %v, want an undefined-flag error", err)
+	}
+}
+
 // TestFleetCLISpecFilePayload: -spec file input, full payload output,
 // byte-identical across two invocations (one worker, then two).
 func TestFleetCLISpecFilePayload(t *testing.T) {

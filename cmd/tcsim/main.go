@@ -12,8 +12,7 @@
 // The experiment catalogue — the paper's tables and figures, then the
 // extension studies — lives in internal/experiments; `tcsim -h` lists
 // it. Use -exp all for everything and -markdown for GitHub-flavored
-// tables. The -coherence and -engine flags reach every experiment's
-// machine.
+// tables. The -coherence flag reaches every experiment's machine.
 //
 // The sweep subcommand fans a configuration grid (policy x topology x
 // workload) across a worker pool and emits a metrics table:
@@ -52,7 +51,6 @@ import (
 
 	"threadcluster/internal/cache"
 	"threadcluster/internal/experiments"
-	"threadcluster/internal/sim"
 )
 
 // subcommands are the non-experiment entry points, by first argument.
@@ -90,7 +88,6 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 		measure   = fs.Int("measure", 0, "override measured rounds (0 = default)")
 		markdown  = fs.Bool("markdown", false, "emit tables as GitHub-flavored Markdown")
 		coherence = fs.String("coherence", "directory", "cache-coherence implementation of every experiment's machine: directory|broadcast")
-		engine    = fs.String("engine", "parallel", "execution engine for eligible multi-chip rounds: seq|parallel (results are byte-identical)")
 		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -109,12 +106,6 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opt.Coherence = mode
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "tcsim:", err)
-		return 2
-	}
-	opt.Engine = eng
 	if names := experiments.ExperimentNames(); *exp != "all" && !slices.Contains(names, *exp) {
 		fmt.Fprintf(stderr, "tcsim: unknown experiment %q (have %s, all)\n", *exp, strings.Join(names, ", "))
 		return 2

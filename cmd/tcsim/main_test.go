@@ -62,16 +62,18 @@ func TestRunFig3SingleWorkload(t *testing.T) {
 }
 
 // TestBadFlagsExitBeforeProfiling: every rejected command line — an
-// unknown -exp included — exits 2 before the CPU profile is created, and
-// -cluster is not a flag (there is one clustering path, DESIGN.md §10).
+// unknown -exp included — exits 2 before the CPU profile is created.
+// Neither -cluster (there is one clustering path, DESIGN.md §10) nor
+// -engine (the simulator's driver is not a user choice) is a flag.
 func TestBadFlagsExitBeforeProfiling(t *testing.T) {
 	for name, tc := range map[string]struct {
 		args []string
 		want string
 	}{
-		"unknown -exp":  {[]string{"-exp", "nosuch"}, `unknown experiment "nosuch"`},
-		"bad -engine":   {[]string{"-engine", "nosuch"}, "nosuch"},
-		"-cluster gone": {[]string{"-cluster", "dense"}, "flag provided but not defined: -cluster"},
+		"unknown -exp":   {[]string{"-exp", "nosuch"}, `unknown experiment "nosuch"`},
+		"bad -coherence": {[]string{"-coherence", "nosuch"}, "nosuch"},
+		"bad -engine":    {[]string{"-engine", "seq"}, "flag provided but not defined: -engine"},
+		"-cluster gone":  {[]string{"-cluster", "dense"}, "flag provided but not defined: -cluster"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			prof := filepath.Join(t.TempDir(), "cpu.prof")
@@ -89,5 +91,17 @@ func TestBadFlagsExitBeforeProfiling(t *testing.T) {
 				t.Errorf("a rejected command line left %s behind (stat: %v)", prof, err)
 			}
 		})
+	}
+}
+
+// TestSimEngineFlagIsGone: no subcommand lets a user pick the
+// simulator's driver; both drivers give byte-identical results, so every
+// front end runs the default one.
+func TestSimEngineFlagIsGone(t *testing.T) {
+	for name, sub := range subcommands {
+		err := sub([]string{"-simengine", "seq"}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -simengine") {
+			t.Errorf("tcsim %s -simengine seq: %v, want an undefined-flag error", name, err)
+		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // configuration for -rounds and persist the machine's complete state as
 // a versioned snapshot, or restore a snapshot with -resume and continue
 // it. The snapshot encoding is canonical — its digest (printed on
-// stdout) is stable across execution engines and GOMAXPROCS — so
-// splitting a run at any quiescent point changes nothing:
+// stdout) is stable across GOMAXPROCS — so splitting a run at any
+// quiescent point changes nothing:
 //
 //	tcsim snapshot -rounds 400 -out full.snap
 //	tcsim snapshot -rounds 250 -out half.snap
@@ -49,7 +49,6 @@ func runSnapshot(args []string, stdout, stderr io.Writer) error {
 		out       = fs.String("out", "", "write the machine snapshot to this file")
 		resume    = fs.String("resume", "", "restore the machine from this snapshot file, then run -rounds more")
 		coherence = fs.String("coherence", "directory", "cache-coherence implementation: directory|broadcast")
-		simengine = fs.String("simengine", "parallel", "execution engine: seq|parallel (snapshot digests are identical)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,13 +69,8 @@ func runSnapshot(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	eng, err := sim.ParseEngine(*simengine)
-	if err != nil {
-		return err
-	}
 
 	opt := experiments.DefaultOptions()
-	opt.Engine = eng
 	opt.Topo = topo
 	opt.Seed = *seed
 	opt.Coherence = mode

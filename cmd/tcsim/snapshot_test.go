@@ -71,17 +71,6 @@ func TestSnapshotResumeRefusesForeignSeed(t *testing.T) {
 	}
 }
 
-// TestSnapshotEngineIndependence: the digest is an engine- and
-// policy-independent function of the simulated state, so seq and
-// parallel engines agree even with the clustering engine attached.
-func TestSnapshotEngineIndependence(t *testing.T) {
-	seq := runSnapshotOut(t, "-policy", "clustered", "-simengine", "seq", "-rounds", "40")
-	par := runSnapshotOut(t, "-policy", "clustered", "-simengine", "parallel", "-rounds", "40")
-	if seq != par {
-		t.Errorf("digest differs across engines: seq %s, parallel %s", seq, par)
-	}
-}
-
 // TestSnapshotRejectsBadFlags covers the argument-validation surface:
 // unknown names, negative rounds and unconfined workloads all error
 // before any simulation runs.
@@ -92,7 +81,6 @@ func TestSnapshotRejectsBadFlags(t *testing.T) {
 		{"-topo", "bogus"},
 		{"-workload", "bogus"},
 		{"-coherence", "bogus"},
-		{"-simengine", "bogus"},
 		{"-resume", filepath.Join(t.TempDir(), "missing.snap")},
 	}
 	for _, args := range cases {

@@ -24,7 +24,6 @@ import (
 	"threadcluster/internal/metrics"
 	"threadcluster/internal/pmu"
 	"threadcluster/internal/sched"
-	"threadcluster/internal/sim"
 	"threadcluster/internal/topology"
 	"threadcluster/internal/workloads"
 )
@@ -63,10 +62,6 @@ type Options struct {
 	// switching to broadcast can shift multi-chip numbers (it forces the
 	// serial immediate-coherence loop).
 	Coherence cache.CoherenceMode
-	// Engine selects the execution engine driving eligible rounds (zero
-	// value: chip-parallel). Both engines are differentially tested to be
-	// byte-identical; this is purely a speed/debugging knob.
-	Engine sim.Engine
 }
 
 // DefaultOptions returns the scaled defaults used by the CLI and benches.

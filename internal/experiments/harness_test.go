@@ -19,6 +19,8 @@ import (
 	"testing"
 
 	"threadcluster/internal/cache"
+	"threadcluster/internal/core"
+	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
 )
 
@@ -160,12 +162,11 @@ func TestDigestEpochPinned(t *testing.T) {
 }
 
 // TestHarnessOptionsReachMachine runs every experiment with the
-// non-default coherence mode and execution engine and requires every
-// machine it builds to carry them — no harness may drop an Options field
-// on the way to its machine — and to be closed by the time the
-// experiment returns. The slow entries build every machine through one
-// cell constructor, so they are cancelled once the first machine has
-// been seen.
+// non-default coherence mode and requires every machine it builds to
+// carry it — no harness may drop an Options field on the way to its
+// machine — and to be closed by the time the experiment returns. The
+// slow entries build every machine through one cell constructor, so
+// they are cancelled once the first machine has been seen.
 func TestHarnessOptionsReachMachine(t *testing.T) {
 	opt := goldenOptions()
 	if testing.Short() {
@@ -173,7 +174,6 @@ func TestHarnessOptionsReachMachine(t *testing.T) {
 		opt.WarmRounds, opt.EngineRounds, opt.MeasureRounds = 2, 6, 4
 	}
 	opt.Coherence = cache.CoherenceBroadcast
-	opt.Engine = sim.EngineSeq
 	t.Cleanup(func() { machineBuilt = nil })
 
 	for _, name := range ExperimentNames() {
@@ -186,12 +186,11 @@ func TestHarnessOptionsReachMachine(t *testing.T) {
 			type carried struct {
 				m         *sim.Machine
 				coherence cache.CoherenceMode
-				engine    sim.Engine
 			}
 			var built []carried
 			machineBuilt = func(m *sim.Machine) {
 				mu.Lock()
-				built = append(built, carried{m, m.Hierarchy().Coherence(), m.Config().Engine})
+				built = append(built, carried{m, m.Hierarchy().Coherence()})
 				mu.Unlock()
 				if slowEntry(name) {
 					cancel()
@@ -208,14 +207,54 @@ func TestHarnessOptionsReachMachine(t *testing.T) {
 				if m.coherence != cache.CoherenceBroadcast {
 					t.Errorf("machine %d of %d: coherence %v, want broadcast", i+1, len(built), m.coherence)
 				}
-				if m.engine != sim.EngineSeq {
-					t.Errorf("machine %d of %d: engine %v, want seq", i+1, len(built), m.engine)
-				}
 				if !closed(m.m) {
 					t.Errorf("machine %d of %d: still open after the experiment returned", i+1, len(built))
 				}
 			}
 		})
+	}
+}
+
+// TestSnapshotEngineIndependence: the simulator's two drivers are a
+// host choice, not an input. A clustered microbenchmark built through
+// MachineConfig snapshots to one digest after 40 rounds whether its
+// deferred rounds run chip by chip (sim.EngineSeq) or chip-parallel,
+// with the clustering engine attached.
+func TestSnapshotEngineIndependence(t *testing.T) {
+	ctx := context.Background()
+	digest := func(engine sim.Engine) string {
+		cfg := MachineConfig(DefaultOptions(), sched.PolicyClustered)
+		cfg.Engine = engine
+		m, err := sim.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		spec, err := BuildWorkload(Microbenchmark, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.Install(m); err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.New(m, ScaledEngineConfig(cfg.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Install(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RunRoundsCtx(ctx, 40); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Digest()
+	}
+	if seq, par := digest(sim.EngineSeq), digest(sim.EngineParallel); seq != par {
+		t.Errorf("digest differs across engines: seq %s, parallel %s", seq, par)
 	}
 }
 

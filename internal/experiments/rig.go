@@ -22,7 +22,6 @@ func MachineConfig(opt Options, policy sched.Policy) sim.Config {
 	cfg.Topo = opt.Topo
 	cfg.Seed = opt.Seed
 	cfg.QuantumCycles = opt.QuantumCycles
-	cfg.Engine = opt.Engine
 	cfg.Caches.Coherence = opt.Coherence
 	cfg.Policy = policy
 	return cfg
@@ -37,8 +36,8 @@ type study struct {
 	// policy is the placement policy the machine schedules under.
 	policy sched.Policy
 	// hardware optionally adjusts the modelled hardware: cache sizes,
-	// latencies, the SMT penalty. Topology, seed, quantum, execution
-	// engine and coherence mode are the Options' and are not its to set.
+	// latencies, the SMT penalty. Topology, seed, quantum and coherence
+	// mode are the Options' and are not its to set.
 	hardware func(*sim.Config)
 	// workload, when set, builds the workload for the Options' seed before
 	// the machine is built; the rig keeps it as spec.

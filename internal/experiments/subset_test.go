@@ -142,16 +142,16 @@ func TestParsePolicy(t *testing.T) {
 // TestCellKeyCoversGrid walks every field of GridSpec and its Options by
 // reflection. Perturbing one must change a cell's key, unless the field
 // only says which cells exist or where their seeds come from (the three
-// lists, BaseSeed), the cell names it itself (Opt.Topo, Opt.Seed), or it
-// cannot change a result (Opt.Engine). Appending a workload or a policy
-// keeps the key of every old cell, whose seed a one-topology grid keeps.
+// lists, BaseSeed) or the cell names it itself (Opt.Topo, Opt.Seed).
+// Appending a workload or a policy keeps the key of every old cell,
+// whose seed a one-topology grid keeps.
 func TestCellKeyCoversGrid(t *testing.T) {
 	base := subsetGrid()
 	cell := base.Cells()[0]
 	want := base.CellKey(cell).Hash()
 	cleared := map[string]bool{
 		"Workloads": true, "Policies": true, "Topos": true, "BaseSeed": true,
-		"Opt.Topo": true, "Opt.Seed": true, "Opt.Engine": true,
+		"Opt.Topo": true, "Opt.Seed": true,
 	}
 	seen := map[string]bool{}
 	var walk func(path string, index []int, typ reflect.Type, free bool)
@@ -188,7 +188,7 @@ func TestCellKeyCoversGrid(t *testing.T) {
 		}
 	}
 	walk("", nil, reflect.TypeOf(base), false)
-	for _, path := range []string{"Opt.Engine", "Opt.QuantumCycles", "Opt.Coherence", "Opt.Topo.Chips", "BaseSeed"} {
+	for _, path := range []string{"Opt.QuantumCycles", "Opt.Coherence", "Opt.Topo.Chips", "BaseSeed"} {
 		if !seen[path] {
 			t.Errorf("the walk never reached %s", path)
 		}

@@ -94,15 +94,14 @@ type CellKey struct {
 }
 
 // CellKey keys cell c of g. The grid's lists and base seed only say
-// which cells exist and where their seeds come from, the cell names its
-// own topology and seed, and both engines give byte-identical metrics,
-// so those fields are cleared; whole structs are cleared rather than
-// fields listed, so a field added to GridSpec or Options joins the key
-// by itself. A record keyed by it therefore serves any grid that holds
-// the cell with the same seed.
+// which cells exist and where their seeds come from, and the cell names
+// its own topology and seed, so those fields are cleared; whole structs
+// are cleared rather than fields listed, so a field added to GridSpec or
+// Options joins the key by itself. A record keyed by it therefore serves
+// any grid that holds the cell with the same seed.
 func (g GridSpec) CellKey(c GridCell) CellKey {
 	g.Workloads, g.Policies, g.Topos, g.BaseSeed = nil, nil, nil, 0
-	g.Opt.Topo, g.Opt.Seed, g.Opt.Engine = topology.Topology{}, 0, 0
+	g.Opt.Topo, g.Opt.Seed = topology.Topology{}, 0
 	return CellKey{Epoch: DigestEpoch, Workload: c.Workload, Policy: c.Policy.String(), Topo: c.Topo, Seed: c.Seed, Grid: g}
 }
 

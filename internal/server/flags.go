@@ -32,14 +32,9 @@ func BindGridFlags(fs *flag.FlagSet) *GridFlags {
 	fs.StringVar(&g.topos, "topos", experiments.TopoOpenPower720, "comma-separated topologies: open720|power5-32")
 	fs.Int64Var(&g.spec.Seed, "seed", 1, "base seed; per-config seeds derive from it deterministically (0 means 1)")
 	fs.IntVar(&g.spec.WarmRounds, "warm", 0, "override warm-up rounds (0 = default; negative is rejected)")
-	// -engine was taken by clustering-engine rounds long before the
-	// execution engine existed, hence -simengine (plain tcsim spells
-	// the execution engine -engine).
 	fs.IntVar(&g.spec.EngineRounds, "engine", 0, "override engine rounds (0 = default; negative is rejected)")
 	fs.IntVar(&g.spec.MeasureRounds, "measure", 0, "override measured rounds (0 = default; negative is rejected)")
 	fs.StringVar(&g.spec.Coherence, "coherence", "", "cache-coherence implementation: directory|broadcast (empty = directory)")
-	fs.StringVar(&g.spec.Engine, "simengine", "",
-		"execution engine for eligible multi-chip rounds: seq|parallel (empty = parallel; results are byte-identical)")
 	return g
 }
 

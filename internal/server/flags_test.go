@@ -11,10 +11,10 @@ import (
 	"testing"
 )
 
-// gridFlagNames are the ten flags BindGridFlags owns.
+// gridFlagNames are the nine flags BindGridFlags owns.
 var gridFlagNames = []string{
 	"spec", "workloads", "policies", "topos", "seed",
-	"warm", "engine", "measure", "coherence", "simengine",
+	"warm", "engine", "measure", "coherence",
 }
 
 // flagRegistrations returns the names registered on a flag set (or the
@@ -81,7 +81,7 @@ func isSel(e ast.Expr, pkg, name string) bool {
 }
 
 // TestGridsComeThroughTheBinder fails if the flags -> JobSpec -> grid
-// path grows a second copy: the ten grid flags are registered once, in
+// path grows a second copy: the nine grid flags are registered once, in
 // BindGridFlags; the grid front ends register none of the grid-only
 // names themselves; and no command outside the benchmark builds a
 // GridSpec or JobSpec literal or declares a JobSpec to decode a spec

@@ -18,6 +18,7 @@ import (
 
 	"threadcluster/internal/client"
 	"threadcluster/internal/errs"
+	"threadcluster/internal/experiments"
 	"threadcluster/internal/metrics"
 	"threadcluster/internal/server"
 )
@@ -232,6 +233,65 @@ func TestHTTPErrors(t *testing.T) {
 				t.Errorf("%s: body retry_after_seconds %d != header %d", tc.name, detail.RetryAfterSeconds, secs)
 			}
 		}
+	}
+}
+
+// TestHTTPLegacyEngineField: a spec naming the simulator's driver, as
+// specs did before the driver stopped being a job option, still passes
+// the strict decoder. "seq" is admitted and dropped: the status echoes a
+// normalized spec with no engine, and the job serves the offline
+// RunGrid digest. A driver that never existed is still a 400.
+func TestHTTPLegacyEngineField(t *testing.T) {
+	f := newHTTPFixture(t, server.Options{})
+	const legacy = `{"id": "legacy", "workloads": ["microbenchmark"], "policies": ["default", "clustered"],
+		"topos": ["open720"], "seed": 7, "warm_rounds": 2, "engine_rounds": 4, "measure_rounds": 4, "engine": "seq"}`
+	resp, data := f.do(t, http.MethodPost, "/v1/jobs", json.RawMessage(legacy))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST legacy spec = %d %s, want 202", resp.StatusCode, data)
+	}
+	st := waitDoneHTTP(t, f, "legacy")
+	if st.State != server.StateDone {
+		t.Fatalf("legacy job %s (err %q), want done", st.State, st.Error)
+	}
+	if st.Spec.Engine != "" {
+		t.Errorf("normalized spec carries engine %q, want none", st.Spec.Engine)
+	}
+	_, data = f.do(t, http.MethodGet, "/v1/jobs/legacy", nil)
+	if bytes.Contains(data, []byte(`"engine"`)) {
+		t.Errorf("status %s names an engine", data)
+	}
+
+	var spec server.JobSpec
+	if err := json.Unmarshal([]byte(legacy), &spec); err != nil {
+		t.Fatal(err)
+	}
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := norm.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, results, merged, err := experiments.RunGrid(context.Background(), grid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := server.Digest(cells, results, merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Digest != want {
+		t.Errorf("legacy job digest %s, offline RunGrid %s", st.Digest, want)
+	}
+
+	bogus := strings.Replace(strings.Replace(legacy, `"seq"`, `"nope"`, 1), `"legacy"`, `"bogus"`, 1)
+	resp, data = f.do(t, http.MethodPost, "/v1/jobs", json.RawMessage(bogus))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST engine nope = %d %s, want 400", resp.StatusCode, data)
+	}
+	if detail := decodeError(t, data); detail.Code != "bad_config" {
+		t.Errorf("engine nope: code %q, want bad_config", detail.Code)
 	}
 }
 

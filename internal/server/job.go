@@ -47,8 +47,10 @@ type JobSpec struct {
 	// "directory" (default) or "broadcast".
 	Coherence string `json:"coherence,omitempty"`
 
-	// Engine picks the execution engine: "parallel" (default) or "seq".
-	// Results are byte-identical either way.
+	// Engine is ignored. Older specs named the simulator's driver here
+	// ("seq" or "parallel", which give byte-identical results), so
+	// Normalize still accepts those values, and only those, then clears
+	// the field.
 	Engine string `json:"engine,omitempty"`
 
 	// Priority orders admission-to-execution: higher runs earlier, FIFO
@@ -81,9 +83,6 @@ func (js JobSpec) Normalize() (JobSpec, error) {
 	if out.Coherence == "" {
 		out.Coherence = cache.CoherenceDirectory.String()
 	}
-	if out.Engine == "" {
-		out.Engine = sim.EngineParallel.String()
-	}
 	if len(out.Workloads) == 0 || len(out.Policies) == 0 || len(out.Topos) == 0 {
 		return JobSpec{}, fmt.Errorf("server: %w: empty grid (need at least one workload, policy and topology)", errs.ErrBadConfig)
 	}
@@ -99,8 +98,11 @@ func (js JobSpec) Normalize() (JobSpec, error) {
 	if _, err := cache.ParseCoherenceMode(out.Coherence); err != nil {
 		return JobSpec{}, fmt.Errorf("server: %w: %v", errs.ErrBadConfig, err)
 	}
-	if _, err := sim.ParseEngine(out.Engine); err != nil {
-		return JobSpec{}, fmt.Errorf("server: %w: %v", errs.ErrBadConfig, err)
+	if out.Engine != "" {
+		if _, err := sim.ParseEngine(out.Engine); err != nil {
+			return JobSpec{}, fmt.Errorf("server: %w: %v", errs.ErrBadConfig, err)
+		}
+		out.Engine = ""
 	}
 	for _, name := range out.Workloads {
 		if err := experiments.CheckWorkload(name); err != nil {
@@ -136,7 +138,6 @@ func (js JobSpec) Normalize() (JobSpec, error) {
 func (js JobSpec) options() experiments.Options {
 	opt := experiments.DefaultOptions().WithRounds(js.WarmRounds, js.EngineRounds, js.MeasureRounds)
 	opt.Coherence, _ = cache.ParseCoherenceMode(js.Coherence)
-	opt.Engine, _ = sim.ParseEngine(js.Engine)
 	return opt
 }
 

@@ -531,8 +531,8 @@ func TestAbandonedServerResumesEveryJob(t *testing.T) {
 
 // TestCellRecordsReplayAcrossGrids: a cell's record serves every later
 // job whose grid holds the cell with the same seed. One spool serves a
-// grid under seq, the same grid under parallel (the engine is not part
-// of the key: both give byte-identical metrics), that grid with one
+// grid from a legacy spec naming the seq engine, the same grid with no
+// engine (Normalize drops the legacy field), that grid with one
 // workload appended, then with one policy appended too. Each job
 // computes and records only its new cells, replays the old ones, and
 // serves the offline payload.

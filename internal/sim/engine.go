@@ -29,9 +29,9 @@ const (
 	// one worker goroutine per chip per slice. Results are reproducible
 	// byte-for-byte for any GOMAXPROCS and identical to EngineSeq.
 	EngineParallel Engine = iota
-	// EngineSeq drives every round from the calling goroutine. Useful for
-	// debugging, profiling a single-threaded view, and as the reference
-	// half of the engine differential tests.
+	// EngineSeq drives every round from the calling goroutine: the
+	// reference half of the engine differential tests and of
+	// cmd/tcbench's identity check. No front end selects it.
 	EngineSeq
 )
 
@@ -45,7 +45,8 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine maps a CLI/config string to an engine.
+// ParseEngine maps an engine's name to it. Its one use is vetting the
+// legacy engine field of a job spec.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "parallel":

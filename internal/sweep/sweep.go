@@ -58,23 +58,27 @@ func Workers(n int) int {
 }
 
 // Run executes every task on a pool of workers (Workers(workers)) and
-// returns the results in task order. A task failure is recorded in its
-// Result; the first failure also cancels the remaining unstarted tasks,
-// whose Err becomes the cancellation. Run itself returns the first
-// task's error for convenience, or ctx's error if the caller cancelled.
+// returns the results in task order, each echoing its task's Name and
+// Seed. A task failure is recorded in its Result; the first failure also
+// cancels the remaining unstarted tasks, whose Err becomes the
+// cancellation. Run itself returns the first task's error for
+// convenience, or ctx's error if the caller cancelled.
 func Run(ctx context.Context, tasks []Task, workers int) ([]Result, error) {
 	results := make([]Result, len(tasks))
-	err := Each(ctx, len(tasks), workers, func(ctx context.Context, i int) error {
-		t := tasks[i]
+	for i, t := range tasks {
 		results[i] = Result{Name: t.Name, Seed: t.Seed}
-		snap, err := t.Run(ctx, t.Seed)
+	}
+	errs, err := each(ctx, len(tasks), workers, func(ctx context.Context, i int) error {
+		snap, err := tasks[i].Run(ctx, tasks[i].Seed)
 		if err != nil {
-			results[i].Err = fmt.Errorf("sweep: task %s: %w", t.Name, err)
-			return results[i].Err
+			return fmt.Errorf("sweep: task %s: %w", tasks[i].Name, err)
 		}
 		results[i].Metrics = snap
 		return nil
 	})
+	for i, err := range errs {
+		results[i].Err = err
+	}
 	return results, err
 }
 
@@ -133,8 +137,15 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 // error cancels remaining unstarted indices and is returned (earliest
 // index wins when several fail).
 func Each(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
+	_, err := each(ctx, n, workers, fn)
+	return err
+}
+
+// each is Each that also returns every index's error: fn's, or the
+// cancellation for an index it never started.
+func each(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) ([]error, error) {
 	if n == 0 {
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 	w := Workers(workers)
 	if w > n {
@@ -173,8 +184,8 @@ func Each(ctx context.Context, n, workers int, fn func(ctx context.Context, i in
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return errs, err
 		}
 	}
-	return nil
+	return errs, nil
 }

@@ -156,6 +156,31 @@ func TestRunTaskErrorRecorded(t *testing.T) {
 	}
 }
 
+// TestRunCancelledTasksEchoTheirTask: on one worker the first task's
+// failure leaves the second unstarted. Its Result still names its task
+// and carries the cancellation, not a zero Result that reads as success.
+func TestRunCancelledTasksEchoTheirTask(t *testing.T) {
+	boom := errors.New("boom")
+	tasks := []Task{
+		{Name: "bad", Seed: 1, Run: func(context.Context, int64) (metrics.Snapshot, error) {
+			return metrics.Snapshot{}, boom
+		}},
+		fakeTask("unstarted", 2),
+	}
+	results, err := Run(context.Background(), tasks, 1)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run err = %v, want %v", err, boom)
+	}
+	for i, r := range results {
+		if r.Name != tasks[i].Name || r.Seed != tasks[i].Seed {
+			t.Errorf("result %d = %s/%d, want %s/%d", i, r.Name, r.Seed, tasks[i].Name, tasks[i].Seed)
+		}
+	}
+	if !errors.Is(results[1].Err, context.Canceled) {
+		t.Errorf("unstarted task: err = %v, want the cancellation", results[1].Err)
+	}
+}
+
 func TestMerged(t *testing.T) {
 	tasks := []Task{fakeTask("a", 3), fakeTask("b", 4)}
 	results, err := Run(context.Background(), tasks, 2)

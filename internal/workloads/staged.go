@@ -8,7 +8,6 @@ import (
 	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
-	"threadcluster/internal/snapbin"
 )
 
 // StagedConfig parameterizes a SEDA-style staged server (Welsh et al.,
@@ -58,12 +57,11 @@ const stagedHotQueueLines = 2
 // stagedWorker processes events: dequeue from the inbound queue, consult
 // stage state, work on private scratch, enqueue to the outbound queue.
 type stagedWorker struct {
-	rng      rng.Rand
+	cursor
 	inbound  memory.Region
 	outbound memory.Region
 	state    memory.Region
 	scratch  memory.Region
-	step     int
 
 	run [1]sim.MemRef // NextRun's slot
 }
@@ -73,28 +71,11 @@ type stagedWorker struct {
 func (w *stagedWorker) Confined() {}
 
 // SnapshotState returns the worker's cursor: RNG position and step.
-func (w *stagedWorker) SnapshotState() []byte {
-	e := &snapbin.Enc{}
-	st := w.rng.State()
-	e.I64(st.Seed)
-	e.U64(st.Draws)
-	e.I64(int64(w.step))
-	return e.Bytes()
-}
+func (w *stagedWorker) SnapshotState() []byte { return w.save() }
 
 // RestoreState overwrites the worker's cursor with a SnapshotState blob
 // from an identically constructed worker.
-func (w *stagedWorker) RestoreState(state []byte) error {
-	d := snapbin.NewDec(state)
-	seed := d.I64()
-	draws := d.U64()
-	step := d.I64()
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("workloads: staged cursor: %w", err)
-	}
-	w.step = int(step)
-	return w.rng.Restore(rng.State{Seed: seed, Draws: draws})
-}
+func (w *stagedWorker) RestoreState(state []byte) error { return w.restore(state) }
 
 func (w *stagedWorker) Next() sim.MemRef { return w.NextRun()[0] }
 
@@ -161,7 +142,7 @@ func NewStaged(arena *memory.Arena, cfg StagedConfig) (*Spec, error) {
 			return nil, err
 		}
 		w := &stagedWorker{
-			rng:      *rng.New(streamSeed(cfg.Seed, streamStaged, i)),
+			cursor:   cursor{rng: *rng.New(streamSeed(cfg.Seed, streamStaged, i))},
 			inbound:  queues[stage],
 			outbound: queues[stage+1],
 			state:    states[stage],

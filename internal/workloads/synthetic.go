@@ -8,7 +8,6 @@ import (
 	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
-	"threadcluster/internal/snapbin"
 )
 
 // SyntheticConfig parameterizes the Section 5.3.1 microbenchmark: "a
@@ -54,7 +53,7 @@ func DefaultSyntheticConfig() SyntheticConfig {
 }
 
 type syntheticWorker struct {
-	rng        rng.Rand
+	cursor     // step counts the references produced
 	private    memory.Region
 	scoreboard memory.Region
 	cfg        SyntheticConfig
@@ -66,7 +65,6 @@ type syntheticWorker struct {
 	firstBoard     memory.Region
 	secondBoard    memory.Region
 	phaseAfterRefs uint64
-	refs           uint64
 
 	run [1]sim.MemRef // NextRun's slot
 }
@@ -75,44 +73,32 @@ type syntheticWorker struct {
 // phase state and reads only immutable Region descriptors.
 func (w *syntheticWorker) Confined() {}
 
-// SnapshotState returns the worker's cursor: RNG position and reference
-// count (the phase switch is derived from the count on restore).
-func (w *syntheticWorker) SnapshotState() []byte {
-	e := &snapbin.Enc{}
-	st := w.rng.State()
-	e.I64(st.Seed)
-	e.U64(st.Draws)
-	e.U64(w.refs)
-	return e.Bytes()
-}
+// SnapshotState returns the worker's cursor (the phase switch is derived
+// from its reference count on restore).
+func (w *syntheticWorker) SnapshotState() []byte { return w.save() }
 
 // RestoreState overwrites the worker's cursor with a SnapshotState blob
 // from an identically constructed worker.
 func (w *syntheticWorker) RestoreState(state []byte) error {
-	d := snapbin.NewDec(state)
-	seed := d.I64()
-	draws := d.U64()
-	refs := d.U64()
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("workloads: synthetic cursor: %w", err)
+	if err := w.restore(state); err != nil {
+		return err
 	}
-	w.refs = refs
-	// Next switches boards exactly when refs hits phaseAfterRefs; the
+	// Next switches boards exactly when step hits phaseAfterRefs; the
 	// restored cursor decides which side of the switch the worker is on.
-	if w.phaseAfterRefs > 0 && w.refs >= w.phaseAfterRefs {
+	if w.phaseAfterRefs > 0 && w.step >= w.phaseAfterRefs {
 		w.scoreboard = w.secondBoard
 	} else {
 		w.scoreboard = w.firstBoard
 	}
-	return w.rng.Restore(rng.State{Seed: seed, Draws: draws})
+	return nil
 }
 
 func (w *syntheticWorker) Next() sim.MemRef { return w.NextRun()[0] }
 
 // NextRun writes one reference into the worker's run slot.
 func (w *syntheticWorker) NextRun() []sim.MemRef {
-	w.refs++
-	if w.phaseAfterRefs > 0 && w.refs == w.phaseAfterRefs {
+	w.step++
+	if w.phaseAfterRefs > 0 && w.step == w.phaseAfterRefs {
 		w.scoreboard = w.secondBoard
 	}
 	r := &w.run[0]
@@ -163,7 +149,7 @@ func NewSynthetic(arena *memory.Arena, cfg SyntheticConfig) (*Spec, error) {
 			return nil, err
 		}
 		w := &syntheticWorker{
-			rng:        *rng.New(streamSeed(cfg.Seed, streamSynthetic, i)),
+			cursor:     cursor{rng: *rng.New(streamSeed(cfg.Seed, streamSynthetic, i))},
 			private:    private,
 			scoreboard: boards[board],
 			firstBoard: boards[board],

@@ -8,7 +8,6 @@ import (
 	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
-	"threadcluster/internal/snapbin"
 )
 
 // VolanoConfig parameterizes the VolanoMark-like chat server workload
@@ -58,13 +57,12 @@ const volanoHotRoomLines = 4
 // buffer); a "writer" posts the client's messages (read conn buffer,
 // write room board). Both occasionally touch global server state.
 type volanoThread struct {
-	rng    rng.Rand
+	cursor
 	writer bool
 	room   memory.Region
 	conn   memory.Region
 	global memory.Region
 	heap   memory.Region
-	step   int
 
 	run [1]sim.MemRef // NextRun's slot
 }
@@ -74,28 +72,11 @@ type volanoThread struct {
 func (v *volanoThread) Confined() {}
 
 // SnapshotState returns the thread's cursor: RNG position and step.
-func (v *volanoThread) SnapshotState() []byte {
-	e := &snapbin.Enc{}
-	st := v.rng.State()
-	e.I64(st.Seed)
-	e.U64(st.Draws)
-	e.I64(int64(v.step))
-	return e.Bytes()
-}
+func (v *volanoThread) SnapshotState() []byte { return v.save() }
 
 // RestoreState overwrites the thread's cursor with a SnapshotState blob
 // from an identically constructed thread.
-func (v *volanoThread) RestoreState(state []byte) error {
-	d := snapbin.NewDec(state)
-	seed := d.I64()
-	draws := d.U64()
-	step := d.I64()
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("workloads: volano cursor: %w", err)
-	}
-	v.step = int(step)
-	return v.rng.Restore(rng.State{Seed: seed, Draws: draws})
-}
+func (v *volanoThread) RestoreState(state []byte) error { return v.restore(state) }
 
 func (v *volanoThread) Next() sim.MemRef { return v.NextRun()[0] }
 
@@ -199,7 +180,7 @@ func (s *VolanoServer) NewConnection(room int) ([]*sim.Thread, error) {
 			return nil, err
 		}
 		th := &volanoThread{
-			rng:    *rng.New(streamSeed(s.cfg.Seed, streamVolano, s.nextID)),
+			cursor: cursor{rng: *rng.New(streamSeed(s.cfg.Seed, streamVolano, s.nextID))},
 			writer: writer,
 			room:   s.rooms[room],
 			conn:   conn,

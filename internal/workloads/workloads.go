@@ -8,6 +8,7 @@ import (
 	"threadcluster/internal/rng"
 	"threadcluster/internal/sched"
 	"threadcluster/internal/sim"
+	"threadcluster/internal/snapbin"
 )
 
 // Spec is a fully built workload: the threads to schedule plus the
@@ -162,4 +163,35 @@ func stallNoise(g *rng.Rand, branchMax, otherMax uint64) (branch, other uint64) 
 		other = uint64(g.Int63n(int64(otherMax + 1)))
 	}
 	return branch, other
+}
+
+// cursor is a confined generator's position: its RNG and its step count,
+// everything its Next stream depends on beyond construction. save and
+// restore are the generators' SnapshotState and RestoreState blob: RNG
+// seed, RNG draws, step.
+type cursor struct {
+	rng  rng.Rand
+	step uint64
+}
+
+func (c *cursor) save() []byte {
+	e := &snapbin.Enc{}
+	st := c.rng.State()
+	e.I64(st.Seed)
+	e.U64(st.Draws)
+	e.U64(c.step)
+	return e.Bytes()
+}
+
+// restore overwrites the cursor with a save blob from an identically
+// constructed generator.
+func (c *cursor) restore(state []byte) error {
+	d := snapbin.NewDec(state)
+	st := rng.State{Seed: d.I64(), Draws: d.U64()}
+	step := d.U64()
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("workloads: generator cursor: %w", err)
+	}
+	c.step = step
+	return c.rng.Restore(st)
 }

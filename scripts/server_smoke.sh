@@ -6,7 +6,11 @@
 #
 #   1. Determinism across the wire: the job's result digest equals the
 #      digest `tcsim sweep -digest` computes offline for the same grid.
-#   2. Observability: /metrics serves Prometheus text with the server
+#   2. Legacy specs: the same grid written as a JSON spec that still
+#      names an execution engine ("engine": "seq", a field the daemon's
+#      strict decoder accepts and drops) gives that digest too, through
+#      `tcsim sweep -spec` and `tcsim submit -spec`.
+#   3. Observability: /metrics serves Prometheus text with the server
 #      series alongside the sim series of the completed job.
 #
 # Used by `make server-smoke` and the CI server-smoke job.
@@ -60,6 +64,26 @@ if [ "$OFFLINE" != "$REMOTE" ]; then
     exit 1
 fi
 echo "server-smoke: digests match: $REMOTE"
+
+cat >"$WORK/legacy.json" <<'EOF'
+{
+  "workloads": ["microbenchmark", "volano"],
+  "policies": ["default", "clustered"],
+  "topos": ["open720"],
+  "seed": 5,
+  "warm_rounds": 10,
+  "engine_rounds": 20,
+  "measure_rounds": 10,
+  "engine": "seq"
+}
+EOF
+LEGACY_OFFLINE=$("$WORK/tcsim" sweep -digest -spec "$WORK/legacy.json" 2>/dev/null)
+LEGACY_REMOTE=$("$WORK/tcsim" submit -addr "$ADDR" -digest -spec "$WORK/legacy.json" 2>/dev/null)
+if [ "$LEGACY_OFFLINE" != "$OFFLINE" ] || [ "$LEGACY_REMOTE" != "$OFFLINE" ]; then
+    echo "server-smoke: LEGACY SPEC MISMATCH: flags=$OFFLINE sweep -spec=$LEGACY_OFFLINE submit -spec=$LEGACY_REMOTE" >&2
+    exit 1
+fi
+echo "server-smoke: a legacy spec naming an engine gives the same digest offline and served"
 
 fetch() {
     if command -v curl >/dev/null 2>&1; then
