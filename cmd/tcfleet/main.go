@@ -1,8 +1,8 @@
 // Command tcfleet coordinates one sweep grid across a fleet of tcsimd
-// workers and prints the merged canonical result payload — byte-
-// identical to an offline `tcsim sweep` (and to a single tcsimd run)
-// of the same spec, for any fleet size, worker failure pattern or
-// coordinator crash/resume.
+// workers and prints the merged canonical result payload, one compact
+// JSON line — byte-identical to an offline `tcsim sweep` (and to a
+// single tcsimd run) of the same spec, for any fleet size, worker
+// failure pattern or coordinator crash/resume.
 //
 // Usage:
 //
@@ -155,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, payload.Digest)
 		return nil
 	}
-	_, err = stdout.Write(data)
+	_, err = stdout.Write(append(data, '\n'))
 	return err
 }
 

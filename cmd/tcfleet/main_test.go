@@ -164,7 +164,7 @@ func TestFleetCLISpecFilePayload(t *testing.T) {
 	if one != two {
 		t.Fatalf("payload differs between 1-worker and 2-worker fleets")
 	}
-	if !strings.Contains(one, `"digest": "sha256:`) {
-		t.Fatalf("payload has no digest:\n%s", one)
+	if !strings.Contains(one, `"digest":"sha256:`) || strings.Index(one, "\n") != len(one)-1 {
+		t.Fatalf("payload is not one compact JSON line with its digest:\n%s", one)
 	}
 }

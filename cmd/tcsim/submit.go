@@ -13,8 +13,9 @@ import (
 
 // runSubmit implements the `tcsim submit` subcommand: submit a sweep
 // grid to a running tcsimd, follow its progress, and print the canonical
-// result payload — byte-identical to what `tcsim sweep` computes offline
-// for the same grid, which is what makes remote execution trustworthy.
+// result payload as one compact JSON line — byte-identical to what
+// `tcsim sweep` computes offline for the same grid, which is what makes
+// remote execution trustworthy.
 func runSubmit(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -90,6 +91,6 @@ func runSubmit(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("submit: %w", err)
 	}
-	_, err = stdout.Write(payload)
+	_, err = stdout.Write(append(payload, '\n'))
 	return err
 }

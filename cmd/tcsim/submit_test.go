@@ -141,7 +141,7 @@ func TestSubmitMatchesOfflineSweepDigest(t *testing.T) {
 }
 
 // TestSubmitPrintsPayload checks the default mode: the canonical payload
-// lands on stdout and embeds its digest.
+// lands on stdout as one compact JSON line and embeds its digest.
 func TestSubmitPrintsPayload(t *testing.T) {
 	addr := startJobServer(t)
 	args := []string{
@@ -154,10 +154,13 @@ func TestSubmitPrintsPayload(t *testing.T) {
 	if err := runSubmit(args, &out, io.Discard); err != nil {
 		t.Fatalf("runSubmit: %v", err)
 	}
-	for _, want := range []string{`"tasks"`, `"merged"`, `"digest": "sha256:`} {
+	for _, want := range []string{`"tasks"`, `"merged"`, `"digest":"sha256:`} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("payload output lacks %s:\n%s", want, out.String())
 		}
+	}
+	if got := out.String(); strings.Index(got, "\n") != len(got)-1 {
+		t.Fatalf("payload output is not one line ending in a newline:\n%s", got)
 	}
 }
 

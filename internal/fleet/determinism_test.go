@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,5 +149,61 @@ func TestFleetDigestMatchesOffline(t *testing.T) {
 				t.Fatalf("fleet %d payload bytes differ from offline", size)
 			}
 		})
+	}
+}
+
+// TestFleetRerunUnderReusedID: a worker keeps the shard jobs of every
+// run, so a rerun under the same job ID but of another spec — more
+// measured rounds, then a grid grown by a workload — must run its own
+// shards rather than attach to the earlier run's: each run returns its
+// own offline payload. A rerun of the first spec attaches to its jobs
+// and submits none. Shard jobs that meet no conflict keep the plain
+// <job>-<shard>-a<n> ID that traces join the daemon's runs on.
+func TestFleetRerunUnderReusedID(t *testing.T) {
+	kw := startKillableWorker(t, "w0")
+	worker := NewHTTPWorker(kw.name, kw.ts.URL, nil, client.Backoff{})
+	cl := client.New(kw.ts.URL, nil)
+	first := testSpec("reused")
+	first.Workloads = []string{"microbenchmark"}
+	longer := first
+	longer.MeasureRounds = 12
+	grown := longer
+	grown.Workloads = []string{"microbenchmark", "volano"}
+	plain := regexp.MustCompile(`^reused-s[0-9]+-a[0-9]+$`)
+	held := 0
+	for i, spec := range []server.JobSpec{first, longer, grown, first} {
+		want, wantDigest := offlinePayload(t, spec)
+		c, err := New([]Worker{worker}, fastOptions())
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		payload, got, err := c.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if payload.Digest != wantDigest || !bytes.Equal(got, want) {
+			t.Fatalf("run %d under the reused ID: digest %s, want its own %s", i, payload.Digest, wantDigest)
+		}
+		jobs, err := cl.Jobs(context.Background())
+		if err != nil {
+			t.Fatalf("Jobs: %v", err)
+		}
+		switch i {
+		case 0:
+			for _, j := range jobs {
+				if !plain.MatchString(j.ID) {
+					t.Errorf("first run's shard job ID %q, want <job>-<shard>-a<n>", j.ID)
+				}
+			}
+		case 3:
+			if len(jobs) != held {
+				t.Errorf("rerun of the first spec submitted %d shard jobs, want it to attach to its own", len(jobs)-held)
+			}
+		default:
+			if len(jobs) == held {
+				t.Errorf("run %d submitted no shard job of its own", i)
+			}
+		}
+		held = len(jobs)
 	}
 }

@@ -231,7 +231,7 @@ func (c *Coordinator) Run(ctx context.Context, spec server.JobSpec) (server.Resu
 		ShardsDone:  len(st.runs),
 		ShardsTotal: len(st.runs),
 	})
-	return payload, server.RenderResultPayload(compact), nil
+	return payload, compact, nil
 }
 
 // handle folds one attempt outcome into the run state. A returned
@@ -479,9 +479,13 @@ func retryDelay(base time.Duration, seed int64, slot, failures int) time.Duratio
 // deriveJobID names an anonymous fleet job by its normalized spec, so
 // its shard job IDs on the workers are stable across reruns.
 func deriveJobID(norm server.JobSpec) string {
-	data, err := json.Marshal(norm)
-	if err != nil {
-		return "fleet-job"
-	}
-	return fmt.Sprintf("fleet-%016x", hash64(string(data)))
+	return fmt.Sprintf("fleet-%016x", hash64(specText(norm)))
+}
+
+// specText is what a normalized spec computes, as JSON: all of it but
+// its ID.
+func specText(spec server.JobSpec) string {
+	spec.ID = ""
+	data, _ := json.Marshal(spec) // strings, integers and slices of them: never fails
+	return string(data)
 }

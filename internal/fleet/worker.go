@@ -64,33 +64,58 @@ func (w *HTTPWorker) Ping(ctx context.Context) error {
 	return nil
 }
 
-// RunShard submits the shard job and waits it out. A conflict on
-// submit means this exact attempt ID is already on the worker — the
-// coordinator resumed after a crash — so the job is simply re-attached
-// rather than resubmitted; shard results are pure functions of the
-// spec, so attaching to the in-flight twin is indistinguishable from
-// having submitted it.
+// RunShard submits the shard job and waits it out.
 func (w *HTTPWorker) RunShard(ctx context.Context, spec server.JobSpec) ([]server.TaskResult, error) {
-	if _, err := w.cl.Submit(ctx, spec); err != nil && !errors.Is(err, errs.ErrJobExists) {
+	id, err := w.submit(ctx, spec)
+	if err != nil {
 		return nil, err
 	}
-	st, err := w.cl.Wait(ctx, spec.ID)
+	st, err := w.cl.Wait(ctx, id)
 	if err != nil {
 		return nil, err
 	}
 	if st.State != server.StateDone {
 		return nil, fmt.Errorf("fleet: shard job %q ended %s on %s: %s",
-			spec.ID, st.State, w.name, st.Error)
+			id, st.State, w.name, st.Error)
 	}
-	data, err := w.cl.Result(ctx, spec.ID)
+	data, err := w.cl.Result(ctx, id)
 	if err != nil {
 		return nil, err
 	}
 	tasks, err := decodeShardTasks(data)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: decoding shard %q result: %w", spec.ID, err)
+		return nil, fmt.Errorf("fleet: decoding shard %q result: %w", id, err)
 	}
 	return tasks, nil
+}
+
+// submit submits the shard job and returns the ID it runs under. A
+// conflict means the worker already holds a job of that ID: this very
+// attempt, if the coordinator resumed after a crash, or a shard of an
+// earlier run that reused the job ID. The spec the worker echoes tells
+// them apart. The same computation is re-attached (shard results are
+// pure functions of the spec, so attaching to the in-flight twin is
+// indistinguishable from having submitted it); another one is left
+// alone, and the shard goes in under its ID plus its spec's hash.
+func (w *HTTPWorker) submit(ctx context.Context, spec server.JobSpec) (string, error) {
+	want := specText(spec)
+	ids := []string{spec.ID, fmt.Sprintf("%s-%016x", spec.ID, hash64(want))}
+	for _, id := range ids {
+		spec.ID = id
+		_, err := w.cl.Submit(ctx, spec)
+		if !errors.Is(err, errs.ErrJobExists) {
+			return id, err
+		}
+		st, err := w.cl.Status(ctx, id)
+		if err != nil {
+			return "", err
+		}
+		if specText(st.Spec) == want {
+			return id, nil
+		}
+	}
+	return "", fmt.Errorf("fleet: worker %s holds other specs under shard job IDs %q and %q: %w",
+		w.name, ids[0], ids[1], errs.ErrJobExists)
 }
 
 // decodeShardTasks decodes the per-cell results of a served result

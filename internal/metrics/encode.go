@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
-	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -173,89 +172,4 @@ func AppendJSONString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
-}
-
-// AppendIndented appends compact, a compact JSON encoding such as
-// AppendJSON writes, indented by two spaces per level and followed by a
-// newline: the bytes json.MarshalIndent(v, "", "  ") plus '\n' for the
-// v that compact encodes (empty objects and arrays stay {} and []). It
-// is how the served form of a payload is made from the one compact
-// encoding its digest covers.
-func AppendIndented(dst, compact []byte) []byte {
-	return appendIndented(dst, compact, nil)
-}
-
-// AppendIndentedShape is AppendIndented with every number token left out:
-// it appends the indented bytes without their numbers to dst, and to
-// slots the offset in dst where each number goes, in order. Putting the
-// numbers of compact back at those offsets gives AppendIndented's bytes.
-func AppendIndentedShape(dst, compact []byte, slots []int) ([]byte, []int) {
-	dst = appendIndented(dst, compact, &slots)
-	return dst, slots
-}
-
-// appendIndented is AppendIndented, leaving the numbers out and
-// recording their offsets in *slots when slots is not nil.
-func appendIndented(dst, compact []byte, slots *[]int) []byte {
-	dst = slices.Grow(dst, 2*len(compact))
-	depth, open := 0, false // open: just after '{' or '[', indent not yet written
-	for i := 0; i < len(compact); i++ {
-		c := compact[i]
-		if open && c != '}' && c != ']' {
-			open = false
-			depth++
-			dst = appendNewline(dst, depth)
-		}
-		switch c {
-		case '"':
-			j := i + 1
-			for compact[j] != '"' {
-				if compact[j] == '\\' {
-					j++
-				}
-				j++
-			}
-			dst = append(dst, compact[i:j+1]...)
-			i = j
-		case '{', '[':
-			open = true
-			dst = append(dst, c)
-		case ',':
-			dst = appendNewline(append(dst, c), depth)
-		case ':':
-			dst = append(dst, ':', ' ')
-		case '}', ']':
-			if open {
-				open = false
-			} else {
-				depth--
-				dst = appendNewline(dst, depth)
-			}
-			dst = append(dst, c)
-		default: // a number or literal runs to the next punctuation
-			j := i + 1
-			for j < len(compact) && !jsonPunct[compact[j]] {
-				j++
-			}
-			if slots != nil && (c == '-' || '0' <= c && c <= '9') {
-				*slots = append(*slots, len(dst))
-			} else {
-				dst = append(dst, compact[i:j]...)
-			}
-			i = j - 1
-		}
-	}
-	return append(dst, '\n')
-}
-
-// jsonPunct marks the bytes that end a number or literal in compact JSON.
-var jsonPunct = [256]bool{',': true, ':': true, '}': true, ']': true}
-
-func appendNewline(dst []byte, depth int) []byte {
-	const spaces = "\n                                "
-	dst = append(dst, spaces[:1+min(2*depth, len(spaces)-1)]...)
-	for depth -= (len(spaces) - 1) / 2; depth > 0; depth-- {
-		dst = append(dst, ' ', ' ')
-	}
-	return dst
 }

@@ -117,41 +117,3 @@ func FuzzSnapshotJSON(f *testing.F) {
 		}
 	})
 }
-
-// TestAppendIndentedMatchesIndent covers what snapshots do not reach:
-// nesting deeper than the indenter's constant run of spaces, and empty
-// objects and arrays inside others. AppendIndentedShape leaves out the
-// numbers alone (not the digits in strings, not the literals), and
-// putting them back at its offsets gives AppendIndented's bytes.
-func TestAppendIndentedMatchesIndent(t *testing.T) {
-	deep := strings.Repeat(`[{"k":`, 20) + `["a\"b",[],{}]` + strings.Repeat(`}]`, 20)
-	for _, compact := range []string{deep, `{}`, `[]`, `[7]`, `{"a":[1,-2.5e-7,true,null],"b":{"c":{},"12":"3"}}`} {
-		var want bytes.Buffer
-		if err := json.Indent(&want, []byte(compact), "", "  "); err != nil {
-			t.Fatal(err)
-		}
-		want.WriteByte('\n')
-		if got := AppendIndented(nil, []byte(compact)); !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("AppendIndented(%s):\n got %s\nwant %s", compact, got, want.Bytes())
-		}
-
-		shape, slots := AppendIndentedShape(nil, []byte(compact), nil)
-		dec := json.NewDecoder(strings.NewReader(compact))
-		dec.UseNumber()
-		var got []byte
-		at := 0
-		for tok, err := dec.Token(); err == nil; tok, err = dec.Token() {
-			if n, ok := tok.(json.Number); ok {
-				if len(slots) == 0 {
-					t.Fatalf("AppendIndentedShape(%s): no slot for %s", compact, n)
-				}
-				got = append(append(got, shape[at:slots[0]]...), n...)
-				at, slots = slots[0], slots[1:]
-			}
-		}
-		if got = append(got, shape[at:]...); len(slots) != 0 || !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("AppendIndentedShape(%s) with its numbers put back (%d slots left):\n got %s\nwant %s",
-				compact, len(slots), got, want.Bytes())
-		}
-	}
-}

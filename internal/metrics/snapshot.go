@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -338,7 +340,12 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(AppendIndented(nil, compact))
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, compact, "", "  "); err != nil {
+		return err
+	}
+	buf.WriteByte('\n')
+	_, err = buf.WriteTo(w)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,8 +20,10 @@ import (
 	"threadcluster/internal/client"
 	"threadcluster/internal/errs"
 	"threadcluster/internal/experiments"
+	"threadcluster/internal/fleet"
 	"threadcluster/internal/metrics"
 	"threadcluster/internal/server"
+	"threadcluster/internal/sweep"
 )
 
 // httpFixture is a started server behind an httptest listener.
@@ -488,4 +491,102 @@ func ExampleJobSpec() {
 	}
 	fmt.Println(spec.Cost() > 0)
 	// Output: true
+}
+
+// TestServedBytesAreMarshal pins the one payload form. For a real grid,
+// five byte sequences equal json.Marshal of the offline payload: the
+// HTTP result body, Server.Result, client.Result, a fleet coordinator's
+// bytes and ResultPayload.Marshal. The digest is the sha256 of
+// json.Marshal of the payload with Digest blank. A failed cell whose
+// name and error need escaping holds EncodeResultPayload's bytes to the
+// same.
+func TestServedBytesAreMarshal(t *testing.T) {
+	ctx := context.Background()
+	spec := httpSpec("bytes")
+	spec.Workloads = []string{"microbenchmark", "volano"}
+	spec.Policies = []string{"default", "clustered"}
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := norm.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, results, _, err := experiments.RunGrid(ctx, grid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := server.BuildResultPayload(cells, results, sweep.Merged(results))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f := newHTTPFixture(t, server.Options{})
+	if resp, data := f.do(t, http.MethodPost, "/v1/jobs", spec); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, data)
+	}
+	waitDoneHTTP(t, f, spec.ID)
+	_, body := f.do(t, http.MethodGet, "/v1/jobs/"+spec.ID+"/result", nil)
+	fromServer, err := f.srv.Result(spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromClient, err := client.New(f.ts.URL, f.ts.Client()).Result(ctx, spec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := fleet.New([]fleet.Worker{fleet.NewHTTPWorker("w0", f.ts.URL, nil, client.Backoff{})},
+		fleet.Options{Clock: server.NewFakeClock(time.Unix(1_700_000_000, 0).UTC()), Poll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetSpec := spec
+	fleetSpec.ID = "bytes-fleet"
+	_, fromFleet, err := coord.Run(ctx, fleetSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marshaled, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []struct {
+		name string
+		data []byte
+	}{{"HTTP body", body}, {"Server.Result", fromServer}, {"client.Result", fromClient},
+		{"Coordinator.Run", fromFleet}, {"ResultPayload.Marshal", marshaled}} {
+		if !bytes.Equal(got.data, want) {
+			t.Errorf("%s differs from json.Marshal of the payload:\n got %s\nwant %s", got.name, got.data, want)
+		}
+	}
+
+	results = append(results, sweep.Result{Name: "x<&>\"/ ", Seed: -3,
+		Err: errors.New("boom: \"quoted\" <tag> & \\ \x01 \xff")})
+	p, compact, err := server.EncodeResultPayload(nil, cells, results, sweep.Merged(results))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := json.Marshal(p); err != nil || !bytes.Equal(compact, want) {
+		t.Fatalf("compact encoding differs from json.Marshal (err %v):\n got %s\nwant %s", err, compact, want)
+	}
+	if again, err := p.Marshal(); err != nil || !bytes.Equal(again, compact) {
+		t.Fatalf("Marshal differs from the compact encoding (err %v)", err)
+	}
+	blank := p
+	blank.Digest = ""
+	unsigned, err := json.Marshal(blank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("sha256:%x", sha256.Sum256(unsigned)); p.Digest != want {
+		t.Fatalf("digest %s, want %s", p.Digest, want)
+	}
+	if d, err := server.Digest(cells, results, sweep.Merged(results)); err != nil || d != p.Digest {
+		t.Fatalf("Digest = %s (err %v), want %s", d, err, p.Digest)
+	}
 }

@@ -262,7 +262,7 @@ type job struct {
 	tasksTotal int
 
 	events *eventLog
-	kept   keptPayload // the result payload's shape and values (state == done); Result writes the served form
+	kept   keptPayload // the result payload's shape and values (state == done); Result writes the payload from them
 	digest string
 }
 

@@ -1,44 +1,36 @@
 package server
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
-
-	"threadcluster/internal/metrics"
 )
 
 // A done job keeps its result as a keptPayload: the served bytes split
 // into a shape, which the server interns, and the job's own values.
 //
-// The shape is the payload with every number token outside strings and
-// the digest cut out. Every job of one grid shape — the same cells,
-// series and present fields — has the same shape, so a daemon holds one
-// copy of the metric names, labels and keys per grid shape rather than
-// one per job. A shape is named by the sha256 of its compact form (the
-// hash a payload digest already stakes identity on) and stored served
-// (indented), with the offsets where the numbers go. The values are the
-// job's number tokens, in payload order. Served bytes are written by
-// putting the values and the digest back into the shape.
+// The shape is the payload's compact encoding with every number token
+// outside strings and the digest cut out. Every job of one grid shape —
+// the same cells, series and present fields — has the same shape, so a
+// daemon holds one copy of the metric names, labels and keys per grid
+// shape rather than one per job. A shape is stored with the offsets
+// where the numbers go; the values are the job's number tokens, in
+// payload order. Served bytes are written by putting the values and the
+// digest back into the shape.
 
 // valueSep ends each number token in a job's values; no number token
 // holds it.
 const valueSep = ','
 
-// compactTail and servedTail are what follow the digest in a payload's
-// compact and served forms: the digest string's closing quote and the
-// end of the payload object.
-const (
-	compactTail = "\"}"
-	servedTail  = "\"\n}\n"
-)
+// digestTail is what follows the digest in a payload: the digest
+// string's closing quote and the end of the payload object.
+const digestTail = "\"}"
 
-// payloadShape is an interned shape: its served form, and the offsets in
-// it where the number tokens go, ascending. The digest goes at
-// len(text)-len(servedTail), after every number. Immutable once interned.
+// payloadShape is an interned shape: its text, and the offsets in it
+// where the number tokens go, ascending. The digest goes at
+// len(text)-len(digestTail), after every number. Immutable once interned.
 type payloadShape struct {
 	text  string
 	slots []int
@@ -70,7 +62,7 @@ func (k keptPayload) writeTo(w io.Writer, digest string) error {
 		}
 		at, vals = off, vals[n+1:]
 	}
-	digestAt := len(text) - len(servedTail)
+	digestAt := len(text) - len(digestTail)
 	for _, s := range []string{text[at:digestAt], digest, text[digestAt:]} {
 		if _, err := io.WriteString(w, s); err != nil {
 			return err
@@ -83,77 +75,53 @@ func (k keptPayload) writeTo(w io.Writer, digest string) error {
 // a payload. They are reused from job to job; nothing a job keeps points
 // into them.
 type payloadScratch struct {
-	compact, key, vals []byte // the payload, its shape's compact form and its values
-	id                 [sha256.Size]byte
+	compact, text, vals []byte // the payload, its shape's text and its values
+	slots               []int  // the shape's number offsets
 }
 
 // cut splits compact, a payload's compact encoding carrying digest, into
-// the compact form of its shape, named by id, and its values.
+// its shape's text and slots and its values.
 func (sc *payloadScratch) cut(compact []byte, digest string) error {
-	var err error
-	sc.key, sc.vals = cutNumbers(compact, sc.key[:0], sc.vals[:0])
-	if sc.key, err = cutDigest(sc.key, digest, compactTail); err != nil {
-		return err
+	sc.text, sc.slots, sc.vals = cutNumbers(compact, sc.text[:0], sc.slots[:0], sc.vals[:0])
+	at := len(sc.text) - len(digestTail) - len(digest)
+	if at < 0 || string(sc.text[at:at+len(digest)]) != digest || string(sc.text[at+len(digest):]) != digestTail {
+		return fmt.Errorf("server: payload does not end with its digest %q", digest)
 	}
-	sc.id = sha256.Sum256(sc.key)
+	sc.text = append(sc.text[:at], digestTail...)
 	return nil
 }
 
-// shapeTable interns payload shapes by the sha256 of their compact form.
-// The zero value is an empty table; it is safe for concurrent use.
+// shapeTable interns payload shapes by their text. The zero value is an
+// empty table; it is safe for concurrent use.
 type shapeTable struct {
 	mu sync.Mutex
-	m  map[[sha256.Size]byte]*payloadShape
+	m  map[string]*payloadShape
 }
 
 // intern cuts compact, a payload's compact encoding carrying digest, into
 // sc and returns its shape, adding the shape to the table when the table
-// has none (added). A new shape is rendered outside the table's lock.
+// has none (added).
 func (t *shapeTable) intern(sc *payloadScratch, compact []byte, digest string) (sh *payloadShape, added bool, err error) {
 	if err := sc.cut(compact, digest); err != nil {
 		return nil, false, err
 	}
 	t.mu.Lock()
-	sh = t.m[sc.id]
-	t.mu.Unlock()
-	if sh != nil {
+	defer t.mu.Unlock()
+	if sh := t.m[string(sc.text)]; sh != nil {
 		return sh, false, nil
 	}
-	if sh, err = sc.shape(compact, digest); err != nil {
-		return nil, false, err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if had := t.m[sc.id]; had != nil { // another worker interned it meanwhile
-		return had, false, nil
-	}
 	if t.m == nil {
-		t.m = make(map[[sha256.Size]byte]*payloadShape)
+		t.m = make(map[string]*payloadShape)
 	}
-	t.m[sc.id] = sh
+	sh = &payloadShape{text: string(sc.text), slots: slices.Clone(sc.slots)}
+	t.m[sh.text] = sh
 	return sh, true, nil
 }
 
-// shape builds the shape of compact, the payload sc last cut: its served
-// form, as RenderResultPayload renders it, without the numbers, which
-// must be as many as the compact form gave.
-func (sc *payloadScratch) shape(compact []byte, digest string) (*payloadShape, error) {
-	n := bytes.Count(sc.vals, []byte{valueSep})
-	text, slots := metrics.AppendIndentedShape(nil, compact, make([]int, 0, n))
-	text, err := cutDigest(text, digest, servedTail)
-	if err != nil {
-		return nil, err
-	}
-	if len(slots) != n {
-		return nil, fmt.Errorf("server: served payload has %d numbers, its compact form %d", len(slots), n)
-	}
-	return &payloadShape{text: string(text), slots: slots}, nil
-}
-
 // cutNumbers appends src, valid compact JSON, to text with every number
-// token outside strings cut out, and each token followed by valueSep to
-// vals.
-func cutNumbers(src, text, vals []byte) ([]byte, []byte) {
+// token outside strings cut out, the offset in text where each token
+// was to slots, and each token followed by valueSep to vals.
+func cutNumbers(src, text []byte, slots []int, vals []byte) ([]byte, []int, []byte) {
 	start := 0
 	for i := 0; i < len(src); {
 		switch c := src[i]; {
@@ -166,6 +134,7 @@ func cutNumbers(src, text, vals []byte) ([]byte, []byte) {
 			i++
 		case c == '-' || '0' <= c && c <= '9':
 			text = append(text, src[start:i]...)
+			slots = append(slots, len(text))
 			j := i + 1
 			for j < len(src) && numberByte[src[j]] {
 				j++
@@ -176,16 +145,7 @@ func cutNumbers(src, text, vals []byte) ([]byte, []byte) {
 			i++
 		}
 	}
-	return append(text, src[start:]...), vals
-}
-
-// cutDigest cuts digest out of text, where it is followed only by tail.
-func cutDigest(text []byte, digest, tail string) ([]byte, error) {
-	at := len(text) - len(tail) - len(digest)
-	if at < 0 || string(text[at:at+len(digest)]) != digest || string(text[at+len(digest):]) != tail {
-		return nil, fmt.Errorf("server: payload does not end with its digest %q", digest)
-	}
-	return append(text[:at], tail...), nil
+	return append(text, src[start:]...), slots, vals
 }
 
 // numberByte marks the bytes that continue a JSON number token.

@@ -24,8 +24,8 @@ var fuzzShapes shapeTable
 // FuzzKeptPayload builds payloads from fuzzed snapshots — negative and
 // exponent-form gauges, histogram bounds and buckets, seeds, and names,
 // labels and task errors with escapes, quotes and digits — and requires
-// the served bytes written from the kept shape and values to equal
-// RenderResultPayload of the compact encoding, at the declared length.
+// the served bytes written from the kept shape and values to equal the
+// compact encoding EncodeResultPayload built, at the declared length.
 func FuzzKeptPayload(f *testing.F) {
 	f.Add(int64(7), 0.25, uint64(3), uint64(9), "0", "boom")
 	f.Add(int64(-3), -1.5e-7, uint64(0), uint64(1), `x"1\2<3>&`, `boom: "42" \ `+"\x01 9e9 -1 \xff")
@@ -49,7 +49,7 @@ func FuzzKeptPayload(f *testing.F) {
 			return // a NaN or infinite gauge, refused as json.Marshal refuses it
 		}
 		sc.compact = compact
-		want := RenderResultPayload(compact)
+		want := compact
 		if len(fuzzShapes.m) > 1000 { // the fuzz function runs on one goroutine
 			fuzzShapes.m = nil
 		}
@@ -128,11 +128,11 @@ func TestSettledJobsShareOneShape(t *testing.T) {
 	}
 
 	for _, i := range []int{0, jobs - 1} {
-		want, err := json.MarshalIndent(offlineResult(t, spec(i), 1), "", "  ")
+		want, err := json.Marshal(offlineResult(t, spec(i), 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := s.Result(spec(i).ID); err != nil || !bytes.Equal(got, append(want, '\n')) {
+		if got, err := s.Result(spec(i).ID); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("job %d serves other bytes than its offline payload (err %v)", i, err)
 		}
 	}

@@ -48,9 +48,9 @@ func BuildResultPayload(cells []experiments.GridCell, results []sweep.Result, me
 // EncodeResultPayload assembles the payload, appends its compact
 // encoding with Digest blank to dst, digests those bytes, and splices
 // the digest into them: it returns the payload and dst extended by its
-// compact encoding, digest included — json.Marshal of the payload.
-// RenderResultPayload turns it into the bytes the result endpoint
-// serves; a daemon cuts it into what a done job keeps and reuses dst.
+// compact encoding, digest included — json.Marshal of the payload and
+// the bytes the result endpoint serves. A daemon cuts it into what a
+// done job keeps and reuses dst.
 func EncodeResultPayload(dst []byte, cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (ResultPayload, []byte, error) {
 	p := ResultPayload{
 		Tasks:  make([]TaskResult, 0, len(results)),
@@ -76,13 +76,6 @@ func EncodeResultPayload(dst []byte, cells []experiments.GridCell, results []swe
 	return p, data, nil
 }
 
-// RenderResultPayload returns the bytes the result endpoint serves for a
-// payload's compact encoding: json.MarshalIndent(p, "", "  ") and a
-// trailing newline.
-func RenderResultPayload(compact []byte) []byte {
-	return metrics.AppendIndented(nil, compact)
-}
-
 // Digest computes the payload digest for a grid run without building the
 // full payload value: the offline `tcsim sweep -digest` path.
 func Digest(cells []experiments.GridCell, results []sweep.Result, merged metrics.Snapshot) (string, error) {
@@ -94,13 +87,13 @@ func Digest(cells []experiments.GridCell, results []sweep.Result, merged metrics
 }
 
 // Marshal renders the payload as the exact bytes the result endpoint
-// serves: json.MarshalIndent(p, "", "  ") and a trailing newline.
+// serves: json.Marshal(p).
 func (p ResultPayload) Marshal() ([]byte, error) {
 	data, err := p.appendJSON(nil)
 	if err != nil {
 		return nil, fmt.Errorf("server: marshaling payload: %w", err)
 	}
-	return RenderResultPayload(data), nil
+	return data, nil
 }
 
 // appendJSON appends p's compact JSON encoding, byte-identical to

@@ -3,75 +3,17 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
-	"threadcluster/internal/experiments"
 	"threadcluster/internal/metrics"
 	"threadcluster/internal/sweep"
 )
-
-// TestServedBytesAreMarshalIndent pins the one-encoding payload path to
-// the reflective marshals it replaced: the compact encoding must equal
-// json.Marshal of the payload, the served bytes rendered from it
-// json.MarshalIndent of the same payload plus a newline, and the digest
-// the sha256 of json.Marshal of the payload with Digest blank.
-// The grid has a failed cell whose name and error need escaping.
-func TestServedBytesAreMarshalIndent(t *testing.T) {
-	norm, err := diffSpec("bytes").Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := norm.Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, results, _, err := experiments.RunGrid(context.Background(), grid, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results = append(results, sweep.Result{Name: "x<&>\"/ ", Seed: -3,
-		Err: errors.New("boom: \"quoted\" <tag> & \\ \x01 \xff")})
-
-	p, compact, err := EncodeResultPayload(nil, cells, results, sweep.Merged(results))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, err := json.Marshal(p); err != nil || !bytes.Equal(compact, want) {
-		t.Fatalf("compact encoding differs from json.Marshal (err %v):\n got %s\nwant %s", err, compact, want)
-	}
-	served := RenderResultPayload(compact)
-	want, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want = append(want, '\n'); !bytes.Equal(served, want) {
-		t.Fatalf("served bytes differ from json.MarshalIndent:\n got %s\nwant %s", served, want)
-	}
-	if again, err := p.Marshal(); err != nil || !bytes.Equal(again, served) {
-		t.Fatalf("Marshal differs from the served bytes (err %v)", err)
-	}
-
-	blank := p
-	blank.Digest = ""
-	unsigned, err := json.Marshal(blank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf("sha256:%x", sha256.Sum256(unsigned)); p.Digest != want {
-		t.Fatalf("digest %s, want %s", p.Digest, want)
-	}
-	if d, err := Digest(cells, results, sweep.Merged(results)); err != nil || d != p.Digest {
-		t.Fatalf("Digest = %s (err %v), want %s", d, err, p.Digest)
-	}
-}
 
 // TestPayloadRefusesWhatJSONRefuses: a NaN gauge fails the payload as
 // json.Marshal fails it.
@@ -90,11 +32,12 @@ func TestPayloadRefusesWhatJSONRefuses(t *testing.T) {
 }
 
 // TestRetainedPayloadIsCompact: a settled job retains its payload as
-// the server's interned shape plus its own number tokens — no compact or
-// indented copy of its own. The values are the payload's number tokens
-// in order, as an independent JSON decoder reads them, each followed by
-// the separator; the shape is the served body less those tokens and the
-// digest; and the context the job ran under is dropped at settle.
+// the server's interned shape plus its own number tokens — no copy of
+// its own. The values are the payload's number tokens in order, as an
+// independent JSON decoder reads them, each followed by the separator;
+// the shape is the served body, json.Marshal of the offline payload,
+// less those tokens and the digest; and the context the job ran under
+// is dropped at settle.
 func TestRetainedPayloadIsCompact(t *testing.T) {
 	s := startServer(t, Options{}, nil)
 	if _, err := s.Submit(context.Background(), smallSpec("kept")); err != nil {
@@ -117,6 +60,9 @@ func TestRetainedPayloadIsCompact(t *testing.T) {
 	served, err := s.Result("kept")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want, err := json.Marshal(offlineResult(t, smallSpec("kept"), 1)); err != nil || !bytes.Equal(served, want) {
+		t.Fatalf("served body is not json.Marshal of the offline payload (err %v)", err)
 	}
 
 	tokens := numberTokens(t, served)
@@ -161,17 +107,15 @@ func numberTokens(t *testing.T, doc []byte) []string {
 	}
 }
 
-// TestResultFetchesAgree: every fetch of a settled job renders the same
-// bytes, json.MarshalIndent of the offline payload plus a newline —
-// fetched in sequence and from concurrent goroutines (run it under
-// -race: the render reads the retained bytes outside the server lock).
+// TestResultFetchesAgree: every fetch of a settled job writes the same
+// bytes, json.Marshal of the offline payload — fetched in sequence and
+// from concurrent goroutines (run it under -race: the write reads the
+// retained shape and values outside the server lock).
 func TestResultFetchesAgree(t *testing.T) {
-	p := offlineResult(t, smallSpec("fetch"), 1)
-	want, err := json.MarshalIndent(p, "", "  ")
+	want, err := json.Marshal(offlineResult(t, smallSpec("fetch"), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, '\n')
 
 	s := startServer(t, Options{}, nil)
 	if _, err := s.Submit(context.Background(), smallSpec("fetch")); err != nil {
@@ -183,7 +127,7 @@ func TestResultFetchesAgree(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		got, err := s.Result("fetch")
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("sequential fetch %d differs from json.MarshalIndent (err %v)", i, err)
+			t.Fatalf("sequential fetch %d differs from json.Marshal (err %v)", i, err)
 		}
 	}
 	const fetchers = 8
@@ -195,7 +139,7 @@ func TestResultFetchesAgree(t *testing.T) {
 			defer wg.Done()
 			got, err := s.Result("fetch")
 			if err == nil && !bytes.Equal(got, want) {
-				err = errors.New("concurrent fetch differs from json.MarshalIndent")
+				err = errors.New("concurrent fetch differs from json.Marshal")
 			}
 			errc <- err
 		}()

@@ -391,8 +391,8 @@ func (s *Server) Jobs() []JobStatus {
 
 // Result returns the completed job's canonical payload bytes — the exact
 // bytes every replica would serve for this spec. The job keeps only its
-// interned shape and its values; the served form is written from them
-// per call, outside the server lock.
+// interned shape and its values; the payload is written from them per
+// call, outside the server lock.
 func (s *Server) Result(id string) ([]byte, error) {
 	k, digest, err := s.kept(id)
 	if err != nil {

@@ -61,8 +61,8 @@ func Workers(n int) int {
 // returns the results in task order, each echoing its task's Name and
 // Seed. A task failure is recorded in its Result; the first failure also
 // cancels the remaining unstarted tasks, whose Err becomes the
-// cancellation. Run itself returns the first task's error for
-// convenience, or ctx's error if the caller cancelled.
+// cancellation. Run itself returns that first failure, as Each does, or
+// ctx's error if the caller cancelled.
 func Run(ctx context.Context, tasks []Task, workers int) ([]Result, error) {
 	results := make([]Result, len(tasks))
 	for i, t := range tasks {
@@ -80,25 +80,6 @@ func Run(ctx context.Context, tasks []Task, workers int) ([]Result, error) {
 		results[i].Err = err
 	}
 	return results, err
-}
-
-// Scatter copies a subset run's results into their positions in a
-// full-length result slice: sub[i] lands at dst[indices[i]]. It is the
-// merge half of grid sharding — a coordinator that farmed out disjoint
-// index subsets reassembles the full grid-ordered result slice with one
-// Scatter per shard, after which Merged and any payload builder see
-// exactly what a single-node run would have produced.
-func Scatter(dst []Result, indices []int, sub []Result) error {
-	if len(indices) != len(sub) {
-		return fmt.Errorf("sweep: scatter: %d indices for %d results", len(indices), len(sub))
-	}
-	for i, idx := range indices {
-		if idx < 0 || idx >= len(dst) {
-			return fmt.Errorf("sweep: scatter: index %d outside %d results", idx, len(dst))
-		}
-		dst[idx] = sub[i]
-	}
-	return nil
 }
 
 // Merged folds the successful results' snapshots into one machine-wide
@@ -134,8 +115,9 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 }
 
 // Each runs fn for indices [0, n) on a bounded worker pool. The first
-// error cancels remaining unstarted indices and is returned (earliest
-// index wins when several fail).
+// error in time cancels remaining unstarted indices and is returned,
+// whatever its index: a call at a lower index that then ends with the
+// cancellation does not mask it.
 func Each(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	_, err := each(ctx, n, workers, fn)
 	return err
@@ -155,6 +137,7 @@ func each(ctx context.Context, n, workers int, fn func(ctx context.Context, i in
 	defer cancel()
 
 	errs := make([]error, n)
+	var first error // the first error in time, the one that cancelled the pool
 	var next int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -170,22 +153,22 @@ func each(ctx context.Context, n, workers int, fn func(ctx context.Context, i in
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
+				err := ctx.Err()
+				if err == nil {
+					err = fn(ctx, i)
 				}
-				if err := fn(ctx, i); err != nil {
+				if err != nil {
 					errs[i] = err
+					mu.Lock()
+					if first == nil {
+						first = err
+					}
+					mu.Unlock()
 					cancel()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return errs, err
-		}
-	}
-	return errs, nil
+	return errs, first
 }

@@ -112,16 +112,48 @@ func TestMapOrderAndValues(t *testing.T) {
 	}
 }
 
+// TestEachErrorPropagation: Each, Map and Run return the failure that
+// cancelled the pool, the first in time, whatever its index. In the
+// second case task 0 is still running when task 1 fails, and then ends
+// with the cancellation, which must not mask the failure.
 func TestEachErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
-	err := Each(context.Background(), 20, 4, func(_ context.Context, i int) error {
-		if i == 3 {
-			return boom
+	for _, tc := range []struct {
+		name       string
+		n, workers int
+		fn         func(ctx context.Context, i int) error
+	}{
+		{"one-fails", 20, 4, func(_ context.Context, i int) error {
+			if i == 3 {
+				return boom
+			}
+			return nil
+		}},
+		{"lower-index-cancelled", 2, 2, func(ctx context.Context, i int) error {
+			if i == 1 {
+				return boom
+			}
+			<-ctx.Done()
+			return ctx.Err()
+		}},
+	} {
+		ctx := context.Background()
+		eachErr := Each(ctx, tc.n, tc.workers, tc.fn)
+		_, mapErr := Map(ctx, tc.n, tc.workers, func(ctx context.Context, i int) (int, error) {
+			return i, tc.fn(ctx, i)
+		})
+		tasks := make([]Task, tc.n)
+		for i := range tasks {
+			tasks[i] = Task{Name: fmt.Sprint(i), Run: func(ctx context.Context, _ int64) (metrics.Snapshot, error) {
+				return metrics.Snapshot{}, tc.fn(ctx, i)
+			}}
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want %v", err, boom)
+		_, runErr := Run(ctx, tasks, tc.workers)
+		for api, err := range map[string]error{"Each": eachErr, "Map": mapErr, "Run": runErr} {
+			if !errors.Is(err, boom) || errors.Is(err, context.Canceled) {
+				t.Errorf("%s: %s err = %v, want %v", tc.name, api, err, boom)
+			}
+		}
 	}
 }
 
@@ -199,28 +231,5 @@ func TestWorkers(t *testing.T) {
 	}
 	if Workers(0) < 1 {
 		t.Error("Workers(0) should resolve to at least 1")
-	}
-}
-
-func TestScatter(t *testing.T) {
-	mk := func(name string) Result { return Result{Name: name} }
-	dst := make([]Result, 4)
-	if err := Scatter(dst, []int{1, 3}, []Result{mk("b"), mk("d")}); err != nil {
-		t.Fatalf("Scatter: %v", err)
-	}
-	want := []string{"", "b", "", "d"}
-	for i, w := range want {
-		if dst[i].Name != w {
-			t.Errorf("dst[%d].Name = %q, want %q", i, dst[i].Name, w)
-		}
-	}
-	if err := Scatter(dst, []int{0}, nil); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if err := Scatter(dst, []int{4}, []Result{mk("x")}); err == nil {
-		t.Error("out-of-range index accepted")
-	}
-	if err := Scatter(dst, []int{-1}, []Result{mk("x")}); err == nil {
-		t.Error("negative index accepted")
 	}
 }

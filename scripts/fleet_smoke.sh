@@ -6,7 +6,9 @@
 # as the first shard completes, and checks the coordinator's one
 # contract: the merged digest equals the digest `tcsim sweep -digest`
 # computes offline for the same grid — fleet size, shard order and the
-# mid-sweep worker death notwithstanding.
+# mid-sweep worker death notwithstanding. Then it runs two grids that
+# differ in -measure under one reused job ID on the surviving worker:
+# each must give its own offline digest, not the other run's.
 #
 # Used by `make fleet-smoke` and the CI fleet-smoke job.
 set -eu
@@ -118,6 +120,24 @@ for ev in '"type":"shard_leased"' '"type":"done"'; do
     fi
 done
 echo "fleet-smoke: event stream carries lease and completion events"
+
+# A rerun under a reused job ID, of another spec, computes its own shards
+# on the surviving worker rather than attaching to the first run's jobs.
+for MEASURE in 10 12; do
+    # shellcheck disable=SC2086
+    WANT=$("$WORK/tcsim" sweep -digest $GRID -measure $MEASURE 2>/dev/null)
+    # shellcheck disable=SC2086
+    if ! GOT=$("$WORK/tcfleet" -workers "$W1" -id smoke-reuse $GRID -measure $MEASURE -digest 2>"$WORK/reuse.err"); then
+        echo "fleet-smoke: tcfleet -id smoke-reuse -measure $MEASURE failed" >&2
+        cat "$WORK/reuse.err" >&2
+        exit 1
+    fi
+    if [ "$GOT" != "$WANT" ]; then
+        echo "fleet-smoke: REUSED ID MISMATCH at -measure $MEASURE: offline=$WANT fleet=$GOT" >&2
+        exit 1
+    fi
+done
+echo "fleet-smoke: two specs under one reused job ID each match their own offline digest"
 
 kill "$PID1"
 wait "$PID1" 2>/dev/null || true

@@ -10,7 +10,9 @@
 #      names an execution engine ("engine": "seq", a field the daemon's
 #      strict decoder accepts and drops) gives that digest too, through
 #      `tcsim sweep -spec` and `tcsim submit -spec`.
-#   3. Observability: /metrics serves Prometheus text with the server
+#   3. One payload form: `tcsim submit` prints the result as a single
+#      compact JSON line whose "digest" is that offline digest.
+#   4. Observability: /metrics serves Prometheus text with the server
 #      series alongside the sim series of the completed job.
 #
 # Used by `make server-smoke` and the CI server-smoke job.
@@ -84,6 +86,16 @@ if [ "$LEGACY_OFFLINE" != "$OFFLINE" ] || [ "$LEGACY_REMOTE" != "$OFFLINE" ]; th
     exit 1
 fi
 echo "server-smoke: a legacy spec naming an engine gives the same digest offline and served"
+
+# shellcheck disable=SC2086
+"$WORK/tcsim" submit -addr "$ADDR" $GRID >"$WORK/payload.json" 2>/dev/null
+PAYLOAD_DIGEST=$(sed -n 's/^{"tasks":.*,"digest":"\(sha256:[0-9a-f]*\)"}$/\1/p' "$WORK/payload.json")
+if [ "$(wc -l <"$WORK/payload.json")" -ne 1 ] || [ "$PAYLOAD_DIGEST" != "$OFFLINE" ]; then
+    echo "server-smoke: PAYLOAD MISMATCH: want one JSON line with digest $OFFLINE, got digest '$PAYLOAD_DIGEST' in:" >&2
+    head -c 2000 "$WORK/payload.json" >&2
+    exit 1
+fi
+echo "server-smoke: the printed payload is one JSON line carrying the offline digest"
 
 fetch() {
     if command -v curl >/dev/null 2>&1; then
