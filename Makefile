@@ -81,15 +81,14 @@ ledger-smoke:
 profile-grid:
 	$(GO) run ./cmd/tcsim sweep -warm 50 -engine 1000 -measure 100 -workers 1 -cpuprofile grid.pprof
 
-# Short fuzzing pass over the coherence differential target, the trace
-# parser, the snapshot decoder, the snapbin codec under it, the
-# generator's State/Restore round trip, the job-spec decoder, the
-# cell-record decoder, the metrics JSON appender's byte-identity to
-# encoding/json and a done job's kept payload (shape plus values) against
-# the served bytes it stands for (CI runs the same).
+# Short fuzzing pass over the coherence differential target, the
+# snapshot decoder, the snapbin codec under it, the generator's
+# State/Restore round trip, the job-spec decoder, the cell-record
+# decoder, the metrics JSON appender's byte-identity to encoding/json and
+# a done job's kept payload (shape plus values) against the served bytes
+# it stands for (CI runs the same).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHierarchyAccess -fuzztime 30s ./internal/cache
-	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 15s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 15s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzSnapbinDec -fuzztime 15s ./internal/snapbin
 	$(GO) test -run '^$$' -fuzz FuzzRandRestore -fuzztime 10s ./internal/rng

@@ -50,7 +50,6 @@ import (
 	"threadcluster/internal/sim"
 	"threadcluster/internal/sweep"
 	"threadcluster/internal/topology"
-	"threadcluster/internal/trace"
 	"threadcluster/internal/workloads"
 )
 
@@ -224,8 +223,6 @@ type (
 	JBBConfig = workloads.JBBConfig
 	// RubisConfig parameterizes the auction-database workload.
 	RubisConfig = workloads.RubisConfig
-	// StagedConfig parameterizes the SEDA-style pipeline workload.
-	StagedConfig = workloads.StagedConfig
 	// BTree is the warehouse/index structure laid out in simulated memory.
 	// Lookup and Insert report the simulated addresses they touch by
 	// appending to a caller-supplied trace, in the strconv.Append* idiom:
@@ -250,14 +247,10 @@ func NewJBBWorkload(a *Arena, cfg JBBConfig) (*WorkloadSpec, error) {
 func NewRubisWorkload(a *Arena, cfg RubisConfig) (*WorkloadSpec, error) {
 	return workloads.NewRubis(a, cfg)
 }
-func NewStagedWorkload(a *Arena, cfg StagedConfig) (*WorkloadSpec, error) {
-	return workloads.NewStaged(a, cfg)
-}
 func DefaultSyntheticConfig() SyntheticConfig { return workloads.DefaultSyntheticConfig() }
 func DefaultVolanoConfig() VolanoConfig       { return workloads.DefaultVolanoConfig() }
 func DefaultJBBConfig() JBBConfig             { return workloads.DefaultJBBConfig() }
 func DefaultRubisConfig() RubisConfig         { return workloads.DefaultRubisConfig() }
-func DefaultStagedConfig() StagedConfig       { return workloads.DefaultStagedConfig() }
 
 // Metrics. Every machine carries a metrics.Registry; Machine.SnapshotMetrics
 // captures it as an immutable, deterministically ordered Snapshot that can
@@ -304,17 +297,3 @@ func RunSweep(ctx context.Context, tasks []SweepTask, workers int) ([]SweepResul
 // DeriveSeed decorrelates a per-task seed from a base seed and task index;
 // the mapping is fixed, so sweeps are reproducible run to run.
 func DeriveSeed(seed int64, index int) int64 { return sweep.DeriveSeed(seed, index) }
-
-// Traces.
-type (
-	// Trace is a recorded workload reference stream.
-	Trace = trace.Trace
-	// TraceRecorder captures streams from live threads.
-	TraceRecorder = trace.Recorder
-)
-
-// NewTraceRecorder returns a recorder; wrap each thread before installing
-// it on a machine.
-func NewTraceRecorder(maxRefsPerThread int) *TraceRecorder {
-	return trace.NewRecorder(maxRefsPerThread)
-}

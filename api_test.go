@@ -142,19 +142,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := threadcluster.NewTraceRecorder(100)
-	for _, th := range spec.Threads {
-		rec.Wrap(th)
-	}
 	if err := spec.Install(machine); err != nil {
 		t.Fatal(err)
 	}
 	machine.RunRoundsCtx(context.Background(), 10)
 	if machine.TotalOps() == 0 {
 		t.Error("workload made no progress through the public API")
-	}
-	if rec.Captured() == 0 {
-		t.Error("trace recorder captured nothing")
 	}
 	if threadcluster.LineSize != 128 {
 		t.Error("public line size should be 128 bytes")

@@ -6,8 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"threadcluster/internal/experiments"
 )
 
 // docFiles are the documents whose commands and paths a reader copies.
@@ -20,6 +23,8 @@ var (
 	// docPathRe matches a backticked path under cmd/ or examples/, up to
 	// the first character that cannot be part of it.
 	docPathRe = regexp.MustCompile("`((?:cmd|examples)/[A-Za-z0-9_./-]*)")
+	// expRe matches the experiment name of a `-exp name` flag.
+	expRe = regexp.MustCompile(`-exp[ =]([A-Za-z0-9_]+)`)
 )
 
 // TestDocsNameRealPrograms: every `go run ./…` in the docs and the
@@ -40,6 +45,29 @@ func TestDocsNameRealPrograms(t *testing.T) {
 		for _, m := range docPathRe.FindAllStringSubmatch(string(text), -1) {
 			if _, err := os.Stat(m[1]); err != nil {
 				t.Errorf("%s: `%s` does not exist", doc, m[1])
+			}
+		}
+	}
+}
+
+// TestDocsNameRealExperiments: every `-exp name` in the docs, the
+// Makefile and the scripts names an entry of the experiment catalogue or
+// "all", so deleting a study cannot leave a command behind that no longer
+// runs.
+func TestDocsNameRealExperiments(t *testing.T) {
+	scripts, err := filepath.Glob("scripts/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := append(experiments.ExperimentNames(), "all")
+	for _, doc := range append(scripts, docFiles...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range expRe.FindAllStringSubmatch(string(text), -1) {
+			if !slices.Contains(names, m[1]) {
+				t.Errorf("%s: `-exp %s` names no experiment", doc, m[1])
 			}
 		}
 	}

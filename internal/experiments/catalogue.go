@@ -72,7 +72,6 @@ var catalogue = []experiment{
 	{"smt", tabled(SMTPlacement)},
 	{"mux", tabled(MuxValidation)},
 	{"probe", tabled(CacheProbe)},
-	{"staged", tabled(Staged)},
 	{"churn", tabled(Churn)},
 }
 

@@ -84,10 +84,10 @@ func TestFigure3VolanoBreakdown(t *testing.T) {
 	if f := b.RemoteFraction(); f < 0.02 || f > 0.6 {
 		t.Errorf("remote fraction = %.3f, want a visible but partial share", f)
 	}
-	// Completion plus categorized stalls should cover most of the cycles.
-	covered := float64(b.Completion+b.StallTotal()) / float64(b.Cycles)
-	if covered < 0.95 {
-		t.Errorf("CPI stack covers only %.2f of cycles", covered)
+	// The simulator charges every cycle to completion or to one stall
+	// category, so the CPI stack covers the cycles exactly.
+	if got := b.Completion + b.StallTotal(); got != b.Cycles {
+		t.Errorf("completion %d + stalls %d = %d, want the %d cycles", b.Completion, b.StallTotal(), got, b.Cycles)
 	}
 	if !strings.Contains(tbl.String(), "completion") {
 		t.Error("breakdown table missing completion row")
@@ -416,29 +416,6 @@ func TestChurnDegradesClustering(t *testing.T) {
 			t.Errorf("%s: residual %.3f should be at least 2x the persistent %.3f",
 				p.Label, p.RemoteFraction, persistent.RemoteFraction)
 		}
-	}
-}
-
-func TestStagedPipelineCut(t *testing.T) {
-	if testing.Short() {
-		t.Skip("staged study is slow")
-	}
-	res, _, err := Staged(context.Background(), testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DefaultRemote < 0.05 {
-		t.Fatalf("default remote fraction %.3f too low; chain workload broken", res.DefaultRemote)
-	}
-	if res.ClusteredRemote >= res.DefaultRemote*0.6 {
-		t.Errorf("clustering should cut chain traffic: %.3f vs %.3f",
-			res.ClusteredRemote, res.DefaultRemote)
-	}
-	if res.ClusteredOps <= res.DefaultOps {
-		t.Errorf("clustered events %d should exceed default %d", res.ClusteredOps, res.DefaultOps)
-	}
-	if !res.ContiguousCut {
-		t.Errorf("placement %v is not a contiguous cut of the pipeline", res.StageChips)
 	}
 }
 

@@ -72,7 +72,6 @@ var notState = map[string]string{
 	"sim.Machine.parallelRounds":    "counts which engine drove the rounds; metrics and snapshots must not depend on it",
 	"workloads.syntheticWorker.run": runSlot,
 	"workloads.volanoThread.run":    runSlot,
-	"workloads.stagedWorker.run":    runSlot,
 }
 
 const runSlot = "NextRun's one-reference slot: every NextRun rewrites it and the slice loop consumes it at once (Snapshot refuses a pending run)"
@@ -155,7 +154,7 @@ func snapshotCorpus() []corpusMachine {
 	}
 	paperCaches := base(topology.OpenPower720(), sched.PolicyClustered)
 	paperCaches.Caches = cache.Power5Config()
-	staged := install(workloads.NewStaged, workloads.DefaultStagedConfig())
+	microbenchmark := install(workloads.NewSynthetic, synthetic)
 	volano := func(clientsPerRoom int) func(*sim.Machine) error {
 		cfg := workloads.DefaultVolanoConfig()
 		cfg.ClientsPerRoom = clientsPerRoom
@@ -192,7 +191,7 @@ func snapshotCorpus() []corpusMachine {
 		cfg:  numa,
 		install: func(m *sim.Machine) error {
 			m.Hierarchy().SetNUMA(memory.InterleavedNodes{N: 2})
-			return staged(m)
+			return microbenchmark(m)
 		},
 		engine: func(c *core.Config) {
 			c.NUMA = true
@@ -218,7 +217,7 @@ func snapshotCorpus() []corpusMachine {
 				}
 				m.AttachMux(topology.CPUID(c), mux)
 			}
-			return staged(m)
+			return microbenchmark(m)
 		},
 		rounds: 25,
 	}, {
@@ -279,7 +278,7 @@ func (w *walker) verify(t *testing.T) {
 	want := []string{
 		"cache.Hierarchy", "clustering.Filter", "clustering.ShMap", "core.Engine",
 		"pmu.Multiplexer", "pmu.PMU", "rng.Rand", "sched.Scheduler",
-		"workloads.stagedWorker", "workloads.syntheticWorker", "workloads.volanoThread",
+		"workloads.syntheticWorker", "workloads.volanoThread",
 	}
 	if !slices.Equal(reached, want) {
 		t.Errorf("the corpus reaches state providers %v, want %v", reached, want)

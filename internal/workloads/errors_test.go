@@ -32,10 +32,6 @@ func TestBadConfigsAreSentinels(t *testing.T) {
 			_, err := NewRubis(arena, RubisConfig{})
 			return err
 		}},
-		{"staged", func() error {
-			_, err := NewStaged(arena, StagedConfig{})
-			return err
-		}},
 		{"btree", func() error {
 			_, err := NewBTree(nil)
 			return err
@@ -84,18 +80,6 @@ func TestBadConfigsAreSentinels(t *testing.T) {
 			_, err := NewVolano(arena, cfg)
 			return err
 		}},
-		{"staged queue below hot set", func() error {
-			cfg := DefaultStagedConfig()
-			cfg.QueueBytes = memory.LineSize
-			_, err := NewStaged(arena, cfg)
-			return err
-		}},
-		{"staged sub-line scratch", func() error {
-			cfg := DefaultStagedConfig()
-			cfg.ScratchBytes = 1
-			_, err := NewStaged(arena, cfg)
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		if err := tc.err(); !errors.Is(err, errs.ErrBadConfig) {
@@ -116,15 +100,11 @@ func TestSmallestRegionsGenerate(t *testing.T) {
 	volano := DefaultVolanoConfig()
 	volano.RoomBufferBytes = volanoHotRoomLines * memory.LineSize
 	volano.ConnBufferBytes, volano.GlobalBytes, volano.HeapBytes = memory.LineSize, memory.LineSize, memory.LineSize
-	staged := DefaultStagedConfig()
-	staged.QueueBytes = stagedHotQueueLines * memory.LineSize
-	staged.StageStateBytes, staged.ScratchBytes = memory.LineSize, memory.LineSize
 
 	builds := map[string]func() (*Spec, error){
 		"jbb":    func() (*Spec, error) { return NewJBB(memory.NewDefaultArena(), jbb) },
 		"rubis":  func() (*Spec, error) { return NewRubis(memory.NewDefaultArena(), rubis) },
 		"volano": func() (*Spec, error) { return NewVolano(memory.NewDefaultArena(), volano) },
-		"staged": func() (*Spec, error) { return NewStaged(memory.NewDefaultArena(), staged) },
 	}
 	for name, build := range builds {
 		spec, err := build()

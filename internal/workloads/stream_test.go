@@ -123,7 +123,6 @@ func TestRunsMatchNext(t *testing.T) {
 			return NewSyntheticWithPhaseChange(a, DefaultSyntheticConfig(), 5_000)
 		},
 		"volano":  func(a *memory.Arena) (*Spec, error) { return NewVolano(a, DefaultVolanoConfig()) },
-		"staged":  func(a *memory.Arena) (*Spec, error) { return NewStaged(a, DefaultStagedConfig()) },
 		"specjbb": func(a *memory.Arena) (*Spec, error) { return NewJBB(a, DefaultJBBConfig()) },
 		"rubis":   func(a *memory.Arena) (*Spec, error) { return NewRubis(a, DefaultRubisConfig()) },
 	}

@@ -99,7 +99,6 @@ const (
 	streamVolano
 	streamJBB
 	streamRubis
-	streamStaged
 
 	populationStream = -1
 )

@@ -197,68 +197,6 @@ func TestRubisValidation(t *testing.T) {
 	}
 }
 
-func TestStagedShape(t *testing.T) {
-	spec, err := NewStaged(memory.NewDefaultArena(), DefaultStagedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Name != "staged" || spec.NumPartitions != 4 {
-		t.Errorf("spec = %s/%d", spec.Name, spec.NumPartitions)
-	}
-	if len(spec.Threads) != 16 {
-		t.Fatalf("threads = %d, want 16", len(spec.Threads))
-	}
-	count := map[int]int{}
-	for _, th := range spec.Threads {
-		count[th.Partition]++
-	}
-	for s, n := range count {
-		if n != 4 {
-			t.Errorf("stage %d has %d threads, want 4", s, n)
-		}
-	}
-}
-
-func TestStagedValidation(t *testing.T) {
-	bad := DefaultStagedConfig()
-	bad.Stages = 0
-	if _, err := NewStaged(memory.NewDefaultArena(), bad); err == nil {
-		t.Error("zero stages should fail")
-	}
-}
-
-func TestStagedChainSharing(t *testing.T) {
-	// Adjacent stages must share a queue; non-adjacent stages must not
-	// (other than nothing at all). Verify through the generators' address
-	// streams.
-	spec, _ := NewStaged(memory.NewDefaultArena(), DefaultStagedConfig())
-	touched := make([]map[memory.Addr]bool, 4)
-	for s := range touched {
-		touched[s] = map[memory.Addr]bool{}
-	}
-	for _, th := range spec.Threads {
-		for i := 0; i < 3000; i++ {
-			ref := th.Gen.Next()
-			touched[th.Partition][memory.LineOf(ref.Addr)] = true
-		}
-	}
-	overlap := func(a, b int) int {
-		n := 0
-		for l := range touched[a] {
-			if touched[b][l] {
-				n++
-			}
-		}
-		return n
-	}
-	if overlap(0, 1) == 0 || overlap(1, 2) == 0 || overlap(2, 3) == 0 {
-		t.Error("adjacent stages must share queue lines")
-	}
-	if overlap(0, 2) != 0 || overlap(0, 3) != 0 || overlap(1, 3) != 0 {
-		t.Error("non-adjacent stages must not share lines")
-	}
-}
-
 func TestPartitionHintAndTruthAgree(t *testing.T) {
 	spec, _ := NewSynthetic(memory.NewDefaultArena(), DefaultSyntheticConfig())
 	hint := spec.PartitionHint()
