@@ -22,7 +22,7 @@
 // under <spool>/cells/, so a killed coordinator's rerun — or any later
 // run that shares cells with it — replays the recorded cells and
 // dispatches only the rest, converging on the uninterrupted digest. See
-// DESIGN.md §11.
+// DESIGN.md §10.
 package main
 
 import (

@@ -15,11 +15,12 @@
 // tables. The -coherence flag reaches every experiment's machine.
 //
 // The sweep subcommand fans a configuration grid (policy x topology x
-// workload) across a worker pool and emits a metrics table:
+// workload) across a worker pool and emits a metrics table or the
+// canonical result payload:
 //
 //	tcsim sweep                               # 4 workloads x 2 policies
 //	tcsim sweep -policies default,clustered -workers 4
-//	tcsim sweep -format json -merged          # machine-wide snapshot
+//	tcsim sweep -format json                  # the payload, one compact line
 //	tcsim sweep -digest                       # canonical payload digest only
 //
 // Per-configuration results are byte-identical for any -workers value.

@@ -63,8 +63,9 @@ func TestRunFig3SingleWorkload(t *testing.T) {
 
 // TestBadFlagsExitBeforeProfiling: every rejected command line — an
 // unknown -exp included — exits 2 before the CPU profile is created.
-// Neither -cluster (there is one clustering path, DESIGN.md §10) nor
-// -engine (the simulator's driver is not a user choice) is a flag.
+// Neither -cluster (there is one clustering path, the paper's one-pass
+// batch clustering, DESIGN.md §2) nor -engine (the simulator's driver is
+// not a user choice) is a flag.
 func TestBadFlagsExitBeforeProfiling(t *testing.T) {
 	for name, tc := range map[string]struct {
 		args []string

@@ -15,7 +15,8 @@ import (
 
 // runSweep implements the `tcsim sweep` subcommand: fan a configuration
 // grid (policy x topology x workload) across a worker pool and emit a
-// metrics table. Per-configuration results are byte-identical for any
+// metrics table, or the result payload tcsimd and tcfleet serve for the
+// same grid. Per-configuration results are byte-identical for any
 // -workers value — seeds are fixed by the grid, not by scheduling — so
 // `-workers 1` is the reference run and higher counts only change
 // wall-clock (reported on stderr to keep stdout comparable).
@@ -25,8 +26,7 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	var (
 		grid    = server.BindGridFlags(fs)
 		workers = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		format  = fs.String("format", "table", "output: table|markdown|csv|json")
-		merged  = fs.Bool("merged", false, "also emit the merged machine-wide snapshot (csv/json formats)")
+		format  = fs.String("format", "table", "output: table|markdown|json (the compact result payload tcsim submit prints)")
 		digest  = fs.Bool("digest", false, "print only the canonical result-payload digest (matches a tcsimd job's digest for the same grid)")
 		timeout = fs.Duration("timeout", 0, "cancel the sweep after this duration (0 = none)")
 		cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -69,54 +69,27 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	cells, results, mergedSnap, err := experiments.RunGrid(ctx, gridSpec, *workers)
+	cells, results, merged, err := experiments.RunGrid(ctx, gridSpec, *workers)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 
-	if *digest {
-		d, err := server.Digest(cells, results, mergedSnap)
+	switch {
+	case *digest || *format == "json":
+		p, data, err := server.EncodeResultPayload(nil, cells, results, merged)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(stdout, d)
-		fmt.Fprintf(stderr, "sweep: %d configurations on %d workers in %s\n",
-			len(cells), sweep.Workers(*workers), elapsed.Round(time.Millisecond))
-		return writeMemProfile(*memprof)
-	}
-
-	switch *format {
-	case "table":
+		if *digest {
+			fmt.Fprintln(stdout, p.Digest)
+		} else if _, err := stdout.Write(append(data, '\n')); err != nil {
+			return err
+		}
+	case *format == "table":
 		fmt.Fprintln(stdout, experiments.GridTable(cells, results))
-	case "markdown":
+	case *format == "markdown":
 		fmt.Fprintln(stdout, experiments.GridTable(cells, results).Markdown())
-	case "csv":
-		for i, r := range results {
-			fmt.Fprintf(stdout, "# %s seed=%d\n", cells[i].Name(), cells[i].Seed)
-			if err := r.Metrics.WriteCSV(stdout); err != nil {
-				return err
-			}
-		}
-		if *merged {
-			fmt.Fprintln(stdout, "# merged")
-			if err := mergedSnap.WriteCSV(stdout); err != nil {
-				return err
-			}
-		}
-	case "json":
-		if *merged {
-			if err := mergedSnap.WriteJSON(stdout); err != nil {
-				return err
-			}
-			break
-		}
-		for i, r := range results {
-			fmt.Fprintf(stdout, "// %s seed=%d\n", cells[i].Name(), cells[i].Seed)
-			if err := r.Metrics.WriteJSON(stdout); err != nil {
-				return err
-			}
-		}
 	default:
 		return fmt.Errorf("sweep: unknown format %q", *format)
 	}

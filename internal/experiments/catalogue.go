@@ -180,7 +180,7 @@ func render(ctx context.Context, p *printer, entries []experiment, opt Options) 
 // plan returns a memo holding every cell the entries ask for, none of
 // them run yet.
 func plan(ctx context.Context, p *printer, entries []experiment, opt Options) (*memo, error) {
-	m := &memo{planning: true, done: map[cellKey]any{}}
+	m := &memo{planning: true, done: map[CellKey]any{}}
 	ctx = context.WithValue(ctx, memoKey{}, m)
 	for _, e := range entries {
 		err := e.run(ctx, &printer{w: io.Discard, fig3Workloads: p.fig3Workloads}, opt)

@@ -30,6 +30,19 @@ func testOptions() Options {
 	return opt
 }
 
+// readOnly is the memo of the tests that only read cell results, so a
+// cell several of them measure (Figure 3's in Figure 6, Figure 6's
+// SPECjbb pair in the scaling study, the SPECjbb detections of the
+// sampling, ablation and threshold sweeps) is simulated once per test
+// binary. Those tests run one at a time and must not mutate a result.
+// Tests that count or observe machines, compare memoised runs with fresh
+// ones, or run in parallel keep a fresh executor.
+var readOnly = &memo{done: map[CellKey]any{}}
+
+func readOnlyCtx() context.Context {
+	return context.WithValue(context.Background(), memoKey{}, readOnly)
+}
+
 func TestBuildWorkloadNames(t *testing.T) {
 	for _, name := range AllWorkloads() {
 		spec, err := BuildWorkload(name, 1)
@@ -72,7 +85,7 @@ func TestFigure1LatenciesMeasuredMatchConfigured(t *testing.T) {
 }
 
 func TestFigure3VolanoBreakdown(t *testing.T) {
-	tbl, b, err := Figure3(context.Background(), Volano, testOptions())
+	tbl, b, err := Figure3(readOnlyCtx(), Volano, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +112,7 @@ func TestFigure6And7Shapes(t *testing.T) {
 		t.Skip("full comparison sweep is slow")
 	}
 	opt := testOptions()
-	_, rows, err := Figure6(context.Background(), opt)
+	_, rows, err := Figure6(readOnlyCtx(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +144,7 @@ func TestFigure5ClustersAreMeaningful(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 5 detection runs are slow")
 	}
-	results, err := Figure5(context.Background(), testOptions())
+	results, err := Figure5(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +181,7 @@ func TestFigure8TradeoffShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 8 sweep is slow")
 	}
-	points, tbl, err := Figure8(context.Background(), testOptions())
+	points, tbl, err := Figure8(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +214,7 @@ func TestSpatialSensitivityInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spatial sweep is slow")
 	}
-	points, _, err := SpatialSensitivity(context.Background(), testOptions())
+	points, _, err := SpatialSensitivity(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +237,7 @@ func TestSpatialSensitivityInvariance(t *testing.T) {
 }
 
 func TestSDARPurityNearPerfect(t *testing.T) {
-	res, err := SDARPurity(context.Background(), testOptions())
+	res, err := SDARPurity(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +309,7 @@ func TestDetectionSamplesHalfTheThreads(t *testing.T) {
 	}
 	threads, _ := jbbShape(t)
 	holdsOnSweep(t, sweepSeeds/2+1, func(opt Options) string {
-		_, _, keep, err := jbbDetection(context.Background(), opt)
+		_, _, keep, err := jbbDetection(readOnlyCtx(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +339,7 @@ func TestAblationAlgorithmsAgree(t *testing.T) {
 	// TestDetectionSamplesHalfTheThreads.
 	_, warehouses := jbbShape(t)
 	holdsOnSweep(t, sweepQuorum, func(opt Options) string {
-		rows, tbl, err := Ablation(context.Background(), opt)
+		rows, tbl, err := Ablation(readOnlyCtx(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,7 +376,7 @@ func TestPageVsPMUDetection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("detector comparison is slow")
 	}
-	rows, tbl, err := PageVsPMU(context.Background(), testOptions())
+	rows, tbl, err := PageVsPMU(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +413,7 @@ func TestChurnDegradesClustering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn sweep is slow")
 	}
-	points, _, err := Churn(context.Background(), testOptions())
+	points, _, err := Churn(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +436,7 @@ func TestCacheProbeStaircase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency sweep walks large working sets")
 	}
-	points, _, err := CacheProbe(context.Background(), testOptions())
+	points, _, err := CacheProbe(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +471,7 @@ func TestRunsMatchNext(t *testing.T) {
 }
 
 func TestMuxValidationTracksExactBreakdown(t *testing.T) {
-	res, tbl, err := MuxValidation(context.Background(), testOptions())
+	res, tbl, err := MuxValidation(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +489,7 @@ func TestSMTPlacementAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed sweep is slow")
 	}
-	rows, _, err := SMTPlacement(context.Background(), testOptions())
+	rows, _, err := SMTPlacement(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +522,7 @@ func TestThresholdSensitivityPlateau(t *testing.T) {
 	// PR 22).
 	_, warehouses := jbbShape(t)
 	holdsOnSweep(t, sweepQuorum, func(opt Options) string {
-		points, _, err := ThresholdSensitivity(context.Background(), opt)
+		points, _, err := ThresholdSensitivity(readOnlyCtx(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,11 +558,15 @@ func TestThresholdSensitivityPlateau(t *testing.T) {
 	})
 }
 
+// TestMultiprogrammed checks seed 1 only. Its throughput claim (no
+// process's ops fall) holds on 3 of 5 derived seeds: SPECjbb's ops fall
+// under clustering at DeriveSeed(1, 1) and DeriveSeed(1, 4)
+// (EXPERIMENTS.md).
 func TestMultiprogrammed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiprogrammed study is slow")
 	}
-	res, tbl, err := Multiprogrammed(context.Background(), testOptions())
+	res, tbl, err := Multiprogrammed(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +593,7 @@ func TestContentionStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("contention study is slow")
 	}
-	rows, _, err := Contention(context.Background(), testOptions())
+	rows, _, err := Contention(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +639,7 @@ func TestMigrationCostTransient(t *testing.T) {
 	if testing.Short() {
 		t.Skip("migration study is slow")
 	}
-	res, err := MigrationCost(context.Background(), testOptions())
+	res, err := MigrationCost(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +665,7 @@ func TestPhaseChangeAdaptation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("phase-change run is slow")
 	}
-	res, err := PhaseChange(context.Background(), testOptions())
+	res, err := PhaseChange(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +691,7 @@ func TestNUMAExtension(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NUMA study is slow")
 	}
-	res, tbl, err := NUMA(context.Background(), testOptions())
+	res, tbl, err := NUMA(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +721,7 @@ func TestScale32LargerGain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("32-way runs are slow")
 	}
-	res, err := Scale32(context.Background(), testOptions())
+	res, err := Scale32(readOnlyCtx(), testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -189,7 +190,7 @@ func TestHarnessOptionsReachMachine(t *testing.T) {
 				coherence cache.CoherenceMode
 			}
 			var built []carried
-			machineBuilt = func(m *sim.Machine) {
+			machineBuilt = func(_ CellKey, m *sim.Machine) {
 				mu.Lock()
 				built = append(built, carried{m, m.Hierarchy().Coherence()})
 				mu.Unlock()
@@ -317,10 +318,37 @@ func isIdent(x ast.Expr, name string) bool {
 	return ok && id.Name == name
 }
 
+// catalogueRender is one render of the catalogue: each entry's output,
+// every machine built, and the render's error.
+type catalogueRender struct {
+	outs  map[string]string
+	built []*sim.Machine
+	err   error
+}
+
+// rendered holds a test binary's catalogue render at each GOMAXPROCS
+// level it runs at (-cpu), each on an executor of its own: the tests
+// that observe its machines share it. They run one at a time.
+var rendered = map[int]*catalogueRender{}
+
 // renderCatalogue renders the catalogue, as `-exp all` does with fig3 on
 // Volano alone, at goldenOptions, and returns each entry's output and
 // every machine built. Under -short it leaves out the slow entries.
 func renderCatalogue(t *testing.T) (map[string]string, []*sim.Machine) {
+	t.Helper()
+	r := rendered[runtime.GOMAXPROCS(0)]
+	if r == nil {
+		r = &catalogueRender{}
+		r.outs, r.built, r.err = renderCatalogueOnce()
+		rendered[runtime.GOMAXPROCS(0)] = r
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.outs, r.built
+}
+
+func renderCatalogueOnce() (map[string]string, []*sim.Machine, error) {
 	entries := catalogueUnderTest()
 	var buf bytes.Buffer
 	outs := map[string]string{}
@@ -335,17 +363,15 @@ func renderCatalogue(t *testing.T) (map[string]string, []*sim.Machine) {
 	}
 	var mu sync.Mutex // the executor builds machines on sweep pool goroutines
 	var built []*sim.Machine
-	machineBuilt = func(m *sim.Machine) {
+	machineBuilt = func(_ CellKey, m *sim.Machine) {
 		mu.Lock()
 		built = append(built, m)
 		mu.Unlock()
 	}
 	defer func() { machineBuilt = nil }()
 	p := &printer{w: &buf, fig3Workloads: []string{Volano}}
-	if err := render(context.Background(), p, entries, goldenOptions()); err != nil {
-		t.Fatal(err)
-	}
-	return outs, built
+	err := render(context.Background(), p, entries, goldenOptions())
+	return outs, built, err
 }
 
 // catalogueUnderTest is the catalogue, without its slow entries under
@@ -393,9 +419,9 @@ func TestCatalogueSharesCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distinct := map[cellKey]bool{}
+	distinct := map[CellKey]bool{}
 	for _, c := range m.planned {
-		distinct[cellKey{c.name, c.opt}] = true
+		distinct[c.key()] = true
 	}
 	if len(built) != len(distinct) {
 		t.Errorf("built %d machines for %d distinct cells (%d planned)", len(built), len(distinct), len(m.planned))

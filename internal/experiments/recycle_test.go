@@ -68,7 +68,7 @@ func TestBuildFailureRecyclesSlabs(t *testing.T) {
 	}
 	var failed *sim.Machine
 	var released map[unsafe.Pointer]bool
-	machineBuilt = func(m *sim.Machine) { failed, released = m, slabsOf(m) }
+	machineBuilt = func(_ CellKey, m *sim.Machine) { failed, released = m, slabsOf(m) }
 	defer func() { machineBuilt = nil }()
 	good := study{policy: sched.PolicyClustered, workload: named(Microbenchmark)}
 	// One failed machine's slab sets can all be out of the next one's
@@ -165,7 +165,7 @@ func TestGridCellsCloseTheirMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var built []*sim.Machine
-	machineBuilt = func(m *sim.Machine) { built = append(built, m) }
+	machineBuilt = func(_ CellKey, m *sim.Machine) { built = append(built, m) }
 	defer func() { machineBuilt = nil }()
 	for _, task := range tasks {
 		if _, err := task.Run(context.Background(), task.Seed); err != nil {

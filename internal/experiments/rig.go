@@ -56,8 +56,8 @@ type study struct {
 // cell is one machine run of an experiment: the name of what it
 // computes, the Options it runs under, the study the executor builds,
 // and run, which drives the built machine and reads the result off it.
-// Two cells with the same name and Options compute the same result. An
-// experiment is a list of cells and a fold over their results.
+// Two cells with the same key compute the same result. An experiment is
+// a list of cells and a fold over their results.
 type cell[T any] struct {
 	name  string
 	opt   Options
@@ -65,10 +65,7 @@ type cell[T any] struct {
 	run   func(ctx context.Context, r *rig) (T, error)
 }
 
-type cellKey struct {
-	name string
-	opt  Options
-}
+func (c cell[T]) key() CellKey { return CellKey{DigestEpoch, c.name, c.opt} }
 
 // execute is the one way a cell runs: build its machine, run the cell on
 // it, close the machine whether or not either step failed.
@@ -79,7 +76,11 @@ func (c cell[T]) execute(ctx context.Context) (v T, err error) {
 			r.m.Close() // hands its cache slabs to the next machine built
 		}
 	}()
-	if err = r.build(c.study); err == nil {
+	err = r.build(c.study)
+	if r.m != nil && machineBuilt != nil {
+		machineBuilt(c.key(), r.m)
+	}
+	if err == nil {
 		v, err = c.run(ctx, r)
 	}
 	if err != nil {
@@ -88,15 +89,18 @@ func (c cell[T]) execute(ctx context.Context) (v T, err error) {
 	return v, err
 }
 
-// memo holds the results of the cells run under one RunExperiment call,
-// by name and Options, so a machine several entries measure is simulated
-// once. While planning, runCells records the cells it is asked for
-// instead of running them. RunExperiment renders its entries in turn, so
-// a memo is never used by two goroutines at once.
+// machineBuilt, when set by a test, observes every machine the executor
+// builds, with the key of the cell it is built for.
+var machineBuilt func(CellKey, *sim.Machine)
+
+// memo holds the results of cells by key, so a machine several entries
+// measure is simulated once: RunExperiment keeps one for its entries.
+// While planning, runCells records the cells it is asked for instead of
+// running them. A memo is never used by two goroutines at once.
 type memo struct {
 	planning bool
 	planned  []cell[any]
-	done     map[cellKey]any
+	done     map[CellKey]any
 }
 
 type memoKey struct{}
@@ -110,7 +114,7 @@ var errPlanned = errors.New("experiments: cells planned, not run")
 func runCells[T any](ctx context.Context, cells []cell[T]) ([]T, error) {
 	m, ok := ctx.Value(memoKey{}).(*memo)
 	if !ok {
-		m = &memo{done: map[cellKey]any{}}
+		m = &memo{done: map[CellKey]any{}}
 	}
 	out := make([]T, len(cells)) // zero values unless every cell ran
 	erased := make([]cell[any], len(cells))
@@ -125,7 +129,7 @@ func runCells[T any](ctx context.Context, cells []cell[T]) ([]T, error) {
 		return out, err
 	}
 	for i, c := range cells {
-		out[i] = m.done[cellKey{c.name, c.opt}].(T)
+		out[i] = m.done[c.key()].(T)
 	}
 	return out, nil
 }
@@ -139,26 +143,26 @@ func runCell[T any](ctx context.Context, c cell[T]) (T, error) {
 // run executes, on one sweep pool, every distinct cell the memo does not
 // hold yet. A cell's machine is single-goroutine and seeded by its
 // Options, so its result depends neither on the pool size nor on what
-// ran beside it.
+// ran beside it. A failed run leaves the memo as it found it.
 func (m *memo) run(ctx context.Context, cells []cell[any]) error {
 	var todo []cell[any]
 	for _, c := range cells {
-		k := cellKey{c.name, c.opt}
-		if _, ok := m.done[k]; !ok {
-			m.done[k] = nil
+		if _, ok := m.done[c.key()]; !ok {
+			m.done[c.key()] = nil
 			todo = append(todo, c)
 		}
 	}
 	results, err := sweep.Map(ctx, len(todo), 0, func(ctx context.Context, i int) (any, error) {
 		return todo[i].execute(ctx)
 	})
-	if err != nil {
-		return err
-	}
 	for i, c := range todo {
-		m.done[cellKey{c.name, c.opt}] = results[i]
+		if err != nil {
+			delete(m.done, c.key())
+		} else {
+			m.done[c.key()] = results[i]
+		}
 	}
-	return nil
+	return err
 }
 
 // rig is one cell's machine: the machine with its workload installed
@@ -169,10 +173,6 @@ type rig struct {
 	m    *sim.Machine
 	eng  *core.Engine
 }
-
-// machineBuilt, when set by a test, observes every machine the rig
-// builds.
-var machineBuilt func(*sim.Machine)
 
 // build is the one place a harness machine comes from. The rig keeps the
 // machine even when attaching the study fails, so the executor closes it
@@ -190,9 +190,6 @@ func (r *rig) build(s study) (err error) {
 	}
 	if r.m, err = sim.NewMachine(cfg); err != nil {
 		return err
-	}
-	if machineBuilt != nil {
-		machineBuilt(r.m)
 	}
 	if s.install != nil {
 		err = s.install(r)

@@ -3,12 +3,15 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"threadcluster/internal/sched"
+	"threadcluster/internal/sim"
 	"threadcluster/internal/sweep"
+	"threadcluster/internal/topology"
 )
 
 func subsetGrid() GridSpec {
@@ -135,34 +138,30 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestCellKeyCoversGrid walks every field of GridSpec and its Options by
-// reflection. Perturbing one must change a cell's key, unless the field
-// only says which cells exist or where their seeds come from (the three
-// lists, BaseSeed) or the cell names it itself (Opt.Topo, Opt.Seed).
-// Appending a workload or a policy keeps the key of every old cell,
-// whose seed a one-topology grid keeps.
+// TestCellKeyCoversGrid walks every field of Options by reflection:
+// perturbing one in a cell's Options must change the cell's key, so no
+// field a result may depend on is left out of it (an unexported field or
+// a `json:"-"` tag would be). A grid cell's key is the key of the
+// workload cell it runs, so the Figure 6/7 cells planned with a grid
+// cell's seed and Options hold its key. Appending a workload or a policy
+// keeps the key of every old cell, whose seed a one-topology grid keeps.
 func TestCellKeyCoversGrid(t *testing.T) {
 	base := subsetGrid()
-	cell := base.Cells()[0]
-	want := base.CellKey(cell).Hash()
-	cleared := map[string]bool{
-		"Workloads": true, "Policies": true, "Topos": true, "BaseSeed": true,
-		"Opt.Topo": true, "Opt.Seed": true,
-	}
+	wc := workloadCell(Volano, sched.PolicyClustered, true, base.Opt)
+	want := wc.key().Hash()
 	seen := map[string]bool{}
-	var walk func(path string, index []int, typ reflect.Type, free bool)
-	walk = func(path string, index []int, typ reflect.Type, free bool) {
+	var walk func(path string, index []int, typ reflect.Type)
+	walk = func(path string, index []int, typ reflect.Type) {
 		if typ.Kind() == reflect.Struct {
 			for i := 0; i < typ.NumField(); i++ {
 				f := typ.Field(i)
-				name := strings.TrimPrefix(path+"."+f.Name, ".")
-				walk(name, append(append([]int(nil), index...), i), f.Type, free || cleared[name])
+				walk(strings.TrimPrefix(path+"."+f.Name, "."), append(append([]int(nil), index...), i), f.Type)
 			}
 			return
 		}
 		seen[path] = true
-		g := subsetGrid()
-		v := reflect.ValueOf(&g).Elem().FieldByIndex(index)
+		c := wc
+		v := reflect.ValueOf(&c.opt).Elem().FieldByIndex(index)
 		switch v.Kind() {
 		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 			v.SetInt(v.Int() + 1)
@@ -174,19 +173,36 @@ func TestCellKeyCoversGrid(t *testing.T) {
 			v.SetBool(!v.Bool())
 		case reflect.String:
 			v.SetString(v.String() + "x")
-		case reflect.Slice:
-			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
 		default:
 			t.Fatalf("%s: no perturbation for a %s field; teach this test one", path, v.Kind())
 		}
-		if changed := g.CellKey(cell).Hash() != want; changed == free {
-			t.Errorf("perturbing %s: key changed = %v, want %v", path, changed, !free)
+		if c.key().Hash() == want {
+			t.Errorf("perturbing Options.%s left the cell's key unchanged", path)
 		}
 	}
-	walk("", nil, reflect.TypeOf(base), false)
-	for _, path := range []string{"Opt.QuantumCycles", "Opt.Coherence", "Opt.Topo.Chips", "BaseSeed"} {
+	walk("", nil, reflect.TypeOf(base.Opt))
+	for _, path := range []string{"QuantumCycles", "Coherence", "Topo.Chips", "Seed"} {
 		if !seen[path] {
-			t.Errorf("the walk never reached %s", path)
+			t.Errorf("the walk never reached Options.%s", path)
+		}
+	}
+
+	m := &memo{planning: true, done: map[CellKey]any{}}
+	ctx := context.WithValue(context.Background(), memoKey{}, m)
+	for _, c := range base.Cells() {
+		opt := base.Opt
+		opt.Topo, opt.Seed = topology.OpenPower720(), c.Seed
+		if _, err := Comparison(ctx, []string{c.Workload}, opt); !errors.Is(err, errPlanned) {
+			t.Fatalf("planning Figure 6 for %s: %v", c.Name(), err)
+		}
+	}
+	planned := map[CellKey]bool{}
+	for _, c := range m.planned {
+		planned[c.key()] = true
+	}
+	for _, c := range base.Cells() {
+		if !planned[base.CellKey(c)] {
+			t.Errorf("%s: no Figure 6 cell with its seed and Options has its key", c.Name())
 		}
 	}
 
@@ -208,6 +224,35 @@ func TestCellKeyCoversGrid(t *testing.T) {
 			if g.CellKey(c).Hash() != base.CellKey(old).Hash() {
 				t.Errorf("growing the grid moved the key of %s", old.Name())
 			}
+		}
+	}
+}
+
+// TestGridTaskRunsItsKeyedCell: the task of every grid cell builds one
+// machine, for the cell GridSpec.CellKey names, so a record keyed by it
+// holds what the task computes. The grid's own Opt.Topo and Opt.Seed are
+// set to what no cell runs: each cell's topology and seed replace them.
+func TestGridTaskRunsItsKeyedCell(t *testing.T) {
+	g := subsetGrid()
+	g.Opt.Topo, g.Opt.Seed = topology.Power5_32Way(), 99
+	cells, tasks, err := g.Tasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran []CellKey
+	machineBuilt = func(k CellKey, _ *sim.Machine) { ran = append(ran, k) }
+	defer func() { machineBuilt = nil }()
+	for i, task := range tasks {
+		ran = nil
+		if _, err := task.Run(context.Background(), task.Seed); err != nil {
+			t.Fatal(err)
+		}
+		want := g.CellKey(cells[i])
+		if len(ran) != 1 || ran[0] != want {
+			t.Errorf("%s: the task ran %+v, CellKey is %+v", cells[i].Name(), ran, want)
+		}
+		if want.Opt.Topo != topology.OpenPower720() || want.Opt.Seed != cells[i].Seed {
+			t.Errorf("%s: key runs topology %+v seed %d, want the cell's", cells[i].Name(), want.Opt.Topo, want.Opt.Seed)
 		}
 	}
 }

@@ -81,28 +81,15 @@ func (c GridCell) Name() string {
 	return c.Workload + "/" + c.Policy.String() + "/" + c.Topo
 }
 
-// CellKey is everything a grid cell's metrics are a pure function of:
-// the digest epoch, the cell's own coordinates and seed, and the rest of
-// its grid.
+// CellKey is the identity of a cell: the digest epoch, the cell's name
+// and its Options, Topo and Seed included. A cell's result is a pure
+// function of its key, so runCells' memo and the records of completed
+// grid cells are keyed by it, and an Options field added later joins it
+// by itself.
 type CellKey struct {
-	Epoch    int      `json:"epoch"`
-	Workload string   `json:"workload"`
-	Policy   string   `json:"policy"`
-	Topo     string   `json:"topo"`
-	Seed     int64    `json:"seed"`
-	Grid     GridSpec `json:"grid"`
-}
-
-// CellKey keys cell c of g. The grid's lists and base seed only say
-// which cells exist and where their seeds come from, and the cell names
-// its own topology and seed, so those fields are cleared; whole structs
-// are cleared rather than fields listed, so a field added to GridSpec or
-// Options joins the key by itself. A record keyed by it therefore serves
-// any grid that holds the cell with the same seed.
-func (g GridSpec) CellKey(c GridCell) CellKey {
-	g.Workloads, g.Policies, g.Topos, g.BaseSeed = nil, nil, nil, 0
-	g.Opt.Topo, g.Opt.Seed = topology.Topology{}, 0
-	return CellKey{Epoch: DigestEpoch, Workload: c.Workload, Policy: c.Policy.String(), Topo: c.Topo, Seed: c.Seed, Grid: g}
+	Epoch int     `json:"epoch"`
+	Cell  string  `json:"cell"`
+	Opt   Options `json:"opt"`
 }
 
 // Hash is the key's name: the hex sha256 of its canonical JSON.
@@ -110,6 +97,14 @@ func (k CellKey) Hash() string {
 	data, _ := json.Marshal(k) // strings and integers always marshal
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
+}
+
+// CellKey keys cell c of g: it is the key of the cell taskFor runs for
+// c, so a record keyed by it serves any grid that holds the cell with the
+// same seed and Options, and so does an -exp run of that cell.
+func (g GridSpec) CellKey(c GridCell) CellKey {
+	wc, _ := g.cell(c) // an unknown topology fails compiling the grid, not keying it
+	return wc.key()
 }
 
 // Cells expands the grid in deterministic order (topology-major, then
@@ -177,27 +172,34 @@ func CheckSubset(n int, indices []int) error {
 	return nil
 }
 
-// taskFor compiles one grid cell into its sweep task.
-func (g GridSpec) taskFor(cell GridCell) (sweep.Task, error) {
-	topo, err := ParseTopo(cell.Topo)
+// cell is the workload cell grid cell c runs: a steady-state run of its
+// workload under its policy, with the clustering engine attached under
+// the clustered policy, on the grid's Options with c's topology and seed.
+func (g GridSpec) cell(c GridCell) (cell[RunMetrics], error) {
+	topo, err := ParseTopo(c.Topo)
+	opt := g.Opt
+	opt.Topo, opt.Seed = topo, c.Seed
+	return workloadCell(c.Workload, c.Policy, c.Policy == sched.PolicyClustered, opt), err
+}
+
+// taskFor compiles one grid cell into its sweep task, which executes the
+// cell's workload cell once.
+func (g GridSpec) taskFor(c GridCell) (sweep.Task, error) {
+	wc, err := g.cell(c)
 	if err != nil {
 		return sweep.Task{}, err
 	}
-	if err := CheckWorkload(cell.Workload); err != nil {
+	if err := CheckWorkload(c.Workload); err != nil {
 		return sweep.Task{}, err
 	}
 	return sweep.Task{
-		Name: cell.Name(),
-		Seed: cell.Seed,
+		Name: c.Name(),
+		Seed: c.Seed,
 		Run: func(ctx context.Context, seed int64) (metrics.Snapshot, error) {
-			opt := g.Opt
-			opt.Topo = topo
-			opt.Seed = seed
-			r, err := RunWorkload(ctx, cell.Workload, cell.Policy, cell.Policy == sched.PolicyClustered, opt)
-			if err != nil {
-				return metrics.Snapshot{}, err
-			}
-			return r.Metrics, nil
+			wc := wc
+			wc.opt.Seed = seed
+			r, err := wc.execute(ctx)
+			return r.Metrics, err
 		},
 	}, nil
 }

@@ -10,7 +10,7 @@
 // experiments.RunGrid run of the same spec for any fleet size, worker
 // arrival order, retry schedule, duplicate attempt or crash pattern,
 // because every mechanism only ever changes *where and when* a pure
-// function is evaluated, never *what* it evaluates (DESIGN.md §11).
+// function is evaluated, never *what* it evaluates (DESIGN.md §10).
 //
 // Robustness is first-class rather than bolted on: failed attempts
 // retry with a deterministic seed-derived backoff, a shard whose newest

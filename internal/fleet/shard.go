@@ -12,7 +12,7 @@ import (
 // fleet, so the same spec always partitions into the same shards no
 // matter how many workers are registered, which workers are alive, or
 // in what order results arrive — the first half of the digest argument
-// (DESIGN.md §11).
+// (DESIGN.md §10).
 type Shard struct {
 	// Slot is the shard's position on the virtual ring.
 	Slot int

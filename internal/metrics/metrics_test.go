@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -143,22 +142,6 @@ func TestMerge(t *testing.T) {
 	d, ok := m.Get("d", nil)
 	if !ok || d.Count != 2 || d.Sum != 44 {
 		t.Errorf("merged histogram = %+v, want count 2 sum 44", d)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ops", Labels{"kind": "read"}).Add(2)
-	var b strings.Builder
-	if err := r.Snapshot().WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "name,labels,kind,count,value,sum\n") {
-		t.Errorf("csv missing header: %q", out)
-	}
-	if !strings.Contains(out, "ops,kind=read,counter,2") {
-		t.Errorf("csv missing row: %q", out)
 	}
 }
 

@@ -2,14 +2,12 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 )
 
 func floatBits(v float64) uint64     { return math.Float64bits(v) }
@@ -347,28 +345,4 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	buf.WriteByte('\n')
 	_, err = buf.WriteTo(w)
 	return err
-}
-
-// WriteCSV emits one row per series: name, labels, kind, count, value,
-// sum. Histogram buckets are elided — use JSON for full distributions.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"name", "labels", "kind", "count", "value", "sum"}); err != nil {
-		return err
-	}
-	for _, smp := range s.Samples {
-		row := []string{
-			smp.Name,
-			smp.Labels.canonical(),
-			smp.Kind.String(),
-			strconv.FormatUint(smp.Count, 10),
-			strconv.FormatFloat(smp.Value, 'g', -1, 64),
-			strconv.FormatUint(smp.Sum, 10),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -14,8 +14,8 @@ import (
 
 // Cell records: every successfully computed grid cell is written once,
 // as "<spool>/cells/<key>.json", where key is the cell's
-// experiments.CellKey hash: the digest epoch, the cell and the rest of
-// its grid, never its position in the job's grid. tcsimd and the fleet
+// experiments.CellKey hash: the digest epoch, the cell's name and its
+// Options, never its position in the job's grid. tcsimd and the fleet
 // coordinator share the format, so resuming a job, resubmitting it
 // under a new ID or running any grid that holds the cell with the same
 // seed replays the record instead of simulating the cell.

@@ -62,7 +62,7 @@ func FuzzCellRecord(f *testing.F) {
 	good := cellRecord{CellKey: key}
 	stale, moved := good, good
 	stale.Epoch = experiments.DigestEpoch - 1
-	moved.Seed++
+	moved.Opt.Seed++
 	for _, rec := range []cellRecord{good, stale, moved} {
 		data, err := json.Marshal(rec)
 		if err != nil {
