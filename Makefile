@@ -135,7 +135,7 @@ test-race:
 	$(GO) test -race -short -run 'TestSliceBarrierCanonicalOrder|TestBroadcastDirectoryEquivalence|TestDirectoryMatchesScanAfterEveryOp|TestOneAccessWalk|TestRestoreRefuses|TestReleased|TestLazy|TestVictimL3HoldsWhatItCaches|TestCastOutStreamReachesL3|TestPromoteStreamReachesFullBlock|TestSparseArenaNeverOutgrowsDense|TestLineTableMatchesMap' -cpu 1,2,4 ./internal/cache
 	$(GO) test -race -short ./internal/workloads ./internal/pmu
 	$(GO) test -race ./internal/server ./internal/client ./internal/fleet
-	$(GO) test -race -count 3 -cpu 1,2,4 -run 'TestSettledJobsShareOneShape|TestScrapesDuringSettles' ./internal/server
+	$(GO) test -race -count 3 -cpu 1,2,4 -run 'TestSettledJobsShareOneShape|TestScrapesDuringSettles|TestJobCountsMatchJobs' ./internal/server
 	$(GO) test -race -count 5 -cpu 1,2,4 -run 'TestFleetStealsStragglers|TestFleetStragglerAloneRetriesOnItself|TestFleetRecoversTwoStalledAttempts|TestFleetDuplicatesNeverDisplacePendingWork' ./internal/fleet
 
 # End-to-end smoke of the tcsimd job service: boot the daemon, submit a

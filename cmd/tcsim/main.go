@@ -51,6 +51,7 @@ import (
 	"strings"
 
 	"threadcluster/internal/cache"
+	"threadcluster/internal/errs"
 	"threadcluster/internal/experiments"
 )
 
@@ -99,6 +100,10 @@ func runExperiments(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if *warm < 0 || *measure < 0 {
+		fmt.Fprintf(stderr, "tcsim: %v: negative round count (-warm %d, -measure %d)\n", errs.ErrBadConfig, *warm, *measure)
+		return 2
+	}
 	opt := experiments.DefaultOptions().WithRounds(*warm, 0, *measure)
 	opt.Seed = *seed
 	mode, err := cache.ParseCoherenceMode(*coherence)

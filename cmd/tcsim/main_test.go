@@ -71,10 +71,12 @@ func TestBadFlagsExitBeforeProfiling(t *testing.T) {
 		args []string
 		want string
 	}{
-		"unknown -exp":   {[]string{"-exp", "nosuch"}, `unknown experiment "nosuch"`},
-		"bad -coherence": {[]string{"-coherence", "nosuch"}, "nosuch"},
-		"bad -engine":    {[]string{"-engine", "seq"}, "flag provided but not defined: -engine"},
-		"-cluster gone":  {[]string{"-cluster", "dense"}, "flag provided but not defined: -cluster"},
+		"unknown -exp":      {[]string{"-exp", "nosuch"}, `unknown experiment "nosuch"`},
+		"bad -coherence":    {[]string{"-coherence", "nosuch"}, "nosuch"},
+		"bad -engine":       {[]string{"-engine", "seq"}, "flag provided but not defined: -engine"},
+		"-cluster gone":     {[]string{"-cluster", "dense"}, "flag provided but not defined: -cluster"},
+		"negative -warm":    {[]string{"-exp", "table1", "-warm", "-5"}, "negative round count"},
+		"negative -measure": {[]string{"-exp", "table1", "-measure", "-1"}, "negative round count"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			prof := filepath.Join(t.TempDir(), "cpu.prof")

@@ -8,9 +8,7 @@ import (
 	"os"
 
 	"threadcluster/internal/cache"
-	"threadcluster/internal/core"
 	"threadcluster/internal/experiments"
-	"threadcluster/internal/sched"
 	"threadcluster/internal/server"
 	"threadcluster/internal/sim"
 )
@@ -74,57 +72,29 @@ func runSnapshot(args []string, stdout, stderr io.Writer) error {
 	opt.Topo = topo
 	opt.Seed = *seed
 	opt.Coherence = mode
-	mcfg := experiments.MachineConfig(opt, policy)
 
-	// install rebuilds everything a snapshot cannot carry — generator
-	// closures, PMU programming, the clustering engine's handlers — from
-	// the same flags that produced the original machine.
-	install := func(m *sim.Machine) error {
-		spec, err := experiments.BuildWorkload(*workload, *seed)
-		if err != nil {
-			return err
-		}
-		if err := spec.Install(m); err != nil {
-			return err
-		}
-		if policy == sched.PolicyClustered {
-			e, err := core.New(m, experiments.ScaledEngineConfig(*seed))
-			if err != nil {
-				return err
-			}
-			return e.Install()
-		}
-		return nil
-	}
-
-	ctx := context.Background()
-	var m *sim.Machine
+	// A resumed machine is rebuilt from the flags, then the snapshot's
+	// state is laid over it: the generator closures, PMU programming and
+	// the clustering engine's handlers are what a snapshot cannot carry.
+	var from *sim.MachineSnapshot
 	if *resume != "" {
 		data, err := os.ReadFile(*resume)
 		if err != nil {
 			return fmt.Errorf("snapshot: reading %s: %w", *resume, err)
 		}
-		snap, err := sim.DecodeSnapshot(data)
-		if err != nil {
+		if from, err = sim.DecodeSnapshot(data); err != nil {
 			return fmt.Errorf("snapshot: decoding %s: %w", *resume, err)
 		}
-		m, err = sim.RestoreMachine(mcfg, snap, install)
-		if err != nil {
+	}
+	ctx := context.Background()
+	m, err := experiments.WorkloadMachine(ctx, *workload, policy, opt, from, *rounds)
+	if err != nil {
+		if from != nil {
 			return fmt.Errorf("snapshot: restoring %s: %w", *resume, err)
 		}
-	} else {
-		m, err = sim.NewMachine(mcfg)
-		if err != nil {
-			return err
-		}
-		if err := install(m); err != nil {
-			return err
-		}
-	}
-
-	if err := m.RunRoundsCtx(ctx, *rounds); err != nil {
 		return err
 	}
+	defer m.Close()
 	snap, err := m.Snapshot(ctx)
 	if err != nil {
 		return err

@@ -99,3 +99,35 @@ func TestSnapshotUnconfinedWorkload(t *testing.T) {
 		t.Fatal("snapshotting an unconfined workload should error")
 	}
 }
+
+// TestSnapshotDigestsPinned pins the 200-round digest of every
+// confined workload under the default and clustered policies on both
+// topologies, as an unbroken run and as a 120 + 80 split through a
+// snapshot file. The machine comes from experiments.WorkloadMachine,
+// the grid's own build, so these pins hold that build and its restore
+// to what `tcsim snapshot` printed before it shared them.
+func TestSnapshotDigestsPinned(t *testing.T) {
+	pins := map[string]string{
+		"microbenchmark/default/open720":     "7edeec8040ce296f9b7c6e3eb21266f20eface66a08c3b2cb8b49fa035bc9dc9",
+		"microbenchmark/default/power5-32":   "99e8478a963233de442c38075cf10b1f97c489c82552bf60a635b5b2d5d77b82",
+		"microbenchmark/clustered/open720":   "3fcb6f7fbd10cb971dad9b7281fa6a9f2b4f2e728c15d73f35b41c06a3395ccf",
+		"microbenchmark/clustered/power5-32": "5f9eb7d30689cf322b5ceb5d2e74dbe1064d4b7f23d82eafd1f4edf7c69b0f7a",
+		"volano/default/open720":             "3a4af98c3351e6fad4506f51a2e01213eae5f00721db1acdaa44993a266cedfc",
+		"volano/default/power5-32":           "c6a4f0f9c36c56711cb5cb5ba28ccbc77c9841d2a21eec165cf2a10328949786",
+		"volano/clustered/open720":           "79254eb4515f59779f4e1919a1f31f8ac07664420884a5bd316658c42cb83717",
+		"volano/clustered/power5-32":         "7464c861bcc45c741a1510b59bc8b9497aad8e6e55a584ec1ec6d79cfb1ca917",
+	}
+	dir := t.TempDir()
+	for name, want := range pins {
+		parts := strings.Split(name, "/")
+		build := []string{"-workload", parts[0], "-policy", parts[1], "-topo", parts[2]}
+		if got := runSnapshotOut(t, append(build, "-rounds", "200")...); got != want {
+			t.Errorf("%s: digest %s, want %s", name, got, want)
+		}
+		half := filepath.Join(dir, strings.ReplaceAll(name, "/", "-")+".snap")
+		runSnapshotOut(t, append(build, "-rounds", "120", "-out", half)...)
+		if got := runSnapshotOut(t, append(build, "-resume", half, "-rounds", "80")...); got != want {
+			t.Errorf("%s split 120 + 80: digest %s, want %s", name, got, want)
+		}
+	}
+}

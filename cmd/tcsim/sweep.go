@@ -35,6 +35,9 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *format != "table" && *format != "markdown" && *format != "json" {
+		return fmt.Errorf("sweep: %w: unknown format %q (have table, markdown, json)", errs.ErrBadConfig, *format)
+	}
 
 	stopCPU, err := startCPUProfile(*cpuprof)
 	if err != nil {
@@ -88,10 +91,8 @@ func runSweep(args []string, stdout, stderr io.Writer) error {
 		}
 	case *format == "table":
 		fmt.Fprintln(stdout, experiments.GridTable(cells, results))
-	case *format == "markdown":
-		fmt.Fprintln(stdout, experiments.GridTable(cells, results).Markdown())
 	default:
-		return fmt.Errorf("sweep: unknown format %q", *format)
+		fmt.Fprintln(stdout, experiments.GridTable(cells, results).Markdown())
 	}
 	fmt.Fprintf(stderr, "sweep: %d configurations on %d workers in %s\n",
 		len(cells), sweep.Workers(*workers), elapsed.Round(time.Millisecond))

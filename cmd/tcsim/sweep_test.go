@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
 	"strings"
 	"testing"
 
+	"threadcluster/internal/errs"
 	"threadcluster/internal/experiments"
 	"threadcluster/internal/server"
 )
@@ -110,9 +112,10 @@ func TestSweepRejectsUnknowns(t *testing.T) {
 	if err := runSweep([]string{"-workloads", "bogus"}, &out, io.Discard); err == nil {
 		t.Error("unknown workload should error")
 	}
-	if err := runSweep([]string{"-format", "bogus", "-workloads", "microbenchmark",
-		"-policies", "default", "-warm", "5", "-engine", "5", "-measure", "5"},
-		&out, io.Discard); err == nil {
-		t.Error("unknown format should error")
+	// The format is checked before any cell runs: a 1ns deadline would
+	// otherwise end the grid first and report its own error.
+	if err := runSweep([]string{"-format", "bogus", "-timeout", "1ns"}, &out, io.Discard); err == nil ||
+		!errors.Is(err, errs.ErrBadConfig) || !strings.Contains(err.Error(), "unknown format") {
+		t.Errorf("-format bogus: %v, want an unknown-format ErrBadConfig", err)
 	}
 }

@@ -9,7 +9,8 @@
 //	tcsimd -spool /var/lib/tcsimd/spool     # persist unfinished jobs across restarts
 //
 // Endpoints (see internal/server.Handler): POST /v1/jobs submits a
-// JobSpec, GET /v1/jobs/{id}/events streams NDJSON progress, GET
+// JobSpec, GET /v1/jobs/{id}/events streams the job's NDJSON progress
+// (every event it has emitted from seq 0, then live), GET
 // /v1/jobs/{id}/result returns the canonical payload — byte-identical to
 // an offline `tcsim sweep` of the same grid — and GET /metrics serves
 // the Prometheus text exposition. Overload is rejected with 429 +
@@ -70,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 		queueDepth  = fs.Int("queue-depth", 64, "max queued (not yet running) jobs before 429")
 		maxJobCost  = fs.Int64("max-job-cost", 0, "per-job token budget, grid cells x rounds (0 = default)")
 		maxQueued   = fs.Int64("max-queued-cost", 0, "outstanding token pool before 429 (0 = 8x per-job budget)")
-		eventBuffer = fs.Int("event-buffer", 0, "per-job event ring capacity (0 = default)")
 		spoolDir    = fs.String("spool", "", "directory for unfinished jobs' specs (one <seq>-<id>.json each, from admission until settled) and completed grid-cell records across restarts (empty = no spool)")
 		grace       = fs.Duration("grace", 30*time.Second, "drain deadline for in-flight jobs at shutdown")
 	)
@@ -85,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) error {
 		MaxQueuedCost: *maxQueued,
 		JobWorkers:    *jobWorkers,
 		TaskWorkers:   *taskWorkers,
-		EventBuffer:   *eventBuffer,
 		SpoolDir:      *spoolDir,
 	})
 	if err != nil {

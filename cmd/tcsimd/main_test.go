@@ -101,3 +101,17 @@ func TestDaemonServesAndDrains(t *testing.T) {
 		t.Fatal("daemon did not drain after stop")
 	}
 }
+
+// TestEventBufferFlagIsGone: a job keeps its whole event history, so
+// there is no ring to size and -event-buffer is an undefined flag. run
+// fails at the parse, before it listens.
+func TestEventBufferFlagIsGone(t *testing.T) {
+	stdout := newLineBuffer()
+	err := run([]string{"-addr", "127.0.0.1:0", "-event-buffer", "8"}, stdout, io.Discard, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -event-buffer") {
+		t.Fatalf("run(-event-buffer 8) = %v, want an undefined-flag error", err)
+	}
+	if stdout.rest.Len() != 0 {
+		t.Fatalf("run printed %q before failing", stdout.rest.String())
+	}
+}

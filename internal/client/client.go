@@ -251,7 +251,7 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 const maxResultPrealloc = 64 << 20
 
 // Events streams the job's NDJSON progress events to fn, replaying
-// retained history first, until the stream's terminal event, ctx
+// the whole history first, until the stream's terminal event, ctx
 // cancellation, or an fn error.
 func (c *Client) Events(ctx context.Context, id string, fn func(server.Event) error) error {
 	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/events", nil)

@@ -37,7 +37,7 @@ func Comparison(ctx context.Context, names []string, opt Options) ([]ComparisonR
 	var cells []cell[RunMetrics]
 	for _, name := range names {
 		for _, pol := range policies {
-			cells = append(cells, workloadCell(name, pol, pol == sched.PolicyClustered, opt))
+			cells = append(cells, workloadCell(name, pol, opt))
 		}
 	}
 	runs, err := runCells(ctx, cells)
@@ -127,17 +127,13 @@ func Scale32(ctx context.Context, opt Options) (Scale32Result, error) {
 	var cells []cell[RunMetrics]
 	for _, policy := range []sched.Policy{sched.PolicyDefault, sched.PolicyHandOptimized, sched.PolicyClustered} {
 		jbb := workloadBuild{jbb: [2]int{8, 8}}
-		st := study{policy: policy, workload: jbb.spec}
-		if policy == sched.PolicyClustered {
-			st.engine = ScaledEngineConfig
-		}
-		cells = append(cells, cell[RunMetrics]{fmt.Sprintf("scale32/%s/%s", jbb, policy), big, st, steady})
+		cells = append(cells, cell[RunMetrics]{fmt.Sprintf("scale32/%s/%s", jbb, policy), big, policyStudy(policy, jbb.spec), steady})
 	}
 	// The 8-way comparison uses the standard jbb configuration: Figure 6's
 	// cells.
 	cells = append(cells,
-		workloadCell(JBB, sched.PolicyDefault, false, opt),
-		workloadCell(JBB, sched.PolicyHandOptimized, false, opt))
+		workloadCell(JBB, sched.PolicyDefault, opt),
+		workloadCell(JBB, sched.PolicyHandOptimized, opt))
 	runs, err := runCells(ctx, cells)
 	if err != nil {
 		return Scale32Result{}, err

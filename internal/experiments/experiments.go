@@ -219,24 +219,21 @@ type EngineStats struct {
 	OverheadCycles  uint64
 }
 
-// RunWorkload measures one workload under one policy, optionally with the
-// clustering engine attached (policy should then be PolicyClustered). The
-// machine is closed before RunWorkload returns, so a grid of cells
-// recycles one set of cache slabs per worker.
-func RunWorkload(ctx context.Context, name string, policy sched.Policy, withEngine bool, opt Options) (RunMetrics, error) {
-	return runCell(ctx, workloadCell(name, policy, withEngine, opt))
+// RunWorkload measures one workload under one policy, with the
+// clustering engine attached under the clustered policy. The machine is
+// closed before RunWorkload returns, so a grid of cells recycles one set
+// of cache slabs per worker.
+func RunWorkload(ctx context.Context, name string, policy sched.Policy, opt Options) (RunMetrics, error) {
+	return runCell(ctx, workloadCell(name, policy, opt))
 }
 
 // workloadCell is one steady-state run of a named workload under a
 // policy: a sweep-grid cell, a Figure 3 breakdown, a Figure 6/7 bar and
 // the 8-way half of the scaling study all measure it, so under one
 // RunExperiment call each such machine is simulated once.
-func workloadCell(name string, policy sched.Policy, withEngine bool, opt Options) cell[RunMetrics] {
-	s := study{policy: policy, workload: named(name)}
-	if withEngine {
-		s.engine = ScaledEngineConfig
-	}
-	return cell[RunMetrics]{fmt.Sprintf("workload/%s/%s/engine=%v", name, policy, withEngine), opt, s,
+func workloadCell(name string, policy sched.Policy, opt Options) cell[RunMetrics] {
+	return cell[RunMetrics]{fmt.Sprintf("workload/%s/%s/engine=%v", name, policy, policy == sched.PolicyClustered), opt,
+		policyStudy(policy, named(name)),
 		func(ctx context.Context, r *rig) (RunMetrics, error) {
 			res, err := steady(ctx, r)
 			res.Workload = name

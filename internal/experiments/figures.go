@@ -89,7 +89,7 @@ func Figure3(ctx context.Context, workload string, opt Options) (*stats.Table, p
 func figure3(ctx context.Context, names []string, opt Options) ([]*stats.Table, []pmu.Breakdown, error) {
 	cells := make([]cell[RunMetrics], len(names))
 	for i, name := range names {
-		cells[i] = workloadCell(name, sched.PolicyDefault, false, opt)
+		cells[i] = workloadCell(name, sched.PolicyDefault, opt)
 	}
 	runs, err := runCells(ctx, cells)
 	if err != nil {

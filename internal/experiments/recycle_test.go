@@ -229,7 +229,7 @@ func TestShortJobAllocBudget(t *testing.T) {
 	opt.Topo = topology.Power5_32Way()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := RunWorkload(context.Background(), Volano, sched.PolicyClustered, true, opt); err != nil {
+	if _, err := RunWorkload(context.Background(), Volano, sched.PolicyClustered, opt); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -27,6 +27,17 @@ func MachineConfig(opt Options, policy sched.Policy) sim.Config {
 	return cfg
 }
 
+// policyStudy is the study of a workload under a placement policy: the
+// clustered policy attaches the clustering engine at its scaled
+// configuration, and every other policy runs the workload alone.
+func policyStudy(policy sched.Policy, workload func(seed int64) (*workloads.Spec, error)) study {
+	s := study{policy: policy, workload: workload}
+	if policy == sched.PolicyClustered {
+		s.engine = ScaledEngineConfig
+	}
+	return s
+}
+
 // study is the machine a cell measures. Everything else — the Options
 // mapping, the build → install → attach → setup order, the warm →
 // ResetMetrics → measure → read procedure and the machine's close —
@@ -174,23 +185,43 @@ type rig struct {
 	eng  *core.Engine
 }
 
-// build is the one place a harness machine comes from. The rig keeps the
-// machine even when attaching the study fails, so the executor closes it
-// either way.
-func (r *rig) build(s study) (err error) {
+// build is the one place a fresh harness machine comes from: config,
+// then attach. The rig keeps the machine even when attaching the study
+// fails, so the executor closes it either way.
+func (r *rig) build(s study) error {
+	cfg, err := r.config(s)
+	if err != nil {
+		return err
+	}
+	m, err := sim.NewMachine(cfg)
+	if err != nil {
+		return err
+	}
+	return r.attach(s, m)
+}
+
+// config builds the study's workload for the Options' seed and returns
+// the configuration of the machine the study measures.
+func (r *rig) config(s study) (cfg sim.Config, err error) {
 	if s.workload != nil {
 		if r.spec, err = s.workload(r.opt.Seed); err != nil {
-			return err
+			return cfg, err
 		}
 	}
-	cfg := MachineConfig(r.opt, s.policy)
+	cfg = MachineConfig(r.opt, s.policy)
 	if s.hardware != nil {
 		s.hardware(&cfg)
 		cfg.Caches.Coherence = r.opt.Coherence // survives a wholesale Caches swap
 	}
-	if r.m, err = sim.NewMachine(cfg); err != nil {
-		return err
-	}
+	return cfg, nil
+}
+
+// attach makes m the rig's machine and puts the study on it: the
+// workload, the clustering engine when the study asks for one, then
+// setup. It is also the install step of a restore (WorkloadMachine), so
+// a restored machine is composed exactly as a built one.
+func (r *rig) attach(s study, m *sim.Machine) (err error) {
+	r.m = m
 	if s.install != nil {
 		err = s.install(r)
 	} else {
@@ -205,6 +236,36 @@ func (r *rig) build(s study) (err error) {
 		err = s.setup(r)
 	}
 	return err
+}
+
+// WorkloadMachine returns the machine of RunWorkload's cell for the named
+// workload under policy, after it has run rounds more rounds: built
+// fresh, or, when from is non-nil, restored from that snapshot with the
+// workload and engine attached exactly as a fresh build attaches them
+// (the rig's attach is the restore's install step). The caller closes
+// the machine. `tcsim snapshot` builds and resumes its machines here.
+func WorkloadMachine(ctx context.Context, name string, policy sched.Policy, opt Options, from *sim.MachineSnapshot, rounds int) (*sim.Machine, error) {
+	s := workloadCell(name, policy, opt).study
+	r := &rig{opt: opt}
+	var err error
+	if from == nil {
+		err = r.build(s)
+	} else {
+		var cfg sim.Config
+		if cfg, err = r.config(s); err == nil {
+			r.m, err = sim.RestoreMachine(cfg, from, func(m *sim.Machine) error { return r.attach(s, m) })
+		}
+	}
+	if err == nil {
+		err = r.m.RunRoundsCtx(ctx, rounds)
+	}
+	if err != nil {
+		if r.m != nil { // nil after a failed restore, which closes its machine
+			r.m.Close()
+		}
+		return nil, err
+	}
+	return r.m, nil
 }
 
 // steady measures the built machine at steady state: WarmRounds +

@@ -147,7 +147,7 @@ func TestParsePolicy(t *testing.T) {
 // keeps the key of every old cell, whose seed a one-topology grid keeps.
 func TestCellKeyCoversGrid(t *testing.T) {
 	base := subsetGrid()
-	wc := workloadCell(Volano, sched.PolicyClustered, true, base.Opt)
+	wc := workloadCell(Volano, sched.PolicyClustered, base.Opt)
 	want := wc.key().Hash()
 	seen := map[string]bool{}
 	var walk func(path string, index []int, typ reflect.Type)

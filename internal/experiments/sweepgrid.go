@@ -179,7 +179,7 @@ func (g GridSpec) cell(c GridCell) (cell[RunMetrics], error) {
 	topo, err := ParseTopo(c.Topo)
 	opt := g.Opt
 	opt.Topo, opt.Seed = topo, c.Seed
-	return workloadCell(c.Workload, c.Policy, c.Policy == sched.PolicyClustered, opt), err
+	return workloadCell(c.Workload, c.Policy, opt), err
 }
 
 // taskFor compiles one grid cell into its sweep task, which executes the

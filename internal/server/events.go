@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"threadcluster/internal/metrics"
 )
 
 // Event types emitted on a job's NDJSON stream, in lifecycle order:
@@ -28,8 +26,7 @@ const (
 // completion order under a concurrent sweep pool (the payload re-orders
 // results into grid order).
 type Event struct {
-	// Seq numbers events per job from 0; gaps mean the ring dropped
-	// events before this subscriber attached (see Dropped).
+	// Seq numbers events per job contiguously from 0.
 	Seq int `json:"seq"`
 	// Time is the server's wall-clock timestamp for the event.
 	Time time.Time `json:"time"`
@@ -54,39 +51,21 @@ type Event struct {
 	Digest string `json:"digest,omitempty"`
 }
 
-// eventLog is a per-job bounded event history plus broadcast: appends
-// retain the last cap events (older ones are dropped and counted), and
-// every append wakes all blocked subscribers by closing the current
-// update channel. A subscriber replays whatever is retained from the
-// earliest event on, then follows live; after close it drains and ends.
-//
-// A full log drops its oldest event by advancing start, and slides the
-// window back to the front of the slice only once start reaches the
-// capacity: one copy of capacity events per capacity appends, so an
-// append costs O(1) amortised however long the job runs.
+// eventLog is a job's whole event history plus broadcast: every append
+// is kept, and wakes all blocked subscribers by closing the current
+// update channel. A subscriber replays the history from Seq 0, then
+// follows live; after close it drains and ends. A job emits one event
+// per grid cell plus three lifecycle events, so the history is O(cells),
+// like the results the job already holds.
 type eventLog struct {
-	mu       sync.Mutex
-	capacity int
-	events   []Event // the retained window is events[start:]; events[start+i].Seq == firstSeq+i
-	start    int
-	firstSeq int
-	nextSeq  int
-	dropped  int
-	closed   bool
-	updated  chan struct{}
-
-	droppedTotal *metrics.Counter // server-wide drop counter (may be nil)
+	mu      sync.Mutex
+	events  []Event // events[i].Seq == i
+	closed  bool
+	updated chan struct{}
 }
 
-func newEventLog(capacity int, droppedTotal *metrics.Counter) *eventLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &eventLog{
-		capacity:     capacity,
-		updated:      make(chan struct{}),
-		droppedTotal: droppedTotal,
-	}
+func newEventLog() *eventLog {
+	return &eventLog{updated: make(chan struct{})}
 }
 
 // append stamps ev with the next sequence number and publishes it. After
@@ -97,23 +76,8 @@ func (l *eventLog) append(ev Event) {
 	if l.closed {
 		return
 	}
-	ev.Seq = l.nextSeq
-	l.nextSeq++
+	ev.Seq = len(l.events)
 	l.events = append(l.events, ev)
-	if len(l.events)-l.start > l.capacity {
-		l.start++
-		l.firstSeq++
-		l.dropped++
-		if l.droppedTotal != nil {
-			l.droppedTotal.Inc()
-		}
-		if l.start == l.capacity {
-			n := copy(l.events, l.events[l.start:])
-			clear(l.events[n:])
-			l.events = l.events[:n]
-			l.start = 0
-		}
-	}
 	close(l.updated)
 	l.updated = make(chan struct{})
 }
@@ -132,24 +96,19 @@ func (l *eventLog) closeLog() {
 	close(l.updated)
 }
 
-// snapshotFrom returns the retained events with Seq >= cursor, the
-// channel that will signal the next append, and whether the log is
-// closed.
+// snapshotFrom returns the events with Seq >= cursor, the channel that
+// will signal the next append, and whether the log is closed. The slice
+// shares the log's array without a copy: an append never writes below
+// len(events), and the clipped capacity keeps the caller from doing so.
 func (l *eventLog) snapshotFrom(cursor int) ([]Event, <-chan struct{}, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Events before firstSeq were dropped; resume at the oldest retained.
-	start := l.start + max(cursor-l.firstSeq, 0)
-	var out []Event
-	if start < len(l.events) {
-		out = append(out, l.events[start:]...)
-	}
-	return out, l.updated, l.closed
+	n := len(l.events)
+	return l.events[min(cursor, n):n:n], l.updated, l.closed
 }
 
-// subscribe streams events to fn from the earliest retained event until
-// the log closes, ctx is cancelled, or fn errors. fn runs without the
-// log lock held.
+// subscribe streams events to fn from Seq 0 until the log closes, ctx is
+// cancelled, or fn errors. fn runs without the log lock held.
 func (l *eventLog) subscribe(ctx context.Context, fn func(Event) error) error {
 	cursor := 0
 	for {
@@ -169,11 +128,4 @@ func (l *eventLog) subscribe(ctx context.Context, fn func(Event) error) error {
 			return ctx.Err()
 		}
 	}
-}
-
-// Dropped reports how many early events the ring discarded.
-func (l *eventLog) Dropped() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }

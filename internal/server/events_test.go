@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
-
-	"threadcluster/internal/metrics"
 )
 
 func logEvent(i int) Event {
@@ -16,7 +13,7 @@ func logEvent(i int) Event {
 }
 
 func TestEventLogReplay(t *testing.T) {
-	l := newEventLog(16, nil)
+	l := newEventLog()
 	for i := 0; i < 3; i++ {
 		l.append(logEvent(i))
 	}
@@ -45,7 +42,7 @@ func TestEventLogCloseAllocatesNothing(t *testing.T) {
 	const runs = 50
 	logs := make([]*eventLog, runs+1) // AllocsPerRun makes one warm-up call
 	for i := range logs {
-		logs[i] = newEventLog(4, nil)
+		logs[i] = newEventLog()
 		logs[i].append(logEvent(i))
 	}
 	next := 0
@@ -61,32 +58,8 @@ func TestEventLogCloseAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestEventLogOverflowKeepsTail(t *testing.T) {
-	l := newEventLog(4, nil)
-	for i := 0; i < 10; i++ {
-		l.append(logEvent(i))
-	}
-	l.closeLog()
-	var got []Event
-	if err := l.subscribe(context.Background(), func(ev Event) error {
-		got = append(got, ev)
-		return nil
-	}); err != nil {
-		t.Fatalf("subscribe: %v", err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("retained %d events, want 4", len(got))
-	}
-	if got[0].Seq != 6 || got[3].Seq != 9 {
-		t.Fatalf("retained seqs %d..%d, want 6..9", got[0].Seq, got[3].Seq)
-	}
-	if l.Dropped() != 6 {
-		t.Fatalf("Dropped() = %d, want 6", l.Dropped())
-	}
-}
-
 func TestEventLogLiveFollow(t *testing.T) {
-	l := newEventLog(16, nil)
+	l := newEventLog()
 	l.append(logEvent(0))
 
 	got := make(chan Event, 16)
@@ -120,7 +93,7 @@ func TestEventLogLiveFollow(t *testing.T) {
 }
 
 func TestEventLogSubscribeHonorsContext(t *testing.T) {
-	l := newEventLog(16, nil)
+	l := newEventLog()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -138,7 +111,7 @@ func TestEventLogSubscribeHonorsContext(t *testing.T) {
 }
 
 func TestEventLogCallbackErrorStops(t *testing.T) {
-	l := newEventLog(16, nil)
+	l := newEventLog()
 	l.append(logEvent(0))
 	l.append(logEvent(1))
 	boom := errors.New("boom")
@@ -152,59 +125,27 @@ func TestEventLogCallbackErrorStops(t *testing.T) {
 	}
 }
 
-// refEventLog is the ring eventLog replaced: every append past capacity
-// copies the whole retained window. It is the reference for what a full
-// log keeps.
-type refEventLog struct {
-	capacity          int
-	events            []Event
-	firstSeq, nextSeq int
-	dropped           int
-}
-
-func (l *refEventLog) append(ev Event) {
-	ev.Seq = l.nextSeq
-	l.nextSeq++
-	l.events = append(l.events, ev)
-	if len(l.events) > l.capacity {
-		over := len(l.events) - l.capacity
-		l.events = append([]Event(nil), l.events[over:]...)
-		l.firstSeq += over
-		l.dropped += over
+// TestEventLogKeepsEveryEvent appends far more events than a job of
+// the largest grid in use emits (35) and requires the whole history: a
+// replay from any cursor is events[cursor:], Seq contiguous from it.
+func TestEventLogKeepsEveryEvent(t *testing.T) {
+	const n = 5000
+	l := newEventLog()
+	for i := 0; i < n; i++ {
+		l.append(logEvent(i))
 	}
-}
-
-// TestEventLogAppendPastCapacity appends ten times the capacity and
-// requires, after every append, the reference's retained window, Seq
-// numbers and drop counts, and a replay from any cursor that starts
-// where the reference's would. Once the log is full an append allocates
-// at most the broadcast channel it replaces: no copy of the window.
-func TestEventLogAppendPastCapacity(t *testing.T) {
-	for _, capacity := range []int{1, 2, 7, 64} {
-		reg := metrics.NewRegistry()
-		l := newEventLog(capacity, reg.Counter("dropped", nil))
-		ref := &refEventLog{capacity: capacity}
-		for i := 0; i < 10*capacity; i++ {
-			l.append(logEvent(i))
-			ref.append(logEvent(i))
-			got, _, _ := l.snapshotFrom(0)
-			if !reflect.DeepEqual(got, ref.events) {
-				t.Fatalf("cap %d, append %d: retained %v, want %v", capacity, i, got, ref.events)
-			}
-			if l.Dropped() != ref.dropped || reg.Snapshot().Counter("dropped", nil) != uint64(ref.dropped) {
-				t.Fatalf("cap %d, append %d: dropped %d (counter %d), want %d", capacity, i,
-					l.Dropped(), reg.Snapshot().Counter("dropped", nil), ref.dropped)
-			}
-			for _, cursor := range []int{ref.firstSeq - 1, ref.firstSeq, ref.nextSeq - 1, ref.nextSeq} {
-				want := ref.events[max(cursor-ref.firstSeq, 0):]
-				if got, _, _ := l.snapshotFrom(cursor); len(got) != len(want) || (len(got) > 0 && got[0].Seq != want[0].Seq) {
-					t.Fatalf("cap %d, append %d: replay from %d = %v, want %v", capacity, i, cursor, got, want)
-				}
+	for cursor := 0; cursor <= n+1; cursor++ {
+		got, _, _ := l.snapshotFrom(cursor)
+		if want := max(n-cursor, 0); len(got) != want {
+			t.Fatalf("replay from %d: %d events, want %d", cursor, len(got), want)
+		}
+		for i, ev := range got {
+			if ev.Seq != cursor+i {
+				t.Fatalf("replay from %d: event %d has seq %d, want %d", cursor, i, ev.Seq, cursor+i)
 			}
 		}
-		ev := logEvent(0)
-		if allocs := testing.AllocsPerRun(10*capacity, func() { l.append(ev) }); allocs > 1 {
-			t.Fatalf("cap %d: %.1f allocations per append to a full log, want at most 1 (the update channel)", capacity, allocs)
+		if len(got) > 0 && got[0].Task != fmt.Sprintf("t%d", cursor) {
+			t.Fatalf("replay from %d starts at task %s, want t%d", cursor, got[0].Task, cursor)
 		}
 	}
 }

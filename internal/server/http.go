@@ -237,7 +237,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams the job's progress as NDJSON: one JSON event per
-// line, flushed per event, replaying retained history first. The stream
+// line, flushed per event, replaying its whole history first. The stream
 // ends at the job's terminal event (or the server's shutdown event).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

@@ -74,10 +74,6 @@ type Options struct {
 	// byte-identical for any value.
 	TaskWorkers int
 
-	// EventBuffer is the per-job event ring capacity; late subscribers
-	// replay from the earliest retained event. Default 1024.
-	EventBuffer int
-
 	// SpoolDir, when set, persists work across restarts: each admitted
 	// job's spec as "<seq>-<id>.json" from admission until it settles
 	// (persist.go), and every completed grid cell as a write-once record
@@ -101,7 +97,7 @@ type Server struct {
 	jobs      map[string]*job
 	bySeq     []*job
 	nextSeq   uint64
-	running   int
+	counts    map[JobState]int // jobs in each state, kept by setState: server_jobs{state}, server_jobs_running, WorkerHealth.Running
 	draining  bool
 	started   bool
 	ewmaSec   float64          // smoothed wall seconds per job, for Retry-After
@@ -119,7 +115,6 @@ type Server struct {
 
 	mJobsAdmitted     *metrics.Counter
 	mJobsReadmitted   *metrics.Counter
-	mEventsDropped    *metrics.Counter
 	mSpoolQuarantined *metrics.Counter
 	mRecordsWritten   *metrics.Counter
 	mRecordsReused    *metrics.Counter
@@ -146,19 +141,16 @@ func New(opt Options) (*Server, error) {
 	if opt.JobWorkers <= 0 {
 		opt.JobWorkers = 1
 	}
-	if opt.EventBuffer <= 0 {
-		opt.EventBuffer = 1024
-	}
 	s := &Server{
-		opt:   opt,
-		clock: opt.Clock,
-		reg:   opt.Registry,
-		queue: newJobQueue(opt.QueueDepth, opt.MaxQueuedCost),
-		jobs:  make(map[string]*job),
+		opt:    opt,
+		clock:  opt.Clock,
+		reg:    opt.Registry,
+		queue:  newJobQueue(opt.QueueDepth, opt.MaxQueuedCost),
+		jobs:   make(map[string]*job),
+		counts: make(map[JobState]int),
 	}
 	s.mJobsAdmitted = s.reg.Counter("server_jobs_admitted_total", nil)
 	s.mJobsReadmitted = s.reg.Counter("server_jobs_readmitted_total", nil)
-	s.mEventsDropped = s.reg.Counter("server_events_dropped_total", nil)
 	s.mSpoolQuarantined = s.reg.Counter("server_spool_quarantined_total", nil)
 	s.mRecordsWritten = s.reg.Counter("server_cell_records_written_total", nil)
 	s.mRecordsReused = s.reg.Counter("server_cell_records_reused_total", nil)
@@ -171,9 +163,7 @@ func New(opt Options) (*Server, error) {
 		return float64(tok)
 	})
 	s.reg.RegisterGaugeFunc("server_jobs_running", nil, func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.running)
+		return float64(s.count(StateRunning))
 	})
 	s.reg.RegisterGaugeFunc("server_result_bytes", nil, func() float64 {
 		s.mu.Lock()
@@ -181,20 +171,28 @@ func New(opt Options) (*Server, error) {
 		return float64(s.keptBytes)
 	})
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		st := st
 		s.reg.RegisterGaugeFunc("server_jobs", metrics.Labels{"state": string(st)}, func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			n := 0
-			for _, j := range s.bySeq {
-				if j.state == st {
-					n++
-				}
-			}
-			return float64(n)
+			return float64(s.count(st))
 		})
 	}
 	return s, nil
+}
+
+// setState moves j to st and the per-state counts with it; a job's state
+// changes nowhere else. Caller holds s.mu.
+func (s *Server) setState(j *job, st JobState) {
+	if j.state != "" {
+		s.counts[j.state]--
+	}
+	j.state = st
+	s.counts[st]++
+}
+
+// count reports how many jobs are in state st.
+func (s *Server) count(st JobState) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.counts[st]
 }
 
 // Start launches the worker pool and re-admits any spooled job specs, in
@@ -281,9 +279,9 @@ func (s *Server) admit(norm JobSpec, cost int64, from *spoolFile) (JobStatus, er
 		spec:   norm,
 		seq:    seq,
 		cost:   cost,
-		state:  StateQueued,
-		events: newEventLog(s.opt.EventBuffer, s.mEventsDropped),
+		events: newEventLog(),
 	}
+	s.setState(j, StateQueued)
 	s.nextSeq = max(s.nextSeq, seq+1)
 	s.jobs[norm.ID] = j
 	s.bySeq = append(s.bySeq, j)
@@ -306,6 +304,7 @@ func (s *Server) admit(norm JobSpec, cost int64, from *spoolFile) (JobStatus, er
 	j.events.append(Event{Time: s.clock.Now(), Type: EventQueued, Job: norm.ID})
 	if err := s.queue.push(j); err != nil {
 		s.mu.Lock()
+		s.counts[j.state]--
 		delete(s.jobs, norm.ID)
 		for i, it := range s.bySeq {
 			if it == j {
@@ -448,8 +447,8 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	return s.Status(id)
 }
 
-// Subscribe streams a job's events to fn (replaying retained history
-// first) until the job reaches a terminal event, ctx ends, or fn errors.
+// Subscribe streams a job's events to fn, its whole history from Seq 0
+// first, until the job reaches a terminal event, ctx ends, or fn errors.
 func (s *Server) Subscribe(ctx context.Context, id string, fn func(Event) error) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -497,10 +496,9 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *payloadScratch) {
 		s.settle(j, StateCanceled, fmt.Errorf("server: canceled before start"))
 		return
 	}
-	j.state = StateRunning
+	s.setState(j, StateRunning)
 	j.cancel = cancel
 	j.tasksTotal = len(tasks)
-	s.running++
 	s.mu.Unlock()
 
 	started := s.clock.Now()
@@ -528,7 +526,6 @@ func (s *Server) runJob(ctx context.Context, j *job, sc *payloadScratch) {
 	results, runErr := sweep.Run(jctx, wrapped, workers)
 
 	s.mu.Lock()
-	s.running--
 	elapsed := s.clock.Now().Sub(started).Seconds()
 	if s.ewmaSec == 0 {
 		s.ewmaSec = elapsed
@@ -630,7 +627,7 @@ func (s *Server) settle(j *job, state JobState, cause error) {
 		s.mu.Unlock()
 		return
 	}
-	j.state = state
+	s.setState(j, state)
 	j.cancel = nil // the job's context is done with; do not keep it for the server's life
 	if state != StateDone {
 		j.err = cause
@@ -769,7 +766,7 @@ func (s *Server) WorkerHealth() WorkerHealth {
 	defer s.mu.Unlock()
 	return WorkerHealth{
 		Draining:        s.draining || !s.started,
-		Running:         s.running,
+		Running:         s.counts[StateRunning],
 		Queued:          queued,
 		OutstandingCost: tokens,
 		JobWorkers:      s.opt.JobWorkers,

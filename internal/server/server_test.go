@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"threadcluster/internal/errs"
+	"threadcluster/internal/metrics"
 )
 
 // listSpool returns the file names in a spool directory, skipping
@@ -433,6 +434,145 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if _, err := s.Result("long"); !errors.Is(err, errs.ErrJobNotDone) {
 		t.Fatalf("Result of canceled job err = %v, want ErrJobNotDone", err)
+	}
+}
+
+// jobCountsDiffer compares each server_jobs{state} gauge,
+// server_jobs_running and WorkerHealth.Running with a walk of Jobs(),
+// and describes the first disagreement ("" when all agree).
+func jobCountsDiffer(s *Server) string {
+	walk := make(map[JobState]int)
+	for _, st := range s.Jobs() {
+		walk[st.State]++
+	}
+	snap := s.Registry().Snapshot()
+	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
+		if got := snap.Gauge("server_jobs", metrics.Labels{"state": string(st)}); got != float64(walk[st]) {
+			return fmt.Sprintf("server_jobs{state=%q} = %v, Jobs() has %d", st, got, walk[st])
+		}
+	}
+	if got := snap.Gauge("server_jobs_running", nil); got != float64(walk[StateRunning]) {
+		return fmt.Sprintf("server_jobs_running = %v, Jobs() has %d running", got, walk[StateRunning])
+	}
+	if got := s.WorkerHealth().Running; got != walk[StateRunning] {
+		return fmt.Sprintf("WorkerHealth.Running = %d, Jobs() has %d running", got, walk[StateRunning])
+	}
+	return ""
+}
+
+// TestJobCountsMatchJobs takes jobs through every lifecycle: done,
+// failed, refused by a full queue, canceled while queued, before start
+// and while running, and left queued by a drain. At every hook
+// (admission, worker pickup, each completed cell, settle) the per-state
+// gauges must equal a walk of Jobs(). Each check runs while no other
+// goroutine can move a job.
+func TestJobCountsMatchJobs(t *testing.T) {
+	ctx := context.Background()
+	gate := make(chan struct{})
+	popped := make(chan string, 1)
+	var s *Server
+	check := func(at string) {
+		if d := jobCountsDiffer(s); d != "" {
+			t.Errorf("%s: %s", at, d)
+		}
+	}
+	s = startServer(t, Options{JobWorkers: 1, QueueDepth: 1, MaxJobCost: 100_000_000}, func(s *Server) {
+		s.beforeJob = func(j *job) {
+			check("picking up " + j.spec.ID)
+			popped <- j.spec.ID
+			<-gate
+			if j.spec.ID == "fail" {
+				// An unknown policy fails the job's compile.
+				s.mu.Lock()
+				j.spec.Policies = []string{"bogus"}
+				s.mu.Unlock()
+			}
+		}
+		s.afterTask = func(j *job, idx int) { check(fmt.Sprintf("cell %d of %s", idx, j.spec.ID)) }
+	})
+	submit := func(spec JobSpec) {
+		t.Helper()
+		if _, err := s.Submit(ctx, spec); err != nil {
+			t.Fatalf("Submit %s: %v", spec.ID, err)
+		}
+		check("admitted " + spec.ID)
+	}
+	settled := func(id string, want JobState) {
+		t.Helper()
+		if st := waitTerminal(t, s, id); st.State != want {
+			t.Fatalf("%s settled %s (err %q), want %s", id, st.State, st.Error, want)
+		}
+		check("settled " + id)
+	}
+
+	for _, c := range []struct {
+		id   string
+		want JobState
+	}{{"done", StateDone}, {"fail", StateFailed}} {
+		submit(smallSpec(c.id))
+		<-popped
+		gate <- struct{}{}
+		settled(c.id, c.want)
+	}
+
+	submit(smallSpec("front"))
+	<-popped
+	submit(smallSpec("victim"))
+	if _, err := s.Submit(ctx, smallSpec("refused")); !errors.Is(err, errs.ErrOverloaded) {
+		t.Fatalf("Submit refused: err %v, want ErrOverloaded", err)
+	}
+	check("refused")
+	if _, err := s.Cancel("victim"); err != nil {
+		t.Fatalf("Cancel victim: %v", err)
+	}
+	check("canceled victim")
+	if _, err := s.Cancel("front"); err != nil {
+		t.Fatalf("Cancel front: %v", err)
+	}
+	check("canceling front")
+	gate <- struct{}{}
+	settled("front", StateCanceled)
+
+	long := smallSpec("long")
+	long.EngineRounds, long.MeasureRounds = 2_000_000, 2_000_000 // cancelled well before done
+	submit(long)
+	<-popped
+	gate <- struct{}{}
+	errStop := errors.New("saw running")
+	if err := s.Subscribe(ctx, "long", func(ev Event) error {
+		if ev.Type == EventRunning {
+			return errStop
+		}
+		return nil
+	}); !errors.Is(err, errStop) {
+		t.Fatalf("waiting for long to run: %v", err)
+	}
+	check("running long")
+	if _, err := s.Cancel("long"); err != nil {
+		t.Fatalf("Cancel long: %v", err)
+	}
+	settled("long", StateCanceled)
+
+	submit(smallSpec("inflight"))
+	<-popped
+	submit(smallSpec("parked"))
+	shutDone := make(chan error, 1)
+	go func() { shutDone <- s.Shutdown(ctx) }()
+	if err := s.Subscribe(ctx, "parked", func(Event) error { return nil }); err != nil {
+		t.Fatalf("Subscribe parked: %v", err)
+	}
+	check("drained parked")
+	gate <- struct{}{}
+	if err := <-shutDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	check("drained")
+	want := map[string]JobState{"done": StateDone, "fail": StateFailed, "front": StateCanceled, "victim": StateCanceled,
+		"long": StateCanceled, "inflight": StateDone, "parked": StateQueued}
+	for _, st := range s.Jobs() {
+		if st.State != want[st.ID] {
+			t.Errorf("%s is %s, want %s", st.ID, st.State, want[st.ID])
+		}
 	}
 }
 
