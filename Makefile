@@ -166,10 +166,11 @@ experiments:
 	mv experiments_output.txt.tmp experiments_output.txt
 
 # Regenerate every experiment and fail unless the output equals the
-# committed experiments_output.txt outside the ablation table's
-# wall-clock Cost column.
+# committed experiments_output.txt byte for byte.
 experiments-check:
-	sh ./scripts/experiments_check.sh
+	$(GO) run ./cmd/tcsim -exp all > experiments_output.txt.tmp
+	diff -u experiments_output.txt experiments_output.txt.tmp || (echo "experiments_output.txt is stale: run make experiments" >&2; exit 1)
+	rm experiments_output.txt.tmp
 
 # Regenerate every pinned artifact of simulated behaviour, in one go: the
 # golden machine snapshots and their digests, the trajectory pins, the
@@ -180,7 +181,12 @@ experiments-check:
 # files did not change. Review the diff of experiments_output.txt and run
 # the shape tests (`make test`) afterwards: they, not the pins, say
 # whether the science moved. Goldens that moved mean a new epoch: bump
-# experiments.DigestEpoch and re-pin TestDigestEpochPinned.
+# experiments.DigestEpoch and re-pin TestDigestEpochPinned. The one
+# exception is an experiment line whose rendering moves while no cell,
+# payload or simulated number does (a deleted experiment, a column that
+# counts instead of timing): replace that line alone with the digest
+# `go test -run 'TestHarnessGolden/<name>$'` prints, and re-pin the same
+# epoch.
 goldens:
 	$(GO) test ./internal/sim -run 'TestGoldenSnapshotCompat|TestGoldenTrajectory' -update-golden -update-trajectory
 	$(GO) test ./internal/workloads -run TestBTreeGeneratorStreamsGolden -update-stream-golden

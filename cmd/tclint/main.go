@@ -11,14 +11,8 @@
 // With no packages it checks ./... . It lists the patterns with
 // `go list -export -deps`, type-checks each matched package against its
 // imports' export data and analyzes it. It exits 0 when clean, 1 on
-// diagnostics or failure.
-//
-// Suppress a finding with a trailing or preceding comment:
-//
-//	//tclint:allow maporder -- the slice is a set; its order is never read
-//
-// The reason after "--" is mandatory: a suppression without one is
-// itself a finding, and so is one naming no analyzer of the suite.
+// diagnostics or failure. There are no suppression comments: a finding
+// is fixed or the analyzer is narrowed.
 package main
 
 import (

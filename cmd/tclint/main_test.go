@@ -15,7 +15,7 @@ import (
 // TestSelfClean is the suite's acceptance gate: tclint must exit clean
 // on the repository that defines it. Any new violation of the
 // determinism/error/context contracts fails this test (and `make lint`)
-// until fixed or annotated with a justified //tclint:allow.
+// until fixed.
 func TestSelfClean(t *testing.T) {
 	diags, err := lint.Run("../..", []string{"./..."}, lint.All())
 	if err != nil {

@@ -299,9 +299,14 @@ func TestClusterPartitionProperty(t *testing.T) {
 
 func TestKMeansRecoversGroups(t *testing.T) {
 	shmaps, truth := makeGroups(4, 4, 256, 30, true, 3)
-	clusters := KMeans(shmaps, 4, DefaultFloor, 0.5, 42, 50)
+	clusters, dists := KMeans(shmaps, 4, DefaultFloor, 0.5, 42, 50)
 	if len(clusters) == 0 {
 		t.Fatal("kmeans returned nothing")
+	}
+	// Seeding measures each of the 16 points against 1, 2, then 3
+	// centroids; every Lloyd iteration against all 4.
+	if seeding := 16 * (1 + 2 + 3); dists <= seeding || (dists-seeding)%(16*4) != 0 {
+		t.Errorf("kmeans computed %d distances, want 96 + a multiple of 64", dists)
 	}
 	if p := Purity(clusters, truth); p < 0.95 {
 		t.Errorf("kmeans purity = %v, want >= 0.95", p)
@@ -309,12 +314,12 @@ func TestKMeansRecoversGroups(t *testing.T) {
 }
 
 func TestKMeansEdgeCases(t *testing.T) {
-	if KMeans(nil, 3, DefaultFloor, 0.5, 1, 10) != nil {
-		t.Error("kmeans of nothing should be nil")
+	if cs, dists := KMeans(nil, 3, DefaultFloor, 0.5, 1, 10); cs != nil || dists != 0 {
+		t.Error("kmeans of nothing should be nil and cost nothing")
 	}
 	shmaps, _ := makeGroups(1, 2, 64, 20, false, 1)
 	// k larger than the thread count clamps.
-	cs := KMeans(shmaps, 10, DefaultFloor, 0.5, 1, 10)
+	cs, _ := KMeans(shmaps, 10, DefaultFloor, 0.5, 1, 10)
 	total := 0
 	for _, c := range cs {
 		total += c.Size()

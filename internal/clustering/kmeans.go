@@ -15,11 +15,12 @@ import (
 //
 // Globally shared entries are masked exactly as in the one-pass clusterer,
 // the floor is applied, and vectors are treated as points in R^entries.
-// The run is deterministic for a given seed.
-func KMeans(shmaps map[ThreadKey]*ShMap, k int, floor uint8, globalFraction float64, seed int64, maxIter int) []Cluster {
+// The run is deterministic for a given seed. It also returns how many
+// point-centroid distances it computed, its cost in vector comparisons.
+func KMeans(shmaps map[ThreadKey]*ShMap, k int, floor uint8, globalFraction float64, seed int64, maxIter int) ([]Cluster, int) {
 	keys := sortedKeys(shmaps)
 	if len(keys) == 0 || k <= 0 {
-		return nil
+		return nil, 0
 	}
 	if k > len(keys) {
 		k = len(keys)
@@ -67,7 +68,9 @@ func KMeans(shmaps map[ThreadKey]*ShMap, k int, floor uint8, globalFraction floa
 		}
 	}
 	centroids = append(centroids, cloneVec(points[first]))
+	dists := 0
 	for len(centroids) < k {
+		dists += len(points) * len(centroids)
 		far, farDist := 0, -1.0
 		for i, p := range points {
 			d := math.MaxFloat64
@@ -87,6 +90,7 @@ func KMeans(shmaps map[ThreadKey]*ShMap, k int, floor uint8, globalFraction floa
 
 	assign := make([]int, len(points))
 	for iter := 0; iter < maxIter; iter++ {
+		dists += len(points) * k
 		changed := false
 		for i, p := range points {
 			best, bestD := 0, math.MaxFloat64
@@ -126,7 +130,7 @@ func KMeans(shmaps map[ThreadKey]*ShMap, k int, floor uint8, globalFraction floa
 		}
 	}
 
-	return groupsFromAssignment(keys, assign, k)
+	return groupsFromAssignment(keys, assign, k), dists
 }
 
 func sortedKeys(shmaps map[ThreadKey]*ShMap) []ThreadKey {

@@ -112,13 +112,6 @@ type Config struct {
 	// on the chip where the majority of its sampled lines are homed, so
 	// threads end up next to their data as well as next to each other.
 	NodeOf func(memory.Addr) int
-	// IntraChipSpread, when true, replaces the paper's uniformly random
-	// intra-chip placement (Section 4.5) with SMT-aware cores-first
-	// placement: new threads go to the least-loaded core of the chip so
-	// SMT siblings stay free while whole cores are idle. An ablation for
-	// the intra-chip design choice the paper leaves to the Section 2
-	// co-scheduling literature.
-	IntraChipSpread bool
 	// ProcessOf maps a thread to its process. When set, each process
 	// gets its own shMap filter ("all threads of a process use the same
 	// shMap filter", Section 4.3.1) and clustering runs within each
@@ -631,13 +624,7 @@ func (e *Engine) migrate(clusters []clustering.Cluster) {
 	}
 
 	place := func(id sched.ThreadID, chip int) {
-		var cpu topology.CPUID
-		if e.cfg.IntraChipSpread {
-			cpu = s.LeastSMTLoadedCPUOnChip(chip)
-		} else {
-			cpu = s.RandomCPUOnChip(chip)
-		}
-		if err := s.Migrate(id, cpu); err == nil {
+		if err := s.Migrate(id, s.RandomCPUOnChip(chip)); err == nil {
 			s.Pin(id)
 			e.migrationsDone++
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"threadcluster/internal/clustering"
 	"threadcluster/internal/rng"
@@ -27,10 +26,11 @@ type AblationRow struct {
 	// threads the detection left it nothing to work with.
 	Sampled       int
 	SampledPurity float64
-	// Elapsed is wall-clock cost of the clustering pass itself — the
-	// dimension that rules the "full-blown" algorithms out of an online
-	// engine (Section 4.4.2).
-	Elapsed time.Duration
+	// Comparisons is the clustering pass's cost in vector comparisons:
+	// similarity-metric calls, or K-means's point-centroid distances. It
+	// is the dimension that rules the "full-blown" algorithms out of an
+	// online engine (Section 4.4.2).
+	Comparisons int
 }
 
 // Ablation reproduces the study the paper defers to future work
@@ -45,10 +45,9 @@ func Ablation(ctx context.Context, opt Options) ([]AblationRow, *stats.Table, er
 	}
 	shmaps, truth := d.shmaps, d.truth
 
-	run := func(name string, f func() []clustering.Cluster) AblationRow {
-		start := time.Now() //tclint:allow wallclock -- AblationRow.Elapsed reports real algorithm cost, not simulated time
-		clusters := f()
-		elapsed := time.Since(start) //tclint:allow wallclock -- pairs with the start stamp above
+	run := func(name string, f func(n *int) []clustering.Cluster) AblationRow {
+		var n int
+		clusters := f(&n)
 		return AblationRow{
 			Algorithm:     name,
 			Clusters:      len(clusters),
@@ -56,44 +55,50 @@ func Ablation(ctx context.Context, opt Options) ([]AblationRow, *stats.Table, er
 			RandIndex:     clustering.RandIndex(clusters, truth),
 			Sampled:       len(keep),
 			SampledPurity: clustering.Purity(among(clusters, keep), truth),
-			Elapsed:       elapsed,
+			Comparisons:   n,
+		}
+	}
+	onePass := func(metric clustering.Metric, threshold float64) func(n *int) []clustering.Cluster {
+		return func(n *int) []clustering.Cluster {
+			cfg := scaled
+			cfg.Metric, cfg.Threshold = counted(metric, n), threshold
+			return cfg.Cluster(shmaps)
 		}
 	}
 
 	rows := []AblationRow{
-		run("one-pass dot-product (paper)", func() []clustering.Cluster {
-			return scaled.Cluster(shmaps)
+		run("one-pass dot-product (paper)", onePass(scaled.Metric, scaled.Threshold)),
+		run("one-pass cosine", onePass(clustering.Cosine, 0.5)),
+		run("one-pass jaccard", onePass(clustering.Jaccard, 0.3)),
+		run(fmt.Sprintf("k-means (k=%d, oracle)", d.partitions), func(n *int) (c []clustering.Cluster) {
+			c, *n = clustering.KMeans(shmaps, d.partitions, scaled.Floor, scaled.GlobalFraction, rng.Derive(opt.Seed, kmeansStream), 50)
+			return c
 		}),
-		run("one-pass cosine", func() []clustering.Cluster {
+		run("hierarchical avg-linkage", func(n *int) []clustering.Cluster {
 			cfg := scaled
-			cfg.Metric = clustering.Cosine
-			cfg.Threshold = 0.5
-			return cfg.Cluster(shmaps)
-		}),
-		run("one-pass jaccard", func() []clustering.Cluster {
-			cfg := scaled
-			cfg.Metric = clustering.Jaccard
-			cfg.Threshold = 0.3
-			return cfg.Cluster(shmaps)
-		}),
-		run(fmt.Sprintf("k-means (k=%d, oracle)", d.partitions), func() []clustering.Cluster {
-			return clustering.KMeans(shmaps, d.partitions, scaled.Floor, scaled.GlobalFraction, rng.Derive(opt.Seed, kmeansStream), 50)
-		}),
-		run("hierarchical avg-linkage", func() []clustering.Cluster {
-			return clustering.Hierarchical(shmaps, scaled)
+			cfg.Metric = counted(scaled.Metric, n)
+			return clustering.Hierarchical(shmaps, cfg)
 		}),
 	}
 
 	t := stats.NewTable("Ablation: clustering algorithms and similarity metrics (SPECjbb shMaps)",
-		"Algorithm", "Clusters", "Purity", "Rand index", "Cost")
+		"Algorithm", "Clusters", "Purity", "Rand index", "Comparisons")
 	for _, r := range rows {
 		t.AddRow(r.Algorithm,
 			fmt.Sprintf("%d", r.Clusters),
 			fmt.Sprintf("%.3f", r.Purity),
 			fmt.Sprintf("%.3f", r.RandIndex),
-			r.Elapsed.Round(time.Microsecond).String())
+			fmt.Sprintf("%d", r.Comparisons))
 	}
 	return rows, t, nil
+}
+
+// counted wraps metric so that every call adds one to *n.
+func counted(metric clustering.Metric, n *int) clustering.Metric {
+	return func(a, b *clustering.ShMap, floor uint8, mask []bool) float64 {
+		*n++
+		return metric(a, b, floor, mask)
+	}
 }
 
 // sampledThreads returns the threads a detection gave enough samples to

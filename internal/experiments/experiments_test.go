@@ -337,6 +337,13 @@ func TestAblationAlgorithmsAgree(t *testing.T) {
 	// threads per warehouse is the least that gives the sampled-thread
 	// score something to get wrong; how many there usually are is
 	// TestDetectionSamplesHalfTheThreads.
+	//
+	// And the cost side of Section 4.4.2: on n threads a one-pass
+	// clusterer compares each thread with at most the clusters before it,
+	// at most n(n-1)/2 comparisons, while hierarchical clustering fills
+	// the n(n-1) similarity matrix, so one-pass is cheaper on every seed.
+	// It is also cheaper than oracle-k K-means, whose seeding and two or
+	// more Lloyd iterations measure every thread against every centroid.
 	_, warehouses := jbbShape(t)
 	holdsOnSweep(t, sweepQuorum, func(opt Options) string {
 		rows, tbl, err := Ablation(readOnlyCtx(), opt)
@@ -349,7 +356,17 @@ func TestAblationAlgorithmsAgree(t *testing.T) {
 		if !strings.Contains(tbl.String(), "one-pass dot-product") {
 			t.Fatal("table missing the paper's algorithm")
 		}
-		paper := rows[0]
+		paper, kmeans, hier := rows[0], rows[3], rows[4]
+		t.Logf("seed %d: comparisons one-pass %d/%d/%d, %s %d, %s %d", opt.Seed,
+			rows[0].Comparisons, rows[1].Comparisons, rows[2].Comparisons, kmeans.Algorithm, kmeans.Comparisons, hier.Algorithm, hier.Comparisons)
+		for _, r := range rows[:3] {
+			if r.Comparisons >= hier.Comparisons {
+				t.Errorf("seed %d: %s made %d comparisons, hierarchical %d", opt.Seed, r.Algorithm, r.Comparisons, hier.Comparisons)
+			}
+			if r.Comparisons >= kmeans.Comparisons {
+				return fmt.Sprintf("%s made %d comparisons, %s %d", r.Algorithm, r.Comparisons, kmeans.Algorithm, kmeans.Comparisons)
+			}
+		}
 		if paper.Sampled < 2*warehouses {
 			return fmt.Sprintf("detection sampled %d threads, want >= %d", paper.Sampled, 2*warehouses)
 		}

@@ -5,9 +5,10 @@
 // The sweep runner promises byte-identical results for any worker
 // count and the coherence differential harness requires byte-identical
 // AccessResults between broadcast and directory mode; a single stray
-// time.Now, global math/rand call or unsorted map iteration in a result
-// path silently voids both. These analyzers catch that class of regression at vet
-// time instead of waiting for a differential test to flake.
+// wall-clock read, global math/rand call or unsorted map iteration in a
+// result path silently voids both. These analyzers catch that class of
+// regression at vet time instead of waiting for a differential test to
+// flake.
 //
 // The package is deliberately built on the standard library's go/ast
 // and go/types only (no golang.org/x/tools dependency), but mirrors the
@@ -15,14 +16,8 @@
 // multichecker mechanically. One driver runs them: Run (used by
 // `tclint ./...`) loads packages with Load, type-checking each against
 // its imports' `go list -export` data, and analyzes each package on its
-// own.
-//
-// Suppression: a `//tclint:allow <name>[,<name>...] -- <reason>` comment
-// on the offending line, or on the line directly above it, silences the
-// named analyzers for that line. A suppression without a `-- reason` is
-// itself a diagnostic, since every allowance must justify itself, and so
-// is one naming no analyzer of All(), which is what deleting an analyzer
-// leaves behind.
+// own. There are no suppression comments: a finding is fixed or the
+// analyzer is narrowed.
 package lint
 
 import (
@@ -37,15 +32,11 @@ import (
 // ModulePath is the module the scoping rules below are written against.
 const ModulePath = "threadcluster"
 
-// allowPrefix is the magic comment that suppresses a diagnostic.
-const allowPrefix = "//tclint:allow"
-
 // An Analyzer is one named check. The shape mirrors
 // golang.org/x/tools/go/analysis.Analyzer so the checks port to a real
 // multichecker without rewriting.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //tclint:allow comments.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 
 	// Doc is the one-paragraph contract the analyzer enforces.
@@ -110,11 +101,10 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
-// RunPackage applies every appropriate analyzer to pkg and returns the
-// surviving (non-suppressed) diagnostics, plus the findings about the
-// suppressions themselves, sorted by position.
+// RunPackage applies every appropriate analyzer to pkg and returns its
+// diagnostics sorted by position.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	suppressions, diags := collectSuppressions(pkg.Fset, pkg.Files)
+	var diags []Diagnostic
 	for _, a := range analyzers {
 		if a.Appropriate != nil && !a.Appropriate(pkg.PkgPath) {
 			continue
@@ -126,12 +116,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			PkgPath:   pkg.PkgPath,
 			TypesInfo: pkg.Info,
 		}
-		pass.report = func(d Diagnostic) {
-			if suppressions.allows(d.Pos.Filename, d.Pos.Line, d.Analyzer) {
-				return
-			}
-			diags = append(diags, d)
-		}
+		pass.report = func(d Diagnostic) { diags = append(diags, d) }
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
 		}
@@ -147,94 +132,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return di.Column < dj.Column
 	})
 	return diags, nil
-}
-
-// suppressionIndex maps file -> line -> set of analyzer names allowed on
-// that line. An //tclint:allow comment covers its own line and the line
-// below it, so it works both as a trailing comment and on its own line
-// above the finding.
-type suppressionIndex map[string]map[int]map[string]bool
-
-func (s suppressionIndex) allows(file string, line int, analyzer string) bool {
-	lines := s[file]
-	if lines == nil {
-		return false
-	}
-	return lines[line][analyzer] || lines[line]["*"]
-}
-
-// collectSuppressions indexes every //tclint:allow comment and returns,
-// alongside the index, the comments' own findings under the
-// "allowreason" name, which no comment can suppress: every allow with no
-// '-- reason' justification and every name that is no analyzer of All().
-func collectSuppressions(fset *token.FileSet, files []*ast.File) (suppressionIndex, []Diagnostic) {
-	known := map[string]bool{"*": true}
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-	idx := make(suppressionIndex)
-	var findings []Diagnostic
-	report := func(pos token.Position, format string, args ...any) {
-		findings = append(findings, Diagnostic{Pos: pos, Analyzer: "allowreason", Message: fmt.Sprintf(format, args...)})
-	}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				names, reason, ok := parseAllow(c.Text)
-				if !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				if reason == "" {
-					report(pos, "//tclint:allow without a '-- reason' justification; explain why the finding is acceptable")
-				}
-				for _, n := range names {
-					if !known[n] {
-						report(pos, "//tclint:allow names %q, which is not a tclint analyzer; remove the stale name", n)
-					}
-				}
-				lines := idx[pos.Filename]
-				if lines == nil {
-					lines = make(map[int]map[string]bool)
-					idx[pos.Filename] = lines
-				}
-				for _, target := range []int{pos.Line, pos.Line + 1} {
-					set := lines[target]
-					if set == nil {
-						set = make(map[string]bool)
-						lines[target] = set
-					}
-					for _, n := range names {
-						set[n] = true
-					}
-				}
-			}
-		}
-	}
-	return idx, findings
-}
-
-// parseAllow extracts the analyzer names and the justification from an
-// //tclint:allow comment. The justification is the trimmed text after
-// "--"; an absent or empty one comes back as "".
-func parseAllow(text string) (names []string, reason string, ok bool) {
-	if !strings.HasPrefix(text, allowPrefix) {
-		return nil, "", false
-	}
-	rest := text[len(allowPrefix):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, "", false // e.g. //tclint:allowed — not ours
-	}
-	if i := strings.Index(rest, "--"); i >= 0 {
-		reason = strings.TrimSpace(rest[i+len("--"):])
-		rest = rest[:i]
-	}
-	for _, field := range strings.FieldsFunc(rest, func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t'
-	}) {
-		names = append(names, field)
-	}
-	return names, reason, len(names) > 0
 }
 
 // All returns the full suite in stable order. Every analyzer judges a

@@ -8,8 +8,6 @@
 //
 // Both double-quoted and backquoted expectation strings are accepted;
 // each is a regular expression matched against the diagnostic message.
-// A want may also be a block comment, /* want "..." */, for a line whose
-// line comment is the subject of the test (a //tclint:allow directive).
 // Lines without a want comment must produce no diagnostics.
 //
 // Golden packages are type-checked with the standard library's source
@@ -241,11 +239,7 @@ func collectWants(fset *token.FileSet, f *ast.File, base string) ([]want, error)
 	var wants []want
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if text == c.Text {
-				text = strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/")
-			}
-			text = strings.TrimSpace(text)
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 			if !strings.HasPrefix(text, "want ") {
 				continue
 			}

@@ -79,10 +79,3 @@ func makesRoot() context.Context {
 func makesTODO() context.Context {
 	return context.TODO() // want `context\.TODO\(\) in library code severs`
 }
-
-// Sip blocks but carries a justified annotation on its declaration.
-//
-//tclint:allow ctxplumb -- golden test for the suppression path
-func Sip(ch chan int) int {
-	return <-ch
-}

@@ -51,7 +51,3 @@ func duplicateKnownSpaced() error {
 func freshMessageOK() error {
 	return errors.New("socket wedged")
 }
-
-func suppressed() error {
-	return errors.New("thread is running") //tclint:allow errwrap -- golden test for the suppression path
-}

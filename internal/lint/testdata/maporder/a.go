@@ -88,11 +88,3 @@ func mapToMapOK(m map[int]string) map[string]int {
 	}
 	return out
 }
-
-func suppressed(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k) //tclint:allow maporder -- golden test for the suppression path
-	}
-	return keys
-}

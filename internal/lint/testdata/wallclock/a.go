@@ -25,7 +25,3 @@ func durationsOK(d time.Duration) time.Duration {
 func parseOK() (time.Time, error) {
 	return time.Parse(time.RFC3339, "2007-03-21T00:00:00Z")
 }
-
-func annotated() time.Time {
-	return time.Now() //tclint:allow wallclock -- golden test for the suppression path
-}

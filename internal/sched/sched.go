@@ -277,33 +277,6 @@ func (s *Scheduler) RandomCPUOnChip(chip int) topology.CPUID {
 	return cpus[s.rng.Intn(len(cpus))]
 }
 
-// LeastSMTLoadedCPUOnChip returns a hardware context of the chip on the
-// core with the fewest assigned threads (ties broken by the less loaded
-// context). Cores-first placement keeps SMT siblings free while whole
-// cores are idle — the SMT-aware alternative to the paper's random
-// intra-chip rule, in the spirit of the Section 2 co-scheduling work
-// (Bulpin & Pratt, Fedorova et al.).
-func (s *Scheduler) LeastSMTLoadedCPUOnChip(chip int) topology.CPUID {
-	perCPU := make(map[topology.CPUID]int)
-	for _, cpu := range s.cpuOf {
-		perCPU[cpu]++
-	}
-	bestCPU := topology.CPUID(-1)
-	bestCore, bestCtx := 1<<30, 1<<30
-	for core := chip * s.topo.CoresPerChip; core < (chip+1)*s.topo.CoresPerChip; core++ {
-		coreLoad := 0
-		for _, cpu := range s.topo.CPUsOfCore(core) {
-			coreLoad += perCPU[cpu]
-		}
-		for _, cpu := range s.topo.CPUsOfCore(core) {
-			if coreLoad < bestCore || (coreLoad == bestCore && perCPU[cpu] < bestCtx) {
-				bestCPU, bestCore, bestCtx = cpu, coreLoad, perCPU[cpu]
-			}
-		}
-	}
-	return bestCPU
-}
-
 func (s *Scheduler) reactiveEnabled() bool {
 	return s.policy == PolicyDefault || s.policy == PolicyClustered
 }

@@ -293,29 +293,6 @@ func TestChipLoad(t *testing.T) {
 	}
 }
 
-func TestLeastSMTLoadedCPUOnChip(t *testing.T) {
-	s := newSched(t, PolicyDefault)
-	// Place one thread on CPU 0 (core 0 of chip 0). The next placement on
-	// chip 0 must go to core 1.
-	_ = s.AddThread(1)
-	_ = s.Migrate(1, 0)
-	cpu := s.LeastSMTLoadedCPUOnChip(0)
-	if s.Topology().CoreOf(cpu) != 1 {
-		t.Errorf("picked core %d, want the empty core 1", s.Topology().CoreOf(cpu))
-	}
-	// Fill core 1 too; now both cores have one thread and the choice must
-	// be an unloaded context.
-	_ = s.AddThread(2)
-	_ = s.Migrate(2, cpu)
-	cpu2 := s.LeastSMTLoadedCPUOnChip(0)
-	if cpu2 == 0 || cpu2 == cpu {
-		t.Errorf("picked occupied context %d", cpu2)
-	}
-	if s.Topology().ChipOf(cpu2) != 0 {
-		t.Error("placement left the chip")
-	}
-}
-
 func TestRandomCPUOnChip(t *testing.T) {
 	s := newSched(t, PolicyDefault)
 	for i := 0; i < 100; i++ {

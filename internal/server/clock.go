@@ -7,11 +7,11 @@ import (
 
 // Clock is the server's only source of wall time — event timestamps,
 // request-latency measurement and the Retry-After estimator all read it.
-// The simulator's wallclock contract (DESIGN.md §6) bans time.Now in
-// library code because wall time in a result path breaks byte-identical
-// replay; the server legitimately needs wall time for operational
-// output, so it is injected here instead: cmd/tcsimd supplies the system
-// clock (cmd/ is outside the wallclock analyzer's scope), tests supply a
+// The simulator's wallclock contract (DESIGN.md §6) bans wall-clock
+// reads in library code, since wall time in a result path breaks
+// byte-identical replay. The server needs wall time for operational
+// output, so it is injected here: cmd/tcsimd supplies the system clock
+// (cmd/ is outside the wallclock analyzer's scope), tests supply a
 // FakeClock, and internal/server itself stays wallclock-clean. Nothing a
 // Clock returns ever enters a job's result payload.
 type Clock interface {

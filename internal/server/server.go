@@ -97,7 +97,7 @@ type Server struct {
 	jobs      map[string]*job
 	bySeq     []*job
 	nextSeq   uint64
-	counts    map[JobState]int // jobs in each state, kept by setState: server_jobs{state}, server_jobs_running, WorkerHealth.Running
+	counts    map[JobState]int // jobs in each state, kept by setState: server_jobs{state}, server_jobs_running, WorkerHealth
 	draining  bool
 	started   bool
 	ewmaSec   float64          // smoothed wall seconds per job, for Retry-After
@@ -761,13 +761,13 @@ type WorkerHealth struct {
 
 // WorkerHealth snapshots the server's capacity signal.
 func (s *Server) WorkerHealth() WorkerHealth {
-	queued, tokens := s.queue.stats()
+	_, tokens := s.queue.stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return WorkerHealth{
 		Draining:        s.draining || !s.started,
 		Running:         s.counts[StateRunning],
-		Queued:          queued,
+		Queued:          s.counts[StateQueued],
 		OutstandingCost: tokens,
 		JobWorkers:      s.opt.JobWorkers,
 	}

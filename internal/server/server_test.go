@@ -438,8 +438,8 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 // jobCountsDiffer compares each server_jobs{state} gauge,
-// server_jobs_running and WorkerHealth.Running with a walk of Jobs(),
-// and describes the first disagreement ("" when all agree).
+// server_jobs_running and WorkerHealth's Running and Queued with a walk
+// of Jobs(), and describes the first disagreement ("" when all agree).
 func jobCountsDiffer(s *Server) string {
 	walk := make(map[JobState]int)
 	for _, st := range s.Jobs() {
@@ -454,8 +454,8 @@ func jobCountsDiffer(s *Server) string {
 	if got := snap.Gauge("server_jobs_running", nil); got != float64(walk[StateRunning]) {
 		return fmt.Sprintf("server_jobs_running = %v, Jobs() has %d running", got, walk[StateRunning])
 	}
-	if got := s.WorkerHealth().Running; got != walk[StateRunning] {
-		return fmt.Sprintf("WorkerHealth.Running = %d, Jobs() has %d running", got, walk[StateRunning])
+	if h := s.WorkerHealth(); h.Running != walk[StateRunning] || h.Queued != walk[StateQueued] {
+		return fmt.Sprintf("WorkerHealth has %d running, %d queued; Jobs() has %d, %d", h.Running, h.Queued, walk[StateRunning], walk[StateQueued])
 	}
 	return ""
 }
